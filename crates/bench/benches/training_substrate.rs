@@ -29,18 +29,18 @@ fn bench_train_step(c: &mut Criterion) {
 fn bench_batchnorm(c: &mut Criterion) {
     let mut ws = Workspace::new();
     let mut bn = BatchNorm::new(16);
-    let input = Tensor::from_fn(&[16, 16, 16], |i| (i[0] + i[1] * i[2]) as f32 * 0.01);
+    let input = Tensor::from_fn(&[1, 16, 16, 16], |i| (i[1] + i[2] * i[3]) as f32 * 0.01);
     c.bench_function("batchnorm_forward_16x16x16", |b| {
         b.iter(|| {
-            let out = bn.forward(black_box(&input), &mut ws);
+            let out = bn.forward_batch(black_box(&input), 1, &mut ws).unwrap();
             ws.give_tensor(out);
         })
     });
-    let _ = bn.forward(&input, &mut ws);
-    let grad = Tensor::ones(&[16, 16, 16]);
+    let _ = bn.forward_batch(&input, 1, &mut ws).unwrap();
+    let grad = Tensor::ones(&[1, 16, 16, 16]);
     c.bench_function("batchnorm_backward_16x16x16", |b| {
         b.iter(|| {
-            let din = bn.backward(black_box(&grad), &mut ws);
+            let din = bn.backward_batch(black_box(&grad), 1, &mut ws).unwrap();
             ws.give_tensor(din);
         })
     });

@@ -4,22 +4,34 @@
 //! pair that alternates between tenants by snapshotting one job and
 //! restoring another must produce, for *each* job, the bit-exact
 //! trajectory that job would have produced on a dedicated trainer. The
-//! tests here pin that contract — round-robin and irregular interleaving
+//! dedicated trajectories come from the per-sample oracle
+//! (`oracle/mod.rs`), so the tests pin both the interleaving and every
+//! two-sample step against it — round-robin and irregular interleaving
 //! orders, checkpoint snapshot isolation (no buffer aliasing between a
 //! stored snapshot and the live trainer), and typed failure on
 //! architecture mismatch.
 
+mod oracle;
+
 use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, CheckpointError, Gan, GanCheckpoint, UpdateRule};
+use lergan_gan::NetworkSpec;
 use lergan_tensor::Tensor;
+use oracle::OracleGan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+fn specs() -> (NetworkSpec, NetworkSpec) {
+    (
+        parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap(),
+        parse_network("d", "(1c-8c)(3k2s)-f1", 2, 16).unwrap(),
+    )
+}
 
 /// The cheap 16-pixel DCGAN-class trainer the recovery and serving sweeps
 /// use, seeded so weight init, noise and batches are fully reproducible.
 fn trainer(seed: u64) -> Gan {
-    let g_spec = parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
-    let d_spec = parse_network("d", "(1c-8c)(3k2s)-f1", 2, 16).unwrap();
+    let (g_spec, d_spec) = specs();
     let mut rng = StdRng::seed_from_u64(seed);
     let g = build_trainable_with(&g_spec, true, false, &mut rng);
     let d = build_trainable_with(&d_spec, false, false, &mut rng);
@@ -36,15 +48,19 @@ fn batch(rng: &mut StdRng) -> Vec<Tensor> {
         .collect()
 }
 
-/// A job's full dedicated-trainer trajectory: the checkpoint after every
-/// step, which is the reference an interleaved run must reproduce.
+/// A job's full dedicated trajectory, trained by the per-sample oracle:
+/// the checkpoint after every step, which is the reference an
+/// interleaved run must reproduce bit for bit.
 fn dedicated_trajectory(seed: u64, steps: usize) -> Vec<GanCheckpoint> {
-    let mut gan = trainer(seed);
+    let (g_spec, d_spec) = specs();
+    let start = trainer(seed).checkpoint();
+    let rule = UpdateRule::dcgan_adam(0.01);
+    let mut oracle = OracleGan::from_checkpoint(&g_spec, &d_spec, false, &start, 8, rule);
     let mut data = StdRng::seed_from_u64(seed ^ 0xDA7A);
     (0..steps)
         .map(|_| {
-            gan.train_step(&batch(&mut data));
-            gan.checkpoint()
+            oracle.train_step(&batch(&mut data));
+            oracle.checkpoint()
         })
         .collect()
 }

@@ -13,7 +13,7 @@
 //! any single job, which is exactly what makes later jobs on a worn pair
 //! slower and eventually forces the serving layer to quarantine it.
 
-use crate::job::{batch, batch_packed, batch_seed, job_trainer, JobSpec};
+use crate::job::{batch, batch_seed, job_trainer, JobSpec};
 use crate::plan::PlanCache;
 use lergan_core::{LinkChaos, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
 use lergan_gan::train::GanCheckpoint;
@@ -105,12 +105,6 @@ pub struct Pair {
     /// Transient hazard on the pair's NoC, reseeded per pair; `None`
     /// skips the link model.
     pub link: Option<LinkChaos>,
-    /// Run pristine jobs through the batched train step
-    /// ([`lergan_gan::train::Gan::train_step_batched`]): the same data
-    /// stream and the same shared compiled plan, with the per-step GEMMs
-    /// fused over the batch. The bit-identity reference becomes
-    /// [`crate::job::run_standalone_batched`].
-    pub batched: bool,
     /// Quarantined pairs accept no further work.
     pub quarantined: bool,
     /// The job in service, if any.
@@ -136,7 +130,6 @@ impl Pair {
             wear,
             pristine,
             link: None,
-            batched: false,
             quarantined: false,
             running: None,
             assigned: VecDeque::new(),
@@ -191,24 +184,8 @@ impl Pair {
         let iter_ns = plans.iteration_ns(job.topology)?;
         let mut trainer = job_trainer(job.seed);
         let mut rng = StdRng::seed_from_u64(batch_seed(job.seed));
-        for s in 0..job.steps {
-            if self.batched {
-                // Batched mode: same draws, one packed step. A rejected
-                // batch is impossible for module-drawn data, but abort-free
-                // style reports it as a death rather than panicking.
-                if let Err(e) = trainer.train_step_batched(&batch_packed(&mut rng)) {
-                    return Ok((
-                        s as f64 * iter_ns,
-                        JobRunResult::Died {
-                            at_step: s,
-                            cause: e.to_string(),
-                        },
-                        HealingTotals::default(),
-                    ));
-                }
-            } else {
-                trainer.train_step(&batch(&mut rng));
-            }
+        for _ in 0..job.steps {
+            trainer.train_step(&batch(&mut rng));
         }
         Ok((
             job.steps as f64 * iter_ns,
@@ -323,39 +300,21 @@ mod tests {
     fn pristine_pairs_reproduce_the_standalone_trajectory() {
         let mut plans = PlanCache::table_v();
         let mut pair = Pair::new(0, SystemFaults::none(), WearModel::disabled(), true);
-        let j = job(0, 3);
-        pair.start(j.clone(), 0.0, &mut plans, &RecoveryPolicy::default())
-            .unwrap();
-        let run = pair.running.take().unwrap();
-        assert!(run.finish_ns > 0.0);
-        match run.result {
-            JobRunResult::Finished { checkpoint } => {
-                assert_eq!(checkpoint, run_standalone(&j));
-            }
-            other => panic!("pristine job must finish: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batched_pairs_reproduce_the_batched_reference_and_reuse_plans() {
-        use crate::job::run_standalone_batched;
-        let mut plans = PlanCache::table_v();
-        let mut pair = Pair::new(0, SystemFaults::none(), WearModel::disabled(), true);
-        pair.batched = true;
         for id in 0..2 {
             let j = job(id, 3);
             pair.start(j.clone(), 0.0, &mut plans, &RecoveryPolicy::default())
                 .unwrap();
             let run = pair.running.take().unwrap();
+            assert!(run.finish_ns > 0.0);
             match run.result {
                 JobRunResult::Finished { checkpoint } => {
-                    assert_eq!(checkpoint, run_standalone_batched(&j));
+                    assert_eq!(checkpoint, run_standalone(&j));
                 }
-                other => panic!("batched pristine job must finish: {other:?}"),
+                other => panic!("pristine job must finish: {other:?}"),
             }
         }
-        // Both batched jobs ran on the single compiled plan of topology 0.
-        assert_eq!(plans.misses(), 1, "batched jobs must reuse the same plan");
+        // Both jobs ran on the single compiled plan of topology 0.
+        assert_eq!(plans.misses(), 1, "jobs must reuse the same plan");
         assert!(plans.hits() > 0);
     }
 

@@ -15,7 +15,7 @@
 //! keeps the final checkpoints so tests and the sweep can check).
 
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, pack_batch, Gan, GanCheckpoint, UpdateRule};
+use lergan_gan::train::{build_trainable_with, Gan, GanCheckpoint, UpdateRule};
 use lergan_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,15 +67,6 @@ pub fn batch(rng: &mut StdRng) -> Vec<Tensor> {
         .collect()
 }
 
-/// One real batch packed into a single `[B, 1, 16, 16]` tensor — exactly
-/// the draws of [`batch`], laid out for
-/// [`lergan_gan::train::Gan::train_step_batched`]. Batched and sequential
-/// jobs therefore consume the *same* data stream; only the step's internal
-/// accumulation order differs.
-pub fn batch_packed(rng: &mut StdRng) -> Tensor {
-    pack_batch(&batch(rng))
-}
-
 /// The job's trajectory with no serving layer and no hardware at all:
 /// the bit-exactness reference for fault isolation.
 pub fn run_standalone(job: &JobSpec) -> GanCheckpoint {
@@ -83,28 +74,6 @@ pub fn run_standalone(job: &JobSpec) -> GanCheckpoint {
     let mut rng = StdRng::seed_from_u64(batch_seed(job.seed));
     for _ in 0..job.steps {
         trainer.train_step(&batch(&mut rng));
-    }
-    trainer.checkpoint()
-}
-
-/// [`run_standalone`] through the batched train step: the bit-exactness
-/// reference a batched serve ([`crate::ServeConfig`] with the batched
-/// knob set) must reproduce. Deterministic across runs and worker thread
-/// counts, but *not* bit-identical to [`run_standalone`] — the batched
-/// step accumulates gradients through the fixed reduction tree instead of
-/// sample-by-sample, a documented, deterministic difference.
-///
-/// # Panics
-///
-/// Panics if the batched step rejects its input — impossible for the
-/// well-formed batches this module draws.
-pub fn run_standalone_batched(job: &JobSpec) -> GanCheckpoint {
-    let mut trainer = job_trainer(job.seed);
-    let mut rng = StdRng::seed_from_u64(batch_seed(job.seed));
-    for _ in 0..job.steps {
-        trainer
-            .train_step_batched(&batch_packed(&mut rng))
-            .expect("module-drawn batches are well-formed");
     }
     trainer.checkpoint()
 }

@@ -123,12 +123,6 @@ pub struct ServeConfig {
     pub link: Option<LinkChaos>,
     /// Seed of all per-pair fault/wear streams.
     pub seed: u64,
-    /// Run pristine pairs' jobs through the batched train step. Batched
-    /// jobs draw the same data stream and share the same cached plans as
-    /// sequential ones (the [`PlanCache`] key is the topology, and the
-    /// trainer state lives outside the plan); their bit-identity
-    /// reference is [`crate::job::run_standalone_batched`].
-    pub batched: bool,
 }
 
 impl ServeConfig {
@@ -148,14 +142,7 @@ impl ServeConfig {
             dead_tiles: Vec::new(),
             link: None,
             seed: 0x5EED,
-            batched: false,
         }
-    }
-
-    /// Runs pristine pairs' jobs through the batched train step.
-    pub fn with_batched_step(mut self) -> Self {
-        self.batched = true;
-        self
     }
 
     /// Enables wear with the given endurance distribution.
@@ -395,7 +382,6 @@ impl ServeRuntime {
                 if noisy_link {
                     pair.link = self.cfg.link;
                 }
-                pair.batched = self.cfg.batched;
                 pair
             })
             .collect()

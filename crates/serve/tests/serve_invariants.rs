@@ -15,7 +15,7 @@
 //!   is identical across runs and across 1/8 worker threads.
 
 use lergan_core::RecoveryPolicy;
-use lergan_serve::job::{poisson_workload, run_standalone, run_standalone_batched, WorkloadSpec};
+use lergan_serve::job::{poisson_workload, run_standalone, WorkloadSpec};
 use lergan_serve::{PlanCache, ServeConfig, ServeReport, ServeRuntime};
 use lergan_tensor::parallel::with_threads;
 
@@ -66,35 +66,11 @@ fn zero_fault_serve_is_bit_identical_to_standalone() {
     // Same-topology jobs compiled once and shared the plan after that.
     assert_eq!(report.plan_misses, 1);
     assert!(report.plan_hits > 0, "plan reuse must be visible");
-}
-
-#[test]
-fn batched_serve_matches_the_batched_reference_and_shares_plans() {
-    let mut warm = PlanCache::table_v();
-    let rate = rate_for(0.5, 2, 4, &mut warm, 0);
-    let jobs = workload(8, 4, rate, None);
-    let mut plans = PlanCache::table_v();
-    let report = ServeRuntime::new(ServeConfig::pristine(2).with_batched_step())
-        .run(jobs.clone(), &mut plans)
-        .unwrap();
-    assert_eq!(report.completed, 8);
-    assert_eq!(report.shed_total(), 0);
-    for job in &jobs {
-        assert_eq!(
-            &report.outcomes[&job.id],
-            &run_standalone_batched(job),
-            "batched job {} diverged from its batched standalone trajectory",
-            job.id
-        );
-    }
-    // Batched jobs compile nothing new: same topology key, same shared plan.
-    assert_eq!(report.plan_misses, 1);
-    assert!(report.plan_hits > 0, "batched plan reuse must be visible");
-    // And the batched serve replays bit-identically across thread counts.
+    // And the pristine serve replays bit-identically across thread counts.
     let rerun = |threads| {
         with_threads(threads, || {
             let mut plans = PlanCache::table_v();
-            ServeRuntime::new(ServeConfig::pristine(2).with_batched_step())
+            ServeRuntime::new(ServeConfig::pristine(2))
                 .run(jobs.clone(), &mut plans)
                 .unwrap()
         })

@@ -127,71 +127,22 @@ impl Conv2d {
     /// conv it is mathematically a T-CONV (the paper's `D-backward` uses
     /// T-CONV dataflow).
     ///
+    /// The loop nest is the flat-indexed form of the defining scatter sum:
+    /// for a fixed `∇input` element the additions arrive in ascending
+    /// `(oc, oy, ox, ky, kx)` order, independent of the thread count
+    /// (workers own disjoint input-channel planes). This is the reference
+    /// the trainer's [`input_grad_buf_vec`](Self::input_grad_buf_vec) is
+    /// pinned to.
+    ///
     /// # Panics
     ///
     /// Panics on operand shape mismatches.
     pub fn input_grad(&self, dout: &Tensor, weights: &Tensor, input_extent: usize) -> Tensor {
-        let mut ws = crate::workspace::Workspace::new();
-        self.input_grad_with(dout, weights, input_extent, &mut ws)
-    }
-
-    /// [`input_grad`](Self::input_grad) drawing its scratch plane and the
-    /// result buffer from a [`Workspace`](crate::workspace::Workspace) —
-    /// the form the trainer's steady-state loop calls, so the backward pass
-    /// performs no heap allocation.
-    ///
-    /// The loop nest is the flat-indexed form of the defining scatter sum:
-    /// for a fixed `∇input` element the additions arrive in ascending
-    /// `(oc, oy, ox, ky, kx)` order — exactly the order of the original
-    /// multi-index kernel and independent of the thread count (workers own
-    /// disjoint input-channel planes) — so results are bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand shape mismatches.
-    pub fn input_grad_with(
-        &self,
-        dout: &Tensor,
-        weights: &Tensor,
-        input_extent: usize,
-        ws: &mut crate::workspace::Workspace,
-    ) -> Tensor {
         let geom = self.geometry(input_extent);
         assert_eq!(
             dout.shape(),
             &[self.out_channels, geom.output, geom.output],
             "∇output shape mismatch"
-        );
-        let ie = input_extent;
-        let mut din = ws.take(self.in_channels * ie * ie);
-        self.input_grad_buf(dout.data(), weights, input_extent, ws, &mut din);
-        Tensor::from_vec(&[self.in_channels, ie, ie], din)
-    }
-
-    /// [`input_grad_with`](Self::input_grad_with) over raw slices: reads
-    /// `∇output` from a `OC·O·O` slice and fully overwrites the
-    /// `IC·H·W` `∇input` slice, drawing only the padded scratch plane from
-    /// the workspace. This is the form the batched trainer calls per
-    /// sample, handing each worker a disjoint slice pair of the batch
-    /// buffers. Accumulation order per `∇input` element is identical to
-    /// the tensor-returning form — the two are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand shape mismatches.
-    pub fn input_grad_buf(
-        &self,
-        dout: &[f32],
-        weights: &Tensor,
-        input_extent: usize,
-        ws: &mut crate::workspace::Workspace,
-        din: &mut [f32],
-    ) {
-        let geom = self.geometry(input_extent);
-        assert_eq!(
-            dout.len(),
-            self.out_channels * geom.output * geom.output,
-            "∇output length mismatch"
         );
         assert_eq!(
             weights.shape(),
@@ -203,19 +154,14 @@ impl Conv2d {
             ],
             "weight shape mismatch"
         );
-        assert_eq!(
-            din.len(),
-            self.in_channels * input_extent * input_extent,
-            "∇input length mismatch"
-        );
         let pe = input_extent + 2 * self.pad;
         let k = self.geometry_kernel;
         let o = geom.output;
         let s = self.stride;
         let plane = pe * pe;
-        let mut dpad = ws.take_zeroed(self.in_channels * plane);
+        let mut dpad = vec![0.0; self.in_channels * plane];
         let wdata = weights.data();
-        let ddata = dout;
+        let ddata = dout.data();
         let flops_per_plane = self.out_channels * o * o * k * k;
         let min_planes = (crate::tensor::MIN_PARALLEL_FLOPS / flops_per_plane.max(1)).max(1);
         // Workers own disjoint blocks of ∇pad planes; see the doc comment
@@ -247,6 +193,7 @@ impl Conv2d {
         });
         // Crop the padding back off, row by row.
         let ie = input_extent;
+        let mut din = vec![0.0; self.in_channels * ie * ie];
         for ic in 0..self.in_channels {
             for y in 0..ie {
                 let src = ic * plane + (y + self.pad) * pe + self.pad;
@@ -254,10 +201,13 @@ impl Conv2d {
                 din[dst..dst + ie].copy_from_slice(&dpad[src..src + ie]);
             }
         }
-        ws.give(dpad);
+        Tensor::from_vec(&[self.in_channels, ie, ie], din)
     }
 
-    /// Vectorization-friendly form of [`input_grad_buf`](Self::input_grad_buf):
+    /// Vectorization-friendly form of [`input_grad`](Self::input_grad) over
+    /// raw slices — reads `∇output` from a `OC·O·O` slice, fully overwrites
+    /// the `IC·H·W` `∇input` slice and draws its padded scratch plane from
+    /// `ws`:
     /// the same scatter with the kernel offsets hoisted out of the output
     /// loop, iterated *descending* — `(oc, ky↓, kx↓, oy, ox)` instead of
     /// `(oc, oy, ox, ky, kx)`. For a fixed `∇input` element, `ky ↔ oy` and
@@ -267,8 +217,8 @@ impl Conv2d {
     /// `input_grad_vectorized_matches_reference_bitwise`). The reference's
     /// zero-gradient skip becomes a per-lane select, keeping the inner loop
     /// a branch-free shifted AXPY the compiler can run across SIMD lanes —
-    /// this is the form the batched trainer calls per sample; the
-    /// single-sample path keeps the unambiguous reference nest.
+    /// this is the form the trainer calls per sample, handing each worker a
+    /// disjoint slice pair of the batch buffers.
     ///
     /// # Panics
     ///
