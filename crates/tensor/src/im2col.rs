@@ -80,11 +80,10 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
 /// exactly [`im2col_into`]'s column `p` for sample `b` — the per-sample
 /// matrices stacked along the *column* axis.
 ///
-/// This is the batched trainer's GEMM operand: one
-/// `[OC, C·K·K] × [C·K·K, B·O·O]` product covers the whole batch with `n`
-/// multiplied by `B`, which keeps the GEMM kernels' SIMD lanes (they run
-/// across output columns) saturated — the `m`-multiplied stacking starves
-/// them whenever `OC` is small. Work is sharded across workers by matrix
+/// One `[OC, C·K·K] × [C·K·K, B·O·O]` product over the stacked matrix
+/// covers the whole batch with `n` multiplied by `B`. The trainer calls
+/// it with `B = 1`, once per sample, to fill each sample's block of its
+/// sample-major im2col cache. Work is sharded across workers by matrix
 /// row; every element is a pure copy or a structural zero, so the
 /// sharding cannot change any value.
 ///
