@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, BatchNorm, Gan, TrainableLayer, UpdateRule};
+use lergan_gan::train::{build_trainable_with, BatchNorm, Gan, Grads, TrainableLayer, UpdateRule};
 use lergan_reram::bitslice::sliced_dot;
 use lergan_reram::ReramConfig;
 use lergan_tensor::quant::{quantized_mmv, FixedPoint};
@@ -40,7 +40,10 @@ fn bench_batchnorm(c: &mut Criterion) {
     let grad = Tensor::ones(&[1, 16, 16, 16]);
     c.bench_function("batchnorm_backward_16x16x16", |b| {
         b.iter(|| {
-            let din = bn.backward_batch(black_box(&grad), 1, &mut ws).unwrap();
+            let din = bn
+                .backward_batch(black_box(&grad), 1, Grads::All, &mut ws)
+                .unwrap()
+                .unwrap();
             ws.give_tensor(din);
         })
     });

@@ -50,7 +50,7 @@ pub use layer::{ConvLayer, FcLayer, Layer, TconvLayer};
 pub use phase::Phase;
 pub use topology::{GanSpec, NetworkSpec, ParseTopologyError};
 pub use train::{
-    pack_batch, tree_reduce_in_place, CheckpointError, Gan, GanCheckpoint, LayerState, OpBinding,
-    Sequential, TrainError, UpdateRule,
+    pack_batch, tree_reduce_in_place, CheckpointError, Gan, GanCheckpoint, Grads, LayerState,
+    OpBinding, Sequential, TrainError, UpdateRule,
 };
 pub use workload::{ConvWorkload, WorkloadKind};

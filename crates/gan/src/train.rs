@@ -25,13 +25,54 @@ use lergan_tensor::{Conv2d, DconvGeometry, SconvGeometry, TconvGeometry, Tensor,
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Which gradients a backward pass produces.
+///
+/// Fixed by the training step's dataflow, not a tuning knob: the
+/// discriminator half of a step reads D's parameter gradients but never
+/// ∇image, and the generator half reads D's ∇input but never D's
+/// parameter gradients, and G's parameter gradients but never ∇noise.
+/// Whatever is asked for is computed exactly as by [`Grads::All`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grads {
+    /// Parameter gradients and the input gradient.
+    All,
+    /// Parameter gradients only; no input gradient is computed.
+    Params,
+    /// The input gradient only; accumulated parameter gradients are left
+    /// untouched.
+    Input,
+}
+
+impl Grads {
+    /// Whether parameter gradients are accumulated.
+    pub fn params(self) -> bool {
+        self != Grads::Input
+    }
+
+    /// Whether the input gradient is computed and returned.
+    pub fn input(self) -> bool {
+        self != Grads::Params
+    }
+
+    /// The request for a layer whose input gradient feeds another layer:
+    /// this one's parameter part, plus the input gradient.
+    fn with_input(self) -> Grads {
+        if self == Grads::Params {
+            Grads::All
+        } else {
+            self
+        }
+    }
+}
+
 /// A layer that can run forward, backward and SGD updates.
 ///
 /// Every pass covers a sample-major `[batch, ...]` activation; a single
 /// sample is a batch of one. [`forward_batch`](Self::forward_batch)
 /// caches whatever [`backward_batch`](Self::backward_batch) needs;
-/// `backward_batch` accumulates parameter gradients and returns the
-/// gradient w.r.t. the layer input.
+/// `backward_batch` accumulates parameter gradients and computes the
+/// gradient w.r.t. the layer input, each only when its [`Grads`] request
+/// asks for it.
 ///
 /// Every method draws its scratch and result buffers from the caller's
 /// [`Workspace`]: returned tensors are built on pooled buffers, and the
@@ -56,11 +97,14 @@ pub trait TrainableLayer {
         ws: &mut Workspace,
     ) -> Result<Tensor, TrainError>;
 
-    /// Backward over the `[batch, ...]` gradient of the last forward:
-    /// accumulates parameter gradients as the fixed-tree reduction
-    /// ([`tree_reduce_in_place`]) of exact per-sample partials — an order
-    /// that depends only on `batch`, never on the worker count — and
-    /// returns the `[batch, ...]` input gradient (buffer drawn from `ws`).
+    /// Backward over the `[batch, ...]` gradient of the last forward.
+    /// When `grads` asks for parameter gradients, accumulates them as the
+    /// fixed-tree reduction ([`tree_reduce_in_place`]) of exact per-sample
+    /// partials — an order that depends only on `batch`, never on the
+    /// worker count. When it asks for the input gradient, returns the
+    /// `[batch, ...]` input gradient (buffer drawn from `ws`); otherwise
+    /// returns `None`. Parameter-free layers have only the input gradient
+    /// to give and return it whatever is asked.
     ///
     /// # Errors
     ///
@@ -70,8 +114,9 @@ pub trait TrainableLayer {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError>;
+    ) -> Result<Option<Tensor>, TrainError>;
 
     /// Applies accumulated gradients through `rule` (with `step` counting
     /// optimiser steps, for Adam's bias correction) and clears them. `ws`
@@ -807,8 +852,9 @@ impl TrainableLayer for DenseLayer {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let input = self
             .cached_input
             .as_ref()
@@ -829,35 +875,40 @@ impl TrainableLayer for DenseLayer {
             });
         }
         // ∇W: exact per-sample outer products, folded by the fixed tree.
-        let wlen = o * i;
-        let mut parts = ws.take(batch * wlen);
-        {
-            let pp = SlicePtr::new(&mut parts);
-            let gd = grad_out.data();
-            let xd = input.data();
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint windows of `parts`.
-                    let part = unsafe { pp.slice(b * wlen, wlen) };
-                    let g = &gd[b * o..(b + 1) * o];
-                    let x = &xd[b * i..(b + 1) * i];
-                    for (oi, &gv) in g.iter().enumerate() {
-                        for (slot, &xv) in part[oi * i..(oi + 1) * i].iter_mut().zip(x) {
-                            *slot = gv * xv;
+        if grads.params() {
+            let wlen = o * i;
+            let mut parts = ws.take(batch * wlen);
+            {
+                let pp = SlicePtr::new(&mut parts);
+                let gd = grad_out.data();
+                let xd = input.data();
+                parallel::for_each_range(batch, 1, |range| {
+                    for b in range {
+                        // SAFETY: sample-disjoint windows of `parts`.
+                        let part = unsafe { pp.slice(b * wlen, wlen) };
+                        let g = &gd[b * o..(b + 1) * o];
+                        let x = &xd[b * i..(b + 1) * i];
+                        for (oi, &gv) in g.iter().enumerate() {
+                            for (slot, &xv) in part[oi * i..(oi + 1) * i].iter_mut().zip(x) {
+                                *slot = gv * xv;
+                            }
                         }
                     }
-                }
-            });
+                });
+            }
+            tree_reduce_in_place(&mut parts, batch, wlen);
+            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+            ws.give(parts);
         }
-        tree_reduce_in_place(&mut parts, batch, wlen);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
+        if !grads.input() {
+            return Ok(None);
+        }
         // ∇input: one packed GEMM, k (= output unit) ascending from 0.0 —
         // each row the accumulation chain of its sample alone.
         let mut din = ws.take(batch * i);
         gemm_buf(batch, o, i, grad_out.data(), self.weights.data(), &mut din);
         let (shape, rank) = batched_shape(batch, &self.cached_shape);
-        Ok(Tensor::from_vec(&shape[..rank], din))
+        Ok(Some(Tensor::from_vec(&shape[..rank], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1022,8 +1073,9 @@ impl TrainableLayer for ConvTrainLayer {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let bcols = self
             .cached_bcols
             .as_ref()
@@ -1046,10 +1098,15 @@ impl TrainableLayer for ConvTrainLayer {
         }
         // ∇W, the W-CONV of Fig. 6: every weight tap's gradient is a dot
         // product of ∇output with the matching im2col row.
-        let wlen = oc * red;
-        let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
+        if grads.params() {
+            let wlen = oc * red;
+            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
+            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+            ws.give(parts);
+        }
+        if !grads.input() {
+            return Ok(None);
+        }
         // ∇input: the scatter of `Conv2d::input_grad` per sample, each
         // worker drawing scratch from its own persistent thread workspace.
         let extent = self.cached_extent;
@@ -1076,7 +1133,7 @@ impl TrainableLayer for ConvTrainLayer {
                 }
             });
         }
-        Ok(Tensor::from_vec(&[batch, ic, extent, extent], din))
+        Ok(Some(Tensor::from_vec(&[batch, ic, extent, extent], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1234,8 +1291,9 @@ impl TrainableLayer for TconvTrainLayer {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let bcols = self
             .cached_bcols
             .as_ref()
@@ -1257,10 +1315,15 @@ impl TrainableLayer for TconvTrainLayer {
             });
         }
         // G-w: ∇z scans the zero-inserted input.
-        let wlen = oc * red;
-        let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
-        self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-        ws.give(parts);
+        if grads.params() {
+            let wlen = oc * red;
+            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
+            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+            ws.give(parts);
+        }
+        if !grads.input() {
+            return Ok(None);
+        }
         // G←: dense S-CONV back through the expansion per sample, then the
         // stride gather.
         let g = self.geometry;
@@ -1300,7 +1363,7 @@ impl TrainableLayer for TconvTrainLayer {
                 }
             });
         }
-        Ok(Tensor::from_vec(&[batch, ic, g.input, g.input], din))
+        Ok(Some(Tensor::from_vec(&[batch, ic, g.input, g.input], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1442,8 +1505,9 @@ impl TrainableLayer for DconvTrainLayer {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let bcols = self
             .cached_bcols
             .as_ref()
@@ -1472,18 +1536,23 @@ impl TrainableLayer for DconvTrainLayer {
         // multiples — off-tap slots are gradients of structural zeros. The
         // gather is elementwise selection, so gathering after the tree is
         // exactly the tree over gathered per-sample gradients.
-        let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
-        let gd = self.grad.data_mut();
-        for p in 0..oc * ic {
-            let src = &parts[p * eh * ew..(p + 1) * eh * ew];
-            let dst = &mut gd[p * kh * kw..(p + 1) * kh * kw];
-            for jy in 0..kh {
-                for jx in 0..kw {
-                    dst[jy * kw + jx] += src[jy * dil_h * ew + jx * dil_w];
+        if grads.params() {
+            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
+            let gd = self.grad.data_mut();
+            for p in 0..oc * ic {
+                let src = &parts[p * eh * ew..(p + 1) * eh * ew];
+                let dst = &mut gd[p * kh * kw..(p + 1) * kh * kw];
+                for jy in 0..kh {
+                    for jx in 0..kw {
+                        dst[jy * kw + jx] += src[jy * dil_h * ew + jx * dil_w];
+                    }
                 }
             }
+            ws.give(parts);
         }
-        ws.give(parts);
+        if !grads.input() {
+            return Ok(None);
+        }
         // ∇input: the zero-free per-sample scatter through the true taps.
         let (h, w) = (g.rows.input, g.cols.input);
         let slen = ic * h * w;
@@ -1505,7 +1574,7 @@ impl TrainableLayer for DconvTrainLayer {
                 }
             });
         }
-        Ok(Tensor::from_vec(&[batch, ic, h, w], din))
+        Ok(Some(Tensor::from_vec(&[batch, ic, h, w], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1704,8 +1773,9 @@ impl TrainableLayer for BatchNorm {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let normalized = self
             .normalized
             .as_ref()
@@ -1725,7 +1795,13 @@ impl TrainableLayer for BatchNorm {
         let plane = h * w;
         let n = plane as f32;
         let slen = c * plane;
-        let mut din = ws.take(batch * slen);
+        // The per-channel sums feed both ∇input and (β, γ): only the
+        // ∇input writes and the (β, γ) fold depend on the request.
+        let mut din = if grads.input() {
+            ws.take(batch * slen)
+        } else {
+            Vec::new()
+        };
         // Per-sample `[Σdy | Σdy·norm]` pairs, folded by the fixed tree
         // into the (β, γ) gradients.
         let mut parts = ws.take(batch * 2 * c);
@@ -1738,8 +1814,9 @@ impl TrainableLayer for BatchNorm {
             let stats = &self.stats;
             parallel::for_each_range(batch, 1, |range| {
                 for b in range {
-                    // SAFETY: sample-disjoint slices of both buffers.
-                    let d = unsafe { dp.slice(b * slen, slen) };
+                    // SAFETY: sample-disjoint slices of both buffers; `din`
+                    // is sliced only when it was taken.
+                    let mut d = grads.input().then(|| unsafe { dp.slice(b * slen, slen) });
                     let part = unsafe { pp.slice(b * 2 * c, 2 * c) };
                     for ci in 0..c {
                         let gp = &gd[b * slen + ci * plane..][..plane];
@@ -1752,6 +1829,9 @@ impl TrainableLayer for BatchNorm {
                         }
                         part[ci] = sum_dy;
                         part[c + ci] = sum_dy_norm;
+                        let Some(d) = d.as_deref_mut() else {
+                            continue;
+                        };
                         let g = gamma[ci];
                         let inv_std = stats[(b * c + ci) * 3 + 2];
                         let dpl = &mut d[ci * plane..(ci + 1) * plane];
@@ -1762,13 +1842,17 @@ impl TrainableLayer for BatchNorm {
                 }
             });
         }
-        tree_reduce_in_place(&mut parts, batch, 2 * c);
-        for ci in 0..c {
-            self.grad_beta.data_mut()[ci] += parts[ci];
-            self.grad_gamma.data_mut()[ci] += parts[c + ci];
+        if grads.params() {
+            tree_reduce_in_place(&mut parts, batch, 2 * c);
+            for ci in 0..c {
+                self.grad_beta.data_mut()[ci] += parts[ci];
+                self.grad_gamma.data_mut()[ci] += parts[c + ci];
+            }
         }
         ws.give(parts);
-        Ok(Tensor::from_vec(&[batch, c, h, w], din))
+        Ok(grads
+            .input()
+            .then(|| Tensor::from_vec(&[batch, c, h, w], din)))
     }
 
     fn capture_grads(&self) -> LayerState {
@@ -1875,8 +1959,9 @@ impl TrainableLayer for PixelNorm {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        _grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let normalized = self
             .normalized
             .as_ref()
@@ -1921,7 +2006,7 @@ impl TrainableLayer for PixelNorm {
                 }
             });
         }
-        Ok(Tensor::from_vec(&[batch, c, h, w], din))
+        Ok(Some(Tensor::from_vec(&[batch, c, h, w], din)))
     }
 }
 
@@ -1984,8 +2069,9 @@ impl TrainableLayer for LeakyRelu {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        _grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let input = self
             .cached_input
             .as_ref()
@@ -2014,7 +2100,7 @@ impl TrainableLayer for LeakyRelu {
                 }
             });
         }
-        Ok(Tensor::from_vec(input.shape(), din))
+        Ok(Some(Tensor::from_vec(input.shape(), din)))
     }
 }
 
@@ -2072,8 +2158,9 @@ impl TrainableLayer for Tanh {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        _grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         let out = self
             .cached_output
             .as_ref()
@@ -2101,7 +2188,7 @@ impl TrainableLayer for Tanh {
                 }
             });
         }
-        Ok(Tensor::from_vec(out.shape(), din))
+        Ok(Some(Tensor::from_vec(out.shape(), din)))
     }
 }
 
@@ -2162,8 +2249,9 @@ impl TrainableLayer for Reshape {
         &mut self,
         grad_out: &Tensor,
         batch: usize,
+        _grads: Grads,
         ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
+    ) -> Result<Option<Tensor>, TrainError> {
         if batch == 0 {
             return Err(TrainError::EmptyBatch);
         }
@@ -2178,7 +2266,7 @@ impl TrainableLayer for Reshape {
         let mut din = ws.take(grad_out.len());
         din.copy_from_slice(grad_out.data());
         let (shape, rank) = batched_shape(batch, &self.from);
-        Ok(Tensor::from_vec(&shape[..rank], din))
+        Ok(Some(Tensor::from_vec(&shape[..rank], din)))
     }
 }
 
@@ -2361,19 +2449,46 @@ impl Sequential {
     /// Descends the stack once with the whole `[B, …]` gradient,
     /// accumulating each layer's `∇W` through per-sample partials folded by
     /// the fixed reduction tree (see [`tree_reduce_in_place`]); returns
-    /// `∇input`.
+    /// `∇input`. The full backward: [`backward_batch_with`] with
+    /// [`Grads::All`].
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] when a layer rejects the gradient shape or
     /// was not forwarded at the same batch size first.
+    ///
+    /// [`backward_batch_with`]: Sequential::backward_batch_with
     pub fn backward_batch(&mut self, grad_out: &Tensor, batch: usize) -> Result<Tensor, TrainError> {
+        self.backward_batch_with(grad_out, batch, Grads::All)
+            .map(|din| din.expect("a full backward returns the input gradient"))
+    }
+
+    /// [`backward_batch`](Sequential::backward_batch) producing only what
+    /// `grads` asks for: with [`Grads::Params`] no `∇input` is computed and
+    /// `None` is returned; with [`Grads::Input`] no layer accumulates
+    /// parameter gradients. Every layer above the first still computes its
+    /// `∇input`, which the layer below reads; only the first layer's
+    /// request is the caller's. Whatever is produced is bit-identical to
+    /// the full backward's.
+    ///
+    /// # Errors
+    ///
+    /// As [`backward_batch`](Sequential::backward_batch).
+    pub fn backward_batch_with(
+        &mut self,
+        grad_out: &Tensor,
+        batch: usize,
+        grads: Grads,
+    ) -> Result<Option<Tensor>, TrainError> {
         let Sequential { layers, skips, ws } = self;
         let n = layers.len();
         if n == 0 {
-            return Ok(grad_out.clone());
+            return Ok(grads.input().then(|| grad_out.clone()));
         }
-        let mut g = layers[n - 1].backward_batch(grad_out, batch, ws)?;
+        let request = |li: usize| if li == 0 { grads } else { grads.with_input() };
+        let Some(mut g) = layers[n - 1].backward_batch(grad_out, batch, request(n - 1), ws)? else {
+            return Ok(None);
+        };
         for tap in skips.iter_mut().filter(|t| t.to == n - 1) {
             let s = cache_buf(&mut tap.grad_stash, g.shape());
             s.data_mut().copy_from_slice(g.data());
@@ -2386,15 +2501,24 @@ impl Sequential {
                 let gs = tap.grad_stash.as_ref().expect("skip target follows source");
                 g.axpy_in_place(1.0, gs);
             }
-            let h = layers[li].backward_batch(&g, batch, ws)?;
+            let h = layers[li].backward_batch(&g, batch, request(li), ws)?;
             ws.give_tensor(g);
+            // Only layer 0 can be asked for no ∇input.
+            let Some(h) = h else {
+                return Ok(None);
+            };
             g = h;
             for tap in skips.iter_mut().filter(|t| t.to == li) {
                 let s = cache_buf(&mut tap.grad_stash, g.shape());
                 s.data_mut().copy_from_slice(g.data());
             }
         }
-        Ok(g)
+        if !grads.input() {
+            // A parameter-free first layer returns its ∇input unasked.
+            ws.give_tensor(g);
+            return Ok(None);
+        }
+        Ok(Some(g))
     }
 
     /// Snapshots every layer's accumulated gradients, in stack order — the
@@ -2914,6 +3038,17 @@ impl Gan {
     /// then train G through the frozen D, each network pass covering the
     /// whole batch.
     ///
+    /// Each backward computes only the gradients the step reads (see
+    /// [`Grads`]), the passes of Fig. 3 that `lergan_core`'s schedule
+    /// models:
+    /// - D half, once on the reals and once on a fake batch: `D→`, then
+    ///   `D←` with `D-w` but without the image gradient; then D's update.
+    /// - G half: `G→`, `D→`, an input-only `D←` (no `D-w`), then `G←` with
+    ///   `G-w` but without the noise gradient; then G's update.
+    ///
+    /// Neither stack holds gradients at a step boundary: G accumulates
+    /// none in the D half and D none in the G half.
+    ///
     /// The RNG draws `B` noise vectors in the D phase, then `B` in the G
     /// phase, samples ascending. Gradients are exact per-sample partials
     /// folded by a fixed reduction tree ([`tree_reduce_in_place`]), so the
@@ -2939,9 +3074,9 @@ impl Gan {
         let logits = self.discriminator.forward_batch(reals, batch)?;
         let seeds = self.seed_grads_batch(&logits, 1.0, &mut d_loss);
         self.discriminator.recycle(logits);
-        let din = self.discriminator.backward_batch(&seeds, batch)?;
+        self.discriminator
+            .backward_batch_with(&seeds, batch, Grads::Params)?;
         self.scratch.give_tensor(seeds);
-        self.discriminator.recycle(din);
         // Fake batch, target 0.
         let noise = sample_noise_batch_into(&mut self.rng, self.noise_dim, batch, &mut self.scratch);
         let fakes = self.generator.forward_batch(&noise, batch)?;
@@ -2950,12 +3085,11 @@ impl Gan {
         self.generator.recycle(fakes);
         let seeds = self.seed_grads_batch(&logits, 0.0, &mut d_loss);
         self.discriminator.recycle(logits);
-        let din = self.discriminator.backward_batch(&seeds, batch)?;
+        self.discriminator
+            .backward_batch_with(&seeds, batch, Grads::Params)?;
         self.scratch.give_tensor(seeds);
-        self.discriminator.recycle(din);
         self.step += 1;
         self.discriminator.apply_update(&self.rule, self.step);
-        self.generator.zero_grads(); // G gradients from the D pass are discarded.
 
         // ---- Train the generator (non-saturating form of Eq. 2). ----
         let mut g_loss = 0.0;
@@ -2966,13 +3100,15 @@ impl Gan {
         self.generator.recycle(fakes);
         let seeds = self.seed_grads_batch(&logits, 1.0, &mut g_loss);
         self.discriminator.recycle(logits);
-        let d_input_grad = self.discriminator.backward_batch(&seeds, batch)?;
+        let d_input_grad = self
+            .discriminator
+            .backward_batch_with(&seeds, batch, Grads::Input)?
+            .expect("an input-gradient request returns the input gradient");
         self.scratch.give_tensor(seeds);
-        let g_input_grad = self.generator.backward_batch(&d_input_grad, batch)?;
+        self.generator
+            .backward_batch_with(&d_input_grad, batch, Grads::Params)?;
         self.discriminator.recycle(d_input_grad);
-        self.generator.recycle(g_input_grad);
         self.generator.apply_update(&self.rule, self.step);
-        self.discriminator.zero_grads(); // D gradients from the G pass are discarded.
 
         Ok(StepStats {
             d_loss: d_loss / (2.0 * m),
@@ -3108,7 +3244,7 @@ mod tests {
         let x = Tensor::from_vec(&[1, 3], vec![0.5, -0.3, 0.8]);
         let dout = Tensor::from_vec(&[1, 2], vec![1.0, -0.5]);
         let _ = l.forward_batch(&x, 1, &mut ws).unwrap();
-        let din = l.backward_batch(&dout, 1, &mut ws).unwrap();
+        let din = l.backward_batch(&dout, 1, Grads::All, &mut ws).unwrap().unwrap();
         // din = W^T dout.
         let w = l.weights.clone();
         for i in 0..3 {
@@ -3126,7 +3262,10 @@ mod tests {
         let x = Tensor::ones(&[2, 2, 4, 4]);
         let y = l.forward_batch(&x, 2, &mut ws).unwrap();
         assert_eq!(y.shape(), &[2, 3, 8, 8]);
-        let din = l.backward_batch(&Tensor::ones(&[2, 3, 8, 8]), 2, &mut ws).unwrap();
+        let din = l
+            .backward_batch(&Tensor::ones(&[2, 3, 8, 8]), 2, Grads::All, &mut ws)
+            .unwrap()
+            .unwrap();
         assert_eq!(din.shape(), &[2, 2, 4, 4]);
     }
 
@@ -3186,7 +3325,10 @@ mod tests {
         }
         // Gradient of a constant loss w.r.t. input sums to ~zero per
         // channel (normalisation removes the mean direction).
-        let din = bn.backward_batch(&Tensor::ones(&[1, 2, 4, 4]), 1, &mut ws).unwrap();
+        let din = bn
+            .backward_batch(&Tensor::ones(&[1, 2, 4, 4]), 1, Grads::All, &mut ws)
+            .unwrap()
+            .unwrap();
         for ci in 0..2 {
             let mut s = 0.0;
             for y in 0..4 {
@@ -3205,7 +3347,7 @@ mod tests {
         let input = Tensor::from_fn(&[1, 1, 3, 3], |i| ((i[2] * 3 + i[3]) as f32).sin());
         let dout = Tensor::from_fn(&[1, 1, 3, 3], |i| ((i[2] + i[3]) as f32).cos() * 0.5);
         let _ = bn.forward_batch(&input, 1, &mut ws).unwrap();
-        let din = bn.backward_batch(&dout, 1, &mut ws).unwrap();
+        let din = bn.backward_batch(&dout, 1, Grads::All, &mut ws).unwrap().unwrap();
         // Finite differences through the full normalise-and-scale path.
         let loss = |inp: &Tensor| -> f32 {
             let mut probe_ws = Workspace::new();
@@ -3240,7 +3382,7 @@ mod tests {
         for step in 1..=50u64 {
             let out = bn.forward_batch(&input, 1, &mut ws).unwrap();
             let grad = out.map(|y| 2.0 * (y - 2.0) / 16.0);
-            let _ = bn.backward_batch(&grad, 1, &mut ws).unwrap();
+            let _ = bn.backward_batch(&grad, 1, Grads::All, &mut ws).unwrap();
             bn.apply_update(&UpdateRule::sgd(0.2), step, &mut ws);
         }
         let beta = bn.beta.data()[0];
@@ -3274,7 +3416,7 @@ mod tests {
                 last_loss = err * err;
                 first_loss.get_or_insert(last_loss);
                 let g = Tensor::from_vec(&[1, 1], vec![2.0 * err]);
-                layer.backward_batch(&g, 1, &mut ws).unwrap();
+                layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
                 layer.apply_update(&rule, step, &mut ws);
             }
             assert!(
@@ -3297,11 +3439,11 @@ mod tests {
         // accumulates (second step moves farther than the first).
         let w0 = layer.weights.clone();
         let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
-        layer.backward_batch(&g, 1, &mut ws).unwrap();
+        layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
         layer.apply_update(&rule, 1, &mut ws);
         let w1 = layer.weights.clone();
         let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
-        layer.backward_batch(&g, 1, &mut ws).unwrap();
+        layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
         layer.apply_update(&rule, 2, &mut ws);
         let w2 = layer.weights.clone();
         let d1 = (w1.data()[0] - w0.data()[0]).abs();
@@ -3643,7 +3785,7 @@ mod tests {
             Err(TrainError::EmptyBatch)
         ));
         assert!(matches!(
-            dense.backward_batch(&Tensor::ones(&[2, 2]), 2, &mut ws),
+            dense.backward_batch(&Tensor::ones(&[2, 2]), 2, Grads::All, &mut ws),
             Err(TrainError::BackwardBeforeForward { .. })
         ));
         // Errors render as readable messages.

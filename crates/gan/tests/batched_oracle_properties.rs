@@ -10,11 +10,17 @@
 //! fixed reduction tree, and the persistent state (batch-norm running
 //! statistics) matches. Checked at 1, 2 and 8 worker threads, so the
 //! contract covers the data-parallel sharding too.
+//!
+//! The partial backward passes a train step runs are pinned to the full
+//! one on the same stacks: a parameters-only backward accumulates the
+//! full backward's gradients bit for bit and returns no input gradient,
+//! and an input-only backward returns the full backward's input gradient
+//! bit for bit and accumulates nothing.
 
 mod oracle;
 
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, pack_batch};
+use lergan_gan::train::{build_trainable_with, pack_batch, Grads, LayerState, Sequential};
 use lergan_tensor::{parallel, Tensor};
 use oracle::{assert_states_bitwise, OracleStack};
 use proptest::prelude::*;
@@ -37,9 +43,24 @@ fn bits_eq(a: &[f32], b: &[f32]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+fn all_zero(states: &[LayerState]) -> Result<(), TestCaseError> {
+    for (li, state) in states.iter().enumerate() {
+        for (key, t) in state.entries() {
+            prop_assert!(
+                t.data().iter().all(|&v| v == 0.0),
+                "layer {} {} accumulated a gradient",
+                li,
+                key
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Runs the batched stack against the per-sample oracle at each thread
 /// count and bit-compares outputs, input gradients, tree-reduced weight
-/// gradients and persistent state.
+/// gradients and persistent state; then pins the parameters-only and
+/// input-only backward passes to the full one.
 #[allow(clippy::too_many_arguments)]
 fn check(
     notation: &str,
@@ -62,8 +83,11 @@ fn check(
     let packed_seeds = pack_batch(&seeds);
     for threads in [1usize, 2, 8] {
         parallel::with_threads(threads, || -> Result<(), TestCaseError> {
-            let mut rng = StdRng::seed_from_u64(u64::from(case_seed));
-            let mut net = build_trainable_with(&spec, is_generator, batch_norm, &mut rng);
+            let build = || {
+                let mut rng = StdRng::seed_from_u64(u64::from(case_seed));
+                build_trainable_with(&spec, is_generator, batch_norm, &mut rng)
+            };
+            let mut net = build();
             let mut oracle =
                 OracleStack::build(&spec, is_generator, batch_norm, &net.capture_state());
 
@@ -82,6 +106,30 @@ fn check(
             oracle.accumulate(&partials);
             assert_states_bitwise(&net.capture_grads(), &oracle.grads(), "gradients");
             assert_states_bitwise(&net.capture_state(), &oracle.states(), "state");
+
+            let forwarded = || -> Sequential {
+                let mut twin = build();
+                let out = twin.forward_batch(&packed, batch).unwrap();
+                twin.recycle(out);
+                twin
+            };
+            let mut params_only = forwarded();
+            let none = params_only
+                .backward_batch_with(&packed_seeds, batch, Grads::Params)
+                .unwrap();
+            prop_assert!(none.is_none(), "a parameters-only backward returned ∇input");
+            assert_states_bitwise(
+                &params_only.capture_grads(),
+                &net.capture_grads(),
+                "parameters-only gradients",
+            );
+            let mut input_only = forwarded();
+            let only = input_only
+                .backward_batch_with(&packed_seeds, batch, Grads::Input)
+                .unwrap()
+                .expect("an input-only backward returns ∇input");
+            bits_eq(only.data(), din.data())?;
+            all_zero(&input_only.capture_grads())?;
             Ok(())
         })?;
     }
