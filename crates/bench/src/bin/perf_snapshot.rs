@@ -1,12 +1,10 @@
 //! Wall-clock performance snapshot of the ZFDR execution paths and the
 //! training substrate, written to `BENCH_zfdr.json`.
 //!
-//! Times six workloads with `std::time::Instant`:
+//! Times these workloads with [`lergan_bench::harness::time`]:
 //!
 //! * T-CONV ZFDR (batched one-GEMM-per-pattern-class, the cached-engine
-//!   variant, the per-position reference oracle, and a faithful copy of
-//!   the original lazy per-position implementation pinned below as the
-//!   baseline),
+//!   variant and the per-position reference oracle),
 //! * W-CONV-S ZFDR (same variants),
 //! * D-CONV dilated convolution: the zero-free direct gather against
 //!   the naive zero-inserted-kernel formulation,
@@ -19,25 +17,26 @@
 //!   always routes `n = 1` direct; this entry proves it right),
 //! * one full DCGAN training step on the reduced 16 px networks.
 //!
-//! Each ZFDR workload is timed at one worker thread and at the
-//! configured thread count (`LERGAN_THREADS` or the host parallelism),
-//! so the snapshot records both algorithmic and threading speedups —
-//! except on single-core hosts, where the thread-scaling speedup key
-//! becomes an object carrying the `skipped_single_core` marker *and*
-//! the 1-thread measurement it is based on, so the trajectory stays
-//! comparable across hosts instead of a meaningless 1.00 or a dropped
-//! entry. When the output file already exists, its 1-thread
-//! `gan_train_step_16px/full` time is read back first and the new
-//! snapshot records the ratio as `gan_train_step_vs_previous`.
+//! Every results row records the minimum (`ns_per_iter`), median and
+//! interquartile range of the per-iteration time over the harness's
+//! windows. Each ZFDR workload is timed at one worker thread and at the
+//! configured thread count (`LERGAN_THREADS` or the host parallelism), so
+//! the snapshot records both algorithmic and threading speedups; where
+//! the multi-thread run can use only one core, the thread-scaling key
+//! becomes the `skipped_single_core` marker (see
+//! [`lergan_bench::harness::thread_speedup_json`]). When the output file
+//! already exists, its 1-thread `gan_train_step_16px/full` time is read
+//! back first and the new snapshot records the ratio as
+//! `gan_train_step_vs_previous`.
 //!
 //! Usage: `perf_snapshot [output.json]` (default `BENCH_zfdr.json`).
 
+use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, Results};
 use lergan_bench::naive;
 use lergan_core::zfdr::exec::{
     execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference, TconvEngine,
     WconvEngine,
 };
-use lergan_core::ZfdrPlan;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_gan::topology::parse_network;
@@ -49,152 +48,20 @@ use lergan_tensor::tensor::{gemm, mmv};
 use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn det(shape: &[usize], seed: u32) -> Tensor {
-    let mut state = seed.wrapping_mul(747796405).wrapping_add(1);
-    Tensor::from_fn(shape, |_| {
-        state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-        ((state >> 16) as f32 / 65536.0) - 0.5
-    })
-}
+/// Measurement window of every timing.
+const WINDOW: Duration = Duration::from_millis(70);
 
-/// Nanoseconds per iteration: one warmup call, a calibration loop
-/// growing the iteration count until a window spans ~70 ms, then two
-/// more windows at that count. Returns the *minimum* window mean —
-/// scheduler preemption and interrupt noise only ever inflate a
-/// window, so the min is the stable estimator (a single long window's
-/// mean absorbs every hiccup and jitters >10% on a busy 1-core host).
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f();
-    let window = Duration::from_millis(70);
-    let mut iters: u64 = 1;
-    let (mut best, iters) = loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-        if elapsed >= window || iters >= 1_000_000 {
-            break (per, iters);
-        }
-        iters = ((7.0e7 / per).ceil() as u64).clamp(iters * 2, 1_000_000);
-    };
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
-        best = best.min(per);
+/// Records `f` under `name`, timed at one worker thread and, when more
+/// are configured, at `threads`.
+fn record_threads(results: &mut Results, name: &str, threads: usize, mut f: impl FnMut()) {
+    let counts: &[usize] = if threads == 1 { &[1] } else { &[1, threads] };
+    for &t in counts {
+        let timing = parallel::with_threads(t, || time(WINDOW, &mut f));
+        results.record(name, t, timing);
     }
-    best
-}
-
-// ---------------------------------------------------------------------
-// Faithful copy of the original per-position ZFDR implementation (lazy
-// HashMap materialisation, per-position pattern clones, bounds-checked
-// multi-index gathers). Kept verbatim so the snapshot always measures
-// the batched path against the same baseline, independent of how the
-// library's reference path evolves.
-// ---------------------------------------------------------------------
-
-fn seed_tconv(input: &Tensor, weights: &Tensor, geom: &TconvGeometry) -> Tensor {
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let plan = ZfdrPlan::for_tconv(geom);
-    let o = geom.output;
-    let p = geom.insertion_pad;
-    let s = geom.converse_stride;
-    let mut out = Tensor::zeros(&[oc, o, o]);
-    let mut matrices: HashMap<(usize, usize), Tensor> = HashMap::new();
-    for oy in 0..o {
-        let rc = plan.class_at(oy);
-        let pr = plan.axis_classes()[rc].pattern.clone();
-        for ox in 0..o {
-            let cc = plan.class_at(ox);
-            let pc = plan.axis_classes()[cc].pattern.clone();
-            if pr.is_empty() || pc.is_empty() {
-                continue;
-            }
-            let matrix = matrices.entry((rc, cc)).or_insert_with(|| {
-                let cols = pr.len() * pc.len() * ic;
-                Tensor::from_fn(&[oc, cols], |idx| {
-                    let (row, col) = (idx[0], idx[1]);
-                    let ci = col % ic;
-                    let kxi = (col / ic) % pc.len();
-                    let kyi = col / (ic * pc.len());
-                    weights[&[row, ci, pr[kyi], pc[kxi]]]
-                })
-            });
-            let mut vec = Vec::with_capacity(pr.len() * pc.len() * ic);
-            for &ky in &pr {
-                let iy = (oy + ky - p) / s;
-                for &kx in &pc {
-                    let ix = (ox + kx - p) / s;
-                    for ci in 0..ic {
-                        vec.push(input[&[ci, iy, ix]]);
-                    }
-                }
-            }
-            let result = naive::mmv(matrix, &vec);
-            for (co, &v) in result.iter().enumerate() {
-                out[&[co, oy, ox][..]] = v;
-            }
-        }
-    }
-    out
-}
-
-fn seed_wconv(input: &Tensor, dout: &Tensor, geom: &WconvGeometry) -> Tensor {
-    let f = geom.forward;
-    let (ic, oc) = (input.shape()[0], dout.shape()[0]);
-    let plan = ZfdrPlan::for_wconv(geom);
-    let w = geom.gradient_extent();
-    let mut dw = Tensor::zeros(&[oc, ic, w, w]);
-    let mut matrices: HashMap<(usize, usize), Tensor> = HashMap::new();
-    for wy in 0..w {
-        let rc = plan.class_at(wy);
-        let pr = plan.axis_classes()[rc].pattern.clone();
-        for wx in 0..w {
-            let cc = plan.class_at(wx);
-            let pc = plan.axis_classes()[cc].pattern.clone();
-            if pr.is_empty() || pc.is_empty() {
-                continue;
-            }
-            let matrix = matrices.entry((rc, cc)).or_insert_with(|| {
-                Tensor::from_fn(&[oc, pr.len() * pc.len()], |idx| {
-                    let (row, col) = (idx[0], idx[1]);
-                    let oxi = col % pc.len();
-                    let oyi = col / pc.len();
-                    dout[&[row, pr[oyi], pc[oxi]]]
-                })
-            });
-            for ci in 0..ic {
-                let mut vec = Vec::with_capacity(pr.len() * pc.len());
-                for &oh in &pr {
-                    let iy = wy + oh * f.stride - f.pad;
-                    for &ow in &pc {
-                        let ix = wx + ow * f.stride - f.pad;
-                        vec.push(input[&[ci, iy, ix]]);
-                    }
-                }
-                let result = naive::mmv(matrix, &vec);
-                for (co, &v) in result.iter().enumerate() {
-                    dw[&[co, ci, wy, wx][..]] = v;
-                }
-            }
-        }
-    }
-    dw
-}
-
-struct Entry {
-    name: String,
-    threads: usize,
-    ns: f64,
 }
 
 /// The 1-thread `gan_train_step_16px/full` time recorded in a previous
@@ -220,149 +87,70 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_zfdr.json".to_string());
     let previous_step_ns = previous_train_step_ns(&out_path);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = parallel::current_threads();
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut record = |name: &str, t: usize, ns: f64| {
-        println!("{name:44} threads={t}  {ns:>12.0} ns/iter");
-        entries.push(Entry {
-            name: name.to_string(),
-            threads: t,
-            ns,
-        });
-    };
+    let mut results = Results::default();
 
     // T-CONV at the CONV1 bench geometry (16 in / 8 out channels).
     let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
     let input = det(&[16, 4, 4], 1);
     let weights = det(&[8, 16, 5, 5], 2);
-    let ns = time_ns(|| {
-        black_box(seed_tconv(black_box(&input), black_box(&weights), &geom));
+    record_threads(&mut results, "tconv_conv1_16x8ch/reference", threads, || {
+        black_box(execute_tconv_reference(
+            black_box(&input),
+            black_box(&weights),
+            &geom,
+        ));
     });
-    record("tconv_conv1_16x8ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(execute_tconv_reference(
-                    black_box(&input),
-                    black_box(&weights),
-                    &geom,
-                ));
-            })
-        });
-        record("tconv_conv1_16x8ch/reference", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(execute_tconv(black_box(&input), black_box(&weights), &geom));
-            })
-        });
-        record("tconv_conv1_16x8ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "tconv_conv1_16x8ch/batched", threads, || {
+        black_box(execute_tconv(black_box(&input), black_box(&weights), &geom));
+    });
     // Cached engine: the plan and the reshaped weight matrices are built
     // once and reused across iterations, as a training loop would.
     let engine = TconvEngine::new(&weights, &geom);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(engine.execute(black_box(&input)));
-            })
-        });
-        record("tconv_conv1_16x8ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "tconv_conv1_16x8ch/engine_cached", threads, || {
+        black_box(engine.execute(black_box(&input)));
+    });
 
     // T-CONV at realistic mid-network channel counts.
     let geom_w = TconvGeometry::for_upsampling(16, 5, 2).unwrap();
     let input_w = det(&[64, 16, 16], 5);
     let weights_w = det(&[32, 64, 5, 5], 6);
-    let ns = time_ns(|| {
-        black_box(seed_tconv(
+    record_threads(&mut results, "tconv_16to32_64x32ch/batched", threads, || {
+        black_box(execute_tconv(
             black_box(&input_w),
             black_box(&weights_w),
             &geom_w,
         ));
     });
-    record("tconv_16to32_64x32ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(execute_tconv(
-                    black_box(&input_w),
-                    black_box(&weights_w),
-                    &geom_w,
-                ));
-            })
-        });
-        record("tconv_16to32_64x32ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
     let engine_w = TconvEngine::new(&weights_w, &geom_w);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(engine_w.execute(black_box(&input_w)));
-            })
-        });
-        record("tconv_16to32_64x32ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "tconv_16to32_64x32ch/engine_cached", threads, || {
+        black_box(engine_w.execute(black_box(&input_w)));
+    });
 
     // W-CONV-S weight gradient.
     let geom_g = WconvGeometry::new(8, 5, 2, 2).unwrap();
     let input_g = det(&[8, 8, 8], 3);
     let dout_g = det(&[8, 4, 4], 4);
-    let ns = time_ns(|| {
-        black_box(seed_wconv(black_box(&input_g), black_box(&dout_g), &geom_g));
+    record_threads(&mut results, "wconv_8x8_8ch/reference", threads, || {
+        black_box(execute_wconv_reference(
+            black_box(&input_g),
+            black_box(&dout_g),
+            &geom_g,
+        ));
     });
-    record("wconv_8x8_8ch/seed_per_position", 1, ns);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(execute_wconv_reference(
-                    black_box(&input_g),
-                    black_box(&dout_g),
-                    &geom_g,
-                ));
-            })
-        });
-        record("wconv_8x8_8ch/reference", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(execute_wconv(
-                    black_box(&input_g),
-                    black_box(&dout_g),
-                    &geom_g,
-                ));
-            })
-        });
-        record("wconv_8x8_8ch/batched", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "wconv_8x8_8ch/batched", threads, || {
+        black_box(execute_wconv(
+            black_box(&input_g),
+            black_box(&dout_g),
+            &geom_g,
+        ));
+    });
     // Cached engine: only the plan enumeration is reusable here (the
     // reshaped matrices are built from the per-call ∇output).
     let engine_g = WconvEngine::new(&geom_g);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(engine_g.execute(black_box(&input_g), black_box(&dout_g)));
-            })
-        });
-        record("wconv_8x8_8ch/engine_cached", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "wconv_8x8_8ch/engine_cached", threads, || {
+        black_box(engine_g.execute(black_box(&input_g), black_box(&dout_g)));
+    });
 
     // D-CONV: the zero-free compact-im2col GEMM against the naive
     // formulation that materialises the zero-inserted dilated kernel
@@ -377,51 +165,32 @@ fn main() {
     };
     let input_d = det(&[16, 16, 16], 9);
     let weights_d = det(&[16, 16, 3, 3], 10);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(dconv_zero_insertion(
-                    black_box(&input_d),
-                    black_box(&weights_d),
-                    &geom_d,
-                ));
-            })
-        });
-        record("dconv_16px_16x16ch_d2/zero_inserted", t, ns);
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(dconv_zero_free(
-                    black_box(&input_d),
-                    black_box(&weights_d),
-                    &geom_d,
-                ));
-            })
-        });
-        record("dconv_16px_16x16ch_d2/zero_free", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "dconv_16px_16x16ch_d2/zero_inserted", threads, || {
+        black_box(dconv_zero_insertion(
+            black_box(&input_d),
+            black_box(&weights_d),
+            &geom_d,
+        ));
+    });
+    record_threads(&mut results, "dconv_16px_16x16ch_d2/zero_free", threads, || {
+        black_box(dconv_zero_free(
+            black_box(&input_d),
+            black_box(&weights_d),
+            &geom_d,
+        ));
+    });
 
     // S-CONV through im2col + GEMM (discriminator-style layer).
     let geom_s = SconvGeometry::new(16, 5, 2, 2).unwrap();
     let input_s = det(&[32, 16, 16], 7);
     let weights_s = det(&[32, 32, 5, 5], 8);
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(conv2d_gemm(
-                    black_box(&input_s),
-                    black_box(&weights_s),
-                    &geom_s,
-                ));
-            })
-        });
-        record("sconv_16px_32x32ch/im2col_gemm", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "sconv_16px_32x32ch/im2col_gemm", threads, || {
+        black_box(conv2d_gemm(
+            black_box(&input_s),
+            black_box(&weights_s),
+            &geom_s,
+        ));
+    });
 
     // Every GEMM strategy, the shape-adaptive dispatch, and the
     // pre-packing naive kernel on the dominant (largest-MAC) im2col shape
@@ -455,32 +224,29 @@ fn main() {
                 }
             })
             .collect();
-        let forced_ns = |fs: ForcedStrategy| {
-            parallel::with_threads(1, || {
-                with_strategy(fs, || {
-                    time_ns(|| {
+        let name = |kernel: &str| format!("gemm_{slug}_{m}x{k}x{n}/{kernel}");
+        for (kernel, forced) in [
+            ("direct", ForcedStrategy::Direct),
+            ("packed", ForcedStrategy::Packed),
+            ("simd", ForcedStrategy::Simd),
+            ("dispatch", ForcedStrategy::Auto),
+        ] {
+            let timing = parallel::with_threads(1, || {
+                with_strategy(forced, || {
+                    time(WINDOW, || {
                         black_box(gemm(black_box(&a), black_box(&b)));
                     })
                 })
-            })
-        };
-        let direct_ns = forced_ns(ForcedStrategy::Direct);
-        let packed_ns = forced_ns(ForcedStrategy::Packed);
-        let simd_ns = forced_ns(ForcedStrategy::Simd);
-        let dispatch_ns = forced_ns(ForcedStrategy::Auto);
-        let naive_ns = parallel::with_threads(1, || {
-            time_ns(|| {
+            });
+            results.record(&name(kernel), 1, timing);
+        }
+        let naive_timing = parallel::with_threads(1, || {
+            time(WINDOW, || {
                 black_box(naive::gemm(black_box(&a), black_box(&b)));
             })
         });
-        record(&format!("gemm_{slug}_{m}x{k}x{n}/direct"), 1, direct_ns);
-        record(&format!("gemm_{slug}_{m}x{k}x{n}/packed"), 1, packed_ns);
-        record(&format!("gemm_{slug}_{m}x{k}x{n}/simd"), 1, simd_ns);
-        record(&format!("gemm_{slug}_{m}x{k}x{n}/dispatch"), 1, dispatch_ns);
-        record(&format!("gemm_{slug}_{m}x{k}x{n}/naive"), 1, naive_ns);
-        if dispatch_ns > 0.0 {
-            gemm_ratios.push(naive_ns / dispatch_ns);
-        }
+        results.record(&name("naive"), 1, naive_timing);
+        gemm_ratios.push(naive_timing.min_ns / results.get(&name("dispatch"), 1).min_ns);
     }
     let gemm_geomean = if gemm_ratios.is_empty() {
         1.0
@@ -493,27 +259,19 @@ fn main() {
     // direct, and this entry keeps that choice honest.
     let mmv_mat = det(&[64, 1024], 33);
     let mmv_vec: Vec<f32> = det(&[1024], 34).data().to_vec();
-    let mmv_direct_ns = parallel::with_threads(1, || {
-        with_strategy(ForcedStrategy::Auto, || {
-            time_ns(|| {
-                black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
+    for (kernel, forced) in [
+        ("direct", ForcedStrategy::Auto),
+        ("blocked", ForcedStrategy::Packed),
+    ] {
+        let timing = parallel::with_threads(1, || {
+            with_strategy(forced, || {
+                time(WINDOW, || {
+                    black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
+                })
             })
-        })
-    });
-    let mmv_blocked_ns = parallel::with_threads(1, || {
-        with_strategy(ForcedStrategy::Packed, || {
-            time_ns(|| {
-                black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
-            })
-        })
-    });
-    record("mmv_fc_64x1024/direct", 1, mmv_direct_ns);
-    record("mmv_fc_64x1024/blocked", 1, mmv_blocked_ns);
-    let mmv_speedup = if mmv_direct_ns > 0.0 {
-        mmv_blocked_ns / mmv_direct_ns
-    } else {
-        1.0
-    };
+        });
+        results.record(&format!("mmv_fc_64x1024/{kernel}"), 1, timing);
+    }
 
     // One full DCGAN training step on the reduced 16 px networks.
     let mut rng = StdRng::seed_from_u64(1);
@@ -523,84 +281,36 @@ fn main() {
     let d = build_trainable_with(&disc_spec, false, false, &mut rng);
     let mut gan = Gan::new(g, d, 8, 0.01, 2).with_optimizer(UpdateRule::dcgan_adam(0.01));
     let reals: Vec<Tensor> = (0..2).map(|_| Tensor::filled(&[1, 16, 16], 0.5)).collect();
-    for t in [1, threads] {
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
-                black_box(gan.train_step(black_box(&reals)));
-            })
-        });
-        record("gan_train_step_16px/full", t, ns);
-        if t == threads && threads == 1 {
-            break;
-        }
-    }
+    record_threads(&mut results, "gan_train_step_16px/full", threads, || {
+        black_box(gan.train_step(black_box(&reals)));
+    });
 
-    let find = |name: &str, t: usize| {
-        entries
-            .iter()
-            .find(|e| e.name == name && e.threads == t)
-            .map(|e| e.ns)
-    };
-    let seed_conv1 = find("tconv_conv1_16x8ch/seed_per_position", 1);
-    let batched_conv1 = find("tconv_conv1_16x8ch/batched", 1);
-    let speedup_conv1 = match (seed_conv1, batched_conv1) {
-        (Some(s), Some(b)) if b > 0.0 => s / b,
-        _ => 0.0,
-    };
-    let reference_conv1 = find("tconv_conv1_16x8ch/reference", 1);
-    let dispatch_vs_reference = match (reference_conv1, batched_conv1) {
-        (Some(r), Some(b)) if b > 0.0 => r / b,
-        _ => 0.0,
-    };
-    // Thread-scaling numbers are meaningless on a single-core host (the
-    // "multi" run is the same 1-worker run), so record the marker with
-    // the 1-thread measurement it would have been computed from — the
-    // entry stays in the trajectory instead of being dropped.
-    let thread_scaling_json = if cores == 1 || threads == 1 {
-        let one = batched_conv1.unwrap_or(0.0);
-        format!("{{ \"marker\": \"skipped_single_core\", \"one_thread_ns\": {one:.0} }}")
-    } else {
-        let batched_multi = find("tconv_conv1_16x8ch/batched", threads);
-        let thread_speedup = match (batched_conv1, batched_multi) {
-            (Some(one), Some(multi)) if multi > 0.0 => one / multi,
-            _ => 1.0,
-        };
-        format!("{thread_speedup:.2}")
-    };
-    let dconv_naive = find("dconv_16px_16x16ch_d2/zero_inserted", 1);
-    let dconv_free = find("dconv_16px_16x16ch_d2/zero_free", 1);
-    let dconv_speedup = match (dconv_naive, dconv_free) {
-        (Some(n), Some(f)) if f > 0.0 => n / f,
-        _ => 0.0,
-    };
-    let step_ns = find("gan_train_step_16px/full", 1);
-    let step_vs_previous = match (previous_step_ns, step_ns) {
-        (Some(prev), Some(now)) if now > 0.0 => prev / now,
-        _ => 1.0,
-    };
+    let min_ns = |name: &str, t: usize| results.get(name, t).min_ns;
+    let batched_conv1 = min_ns("tconv_conv1_16x8ch/batched", 1);
+    let dispatch_vs_reference = min_ns("tconv_conv1_16x8ch/reference", 1) / batched_conv1;
+    let thread_scaling_json = thread_speedup_json(
+        batched_conv1,
+        min_ns("tconv_conv1_16x8ch/batched", threads),
+        threads,
+    );
+    let dconv_speedup = min_ns("dconv_16px_16x16ch_d2/zero_inserted", 1)
+        / min_ns("dconv_16px_16x16ch_d2/zero_free", 1);
+    let mmv_speedup = min_ns("mmv_fc_64x1024/blocked", 1) / min_ns("mmv_fc_64x1024/direct", 1);
+    let step_vs_previous =
+        previous_step_ns.map_or(1.0, |prev| prev / min_ns("gan_train_step_16px/full", 1));
 
+    let cores = host_cores();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"host\": {{ \"cores\": {cores}, \"configured_threads\": {threads} }},\n"
     ));
-    json.push_str("  \"results\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"threads\": {}, \"ns_per_iter\": {:.0} }}{}\n",
-            e.name,
-            e.threads,
-            e.ns,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+    json.push_str(&results.json());
     json.push_str(&format!(
-        "  \"speedups\": {{\n    \"tconv_conv1_batched_vs_seed_1thread\": {speedup_conv1:.2},\n    \"tconv_conv1_dispatch_vs_reference\": {dispatch_vs_reference:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
+        "  \"speedups\": {{\n    \"tconv_conv1_dispatch_vs_reference\": {dispatch_vs_reference:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
-    println!("\nbatched vs seed per-position (CONV1, 1 thread): {speedup_conv1:.2}x");
-    println!("batched vs per-position reference (CONV1):      {dispatch_vs_reference:.2}x");
+    println!("\nbatched vs per-position reference (CONV1):      {dispatch_vs_reference:.2}x");
     println!("batched {threads} threads vs 1 thread (CONV1):    {thread_scaling_json}");
     println!("dconv zero-free vs zero-inserted (d=2, 16 px):  {dconv_speedup:.2}x");
     println!("dispatch vs naive GEMM (geomean over Table V):  {gemm_geomean:.2}x");

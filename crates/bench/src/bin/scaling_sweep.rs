@@ -13,10 +13,11 @@
 //! stacks, wide channels, dilated convs + skip edges + norm variants),
 //! with the geomean speedup recorded beside the per-GAN entries.
 //!
-//! The two sides of each ratio are timed in alternating windows, and the
-//! ratio is the median of the per-window-pair ratios: a slow period of a
-//! shared host stretches both windows of a pair alike, where timing each
-//! side on its own would fold it into one side only.
+//! The two sides of each ratio are timed in alternating windows
+//! ([`lergan_bench::harness::time_pair`]), and the ratio is the median of
+//! the per-window-pair ratios, recorded next to their interquartile range
+//! (`<key>_iqr`). Every results row carries the minimum (`ns_per_iter`),
+//! median and interquartile range of its windows.
 //!
 //! Strong scaling of the batched step is recorded at `LERGAN_THREADS`
 //! ∈ {1, 2, 8}; on a single-core host the thread-scaling keys carry the
@@ -32,17 +33,22 @@
 //!
 //! Usage: `scaling_sweep [output.json]` (default `BENCH_scaling.json`).
 
+use lergan_bench::harness::{host_cores, thread_speedup_json, time, time_pair, Results};
 use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, pack_batch, Gan, UpdateRule};
 use lergan_tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Batch size of the batched step and the length of the sequential run
 /// it is compared against.
 const BATCH: usize = 8;
+
+/// Measurement window of the strong-scaling timings; each side of an
+/// alternating pair gets half of it.
+const WINDOW: Duration = Duration::from_millis(70);
 
 /// A reduced benchmark-GAN topology: full Table V networks would take
 /// seconds per step, so each entry mirrors a benchmark GAN's *shape mix*
@@ -88,79 +94,6 @@ const BENCH_GANS: &[BenchGan] = &[
     },
 ];
 
-/// Nanoseconds per iteration: warmup, calibration to a ~70 ms window,
-/// then the minimum over two more windows (preemption only ever
-/// inflates a window, so the min is the stable estimator on a busy
-/// 1-core host).
-fn time_ns(mut f: impl FnMut()) -> f64 {
-    f();
-    let window = Duration::from_millis(70);
-    let mut iters: u64 = 1;
-    let (mut best, iters) = loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        let per = (elapsed.as_nanos() as f64 / iters as f64).max(1.0);
-        if elapsed >= window || iters >= 1_000_000 {
-            break (per, iters);
-        }
-        iters = ((7.0e7 / per).ceil() as u64).clamp(iters * 2, 1_000_000);
-    };
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per = (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0);
-        best = best.min(per);
-    }
-    best
-}
-
-/// Alternating windows per ratio (an odd count, so the median is one
-/// window pair's ratio).
-const PAIRS: usize = 15;
-
-/// Times `a` and `b` in `PAIRS` alternating ~35 ms windows (the order
-/// flips every pair, so a drifting host speed favours neither side).
-/// Returns the minimum ns/iter of each side and the median of the
-/// per-pair ratios `a / b`.
-fn time_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
-    let iters_for = |f: &mut dyn FnMut()| {
-        f();
-        let start = Instant::now();
-        f();
-        let per = start.elapsed().as_nanos().max(1) as f64;
-        ((3.5e7 / per).ceil() as u64).clamp(1, 1_000_000)
-    };
-    let (ia, ib) = (iters_for(&mut a), iters_for(&mut b));
-    let window = |f: &mut dyn FnMut(), iters: u64| {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        (start.elapsed().as_nanos() as f64 / iters as f64).max(1.0)
-    };
-    let (mut best_a, mut best_b) = (f64::MAX, f64::MAX);
-    let mut ratios = Vec::with_capacity(PAIRS);
-    for pair in 0..PAIRS {
-        let (ta, tb) = if pair % 2 == 0 {
-            let ta = window(&mut a, ia);
-            (ta, window(&mut b, ib))
-        } else {
-            let tb = window(&mut b, ib);
-            (window(&mut a, ia), tb)
-        };
-        best_a = best_a.min(ta);
-        best_b = best_b.min(tb);
-        ratios.push(ta / tb);
-    }
-    ratios.sort_by(f64::total_cmp);
-    (best_a, best_b, ratios[PAIRS / 2])
-}
-
 fn build_gan(bg: &BenchGan, seed: u64) -> Gan {
     let g_spec = parse_network("g", bg.gen, 2, bg.extent).unwrap();
     let d_spec = parse_network("d", bg.disc, 2, bg.extent).unwrap();
@@ -190,17 +123,10 @@ fn batched_loss_trace(steps: usize) -> Vec<String> {
         .collect()
 }
 
-struct Entry {
-    name: String,
-    threads: usize,
-    ns: f64,
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_scaling.json".to_string());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = parallel::current_threads();
 
     // ---- Determinism self-asserts, before any timing. ----
@@ -215,26 +141,19 @@ fn main() {
         );
     }
 
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut record = |name: &str, t: usize, ns: f64| {
-        println!("{name:40} threads={t}  {ns:>12.0} ns/iter");
-        entries.push(Entry {
-            name: name.to_string(),
-            threads: t,
-            ns,
-        });
-    };
+    let mut results = Results::default();
 
     // ---- Batched vs sequential, per benchmark GAN, 1 thread. ----
-    let mut ratios: Vec<(String, f64)> = Vec::new();
+    let mut ratios: Vec<(String, f64, f64)> = Vec::new();
     for bg in BENCH_GANS {
         let singles: Vec<Vec<Tensor>> = (0..BATCH).map(|i| vec![real_sample(bg, i)]).collect();
         let packed = pack_batch(&(0..BATCH).map(|i| real_sample(bg, i)).collect::<Vec<_>>());
 
         let mut seq_gan = build_gan(bg, 7);
         let mut bat_gan = build_gan(bg, 7);
-        let (seq_ns, bat_ns, ratio) = parallel::with_threads(1, || {
-            time_pair_ns(
+        let pair = parallel::with_threads(1, || {
+            time_pair(
+                WINDOW / 2,
                 || {
                     for reals in &singles {
                         black_box(seq_gan.train_step(black_box(reals)));
@@ -245,71 +164,55 @@ fn main() {
                 },
             )
         });
-        record(&format!("scaling_{}/sequential_8x_b1", bg.name), 1, seq_ns);
-        record(&format!("scaling_{}/batched_b8", bg.name), 1, bat_ns);
-        ratios.push((bg.name.to_string(), ratio));
+        results.record(&format!("scaling_{}/sequential_8x_b1", bg.name), 1, pair.a);
+        results.record(&format!("scaling_{}/batched_b8", bg.name), 1, pair.b);
+        ratios.push((bg.name.to_string(), pair.ratio, pair.ratio_iqr));
     }
-    let speedup_16px = ratios
+    let (_, speedup_16px, iqr_16px) = ratios
         .iter()
-        .find(|(n, _)| n == "dcgan16")
-        .map_or(0.0, |(_, r)| *r);
-    let geomean = if ratios.is_empty() {
-        0.0
-    } else {
-        (ratios.iter().map(|(_, r)| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-    };
+        .find(|(n, _, _)| n == "dcgan16")
+        .cloned()
+        .expect("the dcgan16 workload is timed");
+    let geomean =
+        (ratios.iter().map(|(_, r, _)| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
 
     // ---- Strong scaling of the batched step at 1/2/8 workers. ----
     let bg = &BENCH_GANS[0];
     let packed = pack_batch(&(0..BATCH).map(|i| real_sample(bg, i)).collect::<Vec<_>>());
-    let mut scale_ns = Vec::new();
+    let strong_name = format!("scaling_{}/batched_b8_strong", bg.name);
     for t in [1usize, 2, 8] {
         let mut gan = build_gan(bg, 9);
-        let ns = parallel::with_threads(t, || {
-            time_ns(|| {
+        let timing = parallel::with_threads(t, || {
+            time(WINDOW, || {
                 black_box(gan.train_step_batched(black_box(&packed)).unwrap());
             })
         });
-        record(&format!("scaling_{}/batched_b8_strong", bg.name), t, ns);
-        scale_ns.push(ns);
+        results.record(&strong_name, t, timing);
     }
-    // Thread speedups are meaningless when the host has one core (the
-    // workers timeshare it): carry the marker plus the 1-thread number,
-    // the same convention perf_snapshot uses.
-    let strong = |idx: usize| {
-        if cores == 1 {
-            format!(
-                "{{ \"marker\": \"skipped_single_core\", \"one_thread_ns\": {:.0} }}",
-                scale_ns[0]
-            )
-        } else {
-            format!("{:.2}", scale_ns[0] / scale_ns[idx].max(1.0))
-        }
+    let strong = |t: usize| {
+        thread_speedup_json(
+            results.get(&strong_name, 1).min_ns,
+            results.get(&strong_name, t).min_ns,
+            t,
+        )
     };
-    let (strong_t2, strong_t8) = (strong(1), strong(2));
+    let (strong_t2, strong_t8) = (strong(2), strong(8));
 
     // ---- JSON. ----
+    let cores = host_cores();
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"host\": {{ \"cores\": {cores}, \"configured_threads\": {threads}, \"batch\": {BATCH} }},\n"
     ));
-    json.push_str("  \"results\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"threads\": {}, \"ns_per_iter\": {:.0} }}{}\n",
-            e.name,
-            e.threads,
-            e.ns,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
+    json.push_str(&results.json());
     json.push_str("  \"speedups\": {\n");
     json.push_str(&format!(
-        "    \"batched_b8_vs_8x_b1_16px\": {speedup_16px:.2},\n"
+        "    \"batched_b8_vs_8x_b1_16px\": {speedup_16px:.2},\n    \"batched_b8_vs_8x_b1_16px_iqr\": {iqr_16px:.3},\n"
     ));
-    for (name, r) in &ratios {
-        json.push_str(&format!("    \"batched_b8_vs_8x_b1_{name}\": {r:.2},\n"));
+    for (name, r, iqr) in &ratios {
+        json.push_str(&format!(
+            "    \"batched_b8_vs_8x_b1_{name}\": {r:.2},\n    \"batched_b8_vs_8x_b1_{name}_iqr\": {iqr:.3},\n"
+        ));
     }
     json.push_str(&format!(
         "    \"batched_geomean_benchmarks\": {geomean:.2},\n    \"strong_scaling_t2\": {strong_t2},\n    \"strong_scaling_t8\": {strong_t8}\n  }},\n"

@@ -4,11 +4,13 @@
 //! Each `figures::figNN` function computes the *data* of the corresponding
 //! paper figure; the `fig16`…`fig24`, `table5`, `scaling` and `overhead`
 //! binaries build a [`harness::Report`] from it and emit text, markdown or
-//! JSON (`--format text|md|json [--out PATH]`), and the Criterion benches
-//! under `benches/` time the underlying machinery. Absolute numbers come from
-//! the simulator; the paper's reported values are quoted alongside so the
-//! shape comparison is immediate (see `EXPERIMENTS.md` for the full
-//! paper-vs-measured record).
+//! JSON (`--format text|md|json [--out PATH]`). The wall-clock binaries
+//! (`perf_snapshot`, `scaling_sweep`, `autotune`) time the underlying
+//! machinery through the one window timer, [`harness::time`], which
+//! records every number's minimum, median and interquartile range.
+//! Absolute numbers come from the simulator; the paper's reported values
+//! are quoted alongside so the shape comparison is immediate (see
+//! `EXPERIMENTS.md` for the full paper-vs-measured record).
 
 pub mod chaos;
 pub mod figures;

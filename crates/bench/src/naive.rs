@@ -121,14 +121,7 @@ fn gemm_rows(out_rows: &mut [&mut [f32]], row0: usize, a: &[f32], b: &[f32], k: 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn det(shape: &[usize], seed: u32) -> Tensor {
-        let mut state = seed.wrapping_mul(747796405).wrapping_add(1);
-        Tensor::from_fn(shape, |_| {
-            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-            ((state >> 16) as f32 / 65536.0) - 0.5
-        })
-    }
+    use crate::harness::det;
 
     #[test]
     fn naive_gemm_nt_column_equals_naive_mmv() {

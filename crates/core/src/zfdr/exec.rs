@@ -28,7 +28,8 @@
 //! [`TconvEngine`] / [`WconvEngine`] instead of calling the free
 //! functions: the engines cache the plan enumeration — and, for T-CONV,
 //! the reshaped weight matrices — across calls, invalidating the matrices
-//! only on [`TconvEngine::set_weights`].
+//! only on [`TconvEngine::set_weights`]. Every call executes one sample;
+//! a batch is one call per sample.
 
 use crate::zfdr::plan::{AxisClass, ZfdrPlan};
 use lergan_tensor::tensor::{gemm, mmv};
@@ -415,104 +416,6 @@ impl TconvEngine {
         }
         (out, tconv_stats(classes, groups, pairs, ic, oc))
     }
-
-    /// Executes one T-CONV per sample of a `[B, IC, I, I]` batch against
-    /// the cached matrices, fusing the whole batch into **one GEMM per
-    /// pattern class** with `m` multiplied by `B` — the reshaped matrices
-    /// are shared by every sample, so the batch rides the same cache.
-    ///
-    /// Returns the `[B, OC, O, O]` output, each sample's plane bit-identical
-    /// to [`execute`](TconvEngine::execute) on that sample, plus the
-    /// per-sample statistics scaled by `B` (the matrices are materialised
-    /// once, so `reshaped_matrices` does not scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics on input shape mismatch or an empty batch.
-    pub fn execute_batch(&self, input: &Tensor) -> (Tensor, ZfdrStats) {
-        let (oc, ic) = (self.oc, self.ic);
-        let geom = &self.geom;
-        let classes = self.plan.axis_classes();
-        let o = geom.output;
-        let p = geom.insertion_pad;
-        let s = geom.converse_stride;
-        let i_ext = geom.input;
-        assert_eq!(input.shape().len(), 4, "expected a [B, IC, I, I] batch");
-        let batch = input.shape()[0];
-        assert!(batch > 0, "empty batch");
-        assert_eq!(
-            &input.shape()[1..],
-            &[ic, i_ext, i_ext],
-            "per-sample input shape"
-        );
-        let (groups, pairs, matrices_t) = (&self.groups, &self.pairs, &self.matrices_t);
-        let n = classes.len();
-        let idata = input.data();
-        let iplane = i_ext * i_ext;
-        let slen = ic * iplane;
-
-        // Sample-major gather: rows `b·npos .. (b+1)·npos` of each class's
-        // gathered matrix are exactly the single-sample gather of sample
-        // `b`, so the fused GEMM's row `b·npos + q` accumulates the same
-        // scalar chain as the single-sample execute — bit-identical.
-        let results: Vec<Tensor> = parallel::map_indexed(pairs.len(), |pi| {
-            let (rc, cc) = pairs[pi];
-            let (pr, pc) = (&classes[rc].pattern, &classes[cc].pattern);
-            let (rows, cols) = (&groups[rc], &groups[cc]);
-            let npos = rows.len() * cols.len();
-            let dim = pr.len() * pc.len() * ic;
-            let matrix_t = matrices_t[rc * n + cc].as_ref().expect("pair materialised");
-            let mut gathered = Vec::with_capacity(batch * npos * dim);
-            for b in 0..batch {
-                let sample = &idata[b * slen..(b + 1) * slen];
-                for &oy in rows {
-                    for &ox in cols {
-                        for &ky in pr {
-                            let rbase = (oy + ky - p) / s * i_ext;
-                            for &kx in pc {
-                                let off = rbase + (ox + kx - p) / s;
-                                for ci in 0..ic {
-                                    gathered.push(sample[ci * iplane + off]);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            gemm(&Tensor::from_vec(&[batch * npos, dim], gathered), matrix_t)
-        });
-
-        let mut out = Tensor::zeros(&[batch, oc, o, o]);
-        let odata = out.data_mut();
-        let oslen = oc * o * o;
-        for (pi, &(rc, cc)) in pairs.iter().enumerate() {
-            let (rows, cols) = (&groups[rc], &groups[cc]);
-            let npos = rows.len() * cols.len();
-            let rdata = results[pi].data();
-            for b in 0..batch {
-                let osample = &mut odata[b * oslen..(b + 1) * oslen];
-                let mut pos = 0;
-                for &oy in rows {
-                    for &ox in cols {
-                        let rbase = (b * npos + pos) * oc;
-                        let obase = oy * o + ox;
-                        for co in 0..oc {
-                            osample[co * o * o + obase] = rdata[rbase + co];
-                        }
-                        pos += 1;
-                    }
-                }
-            }
-        }
-        let per = tconv_stats(classes, groups, pairs, ic, oc);
-        let stats = ZfdrStats {
-            reshaped_matrices: per.reshaped_matrices,
-            mmvs: per.mmvs * batch,
-            multiplications: per.multiplications * batch as u128,
-            gathered_values: per.gathered_values * batch as u128,
-        };
-        (out, stats)
-    }
 }
 
 /// Executes a T-CONV through T-CONV ZFDR, batching every pattern class
@@ -713,69 +616,6 @@ impl WconvEngine {
             }
         }
         (dw, wconv_stats(classes, groups, pairs, ic, oc))
-    }
-
-    /// Executes the weight-gradient convolution for every sample of a
-    /// batch against the cached plan: `input` is `[B, IC, I, I]`, `dout`
-    /// is `[B, OC, O, O]`. Unlike the T-CONV case the reshaped matrices
-    /// are built from the per-sample `∇output`, so samples cannot share
-    /// one GEMM; they run as parallel per-sample executions instead.
-    ///
-    /// Returns the **per-sample partials** flattened to
-    /// `[B, OC·IC·W·W]` — row `b` bit-identical to
-    /// [`execute`](WconvEngine::execute) on sample `b` — for the caller to
-    /// fold with its fixed-order reduction tree (the batched trainer's
-    /// `tree_reduce_in_place`), plus the per-sample statistics scaled by
-    /// `B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand shape mismatches or an empty batch.
-    pub fn execute_batch(&self, input: &Tensor, dout: &Tensor) -> (Tensor, ZfdrStats) {
-        assert_eq!(input.shape().len(), 4, "expected a [B, IC, I, I] batch");
-        assert_eq!(dout.shape().len(), 4, "expected a [B, OC, O, O] batch");
-        let batch = input.shape()[0];
-        assert!(batch > 0, "empty batch");
-        assert_eq!(dout.shape()[0], batch, "batch sizes disagree");
-        let f = self.geom.forward;
-        let (ic, oc) = (input.shape()[1], dout.shape()[1]);
-        assert_eq!(input.shape()[2], f.input, "input extent mismatch");
-        assert_eq!(dout.shape()[2], f.output, "∇output extent mismatch");
-        let w = self.geom.gradient_extent();
-        let wlen = oc * ic * w * w;
-        let islen = ic * f.input * f.input;
-        let dslen = oc * f.output * f.output;
-
-        let partials: Vec<Tensor> = parallel::map_indexed(batch, |b| {
-            let sample_in = Tensor::from_vec(
-                &[ic, f.input, f.input],
-                input.data()[b * islen..(b + 1) * islen].to_vec(),
-            );
-            let sample_dout = Tensor::from_vec(
-                &[oc, f.output, f.output],
-                dout.data()[b * dslen..(b + 1) * dslen].to_vec(),
-            );
-            self.execute(&sample_in, &sample_dout).0
-        });
-
-        let mut out = Tensor::zeros(&[batch, wlen]);
-        for (b, part) in partials.iter().enumerate() {
-            out.data_mut()[b * wlen..(b + 1) * wlen].copy_from_slice(part.data());
-        }
-        let per = wconv_stats(
-            self.plan.axis_classes(),
-            &self.groups,
-            &self.pairs,
-            ic,
-            oc,
-        );
-        let stats = ZfdrStats {
-            reshaped_matrices: per.reshaped_matrices * batch,
-            mmvs: per.mmvs * batch,
-            multiplications: per.multiplications * batch as u128,
-            gathered_values: per.gathered_values * batch as u128,
-        };
-        (out, stats)
     }
 }
 
@@ -1017,71 +857,6 @@ mod tests {
             let (reference, rstats) = execute_wconv_reference(&input, &dout, &geom);
             assert_eq!(cached.data(), reference.data(), "seed {seed}");
             assert_eq!(cstats, rstats, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn tconv_engine_batch_matches_per_sample_execution() {
-        let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
-        let weights = det(&[4, 8, 5, 5], 2);
-        let engine = TconvEngine::new(&weights, &geom);
-        let batch = 3;
-        let samples: Vec<Tensor> = (0..batch).map(|b| det(&[8, 4, 4], 60 + b as u32)).collect();
-        let mut packed = Tensor::zeros(&[batch, 8, 4, 4]);
-        for (b, s) in samples.iter().enumerate() {
-            packed.data_mut()[b * s.len()..(b + 1) * s.len()].copy_from_slice(s.data());
-        }
-        for threads in [1usize, 2, 8] {
-            parallel::with_threads(threads, || {
-                let (out, stats) = engine.execute_batch(&packed);
-                assert_eq!(out.shape(), &[batch, 4, 8, 8]);
-                let slen = out.len() / batch;
-                let mut per = ZfdrStats::default();
-                for (b, s) in samples.iter().enumerate() {
-                    let (single, sstats) = engine.execute(s);
-                    assert_eq!(
-                        &out.data()[b * slen..(b + 1) * slen],
-                        single.data(),
-                        "threads {threads} sample {b}"
-                    );
-                    per = sstats;
-                }
-                assert_eq!(stats.reshaped_matrices, per.reshaped_matrices);
-                assert_eq!(stats.mmvs, per.mmvs * batch);
-                assert_eq!(stats.multiplications, per.multiplications * batch as u128);
-            });
-        }
-    }
-
-    #[test]
-    fn wconv_engine_batch_returns_per_sample_partials() {
-        let geom = WconvGeometry::new(8, 5, 2, 2).unwrap();
-        let o = geom.forward.output;
-        let engine = WconvEngine::new(&geom);
-        let batch = 3;
-        let mut inputs = Tensor::zeros(&[batch, 3, 8, 8]);
-        let mut douts = Tensor::zeros(&[batch, 2, o, o]);
-        let mut singles = Vec::new();
-        for b in 0..batch {
-            let i = det(&[3, 8, 8], 70 + b as u32);
-            let d = det(&[2, o, o], 80 + b as u32);
-            inputs.data_mut()[b * i.len()..(b + 1) * i.len()].copy_from_slice(i.data());
-            douts.data_mut()[b * d.len()..(b + 1) * d.len()].copy_from_slice(d.data());
-            singles.push(engine.execute(&i, &d).0);
-        }
-        for threads in [1usize, 2, 8] {
-            parallel::with_threads(threads, || {
-                let (parts, _) = engine.execute_batch(&inputs, &douts);
-                let wlen = singles[0].len();
-                assert_eq!(parts.shape(), &[batch, wlen]);
-                for (b, single) in singles.iter().enumerate() {
-                    assert_eq!(
-                        &parts.data()[b * wlen..(b + 1) * wlen],
-                        single.data(),
-                        "threads {threads} sample {b}"
-                    );
-                }
-            });
         }
     }
 

@@ -181,49 +181,6 @@ pub fn im2col_dconv_batch_into(
     });
 }
 
-/// Transposed [`im2col_dconv_into`] over a raw `[C, H, W]` slice: writes
-/// the `[Oh·Ow, C·Kh_eff·Kw_eff]` matrix whose row `p = oy·Ow + ox` holds
-/// the dense effective-extent window at output position `p` in ascending
-/// `(ci, ky, kx)` order — exactly [`im2col_dconv_into`]'s column `p`,
-/// relaid row-major.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_dconv_t_into(input: &[f32], channels: usize, geom: &DconvGeometry, out: &mut [f32]) {
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(input.len(), channels * h * w, "input length mismatch");
-    let red = channels * eh * ew;
-    assert_eq!(out.len(), oh * ow * red, "im2col buffer length mismatch");
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let prow = &mut out[(oy * ow + ox) * red..(oy * ow + ox + 1) * red];
-            let mut r = 0;
-            for ci in 0..channels {
-                let plane = &input[ci * h * w..(ci + 1) * h * w];
-                for ky in 0..eh {
-                    let y = oy * sh + ky;
-                    if y < ph || y >= ph + h {
-                        prow[r..r + ew].fill(0.0);
-                        r += ew;
-                        continue;
-                    }
-                    let irow = &plane[(y - ph) * w..(y - ph + 1) * w];
-                    for kx in 0..ew {
-                        let x = ox * sw + kx;
-                        prow[r] = if x < pw || x >= pw + w { 0.0 } else { irow[x - pw] };
-                        r += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Zero-free D-CONV input gradient: scatters `∇output` back through the
 /// `Kh·Kw` true taps only, accumulating into a caller-owned `∇input` slice
 /// of length `IC·H·W` that **must arrive zeroed**. For a fixed `∇input`
@@ -537,29 +494,6 @@ mod tests {
                         &compact.data()[crow * positions..(crow + 1) * positions],
                         &dense.data()[drow * positions..(drow + 1) * positions],
                         "tap ({ci},{jy},{jx})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transposed_dconv_im2col_is_the_exact_transpose() {
-        for (i, k, s, d, p, c) in [(8, 3, 1, 2, 2, 2), (9, 3, 2, 3, 3, 1), (16, 2, 2, 4, 0, 3)] {
-            let geom = DconvGeometry::square(i, k, s, d, p).unwrap();
-            let input = det(&[c, i, i], i as u32 + 17);
-            let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-            let (red, oo) = (c * eh * ew, geom.rows.output * geom.cols.output);
-            let mut cols = vec![0.0; red * oo];
-            im2col_dconv_into(&input, &geom, &mut cols);
-            let mut cols_t = vec![0.0; oo * red];
-            im2col_dconv_t_into(input.data(), c, &geom, &mut cols_t);
-            for r in 0..red {
-                for p_ in 0..oo {
-                    assert_eq!(
-                        cols[r * oo + p_].to_bits(),
-                        cols_t[p_ * red + r].to_bits(),
-                        "(i={i},k={k},s={s},d={d},p={p}) element ({r},{p_})"
                     );
                 }
             }

@@ -159,57 +159,6 @@ pub fn im2col_batch_into(
     });
 }
 
-/// Transposed [`im2col_into`] over a raw `[C, H, W]` slice: writes the
-/// `[O·O, C·K·K]` matrix whose row `p = oy·O + ox` holds the window at
-/// output position `p` in ascending `(ci, ky, kx)` order — exactly
-/// [`im2col_into`]'s column `p`, relaid row-major.
-///
-/// This is the layout for GEMMs that want window-major operands (e.g.
-/// products against a `[C·K·K, OC]` weight matrix with `m = O·O`). Taking
-/// the input as a slice (not a [`Tensor`]) lets callers pass per-sample
-/// planes of a batch buffer without intermediate views. Padding taps are
-/// written as `0.0`, matching the padded formulation exactly.
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_t_into(input: &[f32], channels: usize, geom: &SconvGeometry, out: &mut [f32]) {
-    let k = geom.kernel;
-    let o = geom.output;
-    let h = geom.input;
-    let (stride, pad) = (geom.stride, geom.pad);
-    assert_eq!(input.len(), channels * h * h, "input length mismatch");
-    let red = channels * k * k;
-    assert_eq!(out.len(), o * o * red, "im2col buffer length mismatch");
-    for oy in 0..o {
-        for ox in 0..o {
-            let prow = &mut out[(oy * o + ox) * red..(oy * o + ox + 1) * red];
-            let mut r = 0;
-            for ci in 0..channels {
-                let plane = &input[ci * h * h..(ci + 1) * h * h];
-                for ky in 0..k {
-                    let y = oy * stride + ky;
-                    if y < pad || y >= pad + h {
-                        prow[r..r + k].fill(0.0);
-                        r += k;
-                        continue;
-                    }
-                    let irow = &plane[(y - pad) * h..(y - pad + 1) * h];
-                    for kx in 0..k {
-                        let x = ox * stride + kx;
-                        prow[r] = if x < pad || x >= pad + h {
-                            0.0
-                        } else {
-                            irow[x - pad]
-                        };
-                        r += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Reshapes `[OC, IC, K, K]` kernels into the GEMM weight matrix
 /// `[OC, IC·K·K]` matching [`im2col`]'s row order.
 ///
@@ -271,28 +220,6 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             ((state >> 16) as f32 / 65536.0) - 0.5
         })
-    }
-
-    #[test]
-    fn transposed_im2col_is_the_exact_transpose() {
-        for (i, k, s, p, c) in [(8, 3, 1, 1, 2), (8, 5, 2, 2, 3), (6, 3, 3, 0, 1)] {
-            let geom = SconvGeometry::new(i, k, s, p).unwrap();
-            let input = det(&[c, i, i], i as u32 + 3);
-            let (red, oo) = (c * k * k, geom.output * geom.output);
-            let mut cols = vec![0.0; red * oo];
-            im2col_into(&input, &geom, &mut cols);
-            let mut cols_t = vec![0.0; oo * red];
-            im2col_t_into(input.data(), c, &geom, &mut cols_t);
-            for r in 0..red {
-                for p_ in 0..oo {
-                    assert_eq!(
-                        cols[r * oo + p_].to_bits(),
-                        cols_t[p_ * red + r].to_bits(),
-                        "(i={i},k={k},s={s},p={p}) element ({r},{p_})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
