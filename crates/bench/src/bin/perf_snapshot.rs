@@ -12,7 +12,10 @@
 //! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
 //!   shape-adaptive `dispatch` that picks among them, and the pre-packing
 //!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
-//!   shape of every Table V benchmark GAN,
+//!   shape of every Table V benchmark GAN; each `dispatch` is then timed
+//!   against its fastest forced twin with
+//!   [`lergan_bench::harness::time_pair`], and the median of the per-pair
+//!   ratios is written to the `dispatch_pairs` section,
 //! * the `mmv` direct kernel against the forced blocked path (dispatch
 //!   always routes `n = 1` direct; this entry proves it right),
 //! * one full DCGAN training step on the reduced 16 px networks.
@@ -31,7 +34,7 @@
 //!
 //! Usage: `perf_snapshot [output.json]` (default `BENCH_zfdr.json`).
 
-use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, Results};
+use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, time_pair, Results};
 use lergan_bench::naive;
 use lergan_core::zfdr::exec::{
     execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference, TconvEngine,
@@ -53,6 +56,8 @@ use std::time::Duration;
 
 /// Measurement window of every timing.
 const WINDOW: Duration = Duration::from_millis(70);
+/// Window of each side of a `time_pair` measurement.
+const PAIR_WINDOW: Duration = Duration::from_millis(20);
 
 /// Records `f` under `name`, timed at one worker thread and, when more
 /// are configured, at `threads`.
@@ -200,6 +205,7 @@ fn main() {
     // `dispatch_thresholds.json` must keep `dispatch` at or ahead of
     // `naive` on every one of these shapes.
     let mut gemm_ratios: Vec<f64> = Vec::new();
+    let mut dispatch_pairs: Vec<String> = Vec::new();
     for spec in benchmarks::all() {
         let Some(shape) = OpGraph::build(&spec)
             .ops()
@@ -247,6 +253,43 @@ fn main() {
         });
         results.record(&name("naive"), 1, naive_timing);
         gemm_ratios.push(naive_timing.min_ns / results.get(&name("dispatch"), 1).min_ns);
+        // Dispatch against its best forced twin in alternating windows:
+        // timed seconds apart, the two drift with the host by more than
+        // the 10% CI allows between them.
+        let (twin, forced) = [
+            ("direct", ForcedStrategy::Direct),
+            ("packed", ForcedStrategy::Packed),
+            ("simd", ForcedStrategy::Simd),
+        ]
+        .into_iter()
+        .min_by(|x, y| {
+            let t = |kernel: &str| results.get(&name(kernel), 1).min_ns;
+            t(x.0).total_cmp(&t(y.0))
+        })
+        .expect("three forced strategies");
+        let (a, b) = (&a, &b);
+        let timed = |strategy| {
+            move || {
+                with_strategy(strategy, || {
+                    black_box(gemm(black_box(a), black_box(b)));
+                })
+            }
+        };
+        let pair = parallel::with_threads(1, || {
+            time_pair(PAIR_WINDOW, timed(ForcedStrategy::Auto), timed(forced))
+        });
+        println!(
+            "{:44} vs {twin:6}  ratio {:.3} (iqr {:.3})",
+            name("dispatch"),
+            pair.ratio,
+            pair.ratio_iqr
+        );
+        dispatch_pairs.push(format!(
+            "    {{ \"name\": \"{}\", \"twin\": \"{twin}\", \"ratio\": {:.3}, \"ratio_iqr\": {:.3} }}",
+            name("dispatch"),
+            pair.ratio,
+            pair.ratio_iqr
+        ));
     }
     let gemm_geomean = if gemm_ratios.is_empty() {
         1.0
@@ -305,6 +348,10 @@ fn main() {
         "  \"host\": {{ \"cores\": {cores}, \"configured_threads\": {threads} }},\n"
     ));
     json.push_str(&results.json());
+    json.push_str(&format!(
+        "  \"dispatch_pairs\": [\n{}\n  ],\n",
+        dispatch_pairs.join(",\n")
+    ));
     json.push_str(&format!(
         "  \"speedups\": {{\n    \"tconv_conv1_dispatch_vs_reference\": {dispatch_vs_reference:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
     ));

@@ -14,10 +14,8 @@ use crate::ir::{GemmShape, OpId};
 use crate::layer::{Layer, Norm};
 use crate::phase::Phase;
 use crate::topology::NetworkSpec;
-use lergan_tensor::dconv::{
-    dconv_input_grad_scatter, expand_dilated_kernel_into, im2col_dconv_batch_into,
-};
-use lergan_tensor::im2col::im2col_batch_into;
+use lergan_tensor::dconv::{dconv_input_grad_scatter, im2col_dconv_compact_into};
+use lergan_tensor::im2col::{im2col_batch_into, TconvPhasePlan};
 use lergan_tensor::kernel::{gemm_buf, gemm_nt_buf};
 use lergan_tensor::parallel;
 use lergan_tensor::workspace::with_thread_workspace;
@@ -150,10 +148,13 @@ pub trait TrainableLayer {
         }
     }
 
-    /// The im2col GEMM this layer's forward pass executes, when known
-    /// statically: `m` output positions × `k` reduction length × `n` output
-    /// channels. `None` for layers that run no GEMM (activations, reshapes,
-    /// normalisation) or whose input extent is only fixed at run time.
+    /// The dense im2col GEMM of this layer's forward pass as the op-graph
+    /// IR models it, when known statically: `m` output positions × `k`
+    /// reduction length × `n` output channels. For T-CONV and D-CONV this
+    /// is the zero-insertion GEMM (`macs_dense`, inserted zeros included),
+    /// not the per-phase or true-tap GEMMs the layer executes. `None` for
+    /// layers that run no GEMM (activations, reshapes, normalisation) or
+    /// whose input extent is only fixed at run time.
     fn gemm_shape(&self) -> Option<GemmShape> {
         None
     }
@@ -525,61 +526,85 @@ fn batched_shape(batch: usize, per_sample: &[usize]) -> ([usize; 4], usize) {
     (s, per_sample.len() + 1)
 }
 
-/// The forward GEMM of a conv-family layer, sample by sample: `im2col(b,
-/// block)` fills sample `b`'s `[red, O·O]` block of the sample-major im2col
-/// matrix `bcols` (`[batch, red, O·O]`, cached for the backward), and
-/// `W · block` lands in the sample's own `[OC, O·O]` plane of the returned
-/// activation buffer (pooled in `ws`). Every output element reduces its own
-/// sample's column in ascending row order, so no value depends on the
-/// batch; building and consuming a block back to back keeps it in cache,
-/// and the output is already in activation layout.
+/// The forward of a conv-family layer, sample by sample: `f(b, block,
+/// plane, tws)` fills sample `b`'s `blen`-long block of the sample-major
+/// im2col cache `bcols` (kept for the backward) and its `olen`-long plane
+/// of the returned activation buffer (pooled in `ws`), drawing scratch from
+/// the worker's thread workspace `tws`. Every output element reduces its
+/// own sample's columns, so no value depends on the batch; building and
+/// consuming a block back to back keeps it in cache, and the output is
+/// already in activation layout.
 fn conv_forward(
-    weights: &[f32],
     batch: usize,
-    (oc, red, oo): (usize, usize, usize),
+    (blen, olen): (usize, usize),
     bcols: &mut [f32],
     ws: &mut Workspace,
-    im2col: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(usize, &mut [f32], &mut [f32], &mut Workspace) + Sync,
 ) -> Vec<f32> {
-    let mut out = ws.take(batch * oc * oo);
+    let mut out = ws.take(batch * olen);
     let (cp, op) = (SlicePtr::new(bcols), SlicePtr::new(&mut out));
     parallel::for_each_range(batch, 1, |range| {
         for b in range {
             // SAFETY: sample-disjoint blocks of `bcols` and planes of `out`.
-            let block = unsafe { cp.slice(b * red * oo, red * oo) };
-            let plane = unsafe { op.slice(b * oc * oo, oc * oo) };
-            im2col(b, block);
-            gemm_buf(oc, red, oo, weights, block, plane);
+            let block = unsafe { cp.slice(b * blen, blen) };
+            let plane = unsafe { op.slice(b * olen, olen) };
+            with_thread_workspace(|tws| f(b, block, plane, tws));
         }
     });
     out
 }
 
-/// The weight gradient of a conv-family layer, `∇W[oc, r] =
-/// Σ_pos ∇out[oc, pos] · cols[r, pos]` — the W-CONV of Fig. 6 — over the
-/// sample-major im2col matrix `bcols` `[batch, red, O·O]`: one GEMM per
-/// sample over its own block, folded by the fixed tree. Returns a buffer
-/// pooled in `ws` whose first `oc·red` entries hold the folded gradient.
+/// The weight gradient of a conv-family layer — the W-CONV of Fig. 6 —
+/// sample by sample: `f(g, block, part, tws)` writes the exact gradient of
+/// one sample into its `wlen`-long `part` from its `olen`-long `∇out` `g`
+/// and its `blen`-long block of the forward's im2col cache `bcols`; the
+/// partials are folded by the fixed tree. Returns a buffer pooled in `ws`
+/// whose first `wlen` entries hold the folded gradient.
 fn conv_weight_grad(
     grad_out: &[f32],
     bcols: &[f32],
     batch: usize,
-    (oc, red, oo): (usize, usize, usize),
+    (olen, blen, wlen): (usize, usize, usize),
     ws: &mut Workspace,
+    f: impl Fn(&[f32], &[f32], &mut [f32], &mut Workspace) + Sync,
 ) -> Vec<f32> {
-    let wlen = oc * red;
     let mut parts = ws.take(batch * wlen);
     let pp = SlicePtr::new(&mut parts);
     parallel::for_each_range(batch, 1, |range| {
         for b in range {
             // SAFETY: sample-disjoint windows of `parts`.
             let part = unsafe { pp.slice(b * wlen, wlen) };
-            let g = &grad_out[b * oc * oo..(b + 1) * oc * oo];
-            gemm_nt_buf(oc, oo, red, g, &bcols[b * red * oo..(b + 1) * red * oo], part);
+            let g = &grad_out[b * olen..(b + 1) * olen];
+            let block = &bcols[b * blen..(b + 1) * blen];
+            with_thread_workspace(|tws| f(g, block, part, tws));
         }
     });
     tree_reduce_in_place(&mut parts, batch, wlen);
     parts
+}
+
+/// The input gradient of a conv-family layer, sample by sample: `f(g,
+/// din, tws)` fully overwrites one sample's `slen`-long `∇input` from its
+/// `olen`-long `∇out` `g`. Returns the `[batch, slen]` buffer, pooled in
+/// `ws`.
+fn conv_input_grad(
+    grad_out: &[f32],
+    batch: usize,
+    (olen, slen): (usize, usize),
+    ws: &mut Workspace,
+    f: impl Fn(&[f32], &mut [f32], &mut Workspace) + Sync,
+) -> Vec<f32> {
+    let mut din = ws.take(batch * slen);
+    let dp = SlicePtr::new(&mut din);
+    parallel::for_each_range(batch, 1, |range| {
+        for b in range {
+            // SAFETY: sample-disjoint planes of `din`.
+            let d = unsafe { dp.slice(b * slen, slen) };
+            let g = &grad_out[b * olen..(b + 1) * olen];
+            with_thread_workspace(|tws| f(g, d, tws));
+        }
+    });
+    din
 }
 
 /// Copies `samples` — same-shaped, `batch` of them — into one pooled
@@ -1054,14 +1079,16 @@ impl TrainableLayer for ConvTrainLayer {
         let bcols = cache_buf(&mut self.cached_bcols, &[batch, red, oo]);
         // The `[OC, IC·K·K]` weight matrix is the kernels tensor's own
         // row-major layout, so no reshape copy is made.
-        let idata = input.data();
+        let (idata, weights) = (input.data(), self.weights.data());
         let out = conv_forward(
-            self.weights.data(),
             batch,
-            (oc, red, oo),
+            (red * oo, oc * oo),
             bcols.data_mut(),
             ws,
-            |b, block| im2col_batch_into(&idata[b * slen..(b + 1) * slen], 1, ic, &geom, block),
+            |b, block, plane, _| {
+                im2col_batch_into(&idata[b * slen..(b + 1) * slen], 1, ic, &geom, block);
+                gemm_buf(oc, red, oo, weights, block, plane);
+            },
         );
         Ok(Tensor::from_vec(
             &[batch, oc, geom.output, geom.output],
@@ -1100,39 +1127,30 @@ impl TrainableLayer for ConvTrainLayer {
         // product of ∇output with the matching im2col row.
         if grads.params() {
             let wlen = oc * red;
-            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
+            let parts = conv_weight_grad(
+                grad_out.data(),
+                bcols.data(),
+                batch,
+                (oc * oo, red * oo, wlen),
+                ws,
+                |g, block, part, _| gemm_nt_buf(oc, oo, red, g, block, part),
+            );
             self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
             ws.give(parts);
         }
         if !grads.input() {
             return Ok(None);
         }
-        // ∇input: the scatter of `Conv2d::input_grad` per sample, each
-        // worker drawing scratch from its own persistent thread workspace.
+        // ∇input: the scatter of `Conv2d::input_grad` per sample.
         let extent = self.cached_extent;
-        let slen = ic * extent * extent;
-        let mut din = ws.take(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gd = grad_out.data();
-            let op = &self.op;
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    with_thread_workspace(|tws| {
-                        op.input_grad_buf_vec(
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            weights,
-                            extent,
-                            tws,
-                            d,
-                        );
-                    });
-                }
-            });
-        }
+        let (op, weights) = (&self.op, &self.weights);
+        let din = conv_input_grad(
+            grad_out.data(),
+            batch,
+            (oc * oo, ic * extent * extent),
+            ws,
+            |g, d, tws| op.input_grad_buf_vec(g, weights, extent, tws, d),
+        );
         Ok(Some(Tensor::from_vec(&[batch, ic, extent, extent], din)))
     }
 
@@ -1143,18 +1161,27 @@ impl TrainableLayer for ConvTrainLayer {
     }
 }
 
-/// Transposed-convolution trainable layer.
+/// Transposed-convolution trainable layer, run zero-free.
+///
+/// No zero-inserted plane is ever built: a [`TconvPhasePlan`], made once
+/// at construction, splits the output into its `S′²` phases, and each
+/// phase runs one im2col over the raw input and one GEMM against its live
+/// taps (the ZFDR decomposition). The weight gradient is one `gemm_nt` per
+/// phase over the cached phase columns; the input gradient is the
+/// stride-`S′` S-CONV of `∇out` with the flipped, transposed kernel. All
+/// three are bit-identical to the zero-insertion formulation the analytics
+/// count as `macs_dense` (see [`TconvPhasePlan`]).
 #[derive(Debug)]
 pub struct TconvTrainLayer {
     geometry: TconvGeometry,
-    inner: Conv2d, // stride-1 conv over the expanded input
+    plan: TconvPhasePlan,
     weights: Tensor,
     grad: Tensor,
-    /// Extent of the zero-inserted plane from the last forward.
-    cached_extent: usize,
-    /// Sample-major im2col matrix `[batch, IC·K·K, O·O]` of the
-    /// zero-inserted inputs from the last forward, reused by the backward
-    /// weight-gradient GEMMs.
+    /// Each phase's `[OC, IC·|taps|]` weight matrix, gathered every
+    /// forward (the taps move as the weights update).
+    phase_weights: Vec<f32>,
+    /// Sample-major phase columns `[batch, plan.cols_len()]` from the last
+    /// forward, reused by the backward weight-gradient GEMMs.
     cached_bcols: Option<Tensor>,
     /// Batch size of the last forward.
     cached_batch: usize,
@@ -1170,14 +1197,13 @@ impl TconvTrainLayer {
         rng: &mut StdRng,
     ) -> Self {
         let k = geometry.kernel;
-        let inner = Conv2d::new(in_channels, out_channels, k, 1, 0).expect("validated geometry");
         let shape = [out_channels, in_channels, k, k];
         TconvTrainLayer {
             geometry,
-            inner,
+            plan: TconvPhasePlan::new(geometry, in_channels, out_channels),
             weights: he_init(rng, &shape, in_channels * k * k),
             grad: Tensor::zeros(&shape),
-            cached_extent: 0,
+            phase_weights: vec![0.0; out_channels * in_channels * k * k],
             cached_bcols: None,
             cached_batch: 0,
             opt: OptState::default(),
@@ -1207,14 +1233,13 @@ impl TrainableLayer for TconvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.cached_extent = 0;
         self.cached_bcols = None;
         self.cached_batch = 0;
         Ok(())
     }
 
     fn gemm_shape(&self) -> Option<GemmShape> {
-        // The stride-1 conv over the expanded input: output positions ×
+        // The zero-insertion GEMM the IR models: output positions ×
         // (in_channels · kernel²) reduction × out_channels.
         let g = &self.geometry;
         Some(GemmShape {
@@ -1243,48 +1268,23 @@ impl TrainableLayer for TconvTrainLayer {
                 actual: input.shape().to_vec(),
             });
         }
-        let e = g.expanded();
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        let geom = SconvGeometry::new(e, g.kernel, 1, 0).expect("validated geometry");
-        let (red, oo) = (ic * g.kernel * g.kernel, geom.output * geom.output);
-        let slen = ic * g.input * g.input;
-        self.cached_extent = e;
         self.cached_batch = batch;
-        let elen = ic * e * e;
-        // The zero-insertion realisation of Fig. 4 (the zero-free
-        // equivalence is proven against it in lergan-core), executed as a
-        // stride-1 im2col + GEMM over each sample's zero-inserted plane,
-        // drawn from the worker's thread workspace.
-        let bcols = cache_buf(&mut self.cached_bcols, &[batch, red, oo]);
-        let idata = input.data();
+        self.plan
+            .gather_weights(self.weights.data(), &mut self.phase_weights);
+        let slen = ic * g.input * g.input;
+        let (clen, olen) = (self.plan.cols_len(), oc * g.output * g.output);
+        let bcols = cache_buf(&mut self.cached_bcols, &[batch, clen]);
+        let (idata, plan, pw) = (input.data(), &self.plan, &self.phase_weights);
         let out = conv_forward(
-            self.weights.data(),
             batch,
-            (oc, red, oo),
+            (clen, olen),
             bcols.data_mut(),
             ws,
-            |b, block| {
-                with_thread_workspace(|tws| {
-                    let mut exp = tws.take_zeroed(elen);
-                    let sample = &idata[b * slen..(b + 1) * slen];
-                    for ci in 0..ic {
-                        for y in 0..g.input {
-                            let src = &sample[ci * g.input * g.input + y * g.input..][..g.input];
-                            let dst = &mut exp[ci * e * e + (p + y * s) * e + p..];
-                            for (x, &v) in src.iter().enumerate() {
-                                dst[x * s] = v;
-                            }
-                        }
-                    }
-                    im2col_batch_into(&exp, 1, ic, &geom, block);
-                    tws.give(exp);
-                });
+            |b, block, plane, tws| {
+                plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
             },
         );
-        Ok(Tensor::from_vec(
-            &[batch, oc, geom.output, geom.output],
-            out,
-        ))
+        Ok(Tensor::from_vec(&[batch, oc, g.output, g.output], out))
     }
 
     fn backward_batch(
@@ -1305,64 +1305,45 @@ impl TrainableLayer for TconvTrainLayer {
                 layer: "TconvTrainLayer",
             });
         }
+        let g = self.geometry;
         let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let (red, oo) = (bcols.shape()[1], bcols.shape()[2]);
-        if grad_out.len() != batch * oc * oo {
+        let olen = oc * g.output * g.output;
+        if grad_out.len() != batch * olen {
             return Err(TrainError::ShapeMismatch {
                 layer: "TconvTrainLayer",
-                expected: vec![batch, oc * oo],
+                expected: vec![batch, olen],
                 actual: grad_out.shape().to_vec(),
             });
         }
-        // G-w: ∇z scans the zero-inserted input.
+        let plan = &self.plan;
+        let wlen = self.weights.len();
+        // G-w: one gemm_nt per phase over the cached phase columns.
         if grads.params() {
-            let wlen = oc * red;
-            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
+            let parts = conv_weight_grad(
+                grad_out.data(),
+                bcols.data(),
+                batch,
+                (olen, plan.cols_len(), wlen),
+                ws,
+                |gs, block, part, tws| plan.weight_grad_into(gs, block, part, tws),
+            );
             self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
             ws.give(parts);
         }
         if !grads.input() {
             return Ok(None);
         }
-        // G←: dense S-CONV back through the expansion per sample, then the
-        // stride gather.
-        let g = self.geometry;
-        let e = self.cached_extent;
-        let (p, s) = (g.insertion_pad, g.converse_stride);
-        let slen = ic * g.input * g.input;
-        let mut din = ws.take(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gd = grad_out.data();
-            let inner = &self.inner;
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    with_thread_workspace(|tws| {
-                        let mut dex = tws.take(ic * e * e);
-                        inner.input_grad_buf_vec(
-                            &gd[b * oc * oo..(b + 1) * oc * oo],
-                            weights,
-                            e,
-                            tws,
-                            &mut dex,
-                        );
-                        for ci in 0..ic {
-                            for y in 0..g.input {
-                                let src = &dex[ci * e * e + (p + y * s) * e + p..];
-                                let dst = &mut d[ci * g.input * g.input + y * g.input..][..g.input];
-                                for (x, slot) in dst.iter_mut().enumerate() {
-                                    *slot = src[x * s];
-                                }
-                            }
-                        }
-                        tws.give(dex);
-                    });
-                }
-            });
-        }
+        // G←: the stride-S′ S-CONV of ∇out with the flipped kernel.
+        let mut flipped = ws.take(wlen);
+        plan.flip_weights(self.weights.data(), &mut flipped);
+        let din = conv_input_grad(
+            grad_out.data(),
+            batch,
+            (olen, ic * g.input * g.input),
+            ws,
+            |gs, d, tws| plan.input_grad_into(gs, &flipped, d, tws),
+        );
+        ws.give(flipped);
         Ok(Some(Tensor::from_vec(&[batch, ic, g.input, g.input], din)))
     }
 
@@ -1373,23 +1354,22 @@ impl TrainableLayer for TconvTrainLayer {
     }
 }
 
-/// Dilated / asymmetric convolution trainable layer (D-CONV).
+/// Dilated / asymmetric convolution trainable layer (D-CONV), run
+/// zero-free.
 ///
-/// Runs the *zero-insertion* formulation — the effective-extent kernel is
-/// materialised with `D − 1` zeros between taps and driven through a dense
-/// im2col + GEMM — exactly the workload the analytics count as
-/// `macs_dense`, and the exact dual of [`TconvTrainLayer`]'s expanded
-/// input. The backward pass is zero-free: weight gradients gather only the
-/// true taps, and the input gradient scatters through them directly.
+/// The dilated kernel's inserted zeros are never built: the compact
+/// im2col ([`im2col_dconv_compact_into`]) samples only the `Kh·Kw` true
+/// taps, so the forward is one GEMM against the raw `[OC, IC·Kh·Kw]`
+/// weights and the weight gradient one `gemm_nt` against the same cached
+/// columns. The input gradient scatters through the true taps directly.
+/// All three are bit-identical to the zero-insertion formulation the
+/// analytics count as `macs_dense`.
 #[derive(Debug)]
 pub struct DconvTrainLayer {
     geometry: DconvGeometry,
     weights: Tensor, // [oc, ic, Kh, Kw] — true taps only
     grad: Tensor,
-    /// Zero-inserted kernel `[OC, IC, Kh_eff, Kw_eff]`, rebuilt each
-    /// forward (the taps move as the weights update).
-    expanded: Option<Tensor>,
-    /// Sample-major im2col matrix `[batch, IC·Kh_eff·Kw_eff, Oh·Ow]` from
+    /// Sample-major compact im2col matrix `[batch, IC·Kh·Kw, Oh·Ow]` from
     /// the last forward, reused by the backward weight-gradient GEMMs.
     cached_bcols: Option<Tensor>,
     /// Batch size of the last forward.
@@ -1411,7 +1391,6 @@ impl DconvTrainLayer {
             geometry,
             weights: he_init(rng, &shape, in_channels * kh * kw),
             grad: Tensor::zeros(&shape),
-            expanded: None,
             cached_bcols: None,
             cached_batch: 0,
             opt: OptState::default(),
@@ -1441,14 +1420,13 @@ impl TrainableLayer for DconvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.expanded = None;
         self.cached_bcols = None;
         self.cached_batch = 0;
         Ok(())
     }
 
     fn gemm_shape(&self) -> Option<GemmShape> {
-        // The dense GEMM over the zero-inserted kernel: output positions ×
+        // The zero-insertion GEMM the IR models: output positions ×
         // (in_channels · effective kernel extent) × out_channels.
         let g = &self.geometry;
         let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
@@ -1478,24 +1456,20 @@ impl TrainableLayer for DconvTrainLayer {
                 actual: input.shape().to_vec(),
             });
         }
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
         let (oh, ow) = (g.rows.output, g.cols.output);
-        let (red, oo) = (ic * eh * ew, oh * ow);
-        // The zero-inserted kernel is shared by every sample: expand once.
-        let expanded = cache_buf(&mut self.expanded, &[oc, ic, eh, ew]);
-        expand_dilated_kernel_into(&self.weights, &g, expanded.data_mut());
+        let (red, oo) = (ic * g.rows.kernel * g.cols.kernel, oh * ow);
         self.cached_batch = batch;
         let slen = ic * g.rows.input * g.cols.input;
         let bcols = cache_buf(&mut self.cached_bcols, &[batch, red, oo]);
-        let idata = input.data();
+        let (idata, weights) = (input.data(), self.weights.data());
         let out = conv_forward(
-            expanded.data(),
             batch,
-            (oc, red, oo),
+            (red * oo, oc * oo),
             bcols.data_mut(),
             ws,
-            |b, block| {
-                im2col_dconv_batch_into(&idata[b * slen..(b + 1) * slen], 1, ic, &g, block)
+            |b, block, plane, _| {
+                im2col_dconv_compact_into(&idata[b * slen..(b + 1) * slen], ic, &g, block);
+                gemm_buf(oc, red, oo, weights, block, plane);
             },
         );
         Ok(Tensor::from_vec(&[batch, oc, oh, ow], out))
@@ -1521,9 +1495,6 @@ impl TrainableLayer for DconvTrainLayer {
         }
         let g = self.geometry;
         let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let (kh, kw) = (g.rows.kernel, g.cols.kernel);
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        let (dil_h, dil_w) = (g.rows.dilation, g.cols.dilation);
         let (red, oo) = (bcols.shape()[1], bcols.shape()[2]);
         if grad_out.len() != batch * oc * oo {
             return Err(TrainError::ShapeMismatch {
@@ -1532,22 +1503,19 @@ impl TrainableLayer for DconvTrainLayer {
                 actual: grad_out.shape().to_vec(),
             });
         }
-        // ∇W over the *expanded* layout, then a tap gather at the dilation
-        // multiples — off-tap slots are gradients of structural zeros. The
-        // gather is elementwise selection, so gathering after the tree is
-        // exactly the tree over gathered per-sample gradients.
+        // ∇W straight from the compact columns: each true tap's gradient
+        // is the dot product of ∇output with its own im2col row.
         if grads.params() {
-            let parts = conv_weight_grad(grad_out.data(), bcols.data(), batch, (oc, red, oo), ws);
-            let gd = self.grad.data_mut();
-            for p in 0..oc * ic {
-                let src = &parts[p * eh * ew..(p + 1) * eh * ew];
-                let dst = &mut gd[p * kh * kw..(p + 1) * kh * kw];
-                for jy in 0..kh {
-                    for jx in 0..kw {
-                        dst[jy * kw + jx] += src[jy * dil_h * ew + jx * dil_w];
-                    }
-                }
-            }
+            let wlen = oc * red;
+            let parts = conv_weight_grad(
+                grad_out.data(),
+                bcols.data(),
+                batch,
+                (oc * oo, red * oo, wlen),
+                ws,
+                |gs, block, part, _| gemm_nt_buf(oc, oo, red, gs, block, part),
+            );
+            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
             ws.give(parts);
         }
         if !grads.input() {
@@ -1555,25 +1523,17 @@ impl TrainableLayer for DconvTrainLayer {
         }
         // ∇input: the zero-free per-sample scatter through the true taps.
         let (h, w) = (g.rows.input, g.cols.input);
-        let slen = ic * h * w;
-        let mut din = ws.take_zeroed(batch * slen);
-        {
-            let dp = SlicePtr::new(&mut din);
-            let gdata = grad_out.data();
-            let weights = &self.weights;
-            parallel::for_each_range(batch, 1, |range| {
-                for b in range {
-                    // SAFETY: sample-disjoint planes of `din`.
-                    let d = unsafe { dp.slice(b * slen, slen) };
-                    dconv_input_grad_scatter(
-                        &gdata[b * oc * oo..(b + 1) * oc * oo],
-                        weights,
-                        &g,
-                        d,
-                    );
-                }
-            });
-        }
+        let weights = &self.weights;
+        let din = conv_input_grad(
+            grad_out.data(),
+            batch,
+            (oc * oo, ic * h * w),
+            ws,
+            |gs, d, _| {
+                d.fill(0.0);
+                dconv_input_grad_scatter(gs, weights, &g, d);
+            },
+        );
         Ok(Some(Tensor::from_vec(&[batch, ic, h, w], din)))
     }
 

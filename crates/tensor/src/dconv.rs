@@ -11,12 +11,17 @@
 //!   ([`expand_dilated_kernel`]) and run the dense im2col + GEMM over it
 //!   ([`dconv_zero_insertion`], [`im2col_dconv_into`]). This is the
 //!   formulation whose inserted zeros the workload analytics count as
-//!   `macs_dense`, and the trainer's canonical GEMM shape.
-//! * **Zero-free (direct)** — [`dconv_direct`] touches only the `K` true
-//!   taps per axis, the software realisation of the ZFDR-style plan that
-//!   `lergan-core` maps onto crossbars. Proven equal to the naive path.
+//!   `macs_dense`, the GEMM shape the op-graph IR models, and the oracle
+//!   the trainer is pinned to.
+//! * **Zero-free** — [`dconv_direct`] touches only the `K` true taps per
+//!   axis with a scalar gather; [`dconv_zero_free`] runs the same taps as
+//!   one GEMM over the compact im2col ([`im2col_dconv_compact_into`]), the
+//!   path the trainer's D-CONV layer executes. Both are the software
+//!   realisation of the ZFDR-style plan that `lergan-core` maps onto
+//!   crossbars, proven equal to the naive path.
 
 use crate::geometry::DconvGeometry;
+use crate::im2col::{im2col_taps_into, TapAxis};
 use crate::tensor::Tensor;
 
 /// Expands `[OC, IC, Kh, Kw]` true-tap weights into the zero-inserted
@@ -33,38 +38,17 @@ pub fn expand_dilated_kernel(weights: &Tensor, geom: &DconvGeometry) -> Tensor {
     assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
     let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
     let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let mut out = vec![0.0; oc * ic * eh * ew];
-    expand_dilated_kernel_into(weights, geom, &mut out);
-    Tensor::from_vec(&[oc, ic, eh, ew], out)
-}
-
-/// [`expand_dilated_kernel`] into a caller-owned buffer of length
-/// `OC·IC·Kh_eff·Kw_eff`, fully overwritten.
-///
-/// # Panics
-///
-/// Panics on shape or buffer-length mismatch.
-pub fn expand_dilated_kernel_into(weights: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
-    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
     let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
-    assert_eq!(out.len(), oc * ic * eh * ew, "expanded kernel buffer length mismatch");
-    out.fill(0.0);
-    let data = weights.data();
-    for co in 0..oc {
-        for ci in 0..ic {
-            let src = &data[(co * ic + ci) * kh * kw..(co * ic + ci + 1) * kh * kw];
-            let dst = &mut out[(co * ic + ci) * eh * ew..(co * ic + ci + 1) * eh * ew];
-            for jy in 0..kh {
-                for jx in 0..kw {
-                    dst[jy * dh * ew + jx * dw] = src[jy * kw + jx];
-                }
+    let mut out = vec![0.0; oc * ic * eh * ew];
+    let taps = weights.data().chunks_exact(kh * kw);
+    for (src, dst) in taps.zip(out.chunks_exact_mut(eh * ew)) {
+        for jy in 0..kh {
+            for jx in 0..kw {
+                dst[jy * dh * ew + jx * dw] = src[jy * kw + jx];
             }
         }
     }
+    Tensor::from_vec(&[oc, ic, eh, ew], out)
 }
 
 /// Unrolls a `[C, H, W]` input into the dense im2col matrix
@@ -108,77 +92,6 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
             }
         }
     }
-}
-
-/// Batched [`im2col_dconv_into`] over `B` concatenated `[C, H, W]` sample
-/// planes: writes the `[C·Kh_eff·Kw_eff, B·Oh·Ow]` matrix whose column
-/// `b·Oh·Ow + p` is exactly [`im2col_dconv_into`]'s column `p` for sample
-/// `b` — the asymmetric, effective-extent analogue of
-/// [`crate::im2col::im2col_batch_into`], sharded across workers by matrix
-/// row (pure data movement, so sharding cannot change any value).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_dconv_batch_into(
-    inputs: &[f32],
-    batch: usize,
-    channels: usize,
-    geom: &DconvGeometry,
-    out: &mut [f32],
-) {
-    let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    let slen = channels * h * w;
-    assert_eq!(inputs.len(), batch * slen, "batch input length mismatch");
-    let red = channels * eh * ew;
-    let (oo, bo) = (oh * ow, batch * oh * ow);
-    assert_eq!(out.len(), red * bo, "im2col buffer length mismatch");
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / bo.max(1)).max(1);
-    crate::parallel::for_each_unit_chunk_mut(out, bo, min_rows, |row0, rows| {
-        for (d, orow) in rows.chunks_mut(bo).enumerate() {
-            let row = row0 + d;
-            let ci = row / (eh * ew);
-            let ky = (row / ew) % eh;
-            let kx = row % ew;
-            // In-bounds column range (`pw ≤ ox·sw + kx < pw + w`), hoisted
-            // so the inner loop carries no per-element padding branch.
-            let x_lo = pw.saturating_sub(kx).div_ceil(sw).min(ow);
-            let x_hi = if pw + w > kx {
-                (pw + w - kx).div_ceil(sw).min(ow)
-            } else {
-                0
-            }
-            .max(x_lo);
-            for b in 0..batch {
-                let plane = &inputs[b * slen + ci * h * w..b * slen + (ci + 1) * h * w];
-                let brow = &mut orow[b * oo..(b + 1) * oo];
-                for oy in 0..oh {
-                    let y = oy * sh + ky;
-                    let dst = &mut brow[oy * ow..(oy + 1) * ow];
-                    if y < ph || y >= ph + h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let irow = &plane[(y - ph) * w..(y - ph + 1) * w];
-                    dst[..x_lo].fill(0.0);
-                    dst[x_hi..].fill(0.0);
-                    if sw == 1 {
-                        dst[x_lo..x_hi]
-                            .copy_from_slice(&irow[x_lo + kx - pw..x_hi + kx - pw]);
-                    } else {
-                        let base = x_lo * sw + kx - pw;
-                        for (i, slot) in dst[x_lo..x_hi].iter_mut().enumerate() {
-                            *slot = irow[base + i * sw];
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Zero-free D-CONV input gradient: scatters `∇output` back through the
@@ -264,50 +177,33 @@ pub fn dconv_zero_insertion(input: &Tensor, weights: &Tensor, geom: &DconvGeomet
     flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
 }
 
-/// Unrolls a `[C, H, W]` input into the *compact* im2col matrix
+/// Unrolls a `[C, H, W]` input slice into the *compact* im2col matrix
 /// `[C·Kh·Kw, Oh·Ow]` of the zero-free formulation: row `(ci, jy, jx)`
 /// samples the input at the true tap offsets `(jy·Dh, jx·Dw)` only, so
 /// the GEMM reduction dimension shrinks from `C·Kh_eff·Kw_eff` to
 /// `C·Kh·Kw` — the inserted zeros are never materialised, let alone
-/// multiplied.
+/// multiplied. The trainer's D-CONV layer fills one sample's block of its
+/// im2col cache with it.
 ///
 /// # Panics
 ///
-/// Panics on shape or buffer-length mismatch.
-pub fn im2col_dconv_compact_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
-    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
-    assert_eq!(input.shape()[1], geom.rows.input, "input row extent mismatch");
-    assert_eq!(input.shape()[2], geom.cols.input, "input col extent mismatch");
-    let c = input.shape()[0];
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(out.len(), c * kh * kw * oh * ow, "im2col buffer length mismatch");
-    let data = input.data();
-    for ci in 0..c {
-        for jy in 0..kh {
-            for jx in 0..kw {
-                let row = ci * kh * kw + jy * kw + jx;
-                let orow = &mut out[row * oh * ow..(row + 1) * oh * ow];
-                for oy in 0..oh {
-                    let y = oy * sh + jy * dh;
-                    let dst = &mut orow[oy * ow..(oy + 1) * ow];
-                    if y < ph || y >= ph + h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let irow = &data[ci * h * w + (y - ph) * w..ci * h * w + (y - ph + 1) * w];
-                    for (ox, slot) in dst.iter_mut().enumerate() {
-                        let x = ox * sw + jx * dw;
-                        *slot = if x < pw || x >= pw + w { 0.0 } else { irow[x - pw] };
-                    }
-                }
-            }
-        }
-    }
+/// Panics on slice-length mismatch.
+pub fn im2col_dconv_compact_into(
+    input: &[f32],
+    channels: usize,
+    geom: &DconvGeometry,
+    out: &mut [f32],
+) {
+    let axis = |a: &crate::geometry::DconvAxis| TapAxis {
+        input: a.input,
+        output: a.output,
+        stride: a.stride,
+        pad: a.pad,
+        taps: a.kernel,
+        first: 0,
+        step: a.dilation,
+    };
+    im2col_taps_into(input, channels, &axis(&geom.rows), &axis(&geom.cols), out);
 }
 
 /// Allocating wrapper over [`im2col_dconv_compact_into`].
@@ -315,8 +211,9 @@ pub fn im2col_dconv_compact(input: &Tensor, geom: &DconvGeometry) -> Tensor {
     let c = input.shape()[0];
     let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
     let (oh, ow) = (geom.rows.output, geom.cols.output);
+    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
     let mut out = vec![0.0; c * kh * kw * oh * ow];
-    im2col_dconv_compact_into(input, geom, &mut out);
+    im2col_dconv_compact_into(input.data(), c, geom, &mut out);
     Tensor::from_vec(&[c * kh * kw, oh * ow], out)
 }
 
@@ -399,41 +296,6 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             ((state >> 16) as f32 / 65536.0) - 0.5
         })
-    }
-
-    #[test]
-    fn batched_dconv_im2col_stacks_per_sample_columns_bitwise() {
-        // Column b·Oh·Ow + p must be bit-identical to column p of sample
-        // b's own matrix, at every worker count.
-        let batch = 3;
-        let geom = DconvGeometry::square(8, 3, 1, 2, 2).unwrap();
-        let c = 2;
-        let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
-        let (red, oo) = (c * eh * ew, geom.rows.output * geom.cols.output);
-        let samples: Vec<Tensor> = (0..batch).map(|b| det(&[c, 8, 8], 11 + b as u32)).collect();
-        let mut inputs = Vec::new();
-        for t in &samples {
-            inputs.extend_from_slice(t.data());
-        }
-        for threads in [1usize, 2, 8] {
-            let mut batched = vec![f32::NAN; red * batch * oo];
-            crate::parallel::with_threads(threads, || {
-                im2col_dconv_batch_into(&inputs, batch, c, &geom, &mut batched);
-            });
-            for (b, t) in samples.iter().enumerate() {
-                let mut cols = vec![0.0; red * oo];
-                im2col_dconv_into(t, &geom, &mut cols);
-                for r in 0..red {
-                    for q in 0..oo {
-                        assert_eq!(
-                            batched[r * batch * oo + b * oo + q].to_bits(),
-                            cols[r * oo + q].to_bits(),
-                            "sample {b} element ({r},{q}) threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! partials from, and the packed-GEMM pack buffers) is warmed by the
 //! first step.
 //!
-//! The counter is process-global, so the tests hold [`SERIAL`] while
-//! armed: a test running in parallel would otherwise count its own
-//! allocations against the other.
+//! The allocator is process-global, but only the threads a check drives
+//! count, and only while it runs: the test thread and the pool workers it
+//! dispatches to (see [`Counted`]). The test harness's own threads — a
+//! sibling test winding down, the harness reporting a result — allocate
+//! while a check is armed, and must not count against it. The tests also
+//! hold [`SERIAL`] while armed, so two checks never share the workers.
 
 use lergan::gan::topology::parse_network;
 use lergan::gan::train::{build_trainable_with, Gan, UpdateRule};
@@ -26,36 +29,44 @@ use lergan::tensor::{parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Counts every allocation and reallocation while armed; frees are not
-/// counted (returning pooled buffers is allowed to be a no-op, and drops
-/// of warmup-era buffers are not steady-state traffic).
+/// Counts every allocation and reallocation on a counted thread while
+/// armed; frees are not counted (returning pooled buffers is allowed to be
+/// a no-op, and drops of warmup-era buffers are not steady-state traffic).
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count. Const-initialised and
+    /// drop-free, so reading it inside the allocator never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if armed and on a counted thread.
+fn count() {
+    if ARMED.load(Ordering::Relaxed) && COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -66,6 +77,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Counts the allocations of the calling thread and of the `threads - 1`
+/// pool workers a `threads`-wide region dispatches to, until dropped.
+/// Declared after the [`SERIAL`] guard, it is dropped first: a finished
+/// check's threads stop counting before the next check can arm.
+struct Counted(usize);
+
+impl Counted {
+    fn new(threads: usize) -> Self {
+        mark(threads, true);
+        Counted(threads)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        mark(self.0, false);
+    }
+}
+
+/// Sets [`COUNTED`] on the calling thread and the pool workers of a
+/// `threads`-wide region: a region of `threads` one-item ranges hands
+/// exactly one range to each of them.
+fn mark(threads: usize, on: bool) {
+    parallel::with_threads(threads, || {
+        parallel::for_each_range(threads, 1, |_| COUNTED.with(|c| c.set(on)));
+    });
+}
 
 /// Serialises the tests around the shared counter.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -79,6 +118,7 @@ fn serial() -> MutexGuard<'static, ()> {
 #[test]
 fn steady_state_train_step_performs_zero_heap_allocations() {
     let _serial = serial();
+    let _counted = Counted::new(1);
     parallel::with_threads(1, || {
         // One sample (a pooled batch of one) and two samples (the shape of
         // a serving job), each on its own trainer: a layer's activation
@@ -122,6 +162,7 @@ fn steady_state_batched_step_is_alloc_free_at_eight_threads() {
     // per-worker thread workspaces, and the fixed reduction tree runs in
     // buffers the warmup step already pooled.
     let _serial = serial();
+    let _counted = Counted::new(8);
     parallel::with_threads(8, || {
         let mut rng = StdRng::seed_from_u64(3);
         let gen_spec = parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
