@@ -14,12 +14,11 @@ use crate::ir::{GemmShape, OpId};
 use crate::layer::{Layer, Norm};
 use crate::phase::Phase;
 use crate::topology::NetworkSpec;
-use lergan_tensor::dconv::{dconv_input_grad_scatter, im2col_dconv_compact_into};
-use lergan_tensor::im2col::{im2col_batch_into, TconvPhasePlan};
+use lergan_tensor::im2col::{ConvGeometry, ConvPlan};
 use lergan_tensor::kernel::{gemm_buf, gemm_nt_buf};
 use lergan_tensor::parallel;
 use lergan_tensor::workspace::with_thread_workspace;
-use lergan_tensor::{Conv2d, DconvGeometry, SconvGeometry, TconvGeometry, Tensor, Workspace};
+use lergan_tensor::{Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,12 +148,11 @@ pub trait TrainableLayer {
     }
 
     /// The dense im2col GEMM of this layer's forward pass as the op-graph
-    /// IR models it, when known statically: `m` output positions × `k`
-    /// reduction length × `n` output channels. For T-CONV and D-CONV this
-    /// is the zero-insertion GEMM (`macs_dense`, inserted zeros included),
-    /// not the per-phase or true-tap GEMMs the layer executes. `None` for
-    /// layers that run no GEMM (activations, reshapes, normalisation) or
-    /// whose input extent is only fixed at run time.
+    /// IR models it: `m` output positions × `k` reduction length × `n`
+    /// output channels. For T-CONV and D-CONV this is the zero-insertion
+    /// GEMM (`macs_dense`, inserted zeros included), not the per-phase or
+    /// true-tap GEMMs the layer executes. `None` for layers that run no
+    /// GEMM (activations, reshapes, normalisation).
     fn gemm_shape(&self) -> Option<GemmShape> {
         None
     }
@@ -943,18 +941,28 @@ impl TrainableLayer for DenseLayer {
     }
 }
 
-/// Strided-convolution trainable layer.
+/// Conv-family trainable layer — S-CONV, T-CONV or D-CONV, fixed by the
+/// geometry it is built from — run zero-free on one [`ConvPlan`].
+///
+/// The forward runs the plan per sample: one GEMM per output phase over
+/// the raw input (for S-CONV and D-CONV a single GEMM straight into the
+/// output), caching the phase columns. The weight gradient, the W-CONV of
+/// Fig. 6, is one `gemm_nt` per phase over those columns. The input
+/// gradient — `D←` through an S-CONV (Eq. 3), `G←` through a T-CONV — is
+/// the forward of the [dual plan](ConvPlan::dual) on the flipped,
+/// channel-transposed kernel: T-CONV-shaped for an S-CONV, a strided
+/// S-CONV for a T-CONV. All three are bit-identical to the per-sample
+/// reference kernels (`Conv2d` for S-CONV, the zero-insertion formulation
+/// the analytics count as `macs_dense` for T-CONV and D-CONV); the
+/// ordering argument is on [`ConvPlan`].
 #[derive(Debug)]
 pub struct ConvTrainLayer {
-    op: Conv2d,
-    /// The spec geometry (fixes the input extent), when built from one —
-    /// lets [`TrainableLayer::gemm_shape`] answer statically.
-    declared: Option<SconvGeometry>,
-    weights: Tensor, // [oc, ic, k, k]
+    plan: ConvPlan,
+    /// The input gradient's plan, `plan.dual()`.
+    dual: ConvPlan,
+    weights: Tensor, // [oc, ic, Kh, Kw]
     grad: Tensor,
-    /// Input extent of the last forward.
-    cached_extent: usize,
-    /// Sample-major im2col matrix `[batch, IC·K·K, O·O]` from the last
+    /// Sample-major phase columns `[batch, plan.cols_len()]` from the last
     /// forward, reused by the backward weight-gradient GEMMs.
     cached_bcols: Option<Tensor>,
     /// Batch size of the last forward.
@@ -963,53 +971,32 @@ pub struct ConvTrainLayer {
 }
 
 impl ConvTrainLayer {
-    /// Creates the layer; panics never (inputs validated by `Conv2d::new`).
+    /// Creates the layer for an S-CONV, T-CONV or D-CONV `geometry`, with
+    /// He-initialised `[out, in, Kh, Kw]` weights.
     pub fn new(
         in_channels: usize,
         out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
+        geometry: impl ConvGeometry,
         rng: &mut StdRng,
-    ) -> Option<Self> {
-        let op = Conv2d::new(in_channels, out_channels, kernel, stride, pad)?;
-        let shape = [out_channels, in_channels, kernel, kernel];
-        Some(ConvTrainLayer {
-            op,
-            declared: None,
-            weights: he_init(rng, &shape, in_channels * kernel * kernel),
+    ) -> Self {
+        let plan = geometry.plan(in_channels, out_channels);
+        let shape = plan.weight_shape();
+        ConvTrainLayer {
+            dual: plan.dual(),
+            weights: he_init(rng, &shape, in_channels * shape[2] * shape[3]),
             grad: Tensor::zeros(&shape),
-            cached_extent: 0,
+            plan,
             cached_bcols: None,
             cached_batch: 0,
             opt: OptState::default(),
-        })
-    }
-
-    /// [`new`](ConvTrainLayer::new) from a full spec geometry, pinning the
-    /// input extent so the layer's GEMM shape is known statically.
-    pub fn from_geometry(
-        in_channels: usize,
-        out_channels: usize,
-        geometry: SconvGeometry,
-        rng: &mut StdRng,
-    ) -> Option<Self> {
-        let mut l = Self::new(
-            in_channels,
-            out_channels,
-            geometry.kernel,
-            geometry.stride,
-            geometry.pad,
-            rng,
-        )?;
-        l.declared = Some(geometry);
-        Some(l)
+        }
     }
 }
 
 impl TrainableLayer for ConvTrainLayer {
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
-        self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
+        self.opt
+            .apply(rule, step, &mut self.weights, &self.grad, ws);
         self.zero_grads();
     }
 
@@ -1029,19 +1016,17 @@ impl TrainableLayer for ConvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.cached_extent = 0;
         self.cached_bcols = None;
         self.cached_batch = 0;
         Ok(())
     }
 
     fn gemm_shape(&self) -> Option<GemmShape> {
-        let g = self.declared?;
-        let k = self.weights.shape()[3];
+        let (m, k, n) = self.plan.dense_gemm();
         Some(GemmShape {
-            m: (g.output as u128).pow(2),
-            k: (self.weights.shape()[1] * k * k) as u128,
-            n: self.weights.shape()[0] as u128,
+            m: m as u128,
+            k: k as u128,
+            n: n as u128,
         })
     }
 
@@ -1055,423 +1040,30 @@ impl TrainableLayer for ConvTrainLayer {
             return Err(TrainError::EmptyBatch);
         }
         expect_rank("ConvTrainLayer", 4, input.shape())?;
-        let (oc, ic, k) = (
-            self.weights.shape()[0],
-            self.weights.shape()[1],
-            self.weights.shape()[2],
-        );
-        if input.shape()[0] != batch
-            || input.shape()[1] != ic
-            || input.shape()[2] != input.shape()[3]
-        {
+        let [ic, h, w] = self.plan.input_shape();
+        if input.shape() != [batch, ic, h, w] {
             return Err(TrainError::ShapeMismatch {
                 layer: "ConvTrainLayer",
-                expected: vec![batch, ic],
-                actual: input.shape().to_vec(),
-            });
-        }
-        let extent = input.shape()[2];
-        self.cached_extent = extent;
-        self.cached_batch = batch;
-        let geom = self.op.geometry(extent);
-        let (red, oo) = (ic * k * k, geom.output * geom.output);
-        let slen = ic * extent * extent;
-        let bcols = cache_buf(&mut self.cached_bcols, &[batch, red, oo]);
-        // The `[OC, IC·K·K]` weight matrix is the kernels tensor's own
-        // row-major layout, so no reshape copy is made.
-        let (idata, weights) = (input.data(), self.weights.data());
-        let out = conv_forward(
-            batch,
-            (red * oo, oc * oo),
-            bcols.data_mut(),
-            ws,
-            |b, block, plane, _| {
-                im2col_batch_into(&idata[b * slen..(b + 1) * slen], 1, ic, &geom, block);
-                gemm_buf(oc, red, oo, weights, block, plane);
-            },
-        );
-        Ok(Tensor::from_vec(
-            &[batch, oc, geom.output, geom.output],
-            out,
-        ))
-    }
-
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        grads: Grads,
-        ws: &mut Workspace,
-    ) -> Result<Option<Tensor>, TrainError> {
-        let bcols = self
-            .cached_bcols
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "ConvTrainLayer",
-            })?;
-        if self.cached_batch != batch {
-            return Err(TrainError::BackwardBeforeForward {
-                layer: "ConvTrainLayer",
-            });
-        }
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let (red, oo) = (bcols.shape()[1], bcols.shape()[2]);
-        if grad_out.len() != batch * oc * oo {
-            return Err(TrainError::ShapeMismatch {
-                layer: "ConvTrainLayer",
-                expected: vec![batch, oc * oo],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        // ∇W, the W-CONV of Fig. 6: every weight tap's gradient is a dot
-        // product of ∇output with the matching im2col row.
-        if grads.params() {
-            let wlen = oc * red;
-            let parts = conv_weight_grad(
-                grad_out.data(),
-                bcols.data(),
-                batch,
-                (oc * oo, red * oo, wlen),
-                ws,
-                |g, block, part, _| gemm_nt_buf(oc, oo, red, g, block, part),
-            );
-            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-            ws.give(parts);
-        }
-        if !grads.input() {
-            return Ok(None);
-        }
-        // ∇input: the scatter of `Conv2d::input_grad` per sample.
-        let extent = self.cached_extent;
-        let (op, weights) = (&self.op, &self.weights);
-        let din = conv_input_grad(
-            grad_out.data(),
-            batch,
-            (oc * oo, ic * extent * extent),
-            ws,
-            |g, d, tws| op.input_grad_buf_vec(g, weights, extent, tws, d),
-        );
-        Ok(Some(Tensor::from_vec(&[batch, ic, extent, extent], din)))
-    }
-
-    fn capture_grads(&self) -> LayerState {
-        let mut s = LayerState::empty();
-        s.push("grad", self.grad.clone());
-        s
-    }
-}
-
-/// Transposed-convolution trainable layer, run zero-free.
-///
-/// No zero-inserted plane is ever built: a [`TconvPhasePlan`], made once
-/// at construction, splits the output into its `S′²` phases, and each
-/// phase runs one im2col over the raw input and one GEMM against its live
-/// taps (the ZFDR decomposition). The weight gradient is one `gemm_nt` per
-/// phase over the cached phase columns; the input gradient is the
-/// stride-`S′` S-CONV of `∇out` with the flipped, transposed kernel. All
-/// three are bit-identical to the zero-insertion formulation the analytics
-/// count as `macs_dense` (see [`TconvPhasePlan`]).
-#[derive(Debug)]
-pub struct TconvTrainLayer {
-    geometry: TconvGeometry,
-    plan: TconvPhasePlan,
-    weights: Tensor,
-    grad: Tensor,
-    /// Each phase's `[OC, IC·|taps|]` weight matrix, gathered every
-    /// forward (the taps move as the weights update).
-    phase_weights: Vec<f32>,
-    /// Sample-major phase columns `[batch, plan.cols_len()]` from the last
-    /// forward, reused by the backward weight-gradient GEMMs.
-    cached_bcols: Option<Tensor>,
-    /// Batch size of the last forward.
-    cached_batch: usize,
-    opt: OptState,
-}
-
-impl TconvTrainLayer {
-    /// Creates the layer for the given T-CONV geometry.
-    pub fn new(
-        in_channels: usize,
-        out_channels: usize,
-        geometry: TconvGeometry,
-        rng: &mut StdRng,
-    ) -> Self {
-        let k = geometry.kernel;
-        let shape = [out_channels, in_channels, k, k];
-        TconvTrainLayer {
-            geometry,
-            plan: TconvPhasePlan::new(geometry, in_channels, out_channels),
-            weights: he_init(rng, &shape, in_channels * k * k),
-            grad: Tensor::zeros(&shape),
-            phase_weights: vec![0.0; out_channels * in_channels * k * k],
-            cached_bcols: None,
-            cached_batch: 0,
-            opt: OptState::default(),
-        }
-    }
-}
-
-impl TrainableLayer for TconvTrainLayer {
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
-        self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
-        self.zero_grads();
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad.fill(0.0);
-    }
-
-    fn capture_state(&self) -> LayerState {
-        let mut s = LayerState::empty();
-        s.push("weights", self.weights.clone());
-        self.opt.capture_into("opt", &mut s);
-        s
-    }
-
-    fn restore_state(&mut self, state: &LayerState, layer: usize) -> Result<(), CheckpointError> {
-        self.weights = state.require(layer, "weights", self.weights.shape())?;
-        self.opt
-            .restore_from("opt", state, layer, self.weights.shape())?;
-        self.grad.fill(0.0);
-        self.cached_bcols = None;
-        self.cached_batch = 0;
-        Ok(())
-    }
-
-    fn gemm_shape(&self) -> Option<GemmShape> {
-        // The zero-insertion GEMM the IR models: output positions ×
-        // (in_channels · kernel²) reduction × out_channels.
-        let g = &self.geometry;
-        Some(GemmShape {
-            m: (g.output as u128).pow(2),
-            k: (self.weights.shape()[1] * g.kernel * g.kernel) as u128,
-            n: self.weights.shape()[0] as u128,
-        })
-    }
-
-    fn forward_batch(
-        &mut self,
-        input: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        if batch == 0 {
-            return Err(TrainError::EmptyBatch);
-        }
-        expect_rank("TconvTrainLayer", 4, input.shape())?;
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        if input.shape() != [batch, ic, g.input, g.input] {
-            return Err(TrainError::ShapeMismatch {
-                layer: "TconvTrainLayer",
-                expected: vec![batch, ic, g.input, g.input],
+                expected: vec![batch, ic, h, w],
                 actual: input.shape().to_vec(),
             });
         }
         self.cached_batch = batch;
-        self.plan
-            .gather_weights(self.weights.data(), &mut self.phase_weights);
-        let slen = ic * g.input * g.input;
-        let (clen, olen) = (self.plan.cols_len(), oc * g.output * g.output);
+        let [oc, oh, ow] = self.plan.output_shape();
+        let (slen, clen, olen) = (ic * h * w, self.plan.cols_len(), oc * oh * ow);
         let bcols = cache_buf(&mut self.cached_bcols, &[batch, clen]);
-        let (idata, plan, pw) = (input.data(), &self.plan, &self.phase_weights);
-        let out = conv_forward(
-            batch,
-            (clen, olen),
-            bcols.data_mut(),
-            ws,
-            |b, block, plane, tws| {
-                plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
-            },
-        );
-        Ok(Tensor::from_vec(&[batch, oc, g.output, g.output], out))
-    }
-
-    fn backward_batch(
-        &mut self,
-        grad_out: &Tensor,
-        batch: usize,
-        grads: Grads,
-        ws: &mut Workspace,
-    ) -> Result<Option<Tensor>, TrainError> {
-        let bcols = self
-            .cached_bcols
-            .as_ref()
-            .ok_or(TrainError::BackwardBeforeForward {
-                layer: "TconvTrainLayer",
-            })?;
-        if self.cached_batch != batch {
-            return Err(TrainError::BackwardBeforeForward {
-                layer: "TconvTrainLayer",
-            });
-        }
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let olen = oc * g.output * g.output;
-        if grad_out.len() != batch * olen {
-            return Err(TrainError::ShapeMismatch {
-                layer: "TconvTrainLayer",
-                expected: vec![batch, olen],
-                actual: grad_out.shape().to_vec(),
-            });
-        }
-        let plan = &self.plan;
-        let wlen = self.weights.len();
-        // G-w: one gemm_nt per phase over the cached phase columns.
-        if grads.params() {
-            let parts = conv_weight_grad(
-                grad_out.data(),
-                bcols.data(),
+        let (idata, plan) = (input.data(), &self.plan);
+        let out = plan.with_phase_weights(self.weights.data(), ws, |pw, ws| {
+            conv_forward(
                 batch,
-                (olen, plan.cols_len(), wlen),
+                (clen, olen),
+                bcols.data_mut(),
                 ws,
-                |gs, block, part, tws| plan.weight_grad_into(gs, block, part, tws),
-            );
-            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
-            ws.give(parts);
-        }
-        if !grads.input() {
-            return Ok(None);
-        }
-        // G←: the stride-S′ S-CONV of ∇out with the flipped kernel.
-        let mut flipped = ws.take(wlen);
-        plan.flip_weights(self.weights.data(), &mut flipped);
-        let din = conv_input_grad(
-            grad_out.data(),
-            batch,
-            (olen, ic * g.input * g.input),
-            ws,
-            |gs, d, tws| plan.input_grad_into(gs, &flipped, d, tws),
-        );
-        ws.give(flipped);
-        Ok(Some(Tensor::from_vec(&[batch, ic, g.input, g.input], din)))
-    }
-
-    fn capture_grads(&self) -> LayerState {
-        let mut s = LayerState::empty();
-        s.push("grad", self.grad.clone());
-        s
-    }
-}
-
-/// Dilated / asymmetric convolution trainable layer (D-CONV), run
-/// zero-free.
-///
-/// The dilated kernel's inserted zeros are never built: the compact
-/// im2col ([`im2col_dconv_compact_into`]) samples only the `Kh·Kw` true
-/// taps, so the forward is one GEMM against the raw `[OC, IC·Kh·Kw]`
-/// weights and the weight gradient one `gemm_nt` against the same cached
-/// columns. The input gradient scatters through the true taps directly.
-/// All three are bit-identical to the zero-insertion formulation the
-/// analytics count as `macs_dense`.
-#[derive(Debug)]
-pub struct DconvTrainLayer {
-    geometry: DconvGeometry,
-    weights: Tensor, // [oc, ic, Kh, Kw] — true taps only
-    grad: Tensor,
-    /// Sample-major compact im2col matrix `[batch, IC·Kh·Kw, Oh·Ow]` from
-    /// the last forward, reused by the backward weight-gradient GEMMs.
-    cached_bcols: Option<Tensor>,
-    /// Batch size of the last forward.
-    cached_batch: usize,
-    opt: OptState,
-}
-
-impl DconvTrainLayer {
-    /// Creates the layer for the given D-CONV geometry.
-    pub fn new(
-        in_channels: usize,
-        out_channels: usize,
-        geometry: DconvGeometry,
-        rng: &mut StdRng,
-    ) -> Self {
-        let (kh, kw) = (geometry.rows.kernel, geometry.cols.kernel);
-        let shape = [out_channels, in_channels, kh, kw];
-        DconvTrainLayer {
-            geometry,
-            weights: he_init(rng, &shape, in_channels * kh * kw),
-            grad: Tensor::zeros(&shape),
-            cached_bcols: None,
-            cached_batch: 0,
-            opt: OptState::default(),
-        }
-    }
-}
-
-impl TrainableLayer for DconvTrainLayer {
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
-        self.opt.apply(rule, step, &mut self.weights, &self.grad, ws);
-        self.zero_grads();
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad.fill(0.0);
-    }
-
-    fn capture_state(&self) -> LayerState {
-        let mut s = LayerState::empty();
-        s.push("weights", self.weights.clone());
-        self.opt.capture_into("opt", &mut s);
-        s
-    }
-
-    fn restore_state(&mut self, state: &LayerState, layer: usize) -> Result<(), CheckpointError> {
-        self.weights = state.require(layer, "weights", self.weights.shape())?;
-        self.opt
-            .restore_from("opt", state, layer, self.weights.shape())?;
-        self.grad.fill(0.0);
-        self.cached_bcols = None;
-        self.cached_batch = 0;
-        Ok(())
-    }
-
-    fn gemm_shape(&self) -> Option<GemmShape> {
-        // The zero-insertion GEMM the IR models: output positions ×
-        // (in_channels · effective kernel extent) × out_channels.
-        let g = &self.geometry;
-        let (eh, ew) = (g.rows.effective_kernel(), g.cols.effective_kernel());
-        Some(GemmShape {
-            m: (g.rows.output * g.cols.output) as u128,
-            k: (self.weights.shape()[1] * eh * ew) as u128,
-            n: self.weights.shape()[0] as u128,
-        })
-    }
-
-    fn forward_batch(
-        &mut self,
-        input: &Tensor,
-        batch: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor, TrainError> {
-        if batch == 0 {
-            return Err(TrainError::EmptyBatch);
-        }
-        expect_rank("DconvTrainLayer", 4, input.shape())?;
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        if input.shape() != [batch, ic, g.rows.input, g.cols.input] {
-            return Err(TrainError::ShapeMismatch {
-                layer: "DconvTrainLayer",
-                expected: vec![batch, ic, g.rows.input, g.cols.input],
-                actual: input.shape().to_vec(),
-            });
-        }
-        let (oh, ow) = (g.rows.output, g.cols.output);
-        let (red, oo) = (ic * g.rows.kernel * g.cols.kernel, oh * ow);
-        self.cached_batch = batch;
-        let slen = ic * g.rows.input * g.cols.input;
-        let bcols = cache_buf(&mut self.cached_bcols, &[batch, red, oo]);
-        let (idata, weights) = (input.data(), self.weights.data());
-        let out = conv_forward(
-            batch,
-            (red * oo, oc * oo),
-            bcols.data_mut(),
-            ws,
-            |b, block, plane, _| {
-                im2col_dconv_compact_into(&idata[b * slen..(b + 1) * slen], ic, &g, block);
-                gemm_buf(oc, red, oo, weights, block, plane);
-            },
-        );
+                |b, block, plane, tws| {
+                    plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
+                },
+            )
+        });
         Ok(Tensor::from_vec(&[batch, oc, oh, ow], out))
     }
 
@@ -1486,34 +1078,31 @@ impl TrainableLayer for DconvTrainLayer {
             .cached_bcols
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward {
-                layer: "DconvTrainLayer",
+                layer: "ConvTrainLayer",
             })?;
         if self.cached_batch != batch {
             return Err(TrainError::BackwardBeforeForward {
-                layer: "DconvTrainLayer",
+                layer: "ConvTrainLayer",
             });
         }
-        let g = self.geometry;
-        let (oc, ic) = (self.weights.shape()[0], self.weights.shape()[1]);
-        let (red, oo) = (bcols.shape()[1], bcols.shape()[2]);
-        if grad_out.len() != batch * oc * oo {
+        let olen = self.plan.output_shape().iter().product::<usize>();
+        if grad_out.len() != batch * olen {
             return Err(TrainError::ShapeMismatch {
-                layer: "DconvTrainLayer",
-                expected: vec![batch, oc * oo],
+                layer: "ConvTrainLayer",
+                expected: vec![batch, olen],
                 actual: grad_out.shape().to_vec(),
             });
         }
-        // ∇W straight from the compact columns: each true tap's gradient
-        // is the dot product of ∇output with its own im2col row.
+        let (plan, dual) = (&self.plan, &self.dual);
         if grads.params() {
-            let wlen = oc * red;
+            let wlen = self.weights.len();
             let parts = conv_weight_grad(
                 grad_out.data(),
                 bcols.data(),
                 batch,
-                (oc * oo, red * oo, wlen),
+                (olen, plan.cols_len(), wlen),
                 ws,
-                |gs, block, part, _| gemm_nt_buf(oc, oo, red, gs, block, part),
+                |g, block, part, tws| plan.weight_grad_into(g, block, part, tws),
             );
             self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
             ws.give(parts);
@@ -1521,19 +1110,20 @@ impl TrainableLayer for DconvTrainLayer {
         if !grads.input() {
             return Ok(None);
         }
-        // ∇input: the zero-free per-sample scatter through the true taps.
-        let (h, w) = (g.rows.input, g.cols.input);
-        let weights = &self.weights;
-        let din = conv_input_grad(
-            grad_out.data(),
-            batch,
-            (oc * oo, ic * h * w),
-            ws,
-            |gs, d, _| {
-                d.fill(0.0);
-                dconv_input_grad_scatter(gs, weights, &g, d);
-            },
-        );
+        let [ic, h, w] = plan.input_shape();
+        let din = dual.with_phase_weights(self.weights.data(), ws, |pw, ws| {
+            conv_input_grad(
+                grad_out.data(),
+                batch,
+                (olen, ic * h * w),
+                ws,
+                |g, d, tws| {
+                    let mut cols = tws.take(dual.cols_len());
+                    dual.forward_into(g, pw, &mut cols, d, tws);
+                    tws.give(cols);
+                },
+            )
+        });
         Ok(Some(Tensor::from_vec(&[batch, ic, h, w], din)))
     }
 
@@ -2746,13 +2336,15 @@ pub fn build_trainable_bound(
                 }
             }
             Layer::Conv(c) => {
-                net.push(Box::new(
-                    ConvTrainLayer::from_geometry(c.in_channels, c.out_channels, c.geometry, rng)
-                        .expect("spec geometry is valid"),
-                ));
+                net.push(Box::new(ConvTrainLayer::new(
+                    c.in_channels,
+                    c.out_channels,
+                    c.geometry,
+                    rng,
+                )));
             }
             Layer::Tconv(t) => {
-                net.push(Box::new(TconvTrainLayer::new(
+                net.push(Box::new(ConvTrainLayer::new(
                     t.in_channels,
                     t.out_channels,
                     t.geometry,
@@ -2760,7 +2352,7 @@ pub fn build_trainable_bound(
                 )));
             }
             Layer::Dconv(d) => {
-                net.push(Box::new(DconvTrainLayer::new(
+                net.push(Box::new(ConvTrainLayer::new(
                     d.in_channels,
                     d.out_channels,
                     d.geometry,
@@ -3081,6 +2673,7 @@ impl Gan {
 mod tests {
     use super::*;
     use crate::topology::parse_network;
+    use lergan_tensor::{SconvGeometry, TconvGeometry};
 
     fn tiny_generator(rng: &mut StdRng) -> Sequential {
         let mut g = Sequential::new();
@@ -3088,14 +2681,15 @@ mod tests {
         g.push(Box::new(DenseLayer::new(4, 8 * 16, rng)));
         g.push(Box::new(Reshape::new(&[8 * 16], &[8, 4, 4])));
         g.push(Box::new(LeakyRelu::new(0.2)));
-        g.push(Box::new(TconvTrainLayer::new(8, 1, geom, rng)));
+        g.push(Box::new(ConvTrainLayer::new(8, 1, geom, rng)));
         g.push(Box::new(Tanh::new()));
         g
     }
 
     fn tiny_discriminator(rng: &mut StdRng) -> Sequential {
         let mut d = Sequential::new();
-        d.push(Box::new(ConvTrainLayer::new(1, 4, 3, 2, 1, rng).unwrap()));
+        let geom = SconvGeometry::new(8, 3, 2, 1).unwrap();
+        d.push(Box::new(ConvTrainLayer::new(1, 4, geom, rng)));
         d.push(Box::new(LeakyRelu::new(0.2)));
         d.push(Box::new(DenseLayer::new(4 * 16, 1, rng)));
         d
@@ -3218,7 +2812,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut ws = Workspace::new();
         let geom = TconvGeometry::for_upsampling(4, 3, 2).unwrap();
-        let mut l = TconvTrainLayer::new(2, 3, geom, &mut rng);
+        let mut l = ConvTrainLayer::new(2, 3, geom, &mut rng);
         let x = Tensor::ones(&[2, 2, 4, 4]);
         let y = l.forward_batch(&x, 2, &mut ws).unwrap();
         assert_eq!(y.shape(), &[2, 3, 8, 8]);

@@ -23,12 +23,68 @@ use lergan_gan::layer::{Layer, Norm};
 use lergan_gan::train::{tree_reduce_in_place, GanCheckpoint, LayerState, UpdateRule};
 use lergan_gan::NetworkSpec;
 use lergan_tensor::conv::{tconv_forward_zero_insert, Conv2d};
-use lergan_tensor::dconv::{dconv_input_grad_scatter, dconv_zero_insertion, im2col_dconv};
+use lergan_tensor::dconv::{dconv_zero_insertion, im2col_dconv};
 use lergan_tensor::zero_insert::expand_tconv_input;
 use lergan_tensor::tensor::mmv;
 use lergan_tensor::{DconvGeometry, TconvGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Zero-free D-CONV input gradient: scatters `∇output` back through the
+/// `Kh·Kw` true taps only, accumulating into a caller-owned `∇input` slice
+/// of length `IC·H·W` that **must arrive zeroed**. For a fixed `∇input`
+/// element the additions arrive in ascending `(co, oy, jy, ox, jx)` order
+/// regardless of the caller, so the single-sample and batched trainers
+/// produce bit-identical gradients through this one loop nest.
+///
+/// # Panics
+///
+/// Panics on operand shape mismatches.
+pub fn dconv_input_grad_scatter(
+    dout: &[f32],
+    weights: &Tensor,
+    geom: &DconvGeometry,
+    din: &mut [f32],
+) {
+    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
+    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
+    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
+    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
+    let (dil_h, dil_w) = (geom.rows.dilation, geom.cols.dilation);
+    let (h, w) = (geom.rows.input, geom.cols.input);
+    let (oh, ow) = (geom.rows.output, geom.cols.output);
+    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
+    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
+    assert_eq!(dout.len(), oc * oh * ow, "∇output length mismatch");
+    assert_eq!(din.len(), ic * h * w, "∇input length mismatch");
+    let wdata = weights.data();
+    for co in 0..oc {
+        let gplane = &dout[co * oh * ow..(co + 1) * oh * ow];
+        for ci in 0..ic {
+            let taps = &wdata[(co * ic + ci) * kh * kw..(co * ic + ci + 1) * kh * kw];
+            let dplane = &mut din[ci * h * w..(ci + 1) * h * w];
+            for oy in 0..oh {
+                for jy in 0..kh {
+                    let y = oy * sh + jy * dil_h;
+                    if y < ph || y >= ph + h {
+                        continue;
+                    }
+                    let drow = &mut dplane[(y - ph) * w..(y - ph + 1) * w];
+                    let grow = &gplane[oy * ow..(oy + 1) * ow];
+                    for (ox, &gv) in grow.iter().enumerate() {
+                        for jx in 0..kw {
+                            let x = ox * sw + jx * dil_w;
+                            if x < pw || x >= pw + w {
+                                continue;
+                            }
+                            drow[x - pw] += taps[jy * kw + jx] * gv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Lazily created optimiser moments of one parameter tensor.
 #[derive(Default)]

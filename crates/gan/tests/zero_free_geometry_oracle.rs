@@ -1,31 +1,36 @@
-//! The trainer's T-CONV and D-CONV layers against the zero-insertion
-//! oracle, over the geometries the topology grammar can produce.
+//! The trainer's conv-family layer against the per-sample reference
+//! kernels, over the geometries the topology grammar can produce.
 //!
-//! The layers never materialise an inserted zero: T-CONV runs one GEMM per
-//! output phase over the raw input, D-CONV one GEMM over the true-tap
-//! im2col. The oracle is the formulation the analytics count as
-//! `macs_dense`, one sample at a time on the `lergan-tensor` reference
-//! kernels:
+//! `ConvTrainLayer` runs S-CONV, T-CONV and D-CONV on one zero-free phase
+//! plan and never materialises an inserted zero; its input gradient is
+//! the dual plan's forward on the flipped kernel. The oracle runs one
+//! sample at a time on the `lergan-tensor` reference kernels — for T-CONV
+//! and D-CONV the formulation the analytics count as `macs_dense`:
 //!
+//! * S-CONV forward, ∇W and ∇input: the loop-nest `Conv2d::forward`,
+//!   `Conv2d::weight_grad` and `Conv2d::input_grad`.
 //! * T-CONV forward `tconv_forward_zero_insert`; ∇W the stride-1
 //!   `Conv2d::weight_grad` over `expand_tconv_input`; ∇input the stride-1
 //!   `Conv2d::input_grad` over the expanded plane, gathered back at the
 //!   original positions.
 //! * D-CONV forward `dconv_zero_insertion`; ∇W the defining dot products
-//!   over the dense `im2col_dconv` rows of the true taps; ∇input the true-tap
-//!   scatter `dconv_input_grad_scatter`.
+//!   over the dense `im2col_dconv` rows of the true taps; ∇input the
+//!   training oracle's true-tap scatter `dconv_input_grad_scatter`.
 //!
 //! Per-sample weight gradients are folded by the library's fixed
 //! reduction tree. Every value must match bit for bit, at batch 1 and 3,
-//! under each [`Grads`] request, at 1 and 8 worker threads.
+//! under each [`Grads`] request, at 1, 2 and 8 worker threads.
 
-use lergan_gan::train::{
-    tree_reduce_in_place, DconvTrainLayer, Grads, TconvTrainLayer, TrainableLayer,
-};
+mod oracle;
+
+use lergan_gan::train::{tree_reduce_in_place, ConvTrainLayer, Grads, TrainableLayer};
 use lergan_tensor::conv::{tconv_forward_zero_insert, Conv2d};
-use lergan_tensor::dconv::{dconv_input_grad_scatter, dconv_zero_insertion, im2col_dconv};
+use lergan_tensor::dconv::{dconv_zero_insertion, im2col_dconv};
 use lergan_tensor::zero_insert::expand_tconv_input;
-use lergan_tensor::{parallel, DconvAxis, DconvGeometry, TconvGeometry, Tensor, Workspace};
+use lergan_tensor::{
+    parallel, DconvAxis, DconvGeometry, SconvGeometry, TconvGeometry, Tensor, Workspace,
+};
+use oracle::dconv_input_grad_scatter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +63,7 @@ fn bits_eq(a: &[f32], b: &[f32], what: &str) -> Result<(), TestCaseError> {
 type Oracle = (Tensor, Tensor, Tensor);
 
 /// Runs `layer` (fresh from `build`) on `batch` samples under every
-/// [`Grads`] request at 1 and 8 threads, and bit-compares against the
+/// [`Grads`] request at 1, 2 and 8 threads, and bit-compares against the
 /// per-sample `oracle`, with weight gradients folded by the fixed tree.
 fn check<L: TrainableLayer>(
     build: impl Fn() -> L,
@@ -86,7 +91,7 @@ fn check<L: TrainableLayer>(
 
     let packed = lergan_gan::train::pack_batch(&inputs);
     let packed_seeds = lergan_gan::train::pack_batch(&seeds);
-    for threads in [1usize, 8] {
+    for threads in [1usize, 2, 8] {
         parallel::with_threads(threads, || -> Result<(), TestCaseError> {
             for grads in [Grads::All, Grads::Params, Grads::Input] {
                 let mut ws = Workspace::new();
@@ -123,13 +128,31 @@ fn check<L: TrainableLayer>(
     Ok(())
 }
 
+fn check_sconv(
+    geom: SconvGeometry,
+    (ic, oc): (usize, usize),
+    batch: usize,
+    seed: u32,
+) -> Result<(), TestCaseError> {
+    let build = || ConvTrainLayer::new(ic, oc, geom, &mut StdRng::seed_from_u64(u64::from(seed)));
+    let (i, o) = (geom.input, geom.output);
+    check(build, &[ic, i, i], &[oc, o, o], batch, seed, |x, w, g| {
+        let conv = Conv2d::new(ic, oc, geom.kernel, geom.stride, geom.pad).unwrap();
+        (
+            conv.forward(x, w),
+            conv.weight_grad(x, g),
+            conv.input_grad(g, w, i),
+        )
+    })
+}
+
 fn check_tconv(
     geom: TconvGeometry,
     (ic, oc): (usize, usize),
     batch: usize,
     seed: u32,
 ) -> Result<(), TestCaseError> {
-    let build = || TconvTrainLayer::new(ic, oc, geom, &mut StdRng::seed_from_u64(u64::from(seed)));
+    let build = || ConvTrainLayer::new(ic, oc, geom, &mut StdRng::seed_from_u64(u64::from(seed)));
     let (p, s) = (geom.insertion_pad, geom.converse_stride);
     check(
         build,
@@ -155,7 +178,7 @@ fn check_dconv(
     batch: usize,
     seed: u32,
 ) -> Result<(), TestCaseError> {
-    let build = || DconvTrainLayer::new(ic, oc, geom, &mut StdRng::seed_from_u64(u64::from(seed)));
+    let build = || ConvTrainLayer::new(ic, oc, geom, &mut StdRng::seed_from_u64(u64::from(seed)));
     let (h, w) = (geom.rows.input, geom.cols.input);
     let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
     let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
@@ -186,6 +209,35 @@ fn check_dconv(
             )
         },
     )
+}
+
+#[test]
+fn named_sconv_geometries_match_the_loop_nest_oracle() {
+    let sconv = |i, k, s, p| SconvGeometry::new(i, k, s, p).unwrap();
+    let cases = [
+        // 3k2s 16->8: the reduced benchmark GANs.
+        (sconv(16, 3, 2, 1), "3k2s"),
+        // 5k2s 8->4 with R = 1: DCGAN.
+        (sconv(8, 5, 2, 2), "5k2s"),
+        // 4k2s: most Table V discriminators.
+        (sconv(16, 4, 2, 1), "4k2s"),
+        (sconv(8, 3, 1, 1), "3k1s"),
+        (sconv(8, 1, 1, 0), "1k1s"),
+        // 3k3s: three dual phases per axis.
+        (sconv(9, 3, 3, 0), "3k3s"),
+    ];
+    assert_eq!(cases[0].0.output, 8, "3k2s halves 16");
+    assert_eq!(
+        (cases[1].0.output, cases[1].0.remainder),
+        (4, 1),
+        "5k2s realises R = 1"
+    );
+    for (geom, name) in cases {
+        for batch in [1, 3] {
+            check_sconv(geom, (3, 2), batch, 5)
+                .unwrap_or_else(|e| panic!("{name} at batch {batch}: {e}"));
+        }
+    }
 }
 
 /// The T-CONV geometry the grammar builds for `kernel`/`stride` from
@@ -241,6 +293,27 @@ fn named_dconv_geometries_match_the_zero_insertion_oracle() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random grammar S-CONV geometries: kernel 1–7, stride 1–3 and every
+    /// pad below the kernel that `SconvGeometry::new` accepts, including
+    /// `R > 0`, where the last input rows are reached by no window.
+    #[test]
+    fn random_sconv_geometries_match_the_loop_nest_oracle(
+        input in 1usize..12,
+        kernel in 1usize..8,
+        stride in 1usize..4,
+        ic in 1usize..4,
+        oc in 1usize..4,
+        batch in prop_oneof![Just(1usize), Just(3)],
+        seed in 0u32..1000,
+    ) {
+        let geoms: Vec<_> =
+            (0..kernel).filter_map(|p| SconvGeometry::new(input, kernel, stride, p)).collect();
+        prop_assume!(!geoms.is_empty());
+        for geom in geoms {
+            check_sconv(geom, (ic, oc), batch, seed)?;
+        }
+    }
 
     /// Random grammar T-CONV geometries: any kernel, converse stride and
     /// upsampling target `for_target` realises exactly, including kernels

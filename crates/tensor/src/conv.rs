@@ -131,8 +131,8 @@ impl Conv2d {
     /// for a fixed `∇input` element the additions arrive in ascending
     /// `(oc, oy, ox, ky, kx)` order, independent of the thread count
     /// (workers own disjoint input-channel planes). This is the reference
-    /// the trainer's [`input_grad_buf_vec`](Self::input_grad_buf_vec) is
-    /// pinned to.
+    /// the trainer's S-CONV input gradient — the forward of
+    /// [`ConvPlan::dual`](crate::im2col::ConvPlan::dual) — is pinned to.
     ///
     /// # Panics
     ///
@@ -202,148 +202,6 @@ impl Conv2d {
             }
         }
         Tensor::from_vec(&[self.in_channels, ie, ie], din)
-    }
-
-    /// Vectorization-friendly form of [`input_grad`](Self::input_grad) over
-    /// raw slices — reads `∇output` from a `OC·O·O` slice, fully overwrites
-    /// the `IC·H·W` `∇input` slice and draws its padded scratch plane from
-    /// `ws`:
-    /// the same scatter with the kernel offsets hoisted out of the output
-    /// loop, iterated *descending* — `(oc, ky↓, kx↓, oy, ox)` instead of
-    /// `(oc, oy, ox, ky, kx)`. For a fixed `∇input` element, `ky ↔ oy` and
-    /// `kx ↔ ox` are bijections with descending `k` equal to ascending `o`,
-    /// so every element's additions arrive in exactly the reference order
-    /// and the two forms are bit-identical (pinned by
-    /// `input_grad_vectorized_matches_reference_bitwise`). The reference's
-    /// zero-gradient skip becomes a per-lane select, keeping the inner loop
-    /// a branch-free shifted AXPY the compiler can run across SIMD lanes —
-    /// this is the form the trainer calls per sample, handing each worker a
-    /// disjoint slice pair of the batch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand shape mismatches.
-    pub fn input_grad_buf_vec(
-        &self,
-        dout: &[f32],
-        weights: &Tensor,
-        input_extent: usize,
-        ws: &mut crate::workspace::Workspace,
-        din: &mut [f32],
-    ) {
-        let geom = self.geometry(input_extent);
-        assert_eq!(
-            dout.len(),
-            self.out_channels * geom.output * geom.output,
-            "∇output length mismatch"
-        );
-        assert_eq!(
-            weights.shape(),
-            &[
-                self.out_channels,
-                self.in_channels,
-                self.geometry_kernel,
-                self.geometry_kernel
-            ],
-            "weight shape mismatch"
-        );
-        assert_eq!(
-            din.len(),
-            self.in_channels * input_extent * input_extent,
-            "∇input length mismatch"
-        );
-        let pe = input_extent + 2 * self.pad;
-        let k = self.geometry_kernel;
-        let o = geom.output;
-        let s = self.stride;
-        let plane = pe * pe;
-        let mut dpad = ws.take_zeroed(self.in_channels * plane);
-        let wdata = weights.data();
-        let flops_per_plane = self.out_channels * o * o * k * k;
-        let min_planes = (crate::tensor::MIN_PARALLEL_FLOPS / flops_per_plane.max(1)).max(1);
-        crate::parallel::for_each_unit_chunk_mut(&mut dpad, plane, min_planes, |ic0, planes| {
-            for (d, pbuf) in planes.chunks_mut(plane).enumerate() {
-                let ic = ic0 + d;
-                for oc in 0..self.out_channels {
-                    let wbase = (oc * self.in_channels + ic) * k * k;
-                    for ky in (0..k).rev() {
-                        let wrow = &wdata[wbase + ky * k..wbase + (ky + 1) * k];
-                        if s == 1 {
-                            for kx in (0..k).rev() {
-                                let wv = wrow[kx];
-                                for oy in 0..o {
-                                    let grow = &dout[(oc * o + oy) * o..(oc * o + oy + 1) * o];
-                                    let pbase = (oy + ky) * pe + kx;
-                                    let prow = &mut pbuf[pbase..pbase + o];
-                                    for (slot, &g) in prow.iter_mut().zip(grow) {
-                                        let upd = *slot + g * wv;
-                                        *slot = if g != 0.0 { upd } else { *slot };
-                                    }
-                                }
-                            }
-                        } else if s == 2 {
-                            // Descending kx *pairs*: the two offsets write
-                            // interleaved even/odd lanes of one contiguous
-                            // span — distinct ∇input elements, so pairing
-                            // adds no ordering between them, and each
-                            // parity class still sees its kx descending.
-                            let mut kx = k;
-                            while kx >= 2 {
-                                let (lo, hi) = (kx - 2, kx - 1);
-                                let (wlo, whi) = (wrow[lo], wrow[hi]);
-                                for oy in 0..o {
-                                    let grow = &dout[(oc * o + oy) * o..(oc * o + oy + 1) * o];
-                                    let pbase = (oy * 2 + ky) * pe + lo;
-                                    let span = &mut pbuf[pbase..pbase + 2 * o];
-                                    for (pair, &g) in span.chunks_exact_mut(2).zip(grow) {
-                                        let u0 = pair[0] + g * wlo;
-                                        let u1 = pair[1] + g * whi;
-                                        pair[0] = if g != 0.0 { u0 } else { pair[0] };
-                                        pair[1] = if g != 0.0 { u1 } else { pair[1] };
-                                    }
-                                }
-                                kx -= 2;
-                            }
-                            if kx == 1 {
-                                let wv = wrow[0];
-                                for oy in 0..o {
-                                    let grow = &dout[(oc * o + oy) * o..(oc * o + oy + 1) * o];
-                                    let pbase = (oy * 2 + ky) * pe;
-                                    for (ox, &g) in grow.iter().enumerate() {
-                                        let slot = &mut pbuf[pbase + ox * 2];
-                                        let upd = *slot + g * wv;
-                                        *slot = if g != 0.0 { upd } else { *slot };
-                                    }
-                                }
-                            }
-                        } else {
-                            for kx in (0..k).rev() {
-                                let wv = wrow[kx];
-                                for oy in 0..o {
-                                    let grow = &dout[(oc * o + oy) * o..(oc * o + oy + 1) * o];
-                                    let pbase = (oy * s + ky) * pe + kx;
-                                    for (ox, &g) in grow.iter().enumerate() {
-                                        let slot = &mut pbuf[pbase + ox * s];
-                                        let upd = *slot + g * wv;
-                                        *slot = if g != 0.0 { upd } else { *slot };
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        // Crop the padding back off, row by row.
-        let ie = input_extent;
-        for ic in 0..self.in_channels {
-            for y in 0..ie {
-                let src = ic * plane + (y + self.pad) * pe + self.pad;
-                let dst = (ic * ie + y) * ie;
-                din[dst..dst + ie].copy_from_slice(&dpad[src..src + ie]);
-            }
-        }
-        ws.give(dpad);
     }
 
     /// Gradient of the loss w.r.t. the weights (Eq. 4), computed by the
@@ -681,45 +539,6 @@ mod tests {
                 let got = crate::parallel::with_threads(threads, || conv.input_grad(&dout, &w, ie));
                 assert_eq!(got.shape(), reference.shape());
                 for (a, b) in got.data().iter().zip(reference.data().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn input_grad_vectorized_matches_reference_bitwise() {
-        // The hoisted `(oc, ky↓, kx↓, oy, ox)` nest delivers every ∇input
-        // element's additions in the reference `(oc, oy, ox, ky, kx)` order,
-        // so the two forms must agree bit-for-bit — including the
-        // zero-gradient skip, which the vectorized form realises as a
-        // per-lane select. Covers stride 1 (the T-CONV backward inner conv)
-        // and strided/padded D-shaped geometries, at every thread count.
-        for (ic_n, oc_n, k, s, p, ie) in [
-            (2, 3, 3, 1, 0, 10),
-            (3, 2, 3, 1, 1, 8),
-            (2, 3, 3, 2, 1, 6),
-            (3, 2, 5, 2, 2, 8),
-            (1, 4, 4, 2, 1, 16),
-        ] {
-            let conv = Conv2d::new(ic_n, oc_n, k, s, p).unwrap();
-            let geom = conv.geometry(ie);
-            let w = det_tensor(&[oc_n, ic_n, k, k], 50);
-            let mut dout = det_tensor(&[oc_n, geom.output, geom.output], 51);
-            // Plant exact zeros so the skip path is exercised.
-            let n = dout.data().len();
-            for i in (0..n).step_by(3) {
-                dout.data_mut()[i] = 0.0;
-            }
-            let reference = conv.input_grad(&dout, &w, ie);
-            for threads in [1, 2, 8] {
-                let got = crate::parallel::with_threads(threads, || {
-                    let mut ws = crate::workspace::Workspace::new();
-                    let mut din = vec![0.0; ic_n * ie * ie];
-                    conv.input_grad_buf_vec(dout.data(), &w, ie, &mut ws, &mut din);
-                    din
-                });
-                for (a, b) in got.iter().zip(reference.data().iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
                 }
             }

@@ -15,8 +15,9 @@
 //!   the trainer is pinned to.
 //! * **Zero-free** — [`dconv_direct`] touches only the `K` true taps per
 //!   axis with a scalar gather; [`dconv_zero_free`] runs the same taps as
-//!   one GEMM over the compact im2col ([`im2col_dconv_compact_into`]), the
-//!   path the trainer's D-CONV layer executes. Both are the software
+//!   one GEMM over the compact im2col ([`im2col_dconv_compact`]), the
+//!   columns of the one-phase plan the trainer's D-CONV layer executes
+//!   ([`crate::im2col::ConvPlan`]). Both are the software
 //!   realisation of the ZFDR-style plan that `lergan-core` maps onto
 //!   crossbars, proven equal to the naive path.
 
@@ -94,62 +95,6 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
     }
 }
 
-/// Zero-free D-CONV input gradient: scatters `∇output` back through the
-/// `Kh·Kw` true taps only, accumulating into a caller-owned `∇input` slice
-/// of length `IC·H·W` that **must arrive zeroed**. For a fixed `∇input`
-/// element the additions arrive in ascending `(co, oy, jy, ox, jx)` order
-/// regardless of the caller, so the single-sample and batched trainers
-/// produce bit-identical gradients through this one loop nest.
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn dconv_input_grad_scatter(
-    dout: &[f32],
-    weights: &Tensor,
-    geom: &DconvGeometry,
-    din: &mut [f32],
-) {
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
-    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
-    let (dil_h, dil_w) = (geom.rows.dilation, geom.cols.dilation);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(dout.len(), oc * oh * ow, "∇output length mismatch");
-    assert_eq!(din.len(), ic * h * w, "∇input length mismatch");
-    let wdata = weights.data();
-    for co in 0..oc {
-        let gplane = &dout[co * oh * ow..(co + 1) * oh * ow];
-        for ci in 0..ic {
-            let taps = &wdata[(co * ic + ci) * kh * kw..(co * ic + ci + 1) * kh * kw];
-            let dplane = &mut din[ci * h * w..(ci + 1) * h * w];
-            for oy in 0..oh {
-                for jy in 0..kh {
-                    let y = oy * sh + jy * dil_h;
-                    if y < ph || y >= ph + h {
-                        continue;
-                    }
-                    let drow = &mut dplane[(y - ph) * w..(y - ph + 1) * w];
-                    let grow = &gplane[oy * ow..(oy + 1) * ow];
-                    for (ox, &gv) in grow.iter().enumerate() {
-                        for jx in 0..kw {
-                            let x = ox * sw + jx * dil_w;
-                            if x < pw || x >= pw + w {
-                                continue;
-                            }
-                            drow[x - pw] += taps[jy * kw + jx] * gv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Allocating wrapper over [`im2col_dconv_into`].
 pub fn im2col_dconv(input: &Tensor, geom: &DconvGeometry) -> Tensor {
     let c = input.shape()[0];
@@ -177,23 +122,22 @@ pub fn dconv_zero_insertion(input: &Tensor, weights: &Tensor, geom: &DconvGeomet
     flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
 }
 
-/// Unrolls a `[C, H, W]` input slice into the *compact* im2col matrix
+/// Unrolls a `[C, H, W]` input into the *compact* im2col matrix
 /// `[C·Kh·Kw, Oh·Ow]` of the zero-free formulation: row `(ci, jy, jx)`
 /// samples the input at the true tap offsets `(jy·Dh, jx·Dw)` only, so
 /// the GEMM reduction dimension shrinks from `C·Kh_eff·Kw_eff` to
 /// `C·Kh·Kw` — the inserted zeros are never materialised, let alone
-/// multiplied. The trainer's D-CONV layer fills one sample's block of its
-/// im2col cache with it.
+/// multiplied. These are the columns of the one-phase D-CONV
+/// [`ConvPlan`](crate::im2col::ConvPlan) the trainer runs.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatch.
-pub fn im2col_dconv_compact_into(
-    input: &[f32],
-    channels: usize,
-    geom: &DconvGeometry,
-    out: &mut [f32],
-) {
+/// Panics on shape mismatch.
+pub fn im2col_dconv_compact(input: &Tensor, geom: &DconvGeometry) -> Tensor {
+    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
+    let c = input.shape()[0];
+    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
+    let (oh, ow) = (geom.rows.output, geom.cols.output);
     let axis = |a: &crate::geometry::DconvAxis| TapAxis {
         input: a.input,
         output: a.output,
@@ -203,17 +147,9 @@ pub fn im2col_dconv_compact_into(
         first: 0,
         step: a.dilation,
     };
-    im2col_taps_into(input, channels, &axis(&geom.rows), &axis(&geom.cols), out);
-}
-
-/// Allocating wrapper over [`im2col_dconv_compact_into`].
-pub fn im2col_dconv_compact(input: &Tensor, geom: &DconvGeometry) -> Tensor {
-    let c = input.shape()[0];
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
+    let (rows, cols) = (axis(&geom.rows), axis(&geom.cols));
     let mut out = vec![0.0; c * kh * kw * oh * ow];
-    im2col_dconv_compact_into(input.data(), c, geom, &mut out);
+    im2col_taps_into(input.data(), c, &rows, &cols, &mut out);
     Tensor::from_vec(&[c * kh * kw, oh * ow], out)
 }
 

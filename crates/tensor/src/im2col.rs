@@ -6,10 +6,11 @@
 //! kernels. This is the dense formulation whose zero columns ZFDR prunes,
 //! so having it as a first-class reference both cross-checks the loop-nest
 //! kernels and quantifies the im2col traffic the baselines pay.
-//! [`TconvPhasePlan`] does that pruning for T-CONV on dense GEMMs: the
-//! trainer's T-CONV path.
+//! [`ConvPlan`] does that pruning on dense GEMMs for every conv-family
+//! layer the trainer runs — S-CONV, T-CONV and D-CONV, forward, weight
+//! gradient and input gradient.
 
-use crate::geometry::{SconvGeometry, TconvGeometry};
+use crate::geometry::{DconvGeometry, SconvGeometry, TconvGeometry};
 use crate::kernel::{gemm_buf, gemm_nt_buf};
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -83,72 +84,6 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     }
 }
 
-/// Batched [`im2col_into`] over `B` concatenated `[C, H, W]` sample
-/// planes: writes the `[C·K·K, B·O·O]` matrix whose column `b·O·O + p` is
-/// exactly [`im2col_into`]'s column `p` for sample `b` — the per-sample
-/// matrices stacked along the *column* axis.
-///
-/// One `[OC, C·K·K] × [C·K·K, B·O·O]` product over the stacked matrix
-/// covers the whole batch with `n` multiplied by `B`. The trainer calls
-/// it with `B = 1`, once per sample, to fill each sample's block of its
-/// sample-major im2col cache. Work is sharded across workers by matrix
-/// row; every element is a pure copy or a structural zero, so the
-/// sharding cannot change any value.
-///
-/// Unlike the per-sample reference builders, this one takes the fast
-/// paths the trainer's hot loop earns, shared with the tap-list im2col
-/// behind [`TconvPhasePlan`] and the D-CONV compact im2col: stride-1
-/// window rows are straight `memcpy`s, and strided rows precompute the
-/// in-bounds column range so the inner loop carries no per-element
-/// padding branch. Both are pure data movement — the emitted
-/// values are bit-identical to [`im2col_into`]'s (pinned by the stacking
-/// test).
-///
-/// # Panics
-///
-/// Panics if the slice lengths disagree with the geometry.
-pub fn im2col_batch_into(
-    inputs: &[f32],
-    batch: usize,
-    channels: usize,
-    geom: &SconvGeometry,
-    out: &mut [f32],
-) {
-    let k = geom.kernel;
-    let o = geom.output;
-    let h = geom.input;
-    let (stride, pad) = (geom.stride, geom.pad);
-    let slen = channels * h * h;
-    assert_eq!(inputs.len(), batch * slen, "batch input length mismatch");
-    let red = channels * k * k;
-    let (oo, bo) = (o * o, batch * o * o);
-    assert_eq!(out.len(), red * bo, "im2col buffer length mismatch");
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / bo.max(1)).max(1);
-    crate::parallel::for_each_unit_chunk_mut(out, bo, min_rows, |row0, rows| {
-        for (d, orow) in rows.chunks_mut(bo).enumerate() {
-            let row = row0 + d;
-            let ci = row / (k * k);
-            let ky = (row / k) % k;
-            let kx = row % k;
-            let x = in_bounds(o, h, stride, kx, pad);
-            for b in 0..batch {
-                let plane = &inputs[b * slen + ci * h * h..b * slen + (ci + 1) * h * h];
-                let brow = &mut orow[b * oo..(b + 1) * oo];
-                for oy in 0..o {
-                    let y = oy * stride + ky;
-                    let dst = &mut brow[oy * o..(oy + 1) * o];
-                    if y < pad || y >= pad + h {
-                        dst.fill(0.0);
-                    } else {
-                        let irow = &plane[(y - pad) * h..(y - pad + 1) * h];
-                        window_row(dst, irow, stride, kx, pad, x);
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// The windows `lo..hi` of an im2col row whose coordinate `q·stride +
 /// offset` lands inside `pad..pad + h`, clamped to `0..n`; every other
 /// window reads a structural zero.
@@ -194,10 +129,9 @@ fn window_row(
 /// the padded coordinate `q·stride + first + t·step`, where the input
 /// occupies `pad..pad + input` and everything else reads `0.0`.
 ///
-/// A plain convolution axis has taps `0..K` at step 1; a dilated one step
-/// `D`; a T-CONV output phase the taps that land on real inputs, which
-/// sit at consecutive input rows (step 1, stride 1).
-#[derive(Debug, Clone, Copy)]
+/// A plain convolution axis has taps `0..K` at step 1 and a dilated one
+/// step `D`; a [`ConvPlan`] phase lists the taps that meet real inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TapAxis {
     /// Input extent along this axis.
     pub input: usize,
@@ -267,182 +201,395 @@ pub(crate) fn im2col_taps_into(
     });
 }
 
-/// One residue class of a T-CONV output axis: the positions `r, r + S′,
-/// r + 2S′, …` and the kernel taps `k ≡ P − r (mod S′)` that land on real
-/// inputs there.
-#[derive(Debug)]
-struct PhaseAxis {
-    /// The residue `r`.
+/// One spatial axis of a conv-family operation: output `o`, kernel tap `j`
+/// and input `x` meet where `stride·o + dilation·j = upsample·x + offset`.
+///
+/// An S-CONV axis is `(S, 1, 1, P)` and a D-CONV axis `(S, D, 1, P)`; a
+/// T-CONV axis is the stride-1 convolution of the zero-inserted input,
+/// `(1, 1, S′, P)` with `P` the insertion pad.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Relation {
+    input: usize,
+    output: usize,
+    kernel: usize,
+    stride: usize,
+    dilation: usize,
+    upsample: usize,
+    offset: isize,
+}
+
+impl Relation {
+    /// The relation of the input gradient: `∇out` is the input, `∇input`
+    /// the output, and tap `j` becomes the flipped tap `K − 1 − j`.
+    fn dual(self) -> Relation {
+        Relation {
+            input: self.output,
+            output: self.input,
+            stride: self.upsample,
+            upsample: self.stride,
+            offset: (self.dilation * (self.kernel - 1)) as isize - self.offset,
+            ..self
+        }
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// One output phase of an axis: the positions `residue + q·period` and
+/// the kernel taps `first_tap + t·tap_step` that meet a real input there.
+#[derive(Debug, PartialEq, Eq)]
+struct Phase {
     residue: usize,
-    /// The first live kernel tap; later ones follow at steps of `S′`.
     first_tap: usize,
-    /// The class's im2col over the raw input: `taps` live taps, `output`
-    /// positions, reading consecutive input rows.
+    /// The phase's im2col over the raw input: `taps` live taps, `output`
+    /// positions.
     window: TapAxis,
 }
 
-/// Zero-free execution plan of a T-CONV: the ZFDR decomposition run as
-/// dense GEMMs over the raw input.
-///
-/// The zero-inserted formulation convolves a plane in which only every
-/// `S′`-th row and column is real. Output positions fall into `S′²`
-/// *phases* by their residues `(oy mod S′, ox mod S′)`; within one phase
-/// the same kernel taps land on real inputs everywhere, and those taps
-/// read consecutive input rows and columns. So each phase is an ordinary
-/// stride-1 im2col over the raw input and one `[OC, IC·|taps|] ×
-/// [IC·|taps|, positions]` GEMM, and no inserted zero is ever stored or
-/// multiplied.
-///
-/// Results are bit-identical to the zero-insertion oracle: every GEMM
-/// accumulates `((0 + a₀b₀) + a₁b₁) + …` in ascending reduction order, a
-/// phase keeps the oracle's reduction order minus the terms whose factor is
-/// an inserted zero, and adding `±0` never changes an accumulator that
-/// starts from `+0`. Kept in the same sense:
-///
-/// * [`weight_grad_into`](Self::weight_grad_into) reduces each tap over its
-///   one live phase's positions, in ascending order;
-/// * [`input_grad_into`](Self::input_grad_into) is the stride-`S′` S-CONV
-///   of `∇out` with the flipped, transposed kernel, whose `(oc, ky′, kx′)`
-///   reduction order is the oracle scatter's `(oc, oy, ox)` order.
-#[derive(Debug)]
-pub struct TconvPhasePlan {
-    geom: TconvGeometry,
-    in_channels: usize,
-    out_channels: usize,
-    /// The `S′` residue classes of one axis; phases pair them row × column.
-    axes: Vec<PhaseAxis>,
+/// The phases of one axis of a [`ConvPlan`].
+#[derive(Debug, PartialEq, Eq)]
+struct Axis {
+    relation: Relation,
+    /// Number of phases, and the distance between one phase's positions.
+    period: usize,
+    /// Kernel-index distance between one phase's live taps.
+    tap_step: usize,
+    phases: Vec<Phase>,
 }
 
-impl TconvPhasePlan {
-    /// Plans `geom` for `[in_channels] → [out_channels]` planes.
-    pub fn new(geom: TconvGeometry, in_channels: usize, out_channels: usize) -> Self {
-        let (s, k, o, p) = (
-            geom.converse_stride,
-            geom.kernel,
-            geom.output,
-            geom.insertion_pad,
-        );
-        let axes = (0..s)
+impl Axis {
+    fn new(relation: Relation) -> Axis {
+        let Relation {
+            stride: s,
+            dilation: d,
+            upsample: u,
+            offset,
+            kernel: k,
+            output: extent,
+            ..
+        } = relation;
+        // Tap `j` meets a real input at position `o` iff `u` divides
+        // `s·o + d·j − offset`: a condition on `o` modulo `period` that,
+        // for a fixed `o`, holds for every `tap_step`-th `j`.
+        let period = u / gcd(s, u);
+        let tap_step = u / gcd(d, u);
+        let coord = |r: usize, j: usize| (s * r + d * j) as isize - offset;
+        let pad = offset.max(0) as usize;
+        let phases: Vec<Phase> = (0..period)
             .map(|residue| {
-                // Live taps: `residue + k − P` is a multiple of `S′`, so
-                // position `residue + S′q` reads input row
-                // `q + (residue + k − P)/S′`, or `q + first − P` in a frame
-                // padded by `P`.
-                let first_tap = (p % s + s - residue) % s;
-                PhaseAxis {
+                let live = (0..tap_step)
+                    .find(|&j| coord(residue, j).rem_euclid(u as isize) == 0)
+                    .filter(|&j| j < k);
+                let first_tap = live.unwrap_or(0);
+                Phase {
                     residue,
                     first_tap,
                     window: TapAxis {
-                        input: geom.input,
-                        output: if residue < o {
-                            (o - 1 - residue) / s + 1
+                        input: relation.input,
+                        output: if residue < extent {
+                            (extent - 1 - residue) / period + 1
                         } else {
                             0
                         },
-                        stride: 1,
-                        pad: p,
-                        taps: if first_tap < k {
-                            (k - 1 - first_tap) / s + 1
-                        } else {
-                            0
-                        },
-                        first: (residue + first_tap + p * (s - 1)) / s,
-                        step: 1,
+                        stride: s * period / u,
+                        pad,
+                        taps: live.map_or(0, |j| (k - 1 - j) / tap_step + 1),
+                        // Window 0's tap 0 reads input row `coord / u`,
+                        // at least `−pad`.
+                        first: (coord(residue, first_tap) / u as isize + pad as isize) as usize,
+                        step: d / gcd(d, u),
                     },
                 }
             })
             .collect();
-        TconvPhasePlan {
-            geom,
-            in_channels,
-            out_channels,
-            axes,
+        assert_eq!(
+            phases.iter().map(|p| p.window.taps).sum::<usize>(),
+            k,
+            "every kernel tap is live in exactly one phase"
+        );
+        Axis {
+            relation,
+            period,
+            tap_step,
+            phases,
         }
     }
 
-    /// The phases in order: row class × column class.
-    fn phases(&self) -> impl Iterator<Item = (&PhaseAxis, &PhaseAxis)> {
-        self.axes
+    /// The kernel taps live in `phase`, ascending.
+    fn taps(&self, phase: &Phase) -> impl Iterator<Item = usize> {
+        let (first, step) = (phase.first_tap, self.tap_step);
+        (0..phase.window.taps).map(move |t| first + t * step)
+    }
+}
+
+/// A convolution geometry [`ConvPlan`] runs: S-CONV, T-CONV or D-CONV.
+pub trait ConvGeometry {
+    /// Plans `self` for `[in_channels] → [out_channels]` planes.
+    fn plan(&self, in_channels: usize, out_channels: usize) -> ConvPlan;
+}
+
+impl ConvGeometry for SconvGeometry {
+    fn plan(&self, in_channels: usize, out_channels: usize) -> ConvPlan {
+        let axis = Relation {
+            input: self.input,
+            output: self.output,
+            kernel: self.kernel,
+            stride: self.stride,
+            dilation: 1,
+            upsample: 1,
+            offset: self.pad as isize,
+        };
+        ConvPlan::new(in_channels, out_channels, axis, axis)
+    }
+}
+
+impl ConvGeometry for TconvGeometry {
+    fn plan(&self, in_channels: usize, out_channels: usize) -> ConvPlan {
+        let axis = Relation {
+            input: self.input,
+            output: self.output,
+            kernel: self.kernel,
+            stride: 1,
+            dilation: 1,
+            upsample: self.converse_stride,
+            offset: self.insertion_pad as isize,
+        };
+        ConvPlan::new(in_channels, out_channels, axis, axis)
+    }
+}
+
+impl ConvGeometry for DconvGeometry {
+    fn plan(&self, in_channels: usize, out_channels: usize) -> ConvPlan {
+        let axis = |a: &crate::geometry::DconvAxis| Relation {
+            input: a.input,
+            output: a.output,
+            kernel: a.kernel,
+            stride: a.stride,
+            dilation: a.dilation,
+            upsample: 1,
+            offset: a.pad as isize,
+        };
+        ConvPlan::new(
+            in_channels,
+            out_channels,
+            axis(&self.rows),
+            axis(&self.cols),
+        )
+    }
+}
+
+/// Zero-free execution plan of one conv-family operation — S-CONV, T-CONV
+/// or D-CONV — as dense GEMMs over the raw input.
+///
+/// Each axis splits its output positions into *phases* by residue: within
+/// one phase the same kernel taps meet a real input everywhere, and they
+/// read evenly spaced input rows. A phase is one im2col over the raw input
+/// (the crate's tap-list builder) and one `[OC, IC·|taps|] × [IC·|taps|,
+/// positions]` GEMM, so no inserted zero is stored or multiplied:
+///
+/// * S-CONV and D-CONV have one phase per axis holding every tap (stride
+///   `S`, taps `D` apart);
+/// * T-CONV has `S′` phases per axis, the ZFDR decomposition of its
+///   zero-inserted input.
+///
+/// [`dual`](Self::dual) plans the input gradient, which is the dual's
+/// [`forward_into`](Self::forward_into) of `∇out` on the flipped,
+/// channel-transposed kernel. An S-CONV's dual is the `S`-phase T-CONV of
+/// `TconvGeometry::new(O, I, K, S, P)` (Eq. 5 is the S-CONV relation run
+/// backwards); a T-CONV's dual is the one-phase stride-`S′` S-CONV; a
+/// D-CONV's dual has `S` phases per axis whose live taps are `S/g` apart
+/// and read `∇out` rows `D/g` apart (`g = gcd(S, D)`), so at stride 1 it
+/// is its own dual.
+///
+/// A one-phase plan writes its GEMM straight into the output plane, and
+/// when it holds every tap of an unflipped kernel its weight matrix is the
+/// `[OC, IC, Kh, Kw]` tensor's own row-major layout, so nothing is
+/// gathered or scattered.
+///
+/// Results are bit-identical to the reference kernels: every GEMM
+/// accumulates `((0 + a₀b₀) + a₁b₁) + …` in ascending reduction order, a
+/// phase keeps the reference's order minus terms whose factor is an
+/// inserted or padding zero, and adding `±0` never changes an accumulator
+/// that starts from `+0`. The forward reduces `(ic, ky↑, kx↑)` like the
+/// zero-insertion GEMM. For one `∇input` element the reference scatters
+/// add terms in ascending `(oc, oy, ox)` order; the dual's flipped taps
+/// visit `(oc, ty↑, tx↑)`, which is the same order, and the scatters'
+/// skipped `∇out == 0` terms add `±0`.
+/// [`weight_grad_into`](Self::weight_grad_into) reduces each tap over its
+/// one live phase's positions, in ascending order.
+#[derive(Debug)]
+pub struct ConvPlan {
+    in_channels: usize,
+    out_channels: usize,
+    rows: Axis,
+    cols: Axis,
+    /// A dual plan reads the primal's `[in, out, Kh, Kw]` weights, flipped.
+    flipped: bool,
+}
+
+impl ConvPlan {
+    fn new(in_channels: usize, out_channels: usize, rows: Relation, cols: Relation) -> Self {
+        ConvPlan {
+            in_channels,
+            out_channels,
+            rows: Axis::new(rows),
+            cols: Axis::new(cols),
+            flipped: false,
+        }
+    }
+
+    /// The plan of the input gradient: `∇out → ∇input`, reading this
+    /// plan's weights flipped in both spatial axes and transposed over
+    /// channels.
+    pub fn dual(&self) -> ConvPlan {
+        ConvPlan {
+            in_channels: self.out_channels,
+            out_channels: self.in_channels,
+            rows: Axis::new(self.rows.relation.dual()),
+            cols: Axis::new(self.cols.relation.dual()),
+            flipped: !self.flipped,
+        }
+    }
+
+    /// `[C, H, W]` of one input sample.
+    pub fn input_shape(&self) -> [usize; 3] {
+        let (r, c) = (&self.rows.relation, &self.cols.relation);
+        [self.in_channels, r.input, c.input]
+    }
+
+    /// `[C, H, W]` of one output sample.
+    pub fn output_shape(&self) -> [usize; 3] {
+        let (r, c) = (&self.rows.relation, &self.cols.relation);
+        [self.out_channels, r.output, c.output]
+    }
+
+    /// `[OC, IC, Kh, Kw]` of the weights the plan reads (a dual plan reads
+    /// its primal's).
+    pub fn weight_shape(&self) -> [usize; 4] {
+        let (a, b) = if self.flipped {
+            (self.in_channels, self.out_channels)
+        } else {
+            (self.out_channels, self.in_channels)
+        };
+        [a, b, self.rows.relation.kernel, self.cols.relation.kernel]
+    }
+
+    /// The zero-insertion GEMM the analytics count as `macs_dense`: output
+    /// positions × `IC·Kh_eff·Kw_eff` reduction × output channels, with
+    /// `K_eff = (K − 1)·D + 1`.
+    pub fn dense_gemm(&self) -> (usize, usize, usize) {
+        let [oc, oh, ow] = self.output_shape();
+        let eff = |r: &Relation| (r.kernel - 1) * r.dilation + 1;
+        let taps = eff(&self.rows.relation) * eff(&self.cols.relation);
+        (oh * ow, self.in_channels * taps, oc)
+    }
+
+    /// Whether the plan is one phase holding every tap of an unflipped
+    /// kernel: its weight matrix is the weight tensor itself.
+    fn is_dense(&self) -> bool {
+        !self.flipped && self.single_phase()
+    }
+
+    /// One phase per axis: its positions are the whole output plane.
+    fn single_phase(&self) -> bool {
+        self.rows.period == 1 && self.cols.period == 1
+    }
+
+    /// The phases in order: row phase × column phase.
+    fn phases(&self) -> impl Iterator<Item = (&Phase, &Phase)> {
+        self.rows
+            .phases
             .iter()
-            .flat_map(move |ry| self.axes.iter().map(move |rx| (ry, rx)))
+            .flat_map(move |ry| self.cols.phases.iter().map(move |rx| (ry, rx)))
     }
 
     /// Length of one sample's phase columns, every phase's `[IC·|taps|,
-    /// positions]` block back to back — `IC·K²·O²/S′²` when `S′` divides
-    /// `K` and `O`, a quarter of the zero-inserted matrix at `S′ = 2`.
+    /// positions]` block back to back — `IC·K²·O²/S′²` for a T-CONV whose
+    /// `S′` divides `K` and `O`, a quarter of the zero-inserted matrix at
+    /// `S′ = 2`.
     pub fn cols_len(&self) -> usize {
-        let per_axis: usize = self
-            .axes
-            .iter()
-            .map(|a| a.window.taps * a.window.output)
-            .sum();
-        self.in_channels * per_axis * per_axis
+        let per_axis = |a: &Axis| -> usize {
+            a.phases
+                .iter()
+                .map(|p| p.window.taps * p.window.output)
+                .sum()
+        };
+        self.in_channels * per_axis(&self.rows) * per_axis(&self.cols)
     }
 
-    /// Gathers each phase's `[OC, IC·|taps|]` weight matrix from `[OC,
-    /// IC, K, K]` `weights`, phase after phase, into `out` (`OC·IC·K²`
-    /// long: every tap is live in exactly one phase).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches.
-    pub fn gather_weights(&self, weights: &[f32], out: &mut [f32]) {
-        let k = self.geom.kernel;
-        let wlen = self.out_channels * self.in_channels * k * k;
-        assert_eq!(weights.len(), wlen, "weight length mismatch");
-        assert_eq!(out.len(), wlen, "phase weight buffer length mismatch");
-        let mut dst = out.iter_mut();
-        for (ry, rx) in self.phases() {
-            for pair in weights.chunks_exact(k * k) {
-                for ky in self.taps(ry) {
-                    for kx in self.taps(rx) {
-                        *dst.next().expect("sized above") = pair[ky * k + kx];
+    /// Calls `f(i)` with the weight index of every entry of a phase's
+    /// `[out, in·|taps|]` matrix, in row-major order.
+    fn phase_taps(&self, ry: &Phase, rx: &Phase, mut f: impl FnMut(usize)) {
+        let (kh, kw) = (self.rows.relation.kernel, self.cols.relation.kernel);
+        for a in 0..self.out_channels {
+            for b in 0..self.in_channels {
+                for ky in self.rows.taps(ry) {
+                    for kx in self.cols.taps(rx) {
+                        f(if self.flipped {
+                            ((b * self.out_channels + a) * kh + kh - 1 - ky) * kw + kw - 1 - kx
+                        } else {
+                            ((a * self.in_channels + b) * kh + ky) * kw + kx
+                        });
                     }
                 }
             }
         }
     }
 
-    /// The kernel taps live in a residue class, ascending.
-    fn taps(&self, axis: &PhaseAxis) -> impl Iterator<Item = usize> {
-        let (first, s) = (axis.first_tap, self.geom.converse_stride);
-        (0..axis.window.taps).map(move |j| first + j * s)
-    }
-
-    /// The `[IC, OC·K·K]` weight matrix of [`input_grad_into`]: the kernel
-    /// transposed over channels and flipped in both spatial axes.
-    ///
-    /// [`input_grad_into`]: Self::input_grad_into
+    /// Runs `f` on the phase weight matrices of the
+    /// [`weight_shape`](Self::weight_shape) `weights`, the operand of
+    /// [`forward_into`](Self::forward_into): the weights themselves when
+    /// the plan is one phase holding every tap of an unflipped kernel,
+    /// else each phase's `[out, in·|taps|]` matrix, phase after phase,
+    /// gathered into a buffer drawn from `ws` (as long as `weights`: every
+    /// tap is live in exactly one phase).
     ///
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn flip_weights(&self, weights: &[f32], out: &mut [f32]) {
-        let (oc, ic, kk) = (self.out_channels, self.in_channels, self.geom.kernel.pow(2));
-        assert_eq!(weights.len(), oc * ic * kk, "weight length mismatch");
-        assert_eq!(
-            out.len(),
-            weights.len(),
-            "flipped weight buffer length mismatch"
-        );
-        for co in 0..oc {
-            for ci in 0..ic {
-                let src = &weights[(co * ic + ci) * kk..][..kk];
-                let dst = &mut out[(ci * oc + co) * kk..][..kk];
-                for (d, &v) in dst.iter_mut().zip(src.iter().rev()) {
-                    *d = v;
-                }
-            }
+    pub fn with_phase_weights<R>(
+        &self,
+        weights: &[f32],
+        ws: &mut Workspace,
+        f: impl FnOnce(&[f32], &mut Workspace) -> R,
+    ) -> R {
+        if self.is_dense() {
+            return f(weights, ws);
+        }
+        let mut pw = ws.take(weights.len());
+        self.gather_weights(weights, &mut pw);
+        let r = f(&pw, ws);
+        ws.give(pw);
+        r
+    }
+
+    /// Gathers each phase's `[out, in·|taps|]` weight matrix from
+    /// `weights` into `out`, phase after phase.
+    fn gather_weights(&self, weights: &[f32], out: &mut [f32]) {
+        let wlen = self.weight_shape().iter().product();
+        assert_eq!(weights.len(), wlen, "weight length mismatch");
+        assert_eq!(out.len(), wlen, "phase weight buffer length mismatch");
+        let mut dst = out.iter_mut();
+        for (ry, rx) in self.phases() {
+            self.phase_taps(ry, rx, |i| {
+                *dst.next().expect("one slot per live tap") = weights[i];
+            });
         }
     }
 
-    /// Zero-free forward of one sample: per phase, the im2col of the raw
-    /// `[IC, I, I]` `input` into that phase's block of `cols` (kept for
-    /// [`weight_grad_into`](Self::weight_grad_into)), one GEMM against
+    /// Forward of one sample: per phase, the im2col of the raw `input`
+    /// into that phase's block of `cols` (kept for
+    /// [`weight_grad_into`](Self::weight_grad_into)) and one GEMM against
     /// the phase's rows of `phase_weights` (from
-    /// [`gather_weights`](Self::gather_weights)), and a scatter into the
-    /// `[OC, O, O]` `out`, which is fully overwritten. Scratch comes from
-    /// `ws`.
+    /// [`with_phase_weights`](Self::with_phase_weights)), scattered into
+    /// `out`, which is fully overwritten. A one-phase plan's GEMM writes `out` directly.
+    /// Scratch comes from `ws`.
     ///
     /// # Panics
     ///
@@ -455,14 +602,22 @@ impl TconvPhasePlan {
         out: &mut [f32],
         ws: &mut Workspace,
     ) {
-        let (oc, ic, o) = (self.out_channels, self.in_channels, self.geom.output);
+        let [oc, oh, ow] = self.output_shape();
         assert_eq!(
             cols.len(),
             self.cols_len(),
             "phase column buffer length mismatch"
         );
-        assert_eq!(out.len(), oc * o * o, "output length mismatch");
-        let mut stage = ws.take(oc * o * o);
+        assert_eq!(out.len(), oc * oh * ow, "output length mismatch");
+        let ic = self.in_channels;
+        if self.single_phase() {
+            let (ry, rx) = (&self.rows.phases[0], &self.cols.phases[0]);
+            let (red, n) = self.phase_dims(ry, rx);
+            im2col_taps_into(input, ic, &ry.window, &rx.window, cols);
+            gemm_buf(oc, red, n, phase_weights, cols, out);
+            return;
+        }
+        let mut stage = ws.take(out.len());
         let (mut c0, mut w0) = (0, 0);
         for (ry, rx) in self.phases() {
             let (red, n) = self.phase_dims(ry, rx);
@@ -471,7 +626,7 @@ impl TconvPhasePlan {
             let res = &mut stage[..oc * n];
             gemm_buf(oc, red, n, &phase_weights[w0..w0 + oc * red], block, res);
             for c in 0..oc {
-                let (plane, r) = (&mut out[c * o * o..][..o * o], &res[c * n..][..n]);
+                let (plane, r) = (&mut out[c * oh * ow..][..oh * ow], &res[c * n..][..n]);
                 self.phase_positions(ry, rx, |pos, q| plane[pos] = r[q]);
             }
             (c0, w0) = (c0 + red * n, w0 + oc * red);
@@ -480,7 +635,7 @@ impl TconvPhasePlan {
     }
 
     /// Reduction length and position count of one phase's GEMM.
-    fn phase_dims(&self, ry: &PhaseAxis, rx: &PhaseAxis) -> (usize, usize) {
+    fn phase_dims(&self, ry: &Phase, rx: &Phase) -> (usize, usize) {
         (
             self.in_channels * ry.window.taps * rx.window.taps,
             ry.window.output * rx.window.output,
@@ -488,22 +643,24 @@ impl TconvPhasePlan {
     }
 
     /// Calls `f(pos, q)` for every output position of a phase: `pos`
-    /// indexes the `O × O` plane, `q` the phase's own positions.
-    fn phase_positions(&self, ry: &PhaseAxis, rx: &PhaseAxis, mut f: impl FnMut(usize, usize)) {
-        let (s, o) = (self.geom.converse_stride, self.geom.output);
+    /// indexes the output plane, `q` the phase's own positions.
+    fn phase_positions(&self, ry: &Phase, rx: &Phase, mut f: impl FnMut(usize, usize)) {
+        let ow = self.cols.relation.output;
         let nx = rx.window.output;
         for qy in 0..ry.window.output {
-            let row = (ry.residue + qy * s) * o + rx.residue;
+            let row = (ry.residue + qy * self.rows.period) * ow + rx.residue;
             for qx in 0..nx {
-                f(row + qx * s, qy * nx + qx);
+                f(row + qx * self.cols.period, qy * nx + qx);
             }
         }
     }
 
-    /// Weight gradient of one sample, `[OC, IC, K, K]` into `grad` (fully
-    /// overwritten): per phase, `gemm_nt` of the phase's gathered `[OC,
-    /// positions]` slice of `∇out` against its block of the forward's
-    /// `cols`, scattered to the phase's taps. Scratch comes from `ws`.
+    /// Weight gradient of one sample into `grad` (fully overwritten, in
+    /// [`weight_shape`](Self::weight_shape) layout): per phase, `gemm_nt`
+    /// of the phase's `[OC, positions]` slice of `∇out` against its block
+    /// of the forward's `cols`, scattered to the phase's taps. A dense plan
+    /// writes `grad` with one `gemm_nt` over `∇out` as it is. Scratch
+    /// comes from `ws`.
     ///
     /// # Panics
     ///
@@ -515,114 +672,44 @@ impl TconvPhasePlan {
         grad: &mut [f32],
         ws: &mut Workspace,
     ) {
-        let (oc, ic, o, k) = (
-            self.out_channels,
-            self.in_channels,
-            self.geom.output,
-            self.geom.kernel,
-        );
-        assert_eq!(dout.len(), oc * o * o, "∇output length mismatch");
+        let [oc, oh, ow] = self.output_shape();
+        assert_eq!(dout.len(), oc * oh * ow, "∇output length mismatch");
         assert_eq!(
             cols.len(),
             self.cols_len(),
             "phase column buffer length mismatch"
         );
-        assert_eq!(grad.len(), oc * ic * k * k, "gradient length mismatch");
-        let mut gathered = ws.take(oc * o * o);
-        let mut part = ws.take(oc * ic * k * k);
+        assert_eq!(
+            grad.len(),
+            self.weight_shape().iter().product::<usize>(),
+            "gradient length mismatch"
+        );
+        if self.is_dense() {
+            let (red, n) = self.phase_dims(&self.rows.phases[0], &self.cols.phases[0]);
+            gemm_nt_buf(oc, n, red, dout, cols, grad);
+            return;
+        }
+        let mut gathered = ws.take(dout.len());
+        let mut part = ws.take(grad.len());
         let mut c0 = 0;
         for (ry, rx) in self.phases() {
             let (red, n) = self.phase_dims(ry, rx);
             let g = &mut gathered[..oc * n];
             for c in 0..oc {
-                let (r, plane) = (&mut g[c * n..][..n], &dout[c * o * o..][..o * o]);
+                let (r, plane) = (&mut g[c * n..][..n], &dout[c * oh * ow..][..oh * ow]);
                 self.phase_positions(ry, rx, |pos, q| r[q] = plane[pos]);
             }
             let pw = &mut part[..oc * red];
             gemm_nt_buf(oc, n, red, g, &cols[c0..c0 + red * n], pw);
             let mut src = pw.iter();
-            for pair in grad.chunks_exact_mut(k * k) {
-                for ky in self.taps(ry) {
-                    for kx in self.taps(rx) {
-                        pair[ky * k + kx] = *src.next().expect("one value per live tap");
-                    }
-                }
-            }
+            self.phase_taps(ry, rx, |i| {
+                grad[i] = *src.next().expect("one value per live tap");
+            });
             c0 += red * n;
         }
         ws.give(part);
         ws.give(gathered);
     }
-
-    /// Input gradient of one sample, `[IC, I, I]` into `din` (fully
-    /// overwritten): the stride-`S′` S-CONV of the `[OC, O, O]` `dout` with
-    /// `flipped` (from [`flip_weights`](Self::flip_weights)), padded by
-    /// `P′` in front. Only the first `I` windows per axis are formed, so
-    /// an extra end pad (which would make the symmetric S-CONV one row
-    /// longer) needs no special case. Scratch comes from `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatches.
-    pub fn input_grad_into(
-        &self,
-        dout: &[f32],
-        flipped: &[f32],
-        din: &mut [f32],
-        ws: &mut Workspace,
-    ) {
-        let g = &self.geom;
-        let (oc, ic, i) = (self.out_channels, self.in_channels, g.input);
-        let axis = TapAxis {
-            input: g.output,
-            output: i,
-            stride: g.converse_stride,
-            pad: g.converse_pad,
-            taps: g.kernel,
-            first: 0,
-            step: 1,
-        };
-        let red = oc * g.kernel * g.kernel;
-        let mut cols = ws.take(red * i * i);
-        im2col_taps_into(dout, oc, &axis, &axis, &mut cols);
-        gemm_buf(ic, red, i * i, flipped, &cols, din);
-        ws.give(cols);
-    }
-}
-
-/// Reshapes `[OC, IC, K, K]` kernels into the GEMM weight matrix
-/// `[OC, IC·K·K]` matching [`im2col`]'s row order.
-///
-/// # Panics
-///
-/// Panics if the weights are not rank-4.
-pub fn kernels_to_matrix(weights: &Tensor) -> Tensor {
-    assert_eq!(weights.shape().len(), 4, "expected [OC, IC, K, K] kernels");
-    let (oc, ic, k) = (weights.shape()[0], weights.shape()[1], weights.shape()[2]);
-    Tensor::from_fn(&[oc, ic * k * k], |idx| {
-        let (row, col) = (idx[0], idx[1]);
-        let ci = col / (k * k);
-        let ky = (col / k) % k;
-        let kx = col % k;
-        weights[&[row, ci, ky, kx]]
-    })
-}
-
-/// Matrix multiply `[m, k] × [k, n] → [m, n]` through the blocked,
-/// thread-parallel [`crate::tensor::gemm`] kernel.
-///
-/// # Panics
-///
-/// Panics on inner-dimension mismatch.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(
-        a.shape()[1],
-        b.shape()[0],
-        "inner dimensions disagree: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    crate::tensor::gemm(a, b)
 }
 
 /// Convolution through im2col + GEMM; identical to
@@ -632,11 +719,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics on operand shape mismatches.
 pub fn conv2d_gemm(input: &Tensor, weights: &Tensor, geom: &SconvGeometry) -> Tensor {
-    let oc = weights.shape()[0];
+    let (oc, ic, k) = (weights.shape()[0], weights.shape()[1], geom.kernel);
     let cols = im2col(input, geom);
-    let w = kernels_to_matrix(weights);
-    let flat = matmul(&w, &cols);
-    flat.reshaped(&[oc, geom.output, geom.output])
+    let wmat = weights.reshaped(&[oc, ic * k * k]);
+    crate::tensor::gemm(&wmat, &cols).reshaped(&[oc, geom.output, geom.output])
 }
 
 #[cfg(test)]
@@ -651,44 +737,6 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             ((state >> 16) as f32 / 65536.0) - 0.5
         })
-    }
-
-    #[test]
-    fn batched_im2col_stacks_per_sample_columns_bitwise() {
-        // Column b·O·O + p of the batched matrix must be bit-identical to
-        // column p of sample b's own im2col matrix, at every worker count
-        // (row sharding is pure data movement).
-        let batch = 3;
-        for (i, k, s, p, c) in [(8, 3, 1, 1, 2), (8, 5, 2, 2, 3), (6, 3, 3, 0, 1)] {
-            let geom = SconvGeometry::new(i, k, s, p).unwrap();
-            let (red, oo) = (c * k * k, geom.output * geom.output);
-            let samples: Vec<Tensor> = (0..batch)
-                .map(|b| det(&[c, i, i], (i + b) as u32))
-                .collect();
-            let mut inputs = Vec::new();
-            for t in &samples {
-                inputs.extend_from_slice(t.data());
-            }
-            for threads in [1usize, 2, 8] {
-                let mut batched = vec![f32::NAN; red * batch * oo];
-                crate::parallel::with_threads(threads, || {
-                    im2col_batch_into(&inputs, batch, c, &geom, &mut batched);
-                });
-                for (b, t) in samples.iter().enumerate() {
-                    let mut cols = vec![0.0; red * oo];
-                    im2col_into(t, &geom, &mut cols);
-                    for r in 0..red {
-                        for q in 0..oo {
-                            assert_eq!(
-                                batched[r * batch * oo + b * oo + q].to_bits(),
-                                cols[r * oo + q].to_bits(),
-                                "(i={i},k={k},s={s},p={p}) sample {b} element ({r},{q}) threads={threads}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -729,10 +777,39 @@ mod tests {
         }
     }
 
+    /// Forward, weight gradient and input gradient (the dual's forward)
+    /// of one sample through `plan`.
+    fn run_plan(
+        plan: &ConvPlan,
+        input: &Tensor,
+        weights: &Tensor,
+        dout: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let mut ws = Workspace::new();
+        let step = |plan: &ConvPlan, x: &[f32], cols: &mut [f32], ws: &mut Workspace| {
+            let mut out = vec![f32::NAN; plan.output_shape().iter().product()];
+            plan.with_phase_weights(weights.data(), ws, |pw, ws| {
+                plan.forward_into(x, pw, cols, &mut out, ws);
+            });
+            out
+        };
+        let mut cols = vec![f32::NAN; plan.cols_len()];
+        let out = step(plan, input.data(), &mut cols, &mut ws);
+        let mut grad = vec![f32::NAN; weights.len()];
+        plan.weight_grad_into(dout.data(), &cols, &mut grad, &mut ws);
+        let dual = plan.dual();
+        let mut dcols = vec![f32::NAN; dual.cols_len()];
+        let din = step(&dual, dout.data(), &mut dcols, &mut ws);
+        (out, grad, din)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn tconv_phase_plan_is_the_zero_insertion_tconv_bitwise() {
-        // Forward, weight gradient and input gradient of one sample against
-        // the zero-inserted plane's stride-1 convolution.
+    fn tconv_plan_is_the_zero_insertion_tconv_bitwise() {
+        // Against the zero-inserted plane's stride-1 convolution.
         use crate::conv::tconv_forward_zero_insert;
         use crate::zero_insert::expand_tconv_input;
         for (i, k, s, o) in [
@@ -749,19 +826,7 @@ mod tests {
             let input = det(&[ic, i, i], 5);
             let weights = det(&[oc, ic, k, k], 6);
             let dout = det(&[oc, o, o], 7);
-            let plan = TconvPhasePlan::new(geom, ic, oc);
-            let mut ws = Workspace::new();
-            let mut pw = vec![0.0; weights.len()];
-            plan.gather_weights(weights.data(), &mut pw);
-            let mut cols = vec![0.0; plan.cols_len()];
-            let mut out = vec![f32::NAN; oc * o * o];
-            plan.forward_into(input.data(), &pw, &mut cols, &mut out, &mut ws);
-            let mut grad = vec![f32::NAN; weights.len()];
-            plan.weight_grad_into(dout.data(), &cols, &mut grad, &mut ws);
-            let mut flipped = vec![0.0; weights.len()];
-            plan.flip_weights(weights.data(), &mut flipped);
-            let mut din = vec![f32::NAN; ic * i * i];
-            plan.input_grad_into(dout.data(), &flipped, &mut din, &mut ws);
+            let (out, grad, din) = run_plan(&geom.plan(ic, oc), &input, &weights, &dout);
 
             let inner = Conv2d::new(ic, oc, k, 1, 0).unwrap();
             let dex = inner.input_grad(&dout, &weights, geom.expanded());
@@ -773,7 +838,6 @@ mod tests {
                 })
                 .collect();
             let want_grad = inner.weight_grad(&expand_tconv_input(&input, &geom), &dout);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let name = format!("{k}k{s}s {i}->{o}");
             assert_eq!(
                 bits(&out),
@@ -786,11 +850,68 @@ mod tests {
     }
 
     #[test]
+    fn sconv_plan_is_the_loop_nest_conv_bitwise() {
+        // R > 0 (8 + 2 − 3 = 7 at stride 2) leaves the last input row
+        // reached by no window.
+        for (i, k, s, p) in [
+            (16, 3, 2, 1),
+            (8, 5, 2, 2),
+            (8, 3, 2, 0),
+            (6, 3, 3, 1),
+            (5, 1, 1, 0),
+        ] {
+            let geom = SconvGeometry::new(i, k, s, p).unwrap();
+            let (ic, oc) = (3, 2);
+            let conv = Conv2d::new(ic, oc, k, s, p).unwrap();
+            let input = det(&[ic, i, i], 5);
+            let weights = det(&[oc, ic, k, k], 6);
+            let dout = det(&[oc, geom.output, geom.output], 7);
+            let (out, grad, din) = run_plan(&geom.plan(ic, oc), &input, &weights, &dout);
+            let name = format!("{k}k{s}s{p}p {i}");
+            assert_eq!(
+                bits(&out),
+                bits(conv.forward(&input, &weights).data()),
+                "{name} forward"
+            );
+            assert_eq!(
+                bits(&grad),
+                bits(conv.weight_grad(&input, &dout).data()),
+                "{name} ∇W"
+            );
+            assert_eq!(
+                bits(&din),
+                bits(conv.input_grad(&dout, &weights, i).data()),
+                "{name} ∇input"
+            );
+        }
+    }
+
+    #[test]
+    fn duals_are_the_converse_conv_family_plans() {
+        // An S-CONV's dual is the T-CONV plan of Eq. 5, and a T-CONV's dual
+        // is its converse S-CONV, both on the flipped kernel.
+        for (i, k, s, p) in [(16, 3, 2, 1), (8, 5, 2, 2), (9, 3, 3, 0), (8, 4, 2, 1)] {
+            let sconv = SconvGeometry::new(i, k, s, p).unwrap();
+            let tconv = TconvGeometry::new(sconv.output, i, k, s, p).unwrap();
+            let (fwd, back) = (sconv.plan(3, 2), tconv.plan(2, 3));
+            let (fwd_dual, back_dual) = (fwd.dual(), back.dual());
+            assert!(fwd_dual.flipped && back_dual.flipped);
+            assert_eq!((&fwd_dual.rows, &fwd_dual.cols), (&back.rows, &back.cols));
+            assert_eq!((&back_dual.rows, &back_dual.cols), (&fwd.rows, &fwd.cols));
+            assert_eq!(fwd_dual.weight_shape(), fwd.weight_shape());
+        }
+        // A stride-1 same-size D-CONV is its own dual.
+        let dconv = DconvGeometry::square(8, 3, 1, 2, 2).unwrap().plan(2, 2);
+        let dual = dconv.dual();
+        assert_eq!((&dual.rows, &dual.cols), (&dconv.rows, &dconv.cols));
+    }
+
+    #[test]
     fn tconv_phase_columns_drop_the_inserted_zeros() {
         // At S′ = 2 with S′ dividing K and O, the phase columns are a
         // quarter of the zero-inserted im2col matrix.
         let geom = TconvGeometry::for_upsampling(8, 4, 2).unwrap();
-        let plan = TconvPhasePlan::new(geom, 3, 2);
+        let plan = geom.plan(3, 2);
         assert_eq!(plan.cols_len() * 4, 3 * 4 * 4 * geom.output * geom.output);
     }
 
@@ -854,21 +975,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = det(&[3, 3], 9);
-        let id = Tensor::from_fn(&[3, 3], |i| if i[0] == i[1] { 1.0 } else { 0.0 });
-        assert_tensors_close(&matmul(&a, &id), &a, 1e-6);
-        assert_tensors_close(&matmul(&id, &a), &a, 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimensions disagree")]
-    fn matmul_rejects_mismatch() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        let _ = matmul(&a, &b);
     }
 }
