@@ -1,14 +1,16 @@
-//! Wall-clock performance snapshot of the ZFDR execution paths and the
+//! Wall-clock performance snapshot of the zero-free conv executor and the
 //! training substrate, written to `BENCH_zfdr.json`.
 //!
 //! Times these workloads with [`lergan_bench::harness::time`]:
 //!
-//! * T-CONV ZFDR (batched one-GEMM-per-pattern-class, the cached-engine
-//!   variant and the per-position reference oracle),
-//! * W-CONV-S ZFDR (same variants),
-//! * D-CONV dilated convolution: the zero-free direct gather against
-//!   the naive zero-inserted-kernel formulation,
-//! * S-CONV through im2col + GEMM,
+//! * T-CONV forward and W-CONV-S weight gradient on the zero-free
+//!   `ConvPlan`, as the allocating one-shot call (`batched`) and as the
+//!   trainer's per-sample path with plan, workspace and buffers held
+//!   across calls (`engine_cached`), against the naive zero-insertion
+//!   kernels (`zero_inserted`),
+//! * D-CONV dilated convolution: the zero-free plan against the naive
+//!   zero-inserted-kernel formulation,
+//! * S-CONV through the one-phase plan (im2col + GEMM),
 //! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
 //!   shape-adaptive `dispatch` that picks among them, and the pre-packing
 //!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
@@ -22,7 +24,7 @@
 //!
 //! Every results row records the minimum (`ns_per_iter`), median and
 //! interquartile range of the per-iteration time over the harness's
-//! windows. Each ZFDR workload is timed at one worker thread and at the
+//! windows. Each conv workload is timed at one worker thread and at the
 //! configured thread count (`LERGAN_THREADS` or the host parallelism), so
 //! the snapshot records both algorithmic and threading speedups; where
 //! the multi-thread run can use only one core, the thread-scaling key
@@ -36,19 +38,16 @@
 
 use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, time_pair, Results};
 use lergan_bench::naive;
-use lergan_core::zfdr::exec::{
-    execute_tconv, execute_tconv_reference, execute_wconv, execute_wconv_reference, TconvEngine,
-    WconvEngine,
-};
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, Gan, UpdateRule};
-use lergan_tensor::dconv::{dconv_zero_free, dconv_zero_insertion};
+use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
+use lergan_tensor::dconv::dconv_zero_insertion;
 use lergan_tensor::dispatch::{with_strategy, ForcedStrategy};
-use lergan_tensor::im2col::conv2d_gemm;
+use lergan_tensor::im2col::{ConvGeometry, ConvPlan};
 use lergan_tensor::tensor::{gemm, mmv};
-use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry};
+use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -87,6 +86,24 @@ fn previous_train_step_ns(path: &str) -> Option<f64> {
     None
 }
 
+/// The trainer's per-sample forward: `plan`, workspace, phase columns and
+/// output held across calls, the phase weights gathered per call.
+fn cached_forward<'a>(
+    plan: &'a ConvPlan,
+    input: &'a Tensor,
+    weights: &'a Tensor,
+) -> impl FnMut() + 'a {
+    let mut ws = Workspace::new();
+    let mut cols = vec![0.0; plan.cols_len()];
+    let mut out = vec![0.0; plan.output_shape().iter().product()];
+    move || {
+        plan.with_phase_weights(weights.data(), &mut ws, |pw, ws| {
+            plan.forward_into(black_box(input.data()), pw, &mut cols, &mut out, ws);
+        });
+        black_box(&out);
+    }
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -99,70 +116,94 @@ fn main() {
     let geom = TconvGeometry::for_upsampling(4, 5, 2).unwrap();
     let input = det(&[16, 4, 4], 1);
     let weights = det(&[8, 16, 5, 5], 2);
-    record_threads(&mut results, "tconv_conv1_16x8ch/reference", threads, || {
-        black_box(execute_tconv_reference(
-            black_box(&input),
-            black_box(&weights),
-            &geom,
-        ));
-    });
+    record_threads(
+        &mut results,
+        "tconv_conv1_16x8ch/zero_inserted",
+        threads,
+        || {
+            black_box(tconv_forward_zero_insert(
+                black_box(&input),
+                black_box(&weights),
+                &geom,
+            ));
+        },
+    );
     record_threads(&mut results, "tconv_conv1_16x8ch/batched", threads, || {
-        black_box(execute_tconv(black_box(&input), black_box(&weights), &geom));
+        black_box(
+            geom.plan(16, 8)
+                .forward(black_box(&input), black_box(&weights)),
+        );
     });
-    // Cached engine: the plan and the reshaped weight matrices are built
-    // once and reused across iterations, as a training loop would.
-    let engine = TconvEngine::new(&weights, &geom);
-    record_threads(&mut results, "tconv_conv1_16x8ch/engine_cached", threads, || {
-        black_box(engine.execute(black_box(&input)));
-    });
+    let plan = geom.plan(16, 8);
+    record_threads(
+        &mut results,
+        "tconv_conv1_16x8ch/engine_cached",
+        threads,
+        cached_forward(&plan, &input, &weights),
+    );
 
     // T-CONV at realistic mid-network channel counts.
     let geom_w = TconvGeometry::for_upsampling(16, 5, 2).unwrap();
     let input_w = det(&[64, 16, 16], 5);
     let weights_w = det(&[32, 64, 5, 5], 6);
-    record_threads(&mut results, "tconv_16to32_64x32ch/batched", threads, || {
-        black_box(execute_tconv(
-            black_box(&input_w),
-            black_box(&weights_w),
-            &geom_w,
-        ));
-    });
-    let engine_w = TconvEngine::new(&weights_w, &geom_w);
-    record_threads(&mut results, "tconv_16to32_64x32ch/engine_cached", threads, || {
-        black_box(engine_w.execute(black_box(&input_w)));
-    });
+    record_threads(
+        &mut results,
+        "tconv_16to32_64x32ch/batched",
+        threads,
+        || {
+            black_box(
+                geom_w
+                    .plan(64, 32)
+                    .forward(black_box(&input_w), black_box(&weights_w)),
+            );
+        },
+    );
+    let plan_w = geom_w.plan(64, 32);
+    record_threads(
+        &mut results,
+        "tconv_16to32_64x32ch/engine_cached",
+        threads,
+        cached_forward(&plan_w, &input_w, &weights_w),
+    );
 
-    // W-CONV-S weight gradient.
+    // W-CONV-S weight gradient: the S-CONV plan's ∇W.
     let geom_g = WconvGeometry::new(8, 5, 2, 2).unwrap();
     let input_g = det(&[8, 8, 8], 3);
     let dout_g = det(&[8, 4, 4], 4);
-    record_threads(&mut results, "wconv_8x8_8ch/reference", threads, || {
-        black_box(execute_wconv_reference(
+    record_threads(&mut results, "wconv_8x8_8ch/zero_inserted", threads, || {
+        black_box(wconv_weight_grad_zero_insert(
             black_box(&input_g),
             black_box(&dout_g),
             &geom_g,
         ));
     });
     record_threads(&mut results, "wconv_8x8_8ch/batched", threads, || {
-        black_box(execute_wconv(
-            black_box(&input_g),
-            black_box(&dout_g),
-            &geom_g,
-        ));
+        black_box(
+            geom_g
+                .forward
+                .plan(8, 8)
+                .weight_grad(black_box(&input_g), black_box(&dout_g)),
+        );
     });
-    // Cached engine: only the plan enumeration is reusable here (the
-    // reshaped matrices are built from the per-call ∇output).
-    let engine_g = WconvEngine::new(&geom_g);
+    // Cached: the trainer's ∇W step over the columns its forward kept.
+    let plan_g = geom_g.forward.plan(8, 8);
+    let mut ws_g = Workspace::new();
+    let mut cols_g = vec![0.0; plan_g.cols_len()];
+    let mut out_g = vec![0.0; dout_g.len()];
+    let zeros_g = vec![0.0; plan_g.weight_shape().iter().product()];
+    plan_g.forward_into(input_g.data(), &zeros_g, &mut cols_g, &mut out_g, &mut ws_g);
+    let mut grad_g = zeros_g;
     record_threads(&mut results, "wconv_8x8_8ch/engine_cached", threads, || {
-        black_box(engine_g.execute(black_box(&input_g), black_box(&dout_g)));
+        plan_g.weight_grad_into(black_box(dout_g.data()), &cols_g, &mut grad_g, &mut ws_g);
+        black_box(&grad_g);
     });
 
-    // D-CONV: the zero-free compact-im2col GEMM against the naive
-    // formulation that materialises the zero-inserted dilated kernel
-    // (the EcoFlow dual of T-CONV's zero-inserted input); both run the
-    // same GEMM dispatch, so the gap is purely the skipped zeros.
-    // Geometry mirrors the ResDilatedGAN refiner block: 3x3 kernel at
-    // dilation 2 over a 16 px plane, extent-preserving.
+    // D-CONV: the zero-free plan against the naive formulation that
+    // materialises the zero-inserted dilated kernel (the EcoFlow dual of
+    // T-CONV's zero-inserted input); both run the same GEMM dispatch, so
+    // the gap is purely the skipped zeros. Geometry mirrors the
+    // ResDilatedGAN refiner block: 3x3 kernel at dilation 2 over a 16 px
+    // plane, extent-preserving.
     let geom_d = {
         let axis = lergan_tensor::DconvAxis::for_target(16, 3, 1, 2, 16)
             .expect("stride-1 dilated conv keeps the extent");
@@ -170,32 +211,47 @@ fn main() {
     };
     let input_d = det(&[16, 16, 16], 9);
     let weights_d = det(&[16, 16, 3, 3], 10);
-    record_threads(&mut results, "dconv_16px_16x16ch_d2/zero_inserted", threads, || {
-        black_box(dconv_zero_insertion(
-            black_box(&input_d),
-            black_box(&weights_d),
-            &geom_d,
-        ));
-    });
-    record_threads(&mut results, "dconv_16px_16x16ch_d2/zero_free", threads, || {
-        black_box(dconv_zero_free(
-            black_box(&input_d),
-            black_box(&weights_d),
-            &geom_d,
-        ));
-    });
+    record_threads(
+        &mut results,
+        "dconv_16px_16x16ch_d2/zero_inserted",
+        threads,
+        || {
+            black_box(dconv_zero_insertion(
+                black_box(&input_d),
+                black_box(&weights_d),
+                &geom_d,
+            ));
+        },
+    );
+    record_threads(
+        &mut results,
+        "dconv_16px_16x16ch_d2/zero_free",
+        threads,
+        || {
+            black_box(
+                geom_d
+                    .plan(16, 16)
+                    .forward(black_box(&input_d), black_box(&weights_d)),
+            );
+        },
+    );
 
-    // S-CONV through im2col + GEMM (discriminator-style layer).
+    // S-CONV through the one-phase plan (discriminator-style layer).
     let geom_s = SconvGeometry::new(16, 5, 2, 2).unwrap();
     let input_s = det(&[32, 16, 16], 7);
     let weights_s = det(&[32, 32, 5, 5], 8);
-    record_threads(&mut results, "sconv_16px_32x32ch/im2col_gemm", threads, || {
-        black_box(conv2d_gemm(
-            black_box(&input_s),
-            black_box(&weights_s),
-            &geom_s,
-        ));
-    });
+    record_threads(
+        &mut results,
+        "sconv_16px_32x32ch/im2col_gemm",
+        threads,
+        || {
+            black_box(
+                geom_s
+                    .plan(32, 32)
+                    .forward(black_box(&input_s), black_box(&weights_s)),
+            );
+        },
+    );
 
     // Every GEMM strategy, the shape-adaptive dispatch, and the
     // pre-packing naive kernel on the dominant (largest-MAC) im2col shape
@@ -330,7 +386,7 @@ fn main() {
 
     let min_ns = |name: &str, t: usize| results.get(name, t).min_ns;
     let batched_conv1 = min_ns("tconv_conv1_16x8ch/batched", 1);
-    let dispatch_vs_reference = min_ns("tconv_conv1_16x8ch/reference", 1) / batched_conv1;
+    let tconv_speedup = min_ns("tconv_conv1_16x8ch/zero_inserted", 1) / batched_conv1;
     let thread_scaling_json = thread_speedup_json(
         batched_conv1,
         min_ns("tconv_conv1_16x8ch/batched", threads),
@@ -353,11 +409,11 @@ fn main() {
         dispatch_pairs.join(",\n")
     ));
     json.push_str(&format!(
-        "  \"speedups\": {{\n    \"tconv_conv1_dispatch_vs_reference\": {dispatch_vs_reference:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
+        "  \"speedups\": {{\n    \"tconv_zero_free_vs_naive\": {tconv_speedup:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
-    println!("\nbatched vs per-position reference (CONV1):      {dispatch_vs_reference:.2}x");
+    println!("\ntconv zero-free vs zero-inserted (CONV1):      {tconv_speedup:.2}x");
     println!("batched {threads} threads vs 1 thread (CONV1):    {thread_scaling_json}");
     println!("dconv zero-free vs zero-inserted (d=2, 16 px):  {dconv_speedup:.2}x");
     println!("dispatch vs naive GEMM (geomean over Table V):  {gemm_geomean:.2}x");

@@ -3,11 +3,11 @@
 //!
 //! This crate implements the paper's primary contribution (Sec. IV–V):
 //!
-//! * [`zfdr`] — ZFDR for T-CONV and W-CONV-S: exact pattern enumeration
-//!   (the functional ground truth, validated bit-for-bit against the naive
-//!   zero-insertion kernels), the paper's closed-form Case 1/2/3 counting
-//!   (Eq. 11–13), and a zero-free *executor* that really computes
-//!   convolutions as grouped MMVs over gathered inputs;
+//! * [`zfdr`] — ZFDR for T-CONV, W-CONV-S and D-CONV: exact pattern
+//!   enumeration and the paper's closed-form Case 1/2/3 counting
+//!   (Eq. 11–13), the cost model the compiler maps onto crossbars. The
+//!   classes are pinned to the taps `lergan_tensor::im2col::ConvPlan`,
+//!   the zero-free executor, multiplies by real inputs;
 //! * [`replica`] — the duplication machinery: `replica_e_max` /
 //!   `replica_i_max` selection under the transfer-versus-compute constraint
 //!   of Sec. V, the Table III degree presets, and Eq. 14's DataMapping
@@ -62,4 +62,4 @@ pub use link::{
 };
 pub use replica::{ReplicaDegree, ReplicaPlan};
 pub use schedule::{LoweredIteration, OpTask, ScheduleContext};
-pub use zfdr::{ZfdrPlan, ZfdrStats};
+pub use zfdr::ZfdrPlan;

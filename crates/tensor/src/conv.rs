@@ -317,53 +317,6 @@ pub fn tconv_forward_zero_insert(input: &Tensor, weights: &Tensor, geom: &TconvG
     conv_stride(&expanded, weights, 1, geom.output)
 }
 
-/// T-CONV forward through the direct scatter definition: each input pixel
-/// scatters `w` into the output at `input·S′ − P′` offsets. Used to
-/// cross-check the zero-insertion path.
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn tconv_forward_direct(input: &Tensor, weights: &Tensor, geom: &TconvGeometry) -> Tensor {
-    let (oc, ic, k) = (weights.shape()[0], weights.shape()[1], weights.shape()[2]);
-    assert_eq!(k, geom.kernel, "kernel extent mismatch with geometry");
-    assert_eq!(input.shape()[0], ic, "in-channel mismatch");
-    assert_eq!(input.shape()[1], geom.input, "input extent mismatch");
-    let o = geom.output;
-    let mut out = Tensor::zeros(&[oc, o, o]);
-    // out[oy] receives input[y] * w[ky] where oy = y*S' + P - ... : in the
-    // expanded grid input y sits at P + y*S', and window oy covers expanded
-    // rows oy..oy+W, so contribution requires oy + ky == P + y*S'.
-    let p = geom.insertion_pad;
-    let s = geom.converse_stride;
-    for y in 0..geom.input {
-        for x in 0..geom.input {
-            let ey = p + y * s;
-            let ex = p + x * s;
-            for ky in 0..k {
-                let Some(oy) = ey.checked_sub(ky).filter(|&v| v < o) else {
-                    continue;
-                };
-                for kx in 0..k {
-                    let Some(ox) = ex.checked_sub(kx).filter(|&v| v < o) else {
-                        continue;
-                    };
-                    for ci in 0..ic {
-                        let v = input[&[ci, y, x]];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        for co in 0..oc {
-                            out[&[co, oy, ox][..]] += v * weights[&[co, ci, ky, kx]];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// W-CONV of a strided convolution through the zero-inserted-kernel path of
 /// Fig. 6: `∇W[oc, ic] = conv(pad(input[ic], P), zero_insert(∇out[oc]))` at
 /// stride 1, keeping the first `W × W` window positions.
@@ -542,23 +495,6 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tconv_zero_insert_equals_direct() {
-        for (i, w, s, ic, oc) in [
-            (4, 5, 2, 3, 2),
-            (8, 4, 2, 2, 4),
-            (5, 5, 3, 1, 1),
-            (7, 4, 2, 2, 2),
-        ] {
-            let geom = TconvGeometry::for_upsampling(i, w, s).unwrap();
-            let input = det_tensor(&[ic, i, i], 10 + i as u32);
-            let weights = det_tensor(&[oc, ic, w, w], 20 + w as u32);
-            let a = tconv_forward_zero_insert(&input, &weights, &geom);
-            let b = tconv_forward_direct(&input, &weights, &geom);
-            assert_tensors_close(&a, &b, 1e-4);
         }
     }
 

@@ -5,24 +5,23 @@
 //! `K_eff = (K − 1)·D + 1`. This is the exact dual of T-CONV's
 //! zero-inserted input (the EcoFlow observation), and structurally the
 //! same shape as W-CONV-S, where the zero-inserted `∇output` slides as a
-//! kernel. Two formulations live here:
+//! kernel.
 //!
-//! * **Zero-insertion (naive)** — materialise the `K_eff` kernel
-//!   ([`expand_dilated_kernel`]) and run the dense im2col + GEMM over it
-//!   ([`dconv_zero_insertion`], [`im2col_dconv_into`]). This is the
-//!   formulation whose inserted zeros the workload analytics count as
-//!   `macs_dense`, the GEMM shape the op-graph IR models, and the oracle
-//!   the trainer is pinned to.
-//! * **Zero-free** — [`dconv_direct`] touches only the `K` true taps per
-//!   axis with a scalar gather; [`dconv_zero_free`] runs the same taps as
-//!   one GEMM over the compact im2col ([`im2col_dconv_compact`]), the
-//!   columns of the one-phase plan the trainer's D-CONV layer executes
-//!   ([`crate::im2col::ConvPlan`]). Both are the software
-//!   realisation of the ZFDR-style plan that `lergan-core` maps onto
-//!   crossbars, proven equal to the naive path.
+//! This module holds the zero-insertion (naive) formulation: materialise
+//! the `K_eff` kernel ([`expand_dilated_kernel`]) and run the dense
+//! im2col + GEMM over it ([`dconv_zero_insertion`], [`im2col_dconv_into`]).
+//! It is the formulation whose inserted zeros the workload analytics count
+//! as `macs_dense`, the GEMM shape the op-graph IR models, and the oracle
+//! the trainer is pinned to.
+//!
+//! The zero-free D-CONV is the one-phase
+//! [`ConvPlan`](crate::im2col::ConvPlan) of a [`DconvGeometry`]: one GEMM
+//! over a compact im2col whose rows are the `Kh·Kw` true taps, bit-identical
+//! to [`dconv_zero_insertion`]. It is the workspace's only zero-free
+//! executor. `lergan-core`'s `ZfdrPlan::for_dconv` is the simulator's cost
+//! model of the same taps, not a second executor.
 
 use crate::geometry::DconvGeometry;
-use crate::im2col::{im2col_taps_into, TapAxis};
 use crate::tensor::Tensor;
 
 /// Expands `[OC, IC, Kh, Kw]` true-tap weights into the zero-inserted
@@ -122,109 +121,10 @@ pub fn dconv_zero_insertion(input: &Tensor, weights: &Tensor, geom: &DconvGeomet
     flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
 }
 
-/// Unrolls a `[C, H, W]` input into the *compact* im2col matrix
-/// `[C·Kh·Kw, Oh·Ow]` of the zero-free formulation: row `(ci, jy, jx)`
-/// samples the input at the true tap offsets `(jy·Dh, jx·Dw)` only, so
-/// the GEMM reduction dimension shrinks from `C·Kh_eff·Kw_eff` to
-/// `C·Kh·Kw` — the inserted zeros are never materialised, let alone
-/// multiplied. These are the columns of the one-phase D-CONV
-/// [`ConvPlan`](crate::im2col::ConvPlan) the trainer runs.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn im2col_dconv_compact(input: &Tensor, geom: &DconvGeometry) -> Tensor {
-    assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
-    let c = input.shape()[0];
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let axis = |a: &crate::geometry::DconvAxis| TapAxis {
-        input: a.input,
-        output: a.output,
-        stride: a.stride,
-        pad: a.pad,
-        taps: a.kernel,
-        first: 0,
-        step: a.dilation,
-    };
-    let (rows, cols) = (axis(&geom.rows), axis(&geom.cols));
-    let mut out = vec![0.0; c * kh * kw * oh * ow];
-    im2col_taps_into(input.data(), c, &rows, &cols, &mut out);
-    Tensor::from_vec(&[c * kh * kw, oh * ow], out)
-}
-
-/// Zero-free D-CONV through the compact im2col + GEMM: the true-tap
-/// weights `[OC, IC·Kh·Kw]` multiply [`im2col_dconv_compact`]'s matrix,
-/// skipping every inserted zero of the dilated kernel while keeping the
-/// arithmetic on the same GEMM dispatch as the naive path — the software
-/// realisation of the ZFDR-style dilated plan.
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn dconv_zero_free(input: &Tensor, weights: &Tensor, geom: &DconvGeometry) -> Tensor {
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
-    assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
-    let cols = im2col_dconv_compact(input, geom);
-    let wmat = weights.reshaped(&[oc, ic * kh * kw]);
-    let flat = crate::tensor::gemm(&wmat, &cols);
-    flat.reshaped(&[oc, geom.rows.output, geom.cols.output])
-}
-
-/// Zero-free D-CONV reference: touches only the `Kh·Kw` true taps per
-/// window with a scalar gather. Each output element accumulates taps in
-/// ascending `(ci, jy, jx)` order from `0.0`, the same chain the
-/// zero-insertion GEMM evaluates over the true taps, so the two paths
-/// agree bitwise when padding taps contribute exact zeros.
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn dconv_direct(input: &Tensor, weights: &Tensor, geom: &DconvGeometry) -> Tensor {
-    assert_eq!(input.shape()[1], geom.rows.input, "input row extent mismatch");
-    assert_eq!(input.shape()[2], geom.cols.input, "input col extent mismatch");
-    let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
-    assert_eq!(input.shape()[0], ic, "channel count mismatch");
-    let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    let (oh, ow) = (geom.rows.output, geom.cols.output);
-    let (h, w) = (geom.rows.input, geom.cols.input);
-    let (sh, sw) = (geom.rows.stride, geom.cols.stride);
-    let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
-    let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    let data = input.data();
-    let wdata = weights.data();
-    Tensor::from_fn(&[oc, oh, ow], |idx| {
-        let (co, oy, ox) = (idx[0], idx[1], idx[2]);
-        let mut acc = 0.0f32;
-        for ci in 0..ic {
-            let plane = &data[ci * h * w..(ci + 1) * h * w];
-            let taps = &wdata[(co * ic + ci) * kh * kw..(co * ic + ci + 1) * kh * kw];
-            for jy in 0..kh {
-                let y = oy * sh + jy * dh;
-                if y < ph || y >= ph + h {
-                    continue;
-                }
-                let irow = &plane[(y - ph) * w..(y - ph + 1) * w];
-                for jx in 0..kw {
-                    let x = ox * sw + jx * dw;
-                    if x < pw || x >= pw + w {
-                        continue;
-                    }
-                    acc += taps[jy * kw + jx] * irow[x - pw];
-                }
-            }
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assert_tensors_close;
-    use crate::geometry::DconvAxis;
 
     fn det(shape: &[usize], seed: u32) -> Tensor {
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(7);
@@ -254,42 +154,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_insertion_equals_direct() {
-        for (i, k, s, d, p, ic, oc) in [
-            (8, 3, 1, 2, 2, 2, 3),
-            (9, 3, 2, 3, 3, 1, 2),
-            (16, 2, 2, 4, 0, 3, 1),
-            (8, 3, 1, 1, 1, 2, 2), // dilation 1 degenerates to plain conv
-        ] {
-            let geom = DconvGeometry::square(i, k, s, d, p).unwrap();
-            let input = det(&[ic, i, i], i as u32);
-            let weights = det(&[oc, ic, k, k], k as u32 + 11);
-            let a = dconv_zero_insertion(&input, &weights, &geom);
-            let b = dconv_direct(&input, &weights, &geom);
-            assert_tensors_close(&a, &b, 1e-4);
-            let c = dconv_zero_free(&input, &weights, &geom);
-            assert_tensors_close(&a, &c, 1e-4);
-        }
-    }
-
-    #[test]
-    fn compact_im2col_has_the_true_tap_rows_of_the_dense_one() {
-        // Row (ci, jy, jx) of the compact matrix must equal row
-        // (ci, jy·Dh, jx·Dw) of the dense effective-extent matrix.
+    fn plan_forward_reads_the_true_tap_rows_of_the_dense_im2col() {
+        // With a one-hot kernel on tap (ci, jy, jx), the plan's forward is
+        // row (ci, jy·Dh, jx·Dw) of the dense effective-extent matrix.
+        use crate::im2col::ConvGeometry;
         let geom = DconvGeometry::square(10, 3, 2, 3, 3).unwrap();
         let input = det(&[2, 10, 10], 21);
         let dense = im2col_dconv(&input, &geom);
-        let compact = im2col_dconv_compact(&input, &geom);
+        let plan = geom.plan(2, 1);
         let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
         let positions = geom.rows.output * geom.cols.output;
-        assert_eq!(compact.shape(), &[2 * 3 * 3, positions]);
         for ci in 0..2 {
             for jy in 0..3 {
                 for jx in 0..3 {
-                    let crow = ci * 9 + jy * 3 + jx;
+                    let hot = Tensor::from_fn(&[1, 2, 3, 3], |i| {
+                        f32::from(u8::from(i[1..] == [ci, jy, jx]))
+                    });
+                    let out = plan.forward(&input, &hot);
                     let drow = ci * eh * ew + (jy * geom.rows.dilation) * ew + jx * geom.cols.dilation;
                     assert_eq!(
-                        &compact.data()[crow * positions..(crow + 1) * positions],
+                        out.data(),
                         &dense.data()[drow * positions..(drow + 1) * positions],
                         "tap ({ci},{jy},{jx})"
                     );
@@ -299,28 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_geometry_executes() {
-        let rows = DconvAxis::new(12, 3, 1, 1, 1).unwrap();
-        let cols = DconvAxis::new(12, 5, 2, 1, 2).unwrap();
-        let geom = DconvGeometry::new(rows, cols);
-        let input = det(&[2, 12, 12], 4);
-        let weights = det(&[3, 2, 3, 5], 5);
-        let a = dconv_zero_insertion(&input, &weights, &geom);
-        let b = dconv_direct(&input, &weights, &geom);
-        assert_eq!(a.shape(), &[3, 12, 6]);
-        assert_tensors_close(&a, &b, 1e-4);
-    }
-
-    #[test]
-    fn dilation_one_square_matches_conv2d_gemm() {
+    fn dilation_one_square_matches_the_sconv_plan() {
         use crate::geometry::SconvGeometry;
-        use crate::im2col::conv2d_gemm;
+        use crate::im2col::ConvGeometry;
         let geom = DconvGeometry::square(8, 5, 2, 1, 2).unwrap();
         let sgeom = SconvGeometry::new(8, 5, 2, 2).unwrap();
         let input = det(&[3, 8, 8], 9);
         let weights = det(&[4, 3, 5, 5], 10);
         let a = dconv_zero_insertion(&input, &weights, &geom);
-        let b = conv2d_gemm(&input, &weights, &sgeom);
+        let b = sgeom.plan(3, 4).forward(&input, &weights);
         assert_tensors_close(&a, &b, 1e-5);
     }
 

@@ -132,21 +132,21 @@ fn window_row(
 /// A plain convolution axis has taps `0..K` at step 1 and a dilated one
 /// step `D`; a [`ConvPlan`] phase lists the taps that meet real inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TapAxis {
+struct TapAxis {
     /// Input extent along this axis.
-    pub input: usize,
+    input: usize,
     /// Number of windows (matrix columns along this axis).
-    pub output: usize,
+    output: usize,
     /// Window stride.
-    pub stride: usize,
+    stride: usize,
     /// Leading zero padding of the coordinate frame.
-    pub pad: usize,
+    pad: usize,
     /// Number of taps (matrix rows along this axis).
-    pub taps: usize,
+    taps: usize,
     /// Padded coordinate of tap 0 in window 0.
-    pub first: usize,
+    first: usize,
     /// Coordinate distance between consecutive taps.
-    pub step: usize,
+    step: usize,
 }
 
 /// im2col over explicit tap axes: unrolls a `[C, rows.input,
@@ -159,7 +159,7 @@ pub(crate) struct TapAxis {
 /// # Panics
 ///
 /// Panics if the slice lengths disagree with the axes.
-pub(crate) fn im2col_taps_into(
+fn im2col_taps_into(
     input: &[f32],
     channels: usize,
     rows: &TapAxis,
@@ -710,25 +710,66 @@ impl ConvPlan {
         ws.give(part);
         ws.give(gathered);
     }
-}
 
-/// Convolution through im2col + GEMM; identical to
-/// [`crate::conv::Conv2d::forward`].
-///
-/// # Panics
-///
-/// Panics on operand shape mismatches.
-pub fn conv2d_gemm(input: &Tensor, weights: &Tensor, geom: &SconvGeometry) -> Tensor {
-    let (oc, ic, k) = (weights.shape()[0], weights.shape()[1], geom.kernel);
-    let cols = im2col(input, geom);
-    let wmat = weights.reshaped(&[oc, ic * k * k]);
-    crate::tensor::gemm(&wmat, &cols).reshaped(&[oc, geom.output, geom.output])
+    /// Forward of one [`input_shape`](Self::input_shape) sample with
+    /// [`weight_shape`](Self::weight_shape) weights: the allocating form
+    /// of [`forward_into`](Self::forward_into), bit for bit, for callers
+    /// outside a training loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn forward(&self, input: &Tensor, weights: &Tensor) -> Tensor {
+        assert_eq!(input.shape(), self.input_shape(), "input shape mismatch");
+        assert_eq!(
+            weights.shape(),
+            self.weight_shape(),
+            "weight shape mismatch"
+        );
+        let shape = self.output_shape();
+        let mut out = vec![0.0; shape.iter().product()];
+        let mut cols = vec![0.0; self.cols_len()];
+        self.with_phase_weights(weights.data(), &mut Workspace::new(), |pw, ws| {
+            self.forward_into(input.data(), pw, &mut cols, &mut out, ws);
+        });
+        Tensor::from_vec(&shape, out)
+    }
+
+    /// Weight gradient of one sample from its `input` and `∇out`: the
+    /// allocating form of [`weight_grad_into`](Self::weight_grad_into),
+    /// bit for bit. It builds the phase columns of `input` and runs no
+    /// forward GEMM.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn weight_grad(&self, input: &Tensor, dout: &Tensor) -> Tensor {
+        assert_eq!(input.shape(), self.input_shape(), "input shape mismatch");
+        assert_eq!(dout.shape(), self.output_shape(), "∇output shape mismatch");
+        let mut cols = vec![0.0; self.cols_len()];
+        self.phase_columns_into(input.data(), &mut cols);
+        let shape = self.weight_shape();
+        let mut grad = vec![0.0; shape.iter().product()];
+        self.weight_grad_into(dout.data(), &cols, &mut grad, &mut Workspace::new());
+        Tensor::from_vec(&shape, grad)
+    }
+
+    /// The phase columns [`forward_into`](Self::forward_into) leaves in
+    /// `cols`, without its GEMMs.
+    fn phase_columns_into(&self, input: &[f32], cols: &mut [f32]) {
+        let mut c0 = 0;
+        for (ry, rx) in self.phases() {
+            let (red, n) = self.phase_dims(ry, rx);
+            let block = &mut cols[c0..c0 + red * n];
+            im2col_taps_into(input, self.in_channels, &ry.window, &rx.window, block);
+            c0 += red * n;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_tensors_close;
     use crate::conv::Conv2d;
 
     fn det(shape: &[usize], seed: u32) -> Tensor {
@@ -800,6 +841,9 @@ mod tests {
         let dual = plan.dual();
         let mut dcols = vec![f32::NAN; dual.cols_len()];
         let din = step(&dual, dout.data(), &mut dcols, &mut ws);
+        // The allocating forms are the same computation.
+        assert_eq!(bits(plan.forward(input, weights).data()), bits(&out));
+        assert_eq!(bits(plan.weight_grad(input, dout).data()), bits(&grad));
         (out, grad, din)
     }
 
@@ -913,24 +957,6 @@ mod tests {
         let geom = TconvGeometry::for_upsampling(8, 4, 2).unwrap();
         let plan = geom.plan(3, 2);
         assert_eq!(plan.cols_len() * 4, 3 * 4 * 4 * geom.output * geom.output);
-    }
-
-    #[test]
-    fn gemm_conv_equals_loop_nest() {
-        for (i, k, s, p, ic, oc) in [
-            (8, 3, 1, 1, 2, 3),
-            (8, 5, 2, 2, 3, 4),
-            (16, 4, 2, 1, 2, 2),
-            (6, 3, 3, 0, 1, 1),
-        ] {
-            let geom = SconvGeometry::new(i, k, s, p).unwrap();
-            let conv = Conv2d::new(ic, oc, k, s, p).unwrap();
-            let input = det(&[ic, i, i], i as u32);
-            let weights = det(&[oc, ic, k, k], k as u32);
-            let a = conv.forward(&input, &weights);
-            let b = conv2d_gemm(&input, &weights, &geom);
-            assert_tensors_close(&a, &b, 1e-4);
-        }
     }
 
     #[test]

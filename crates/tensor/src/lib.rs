@@ -6,8 +6,9 @@
 //! transposed convolution (T-CONV), and the weight-gradient convolution
 //! (W-CONV) — has a straightforward, obviously-correct implementation here,
 //! including the *zero-insertion* formulation of T-CONV/W-CONV that the paper
-//! analyses in Section III-A (Fig. 4–6). The zero-free ZFDR execution in
-//! `lergan-core` is validated against these kernels.
+//! analyses in Section III-A (Fig. 4–6). The zero-free execution of every
+//! conv-family layer, [`im2col::ConvPlan`], is validated bit for bit
+//! against these kernels.
 //!
 //! # Example
 //!

@@ -6,11 +6,11 @@
 //! cargo run --release --example precision_and_variation
 //! ```
 
-use lergan::core::zfdr::exec::execute_tconv;
 use lergan::reram::bitslice::{slice_weight, sliced_dot, unslice_weight};
 use lergan::reram::variation::VariationModel;
 use lergan::reram::{EnergyModel, ReramConfig};
 use lergan::tensor::conv::tconv_forward_zero_insert;
+use lergan::tensor::im2col::ConvGeometry;
 use lergan::tensor::quant::FixedPoint;
 use lergan::tensor::{TconvGeometry, Tensor};
 
@@ -56,7 +56,7 @@ fn main() {
         direct
     );
 
-    println!("\n--- quantisation error through ZFDR on a real T-CONV ---");
+    println!("\n--- quantisation error through the zero-free T-CONV ---");
     let geom = TconvGeometry::for_upsampling(8, 4, 2).unwrap();
     let mut seed = 77u32;
     let mut rnd = move || {
@@ -66,7 +66,9 @@ fn main() {
     let input = Tensor::from_fn(&[4, 8, 8], |_| rnd());
     let weights = Tensor::from_fn(&[4, 4, 4, 4], |_| rnd());
     let exact = tconv_forward_zero_insert(&input, &weights, &geom);
-    let (zfdr_q, _) = execute_tconv(&q.round_trip(&input), &q.round_trip(&weights), &geom);
+    let zfdr_q = geom
+        .plan(4, 4)
+        .forward(&q.round_trip(&input), &q.round_trip(&weights));
     let max_err = exact
         .data()
         .iter()

@@ -1,7 +1,8 @@
 //! ZFDR explorer: walks through Zero-Free Data Reshaping on the paper's
 //! worked example (CONV1 of the DCGAN generator, Sec. III-A/IV-A) and
 //! verifies every published number — zeros, efficiency, class counts,
-//! cycles, storage — plus the functional bit-level equivalence.
+//! cycles, storage — then runs the layer on the zero-free executor
+//! (`ConvPlan`) bit for bit against the naive zero-insertion kernel.
 //!
 //! ```text
 //! cargo run --release --example zfdr_explorer
@@ -9,11 +10,15 @@
 
 use lergan::core::replica::ReplicaPlan;
 use lergan::core::zfdr::closed_form;
-use lergan::core::zfdr::exec::execute_tconv;
 use lergan::core::zfdr::plan::ClassKind;
 use lergan::core::ZfdrPlan;
 use lergan::tensor::conv::tconv_forward_zero_insert;
-use lergan::tensor::{assert_tensors_close, TconvGeometry, Tensor};
+use lergan::tensor::im2col::ConvGeometry;
+use lergan::tensor::{TconvGeometry, Tensor};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
 
 fn main() {
     // CONV1 of the DCGAN generator: a 4x4x1024 input transposed-convolved
@@ -80,7 +85,7 @@ fn main() {
         (7.0 * 25.0 / plan.pattern_volume_total(2) as f64 - 1.0) * 100.0
     );
 
-    println!("--- functional equivalence ---");
+    println!("--- zero-free execution ---");
     // Scaled-down channels: the algebra is identical.
     let mut seed = 0x2337u32;
     let mut rnd = move || {
@@ -89,13 +94,22 @@ fn main() {
     };
     let input = Tensor::from_fn(&[16, 4, 4], |_| rnd());
     let weights = Tensor::from_fn(&[8, 16, 5, 5], |_| rnd());
-    let (zero_free, stats) = execute_tconv(&input, &weights, &geom);
+    let conv_plan = geom.plan(16, 8);
+    let zero_free = conv_plan.forward(&input, &weights);
     let naive = tconv_forward_zero_insert(&input, &weights, &geom);
-    assert_tensors_close(&zero_free, &naive, 1e-4);
+    assert_eq!(bits(&zero_free), bits(&naive));
     println!(
-        "zero-free execution == naive zero-insertion (64 MMVs over {} reshaped \
-         matrices, {} multiplications, all on useful values)",
-        stats.reshaped_matrices, stats.multiplications
+        "ConvPlan forward == naive zero-insertion, bit for bit: {} phases \
+         (the Inside classes), {} reshaped matrices and {} MMVs in the ZFDR model",
+        geom.converse_stride * geom.converse_stride,
+        plan.distinct_classes(2),
+        plan.mmvs_per_sample(2)
+    );
+    println!(
+        "MACs per channel pair: {} useful, {} executed (the phase windows' \
+         border taps read im2col padding where the Edge/Corner classes clip them)",
+        geom.useful_multiplications_per_channel(),
+        conv_plan.cols_len() / 16
     );
 
     println!("\n--- future-GAN stride 3 (Sec. IV-A's generality claim) ---");
@@ -103,11 +117,11 @@ fn main() {
     let p3 = ZfdrPlan::for_tconv(&g3);
     let input = Tensor::from_fn(&[4, 5, 5], |_| rnd());
     let weights = Tensor::from_fn(&[2, 4, 5, 5], |_| rnd());
-    let (zf, _) = execute_tconv(&input, &weights, &g3);
+    let zf = g3.plan(4, 2).forward(&input, &weights);
     let nv = tconv_forward_zero_insert(&input, &weights, &g3);
-    assert_tensors_close(&zf, &nv, 1e-4);
+    assert_eq!(bits(&zf), bits(&nv));
     println!(
-        "stride-3 T-CONV: {} classes (inside {} = S'^2), equivalence holds",
+        "stride-3 T-CONV: {} classes (inside {} = S'^2), bit-identical execution",
         p3.distinct_classes(2),
         p3.kind(ClassKind::Inside, 2).classes
     );

@@ -9,6 +9,7 @@ use lergan::reram::bitslice::sliced_dot;
 use lergan::reram::variation::VariationModel;
 use lergan::reram::ReramConfig;
 use lergan::tensor::conv::tconv_forward_zero_insert;
+use lergan::tensor::im2col::ConvGeometry;
 use lergan::tensor::quant::FixedPoint;
 use lergan::tensor::{TconvGeometry, Tensor};
 
@@ -126,15 +127,14 @@ fn quantization_noise_does_not_break_pattern_structure() {
     // values — quantising the operands must not change which positions
     // share reshaped matrices.
     let geom = TconvGeometry::for_upsampling(8, 4, 2).unwrap();
-    let plan = ZfdrPlan::for_tconv(&geom);
     let q = FixedPoint::new(8, 4).unwrap();
     let input = det(&[2, 8, 8], 9);
     let rounded = q.round_trip(&input);
-    // Same plan object serves both; the gather indices are identical, so
-    // only values differ — and only by quantisation error.
     let w = det(&[2, 2, 4, 4], 10);
-    let a = lergan::core::zfdr::exec::execute_tconv(&input, &w, &geom).0;
-    let b = lergan::core::zfdr::exec::execute_tconv(&rounded, &w, &geom).0;
+    // One plan, built from the geometry alone, runs both inputs.
+    let plan = geom.plan(2, 2);
+    let a = plan.forward(&input, &w);
+    let b = plan.forward(&rounded, &w);
     let max_dev = a
         .data()
         .iter()
@@ -146,5 +146,4 @@ fn quantization_noise_does_not_break_pattern_structure() {
         max_dev <= 32.0 * q.step() * 0.5 + 1e-4,
         "max deviation {max_dev}"
     );
-    let _ = plan; // geometry-only: construction succeeded for both uses
 }

@@ -1,12 +1,14 @@
-//! Cross-crate functional tests: the zero-free ZFDR executor must agree
-//! with the naive kernels on every geometry that occurs in the Table V
-//! benchmarks, and with the trainable layers of the functional GAN.
+//! Cross-crate functional tests: the zero-free executor, `ConvPlan`, must
+//! agree bit for bit with the naive zero-insertion kernels on every
+//! geometry that occurs in the benchmark GANs, at full extent.
 
-use lergan::core::zfdr::exec::{execute_tconv, execute_wconv};
 use lergan::gan::{benchmarks, Layer};
 use lergan::tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
-use lergan::tensor::{assert_tensors_close, Tensor, WconvGeometry};
+use lergan::tensor::dconv::dconv_zero_insertion;
+use lergan::tensor::im2col::ConvGeometry;
+use lergan::tensor::{Tensor, WconvGeometry};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn det(shape: &[usize], seed: u32) -> Tensor {
     let mut state = seed.wrapping_mul(2654435761).wrapping_add(99);
@@ -16,39 +18,37 @@ fn det(shape: &[usize], seed: u32) -> Tensor {
     })
 }
 
-/// Every distinct T-CONV geometry in the Table V benchmarks, exercised
-/// with reduced channels.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every layer of the Table V benchmarks and the extended set.
+fn benchmark_layers() -> Vec<Layer> {
+    benchmarks::all()
+        .into_iter()
+        .chain(benchmarks::extended())
+        .flat_map(|gan| [gan.generator, gan.discriminator])
+        .flat_map(|net| net.layers)
+        .collect()
+}
+
+/// Every distinct T-CONV geometry, with reduced channels.
 #[test]
 fn zfdr_matches_naive_on_every_benchmark_tconv_geometry() {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut exercised = 0;
-    for gan in benchmarks::all() {
-        if gan.generator.dims != 2 {
-            continue; // the executor is 2-D; 3D-GAN is counted analytically
+    for layer in benchmark_layers() {
+        let Layer::Tconv(t) = layer else { continue };
+        let g = t.geometry;
+        if !seen.insert(g) {
+            continue;
         }
-        for net in [&gan.generator, &gan.discriminator] {
-            for layer in &net.layers {
-                let Layer::Tconv(t) = layer else { continue };
-                if !seen.insert(t.geometry) {
-                    continue;
-                }
-                // Skip the largest extents to keep the test quick; the
-                // geometry classes repeat with the spatial period anyway.
-                if t.geometry.output > 16 {
-                    continue;
-                }
-                let input = det(&[3, t.geometry.input, t.geometry.input], exercised + 1);
-                let weights = det(
-                    &[2, 3, t.geometry.kernel, t.geometry.kernel],
-                    exercised + 77,
-                );
-                let (zf, stats) = execute_tconv(&input, &weights, &t.geometry);
-                let naive = tconv_forward_zero_insert(&input, &weights, &t.geometry);
-                assert_tensors_close(&zf, &naive, 1e-3);
-                assert!(stats.reshaped_matrices > 0);
-                exercised += 1;
-            }
-        }
+        let input = det(&[3, g.input, g.input], exercised + 1);
+        let weights = det(&[2, 3, g.kernel, g.kernel], exercised + 77);
+        let zf = g.plan(3, 2).forward(&input, &weights);
+        let naive = tconv_forward_zero_insert(&input, &weights, &g);
+        assert_eq!(bits(&zf), bits(&naive), "{g:?}");
+        exercised += 1;
     }
     assert!(exercised >= 4, "expected several distinct geometries");
 }
@@ -56,38 +56,53 @@ fn zfdr_matches_naive_on_every_benchmark_tconv_geometry() {
 /// Every distinct S-CONV geometry's weight-gradient (W-CONV-S) direction.
 #[test]
 fn wconv_zfdr_matches_naive_on_benchmark_geometries() {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut exercised = 0;
-    for gan in benchmarks::all() {
-        if gan.discriminator.dims != 2 {
+    for layer in benchmark_layers() {
+        let Layer::Conv(c) = layer else { continue };
+        let g = c.geometry;
+        if !seen.insert(g) {
             continue;
         }
-        for net in [&gan.generator, &gan.discriminator] {
-            for layer in &net.layers {
-                let Layer::Conv(c) = layer else { continue };
-                if c.geometry.input > 16 || !seen.insert(c.geometry) {
-                    continue;
-                }
-                let geom = WconvGeometry {
-                    forward: c.geometry,
-                };
-                let input = det(&[2, c.geometry.input, c.geometry.input], exercised + 5);
-                let dout = det(&[3, c.geometry.output, c.geometry.output], exercised + 50);
-                let (zf, _) = execute_wconv(&input, &dout, &geom);
-                let naive = wconv_weight_grad_zero_insert(&input, &dout, &geom);
-                assert_tensors_close(&zf, &naive, 1e-3);
-                exercised += 1;
-            }
-        }
+        let input = det(&[2, g.input, g.input], exercised + 5);
+        let dout = det(&[3, g.output, g.output], exercised + 50);
+        let zf = g.plan(2, 3).weight_grad(&input, &dout);
+        let naive = wconv_weight_grad_zero_insert(&input, &dout, &WconvGeometry { forward: g });
+        assert_eq!(bits(&zf), bits(&naive), "{g:?}");
+        exercised += 1;
     }
     assert!(exercised >= 2, "expected several distinct geometries");
+}
+
+/// Every distinct D-CONV geometry of the extended benchmarks.
+#[test]
+fn dconv_plan_matches_naive_on_extended_geometries() {
+    let mut seen = HashSet::new();
+    for layer in benchmark_layers() {
+        let Layer::Dconv(d) = layer else { continue };
+        let g = d.geometry;
+        if !seen.insert(g) {
+            continue;
+        }
+        let (kh, kw) = (g.rows.kernel, g.cols.kernel);
+        let input = det(&[3, g.rows.input, g.cols.input], seen.len() as u32 + 9);
+        let weights = det(&[2, 3, kh, kw], seen.len() as u32 + 90);
+        let zf = g.plan(3, 2).forward(&input, &weights);
+        let naive = dconv_zero_insertion(&input, &weights, &g);
+        assert_eq!(bits(&zf), bits(&naive), "{g:?}");
+    }
+    assert!(
+        !seen.is_empty(),
+        "the extended benchmarks carry D-CONV layers"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random valid geometries: ZFDR execution equals the zero-insertion
-    /// reference (the core correctness property of the paper).
+    /// Random valid geometries: zero-free execution equals the
+    /// zero-insertion reference (the core correctness property of the
+    /// paper).
     #[test]
     fn zfdr_tconv_equivalence_random(i in 2usize..8, w in 2usize..6, s in 2usize..4, seed in 0u32..500) {
         prop_assume!(w >= s); // avoid output holes (degenerate for GANs)
@@ -96,15 +111,9 @@ proptest! {
         };
         let input = det(&[2, i, i], seed);
         let weights = det(&[2, 2, w, w], seed + 1000);
-        let (zf, stats) = execute_tconv(&input, &weights, &geom);
+        let zf = geom.plan(2, 2).forward(&input, &weights);
         let naive = tconv_forward_zero_insert(&input, &weights, &geom);
-        assert_tensors_close(&zf, &naive, 1e-3);
-        // Zero-free invariant: multiplication count equals the analytic
-        // useful-MAC count.
-        prop_assert_eq!(
-            stats.multiplications,
-            geom.useful_multiplications_per_channel() as u128 * 2 * 2
-        );
+        prop_assert_eq!(bits(&zf), bits(&naive));
     }
 
     /// Random valid W-CONV-S geometries.
@@ -116,8 +125,8 @@ proptest! {
         prop_assume!(geom.forward.output >= 1);
         let input = det(&[2, i, i], seed);
         let dout = det(&[2, geom.forward.output, geom.forward.output], seed + 2000);
-        let (zf, _) = execute_wconv(&input, &dout, &geom);
+        let zf = geom.forward.plan(2, 2).weight_grad(&input, &dout);
         let naive = wconv_weight_grad_zero_insert(&input, &dout, &geom);
-        assert_tensors_close(&zf, &naive, 1e-3);
+        prop_assert_eq!(bits(&zf), bits(&naive));
     }
 }
