@@ -10,7 +10,9 @@
 //!   kernels (`zero_inserted`),
 //! * D-CONV dilated convolution: the zero-free plan against the naive
 //!   zero-inserted-kernel formulation,
-//! * S-CONV through the one-phase plan (im2col + GEMM),
+//! * S-CONV through the one-phase plan (im2col + GEMM), and the
+//!   trainer's hottest conv (extgan8's 3k1s 8 px D layer) cached, with its
+//!   input gradient (the dual plan's forward),
 //! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
 //!   shape-adaptive `dispatch` that picks among them, and the pre-packing
 //!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
@@ -86,20 +88,20 @@ fn previous_train_step_ns(path: &str) -> Option<f64> {
     None
 }
 
-/// The trainer's per-sample forward: `plan`, workspace, phase columns and
-/// output held across calls, the phase weights gathered per call.
+/// The trainer's per-sample forward: `plan`, workspace, phase columns,
+/// output and the gathered phase weights held across calls.
 fn cached_forward<'a>(
     plan: &'a ConvPlan,
     input: &'a Tensor,
-    weights: &'a Tensor,
+    weights: &Tensor,
 ) -> impl FnMut() + 'a {
     let mut ws = Workspace::new();
     let mut cols = vec![0.0; plan.cols_len()];
     let mut out = vec![0.0; plan.output_shape().iter().product()];
+    let mut pw = vec![0.0; weights.len()];
+    plan.phase_weights_into(weights.data(), &mut pw);
     move || {
-        plan.with_phase_weights(weights.data(), &mut ws, |pw, ws| {
-            plan.forward_into(black_box(input.data()), pw, &mut cols, &mut out, ws);
-        });
+        plan.forward_into(black_box(input.data()), &pw, &mut cols, &mut out, &mut ws);
         black_box(&out);
     }
 }
@@ -251,6 +253,27 @@ fn main() {
                     .forward(black_box(&input_s), black_box(&weights_s)),
             );
         },
+    );
+
+    // The trainer's hottest conv: extgan8's 3k1s 8 -> 8 ch, 8 px D layer,
+    // forward and input gradient (its dual's forward), as the trainer
+    // runs them.
+    let plan_h = SconvGeometry::new(8, 3, 1, 1).unwrap().plan(8, 8);
+    let dual_h = plan_h.dual();
+    let input_h = det(&[8, 8, 8], 11);
+    let weights_h = det(&[8, 8, 3, 3], 12);
+    let dout_h = det(&[8, 8, 8], 13);
+    record_threads(
+        &mut results,
+        "sconv_3k1s_8px_8x8ch/engine_cached",
+        threads,
+        cached_forward(&plan_h, &input_h, &weights_h),
+    );
+    record_threads(
+        &mut results,
+        "sconv_3k1s_8px_8x8ch/dual_cached",
+        threads,
+        cached_forward(&dual_h, &dout_h, &weights_h),
     );
 
     // Every GEMM strategy, the shape-adaptive dispatch, and the

@@ -961,6 +961,10 @@ pub struct ConvTrainLayer {
     /// The input gradient's plan, `plan.dual()`.
     dual: ConvPlan,
     weights: Tensor, // [oc, ic, Kh, Kw]
+    /// `weights` gathered into the phase weight matrices of `plan` and of
+    /// `dual`, refreshed wherever `weights` changes.
+    phase_weights: Vec<f32>,
+    dual_weights: Vec<f32>,
     grad: Tensor,
     /// Sample-major phase columns `[batch, plan.cols_len()]` from the last
     /// forward, reused by the backward weight-gradient GEMMs.
@@ -981,15 +985,27 @@ impl ConvTrainLayer {
     ) -> Self {
         let plan = geometry.plan(in_channels, out_channels);
         let shape = plan.weight_shape();
-        ConvTrainLayer {
+        let weights = he_init(rng, &shape, in_channels * shape[2] * shape[3]);
+        let mut layer = ConvTrainLayer {
             dual: plan.dual(),
-            weights: he_init(rng, &shape, in_channels * shape[2] * shape[3]),
+            phase_weights: vec![0.0; weights.len()],
+            dual_weights: vec![0.0; weights.len()],
+            weights,
             grad: Tensor::zeros(&shape),
             plan,
             cached_bcols: None,
             cached_batch: 0,
             opt: OptState::default(),
-        }
+        };
+        layer.gather_phase_weights();
+        layer
+    }
+
+    /// Re-gathers both phase weight matrices from `weights`.
+    fn gather_phase_weights(&mut self) {
+        let w = self.weights.data();
+        self.plan.phase_weights_into(w, &mut self.phase_weights);
+        self.dual.phase_weights_into(w, &mut self.dual_weights);
     }
 }
 
@@ -997,6 +1013,7 @@ impl TrainableLayer for ConvTrainLayer {
     fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
         self.opt
             .apply(rule, step, &mut self.weights, &self.grad, ws);
+        self.gather_phase_weights();
         self.zero_grads();
     }
 
@@ -1015,6 +1032,7 @@ impl TrainableLayer for ConvTrainLayer {
         self.weights = state.require(layer, "weights", self.weights.shape())?;
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
+        self.gather_phase_weights();
         self.grad.fill(0.0);
         self.cached_bcols = None;
         self.cached_batch = 0;
@@ -1052,18 +1070,16 @@ impl TrainableLayer for ConvTrainLayer {
         let [oc, oh, ow] = self.plan.output_shape();
         let (slen, clen, olen) = (ic * h * w, self.plan.cols_len(), oc * oh * ow);
         let bcols = cache_buf(&mut self.cached_bcols, &[batch, clen]);
-        let (idata, plan) = (input.data(), &self.plan);
-        let out = plan.with_phase_weights(self.weights.data(), ws, |pw, ws| {
-            conv_forward(
-                batch,
-                (clen, olen),
-                bcols.data_mut(),
-                ws,
-                |b, block, plane, tws| {
-                    plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
-                },
-            )
-        });
+        let (idata, plan, pw) = (input.data(), &self.plan, &self.phase_weights);
+        let out = conv_forward(
+            batch,
+            (clen, olen),
+            bcols.data_mut(),
+            ws,
+            |b, block, plane, tws| {
+                plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
+            },
+        );
         Ok(Tensor::from_vec(&[batch, oc, oh, ow], out))
     }
 
@@ -1111,19 +1127,18 @@ impl TrainableLayer for ConvTrainLayer {
             return Ok(None);
         }
         let [ic, h, w] = plan.input_shape();
-        let din = dual.with_phase_weights(self.weights.data(), ws, |pw, ws| {
-            conv_input_grad(
-                grad_out.data(),
-                batch,
-                (olen, ic * h * w),
-                ws,
-                |g, d, tws| {
-                    let mut cols = tws.take(dual.cols_len());
-                    dual.forward_into(g, pw, &mut cols, d, tws);
-                    tws.give(cols);
-                },
-            )
-        });
+        let pw = &self.dual_weights;
+        let din = conv_input_grad(
+            grad_out.data(),
+            batch,
+            (olen, ic * h * w),
+            ws,
+            |g, d, tws| {
+                let mut cols = tws.take(dual.cols_len());
+                dual.forward_into(g, pw, &mut cols, d, tws);
+                tws.give(cols);
+            },
+        );
         Ok(Some(Tensor::from_vec(&[batch, ic, h, w], din)))
     }
 

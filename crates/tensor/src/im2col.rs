@@ -84,121 +84,107 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     }
 }
 
-/// The windows `lo..hi` of an im2col row whose coordinate `q·stride +
-/// offset` lands inside `pad..pad + h`, clamped to `0..n`; every other
-/// window reads a structural zero.
-fn in_bounds(n: usize, h: usize, stride: usize, offset: usize, pad: usize) -> (usize, usize) {
-    let lo = pad.saturating_sub(offset).div_ceil(stride).min(n);
-    let hi = if pad + h > offset {
-        (pad + h - offset).div_ceil(stride).min(n)
-    } else {
-        0
-    }
-    .max(lo);
-    (lo, hi)
-}
-
-/// One window row of an im2col matrix: `dst[q] = src[q·stride + offset −
-/// pad]` for `q` in `lo..hi` (from [`in_bounds`], computed once per
-/// matrix row), `0.0` elsewhere. The copy loop carries no per-element
-/// padding branch, and a stride-1 row is one `memcpy`.
-fn window_row(
-    dst: &mut [f32],
-    src: &[f32],
-    stride: usize,
-    offset: usize,
-    pad: usize,
-    (lo, hi): (usize, usize),
-) {
-    dst[..lo].fill(0.0);
-    dst[hi..].fill(0.0);
-    if lo == hi {
-        return;
-    }
-    let base = lo * stride + offset - pad;
-    if stride == 1 {
-        dst[lo..hi].copy_from_slice(&src[base..base + hi - lo]);
-    } else {
-        for (i, slot) in dst[lo..hi].iter_mut().enumerate() {
-            *slot = src[base + i * stride];
-        }
-    }
-}
-
-/// One spatial axis of [`im2col_taps_into`]: window `q` of tap `t` reads
-/// the padded coordinate `q·stride + first + t·step`, where the input
-/// occupies `pad..pad + input` and everything else reads `0.0`.
+/// One spatial axis of a phase's im2col: window `q` of tap `t` reads the
+/// frame coordinate `q·stride + first + t·step`.
 ///
 /// A plain convolution axis has taps `0..K` at step 1 and a dilated one
 /// step `D`; a [`ConvPlan`] phase lists the taps that meet real inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TapAxis {
-    /// Input extent along this axis.
-    input: usize,
     /// Number of windows (matrix columns along this axis).
     output: usize,
     /// Window stride.
     stride: usize,
-    /// Leading zero padding of the coordinate frame.
-    pad: usize,
     /// Number of taps (matrix rows along this axis).
     taps: usize,
-    /// Padded coordinate of tap 0 in window 0.
+    /// Frame coordinate of tap 0 in window 0.
     first: usize,
     /// Coordinate distance between consecutive taps.
     step: usize,
 }
 
-/// im2col over explicit tap axes: unrolls a `[C, rows.input,
-/// cols.input]` slice into the `[C·rows.taps·cols.taps, rows.output ·
-/// cols.output]` matrix whose row `(c, ty, tx)` and column `(qy, qx)` hold
-/// the input at the coordinates [`TapAxis`] assigns, zero outside it.
-/// Fully overwrites `out`; sharded across workers by matrix row (pure
-/// data movement, so sharding cannot change any value).
+/// im2col over explicit tap axes of a zero-padded `[C, Hp, Wp]` frame
+/// (`wp` = `Wp`): unrolls it into the `[C·rows.taps·cols.taps,
+/// rows.output · cols.output]` matrix whose row `(c, ty, tx)` and column
+/// `(qy, qx)` hold the frame at the coordinates [`TapAxis`] assigns. Every
+/// window row is a plain read of the frame, with no bounds clamp and no
+/// zero fill: the frame's padding holds the structural zeros. Fully
+/// overwrites `out`; sharded across workers by matrix row (pure data
+/// movement, so sharding cannot change any value).
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths disagree with the axes.
-fn im2col_taps_into(
-    input: &[f32],
+/// Panics if `out`'s length disagrees with the axes or a window reads
+/// outside the frame.
+fn im2col_frame_into(
+    frame: &[f32],
     channels: usize,
+    wp: usize,
     rows: &TapAxis,
     cols: &TapAxis,
     out: &mut [f32],
 ) {
-    let (h, w) = (rows.input, cols.input);
-    assert_eq!(
-        input.len(),
-        channels * h * w,
-        "im2col input length mismatch"
-    );
-    let oo = rows.output * cols.output;
+    let (n, oo) = (cols.output, rows.output * cols.output);
     let taps = rows.taps * cols.taps;
     assert_eq!(
         out.len(),
         channels * taps * oo,
         "im2col buffer length mismatch"
     );
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / oo.max(1)).max(1);
+    if out.is_empty() {
+        return;
+    }
+    let plane = frame.len() / channels;
+    // The frame distance between consecutive window rows, and the frame
+    // elements one matrix row's windows span.
+    let ystep = rows.stride * wp;
+    let block = (rows.output - 1) * ystep + (n - 1) * cols.stride + 1;
+    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / oo).max(1);
     crate::parallel::for_each_unit_chunk_mut(out, oo, min_rows, |row0, chunk| {
-        for (d, orow) in chunk.chunks_mut(oo).enumerate() {
+        for (d, orow) in chunk.chunks_exact_mut(oo).enumerate() {
             let row = row0 + d;
-            let plane = &input[(row / taps) * h * w..][..h * w];
             let (ty, tx) = ((row % taps) / cols.taps, row % cols.taps);
-            let x0 = cols.first + tx * cols.step;
-            let x = in_bounds(cols.output, w, cols.stride, x0, cols.pad);
-            for (qy, dst) in orow.chunks_mut(cols.output).enumerate() {
-                let y = qy * rows.stride + rows.first + ty * rows.step;
-                if y < rows.pad || y >= rows.pad + h {
-                    dst.fill(0.0);
-                } else {
-                    let y = y - rows.pad;
-                    let irow = &plane[y * w..(y + 1) * w];
-                    window_row(dst, irow, cols.stride, x0, cols.pad, x);
-                }
+            let base = (row / taps) * plane
+                + (rows.first + ty * rows.step) * wp
+                + cols.first
+                + tx * cols.step;
+            let win = &frame[base..][..block];
+            let s = cols.stride;
+            match n {
+                4 => gather_rows::<4>(orow, win, n, ystep, s),
+                8 => gather_rows::<8>(orow, win, n, ystep, s),
+                16 => gather_rows::<16>(orow, win, n, ystep, s),
+                _ => gather_rows::<0>(orow, win, n, ystep, s),
             }
         }
     });
+}
+
+/// The window rows of one im2col matrix row: `orow`'s `n`-float row `qy`
+/// reads `win` from `qy·ystep` on, `stride` apart. A width `N > 0` fixes
+/// `n` at compile time, so a stride-1 row is a few inline vector moves
+/// (a `memcpy` call costs more than a 4–8-float row) and a strided row an
+/// unrolled gather; `N = 0` takes `n` as it comes.
+#[inline(always)]
+fn gather_rows<const N: usize>(
+    orow: &mut [f32],
+    win: &[f32],
+    n: usize,
+    ystep: usize,
+    stride: usize,
+) {
+    let n = if N == 0 { n } else { N };
+    let span = (n - 1) * stride + 1;
+    for (qy, dst) in orow.chunks_exact_mut(n).enumerate() {
+        let src = &win[qy * ystep..][..span];
+        if stride == 1 {
+            dst.copy_from_slice(&src[..n]);
+        } else {
+            for (i, slot) in dst.iter_mut().enumerate() {
+                *slot = src[i * stride];
+            }
+        }
+    }
 }
 
 /// One spatial axis of a conv-family operation: output `o`, kernel tap `j`
@@ -247,12 +233,13 @@ fn gcd(a: usize, b: usize) -> usize {
 struct Phase {
     residue: usize,
     first_tap: usize,
-    /// The phase's im2col over the raw input: `taps` live taps, `output`
-    /// positions.
+    /// The phase's im2col over the axis's frame: `taps` live taps,
+    /// `output` positions.
     window: TapAxis,
 }
 
-/// The phases of one axis of a [`ConvPlan`].
+/// The phases of one axis of a [`ConvPlan`], and the zero-padded frame
+/// their windows read.
 #[derive(Debug, PartialEq, Eq)]
 struct Axis {
     relation: Relation,
@@ -261,6 +248,12 @@ struct Axis {
     /// Kernel-index distance between one phase's live taps.
     tap_step: usize,
     phases: Vec<Phase>,
+    /// Leading zero padding of the frame: input row `y` is frame row
+    /// `y + lead`.
+    lead: usize,
+    /// Frame extent: the whole input and every coordinate a window of any
+    /// phase reads, so it can hold zeros past `lead + input` too.
+    frame: usize,
 }
 
 impl Axis {
@@ -280,29 +273,41 @@ impl Axis {
         let period = u / gcd(s, u);
         let tap_step = u / gcd(d, u);
         let coord = |r: usize, j: usize| (s * r + d * j) as isize - offset;
-        let pad = offset.max(0) as usize;
+        let live = |r: usize| {
+            (0..tap_step)
+                .find(|&j| coord(r, j).rem_euclid(u as isize) == 0)
+                .filter(|&j| j < k)
+        };
+        let output = |r: usize| {
+            if r < extent {
+                (extent - 1 - r) / period + 1
+            } else {
+                0
+            }
+        };
+        // The input row window 0's tap 0 reads, for a phase that reads any.
+        let start = |r: usize| {
+            live(r)
+                .filter(|_| output(r) > 0)
+                .map(|j| coord(r, j) / u as isize)
+        };
+        let lead = (0..period)
+            .filter_map(start)
+            .map(|y| -y)
+            .max()
+            .unwrap_or(0)
+            .max(0);
         let phases: Vec<Phase> = (0..period)
             .map(|residue| {
-                let live = (0..tap_step)
-                    .find(|&j| coord(residue, j).rem_euclid(u as isize) == 0)
-                    .filter(|&j| j < k);
-                let first_tap = live.unwrap_or(0);
+                let live = live(residue);
                 Phase {
                     residue,
-                    first_tap,
+                    first_tap: live.unwrap_or(0),
                     window: TapAxis {
-                        input: relation.input,
-                        output: if residue < extent {
-                            (extent - 1 - residue) / period + 1
-                        } else {
-                            0
-                        },
+                        output: output(residue),
                         stride: s * period / u,
-                        pad,
                         taps: live.map_or(0, |j| (k - 1 - j) / tap_step + 1),
-                        // Window 0's tap 0 reads input row `coord / u`,
-                        // at least `−pad`.
-                        first: (coord(residue, first_tap) / u as isize + pad as isize) as usize,
+                        first: start(residue).map_or(0, |y| (y + lead) as usize),
                         step: d / gcd(d, u),
                     },
                 }
@@ -313,11 +318,20 @@ impl Axis {
             k,
             "every kernel tap is live in exactly one phase"
         );
+        let lead = lead as usize;
+        let frame = phases
+            .iter()
+            .map(|p| p.window)
+            .filter(|w| w.taps > 0 && w.output > 0)
+            .map(|w| w.first + (w.output - 1) * w.stride + (w.taps - 1) * w.step + 1)
+            .fold(lead + relation.input, usize::max);
         Axis {
             relation,
             period,
             tap_step,
             phases,
+            lead,
+            frame,
         }
     }
 
@@ -390,8 +404,10 @@ impl ConvGeometry for DconvGeometry {
 /// Each axis splits its output positions into *phases* by residue: within
 /// one phase the same kernel taps meet a real input everywhere, and they
 /// read evenly spaced input rows. A phase is one im2col over the raw input
-/// (the crate's tap-list builder) and one `[OC, IC·|taps|] × [IC·|taps|,
-/// positions]` GEMM, so no inserted zero is stored or multiplied:
+/// and one `[OC, IC·|taps|] × [IC·|taps|, positions]` GEMM, so no inserted
+/// zero is stored or multiplied. Each call copies its input sample once
+/// into a zero-padded frame that every phase's windows read, so a window
+/// row is a plain copy with no bounds test:
 ///
 /// * S-CONV and D-CONV have one phase per axis holding every tap (stride
 ///   `S`, taps `D` apart);
@@ -542,36 +558,19 @@ impl ConvPlan {
         }
     }
 
-    /// Runs `f` on the phase weight matrices of the
-    /// [`weight_shape`](Self::weight_shape) `weights`, the operand of
-    /// [`forward_into`](Self::forward_into): the weights themselves when
-    /// the plan is one phase holding every tap of an unflipped kernel,
-    /// else each phase's `[out, in·|taps|]` matrix, phase after phase,
-    /// gathered into a buffer drawn from `ws` (as long as `weights`: every
-    /// tap is live in exactly one phase).
+    /// Gathers the phase weight matrices of the
+    /// [`weight_shape`](Self::weight_shape) `weights` into `out`, the
+    /// operand of [`forward_into`](Self::forward_into): each phase's `[out,
+    /// in·|taps|]` matrix, phase after phase. It is as long as `weights`,
+    /// since every tap is live in exactly one phase, and for a one-phase
+    /// plan holding every tap of an unflipped kernel it is `weights`
+    /// itself. A caller that runs many forwards on the same weights
+    /// gathers once.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn with_phase_weights<R>(
-        &self,
-        weights: &[f32],
-        ws: &mut Workspace,
-        f: impl FnOnce(&[f32], &mut Workspace) -> R,
-    ) -> R {
-        if self.is_dense() {
-            return f(weights, ws);
-        }
-        let mut pw = ws.take(weights.len());
-        self.gather_weights(weights, &mut pw);
-        let r = f(&pw, ws);
-        ws.give(pw);
-        r
-    }
-
-    /// Gathers each phase's `[out, in·|taps|]` weight matrix from
-    /// `weights` into `out`, phase after phase.
-    fn gather_weights(&self, weights: &[f32], out: &mut [f32]) {
+    pub fn phase_weights_into(&self, weights: &[f32], out: &mut [f32]) {
         let wlen = self.weight_shape().iter().product();
         assert_eq!(weights.len(), wlen, "weight length mismatch");
         assert_eq!(out.len(), wlen, "phase weight buffer length mismatch");
@@ -583,13 +582,54 @@ impl ConvPlan {
         }
     }
 
-    /// Forward of one sample: per phase, the im2col of the raw `input`
-    /// into that phase's block of `cols` (kept for
+    /// Length of one sample's zero-padded `[IC, Hp, Wp]` frame.
+    fn frame_len(&self) -> usize {
+        self.in_channels * self.rows.frame * self.cols.frame
+    }
+
+    /// Copies one input sample into a zero-padded frame drawn from `ws`,
+    /// the one every phase's windows read, runs `f` on it and recycles it.
+    /// Input `(c, y, x)` lands at frame `(c, y + lead_h, x + lead_w)`;
+    /// every other frame element is `0.0`.
+    fn with_frame<R>(
+        &self,
+        input: &[f32],
+        ws: &mut Workspace,
+        f: impl FnOnce(&[f32], &mut Workspace) -> R,
+    ) -> R {
+        let [c, h, w] = self.input_shape();
+        assert_eq!(input.len(), c * h * w, "input length mismatch");
+        let (hp, wp) = (self.rows.frame, self.cols.frame);
+        let mut frame = ws.take(self.frame_len());
+        frame.fill(0.0);
+        for (src, dst) in input
+            .chunks_exact(h * w)
+            .zip(frame.chunks_exact_mut(hp * wp))
+        {
+            let dst = dst[self.rows.lead * wp..].chunks_exact_mut(wp);
+            for (irow, frow) in src.chunks_exact(w).zip(dst) {
+                frow[self.cols.lead..][..w].copy_from_slice(irow);
+            }
+        }
+        let r = f(&frame, ws);
+        ws.give(frame);
+        r
+    }
+
+    /// One phase's im2col block of a frame from [`with_frame`](Self::with_frame).
+    fn phase_columns(&self, frame: &[f32], ry: &Phase, rx: &Phase, block: &mut [f32]) {
+        let wp = self.cols.frame;
+        im2col_frame_into(frame, self.in_channels, wp, &ry.window, &rx.window, block);
+    }
+
+    /// Forward of one sample: the raw `input` copied once into a
+    /// zero-padded frame, then per phase the im2col of that frame into the
+    /// phase's block of `cols` (kept for
     /// [`weight_grad_into`](Self::weight_grad_into)) and one GEMM against
     /// the phase's rows of `phase_weights` (from
-    /// [`with_phase_weights`](Self::with_phase_weights)), scattered into
-    /// `out`, which is fully overwritten. A one-phase plan's GEMM writes `out` directly.
-    /// Scratch comes from `ws`.
+    /// [`phase_weights_into`](Self::phase_weights_into)), scattered into
+    /// `out`, which is fully overwritten. A one-phase plan's GEMM writes
+    /// `out` directly. Scratch comes from `ws`.
     ///
     /// # Panics
     ///
@@ -609,29 +649,30 @@ impl ConvPlan {
             "phase column buffer length mismatch"
         );
         assert_eq!(out.len(), oc * oh * ow, "output length mismatch");
-        let ic = self.in_channels;
-        if self.single_phase() {
-            let (ry, rx) = (&self.rows.phases[0], &self.cols.phases[0]);
-            let (red, n) = self.phase_dims(ry, rx);
-            im2col_taps_into(input, ic, &ry.window, &rx.window, cols);
-            gemm_buf(oc, red, n, phase_weights, cols, out);
-            return;
-        }
-        let mut stage = ws.take(out.len());
-        let (mut c0, mut w0) = (0, 0);
-        for (ry, rx) in self.phases() {
-            let (red, n) = self.phase_dims(ry, rx);
-            let block = &mut cols[c0..c0 + red * n];
-            im2col_taps_into(input, ic, &ry.window, &rx.window, block);
-            let res = &mut stage[..oc * n];
-            gemm_buf(oc, red, n, &phase_weights[w0..w0 + oc * red], block, res);
-            for c in 0..oc {
-                let (plane, r) = (&mut out[c * oh * ow..][..oh * ow], &res[c * n..][..n]);
-                self.phase_positions(ry, rx, |pos, q| plane[pos] = r[q]);
+        self.with_frame(input, ws, |frame, ws| {
+            if self.single_phase() {
+                let (ry, rx) = (&self.rows.phases[0], &self.cols.phases[0]);
+                let (red, n) = self.phase_dims(ry, rx);
+                self.phase_columns(frame, ry, rx, cols);
+                gemm_buf(oc, red, n, phase_weights, cols, out);
+            } else {
+                let mut stage = ws.take(out.len());
+                let (mut c0, mut w0) = (0, 0);
+                for (ry, rx) in self.phases() {
+                    let (red, n) = self.phase_dims(ry, rx);
+                    let block = &mut cols[c0..c0 + red * n];
+                    self.phase_columns(frame, ry, rx, block);
+                    let res = &mut stage[..oc * n];
+                    gemm_buf(oc, red, n, &phase_weights[w0..w0 + oc * red], block, res);
+                    for c in 0..oc {
+                        let (plane, r) = (&mut out[c * oh * ow..][..oh * ow], &res[c * n..][..n]);
+                        self.phase_positions(ry, rx, |pos, q| plane[pos] = r[q]);
+                    }
+                    (c0, w0) = (c0 + red * n, w0 + oc * red);
+                }
+                ws.give(stage);
             }
-            (c0, w0) = (c0 + red * n, w0 + oc * red);
-        }
-        ws.give(stage);
+        });
     }
 
     /// Reduction length and position count of one phase's GEMM.
@@ -729,9 +770,15 @@ impl ConvPlan {
         let shape = self.output_shape();
         let mut out = vec![0.0; shape.iter().product()];
         let mut cols = vec![0.0; self.cols_len()];
-        self.with_phase_weights(weights.data(), &mut Workspace::new(), |pw, ws| {
-            self.forward_into(input.data(), pw, &mut cols, &mut out, ws);
-        });
+        let mut pw = vec![0.0; weights.len()];
+        self.phase_weights_into(weights.data(), &mut pw);
+        self.forward_into(
+            input.data(),
+            &pw,
+            &mut cols,
+            &mut out,
+            &mut Workspace::new(),
+        );
         Tensor::from_vec(&shape, out)
     }
 
@@ -746,24 +793,26 @@ impl ConvPlan {
     pub fn weight_grad(&self, input: &Tensor, dout: &Tensor) -> Tensor {
         assert_eq!(input.shape(), self.input_shape(), "input shape mismatch");
         assert_eq!(dout.shape(), self.output_shape(), "∇output shape mismatch");
+        let mut ws = Workspace::new();
         let mut cols = vec![0.0; self.cols_len()];
-        self.phase_columns_into(input.data(), &mut cols);
+        self.phase_columns_into(input.data(), &mut cols, &mut ws);
         let shape = self.weight_shape();
         let mut grad = vec![0.0; shape.iter().product()];
-        self.weight_grad_into(dout.data(), &cols, &mut grad, &mut Workspace::new());
+        self.weight_grad_into(dout.data(), &cols, &mut grad, &mut ws);
         Tensor::from_vec(&shape, grad)
     }
 
     /// The phase columns [`forward_into`](Self::forward_into) leaves in
     /// `cols`, without its GEMMs.
-    fn phase_columns_into(&self, input: &[f32], cols: &mut [f32]) {
-        let mut c0 = 0;
-        for (ry, rx) in self.phases() {
-            let (red, n) = self.phase_dims(ry, rx);
-            let block = &mut cols[c0..c0 + red * n];
-            im2col_taps_into(input, self.in_channels, &ry.window, &rx.window, block);
-            c0 += red * n;
-        }
+    fn phase_columns_into(&self, input: &[f32], cols: &mut [f32], ws: &mut Workspace) {
+        self.with_frame(input, ws, |frame, _| {
+            let mut c0 = 0;
+            for (ry, rx) in self.phases() {
+                let (red, n) = self.phase_dims(ry, rx);
+                self.phase_columns(frame, ry, rx, &mut cols[c0..c0 + red * n]);
+                c0 += red * n;
+            }
+        });
     }
 }
 
@@ -781,9 +830,10 @@ mod tests {
     }
 
     #[test]
-    fn tap_im2col_with_dense_taps_is_the_reference_im2col() {
-        // Taps 0..K at step 1 are the plain S-CONV window, at any worker
-        // count.
+    fn frame_im2col_with_dense_taps_is_the_reference_im2col() {
+        // Taps 0..K at step 1 over the padded plane are the plain S-CONV
+        // window, at any worker count.
+        use crate::zero_insert::pad_planes;
         for (i, k, s, p, c) in [
             (8, 3, 1, 1, 2),
             (8, 5, 2, 2, 3),
@@ -795,20 +845,18 @@ mod tests {
             let mut want = vec![0.0; c * k * k * geom.output * geom.output];
             im2col_into(&input, &geom, &mut want);
             let axis = TapAxis {
-                input: i,
                 output: geom.output,
                 stride: s,
-                pad: p,
                 taps: k,
                 first: 0,
                 step: 1,
             };
+            let frame = pad_planes(&input, p);
             for threads in [1usize, 8] {
                 let mut got = vec![f32::NAN; want.len()];
                 crate::parallel::with_threads(threads, || {
-                    im2col_taps_into(input.data(), c, &axis, &axis, &mut got);
+                    im2col_frame_into(frame.data(), c, i + 2 * p, &axis, &axis, &mut got);
                 });
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&got),
                     bits(&want),
@@ -829,9 +877,9 @@ mod tests {
         let mut ws = Workspace::new();
         let step = |plan: &ConvPlan, x: &[f32], cols: &mut [f32], ws: &mut Workspace| {
             let mut out = vec![f32::NAN; plan.output_shape().iter().product()];
-            plan.with_phase_weights(weights.data(), ws, |pw, ws| {
-                plan.forward_into(x, pw, cols, &mut out, ws);
-            });
+            let mut pw = vec![f32::NAN; weights.len()];
+            plan.phase_weights_into(weights.data(), &mut pw);
+            plan.forward_into(x, &pw, cols, &mut out, ws);
             out
         };
         let mut cols = vec![f32::NAN; plan.cols_len()];

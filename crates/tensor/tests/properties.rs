@@ -1,9 +1,13 @@
-//! Property-based tests for the reference kernels and geometry algebra.
+//! Property-based tests for the reference kernels, the geometry algebra
+//! and the zero-free plan's phase columns.
 
 use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
+use lergan_tensor::dconv::im2col_dconv;
+use lergan_tensor::im2col::{im2col_into, ConvGeometry, ConvPlan};
 use lergan_tensor::zero_insert::expand_tconv_input;
 use lergan_tensor::{
-    assert_tensors_close, Conv2d, SconvGeometry, TconvGeometry, Tensor, WconvGeometry,
+    assert_tensors_close, Conv2d, DconvAxis, DconvGeometry, SconvGeometry, TconvGeometry, Tensor,
+    WconvGeometry, Workspace,
 };
 use proptest::prelude::*;
 
@@ -358,5 +362,200 @@ proptest! {
                 });
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The plan's frame-built phase columns against the zero-insertion im2col.
+// ---------------------------------------------------------------------------
+
+/// The phase columns `ConvPlan::forward_into` leaves in its `cols` buffer
+/// for one `[C, H, W]` sample (they do not depend on the weights).
+fn plan_columns(plan: &ConvPlan, input: &Tensor) -> Vec<f32> {
+    // Zero weights gather into zero phase weights.
+    let pw = vec![0.0; plan.weight_shape().iter().product()];
+    let mut cols = vec![f32::NAN; plan.cols_len()];
+    let mut out = vec![f32::NAN; plan.output_shape().iter().product()];
+    plan.forward_into(
+        input.data(),
+        &pw,
+        &mut cols,
+        &mut out,
+        &mut Workspace::new(),
+    );
+    cols
+}
+
+/// One axis of a zero-insertion im2col: `phases` phases, phase `r` at
+/// positions `r, r + phases, …` below `output`, where kernel tap `j` is
+/// live iff `live(r, j)`.
+struct DenseAxis<'a> {
+    output: usize,
+    kernel: usize,
+    phases: usize,
+    live: &'a dyn Fn(usize, usize) -> bool,
+}
+
+/// Selects the zero-free phase columns from a dense `[C·Kh·Kw, Oh·Ow]`
+/// im2col matrix, in the plan's layout: phase blocks row phase × column
+/// phase, each `[C·|live taps|, positions]` with taps and positions
+/// ascending.
+fn zero_free_selection(dense: &[f32], c: usize, rows: &DenseAxis, cols: &DenseAxis) -> Vec<f32> {
+    let (kh, kw, ow) = (rows.kernel, cols.kernel, cols.output);
+    let at = |ci: usize, ky: usize, kx: usize, oy: usize, ox: usize| {
+        dense[((ci * kh + ky) * kw + kx) * rows.output * ow + oy * ow + ox]
+    };
+    let positions = |a: &DenseAxis, r: usize| (r..a.output).step_by(a.phases);
+    let taps = |a: &DenseAxis, r: usize| -> Vec<usize> {
+        (0..a.kernel).filter(|&j| (a.live)(r, j)).collect()
+    };
+    let mut out = Vec::with_capacity(dense.len());
+    for ry in 0..rows.phases {
+        for rx in 0..cols.phases {
+            for ci in 0..c {
+                for ky in taps(rows, ry) {
+                    for kx in taps(cols, rx) {
+                        for oy in positions(rows, ry) {
+                            out.extend(positions(cols, rx).map(|ox| at(ci, ky, kx, oy, ox)));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every entry of a dense im2col matrix that [`zero_free_selection`]
+/// leaves out is a structural zero of the input: a T-CONV phase drops
+/// only inserted and padding zeros, never a real input.
+fn assert_dropped_entries_are_zeros(dense: &[f32], axis: &DenseAxis) {
+    let (k, o) = (axis.kernel, axis.output);
+    for (i, &v) in dense.iter().enumerate() {
+        let (row, pos) = (i / (o * o), i % (o * o));
+        let (ky, kx, oy, ox) = ((row / k) % k, row % k, pos / o, pos % o);
+        let live = (axis.live)(oy % axis.phases, ky) && (axis.live)(ox % axis.phases, kx);
+        assert!(live || v == 0.0, "a dropped tap reads a real input");
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// S-CONV: one phase holding every tap, the reference `im2col_into`.
+fn check_sconv_columns(geom: &SconvGeometry, c: usize, seed: u32) {
+    let input = det_tensor(&[c, geom.input, geom.input], seed);
+    let mut want = vec![0.0; c * geom.kernel * geom.kernel * geom.output * geom.output];
+    im2col_into(&input, geom, &mut want);
+    let got = plan_columns(&geom.plan(c, 1), &input);
+    assert_eq!(bits(&got), bits(&want), "{geom:?} c={c}");
+}
+
+/// T-CONV: `S′` phases per axis over the reference `im2col_into` of the
+/// zero-inserted, padded input — end pad included.
+fn check_tconv_columns(geom: &TconvGeometry, c: usize, seed: u32) {
+    let input = det_tensor(&[c, geom.input, geom.input], seed);
+    let expanded = expand_tconv_input(&input, geom);
+    let inner = SconvGeometry::new(geom.expanded(), geom.kernel, 1, 0).unwrap();
+    assert_eq!(inner.output, geom.output);
+    let mut dense = vec![0.0; c * geom.kernel * geom.kernel * geom.output * geom.output];
+    im2col_into(&expanded, &inner, &mut dense);
+    let s = geom.converse_stride;
+    // Tap `j` of output `o` meets a real input iff `o + j − P` is a
+    // multiple of `S′`.
+    let live =
+        |r: usize, j: usize| (r + j + s * geom.kernel - geom.insertion_pad).is_multiple_of(s);
+    let axis = DenseAxis {
+        output: geom.output,
+        kernel: geom.kernel,
+        phases: s,
+        live: &live,
+    };
+    assert_dropped_entries_are_zeros(&dense, &axis);
+    let want = zero_free_selection(&dense, c, &axis, &axis);
+    let got = plan_columns(&geom.plan(c, 1), &input);
+    assert_eq!(bits(&got), bits(&want), "{geom:?} c={c}");
+}
+
+/// D-CONV: one phase holding the true taps of the zero-inserted kernel's
+/// im2col (`im2col_dconv`), on either axis independently. The rows it
+/// drops are the ones the inserted kernel zeros multiply.
+fn check_dconv_columns(geom: &DconvGeometry, c: usize, seed: u32) {
+    let input = det_tensor(&[c, geom.rows.input, geom.cols.input], seed);
+    let dense = im2col_dconv(&input, geom);
+    let (dh, dw) = (geom.rows.dilation, geom.cols.dilation);
+    let live_h = |_: usize, j: usize| j.is_multiple_of(dh);
+    let live_w = |_: usize, j: usize| j.is_multiple_of(dw);
+    let rows = DenseAxis {
+        output: geom.rows.output,
+        kernel: geom.rows.effective_kernel(),
+        phases: 1,
+        live: &live_h,
+    };
+    let cols = DenseAxis {
+        output: geom.cols.output,
+        kernel: geom.cols.effective_kernel(),
+        phases: 1,
+        live: &live_w,
+    };
+    let want = zero_free_selection(dense.data(), c, &rows, &cols);
+    let got = plan_columns(&geom.plan(c, 1), &input);
+    assert_eq!(bits(&got), bits(&want), "{geom:?} c={c}");
+}
+
+#[test]
+fn frame_columns_cover_the_edge_geometries() {
+    // 4k1s: a same-size stride-1 T-CONV with an even kernel needs one
+    // extra end-pad zero, so the frame reaches past pad + input.
+    let g = TconvGeometry::for_target(4, 4, 1, 4).unwrap();
+    assert_eq!((g.output, g.extra_end_pad), (4, 1));
+    check_tconv_columns(&g, 2, 1);
+    // K < S′: phases with no live tap.
+    let g = TconvGeometry::for_upsampling(3, 1, 3).unwrap();
+    assert!(g.kernel < g.converse_stride);
+    check_tconv_columns(&g, 2, 2);
+    // O < S′: phases with no output position.
+    let g = TconvGeometry::for_target(1, 2, 3, 2).unwrap();
+    assert!(g.output < g.converse_stride);
+    check_tconv_columns(&g, 1, 3);
+    // Asymmetric Kh × Kw, dilation and stride on one axis only.
+    let g = DconvGeometry::new(
+        DconvAxis::new(7, 3, 1, 2, 2).unwrap(),
+        DconvAxis::new(9, 2, 2, 1, 0).unwrap(),
+    );
+    check_dconv_columns(&g, 3, 4);
+}
+
+fn tconv_any() -> impl Strategy<Value = TconvGeometry> {
+    (1usize..7, 1usize..6, 1usize..4, 0usize..20)
+        .prop_filter_map("geometry must exist", |(i, k, s, target)| {
+            TconvGeometry::for_target(i, k, s, target.max(1))
+        })
+}
+
+fn dconv_axis() -> impl Strategy<Value = DconvAxis> {
+    (1usize..10, 1usize..5, 1usize..4, 1usize..4, 0usize..4)
+        .prop_filter_map("axis must exist", |(i, k, s, d, p)| {
+            DconvAxis::new(i, k, s, d, p)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sconv_frame_columns_are_the_reference_im2col(geom in sconv_config(), c in 1usize..4, seed in 0u32..1000) {
+        check_sconv_columns(&geom, c, seed);
+    }
+
+    #[test]
+    fn tconv_frame_columns_are_the_zero_inserted_im2col(geom in tconv_any(), c in 1usize..4, seed in 0u32..1000) {
+        check_tconv_columns(&geom, c, seed);
+    }
+
+    #[test]
+    fn dconv_frame_columns_are_the_zero_inserted_kernel_im2col(rows in dconv_axis(), cols in dconv_axis(), c in 1usize..4, seed in 0u32..1000) {
+        check_dconv_columns(&DconvGeometry::new(rows, cols), c, seed);
     }
 }

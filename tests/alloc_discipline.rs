@@ -9,8 +9,10 @@
 //!
 //! The guarantee holds for `train_step` on one and on two samples at one
 //! thread — the configuration the determinism CI job pins, and the shape
-//! of a serving job — and for a batch of eight
-//! at eight worker threads: the persistent worker pool dispatches regions
+//! of a serving job — and for a batch of eight at eight worker threads.
+//! The extended-grammar suite GAN (stride-1, dilated and normalised
+//! layers, each conv plan with its own frame length) holds it at one and
+//! at eight threads. The persistent worker pool dispatches regions
 //! without allocating, and every per-worker scratch buffer (the
 //! thread-local workspaces the backward pass draws its per-sample
 //! partials from, and the packed-GEMM pack buffers) is warmed by the
@@ -194,4 +196,50 @@ fn steady_state_batched_step_is_alloc_free_at_eight_threads() {
             "steady-state batched train steps must not touch the heap at 8 threads"
         );
     });
+}
+
+#[test]
+fn extended_grammar_gan_steps_are_alloc_free_at_one_and_eight_threads() {
+    // The extended-grammar suite GAN runs stride-1, dilated, batch-norm
+    // skip and pixel-norm layers: every zero-padded frame its conv plans
+    // copy inputs into, whatever its length, comes from a workspace pool.
+    let _serial = serial();
+    for threads in [1usize, 8] {
+        let _counted = Counted::new(threads);
+        parallel::with_threads(threads, || {
+            let mut rng = StdRng::seed_from_u64(5);
+            let gen_spec = parse_network("g", "8f-(4t)(3k2s)-t1", 2, 8).unwrap();
+            let disc_spec = parse_network(
+                "d",
+                "(1c-8c)(3k1s)-8c3k1s2d-8c3k1sbn+2-8c3k1s-8c3k1spn-f1",
+                2,
+                8,
+            )
+            .unwrap();
+            let g = build_trainable_with(&gen_spec, true, false, &mut rng);
+            let d = build_trainable_with(&disc_spec, false, false, &mut rng);
+            let mut gan = Gan::new(g, d, 8, 0.01, 6).with_optimizer(UpdateRule::dcgan_adam(0.01));
+            let reals = lergan::gan::train::pack_batch(
+                &(0..8).map(|_| Tensor::filled(&[1, 8, 8], 0.5)).collect::<Vec<_>>(),
+            );
+
+            // Two warmup steps, as for the batched DCGAN above.
+            let _ = gan.train_step_batched(&reals).unwrap();
+            let _ = gan.train_step_batched(&reals).unwrap();
+
+            ALLOCATIONS.store(0, Ordering::SeqCst);
+            ARMED.store(true, Ordering::SeqCst);
+            for _ in 0..5 {
+                let stats = gan.train_step_batched(&reals).unwrap();
+                assert!(stats.d_loss.is_finite() && stats.g_loss.is_finite());
+            }
+            ARMED.store(false, Ordering::SeqCst);
+
+            assert_eq!(
+                ALLOCATIONS.load(Ordering::SeqCst),
+                0,
+                "steady-state extended-grammar steps must not touch the heap at {threads} threads"
+            );
+        });
+    }
 }
