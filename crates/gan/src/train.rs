@@ -1030,9 +1030,11 @@ impl TrainableLayer for ConvTrainLayer {
 
     fn restore_state(&mut self, state: &LayerState, layer: usize) -> Result<(), CheckpointError> {
         self.weights = state.require(layer, "weights", self.weights.shape())?;
+        // Gather before the optimiser restore can fail, so the phase
+        // matrices never disagree with `weights`.
+        self.gather_phase_weights();
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
-        self.gather_phase_weights();
         self.grad.fill(0.0);
         self.cached_bcols = None;
         self.cached_batch = 0;
@@ -3221,6 +3223,46 @@ mod tests {
             key: "weights".into(),
         };
         assert!(err.to_string().contains("layer 3"));
+    }
+
+    #[test]
+    fn failed_conv_restore_runs_the_weights_it_reports() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let mut trained = tiny_discriminator(&mut rng);
+        let x = Tensor::filled(&[1, 8, 8], 0.4);
+        for step in 1..=2u64 {
+            let out = trained.forward(&x);
+            trained.backward(&out);
+            trained.apply_update(&UpdateRule::dcgan_adam(0.05), step);
+        }
+        let mut snapshot = trained.capture_state();
+        // Valid weights, then an optimiser moment of the wrong shape.
+        *snapshot[0].get_mut("opt.m").expect("Adam moment") = Tensor::zeros(&[1]);
+
+        let mut net = tiny_discriminator(&mut rng);
+        match net.restore_state(&snapshot) {
+            Err(CheckpointError::ShapeMismatch { layer: 0, key, .. }) => {
+                assert_eq!(key, "opt.m");
+            }
+            other => panic!("expected a shape mismatch, got {other:?}"),
+        }
+        // The conv layer is partly restored: the forward must run on the
+        // weights it now reports, not on the ones it held before.
+        let reported = net.capture_state()[0]
+            .get("weights")
+            .expect("conv weights")
+            .clone();
+        assert_eq!(&reported, snapshot[0].get("weights").unwrap());
+        // A twin with the snapshot's conv layer and `net`'s other layers.
+        let mut twin_state = trained.capture_state();
+        twin_state.truncate(1);
+        twin_state.extend(net.capture_state().into_iter().skip(1));
+        let mut twin = trained;
+        twin.restore_state(&twin_state).expect("valid state");
+        let bits = |y: &mut Sequential| -> Vec<u32> {
+            y.forward(&x).data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&mut net), bits(&mut twin));
     }
 
     #[test]
