@@ -50,7 +50,7 @@ use crate::link::{LinkError, ReliableFabric};
 use lergan_gan::train::{AutoCheckpoint, CheckpointError, Gan, StepStats};
 use lergan_gan::{GanSpec, Phase};
 use lergan_noc::{Endpoint, Mode, NocConfig, TransientFaults};
-use lergan_reram::{AbftBlock, ReramConfig, WearModel, WritePolicy};
+use lergan_reram::{AbftBlock, ReramConfig, WearLimits, WearModel, WritePolicy};
 use lergan_sim::{FaultEvent, FaultEventKind, RecoveryAction};
 use lergan_tensor::Tensor;
 use std::error::Error;
@@ -308,6 +308,9 @@ pub struct SelfHealingRuntime {
     faults: SystemFaults,
     policy: RecoveryPolicy,
     wear: WearModel,
+    /// The wear limits of the block's current cells, evaluated when the
+    /// block was placed there.
+    limits: WearLimits,
     reram: ReramConfig,
     weights: Vec<i32>,
     inputs: Vec<i32>,
@@ -349,6 +352,7 @@ impl SelfHealingRuntime {
             faults,
             policy,
             wear,
+            limits: wear.limits(0..0),
             reram,
             weights,
             inputs,
@@ -364,8 +368,8 @@ impl SelfHealingRuntime {
         rt.tiles = rt.reram.tiles_per_bank.max(1);
         rt.refresh_latency(&accel);
         rt.report.clean_iteration_ns = rt.clean_iteration_ns()?;
-        rt.region = rt.find_clean_region(0)?;
-        rt.program_block();
+        let region = rt.find_clean_region(0)?;
+        rt.place(region);
         // Placing the block is setup, not recovery: reset the ledger so
         // the report accounts the run only.
         rt.report.recovery_latency_ns = 0.0;
@@ -472,13 +476,10 @@ impl SelfHealingRuntime {
             let events = link.drain_events();
             self.report.events.extend(events);
         }
-        let block = self.block();
-        let range = block.cell_base..block.cell_base + block.cells(&self.reram);
-        let newly = self.faults.bank_mut(Phase::GForward).advance_wear(
-            range,
-            self.policy.pulses_per_step,
-            &self.wear,
-        );
+        let newly = self
+            .faults
+            .bank_mut(Phase::GForward)
+            .advance_wear(&self.limits, self.policy.pulses_per_step);
         let wear_broken = newly.len();
         if wear_broken > 0 {
             self.report.wear_broken_cells += wear_broken as u64;
@@ -542,10 +543,10 @@ impl SelfHealingRuntime {
         for attempt in 1..=self.policy.max_retries {
             self.report.retries += 1;
             self.report.recovery_latency_ns += self.policy.backoff_ns(attempt);
-            if !self.advance_region() {
+            let Some(region) = self.next_region() else {
                 break; // spare space exhausted: escalate
-            }
-            self.program_block();
+            };
+            self.place(region);
             if self.check() <= self.policy.residual_threshold {
                 self.report.corrected += 1;
                 return Ok(RecoveryAction::Corrected);
@@ -572,8 +573,8 @@ impl SelfHealingRuntime {
                 self.refresh_latency(&accel);
                 // Remap + reconfiguration cost: one switch epoch per bank.
                 self.report.recovery_latency_ns += 6.0 * 50.0;
-                self.region = self.find_clean_region((tile + 1) * REGIONS_PER_TILE)?;
-                self.program_block();
+                let region = self.find_clean_region((tile + 1) * REGIONS_PER_TILE)?;
+                self.place(region);
                 self.report.remapped += 1;
                 Ok(true)
             }
@@ -586,8 +587,8 @@ impl SelfHealingRuntime {
     fn rollback(&mut self) -> Result<(), RecoveryError> {
         // Make sure the block sits somewhere clean before resuming.
         if self.check() > self.policy.residual_threshold {
-            self.region = self.find_clean_region(self.region + 1)?;
-            self.program_block();
+            let region = self.find_clean_region(self.region + 1)?;
+            self.place(region);
         }
         let ckpt = self
             .cadence
@@ -622,21 +623,12 @@ impl SelfHealingRuntime {
             .residual
     }
 
-    /// Advances the region cursor past dead tiles; false when the bank's
-    /// spare space is exhausted.
-    fn advance_region(&mut self) -> bool {
+    /// The next region past the current one that no dead tile hosts;
+    /// `None` when the bank's spare space is exhausted.
+    fn next_region(&mut self) -> Option<usize> {
         let total = self.tiles * REGIONS_PER_TILE;
         let map = self.faults.bank_mut(Phase::GForward);
-        let mut r = self.region + 1;
-        while r < total && map.tile_is_dead(r / REGIONS_PER_TILE) {
-            r += 1;
-        }
-        if r < total {
-            self.region = r;
-            true
-        } else {
-            false
-        }
+        (self.region + 1..total).find(|&r| !map.tile_is_dead(r / REGIONS_PER_TILE))
     }
 
     /// First region at or after `from` (skipping dead tiles) whose
@@ -663,10 +655,16 @@ impl SelfHealingRuntime {
         Err(RecoveryError::NoCleanRegion { scanned })
     }
 
-    /// Programs the monitored block at the current region, charging the
-    /// reprogram's latency (row-parallel writes) and energy.
-    fn program_block(&mut self) {
+    /// Moves the monitored block to `region`: evaluates the wear limits of
+    /// its new cells once, for every step until the next move, and programs
+    /// it there, charging the reprogram's latency (row-parallel writes) and
+    /// energy.
+    fn place(&mut self, region: usize) {
+        self.region = region;
         let block = self.block();
+        self.limits = self
+            .wear
+            .limits(block.cell_base..block.cell_base + block.cells(&self.reram));
         let map = self.faults.bank_mut(Phase::GForward);
         let _ = block.program(map, &self.weights, &self.reram, &WritePolicy::default());
         self.report.recovery_latency_ns += BLOCK_ROWS as f64 * self.reram.tile_write_latency_ns;
@@ -714,10 +712,11 @@ mod tests {
     use super::*;
     use lergan_gan::benchmarks;
     use lergan_gan::topology::parse_network;
-    use lergan_reram::FaultMap;
     use lergan_gan::train::{build_trainable_with, UpdateRule};
+    use lergan_reram::FaultMap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn small_trainer(init_seed: u64, noise_seed: u64) -> Gan {
         let g_spec = parse_network("g", "8f-(8t-4t)(3k2s)-t1", 2, 16).unwrap();
@@ -845,6 +844,47 @@ mod tests {
             "a dirty bank must force escalation: {r:?}"
         );
         assert!(r.slowdown() >= 1.0);
+    }
+
+    #[test]
+    fn wear_limits_follow_the_block_across_relocations() {
+        // The dirty-bank setup relocates the block within a few steps. Every
+        // step after the first move must break exactly the cells of the
+        // block's current region whose wear exceeds their own limit.
+        let mut faults = SystemFaults::none();
+        *faults.bank_mut(Phase::GForward) = FaultMap::seeded(0x5EED, 0.0005, 300_000);
+        let wear = WearModel::new(10, 1.2, 0xACE);
+        let policy = RecoveryPolicy {
+            tile_kill_cells: 64,
+            ..RecoveryPolicy::default()
+        };
+        let mut rt = runtime_with(policy, wear, faults);
+        let first = rt.region;
+        let stuck = |rt: &SelfHealingRuntime| -> BTreeSet<u64> {
+            let map = rt.faults().bank(Phase::GForward).expect("monitored bank");
+            map.stuck_cells_in(0..u64::MAX).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut checked = 0;
+        for step in 0..40 {
+            let region = rt.region;
+            let block = rt.block();
+            let cells = block.cell_base..block.cell_base + block.cells(&rt.reram);
+            let before = stuck(&rt);
+            let report = rt.step(&batch(&mut rng)).unwrap();
+            if region == first {
+                continue;
+            }
+            let broken: Vec<u64> = stuck(&rt).difference(&before).copied().collect();
+            assert_eq!(broken.len(), report.wear_broken, "step {step}");
+            let map = rt.faults().bank(Phase::GForward).expect("monitored bank");
+            let over: Vec<u64> = cells
+                .filter(|c| !before.contains(c) && map.wear_of(*c) > wear.limit_of(*c))
+                .collect();
+            assert_eq!(broken, over, "step {step}: wear broke cells off its limits");
+            checked += usize::from(!broken.is_empty());
+        }
+        assert!(checked > 0, "no wear break after the block moved");
     }
 
     #[test]

@@ -153,6 +153,14 @@ impl AbftBlock {
     /// With a pristine map and no variation the residual is exactly zero
     /// (integer sums well inside the f64-exact range).
     ///
+    /// The block's stuck cells are read once, in one ascending walk beside
+    /// the data weights and one beside the checksum column. Without a
+    /// variation model a weight none of whose cells is stuck reads back as
+    /// exactly `code as f64` — the same value
+    /// [`FaultMap::perceived_weight`] sums from its slices, since every
+    /// partial sum is an integer far below 2^53 — so only weights with a
+    /// stuck cell, or every weight under variation, take the slice walk.
+    ///
     /// # Panics
     ///
     /// Panics if the operand shapes do not match the block.
@@ -167,6 +175,24 @@ impl AbftBlock {
         assert_eq!(weights.len(), self.rows * self.cols, "block shape");
         assert_eq!(inputs.len(), self.rows, "input length");
         let checksums = self.checksums(weights);
+        let span = config.cells_per_weight() as u64;
+        let checksum_base = self.cell_of(0, self.cols, config);
+        let block_end = self.cell_base + self.cells(config);
+        let mut data_stuck = map.stuck_cells_in(self.cell_base..checksum_base).peekable();
+        let mut checksum_stuck = map.stuck_cells_in(checksum_base..block_end).peekable();
+        let codes = -(1i64 << (config.data_bits - 1))..1i64 << (config.data_bits - 1);
+        // The value a weight at `base` reads back as; `stuck` walks the
+        // stuck cells at and after `base`, ascending. A code outside the
+        // data width takes the slice walk, which rejects it.
+        let read = |stuck: &mut std::iter::Peekable<_>, code: i32, base: u64| {
+            while stuck.next_if(|&c| c < base).is_some() {}
+            let healthy = stuck.peek().is_none_or(|&c| c >= base + span);
+            if healthy && variation.is_none() && codes.contains(&i64::from(code)) {
+                f64::from(code)
+            } else {
+                map.perceived_weight(variation, code, base, config)
+            }
+        };
         let mut outputs_exact = vec![0i64; self.cols];
         let mut outputs_perceived = vec![0.0f64; self.cols];
         let mut checksum_perceived = 0.0f64;
@@ -174,18 +200,13 @@ impl AbftBlock {
             for c in 0..self.cols {
                 let w = weights[r * self.cols + c];
                 outputs_exact[c] += w as i64 * x as i64;
-                outputs_perceived[c] += map.perceived_weight(
-                    variation,
-                    w,
-                    self.cell_of(r, c, config),
-                    config,
-                ) * x as f64;
+                outputs_perceived[c] +=
+                    read(&mut data_stuck, w, self.cell_of(r, c, config)) * x as f64;
             }
-            checksum_perceived += map.perceived_weight(
-                variation,
+            checksum_perceived += read(
+                &mut checksum_stuck,
                 checksums[r],
                 self.cell_of(r, self.cols, config),
-                config,
             ) * x as f64;
         }
         let residual = (checksum_perceived - outputs_perceived.iter().sum::<f64>()).abs();

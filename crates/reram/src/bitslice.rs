@@ -7,14 +7,42 @@
 //! dot-product identity the analog pipeline relies on.
 
 use crate::config::ReramConfig;
+use std::fmt;
+
+/// Most cells one weight can span: a code of up to 32 bits over cells of
+/// at least one bit each.
+pub const MAX_SLICES: usize = 32;
+
+/// One weight's cell levels, least-significant slice first, held inline so
+/// slicing never touches the heap. Dereferences to `[u8]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Slices {
+    levels: [u8; MAX_SLICES],
+    len: usize,
+}
+
+impl std::ops::Deref for Slices {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.levels[..self.len]
+    }
+}
+
+impl fmt::Debug for Slices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Splits a two's-complement code of `data_bits` into `cells_per_weight`
 /// unsigned cell values, least-significant slice first.
 ///
 /// # Panics
 ///
-/// Panics if the code does not fit in `data_bits`.
-pub fn slice_weight(code: i32, config: &ReramConfig) -> Vec<u8> {
+/// Panics if the code does not fit in `data_bits`, or if a weight spans
+/// more than [`MAX_SLICES`] cells.
+pub fn slice_weight(code: i32, config: &ReramConfig) -> Slices {
     let bits = config.data_bits;
     let min = -(1i64 << (bits - 1));
     let max = (1i64 << (bits - 1)) - 1;
@@ -22,12 +50,19 @@ pub fn slice_weight(code: i32, config: &ReramConfig) -> Vec<u8> {
         (min..=max).contains(&(code as i64)),
         "code {code} does not fit {bits} bits"
     );
+    let len = config.cells_per_weight();
+    assert!(
+        len <= MAX_SLICES,
+        "a weight spans {len} > {MAX_SLICES} cells"
+    );
     let unsigned = (code as i64 & ((1i64 << bits) - 1)) as u64;
     let cell_bits = config.cell_bits;
     let mask = (1u64 << cell_bits) - 1;
-    (0..config.cells_per_weight())
-        .map(|i| ((unsigned >> (i as u32 * cell_bits)) & mask) as u8)
-        .collect()
+    let mut levels = [0u8; MAX_SLICES];
+    for (i, level) in levels[..len].iter_mut().enumerate() {
+        *level = ((unsigned >> (i as u32 * cell_bits)) & mask) as u8;
+    }
+    Slices { levels, len }
 }
 
 /// Recombines slices (least-significant first) into the original code.

@@ -20,9 +20,10 @@
 //! SplitMix64-hashed, never stateful — so any fault scenario replays
 //! bit-identically.
 
-use crate::bitslice::slice_weight;
+use crate::bitslice::{slice_weight, MAX_SLICES};
 use crate::config::ReramConfig;
 use crate::variation::VariationModel;
+use crate::wear::WearLimits;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Stateless SplitMix64 hash used for every seeded fault decision.
@@ -305,7 +306,9 @@ impl FaultMap {
     /// passes see it as hard-failed.
     ///
     /// Deterministic: outcomes depend only on `policy.seed`, the absolute
-    /// cell index and that cell's wear count.
+    /// cell index and that cell's wear count. The weight's stuck status and
+    /// wear counters are read in one range walk over its cells, and its
+    /// slices live on the stack.
     pub fn program_weight(
         &mut self,
         code: i32,
@@ -314,27 +317,39 @@ impl FaultMap {
         policy: &WritePolicy,
     ) -> WriteReport {
         let slices = slice_weight(code, config);
+        let cells = cell_base_index..cell_base_index + slices.len() as u64;
+        let slot = |cell: u64| (cell - cell_base_index) as usize;
+        let mut stuck = [None; MAX_SLICES];
+        for (&cell, &polarity) in self.stuck.range(cells.clone()) {
+            stuck[slot(cell)] = Some(polarity);
+        }
+        // Counters of cells pulsed before, in place; `first` counts the
+        // pulses of cells this call pulses for the first time.
+        let mut counters: [Option<&mut u64>; MAX_SLICES] = [const { None }; MAX_SLICES];
+        for (&cell, worn) in self.wear.range_mut(cells.clone()) {
+            counters[slot(cell)] = Some(worn);
+        }
+        let mut first = [0u64; MAX_SLICES];
         let mut report = WriteReport::default();
         for (i, &target) in slices.iter().enumerate() {
             let cell = cell_base_index + i as u64;
-            if let Some(polarity) = self.stuck_at(cell) {
+            if let Some(polarity) = stuck[i] {
                 if polarity.level(config.cell_bits) != target {
                     report.failed_cells.push(cell);
                 }
                 continue;
             }
+            let worn = match &mut counters[i] {
+                Some(worn) => &mut **worn,
+                None => &mut first[i],
+            };
             let mut verified = false;
             let mut missed = false;
             for _attempt in 0..=policy.max_retries {
-                let pulse = {
-                    let w = self.wear.entry(cell).or_insert(0);
-                    *w += 1;
-                    *w
-                };
+                *worn += 1;
+                let pulse = *worn;
                 report.attempts += 1;
                 if policy.endurance_limit > 0 && pulse > policy.endurance_limit {
-                    self.freeze(cell, policy.seed);
-                    report.newly_stuck += 1;
                     break;
                 }
                 // Sticky failure: a cell that missed a pulse is partially
@@ -352,13 +367,22 @@ impl FaultMap {
                 missed = true;
             }
             if !verified {
-                if self.stuck_at(cell).is_none() {
-                    // Retries exhausted on a transiently-failing cell: the
-                    // controller gives up and quarantines it.
-                    self.freeze(cell, policy.seed);
-                    report.newly_stuck += 1;
-                }
+                // Worn out, or retries exhausted on a transiently-failing
+                // cell: the controller gives up and quarantines it.
+                report.newly_stuck += 1;
                 report.failed_cells.push(cell);
+            }
+        }
+        for (i, &pulses) in first[..slices.len()].iter().enumerate() {
+            if pulses > 0 {
+                self.wear.insert(cell_base_index + i as u64, pulses);
+            }
+        }
+        // A failed cell that was not stuck before this call is the one it
+        // quarantines.
+        for &cell in &report.failed_cells {
+            if stuck[slot(cell)].is_none() {
+                self.freeze(cell, policy.seed);
             }
         }
         report
@@ -380,41 +404,52 @@ impl FaultMap {
         report
     }
 
-    /// Advances the wear counter of every healthy cell in `cells` by
-    /// `pulses` write pulses and freezes the cells whose cumulative wear
-    /// crosses their personal endurance limit under `model`, returning the
-    /// newly broken cell indices (ascending). This is the mid-run wear-out
-    /// channel: each training-phase weight update pulses the cells it
-    /// rewrites, and a cell that was healthy at step *k* can be stuck at
-    /// step *k + 1* — the self-healing runtime's ABFT residuals are what
-    /// notice.
+    /// Advances the wear counter of every healthy cell in
+    /// [`WearLimits::cells`] by `pulses` write pulses and freezes the cells
+    /// whose cumulative wear crosses their personal endurance limit,
+    /// returning the newly broken cell indices (ascending). This is the
+    /// mid-run wear-out channel: each training-phase weight update pulses
+    /// the cells it rewrites, and a cell that was healthy at step *k* can
+    /// be stuck at step *k + 1* — the self-healing runtime's ABFT residuals
+    /// are what notice.
+    ///
+    /// The limits come from [`WearModel::limits`](crate::wear::WearModel::limits),
+    /// evaluated once when the caller placed its block on these cells; a
+    /// broken cell freezes at a polarity seeded by the model's seed. The
+    /// pass is one ordered walk over the range's wear counters beside its
+    /// stuck cells; cells pulsed for the first time get their counter in
+    /// one insertion pass before it.
     ///
     /// Already-stuck cells no longer switch and accumulate no further
     /// wear. With a disabled model (`endurance_mean == 0`) this only
     /// advances counters and never breaks anything.
-    pub fn advance_wear(
-        &mut self,
-        cells: std::ops::Range<u64>,
-        pulses: u64,
-        model: &crate::wear::WearModel,
-    ) -> Vec<u64> {
+    pub fn advance_wear(&mut self, limits: &WearLimits, pulses: u64) -> Vec<u64> {
         let mut newly = Vec::new();
         if pulses == 0 {
             return newly;
         }
-        for cell in cells {
-            if self.stuck_at(cell).is_some() {
+        let cells = limits.cells();
+        let mut counted = self.wear.range(cells.clone()).map(|(&c, _)| c).peekable();
+        let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
+        let fresh: Vec<u64> = cells
+            .clone()
+            .filter(|&c| counted.next_if_eq(&c).is_none() & stuck.next_if_eq(&c).is_none())
+            .collect();
+        self.wear.extend(fresh.into_iter().map(|c| (c, 0)));
+
+        let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
+        for (&cell, worn) in self.wear.range_mut(cells) {
+            while stuck.next_if(|&s| s < cell).is_some() {}
+            if stuck.next_if_eq(&cell).is_some() {
                 continue;
             }
-            let worn = {
-                let w = self.wear.entry(cell).or_insert(0);
-                *w += pulses;
-                *w
-            };
-            if worn > model.limit_of(cell) {
-                self.freeze(cell, model.seed);
+            *worn += pulses;
+            if *worn > limits.limit_of(cell) {
                 newly.push(cell);
             }
+        }
+        for &cell in &newly {
+            self.freeze(cell, limits.seed());
         }
         newly
     }

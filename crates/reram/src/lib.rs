@@ -38,4 +38,4 @@ pub use energy::{EnergyCounts, EnergyModel, TileEnergyBreakdown};
 pub use fault::{FaultMap, StuckAt, WritePolicy, WriteReport};
 pub use tile::{BankSpec, TileSpec};
 pub use variation::VariationModel;
-pub use wear::WearModel;
+pub use wear::{WearLimits, WearModel};

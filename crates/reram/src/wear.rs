@@ -13,19 +13,29 @@
 //!
 //! Determinism contract: a cell's limit is a pure function of
 //! `(seed, cell)`; the same model replays the same break schedule
-//! bit-identically.
+//! bit-identically. That is what lets a caller evaluate the limits once,
+//! when it places a block on a cell range ([`WearModel::limits`]), and
+//! charge every later wear pass against the stored [`WearLimits`] instead
+//! of re-deriving a `powf` per cell per pass.
 
 use crate::fault::{mix, unit};
+use std::ops::Range;
 
 /// Seeded per-cell endurance distribution.
+///
+/// [`WearModel::limit_of`] derives one cell's limit from the seed and the
+/// cell index; [`WearModel::limits`] evaluates it over a placed block's
+/// cell range, and [`crate::fault::FaultMap::advance_wear`] reads the
+/// result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearModel {
     /// Mean endurance in write pulses. Zero disables wear-out entirely
     /// (every cell's limit becomes `u64::MAX`).
     pub endurance_mean: u64,
-    /// Log-uniform spread factor (≥ 1): per-cell limits range over
+    /// Log-uniform spread factor (finite, ≥ 1): per-cell limits range over
     /// `[mean / spread, mean · spread)`. A spread of 1 pins every cell at
-    /// the mean.
+    /// the mean. An infinite spread is no distribution: every cell's limit
+    /// would be 1 or never, so it is rejected like one below 1.
     pub spread: f64,
     /// Seed of the per-cell limits and of the polarity each worn-out cell
     /// freezes at.
@@ -46,14 +56,23 @@ impl WearModel {
     ///
     /// # Panics
     ///
-    /// Panics if `spread < 1`.
+    /// Panics unless [`WearModel::valid_spread`] accepts `spread`.
     pub fn new(endurance_mean: u64, spread: f64, seed: u64) -> Self {
-        assert!(spread >= 1.0, "spread is a multiplicative factor >= 1");
+        assert!(
+            Self::valid_spread(spread),
+            "spread is a finite multiplicative factor >= 1"
+        );
         WearModel {
             endurance_mean,
             spread,
             seed,
         }
+    }
+
+    /// Whether `spread` is a usable spread factor: finite and at least 1
+    /// (NaN is not).
+    pub fn valid_spread(spread: f64) -> bool {
+        spread.is_finite() && spread >= 1.0
     }
 
     /// Whether wear-out is active.
@@ -71,6 +90,50 @@ impl WearModel {
         let limit = self.endurance_mean as f64 * self.spread.powf(u);
         limit.round().max(1.0) as u64
     }
+
+    /// The limits of every cell in `cells`, evaluated once. A runtime calls
+    /// this when it places a block on `cells` and hands the result to each
+    /// [`crate::fault::FaultMap::advance_wear`] pass until it moves the
+    /// block.
+    pub fn limits(&self, cells: Range<u64>) -> WearLimits {
+        WearLimits {
+            start: cells.start,
+            limits: cells.map(|cell| self.limit_of(cell)).collect(),
+            seed: self.seed,
+        }
+    }
+}
+
+/// The endurance limits of one contiguous cell range under a
+/// [`WearModel`], plus the seed worn-out cells freeze with. Each entry is
+/// exactly [`WearModel::limit_of`] of its cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WearLimits {
+    start: u64,
+    limits: Vec<u64>,
+    seed: u64,
+}
+
+impl WearLimits {
+    /// The cell range the limits cover.
+    pub fn cells(&self) -> Range<u64> {
+        self.start..self.start + self.limits.len() as u64
+    }
+
+    /// The limit of `cell`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` lies outside [`WearLimits::cells`].
+    pub(crate) fn limit_of(&self, cell: u64) -> u64 {
+        self.limits[(cell - self.start) as usize]
+    }
+
+    /// The model seed: it also picks the polarity a worn-out cell freezes
+    /// at.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
 }
 
 #[cfg(test)]
@@ -84,7 +147,7 @@ mod tests {
         assert!(!model.is_enabled());
         assert_eq!(model.limit_of(0), u64::MAX);
         let mut m = FaultMap::pristine();
-        let newly = m.advance_wear(0..1000, 1_000_000, &model);
+        let newly = m.advance_wear(&model.limits(0..1000), 1_000_000);
         assert!(newly.is_empty());
         assert_eq!(m.stuck_cells(), 0);
         // Counters still advance (observable bookkeeping).
@@ -107,13 +170,32 @@ mod tests {
     }
 
     #[test]
+    fn spreads_below_one_nan_and_infinity_are_invalid() {
+        assert!(WearModel::valid_spread(1.0) && WearModel::valid_spread(1e6));
+        for spread in [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!WearModel::valid_spread(spread), "{spread}");
+        }
+        assert!(std::panic::catch_unwind(|| WearModel::new(10, f64::INFINITY, 0)).is_err());
+    }
+
+    #[test]
+    fn stored_limits_are_the_models_limits() {
+        let model = WearModel::new(500, 3.0, 77);
+        let limits = model.limits(1000..1300);
+        assert_eq!(limits.cells(), 1000..1300);
+        assert_eq!(limits.seed(), 77);
+        assert!((1000..1300).all(|c| limits.limit_of(c) == model.limit_of(c)));
+    }
+
+    #[test]
     fn wear_breaks_cells_staggered_as_pulses_accumulate() {
         let model = WearModel::new(100, 4.0, 9);
+        let limits = model.limits(0..256);
         let mut m = FaultMap::pristine();
         let mut broken = 0usize;
         let mut rounds_with_breaks = 0usize;
         for _round in 0..40 {
-            let newly = m.advance_wear(0..256, 10, &model);
+            let newly = m.advance_wear(&limits, 10);
             if !newly.is_empty() {
                 rounds_with_breaks += 1;
             }
@@ -129,23 +211,25 @@ mod tests {
     #[test]
     fn stuck_cells_accumulate_no_further_wear() {
         let model = WearModel::new(10, 1.0, 1);
+        let limits = model.limits(0..4);
         let mut m = FaultMap::pristine();
-        let newly = m.advance_wear(0..4, 11, &model);
+        let newly = m.advance_wear(&limits, 11);
         assert_eq!(newly, vec![0, 1, 2, 3]);
         assert_eq!(m.wear_of(2), 11);
         // A second pass touches nothing: already stuck.
-        assert!(m.advance_wear(0..4, 11, &model).is_empty());
+        assert!(m.advance_wear(&limits, 11).is_empty());
         assert_eq!(m.wear_of(2), 11);
     }
 
     #[test]
     fn wear_replays_bit_identically() {
         let model = WearModel::new(50, 2.0, 0xABCD);
+        let limits = model.limits(0..128);
         let run = || {
             let mut m = FaultMap::pristine();
             let mut log = Vec::new();
             for _ in 0..20 {
-                log.push(m.advance_wear(0..128, 7, &model));
+                log.push(m.advance_wear(&limits, 7));
             }
             (m, log)
         };

@@ -1,0 +1,428 @@
+//! The fault-state fast paths against per-cell reference copies.
+//!
+//! `FaultMap::advance_wear` walks its range once beside the stuck cells and
+//! reads limits evaluated at placement, `FaultMap::program_weight` reads a
+//! weight's cells in one range walk with its slices on the stack, and
+//! `AbftBlock::checked_mmv` reads a healthy weight back as its code. The
+//! references below are the straightforward per-cell versions: one map
+//! lookup per cell and pulse, one `WearModel::limit_of` per cell per pass,
+//! one slice walk per weight. Every fast path must agree with them bit for
+//! bit: the broken-cell lists, the write reports, every wear counter, the
+//! stuck set with its polarities, and every field of the ABFT observation.
+
+use lergan_reram::{
+    AbftBlock, AbftObservation, FaultMap, ReramConfig, StuckAt, VariationModel, WearModel,
+    WritePolicy, WriteReport,
+};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// Cells every scenario lives in.
+const SPACE: u64 = 1024;
+
+fn mix(seed: u64, index: u64) -> u64 {
+    let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn unit(seed: u64, index: u64) -> f64 {
+    (mix(seed, index) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+fn slices(code: i32, config: &ReramConfig) -> Vec<u8> {
+    let bits = config.data_bits;
+    let unsigned = (code as i64 & ((1i64 << bits) - 1)) as u64;
+    let mask = (1u64 << config.cell_bits) - 1;
+    (0..config.cells_per_weight())
+        .map(|i| ((unsigned >> (i as u32 * config.cell_bits)) & mask) as u8)
+        .collect()
+}
+
+/// The fault state as plain per-cell maps, driven by the reference paths.
+#[derive(Debug, Clone, Default)]
+struct Reference {
+    stuck: BTreeMap<u64, StuckAt>,
+    wear: BTreeMap<u64, u64>,
+}
+
+impl Reference {
+    /// The stuck cells of `map` (a fresh map: no wear yet).
+    fn of(map: &FaultMap) -> Self {
+        Reference {
+            stuck: map
+                .stuck_cells_in(0..u64::MAX)
+                .map(|c| (c, map.stuck_at(c).unwrap()))
+                .collect(),
+            wear: BTreeMap::new(),
+        }
+    }
+
+    fn freeze(&mut self, cell: u64, seed: u64) {
+        let polarity = if mix(seed ^ 0xF0F0_F0F0_0F0F_0F0F, cell) & 1 == 0 {
+            StuckAt::Zero
+        } else {
+            StuckAt::One
+        };
+        self.stuck.insert(cell, polarity);
+    }
+
+    fn advance_wear(&mut self, cells: Range<u64>, pulses: u64, model: &WearModel) -> Vec<u64> {
+        let mut newly = Vec::new();
+        if pulses == 0 {
+            return newly;
+        }
+        for cell in cells {
+            if self.stuck.contains_key(&cell) {
+                continue;
+            }
+            let worn = {
+                let w = self.wear.entry(cell).or_insert(0);
+                *w += pulses;
+                *w
+            };
+            if worn > model.limit_of(cell) {
+                self.freeze(cell, model.seed);
+                newly.push(cell);
+            }
+        }
+        newly
+    }
+
+    fn program_weight(
+        &mut self,
+        code: i32,
+        base: u64,
+        config: &ReramConfig,
+        policy: &WritePolicy,
+    ) -> WriteReport {
+        let mut report = WriteReport::default();
+        for (i, &target) in slices(code, config).iter().enumerate() {
+            let cell = base + i as u64;
+            if let Some(polarity) = self.stuck.get(&cell) {
+                if polarity.level(config.cell_bits) != target {
+                    report.failed_cells.push(cell);
+                }
+                continue;
+            }
+            let mut verified = false;
+            let mut missed = false;
+            for _attempt in 0..=policy.max_retries {
+                let pulse = {
+                    let w = self.wear.entry(cell).or_insert(0);
+                    *w += 1;
+                    *w
+                };
+                report.attempts += 1;
+                if policy.endurance_limit > 0 && pulse > policy.endurance_limit {
+                    self.freeze(cell, policy.seed);
+                    report.newly_stuck += 1;
+                    break;
+                }
+                let fail_rate = if missed {
+                    policy.transient_fail_rate.sqrt()
+                } else {
+                    policy.transient_fail_rate
+                };
+                let outcome = unit(policy.seed ^ 0x57A7_1C5E_ED5E_ED00, mix(cell, pulse));
+                if outcome >= fail_rate {
+                    verified = true;
+                    break;
+                }
+                missed = true;
+            }
+            if !verified {
+                if !self.stuck.contains_key(&cell) {
+                    self.freeze(cell, policy.seed);
+                    report.newly_stuck += 1;
+                }
+                report.failed_cells.push(cell);
+            }
+        }
+        report
+    }
+
+    fn perceived_weight(
+        &self,
+        variation: Option<&VariationModel>,
+        code: i32,
+        base: u64,
+        config: &ReramConfig,
+    ) -> f64 {
+        let mut v = 0.0f64;
+        for (i, &s) in slices(code, config).iter().enumerate() {
+            let cell = base + i as u64;
+            let level = match self.stuck.get(&cell) {
+                Some(polarity) => f64::from(polarity.level(config.cell_bits)),
+                None => s as f64 + variation.map_or(0.0, |m| m.deviation_at(cell)),
+            };
+            v += level * f64::from(1u32 << (i as u32 * config.cell_bits));
+        }
+        if code < 0 {
+            v -= f64::from(1u32 << config.data_bits);
+        }
+        v
+    }
+
+    fn checked_mmv(
+        &self,
+        block: &AbftBlock,
+        variation: Option<&VariationModel>,
+        weights: &[i32],
+        inputs: &[i32],
+        config: &ReramConfig,
+    ) -> AbftObservation {
+        let (rows, cols) = (block.rows, block.cols);
+        let span = config.cells_per_weight() as u64;
+        let cell_of = |r: usize, c: usize| {
+            let value = if c == cols {
+                rows * cols + r
+            } else {
+                r * cols + c
+            };
+            block.cell_base + value as u64 * span
+        };
+        let checksums = block.checksums(weights);
+        let mut outputs_exact = vec![0i64; cols];
+        let mut outputs_perceived = vec![0.0f64; cols];
+        let mut checksum_perceived = 0.0f64;
+        for (r, &x) in inputs.iter().enumerate() {
+            for c in 0..cols {
+                let w = weights[r * cols + c];
+                outputs_exact[c] += w as i64 * x as i64;
+                outputs_perceived[c] +=
+                    self.perceived_weight(variation, w, cell_of(r, c), config) * x as f64;
+            }
+            checksum_perceived +=
+                self.perceived_weight(variation, checksums[r], cell_of(r, cols), config) * x as f64;
+        }
+        let residual = (checksum_perceived - outputs_perceived.iter().sum::<f64>()).abs();
+        AbftObservation {
+            outputs_exact,
+            outputs_perceived,
+            checksum_perceived,
+            residual,
+        }
+    }
+
+    /// The first difference between `map` and this state over the
+    /// scenario's cell space, if any.
+    fn diff(&self, map: &FaultMap) -> Option<String> {
+        let stuck: Vec<u64> = map.stuck_cells_in(0..SPACE).collect();
+        let expect: Vec<u64> = self.stuck.range(0..SPACE).map(|(&c, _)| c).collect();
+        if stuck != expect {
+            return Some(format!("stuck cells {stuck:?} != {expect:?}"));
+        }
+        for cell in 0..SPACE {
+            if map.stuck_at(cell) != self.stuck.get(&cell).copied() {
+                return Some(format!("cell {cell} polarity differs"));
+            }
+            let expect = self.wear.get(&cell).copied().unwrap_or(0);
+            if map.wear_of(cell) != expect {
+                return Some(format!(
+                    "cell {cell} wear {} != {expect}",
+                    map.wear_of(cell)
+                ));
+            }
+        }
+        None
+    }
+}
+
+fn stuck_rate(pick: usize) -> f64 {
+    [0.0, 0.01, 0.05, 0.3][pick]
+}
+
+fn wear_model(pick: usize, seed: u64) -> WearModel {
+    match pick {
+        0 => WearModel::disabled(),
+        1 => WearModel::new(4, 1.0, seed),
+        2 => WearModel::new(6, 1.5, seed),
+        _ => WearModel::new(12, 3.0, seed),
+    }
+}
+
+/// A 16-bit code from a raw draw.
+fn code(raw: u64) -> i32 {
+    (raw % 65_536) as i32 - 32_768
+}
+
+fn observations_agree(fast: &AbftObservation, slow: &AbftObservation) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    fast.outputs_exact == slow.outputs_exact
+        && bits(&fast.outputs_perceived) == bits(&slow.outputs_perceived)
+        && fast.checksum_perceived.to_bits() == slow.checksum_perceived.to_bits()
+        && fast.residual.to_bits() == slow.residual.to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Two wear passes over overlapping ranges: the second straddles the
+    /// counters the first left, the stuck cells it froze and untouched
+    /// cells.
+    #[test]
+    fn wear_pass_matches_the_per_cell_reference(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        model in 0usize..4,
+        first in (0u64..512, 0u64..256),
+        second in (0u64..512, 0u64..256),
+        pulses in (0u64..6, 0u64..6),
+        rounds in 1usize..4,
+    ) {
+        let model = wear_model(model, seed ^ 0x3EA2);
+        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let mut reference = Reference::of(&map);
+        let passes = [
+            (first.0..first.0 + first.1, pulses.0),
+            (second.0..second.0 + second.1, pulses.1),
+        ];
+        for _ in 0..rounds {
+            for (cells, pulses) in passes.clone() {
+                let fast = map.advance_wear(&model.limits(cells.clone()), pulses);
+                let slow = reference.advance_wear(cells.clone(), pulses, &model);
+                prop_assert_eq!(&fast, &slow, "newly broken over {:?}", cells);
+                if let Some(d) = reference.diff(&map) {
+                    return Err(TestCaseError::fail(d));
+                }
+            }
+        }
+    }
+
+    /// Write-and-verify over seeded stuck cells and earlier wear, under
+    /// transient failures, endurance cut-offs and retry budgets.
+    #[test]
+    fn programming_matches_the_per_cell_reference(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        fail in 0usize..4,
+        endurance in 0u64..6,
+        retries in 0u32..4,
+        wear in (0u64..64, 0u64..4),
+        weights in collection::vec((0u64..u64::MAX, 0u64..64), 1..24),
+    ) {
+        let cfg = ReramConfig::default();
+        let policy = WritePolicy {
+            max_retries: retries,
+            transient_fail_rate: [0.0, 0.1, 0.5, 1.0][fail],
+            endurance_limit: endurance,
+            seed: seed ^ 0x51,
+        };
+        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let mut reference = Reference::of(&map);
+        let model = WearModel::new(3, 1.0, seed);
+        let cells = wear.0 * 4..wear.0 * 4 + 128;
+        map.advance_wear(&model.limits(cells.clone()), wear.1);
+        reference.advance_wear(cells, wear.1, &model);
+        for &(raw, slot) in &weights {
+            let base = slot * 4;
+            let fast = map.program_weight(code(raw), base, &cfg, &policy);
+            let slow = reference.program_weight(code(raw), base, &cfg, &policy);
+            prop_assert_eq!(&fast, &slow, "weight {} at cell {}", code(raw), base);
+        }
+        if let Some(d) = reference.diff(&map) {
+            return Err(TestCaseError::fail(d));
+        }
+    }
+
+    /// The checked MMV over seeded stuck cells, with and without variation
+    /// (variation keeps every weight on the slice walk).
+    #[test]
+    fn checked_mmv_matches_the_slice_by_slice_reference(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        shape in (1usize..9, 1usize..9),
+        base in 0u64..64,
+        varied in 0usize..2,
+    ) {
+        let cfg = ReramConfig::default();
+        let (rows, cols) = shape;
+        let block = AbftBlock::new(rows, cols, base);
+        // Row sums stay inside the 16-bit checksum code.
+        let bound = 32_767 / cols as u64;
+        let weights: Vec<i32> = (0..(rows * cols) as u64)
+            .map(|i| (mix(seed, i) % (2 * bound + 1)) as i32 - bound as i32)
+            .collect();
+        let inputs: Vec<i32> = (0..rows as u64)
+            .map(|i| (mix(seed ^ 0x1A, i) % 255) as i32 - 127)
+            .collect();
+        let variation = VariationModel::new(0.3, seed ^ 0x7);
+        let variation = (varied == 1).then_some(&variation);
+        let map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let reference = Reference::of(&map);
+        let fast = block.checked_mmv(&map, variation, &weights, &inputs, &cfg);
+        let slow = reference.checked_mmv(&block, variation, &weights, &inputs, &cfg);
+        prop_assert!(observations_agree(&fast, &slow), "{:?} != {:?}", fast, slow);
+    }
+}
+
+#[test]
+fn wear_ranges_that_start_or_end_on_a_stuck_cell() {
+    let model = WearModel::new(5, 2.0, 0xC0DE);
+    for seed in 0..16u64 {
+        let mut map = FaultMap::seeded(seed, 0.05, SPACE);
+        let mut reference = Reference::of(&map);
+        let stuck: Vec<u64> = map.stuck_cells_in(0..SPACE).collect();
+        assert!(stuck.len() >= 4, "seed {seed} seeds too few stuck cells");
+        let ranges = [
+            stuck[0]..stuck[2] + 1,
+            stuck[1]..stuck[3],
+            stuck[1]..stuck[1] + 1,
+            stuck[0]..SPACE,
+        ];
+        for _ in 0..4 {
+            for cells in ranges.clone() {
+                let fast = map.advance_wear(&model.limits(cells.clone()), 3);
+                let slow = reference.advance_wear(cells, 3, &model);
+                assert_eq!(fast, slow, "seed {seed}");
+                assert_eq!(reference.diff(&map), None, "seed {seed}");
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_pulses_touch_nothing() {
+    let model = WearModel::new(1, 1.0, 3);
+    let mut map = FaultMap::seeded(9, 0.05, SPACE);
+    let before = map.clone();
+    assert!(map.advance_wear(&model.limits(0..SPACE), 0).is_empty());
+    assert_eq!(map, before);
+    let cfg = ReramConfig::default();
+    let policy = WritePolicy {
+        max_retries: 0,
+        ..WritePolicy::default()
+    };
+    let mut reference = Reference::of(&map);
+    let fast = map.program_weight(-1, 0, &cfg, &policy);
+    let slow = reference.program_weight(-1, 0, &cfg, &policy);
+    assert_eq!(fast, slow);
+    assert_eq!(reference.diff(&map), None);
+}
+
+#[test]
+fn a_disabled_model_only_counts() {
+    let model = WearModel::disabled();
+    let mut map = FaultMap::seeded(4, 0.01, SPACE);
+    let mut reference = Reference::of(&map);
+    for cells in [0..300, 200..700, 650..SPACE] {
+        let fast = map.advance_wear(&model.limits(cells.clone()), 1 << 40);
+        let slow = reference.advance_wear(cells, 1 << 40, &model);
+        assert!(fast.is_empty());
+        assert_eq!(fast, slow);
+    }
+    assert_eq!(reference.diff(&map), None);
+}
+
+#[test]
+fn a_code_outside_the_data_width_still_panics_in_the_checked_mmv() {
+    let cfg = ReramConfig::default();
+    let block = AbftBlock::new(1, 1, 0);
+    let result = std::panic::catch_unwind(|| {
+        block.checked_mmv(&FaultMap::pristine(), None, &[40_000], &[1], &cfg)
+    });
+    assert!(result.is_err(), "a 17-bit code must be rejected");
+}

@@ -61,6 +61,13 @@ pub enum ServeError {
     },
     /// The fleet has zero pairs: nothing could ever run.
     EmptyFleet,
+    /// The wear model's spread is not a finite factor of at least 1 (see
+    /// [`WearModel::valid_spread`]). NaN, values below 1 and +∞ are all
+    /// rejected: +∞ would give every cell a limit of 1 or never.
+    InvalidWear {
+        /// The rejected spread.
+        spread: f64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -75,6 +82,10 @@ impl fmt::Display for ServeError {
                 write!(f, "job {job} has a non-finite arrival time")
             }
             ServeError::EmptyFleet => write!(f, "the fleet has no pairs"),
+            ServeError::InvalidWear { spread } => write!(
+                f,
+                "wear spread {spread} is not a finite factor of at least 1"
+            ),
         }
     }
 }
@@ -145,7 +156,9 @@ impl ServeConfig {
         }
     }
 
-    /// Enables wear with the given endurance distribution.
+    /// Enables wear with the given endurance distribution. The spread is
+    /// checked at [`ServeRuntime::run`], which rejects an invalid one with
+    /// [`ServeError::InvalidWear`].
     pub fn with_wear(mut self, endurance_mean: u64, spread: f64) -> Self {
         self.wear = Some((endurance_mean, spread));
         self
@@ -200,7 +213,7 @@ impl ServeRuntime {
 
     /// Serves `jobs` to completion. Returns `Err` only for caller bugs —
     /// a malformed workload (non-finite arrival, out-of-table topology),
-    /// an empty fleet, or a topology that fails to compile fault-free;
+    /// an empty fleet, an invalid wear spread, or a topology that fails to compile fault-free;
     /// everything traffic-induced lands in the report's counters, and
     /// poisoned inputs surface as typed [`ServeError`]s, never aborts.
     pub fn run(
@@ -210,6 +223,11 @@ impl ServeRuntime {
     ) -> Result<ServeReport, ServeError> {
         if self.cfg.pairs == 0 {
             return Err(ServeError::EmptyFleet);
+        }
+        if let Some((_, spread)) = self.cfg.wear {
+            if !WearModel::valid_spread(spread) {
+                return Err(ServeError::InvalidWear { spread });
+            }
         }
         // Reject poisoned jobs up front: a NaN arrival cannot be ordered
         // in simulated time, and an out-of-table topology would otherwise

@@ -91,3 +91,33 @@ fn validation_rejects_before_any_work_is_done() {
     assert!(matches!(err, ServeError::UnknownTopology { job: 1, .. }));
     assert_eq!(plans.hits() + plans.misses(), 0, "no plan was compiled");
 }
+
+#[test]
+fn invalid_wear_spreads_are_rejected_before_any_work_is_done() {
+    // `WearModel::new` asserts its spread; the runtime must refuse a bad
+    // one up front instead of aborting when it builds the pairs. +∞ is
+    // rejected too: it would give every cell a limit of 1 or never.
+    for spread in [0.5, f64::NAN, f64::INFINITY] {
+        let mut plans = PlanCache::table_v();
+        let err = ServeRuntime::new(ServeConfig::pristine(2).with_wear(20, spread))
+            .run(vec![job(0, 0, 0.0)], &mut plans)
+            .unwrap_err();
+        match err {
+            ServeError::InvalidWear { spread: s } => {
+                assert_eq!(s.to_bits(), spread.to_bits());
+                assert!(err.to_string().contains("wear spread"), "{err}");
+            }
+            other => panic!("spread {spread}: expected InvalidWear, got {other}"),
+        }
+        assert_eq!(plans.hits() + plans.misses(), 0, "no plan was compiled");
+    }
+}
+
+#[test]
+fn a_valid_wear_spread_still_serves() {
+    let mut plans = PlanCache::table_v();
+    let report = ServeRuntime::new(ServeConfig::pristine(2).with_wear(20, 1.0))
+        .run(vec![job(0, 0, 0.0)], &mut plans)
+        .expect("a spread of 1 pins every cell at the mean");
+    assert_eq!(report.completed, 1);
+}
