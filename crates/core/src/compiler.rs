@@ -278,25 +278,15 @@ fn map_layer(
     let degree = options.degree_for(op.phase);
     let dims = workload.dims;
     let pairs = workload.in_channels as u128 * workload.out_channels as u128;
-    let (plan, positions_dense): (Option<ZfdrPlan>, u128) = match &workload.kind {
-        WorkloadKind::Dense => (None, dense_positions(&workload)),
-        WorkloadKind::TconvInput(g) => (Some(ZfdrPlan::for_tconv(g)), (g.output as u128).pow(dims)),
-        WorkloadKind::WconvKernel(g) => (
-            Some(ZfdrPlan::for_wconv(g)),
-            (g.gradient_extent() as u128).pow(dims),
-        ),
-        WorkloadKind::DconvKernel(g) => (
-            // Symmetric geometry composes one axis-class set across both
-            // dimensions, exactly as T-CONV; asymmetric geometry has no
-            // pow-composable plan and maps dense.
-            g.is_symmetric().then(|| ZfdrPlan::for_dconv(&g.rows)),
-            g.rows.output as u128 * g.cols.output as u128,
-        ),
+    // Only the ZFDR scheme maps reshape classes; NR and NS map
+    // zero-inserted operands dense, so they need no plan here.
+    let plan = if options.scheme == ReshapeScheme::Zfdr {
+        zfdr_plan(&workload)
+    } else {
+        None
     };
-
-    let use_zfdr = options.scheme == ReshapeScheme::Zfdr && plan.is_some();
-    if use_zfdr {
-        let plan = plan.expect("checked above");
+    if let Some(plan) = plan {
+        let summaries = plan.kind_summaries(dims);
         // T-CONV ZFDR stores reshaped *weights* (ic × oc kernels); W-CONV-S
         // stores reshaped *∇output* (its channel dimension only).
         let is_wconv = matches!(workload.kind, WorkloadKind::WconvKernel(_));
@@ -308,7 +298,7 @@ fn map_layer(
         let mut replicas = replica::plan_for_degree(
             degree,
             &plan,
-            dims,
+            &summaries,
             channel_factor,
             config,
             tile_transfer_ns,
@@ -318,7 +308,7 @@ fn map_layer(
         // one bank's *healthy* tiles, so shed inside then edge replicas
         // until they do.
         let bank_values = config.weights_per_tile() as u128 * bank_tiles as u128;
-        while replicas.storage_values(&plan, dims, channel_factor) > bank_values
+        while replicas.storage_values(&summaries, channel_factor) > bank_values
             && (replicas.inside > 1 || replicas.edge > 1)
         {
             if replicas.inside > 1 {
@@ -327,8 +317,8 @@ fn map_layer(
                 replicas.edge -= 1;
             }
         }
-        let stored = replicas.storage_values(&plan, dims, channel_factor);
-        let cycles = plan.cycles(dims, &replicas);
+        let stored = replicas.storage_values(&summaries, channel_factor);
+        let cycles = summaries.cycles(&replicas);
         // Physical crossbar ops: each class tuple fires `reuse` MMVs over
         // its own reshaped matrix layout (per receiving channel for the
         // W-CONV direction, where each in-channel streams its own window).
@@ -384,6 +374,7 @@ fn map_layer(
             replicas = replicas.min(fit.max(1) as usize);
         }
         let stored = base * replicas as u128;
+        let positions_dense = dense_positions(&workload);
         let cycles = positions_dense.div_ceil(replicas as u128).max(1);
         let rows = dense_matrix_rows(&workload);
         let layout = CrossbarLayout::for_matrix(rows.max(1), workload.out_channels.max(1), config);
@@ -406,6 +397,20 @@ fn map_layer(
             tiles: tiles.max(1),
             workload,
         }
+    }
+}
+
+/// The ZFDR plan of a zero-inserted workload; `None` for dense workloads
+/// and for D-CONV geometries that map dense.
+fn zfdr_plan(w: &ConvWorkload) -> Option<ZfdrPlan> {
+    match &w.kind {
+        WorkloadKind::Dense => None,
+        WorkloadKind::TconvInput(g) => Some(ZfdrPlan::for_tconv(g)),
+        WorkloadKind::WconvKernel(g) => Some(ZfdrPlan::for_wconv(g)),
+        // Symmetric geometry composes one axis-class set across both
+        // dimensions, exactly as T-CONV; asymmetric geometry has no
+        // pow-composable plan and maps dense.
+        WorkloadKind::DconvKernel(g) => g.is_symmetric().then(|| ZfdrPlan::for_dconv(&g.rows)),
     }
 }
 
@@ -484,16 +489,17 @@ fn dense_scheme_replicas(
                 WorkloadKind::Dense => 1,
                 WorkloadKind::TconvInput(g) => {
                     let plan = ZfdrPlan::for_tconv(g);
+                    let summaries = plan.kind_summaries(w.dims);
                     let pairs = w.in_channels as u128 * w.out_channels as u128;
                     let rp = replica::plan_for_degree(
                         ReplicaDegree::Low,
                         &plan,
-                        w.dims,
+                        &summaries,
                         pairs,
                         config,
                         tile_transfer_ns,
                     );
-                    let z = rp.storage_values(&plan, w.dims, pairs);
+                    let z = rp.storage_values(&summaries, pairs);
                     ((z / w.weight_values.max(1)) as usize).max(1)
                 }
                 WorkloadKind::WconvKernel(_) | WorkloadKind::DconvKernel(_) => 1,
@@ -506,16 +512,17 @@ fn dense_scheme_replicas(
                 WorkloadKind::Dense if w.weight_values > 0 => {
                     if let Some(g) = converse_tconv(w) {
                         let plan = ZfdrPlan::for_tconv(&g);
+                        let summaries = plan.kind_summaries(w.dims);
                         let pairs = w.in_channels as u128 * w.out_channels as u128;
                         let rp = replica::plan_for_degree(
                             degree,
                             &plan,
-                            w.dims,
+                            &summaries,
                             pairs,
                             config,
                             tile_transfer_ns,
                         );
-                        let z = rp.storage_values(&plan, w.dims, pairs);
+                        let z = rp.storage_values(&summaries, pairs);
                         replica::dense_replicas(degree, z, w.weight_values)
                     } else {
                         1

@@ -18,7 +18,7 @@
 //! the fault-free plan.
 
 use lergan_gan::Phase;
-use lergan_noc::LinkFaults;
+use lergan_noc::{LinkFaults, RouteError};
 use lergan_reram::FaultMap;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -97,6 +97,9 @@ pub enum FaultError {
         /// The phase whose bank died.
         phase: Phase,
     },
+    /// Severed tree links partition the endpoints of a transfer the
+    /// iteration needs.
+    Unroutable(RouteError),
 }
 
 impl fmt::Display for FaultError {
@@ -114,11 +117,21 @@ impl fmt::Display for FaultError {
             FaultError::BankDead { phase } => {
                 write!(f, "every tile of the {phase} bank is dead")
             }
+            FaultError::Unroutable(e) => {
+                write!(f, "severed tree links leave a transfer unroutable: {e}")
+            }
         }
     }
 }
 
-impl Error for FaultError {}
+impl Error for FaultError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            FaultError::Unroutable(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// What a fault scenario costs against the fault-free plan: the same GAN,
 /// options and hardware configuration, rebuilt without faults and

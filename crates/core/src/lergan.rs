@@ -203,7 +203,9 @@ impl LerGanBuilder {
     ///
     /// Returns [`BuildError`] if any single layer's mapping exceeds one
     /// bank's CArray capacity (the compiler cannot split a single reshaped
-    /// matrix across banks).
+    /// matrix across banks), or [`BuildError::Fault`] when the fault
+    /// scenario leaves too few tiles or (through severed tree links) a
+    /// transfer with no route.
     pub fn build(self) -> Result<LerGan, BuildError> {
         let options = CompilerOptions {
             scheme: self.scheme,
@@ -266,7 +268,7 @@ impl LerGanBuilder {
             allocs.insert(phase, alloc);
         }
         let pair = DcuPair::with_faults(&self.noc, self.faults.links());
-        Ok(LerGan {
+        let accel = LerGan {
             gan: self.gan,
             compiled,
             pair,
@@ -276,7 +278,14 @@ impl LerGanBuilder {
             energy: self.energy,
             faults: self.faults,
             allocs,
-        })
+        };
+        // Only severed tree links can partition the fabric; lowering one
+        // iteration routes every transfer the simulation will ask for.
+        if accel.faults.links().severed_tree_links() > 0 {
+            schedule::try_lower_iteration(&accel.schedule_context())
+                .map_err(FaultError::Unroutable)?;
+        }
+        Ok(accel)
     }
 }
 
@@ -417,8 +426,8 @@ impl LerGan {
 
     // ---- internal simulation ----
 
-    fn simulate_iteration(&self) -> TrainingReport {
-        let ctx = ScheduleContext {
+    fn schedule_context(&self) -> ScheduleContext<'_> {
+        ScheduleContext {
             gan: &self.gan,
             compiled: &self.compiled,
             allocs: &self.allocs,
@@ -426,8 +435,11 @@ impl LerGan {
             reram: &self.reram,
             noc: &self.noc,
             cost: &self.cost,
-        };
-        let lowered = schedule::lower_iteration(&ctx);
+        }
+    }
+
+    fn simulate_iteration(&self) -> TrainingReport {
+        let lowered = schedule::lower_iteration(&self.schedule_context());
         // The lowering emits dependencies strictly from earlier to later
         // tasks, so the DAG is acyclic by construction.
         let schedule = lowered
@@ -724,6 +736,51 @@ mod tests {
                 phase: Phase::DForward
             })
         );
+    }
+
+    #[test]
+    fn severed_tree_link_on_a_transfer_path_is_a_typed_error() {
+        // Leaf 16 (tile 0 of G→'s bank) is the first layer's entry tile:
+        // severing its parent link partitions it from its neighbour.
+        let gan = benchmarks::dcgan();
+        let mut faults = SystemFaults::none();
+        faults.links_mut().sever_tree(0, 0, 16);
+        let err = LerGan::builder(&gan).faults(faults).build().unwrap_err();
+        let BuildError::Fault(FaultError::Unroutable(route)) = &err else {
+            panic!("expected an unroutable-transfer error, got {err:?}");
+        };
+        assert_eq!(
+            *route,
+            lergan_noc::RouteError::Unreachable {
+                from: lergan_noc::Endpoint::pair_tile(0, 0, 0),
+                to: lergan_noc::Endpoint::pair_tile(0, 0, 1),
+                mode: lergan_noc::Mode::Cmode,
+            }
+        );
+        let text = err.to_string();
+        assert!(text.contains("unroutable"), "{text}");
+        assert!(text.contains("(s0,b0,n16) to (s0,b0,n17)"), "{text}");
+        assert!(Error::source(&FaultError::Unroutable(*route)).is_some());
+    }
+
+    #[test]
+    fn severed_tree_link_off_every_path_builds_and_simulates() {
+        // Leaf 31 (tile 15 of G→'s bank) carries no transfer, so severing
+        // it changes no route and no simulated bit.
+        let gan = benchmarks::dcgan();
+        let clean = LerGan::builder(&gan).build().unwrap().train_iterations(1);
+        let mut faults = SystemFaults::none();
+        faults.links_mut().sever_tree(0, 0, 31);
+        let accel = LerGan::builder(&gan).faults(faults).build().unwrap();
+        let r = accel.train_iterations(1);
+        assert_eq!(
+            r.iteration_latency_ns.to_bits(),
+            clean.iteration_latency_ns.to_bits()
+        );
+        assert_eq!(r.total_energy_pj.to_bits(), clean.total_energy_pj.to_bits());
+        assert_eq!(r.op_latency, clean.op_latency);
+        let report = accel.degradation_report().expect("faults were injected");
+        assert_eq!(report.slowdown(), 1.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! computation: `t_t_total ≤ t_c_total` defines `replica_e_max`, and
 //! `replica_i_max = LL × replica_e_max`.
 
-use crate::zfdr::plan::{ClassKind, ZfdrPlan};
+use crate::zfdr::plan::{ClassKind, KindSummaries, ZfdrPlan};
 use lergan_reram::ReramConfig;
 
 /// Programmer-facing duplication degree (the `replica_degree` structure
@@ -77,10 +77,10 @@ impl ReplicaPlan {
     }
 
     /// Total CArray storage (values) of a layer's reshaped matrices under
-    /// this plan.
-    pub fn storage_values(&self, plan: &ZfdrPlan, dims: u32, channel_pairs: u128) -> u128 {
-        plan.kind_summaries(dims)
-            .into_iter()
+    /// this plan, given the layer's [`ZfdrPlan::kind_summaries`].
+    pub fn storage_values(&self, summaries: &KindSummaries, channel_pairs: u128) -> u128 {
+        summaries
+            .iter()
             .map(|(k, s)| s.pattern_volume * self.for_kind(k) as u128)
             .sum::<u128>()
             * channel_pairs
@@ -96,17 +96,18 @@ impl ReplicaPlan {
 /// neighbour-tile transfer. The interior-class count stands in for the
 /// paper's loop length `LL` as the edge→inside multiplier (it is the
 /// number of distinct inside matrices per axis, which is what the extra
-/// replicas feed).
+/// replicas feed). `summaries` is `plan.kind_summaries(dims)` for the
+/// layer's dimensionality.
 pub fn replica_e_max(
     plan: &ZfdrPlan,
-    dims: u32,
+    summaries: &KindSummaries,
     channel_pairs: u128,
     config: &ReramConfig,
     tile_transfer_ns: f64,
 ) -> usize {
     let t_m = config.mmv_latency_ns();
-    let inside = plan.kind(ClassKind::Inside, dims);
-    let edge = plan.kind(ClassKind::Edge, dims);
+    let inside = summaries.get(ClassKind::Inside);
+    let edge = summaries.get(ClassKind::Edge);
     if inside.classes == 0 {
         return 1;
     }
@@ -124,7 +125,7 @@ pub fn replica_e_max(
             edge: r_e,
             inside: r_i as usize,
         };
-        let size = trial.storage_values(plan, dims, channel_pairs);
+        let size = trial.storage_values(summaries, channel_pairs);
         let tiles = size.div_ceil(carray_values);
         let t_t_total = tiles.saturating_sub(1) as f64 * tile_transfer_ns;
         let t_c_total = t_m * inside.max_reuse.div_ceil(r_i).max(1) as f64;
@@ -137,16 +138,17 @@ pub fn replica_e_max(
     best
 }
 
-/// Builds the Table III replica plan for a degree.
+/// Builds the Table III replica plan for a degree. `summaries` is
+/// `plan.kind_summaries(dims)` for the layer's dimensionality.
 pub fn plan_for_degree(
     degree: ReplicaDegree,
     plan: &ZfdrPlan,
-    dims: u32,
+    summaries: &KindSummaries,
     channel_pairs: u128,
     config: &ReramConfig,
     tile_transfer_ns: f64,
 ) -> ReplicaPlan {
-    let e_max = replica_e_max(plan, dims, channel_pairs, config, tile_transfer_ns);
+    let e_max = replica_e_max(plan, summaries, channel_pairs, config, tile_transfer_ns);
     let multiplier = plan.interior_axis_classes().max(1);
     let i_max = e_max * multiplier;
     match degree {
@@ -204,16 +206,16 @@ mod tests {
 
     #[test]
     fn storage_scales_with_replicas() {
-        let plan = conv1_plan();
+        let summaries = conv1_plan().kind_summaries(2);
         let pairs = 1024 * 512;
-        let base = ReplicaPlan::unity().storage_values(&plan, 2, pairs);
+        let base = ReplicaPlan::unity().storage_values(&summaries, pairs);
         assert_eq!(base, 100 * pairs); // Σ|p| squared = 100 per pair
         let doubled_inside = ReplicaPlan {
             corner: 1,
             edge: 1,
             inside: 2,
         }
-        .storage_values(&plan, 2, pairs);
+        .storage_values(&summaries, pairs);
         assert!(doubled_inside > base);
         assert!(doubled_inside < 2 * base);
     }
@@ -221,15 +223,16 @@ mod tests {
     #[test]
     fn degrees_are_monotone_in_storage_and_cycles() {
         let plan = conv1_plan();
+        let summaries = plan.kind_summaries(2);
         let cfg = ReramConfig::default();
         let pairs = 1024 * 512;
         let t_t = 15.0;
         let mut prev_storage = 0u128;
         let mut prev_cycles = u128::MAX;
         for degree in ReplicaDegree::ALL {
-            let rp = plan_for_degree(degree, &plan, 2, pairs, &cfg, t_t);
-            let storage = rp.storage_values(&plan, 2, pairs);
-            let cycles = plan.cycles(2, &rp);
+            let rp = plan_for_degree(degree, &plan, &summaries, pairs, &cfg, t_t);
+            let storage = rp.storage_values(&summaries, pairs);
+            let cycles = summaries.cycles(&rp);
             assert!(storage >= prev_storage, "{degree:?} storage regressed");
             assert!(cycles <= prev_cycles, "{degree:?} cycles regressed");
             prev_storage = storage;
@@ -241,7 +244,7 @@ mod tests {
     fn replica_e_max_is_at_least_one() {
         let plan = conv1_plan();
         let cfg = ReramConfig::default();
-        let e = replica_e_max(&plan, 2, 1024 * 512, &cfg, 15.0);
+        let e = replica_e_max(&plan, &plan.kind_summaries(2), 1024 * 512, &cfg, 15.0);
         assert!(e >= 1);
     }
 

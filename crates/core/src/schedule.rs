@@ -22,10 +22,11 @@ use crate::lergan::CostModel;
 use crate::mapping::TileAllocation;
 use lergan_gan::ir::{BankSlot, OpId};
 use lergan_gan::{GanSpec, Phase};
-use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, Route};
+use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, Route, RouteError};
 use lergan_reram::{EnergyCounts, ReramConfig};
 use lergan_sim::engine::{Engine, ResourceId, TaskId, TaskSpec};
 use lergan_sim::Breakdown;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Everything a lowering needs, borrowed from the assembled accelerator.
@@ -84,9 +85,28 @@ pub struct LoweredIteration {
 
 /// Lowers one training iteration of `ctx`'s op graph into an engine task
 /// graph following the Fig. 13 controller script.
+///
+/// # Panics
+///
+/// Panics if a transfer's endpoints are partitioned off the fabric, which
+/// only severed tree links can do. [`LerGan`](crate::LerGan) lowers one
+/// iteration fallibly when it is built under such faults and returns a
+/// typed error, so its simulations never reach the panic.
 pub fn lower_iteration(ctx: &ScheduleContext<'_>) -> LoweredIteration {
+    try_lower_iteration(ctx).expect("every transfer has a route")
+}
+
+/// [`lower_iteration`], returning the first unroutable transfer as an
+/// error instead of panicking.
+pub(crate) fn try_lower_iteration(
+    ctx: &ScheduleContext<'_>,
+) -> Result<LoweredIteration, RouteError> {
     Lowering::new(ctx).build()
 }
+
+/// A transfer's endpoints and routing mode: the key of the lowering's
+/// route cache.
+type Leg = (Endpoint, Endpoint, Mode);
 
 /// (first, last) task ids of one phase run's chain.
 struct PhaseRun {
@@ -104,6 +124,7 @@ struct Lowering<'a> {
     compute_res: HashMap<Phase, ResourceId>,
     wire_res: HashMap<(usize, usize), ResourceId>,
     cross_res: ResourceId,
+    routes: HashMap<Leg, Route>,
     batch: u64,
     t_m: f64,
 }
@@ -147,6 +168,7 @@ impl<'a> Lowering<'a> {
             compute_res,
             wire_res,
             cross_res,
+            routes: HashMap::new(),
             batch: ctx.compiled.batch_size as u64,
             t_m: ctx.reram.mmv_latency_ns(),
             ctx,
@@ -159,86 +181,85 @@ impl<'a> Lowering<'a> {
 
     // ---- routes ---------------------------------------------------------
 
-    /// Route for an intra-phase hop between two physical tiles of the
+    /// Latency and energy of moving `values` along `leg`. Routes are pure
+    /// functions of the fabric, so each distinct leg is searched once per
+    /// lowering and reused for every later transfer over it.
+    fn transfer(&mut self, leg: Leg, values: u64) -> Result<(f64, f64), RouteError> {
+        let route = match self.routes.entry(leg) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let (from, to, mode) = leg;
+                e.insert(self.ctx.pair.route(from, to, mode)?)
+            }
+        };
+        Ok(route.transfer(values, self.ctx.noc))
+    }
+
+    /// Leg of an intra-phase hop between two physical tiles of the
     /// phase's bank. Fault-free hand-offs are always between adjacent
     /// tiles; a fault-aware remap can relocate either endpoint, and the
     /// route then pays the real (longer) detour.
-    fn tile_route(&self, bank: BankSlot, from: usize, to: usize) -> Route {
-        let (mode, side) = if self.threed() {
-            (Mode::Cmode, bank.side)
-        } else {
-            (Mode::Smode, bank.side)
-        };
-        let b = if self.threed() { bank.bank } else { 0 };
-        let t0 = from % self.ctx.noc.tiles_per_bank;
-        let t1 = to % self.ctx.noc.tiles_per_bank;
-        self.ctx
-            .pair
-            .route(
-                Endpoint::pair_tile(side, b, t0),
-                Endpoint::pair_tile(side, b, t1),
-                mode,
-            )
-            .expect("endpoints are valid")
-    }
-
-    /// Route through the shared bus out of (and back into) a bank — what
-    /// a phase pays when its allocation spills past the bank (Fig. 9's
-    /// inter-bank movement).
-    fn bus_route(&self, bank: BankSlot) -> Route {
-        let b = if self.threed() { bank.bank } else { 0 };
-        self.ctx
-            .pair
-            .route(
-                Endpoint::pair_tile(bank.side, b, 0),
-                Endpoint::pair_tile(1 - bank.side, b, 0),
-                Mode::Smode,
-            )
-            .expect("bus route exists")
-    }
-
-    /// Route that carries cached data from a forward bank to a backward
-    /// bank of the same side (vertical hop in 3D, H-tree + bus otherwise).
-    fn cross_bank_route(&self, side: usize, from_bank: usize, to_bank: usize) -> Route {
-        if self.threed() {
-            self.ctx
-                .pair
-                .route(
-                    Endpoint::pair_tile(side, from_bank, 0),
-                    Endpoint::pair_tile(side, to_bank, 0),
-                    Mode::Cmode,
-                )
-                .expect("endpoints are valid")
-        } else {
-            // H-tree baseline: the phases live in tile groups of a flat
-            // bank; data crosses the whole tree (and the shared bus when
-            // the model spills over a bank).
-            self.ctx
-                .pair
-                .route(
-                    Endpoint::pair_tile(side, 0, 0),
-                    Endpoint::pair_tile(side, 0, self.ctx.noc.tiles_per_bank - 1),
-                    Mode::Smode,
-                )
-                .expect("endpoints are valid")
-        }
-    }
-
-    /// Route between the generator side and the discriminator side.
-    fn cross_side_route(&self, from_bank: usize, to_bank: usize) -> Route {
+    fn tile_leg(&self, bank: BankSlot, from: usize, to: usize) -> Leg {
         let mode = if self.threed() {
             Mode::Cmode
         } else {
             Mode::Smode
         };
-        self.ctx
-            .pair
-            .route(
-                Endpoint::pair_tile(0, if self.threed() { from_bank } else { 0 }, 0),
-                Endpoint::pair_tile(1, if self.threed() { to_bank } else { 0 }, 0),
-                mode,
+        let b = if self.threed() { bank.bank } else { 0 };
+        let t0 = from % self.ctx.noc.tiles_per_bank;
+        let t1 = to % self.ctx.noc.tiles_per_bank;
+        (
+            Endpoint::pair_tile(bank.side, b, t0),
+            Endpoint::pair_tile(bank.side, b, t1),
+            mode,
+        )
+    }
+
+    /// Leg through the shared bus out of (and back into) a bank — what a
+    /// phase pays when its allocation spills past the bank (Fig. 9's
+    /// inter-bank movement).
+    fn bus_leg(&self, bank: BankSlot) -> Leg {
+        let b = if self.threed() { bank.bank } else { 0 };
+        (
+            Endpoint::pair_tile(bank.side, b, 0),
+            Endpoint::pair_tile(1 - bank.side, b, 0),
+            Mode::Smode,
+        )
+    }
+
+    /// Leg that carries cached data from a forward bank to a backward
+    /// bank of the same side (vertical hop in 3D, H-tree + bus otherwise).
+    fn cross_bank_leg(&self, side: usize, from_bank: usize, to_bank: usize) -> Leg {
+        if self.threed() {
+            (
+                Endpoint::pair_tile(side, from_bank, 0),
+                Endpoint::pair_tile(side, to_bank, 0),
+                Mode::Cmode,
             )
-            .expect("endpoints are valid")
+        } else {
+            // H-tree baseline: the phases live in tile groups of a flat
+            // bank; data crosses the whole tree (and the shared bus when
+            // the model spills over a bank).
+            (
+                Endpoint::pair_tile(side, 0, 0),
+                Endpoint::pair_tile(side, 0, self.ctx.noc.tiles_per_bank - 1),
+                Mode::Smode,
+            )
+        }
+    }
+
+    /// Leg between the generator side and the discriminator side.
+    fn cross_side_leg(&self, from_bank: usize, to_bank: usize) -> Leg {
+        let mode = if self.threed() {
+            Mode::Cmode
+        } else {
+            Mode::Smode
+        };
+        (
+            Endpoint::pair_tile(0, if self.threed() { from_bank } else { 0 }, 0),
+            Endpoint::pair_tile(1, if self.threed() { to_bank } else { 0 }, 0),
+            mode,
+        )
     }
 
     /// Write time for `values` into a bank spanning `tiles` tiles.
@@ -252,7 +273,7 @@ impl<'a> Lowering<'a> {
     // ---- task emitters --------------------------------------------------
 
     /// Emits the chained per-op transfer/compute tasks of one phase run.
-    fn run_phase(&mut self, phase: Phase, dep: Option<TaskId>) -> PhaseRun {
+    fn run_phase(&mut self, phase: Phase, dep: Option<TaskId>) -> Result<PhaseRun, RouteError> {
         let cp = self.ctx.compiled.phase(phase);
         let ops = self.ctx.compiled.graph.phase_ops(phase);
         debug_assert_eq!(ops.len(), cp.layers.len(), "graph and mapping agree");
@@ -312,12 +333,12 @@ impl<'a> Lowering<'a> {
                 && alloc
                     .handoff_crosses_bank(li - 1)
                     .expect("layers are consecutive");
-            let route = if crosses {
-                self.bus_route(op.bank)
+            let leg = if crosses {
+                self.bus_leg(op.bank)
             } else {
-                self.tile_route(op.bank, from_tile, to_tile)
+                self.tile_leg(op.bank, from_tile, to_tile)
             };
-            let (lat, en) = route.transfer(moved, self.ctx.noc);
+            let (lat, en) = self.transfer(leg, moved)?;
             let mut xfer = TaskSpec::new(format!("{phase} xfer L{}", op.layer_index), lat).on(wire_r);
             if let Some(p) = prev {
                 xfer = xfer.after(p);
@@ -325,7 +346,7 @@ impl<'a> Lowering<'a> {
             let xfer_id = self.engine.add_task(xfer);
             self.energy.add("communication", en);
             self.counts.buffer_values += moved as u128;
-            self.phase_cost.add(&phase.to_string(), lat);
+            self.phase_cost.add(phase.arrow(), lat);
 
             // Skip-edge dataflow: a non-adjacent same-phase producer (a
             // residual edge in the op graph) also feeds this op. Its
@@ -343,8 +364,8 @@ impl<'a> Lowering<'a> {
                 let volume = ops[pi].workload.output_values as u64 * self.batch;
                 let from_tile = alloc.handoff(pi).expect("producer precedes a layer").0;
                 let to_tile = alloc.tile_for(li, 0).expect("layer is allocated");
-                let route = self.tile_route(op.bank, from_tile, to_tile);
-                let (lat, en) = route.transfer(volume, self.ctx.noc);
+                let (lat, en) =
+                    self.transfer(self.tile_leg(op.bank, from_tile, to_tile), volume)?;
                 let t = self.engine.add_task(
                     TaskSpec::new(
                         format!("{phase} skip L{}->L{}", ops[pi].layer_index, op.layer_index),
@@ -355,7 +376,7 @@ impl<'a> Lowering<'a> {
                 );
                 self.energy.add("communication", en);
                 self.counts.buffer_values += volume as u128;
-                self.phase_cost.add(&phase.to_string(), lat);
+                self.phase_cost.add(phase.arrow(), lat);
                 skip_deps.push(t);
             }
 
@@ -369,7 +390,7 @@ impl<'a> Lowering<'a> {
             computes.push(comp_id);
             let crossbar_ops = layer.crossbar_ops_per_sample * self.batch as u128;
             self.counts.crossbar_mmv_ops += crossbar_ops;
-            self.phase_cost.add(&phase.to_string(), dur);
+            self.phase_cost.add(phase.arrow(), dur);
 
             self.op_tasks.push(OpTask {
                 op: op.id,
@@ -383,10 +404,10 @@ impl<'a> Lowering<'a> {
             first.get_or_insert(xfer_id);
             prev = Some(comp_id);
         }
-        PhaseRun {
+        Ok(PhaseRun {
             first: first.expect("phases have at least one layer"),
             last: prev.expect("phases have at least one layer"),
-        }
+        })
     }
 
     /// Mapping task: write a phase's operands into its bank.
@@ -412,11 +433,18 @@ impl<'a> Lowering<'a> {
     }
 
     /// Cross transfer on the bus/bypass resource.
-    fn cross_task(&mut self, label: &str, route: &Route, values: u64, dep: TaskId) -> TaskId {
-        let (lat, en) = route.transfer(values, self.ctx.noc);
+    fn cross_task(
+        &mut self,
+        label: &str,
+        leg: Leg,
+        values: u64,
+        dep: TaskId,
+    ) -> Result<TaskId, RouteError> {
+        let (lat, en) = self.transfer(leg, values)?;
         self.energy.add("communication", en);
-        self.engine
-            .add_task(TaskSpec::new(label, lat).on(self.cross_res).after(dep))
+        Ok(self
+            .engine
+            .add_task(TaskSpec::new(label, lat).on(self.cross_res).after(dep)))
     }
 
     /// Weight update of one model (rewrite every stored copy, stream the
@@ -471,7 +499,7 @@ impl<'a> Lowering<'a> {
 
     // ---- the Fig. 13 script ---------------------------------------------
 
-    fn build(mut self) -> LoweredIteration {
+    fn build(mut self) -> Result<LoweredIteration, RouteError> {
         // The FSM defines ordering; here we instantiate it with real
         // durations and the Fig. 13 overlaps.
         let script = MemoryController::iteration_script();
@@ -483,7 +511,7 @@ impl<'a> Lowering<'a> {
         ));
 
         // ===== half 1: train the discriminator =====
-        let gf = self.run_phase(Phase::GForward, Some(mode_switch));
+        let gf = self.run_phase(Phase::GForward, Some(mode_switch))?;
         let g_out_values = self.batch
             * self
                 .ctx
@@ -493,9 +521,9 @@ impl<'a> Lowering<'a> {
                 .last()
                 .map(|l| l.output_count(self.ctx.gan.generator.dims))
                 .unwrap_or(1) as u64;
-        let to_d = self.cross_side_route(0, 0);
-        let xfer_gd = self.cross_task("samples G->D", &to_d, g_out_values, gf.last);
-        let df = self.run_phase(Phase::DForward, Some(xfer_gd));
+        let to_d = self.cross_side_leg(0, 0);
+        let xfer_gd = self.cross_task("samples G->D", to_d, g_out_values, gf.last)?;
+        let df = self.run_phase(Phase::DForward, Some(xfer_gd))?;
         // Map D-w / D← while D→ runs (Fig. 13a).
         let map_dw = self.map_phase(Phase::DWeightGrad, Some(xfer_gd));
         let map_db = self.map_phase(Phase::DBackward, Some(mode_switch));
@@ -504,15 +532,13 @@ impl<'a> Lowering<'a> {
             TaskSpec::new("loss gradient", self.ctx.cost.cpu_fixed_ns).after(df.last),
         );
         // Activations hop from the forward bank down to D-w's bank.
-        let act_route = self.cross_bank_route(1, 0, 1);
-        let (act_lat, act_en) = act_route.transfer(
-            self.ctx
-                .compiled
-                .phase(Phase::DWeightGrad)
-                .moved_values_per_sample() as u64
-                * self.batch,
-            self.ctx.noc,
-        );
+        let act_values = self
+            .ctx
+            .compiled
+            .phase(Phase::DWeightGrad)
+            .moved_values_per_sample() as u64
+            * self.batch;
+        let (act_lat, act_en) = self.transfer(self.cross_bank_leg(1, 0, 1), act_values)?;
         self.energy.add("communication", act_en);
         let act_move = self
             .engine
@@ -520,19 +546,19 @@ impl<'a> Lowering<'a> {
         let db_barrier = self
             .engine
             .add_task(TaskSpec::new("D← ready", 0.0).after_all(&[err, map_db]));
-        let db = self.run_phase(Phase::DBackward, Some(db_barrier));
+        let db = self.run_phase(Phase::DBackward, Some(db_barrier))?;
         let dw_barrier = self
             .engine
             .add_task(TaskSpec::new("D-w ready", 0.0).after_all(&[map_dw, act_move, db.first]));
-        let dw = self.run_phase(Phase::DWeightGrad, Some(dw_barrier));
+        let dw = self.run_phase(Phase::DWeightGrad, Some(dw_barrier))?;
         let update_d = self.update_task(false, dw.last);
 
         // ===== half 2: train the generator =====
-        let gf2 = self.run_phase(Phase::GForward, Some(update_d));
+        let gf2 = self.run_phase(Phase::GForward, Some(update_d))?;
         let map_gw = self.map_phase(Phase::GWeightGrad, Some(update_d));
         let map_gb = self.map_phase(Phase::GBackward, Some(update_d));
-        let xfer_gd2 = self.cross_task("samples G->D (2)", &to_d, g_out_values, gf2.last);
-        let df2 = self.run_phase(Phase::DForward, Some(xfer_gd2));
+        let xfer_gd2 = self.cross_task("samples G->D (2)", to_d, g_out_values, gf2.last)?;
+        let df2 = self.run_phase(Phase::DForward, Some(xfer_gd2))?;
         let map_db2 = self.map_phase(Phase::DBackward, Some(update_d));
         let err2 = self.engine.add_task(
             TaskSpec::new("loss gradient (2)", self.ctx.cost.cpu_fixed_ns).after(df2.last),
@@ -540,9 +566,9 @@ impl<'a> Lowering<'a> {
         let err_barrier = self
             .engine
             .add_task(TaskSpec::new("D← ready", 0.0).after_all(&[err2, map_db2]));
-        let db2 = self.run_phase(Phase::DBackward, Some(err_barrier));
+        let db2 = self.run_phase(Phase::DBackward, Some(err_barrier))?;
         // Error crosses B6 -> B3.
-        let back_route = self.cross_side_route(2, 2);
+        let back_leg = self.cross_side_leg(2, 2);
         let gen_in_err_values = self.batch
             * (self
                 .ctx
@@ -552,23 +578,23 @@ impl<'a> Lowering<'a> {
                 .last()
                 .map(|l| l.output_count(self.ctx.gan.generator.dims))
                 .unwrap_or(1) as u64);
-        let xfer_err = self.cross_task("error D->G", &back_route, gen_in_err_values, db2.last);
+        let xfer_err = self.cross_task("error D->G", back_leg, gen_in_err_values, db2.last)?;
         let gb_barrier = self
             .engine
             .add_task(TaskSpec::new("G← ready", 0.0).after_all(&[xfer_err, map_gb]));
-        let gb = self.run_phase(Phase::GBackward, Some(gb_barrier));
+        let gb = self.run_phase(Phase::GBackward, Some(gb_barrier))?;
         let gw_barrier = self
             .engine
             .add_task(TaskSpec::new("G-w ready", 0.0).after_all(&[gb.first, map_gw]));
-        let gw = self.run_phase(Phase::GWeightGrad, Some(gw_barrier));
+        let gw = self.run_phase(Phase::GWeightGrad, Some(gw_barrier))?;
         let _update_g = self.update_task(true, gw.last);
 
-        LoweredIteration {
+        Ok(LoweredIteration {
             engine: self.engine,
             counts: self.counts,
             energy: self.energy,
             phase_cost: self.phase_cost,
             op_tasks: self.op_tasks,
-        }
+        })
     }
 }

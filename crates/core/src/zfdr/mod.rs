@@ -28,4 +28,4 @@
 pub mod closed_form;
 pub mod plan;
 
-pub use plan::{AxisClass, ClassKind, KindSummary, ZfdrPlan};
+pub use plan::{AxisClass, ClassKind, KindSummaries, KindSummary, ZfdrPlan};

@@ -69,6 +69,43 @@ impl KindSummary {
     }
 }
 
+/// The three [`KindSummary`]s of a plan in one dimensionality, as
+/// [`ZfdrPlan::kind_summaries`] returns them. A pure function of the plan
+/// and `dims`: compute it once per layer and pass it to everything that
+/// sizes or times the layer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KindSummaries([KindSummary; 3]);
+
+impl KindSummaries {
+    /// Summary of one kind.
+    pub fn get(&self, kind: ClassKind) -> KindSummary {
+        self.0[kind as usize]
+    }
+
+    /// `(kind, summary)` pairs in Corner/Edge/Inside order.
+    pub fn iter(&self) -> impl Iterator<Item = (ClassKind, KindSummary)> {
+        ClassKind::ALL.into_iter().zip(self.0)
+    }
+
+    /// MMV cycles to execute one sample with the given per-kind replica
+    /// counts: parallel classes run concurrently, so the critical path is
+    /// the most-reused class divided by its replication.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any replica count is zero.
+    pub fn cycles(&self, replicas: &crate::replica::ReplicaPlan) -> u128 {
+        self.iter()
+            .map(|(k, s)| {
+                let r = replicas.for_kind(k) as u128;
+                assert!(r > 0, "replica counts must be positive");
+                s.max_reuse.div_ceil(r)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// The enumerated reshape plan of one zero-inserted convolution axis
 /// geometry, composable to any dimensionality.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,7 +240,7 @@ impl ZfdrPlan {
     ///
     /// Tuples are not materialised; the summary is composed from per-axis
     /// sums, so volumetric (`dims = 3`) networks cost nothing extra.
-    pub fn kind_summaries(&self, dims: u32) -> [(ClassKind, KindSummary); 3] {
+    pub fn kind_summaries(&self, dims: u32) -> KindSummaries {
         // Per-axis aggregates split by interior flag.
         let mut groups: [(usize, u128, u128, u128); 2] = [(0, 0, 0, 0); 2];
         // (count, max_reuse, sum_reuse, sum_pattern_len) per group
@@ -215,11 +252,7 @@ impl ZfdrPlan {
             g.3 += c.pattern.len() as u128;
         }
         let (bnd, int) = (groups[0], groups[1]);
-        let mut out = [
-            (ClassKind::Corner, KindSummary::empty()),
-            (ClassKind::Edge, KindSummary::empty()),
-            (ClassKind::Inside, KindSummary::empty()),
-        ];
+        let mut out = [KindSummary::empty(); 3];
         // Number of axis arrangements with exactly k interior axes.
         for k in 0..=dims {
             let combos = binomial(dims, k);
@@ -230,26 +263,18 @@ impl ZfdrPlan {
             let max_reuse = int.1.pow(k) * bnd.1.max(1).pow(dims - k);
             let positions = combos * int.2.pow(k) * bnd.2.pow(dims - k);
             let volume = combos * int.3.pow(k) * bnd.3.pow(dims - k);
-            let kind = Self::kind_of(k, dims);
-            let slot = out
-                .iter_mut()
-                .find(|(kk, _)| *kk == kind)
-                .expect("kind present");
-            slot.1.classes += classes;
-            slot.1.max_reuse = slot.1.max_reuse.max(max_reuse);
-            slot.1.total_positions += positions;
-            slot.1.pattern_volume += volume;
+            let slot = &mut out[Self::kind_of(k, dims) as usize];
+            slot.classes += classes;
+            slot.max_reuse = slot.max_reuse.max(max_reuse);
+            slot.total_positions += positions;
+            slot.pattern_volume += volume;
         }
-        out
+        KindSummaries(out)
     }
 
     /// Summary of one kind.
     pub fn kind(&self, kind: ClassKind, dims: u32) -> KindSummary {
-        self.kind_summaries(dims)
-            .into_iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, s)| s)
-            .expect("all kinds summarised")
+        self.kind_summaries(dims).get(kind)
     }
 
     /// Total reshaped-matrix storage (values) in `dims` dimensions for one
@@ -262,26 +287,6 @@ impl ZfdrPlan {
             .map(|c| c.pattern.len() as u128)
             .sum();
         per_axis.pow(dims)
-    }
-
-    /// MMV cycles to execute one sample with the given per-kind replica
-    /// counts: parallel classes run concurrently, so the critical path is
-    /// the most-reused class divided by its replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any replica count is zero.
-    pub fn cycles(&self, dims: u32, replicas: &crate::replica::ReplicaPlan) -> u128 {
-        ClassKind::ALL
-            .into_iter()
-            .map(|k| {
-                let s = self.kind(k, dims);
-                let r = replicas.for_kind(k) as u128;
-                assert!(r > 0, "replica counts must be positive");
-                s.max_reuse.div_ceil(r)
-            })
-            .max()
-            .unwrap_or(0)
     }
 
     /// Total MMVs per sample (= positions^dims: one per output position).
@@ -395,7 +400,7 @@ mod tests {
     fn conv1_completes_in_9_cycles_without_duplication() {
         // "it only needs 9 cycles (one MMV uses one cycle)".
         let plan = conv1_plan();
-        assert_eq!(plan.cycles(2, &ReplicaPlan::unity()), 9);
+        assert_eq!(plan.kind_summaries(2).cycles(&ReplicaPlan::unity()), 9);
     }
 
     #[test]
@@ -465,15 +470,13 @@ mod tests {
     #[test]
     fn replication_reduces_cycles() {
         let plan = conv1_plan();
-        let unity = plan.cycles(2, &ReplicaPlan::unity());
-        let tripled = plan.cycles(
-            2,
-            &ReplicaPlan {
-                corner: 1,
-                edge: 3,
-                inside: 3,
-            },
-        );
+        let summaries = plan.kind_summaries(2);
+        let unity = summaries.cycles(&ReplicaPlan::unity());
+        let tripled = summaries.cycles(&ReplicaPlan {
+            corner: 1,
+            edge: 3,
+            inside: 3,
+        });
         assert!(tripled < unity);
         assert_eq!(tripled, 3); // ceil(9/3)
     }

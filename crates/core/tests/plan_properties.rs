@@ -125,16 +125,17 @@ proptest! {
 
     #[test]
     fn storage_monotone_and_cycles_antitone_in_replicas(geom in tconv_geom(), r in 1usize..6) {
-        let plan = ZfdrPlan::for_tconv(&geom);
+        let summaries = ZfdrPlan::for_tconv(&geom).kind_summaries(2);
         let base = ReplicaPlan::unity();
         let more = ReplicaPlan { corner: 1, edge: r, inside: r + 1 };
-        prop_assert!(more.storage_values(&plan, 2, 100) >= base.storage_values(&plan, 2, 100));
-        prop_assert!(plan.cycles(2, &more) <= plan.cycles(2, &base));
+        prop_assert!(more.storage_values(&summaries, 100) >= base.storage_values(&summaries, 100));
+        prop_assert!(summaries.cycles(&more) <= summaries.cycles(&base));
     }
 
     #[test]
     fn degree_presets_are_ordered(geom in tconv_geom()) {
         let plan = ZfdrPlan::for_tconv(&geom);
+        let summaries = plan.kind_summaries(2);
         let cfg = ReramConfig::default();
         let mut prev_cycles = u128::MAX;
         let mut prev_storage = 0u128;
@@ -144,9 +145,9 @@ proptest! {
             ReplicaDegree::Middle,
             ReplicaDegree::High,
         ] {
-            let rp = plan_for_degree(degree, &plan, 2, 1000, &cfg, 15.0);
-            let cycles = plan.cycles(2, &rp);
-            let storage = rp.storage_values(&plan, 2, 1000);
+            let rp = plan_for_degree(degree, &plan, &summaries, 1000, &cfg, 15.0);
+            let cycles = summaries.cycles(&rp);
+            let storage = rp.storage_values(&summaries, 1000);
             prop_assert!(cycles <= prev_cycles, "{degree:?} regressed cycles");
             prop_assert!(storage >= prev_storage, "{degree:?} regressed storage");
             prev_cycles = cycles;
@@ -159,7 +160,7 @@ proptest! {
         // The whole point of ZFDR: parallel classes finish in at most as
         // many cycles as there are output positions (the NR serial bound).
         let plan = ZfdrPlan::for_tconv(&geom);
-        let cycles = plan.cycles(2, &ReplicaPlan::unity());
+        let cycles = plan.kind_summaries(2).cycles(&ReplicaPlan::unity());
         prop_assert!(cycles <= (geom.output as u128).pow(2));
         prop_assert!(cycles >= 1);
     }

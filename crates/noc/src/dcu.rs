@@ -20,6 +20,8 @@
 use crate::config::NocConfig;
 use crate::fault::LinkFaults;
 use crate::htree::HTree;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Interconnect operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +81,7 @@ impl Endpoint {
 }
 
 /// Typed routing failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
     /// No path connects the endpoints: the fabric is partitioned (only
     /// possible when tree links are severed beyond redundancy — added-wire
@@ -402,13 +404,23 @@ impl Fabric {
         fabric
     }
 
-    /// Dijkstra by latency. Small graphs (≤ ~200 vertices), so the O(V²)
-    /// scan is simplest and avoids float-ordering pitfalls.
-    fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
-        let adj = match mode {
+    fn adjacency(&self, mode: Mode) -> &[Vec<Edge>] {
+        match mode {
             Mode::Cmode => &self.cmode,
             Mode::Smode => &self.smode,
-        };
+        }
+    }
+
+    /// Dijkstra by latency over a binary heap keyed by `(distance, vertex)`.
+    ///
+    /// Vertices settle in order of distance, lowest vertex index first on
+    /// ties, and relaxation is strict `<`, so among equal-latency paths the
+    /// result is fixed by the fabric alone: the route is deterministic and
+    /// independent of how many times or in which order it is asked for.
+    /// Stale heap entries (a settled vertex, or a distance improved since
+    /// the push) are skipped.
+    fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
+        let adj = self.adjacency(mode);
         let (src, dst) = (self.vertex(from), self.vertex(to));
         if src == dst {
             return Ok(Route::nil());
@@ -418,37 +430,50 @@ impl Fabric {
         let mut prev: Vec<Option<(usize, Edge)>> = vec![None; n];
         let mut done = vec![false; n];
         dist[src] = 0.0;
-        for _ in 0..n {
-            let mut u = usize::MAX;
-            let mut best = f64::INFINITY;
-            for v in 0..n {
-                if !done[v] && dist[v] < best {
-                    best = dist[v];
-                    u = v;
-                }
-            }
-            if u == usize::MAX {
-                break;
+        let mut heap = BinaryHeap::from([Reverse(Tentative {
+            dist: 0.0,
+            vertex: src,
+        })]);
+        while let Some(Reverse(Tentative { dist: d, vertex: u })) = heap.pop() {
+            if done[u] || d != dist[u] {
+                continue;
             }
             if u == dst {
                 break;
             }
             done[u] = true;
             for e in &adj[u] {
-                let nd = dist[u] + e.latency_ns;
+                let nd = d + e.latency_ns;
                 if nd < dist[e.to] {
                     dist[e.to] = nd;
                     prev[e.to] = Some((u, *e));
+                    heap.push(Reverse(Tentative {
+                        dist: nd,
+                        vertex: e.to,
+                    }));
                 }
             }
         }
+        self.path(from, to, mode, &dist, &prev)
+    }
+
+    /// Reconstructs the route to `to` from a finished search's distances
+    /// and predecessor edges.
+    fn path(
+        &self,
+        from: Endpoint,
+        to: Endpoint,
+        mode: Mode,
+        dist: &[f64],
+        prev: &[Option<(usize, Edge)>],
+    ) -> Result<Route, RouteError> {
+        let (src, dst) = (self.vertex(from), self.vertex(to));
         if !dist[dst].is_finite() {
             // Dijkstra exhausted the reachable set without touching the
             // destination: the fabric is partitioned. Terminate with a
             // typed error rather than retrying or spinning.
             return Err(RouteError::Unreachable { from, to, mode });
         }
-        // Reconstruct.
         let mut edges = Vec::new();
         let mut energy = 0.0;
         let mut min_width = u32::MAX;
@@ -476,6 +501,30 @@ impl Fabric {
             min_width_bits: min_width,
             switch_nodes,
         })
+    }
+}
+
+/// A heap entry of the route search: a tentative distance and its vertex,
+/// ordered by distance, then by vertex index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tentative {
+    dist: f64,
+    vertex: usize,
+}
+
+impl Eq for Tentative {}
+
+impl Ord for Tentative {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.dist
+            .total_cmp(&other.dist)
+            .then(self.vertex.cmp(&other.vertex))
+    }
+}
+
+impl PartialOrd for Tentative {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -569,6 +618,117 @@ impl DcuPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference search: Dijkstra with an O(V²) minimum scan, lowest
+    /// vertex index first on ties, run from `src` until every reachable
+    /// vertex is settled. Stopping once a destination settles (as the
+    /// library does) cannot change that destination's predecessor chain:
+    /// every vertex on it settles earlier, and a settled vertex's
+    /// predecessor never changes again.
+    fn scan_search(
+        fabric: &Fabric,
+        from: Endpoint,
+        mode: Mode,
+    ) -> (Vec<f64>, Vec<Option<(usize, Edge)>>) {
+        let adj = fabric.adjacency(mode);
+        let n = fabric.vertex_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<(usize, Edge)>> = vec![None; n];
+        let mut done = vec![false; n];
+        dist[fabric.vertex(from)] = 0.0;
+        for _ in 0..n {
+            let mut u = usize::MAX;
+            let mut best = f64::INFINITY;
+            for v in 0..n {
+                if !done[v] && dist[v] < best {
+                    best = dist[v];
+                    u = v;
+                }
+            }
+            if u == usize::MAX {
+                break;
+            }
+            done[u] = true;
+            for e in &adj[u] {
+                let nd = dist[u] + e.latency_ns;
+                if nd < dist[e.to] {
+                    dist[e.to] = nd;
+                    prev[e.to] = Some((u, *e));
+                }
+            }
+        }
+        (dist, prev)
+    }
+
+    /// Asserts the heap search returns exactly the scan's route (edges,
+    /// latency and energy bits, width, switch nodes) or the same error,
+    /// for every ordered pair of addressable vertices in both modes.
+    fn assert_heap_matches_scan(fabric: &Fabric) -> Result<(), TestCaseError> {
+        let endpoints: Vec<Endpoint> = (0..fabric.bus_vertex())
+            .filter_map(|v| fabric.endpoint_of(v))
+            .filter(|e| e.node >= 1)
+            .collect();
+        for mode in [Mode::Smode, Mode::Cmode] {
+            for &from in &endpoints {
+                let (dist, prev) = scan_search(fabric, from, mode);
+                for &to in &endpoints {
+                    let expected = if from == to {
+                        Ok(Route::nil())
+                    } else {
+                        fabric.path(from, to, mode, &dist, &prev)
+                    };
+                    prop_assert_eq!(fabric.route(from, to, mode), expected);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Combined link faults on both sides: broken horizontal and vertical
+    /// wires, frozen switches and severed tree links at once.
+    fn combined_faults() -> impl Strategy<Value = LinkFaults> {
+        let horizontal = proptest::collection::vec((0usize..2, 0usize..3, 2usize..15), 0..16);
+        let vertical = proptest::collection::vec((0usize..2, 0usize..2, 1usize..16), 0..16);
+        let stuck = proptest::collection::vec((0usize..2, 0usize..3, 1usize..16), 0..4);
+        let tree = proptest::collection::vec((0usize..2, 0usize..3, 2usize..32), 0..3);
+        (horizontal, vertical, stuck, tree).prop_map(|(h, v, s, t)| {
+            let mut f = LinkFaults::none();
+            for (side, bank, node) in h {
+                f.break_horizontal(side, bank, node);
+            }
+            for (side, bank, node) in v {
+                f.break_vertical(side, bank, node);
+            }
+            for (side, bank, node) in s {
+                f.stick_switch(side, bank, node);
+            }
+            for (side, bank, node) in t {
+                f.sever_tree(side, bank, node);
+            }
+            f
+        })
+    }
+
+    proptest! {
+        // Each case checks ~43 k ordered vertex pairs per mode; a few
+        // cases cover every fault category many times over.
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn heap_search_matches_the_linear_scan(faults in combined_faults()) {
+            let cfg = NocConfig::default();
+            assert_heap_matches_scan(&ThreeDcu::with_faults(&cfg, &faults).fabric)?;
+            assert_heap_matches_scan(&DcuPair::with_faults(&cfg, &faults).fabric)?;
+        }
+    }
+
+    #[test]
+    fn heap_search_matches_the_linear_scan_on_pristine_fabrics() {
+        let cfg = NocConfig::default();
+        assert_heap_matches_scan(&ThreeDcu::new(&cfg).fabric).unwrap();
+        assert_heap_matches_scan(&DcuPair::new(&cfg).fabric).unwrap();
+    }
 
     fn dcu() -> ThreeDcu {
         ThreeDcu::new(&NocConfig::default())

@@ -70,7 +70,7 @@ fn main() {
     );
     println!(
         "cycles without duplication: {} (paper: 9; normal reshape: 64)\n",
-        plan.cycles(2, &ReplicaPlan::unity())
+        plan.kind_summaries(2).cycles(&ReplicaPlan::unity())
     );
 
     println!("--- storage (the 75% claim) ---");
