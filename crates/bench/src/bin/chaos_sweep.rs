@@ -10,24 +10,26 @@
 //!
 //! * **no violations** — every standing invariant (bit-identity to the
 //!   never-faulted twin, `ServeReport` conservation, slowdown ≥ 1,
-//!   nothing stranded while a pair lives) holds on every campaign;
+//!   nothing stranded while a pair lives, every runtime-leg detection
+//!   resolved, a non-zero detection overhead) holds on every campaign;
 //! * **full ladder coverage** — Corrected, Remapped, RolledBack,
 //!   Retransmitted, wire quarantine and pair quarantine each fired at
 //!   least once across the set. A chaos suite that never exercises an
 //!   arm is not testing it.
 //!
-//! The JSON carries the per-campaign rows, the arm-coverage map, and
-//! MTTR / retransmit-rate percentiles across campaigns. Everything is
-//! seeded; running the sweep twice, at any `LERGAN_THREADS`, produces
-//! byte-identical output. Usage: `chaos_sweep [output.json]` (default
+//! The JSON carries the per-campaign rows (the runtime leg's recovery
+//! accounting — detections, ladder outcomes, retries, wear damage,
+//! checkpoints, replays, detection overhead, MTTR, rollback rate,
+//! slowdown — plus the serve leg's lifecycle counts), the arm-coverage
+//! map, and MTTR / retransmit-rate percentiles across campaigns.
+//! Everything is seeded; running the sweep twice, at any
+//! `LERGAN_THREADS`, produces byte-identical output. Usage: `chaos_sweep [output.json]` (default
 //! `BENCH_chaos.json`).
 
-use lergan_bench::chaos::{campaigns, run_campaign, ArmCoverage, CampaignOutcome};
+use lergan_bench::chaos::{
+    campaigns, run_campaign, ArmCoverage, CampaignOutcome, CAMPAIGNS, MASTER_SEED,
+};
 use lergan_serve::PlanCache;
-
-/// Master seed of the committed campaign set. Fixed: CI diffs the JSON.
-const MASTER_SEED: u64 = 0xC4A05;
-const CAMPAIGNS: usize = 6;
 
 /// Nearest-rank percentile over an ascending-sorted slice.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -40,13 +42,17 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 fn row_json(o: &CampaignOutcome) -> String {
     let s = &o.spec;
+    let rt = &o.runtime;
     let r = &o.serve;
     format!(
         "    {{ \"campaign\": \"{}\", \"seed\": {}, \"topology\": {}, \"rt_steps\": {}, \
          \"stuck_rate\": {}, \"endurance_mean\": {}, \"dead_tiles\": {}, \
          \"link_flip\": {}, \"link_drop\": {}, \"link_burst\": {}, \"cripple_pair\": {}, \
-         \"violations\": {}, \"detected\": {}, \"mttr_ns\": {:.0}, \"slowdown\": {:.6}, \
-         \"retransmit_rate\": {:.6}, \
+         \"violations\": {}, \"detected\": {}, \"corrected\": {}, \"remapped\": {}, \
+         \"rolled_back\": {}, \"retries\": {}, \"wear_broken_cells\": {}, \
+         \"quarantined_cells\": {}, \"checkpoints_taken\": {}, \"replayed_steps\": {}, \
+         \"detection_overhead_pct\": {:.4}, \"mttr_ns\": {:.0}, \"rollback_rate\": {:.6}, \
+         \"slowdown\": {:.6}, \"retransmit_rate\": {:.6}, \
          \"arms\": {{ \"corrected\": {}, \"remapped\": {}, \"rolled_back\": {}, \
          \"retransmitted\": {}, \"link_quarantined\": {}, \"pair_quarantined\": {} }}, \
          \"serve\": {{ \"submitted\": {}, \"completed\": {}, \"failed\": {}, \
@@ -64,9 +70,19 @@ fn row_json(o: &CampaignOutcome) -> String {
         s.link_burst,
         s.cripple_pair,
         o.violations.len(),
-        o.detected,
-        o.mttr_ns,
-        o.slowdown,
+        rt.detected,
+        rt.corrected,
+        rt.remapped,
+        rt.rolled_back,
+        rt.retries,
+        rt.wear_broken_cells,
+        rt.quarantined_cells,
+        rt.checkpoints_taken,
+        rt.replayed_steps,
+        rt.detection_overhead_frac() * 100.0,
+        rt.mttr_ns(),
+        rt.rollback_rate(),
+        rt.slowdown(),
         o.retransmit_rate,
         o.arms.corrected,
         o.arms.remapped,
@@ -102,14 +118,14 @@ fn main() {
             "{:<16} detected {:>2}  arms c/m/rb/rt/lq/pq {}/{}/{}/{}/{}/{}  \
              slowdown {:.4}x  serve {}/{} done  violations {}",
             spec.label,
-            o.detected,
+            o.runtime.detected,
             o.arms.corrected,
             o.arms.remapped,
             o.arms.rolled_back,
             o.arms.retransmitted,
             o.arms.link_quarantined,
             o.arms.pair_quarantined,
-            o.slowdown,
+            o.runtime.slowdown(),
             o.serve.completed,
             o.serve.submitted,
             o.violations.len(),
@@ -132,7 +148,7 @@ fn main() {
         "recovery-ladder arms never exercised by the campaign set: {missing:?}"
     );
 
-    let mut mttrs: Vec<f64> = outcomes.iter().map(|o| o.mttr_ns).collect();
+    let mut mttrs: Vec<f64> = outcomes.iter().map(|o| o.runtime.mttr_ns()).collect();
     mttrs.sort_by(f64::total_cmp);
     let mut rates: Vec<f64> = outcomes.iter().map(|o| o.retransmit_rate).collect();
     rates.sort_by(f64::total_cmp);

@@ -4,17 +4,16 @@
 //! a deliberately broken invariant shrinks to a minimal seeded
 //! reproducer.
 
-use lergan_bench::chaos::{campaigns, run_campaign, shrink, ArmCoverage, ChaosSpec};
+use lergan_bench::chaos::{
+    campaigns, run_campaign, shrink, ArmCoverage, ChaosSpec, CAMPAIGNS, MASTER_SEED,
+};
 use lergan_serve::PlanCache;
-
-/// The sweep's committed master seed (`chaos_sweep.rs`).
-const MASTER_SEED: u64 = 0xC4A05;
 
 #[test]
 fn committed_campaign_set_passes_with_full_arm_coverage() {
     let mut plans = PlanCache::extended();
     let mut total = ArmCoverage::default();
-    for spec in &campaigns(MASTER_SEED, 6) {
+    for spec in &campaigns(MASTER_SEED, CAMPAIGNS) {
         let o = run_campaign(spec, &mut plans);
         assert!(
             o.violations.is_empty(),
@@ -22,7 +21,8 @@ fn committed_campaign_set_passes_with_full_arm_coverage() {
             spec.label,
             o.violations.join("\n  ")
         );
-        assert!(o.slowdown >= 1.0, "{}: slowdown {}", spec.label, o.slowdown);
+        let slowdown = o.runtime.slowdown();
+        assert!(slowdown >= 1.0, "{}: slowdown {slowdown}", spec.label);
         o.serve.check_conservation().expect("conservation");
         total.merge(&o.arms);
     }

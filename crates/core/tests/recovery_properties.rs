@@ -24,7 +24,7 @@ fn policy(base: f64, cap: f64) -> RecoveryPolicy {
 #[test]
 fn default_ladder_matches_the_historical_uncapped_delays() {
     // PR 4 charged base * 2^(a-1) with max_retries = 3; the cap must not
-    // change those first rungs, or BENCH_recovery.json would shift.
+    // change those first rungs, or BENCH_chaos.json would shift.
     let p = RecoveryPolicy::default();
     assert_eq!(p.backoff_ns(1).to_bits(), 200.0f64.to_bits());
     assert_eq!(p.backoff_ns(2).to_bits(), 400.0f64.to_bits());

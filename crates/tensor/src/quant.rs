@@ -2,8 +2,8 @@
 //!
 //! LerGAN (like PipeLayer) trains with 16-bit inputs, weights and
 //! outputs. This module models that data path: symmetric two's-complement
-//! fixed point with a configurable fraction width, integer MMV with wide
-//! accumulation, and error bounds that the hardware-facing tests lean on.
+//! fixed point with a configurable fraction width, saturating rounding,
+//! and the round-trip error bounds the hardware-facing tests lean on.
 
 use crate::tensor::Tensor;
 
@@ -92,57 +92,11 @@ impl FixedPoint {
         t.data().iter().map(|&v| self.quantize(v)).collect()
     }
 
-    /// Dequantises codes back into a tensor of the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the code count does not match the shape.
-    pub fn dequantize_tensor(&self, shape: &[usize], codes: &[i32]) -> Tensor {
-        Tensor::from_vec(shape, codes.iter().map(|&c| self.dequantize(c)).collect())
-    }
-
     /// Round-trip quantisation of a tensor (what the PIM data path does to
     /// every operand).
     pub fn round_trip(&self, t: &Tensor) -> Tensor {
         t.map(|v| self.dequantize(self.quantize(v)))
     }
-}
-
-/// Integer MMV over quantised operands with 64-bit accumulation, exactly
-/// as the crossbar + shift-and-add pipeline computes it. The result codes
-/// are in the *product* format (`w.frac + x.frac` fraction bits).
-///
-/// # Panics
-///
-/// Panics if the matrix row width and vector length disagree.
-pub fn quantized_mmv(
-    matrix_codes: &[i32],
-    rows: usize,
-    cols: usize,
-    vector_codes: &[i32],
-) -> Vec<i64> {
-    assert_eq!(matrix_codes.len(), rows * cols, "matrix shape mismatch");
-    assert_eq!(vector_codes.len(), cols, "vector length mismatch");
-    let mut out = vec![0i64; rows];
-    for (r, o) in out.iter_mut().enumerate() {
-        let row = &matrix_codes[r * cols..(r + 1) * cols];
-        *o = row
-            .iter()
-            .zip(vector_codes.iter())
-            .map(|(&a, &b)| a as i64 * b as i64)
-            .sum();
-    }
-    out
-}
-
-/// Dequantises product-format accumulator codes (from [`quantized_mmv`])
-/// given the operand formats.
-pub fn dequantize_products(products: &[i64], weights: FixedPoint, inputs: FixedPoint) -> Vec<f32> {
-    let scale = (2.0f64).powi(-((weights.frac_bits + inputs.frac_bits) as i32));
-    products
-        .iter()
-        .map(|&p| (p as f64 * scale) as f32)
-        .collect()
 }
 
 #[cfg(test)]
@@ -178,22 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_mmv_matches_float_within_accumulated_error() {
-        let q = FixedPoint::paper_default();
-        let m = Tensor::from_fn(&[4, 8], |i| ((i[0] * 8 + i[1]) as f32).sin() * 0.5);
-        let v = Tensor::from_fn(&[8], |i| ((i[0] + 3) as f32).cos() * 0.5);
-        let mc = q.quantize_tensor(&m);
-        let vc = q.quantize_tensor(&v);
-        let products = quantized_mmv(&mc, 4, 8, &vc);
-        let approx = dequantize_products(&products, q, q);
-        let exact = crate::tensor::mmv(&m, v.data());
-        for (a, e) in approx.iter().zip(exact.iter()) {
-            // Worst case: 8 products each off by ~(|a|+|b|)*step/2.
-            assert!((a - e).abs() < 8.0 * q.step(), "quantised {a} vs exact {e}");
-        }
-    }
-
-    #[test]
     fn tensor_round_trip_preserves_shape_and_bounds() {
         let q = FixedPoint::new(8, 4).unwrap();
         let t = Tensor::from_fn(&[3, 3], |i| i[0] as f32 - i[1] as f32 * 0.3);
@@ -202,11 +140,5 @@ mod tests {
         for (&a, &b) in rt.data().iter().zip(t.data().iter()) {
             assert!((a - b).abs() <= q.step() / 2.0 + 1e-6);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "vector length mismatch")]
-    fn mmv_rejects_bad_vector() {
-        let _ = quantized_mmv(&[1, 2, 3, 4], 2, 2, &[1]);
     }
 }

@@ -14,7 +14,7 @@ use lergan::core::{LerGan, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
 use lergan::gan::topology::parse_network;
 use lergan::gan::train::{build_trainable_with, Gan, UpdateRule};
 use lergan::gan::{benchmarks, Phase};
-use lergan::reram::{FaultMap, WearModel};
+use lergan::reram::{FaultMap, ReramConfig, WearModel, WritePolicy};
 use lergan::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,7 +110,7 @@ fn checkpoint_remap_restore_resumes_bit_exactly() {
 }
 
 #[test]
-fn seeded_fault_sweep_is_deterministic_and_panic_free() {
+fn seeded_fault_scenarios_are_deterministic_and_panic_free() {
     let spec = benchmarks::dcgan();
     for &rate in &[0.001, 0.01] {
         let scenario = || {
@@ -179,26 +179,99 @@ fn wear_induced_fault_self_heals_bit_exactly_end_to_end() {
 }
 
 #[test]
+fn stuck_at_sweep_matches_its_pinned_values() {
+    // Programming a CONV1-class 512 x 512 block (4 cells per weight)
+    // through a seeded pre-faulted array, and the DCGAN accelerator
+    // rebuilt around the same map — at non-zero rates with one dead tile
+    // and one broken added wire too — versus its fault-free twin. Every
+    // stream is seeded, so any drift is a real behaviour change of the
+    // fault map, write-and-verify or the degraded planner.
+    let cfg = ReramConfig::default();
+    let spec = benchmarks::dcgan();
+    let weights: Vec<i32> = (0..512 * 512).map(|i| i % 15 - 7).collect();
+    let cells = (weights.len() * cfg.cells_per_weight()) as u64;
+    // (rate, stuck before programming, pulses, quarantined, unprogrammable,
+    //  degraded latency ns, slowdown, energy overhead)
+    let pinned = [
+        (0.0, 0, 1_072_723, 56, 56, "31475689", "1.000000", "1.000000"),
+        (0.001, 1045, 1_071_651, 55, 689, "31639556", "1.005206", "1.001174"),
+        (0.01, 10481, 1_062_012, 54, 6474, "31639556", "1.005206", "1.001174"),
+    ];
+    for (rate, stuck, pulses, quarantined, unprogrammable, latency, slowdown, energy) in pinned {
+        let seeded = FaultMap::seeded(0xFA11_5EED, rate, cells);
+        assert_eq!(seeded.stuck_cells(), stuck, "rate {rate}");
+        let mut map = seeded.clone();
+        let report =
+            map.program_matrix(&weights, &cfg, &WritePolicy::with_fail_rate(0.02, 0xBEEF));
+        assert_eq!(
+            (report.attempts, report.newly_stuck, report.failed_cells.len()),
+            (pulses, quarantined, unprogrammable),
+            "rate {rate}: programming cost"
+        );
+
+        let mut faults = SystemFaults::none();
+        *faults.bank_mut(Phase::GForward) = seeded;
+        if rate > 0.0 {
+            faults.bank_mut(Phase::GForward).kill_tile(3);
+            faults.links_mut().break_horizontal(0, 0, 2);
+        }
+        let accel = LerGan::builder(&spec)
+            .faults(faults)
+            .build()
+            .expect("sweep scenarios stay within surviving capacity");
+        let (clean_ns, degraded_ns, slow, energy_ratio) = match accel.degradation_report() {
+            Some(r) => (
+                r.fault_free_latency_ns,
+                r.degraded_latency_ns,
+                r.slowdown(),
+                r.energy_overhead(),
+            ),
+            // A map with no stuck cells builds the fault-free plan itself.
+            None => {
+                let ns = accel.train_iterations(1).iteration_latency_ns;
+                (ns, ns, 1.0, 1.0)
+            }
+        };
+        assert_eq!(format!("{clean_ns:.0}"), "31475689", "rate {rate}");
+        assert_eq!(format!("{degraded_ns:.0}"), latency, "rate {rate}");
+        assert_eq!(format!("{slow:.6}"), slowdown, "rate {rate}");
+        assert_eq!(format!("{energy_ratio:.6}"), energy, "rate {rate}");
+    }
+}
+
+#[test]
 fn recovery_slowdown_never_beats_the_clean_baseline() {
     // The whole point of the accounting: detection rides on every MMV and
     // recovery only ever adds work, so slowdown >= 1.0 in every scenario.
-    let scenarios: [(&str, WearModel, f64); 3] = [
-        ("no_wear", WearModel::disabled(), 0.0),
-        ("harsh_wear", WearModel::new(15, 1.3, 0xFEED), 0.0),
-        ("dirty_bank", WearModel::new(10, 1.2, 0xACE), 0.0005),
+    // The last scenario leaves too few healthy tiles for a remap, so the
+    // ladder must fall through to a checkpoint rollback.
+    let default_kill = RecoveryPolicy::default().tile_kill_cells;
+    let scenarios: [(&str, WearModel, f64, usize, usize); 5] = [
+        ("no_wear", WearModel::disabled(), 0.0, 0, default_kill),
+        ("mild_wear", WearModel::new(25, 1.5, 0xD1E), 0.0, 0, default_kill),
+        ("harsh_wear", WearModel::new(15, 1.3, 0xFEED), 0.0, 0, default_kill),
+        ("dirty_bank", WearModel::new(10, 1.2, 0xACE), 0.0005, 0, default_kill),
+        ("no_spare_tiles", WearModel::new(10, 1.2, 0xACE), 0.0, 14, 64),
     ];
-    for (label, wear, stuck_rate) in scenarios {
+    for (label, wear, stuck_rate, dead_tiles, tile_kill_cells) in scenarios {
         let run = || {
             let mut faults = SystemFaults::none();
             if stuck_rate > 0.0 {
                 *faults.bank_mut(Phase::GForward) =
                     FaultMap::seeded(0x5EED, stuck_rate, 300_000);
             }
+            for t in 1..=dead_tiles {
+                faults.bank_mut(Phase::GForward).kill_tile(t);
+            }
+            let policy = RecoveryPolicy {
+                tile_kill_cells,
+                ..RecoveryPolicy::default()
+            };
             let mut rt = SelfHealingRuntime::new(
                 &benchmarks::dcgan(),
                 small_gan(31, 77),
                 faults,
-                RecoveryPolicy::default(),
+                policy,
                 wear,
             )
             .expect("scenarios stay within surviving capacity");
@@ -213,6 +286,9 @@ fn recovery_slowdown_never_beats_the_clean_baseline() {
             r.slowdown()
         );
         assert!(r.detection_overhead_frac() > 0.0 && r.detection_overhead_frac() < 0.01);
+        if dead_tiles > 0 {
+            assert!(r.rolled_back > 0, "{label}: no spare tile, yet no rollback: {r:?}");
+        }
         assert_eq!(r, run(), "{label}: self-healed runs must be deterministic");
     }
 }
