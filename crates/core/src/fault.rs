@@ -42,6 +42,15 @@ impl SystemFaults {
         self.banks.values().all(|m| m.is_pristine()) && self.links.is_empty()
     }
 
+    /// Whether a build under this scenario is the fault-free build: no dead
+    /// tile and no link fault. [`crate::LerGanBuilder::build`] reads only
+    /// those two; stuck cells and wear counters live in the banks' cell
+    /// arrays, which the mapping, the fabric and the iteration simulation
+    /// never look at.
+    pub fn builds_fault_free(&self) -> bool {
+        self.dead_tiles() == 0 && self.links.is_empty()
+    }
+
     /// The fault map of a phase's bank, if one was recorded.
     pub fn bank(&self, phase: Phase) -> Option<&FaultMap> {
         self.banks.get(&phase)

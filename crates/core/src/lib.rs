@@ -55,7 +55,8 @@ pub use fault::{DegradationReport, FaultError, SystemFaults};
 pub use lergan::{BuildError, LerGan, LerGanBuilder, TrainingReport};
 pub use mapping::{MappingError, TileAllocation};
 pub use recovery::{
-    DrainedRuntime, RecoveryError, RecoveryPolicy, RecoveryReport, SelfHealingRuntime, StepReport,
+    DrainedRuntime, IterationFigures, RecoveryError, RecoveryPolicy, RecoveryReport,
+    SelfHealingRuntime, StepReport,
 };
 pub use link::{
     LinkChaos, LinkError, LinkReport, ReliableFabric, TransferOutcome,

@@ -276,6 +276,28 @@ impl RecoveryReport {
     }
 }
 
+/// The two figures of one simulated training iteration the runtime
+/// charges per step: the iteration latency, and the busy time of the `G→`
+/// phase, which the monitored block's checksum column slows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterationFigures {
+    /// Latency of one training iteration (ns).
+    pub iteration_ns: f64,
+    /// Busy time of the `G→` phase in that iteration (ns).
+    pub g_forward_ns: f64,
+}
+
+impl IterationFigures {
+    /// Simulates one iteration of `accel` and reads its figures.
+    pub fn of(accel: &LerGan) -> Self {
+        let r = accel.train_iterations(1);
+        IterationFigures {
+            iteration_ns: r.iteration_latency_ns,
+            g_forward_ns: r.phase_latency.get(&Phase::GForward.to_string()),
+        }
+    }
+}
+
 /// Geometry of the monitored ABFT block: 32 × 32 weights + the checksum
 /// column, and the spare-region layout carved out of the `G→` bank.
 const BLOCK_ROWS: usize = 32;
@@ -329,15 +351,33 @@ pub struct SelfHealingRuntime {
 const LINK_TRANSFER_VALUES: u64 = 256;
 
 impl SelfHealingRuntime {
-    /// Assembles the runtime: builds the accelerator under the starting
-    /// fault scenario, places the monitored block in the first clean
-    /// spare region of the `G→` bank, and programs it.
+    /// Assembles the runtime: builds `spec`'s fault-free accelerator for
+    /// its [`IterationFigures`], then runs
+    /// [`SelfHealingRuntime::from_clean_figures`].
     pub fn new(
         spec: &GanSpec,
         trainer: Gan,
         faults: SystemFaults,
         policy: RecoveryPolicy,
         wear: WearModel,
+    ) -> Result<Self, RecoveryError> {
+        let clean = IterationFigures::of(&LerGan::builder(spec).build()?);
+        Self::from_clean_figures(spec, trainer, faults, policy, wear, clean)
+    }
+
+    /// Assembles the runtime from the figures of `spec`'s fault-free build
+    /// (a serving layer keeps them beside its shared plan): builds the
+    /// accelerator under the starting faults only when they kill tiles or
+    /// break links (otherwise that build is the fault-free one and `clean`
+    /// are its figures), places the monitored block in the first clean
+    /// spare region of the `G→` bank, and programs it.
+    pub fn from_clean_figures(
+        spec: &GanSpec,
+        trainer: Gan,
+        faults: SystemFaults,
+        policy: RecoveryPolicy,
+        wear: WearModel,
+        clean: IterationFigures,
     ) -> Result<Self, RecoveryError> {
         let reram = ReramConfig::default();
         let weights: Vec<i32> = (0..BLOCK_ROWS * BLOCK_COLS)
@@ -353,21 +393,24 @@ impl SelfHealingRuntime {
             policy,
             wear,
             limits: wear.limits(0..0),
+            tiles: reram.tiles_per_bank.max(1),
             reram,
             weights,
             inputs,
             region: 0,
-            tiles: 0,
             iteration_ns: 0.0,
             detect_ns: 0.0,
             link: None,
             link_values: LINK_TRANSFER_VALUES,
             report: RecoveryReport::default(),
         };
-        let accel = rt.build()?;
-        rt.tiles = rt.reram.tiles_per_bank.max(1);
-        rt.refresh_latency(&accel);
-        rt.report.clean_iteration_ns = rt.clean_iteration_ns()?;
+        let figures = if rt.faults.builds_fault_free() {
+            clean
+        } else {
+            IterationFigures::of(&rt.builder_for(rt.faults.clone()).build()?)
+        };
+        rt.charge(figures);
+        rt.report.clean_iteration_ns = clean.iteration_ns;
         let region = rt.find_clean_region(0)?;
         rt.place(region);
         // Placing the block is setup, not recovery: reset the ledger so
@@ -566,11 +609,10 @@ impl SelfHealingRuntime {
         let tile = self.region / REGIONS_PER_TILE;
         let mut tentative = self.faults.clone();
         tentative.bank_mut(Phase::GForward).kill_tile(tile);
-        let built = self.builder_for(tentative.clone()).build();
-        match built {
+        match self.builder_for(tentative).build() {
             Ok(accel) => {
-                self.faults = tentative;
-                self.refresh_latency(&accel);
+                self.faults.bank_mut(Phase::GForward).kill_tile(tile);
+                self.charge(IterationFigures::of(&accel));
                 // Remap + reconfiguration cost: one switch epoch per bank.
                 self.report.recovery_latency_ns += 6.0 * 50.0;
                 let region = self.find_clean_region((tile + 1) * REGIONS_PER_TILE)?;
@@ -678,23 +720,12 @@ impl SelfHealingRuntime {
         LerGan::builder(&self.spec).faults(faults)
     }
 
-    fn build(&self) -> Result<LerGan, RecoveryError> {
-        Ok(self.builder_for(self.faults.clone()).build()?)
-    }
-
-    /// Per-iteration latency on the current mapping, plus the ABFT
+    /// Charges every later step `figures`' iteration latency, plus the ABFT
     /// detection overhead: the checksum column adds `1/cols` extra read
     /// work to the monitored phase's compute.
-    fn refresh_latency(&mut self, accel: &LerGan) {
-        let r = accel.train_iterations(1);
-        self.iteration_ns = r.iteration_latency_ns;
-        let phase_ns = r.phase_latency.get(&Phase::GForward.to_string());
-        self.detect_ns = phase_ns * AbftBlock::new(BLOCK_ROWS, BLOCK_COLS, 0).overhead();
-    }
-
-    fn clean_iteration_ns(&self) -> Result<f64, RecoveryError> {
-        let clean = self.builder_for(SystemFaults::none()).build()?;
-        Ok(clean.train_iterations(1).iteration_latency_ns)
+    fn charge(&mut self, figures: IterationFigures) {
+        self.iteration_ns = figures.iteration_ns;
+        self.detect_ns = figures.g_forward_ns * AbftBlock::new(BLOCK_ROWS, BLOCK_COLS, 0).overhead();
     }
 
     fn push_event(&mut self, step: u64, label: &str, kind: FaultEventKind) {

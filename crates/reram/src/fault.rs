@@ -25,6 +25,7 @@ use crate::config::ReramConfig;
 use crate::variation::VariationModel;
 use crate::wear::WearLimits;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Stateless SplitMix64 hash used for every seeded fault decision.
 pub(crate) fn mix(seed: u64, index: u64) -> u64 {
@@ -131,9 +132,23 @@ impl WriteReport {
     }
 }
 
+/// Cells per wear-counter chunk.
+const CHUNK: u64 = 64;
+
+/// The wear counters of one 64-cell chunk, by cell offset within it. A zero
+/// slot is a cell with no counter: every stored counter is at least 1.
+type Counters = [u64; CHUNK as usize];
+
 /// Deterministic record of hard faults in one bank's crossbar array:
 /// stuck-at cells (by absolute cell index), dead tiles (by tile index
 /// within the bank), and per-cell endurance counters.
+///
+/// The counters are kept by 64-cell chunk, keyed by `cell / 64`: one map
+/// entry per chunk any write has pulsed, so programming a block touches a
+/// few dozen entries instead of one per cell, and the map stays sparse over
+/// a bank's whole cell space. A chunk is stored only once one of its cells
+/// holds a counter, so equal fault states compare equal however they were
+/// reached.
 ///
 /// An empty (pristine) map is a strict no-op: every composition hook
 /// reproduces the fault-free computation bit-for-bit.
@@ -141,7 +156,55 @@ impl WriteReport {
 pub struct FaultMap {
     stuck: BTreeMap<u64, StuckAt>,
     dead_tiles: BTreeSet<usize>,
-    wear: BTreeMap<u64, u64>,
+    wear: BTreeMap<u64, Counters>,
+}
+
+/// The chunk parts of `cells`, ascending: `(chunk key, cells of the range
+/// inside that chunk)`.
+fn chunk_parts(cells: Range<u64>) -> impl Iterator<Item = (u64, Range<u64>)> {
+    let mut start = cells.start;
+    std::iter::from_fn(move || {
+        (start < cells.end).then(|| {
+            let key = start / CHUNK;
+            let part = start..cells.end.min((key + 1) * CHUNK);
+            start = part.end;
+            (key, part)
+        })
+    })
+}
+
+/// A cell's slot in its chunk's counters.
+fn offset(cell: u64) -> usize {
+    (cell % CHUNK) as usize
+}
+
+/// The write-and-verify loop of one healthy cell: pulses it, advancing its
+/// wear counter `worn`, until a pulse verifies, the retries run out or the
+/// cell crosses `policy.endurance_limit`. Counts the pulses in `report` and
+/// returns whether the cell verified.
+fn write_verify(worn: &mut u64, cell: u64, policy: &WritePolicy, report: &mut WriteReport) -> bool {
+    let mut missed = false;
+    for _attempt in 0..=policy.max_retries {
+        *worn += 1;
+        let pulse = *worn;
+        report.attempts += 1;
+        if policy.endurance_limit > 0 && pulse > policy.endurance_limit {
+            return false;
+        }
+        // Sticky failure: a cell that missed a pulse is partially
+        // switched and misses follow-ups at sqrt(rate) >= rate.
+        let fail_rate = if missed {
+            policy.transient_fail_rate.sqrt()
+        } else {
+            policy.transient_fail_rate
+        };
+        let outcome = unit(policy.seed ^ 0x57A7_1C5E_ED5E_ED00, mix(cell, pulse));
+        if outcome >= fail_rate {
+            return true;
+        }
+        missed = true;
+    }
+    false
 }
 
 impl FaultMap {
@@ -225,7 +288,9 @@ impl FaultMap {
 
     /// Write pulses a cell has absorbed so far.
     pub fn wear_of(&self, cell: u64) -> u64 {
-        self.wear.get(&cell).copied().unwrap_or(0)
+        self.wear
+            .get(&(cell / CHUNK))
+            .map_or(0, |counters| counters[offset(cell)])
     }
 
     // ---- composition with the analog variation model -------------------
@@ -306,9 +371,9 @@ impl FaultMap {
     /// passes see it as hard-failed.
     ///
     /// Deterministic: outcomes depend only on `policy.seed`, the absolute
-    /// cell index and that cell's wear count. The weight's stuck status and
-    /// wear counters are read in one range walk over its cells, and its
-    /// slices live on the stack.
+    /// cell index and that cell's wear count. The weight's stuck status is
+    /// read in one range walk over its cells, its counters through one
+    /// lookup per chunk it touches, and its slices live on the stack.
     pub fn program_weight(
         &mut self,
         code: i32,
@@ -323,59 +388,29 @@ impl FaultMap {
         for (&cell, &polarity) in self.stuck.range(cells.clone()) {
             stuck[slot(cell)] = Some(polarity);
         }
-        // Counters of cells pulsed before, in place; `first` counts the
-        // pulses of cells this call pulses for the first time.
-        let mut counters: [Option<&mut u64>; MAX_SLICES] = [const { None }; MAX_SLICES];
-        for (&cell, worn) in self.wear.range_mut(cells.clone()) {
-            counters[slot(cell)] = Some(worn);
-        }
-        let mut first = [0u64; MAX_SLICES];
         let mut report = WriteReport::default();
-        for (i, &target) in slices.iter().enumerate() {
-            let cell = cell_base_index + i as u64;
-            if let Some(polarity) = stuck[i] {
-                if polarity.level(config.cell_bits) != target {
-                    report.failed_cells.push(cell);
+        for (key, part) in chunk_parts(cells) {
+            // Every healthy cell takes at least one pulse, so a part with a
+            // healthy cell fetches its chunk (created if new) and leaves a
+            // counter there; a part of stuck cells only is never pulsed and
+            // fetches none.
+            let healthy = part.clone().any(|cell| stuck[slot(cell)].is_none());
+            let mut counters =
+                healthy.then(|| self.wear.entry(key).or_insert_with(|| [0; CHUNK as usize]));
+            for cell in part {
+                if let Some(polarity) = stuck[slot(cell)] {
+                    if polarity.level(config.cell_bits) != slices[slot(cell)] {
+                        report.failed_cells.push(cell);
+                    }
+                } else if let Some(counters) = counters.as_deref_mut() {
+                    if !write_verify(&mut counters[offset(cell)], cell, policy, &mut report) {
+                        // Worn out, or retries exhausted on a
+                        // transiently-failing cell: the controller gives up
+                        // and quarantines it.
+                        report.newly_stuck += 1;
+                        report.failed_cells.push(cell);
+                    }
                 }
-                continue;
-            }
-            let worn = match &mut counters[i] {
-                Some(worn) => &mut **worn,
-                None => &mut first[i],
-            };
-            let mut verified = false;
-            let mut missed = false;
-            for _attempt in 0..=policy.max_retries {
-                *worn += 1;
-                let pulse = *worn;
-                report.attempts += 1;
-                if policy.endurance_limit > 0 && pulse > policy.endurance_limit {
-                    break;
-                }
-                // Sticky failure: a cell that missed a pulse is partially
-                // switched and misses follow-ups at sqrt(rate) >= rate.
-                let fail_rate = if missed {
-                    policy.transient_fail_rate.sqrt()
-                } else {
-                    policy.transient_fail_rate
-                };
-                let outcome = unit(policy.seed ^ 0x57A7_1C5E_ED5E_ED00, mix(cell, pulse));
-                if outcome >= fail_rate {
-                    verified = true;
-                    break;
-                }
-                missed = true;
-            }
-            if !verified {
-                // Worn out, or retries exhausted on a transiently-failing
-                // cell: the controller gives up and quarantines it.
-                report.newly_stuck += 1;
-                report.failed_cells.push(cell);
-            }
-        }
-        for (i, &pulses) in first[..slices.len()].iter().enumerate() {
-            if pulses > 0 {
-                self.wear.insert(cell_base_index + i as u64, pulses);
             }
         }
         // A failed cell that was not stuck before this call is the one it
@@ -416,9 +451,8 @@ impl FaultMap {
     /// The limits come from [`WearModel::limits`](crate::wear::WearModel::limits),
     /// evaluated once when the caller placed its block on these cells; a
     /// broken cell freezes at a polarity seeded by the model's seed. The
-    /// pass is one ordered walk over the range's wear counters beside its
-    /// stuck cells; cells pulsed for the first time get their counter in
-    /// one insertion pass before it.
+    /// pass walks the range chunk by chunk beside its stuck cells, with one
+    /// counter lookup per chunk.
     ///
     /// Already-stuck cells no longer switch and accumulate no further
     /// wear. With a disabled model (`endurance_mean == 0`) this only
@@ -429,23 +463,22 @@ impl FaultMap {
             return newly;
         }
         let cells = limits.cells();
-        let mut counted = self.wear.range(cells.clone()).map(|(&c, _)| c).peekable();
         let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
-        let fresh: Vec<u64> = cells
-            .clone()
-            .filter(|&c| counted.next_if_eq(&c).is_none() & stuck.next_if_eq(&c).is_none())
-            .collect();
-        self.wear.extend(fresh.into_iter().map(|c| (c, 0)));
-
-        let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
-        for (&cell, worn) in self.wear.range_mut(cells) {
-            while stuck.next_if(|&s| s < cell).is_some() {}
-            if stuck.next_if_eq(&cell).is_some() {
-                continue;
+        for (key, part) in chunk_parts(cells) {
+            let mut frozen = 0u64;
+            while let Some(cell) = stuck.next_if(|&c| c < part.end) {
+                frozen |= 1 << offset(cell);
             }
-            *worn += pulses;
-            if *worn > limits.limit_of(cell) {
-                newly.push(cell);
+            if frozen.count_ones() as u64 == part.end - part.start {
+                continue; // no healthy cell: nothing to count
+            }
+            let counters = self.wear.entry(key).or_insert_with(|| [0; CHUNK as usize]);
+            for cell in part.filter(|&c| (frozen >> offset(c)) & 1 == 0) {
+                let worn = &mut counters[offset(cell)];
+                *worn += pulses;
+                if *worn > limits.limit_of(cell) {
+                    newly.push(cell);
+                }
             }
         }
         for &cell in &newly {

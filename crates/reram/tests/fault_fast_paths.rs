@@ -9,6 +9,11 @@
 //! one slice walk per weight. Every fast path must agree with them bit for
 //! bit: the broken-cell lists, the write reports, every wear counter, the
 //! stuck set with its polarities, and every field of the ABFT observation.
+//!
+//! `FaultMap` keeps its wear counters by 64-cell chunk, so the scenarios
+//! also put wear ranges, weights and stuck cells on chunk edges, and check
+//! that two maps compare equal exactly when their per-cell states do,
+//! whichever order of programming and wearing created their chunks.
 
 use lergan_reram::{
     AbftBlock, AbftObservation, FaultMap, ReramConfig, StuckAt, VariationModel, WearModel,
@@ -20,6 +25,9 @@ use std::ops::Range;
 
 /// Cells every scenario lives in.
 const SPACE: u64 = 1024;
+
+/// Cells per wear-counter chunk of `FaultMap`.
+const CHUNK: u64 = 64;
 
 fn mix(seed: u64, index: u64) -> u64 {
     let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -42,7 +50,7 @@ fn slices(code: i32, config: &ReramConfig) -> Vec<u8> {
 }
 
 /// The fault state as plain per-cell maps, driven by the reference paths.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Reference {
     stuck: BTreeMap<u64, StuckAt>,
     wear: BTreeMap<u64, u64>,
@@ -227,7 +235,25 @@ impl Reference {
                 ));
             }
         }
+        if *map != self.rebuild() {
+            return Some("the map differs from its cell-by-cell rebuild".into());
+        }
         None
+    }
+
+    /// A map holding exactly this state, built one cell at a time: each
+    /// counter by a wear pass over its cell alone, then the stuck cells.
+    /// `FaultMap`'s equality must not see how a state was reached.
+    fn rebuild(&self) -> FaultMap {
+        let mut map = FaultMap::pristine();
+        let model = WearModel::disabled();
+        for (&cell, &worn) in &self.wear {
+            map.advance_wear(&model.limits(cell..cell + 1), worn);
+        }
+        for (&cell, &polarity) in &self.stuck {
+            map.set_stuck(cell, polarity);
+        }
+        map
     }
 }
 
@@ -249,6 +275,60 @@ fn code(raw: u64) -> i32 {
     (raw % 65_536) as i32 - 32_768
 }
 
+/// `ReramConfig::default()` (4 cells per weight, so weights tile the
+/// chunks) or 3-bit cells (6 cells per weight, so some weights straddle a
+/// chunk edge).
+fn config(pick: usize) -> ReramConfig {
+    let cell_bits = [4, 3][pick];
+    ReramConfig {
+        cell_bits,
+        ..ReramConfig::default()
+    }
+}
+
+/// Freezes the first and the last cell of chunk `chunk`.
+fn stick_chunk_ends(map: &mut FaultMap, chunk: u64) {
+    map.set_stuck(chunk * CHUNK, StuckAt::Zero)
+        .set_stuck(chunk * CHUNK + CHUNK - 1, StuckAt::One);
+}
+
+/// One programming scenario on a copy of `start`, checked against its
+/// per-cell reference: the wear pass over `cells` before the weights are
+/// programmed (`wear_first`) or after.
+#[allow(clippy::too_many_arguments)]
+fn program_and_wear(
+    start: &FaultMap,
+    cfg: &ReramConfig,
+    policy: &WritePolicy,
+    model: &WearModel,
+    cells: Range<u64>,
+    pulses: u64,
+    weights: &[(u64, u64)],
+    wear_first: bool,
+) -> Result<(FaultMap, Reference), TestCaseError> {
+    let mut map = start.clone();
+    let mut reference = Reference::of(&map);
+    let span = cfg.cells_per_weight() as u64;
+    for wear_now in [wear_first, !wear_first] {
+        if wear_now {
+            let fast = map.advance_wear(&model.limits(cells.clone()), pulses);
+            let slow = reference.advance_wear(cells.clone(), pulses, model);
+            prop_assert_eq!(&fast, &slow, "newly broken over {:?}", cells);
+            continue;
+        }
+        for &(raw, slot) in weights {
+            let base = slot * span;
+            let fast = map.program_weight(code(raw), base, cfg, policy);
+            let slow = reference.program_weight(code(raw), base, cfg, policy);
+            prop_assert_eq!(&fast, &slow, "weight {} at cell {}", code(raw), base);
+        }
+    }
+    if let Some(d) = reference.diff(&map) {
+        return Err(TestCaseError::fail(d));
+    }
+    Ok((map, reference))
+}
+
 fn observations_agree(fast: &AbftObservation, slow: &AbftObservation) -> bool {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     fast.outputs_exact == slow.outputs_exact
@@ -262,7 +342,9 @@ proptest! {
 
     /// Two wear passes over overlapping ranges: the second straddles the
     /// counters the first left, the stuck cells it froze and untouched
-    /// cells.
+    /// cells. A third pass sits on a chunk edge: it straddles one, covers a
+    /// whole chunk and its neighbours' edge cells, or starts on a chunk's
+    /// stuck last cell. That chunk's first and last cells are stuck.
     #[test]
     fn wear_pass_matches_the_per_cell_reference(
         seed in 0u64..u64::MAX,
@@ -272,13 +354,23 @@ proptest! {
         second in (0u64..512, 0u64..256),
         pulses in (0u64..6, 0u64..6),
         rounds in 1usize..4,
+        edge in (1u64..15, 0usize..3, 1u64..8),
     ) {
         let model = wear_model(model, seed ^ 0x3EA2);
         let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let (chunk, shape, reach) = edge;
+        stick_chunk_ends(&mut map, chunk);
         let mut reference = Reference::of(&map);
+        let low = chunk * CHUNK;
+        let on_edge = [
+            low - reach..low + reach,
+            low - reach..low + CHUNK + reach,
+            low + CHUNK - 1..low + CHUNK + reach,
+        ][shape].clone();
         let passes = [
             (first.0..first.0 + first.1, pulses.0),
             (second.0..second.0 + second.1, pulses.1),
+            (on_edge, pulses.0.max(1)),
         ];
         for _ in 0..rounds {
             for (cells, pulses) in passes.clone() {
@@ -293,7 +385,12 @@ proptest! {
     }
 
     /// Write-and-verify over seeded stuck cells and earlier wear, under
-    /// transient failures, endurance cut-offs and retry budgets.
+    /// transient failures, endurance cut-offs and retry budgets, with 4-
+    /// or 6-cell weights (the latter straddle chunk edges) and a chunk
+    /// whose first and last cells are stuck. The wear pass runs before the
+    /// programming or after it; the two resulting maps must compare equal
+    /// exactly when their per-cell references do. With no failures and no
+    /// wear-out nothing breaks, so the two orders must reach equal maps.
     #[test]
     fn programming_matches_the_per_cell_reference(
         seed in 0u64..u64::MAX,
@@ -303,29 +400,38 @@ proptest! {
         retries in 0u32..4,
         wear in (0u64..64, 0u64..4),
         weights in collection::vec((0u64..u64::MAX, 0u64..64), 1..24),
+        layout in (0usize..2, 0u64..4),
     ) {
-        let cfg = ReramConfig::default();
+        let (cells, edge) = layout;
+        let cfg = config(cells);
         let policy = WritePolicy {
             max_retries: retries,
             transient_fail_rate: [0.0, 0.1, 0.5, 1.0][fail],
             endurance_limit: endurance,
             seed: seed ^ 0x51,
         };
-        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
-        let mut reference = Reference::of(&map);
+        let mut start = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        stick_chunk_ends(&mut start, edge);
         let model = WearModel::new(3, 1.0, seed);
-        let cells = wear.0 * 4..wear.0 * 4 + 128;
-        map.advance_wear(&model.limits(cells.clone()), wear.1);
-        reference.advance_wear(cells, wear.1, &model);
-        for &(raw, slot) in &weights {
-            let base = slot * 4;
-            let fast = map.program_weight(code(raw), base, &cfg, &policy);
-            let slow = reference.program_weight(code(raw), base, &cfg, &policy);
-            prop_assert_eq!(&fast, &slow, "weight {} at cell {}", code(raw), base);
-        }
-        if let Some(d) = reference.diff(&map) {
-            return Err(TestCaseError::fail(d));
-        }
+        let range = wear.0 * 4..wear.0 * 4 + 128;
+        let run = |policy: &WritePolicy, model: &WearModel, wear_first: bool| {
+            program_and_wear(&start, &cfg, policy, model, range.clone(), wear.1, &weights, wear_first)
+        };
+        let (worn_first, worn_first_ref) = run(&policy, &model, true)?;
+        let (worn_last, worn_last_ref) = run(&policy, &model, false)?;
+        prop_assert_eq!(
+            worn_first == worn_last,
+            worn_first_ref == worn_last_ref,
+            "map equality disagrees with per-cell equality"
+        );
+        let calm = WritePolicy {
+            transient_fail_rate: 0.0,
+            endurance_limit: 0,
+            ..policy
+        };
+        let (worn_first, _) = run(&calm, &WearModel::disabled(), true)?;
+        let (worn_last, _) = run(&calm, &WearModel::disabled(), false)?;
+        prop_assert_eq!(worn_first, worn_last);
     }
 
     /// The checked MMV over seeded stuck cells, with and without variation

@@ -160,7 +160,7 @@ impl Pair {
         let (duration, result, healing) = if self.pristine {
             self.run_pristine(&job, plans)?
         } else {
-            self.run_healing(&job, plans, policy)
+            self.run_healing(&job, plans, policy)?
         };
         self.rollbacks_total += healing.rolled_back;
         self.running = Some(RunningJob {
@@ -197,36 +197,36 @@ impl Pair {
     }
 
     /// Healing path: the job runs under a [`SelfHealingRuntime`] seeded
-    /// with the pair's live fault state; on exit the drained fault map —
-    /// wear damage and tile kills included — becomes the pair's state for
-    /// the next job.
+    /// with the pair's live fault state and the plan's fault-free
+    /// iteration figures; on exit the drained fault map — wear damage and
+    /// tile kills included — becomes the pair's state for the next job.
     fn run_healing(
         &mut self,
         job: &JobSpec,
         plans: &mut PlanCache,
         policy: &RecoveryPolicy,
-    ) -> (f64, JobRunResult, HealingTotals) {
-        let spec = plans.spec(job.topology).clone();
-        let trainer = job_trainer(job.seed);
-        let rt = match SelfHealingRuntime::new(
-            &spec,
-            trainer,
+    ) -> Result<(f64, JobRunResult, HealingTotals), lergan_core::BuildError> {
+        let clean = plans.figures(job.topology)?;
+        let rt = match SelfHealingRuntime::from_clean_figures(
+            plans.spec(job.topology),
+            job_trainer(job.seed),
             self.faults.clone(),
             *policy,
             self.wear,
+            clean,
         ) {
             Ok(rt) => rt,
             // The pair is too damaged to even place the job: an instant
             // death, hardware state unchanged.
             Err(e) => {
-                return (
+                return Ok((
                     0.0,
                     JobRunResult::Died {
                         at_step: 0,
                         cause: e.to_string(),
                     },
                     HealingTotals::default(),
-                )
+                ))
             }
         };
         // Layer the transient-link hazard on, reseeded per pair so each
@@ -265,7 +265,7 @@ impl Pair {
             },
             Some((at_step, cause)) => JobRunResult::Died { at_step, cause },
         };
-        (duration, result, healing)
+        Ok((duration, result, healing))
     }
 
     /// Quarantines the pair and evacuates its local queue: the caller

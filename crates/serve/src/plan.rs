@@ -13,10 +13,13 @@
 //! `lergan-gan` guard.
 //!
 //! Hit/miss counters make the reuse observable in the serve report, and
-//! the per-topology iteration latency is memoised beside the plan so
-//! admission-time feasibility checks are O(1).
+//! each plan's one-iteration figures ([`IterationFigures`]: the iteration
+//! latency and the `G→` phase latency) are memoised beside it, so
+//! admission-time feasibility checks are O(1) and a self-healing job on a
+//! faulted pair starts from them instead of rebuilding the fault-free
+//! accelerator.
 
-use lergan_core::{BuildError, CompiledGan, LerGan};
+use lergan_core::{BuildError, CompiledGan, IterationFigures, LerGan};
 use lergan_gan::{benchmarks, GanSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,7 +28,7 @@ use std::sync::Arc;
 pub struct PlanCache {
     specs: Vec<GanSpec>,
     built: BTreeMap<usize, Arc<LerGan>>,
-    iteration_ns: BTreeMap<usize, f64>,
+    figures: BTreeMap<usize, IterationFigures>,
     hits: u64,
     misses: u64,
 }
@@ -36,7 +39,7 @@ impl PlanCache {
         PlanCache {
             specs,
             built: BTreeMap::new(),
-            iteration_ns: BTreeMap::new(),
+            figures: BTreeMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -80,8 +83,7 @@ impl PlanCache {
         }
         self.misses += 1;
         let accel = Arc::new(LerGan::builder(&self.specs[topology]).build()?);
-        let iter_ns = accel.train_iterations(1).iteration_latency_ns;
-        self.iteration_ns.insert(topology, iter_ns);
+        self.figures.insert(topology, IterationFigures::of(&accel));
         self.built.insert(topology, Arc::clone(&accel));
         Ok(accel)
     }
@@ -92,14 +94,23 @@ impl PlanCache {
     }
 
     /// Fault-free per-iteration latency of `topology` (ns), memoised with
-    /// the plan.
+    /// the plan. A lookup of a resident plan counts as a hit.
     pub fn iteration_ns(&mut self, topology: usize) -> Result<f64, BuildError> {
-        if let Some(ns) = self.iteration_ns.get(&topology) {
+        if self.figures.contains_key(&topology) {
             self.hits += 1;
-            return Ok(*ns);
         }
-        self.plan(topology)?;
-        Ok(self.iteration_ns[&topology])
+        Ok(self.figures(topology)?.iteration_ns)
+    }
+
+    /// The fault-free plan's one-iteration figures of `topology`, memoised
+    /// with the plan. The hit and miss counters measure plan reuse by
+    /// admission and dispatch, so a lookup of a resident plan counts
+    /// nothing; a first lookup compiles the plan and counts its miss.
+    pub fn figures(&mut self, topology: usize) -> Result<IterationFigures, BuildError> {
+        if !self.figures.contains_key(&topology) {
+            self.plan(topology)?;
+        }
+        Ok(self.figures[&topology])
     }
 
     /// Cache hits so far.
@@ -179,6 +190,17 @@ mod tests {
         let b = cache.iteration_ns(9).unwrap();
         assert!(a > 0.0 && b > 0.0);
         assert_ne!(a.to_bits(), b.to_bits());
+    }
+
+    #[test]
+    fn figures_are_memoised_with_the_plan_and_count_no_hit() {
+        let mut cache = PlanCache::table_v();
+        let first = cache.figures(0).unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (1, 0), "the first lookup compiles");
+        assert_eq!(cache.figures(0).unwrap(), first);
+        assert_eq!(cache.hits(), 0, "a figures lookup is not a plan reuse");
+        assert_eq!(first, IterationFigures::of(&cache.plan(0).unwrap()));
+        assert_eq!(first.iteration_ns.to_bits(), cache.iteration_ns(0).unwrap().to_bits());
     }
 
     #[test]
