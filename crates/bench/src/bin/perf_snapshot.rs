@@ -10,9 +10,9 @@
 //!   kernels (`zero_inserted`),
 //! * D-CONV dilated convolution: the zero-free plan against the naive
 //!   zero-inserted-kernel formulation,
-//! * S-CONV through the one-phase plan (im2col + GEMM), and the
-//!   trainer's hottest conv (extgan8's 3k1s 8 px D layer) cached, with its
-//!   input gradient (the dual plan's forward),
+//! * S-CONV through the one-phase plan, and the trainer's hottest conv
+//!   (extgan8's 3k1s 8 px D layer) cached, with its input gradient (the
+//!   dual plan's forward) and its weight gradient,
 //! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
 //!   shape-adaptive `dispatch` that picks among them, and the pre-packing
 //!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
@@ -88,7 +88,7 @@ fn previous_train_step_ns(path: &str) -> Option<f64> {
     None
 }
 
-/// The trainer's per-sample forward: `plan`, workspace, phase columns,
+/// The trainer's per-sample forward: `plan`, workspace, input frame,
 /// output and the gathered phase weights held across calls.
 fn cached_forward<'a>(
     plan: &'a ConvPlan,
@@ -96,13 +96,30 @@ fn cached_forward<'a>(
     weights: &Tensor,
 ) -> impl FnMut() + 'a {
     let mut ws = Workspace::new();
-    let mut cols = vec![0.0; plan.cols_len()];
+    let mut frame = vec![0.0; plan.frame_len()];
     let mut out = vec![0.0; plan.output_shape().iter().product()];
     let mut pw = vec![0.0; weights.len()];
     plan.phase_weights_into(weights.data(), &mut pw);
     move || {
-        plan.forward_into(black_box(input.data()), &pw, &mut cols, &mut out, &mut ws);
+        plan.forward_into(black_box(input.data()), &pw, &mut frame, &mut out, &mut ws);
         black_box(&out);
+    }
+}
+
+/// The trainer's per-sample weight gradient: `plan`, workspace, the frame
+/// of `input` its forward built and the gradient buffer held across calls.
+fn cached_weight_grad<'a>(
+    plan: &'a ConvPlan,
+    input: &Tensor,
+    dout: &'a Tensor,
+) -> impl FnMut() + 'a {
+    let mut ws = Workspace::new();
+    let mut frame = vec![0.0; plan.frame_len()];
+    plan.frame_into(input.data(), &mut frame);
+    let mut grad = vec![0.0; plan.weight_shape().iter().product()];
+    move || {
+        plan.weight_grad_into(black_box(dout.data()), &frame, &mut grad, &mut ws);
+        black_box(&grad);
     }
 }
 
@@ -187,18 +204,14 @@ fn main() {
                 .weight_grad(black_box(&input_g), black_box(&dout_g)),
         );
     });
-    // Cached: the trainer's ∇W step over the columns its forward kept.
+    // Cached: the trainer's ∇W step over the frame its forward kept.
     let plan_g = geom_g.forward.plan(8, 8);
-    let mut ws_g = Workspace::new();
-    let mut cols_g = vec![0.0; plan_g.cols_len()];
-    let mut out_g = vec![0.0; dout_g.len()];
-    let zeros_g = vec![0.0; plan_g.weight_shape().iter().product()];
-    plan_g.forward_into(input_g.data(), &zeros_g, &mut cols_g, &mut out_g, &mut ws_g);
-    let mut grad_g = zeros_g;
-    record_threads(&mut results, "wconv_8x8_8ch/engine_cached", threads, || {
-        plan_g.weight_grad_into(black_box(dout_g.data()), &cols_g, &mut grad_g, &mut ws_g);
-        black_box(&grad_g);
-    });
+    record_threads(
+        &mut results,
+        "wconv_8x8_8ch/engine_cached",
+        threads,
+        cached_weight_grad(&plan_g, &input_g, &dout_g),
+    );
 
     // D-CONV: the zero-free plan against the naive formulation that
     // materialises the zero-inserted dilated kernel (the EcoFlow dual of
@@ -274,6 +287,12 @@ fn main() {
         "sconv_3k1s_8px_8x8ch/dual_cached",
         threads,
         cached_forward(&dual_h, &dout_h, &weights_h),
+    );
+    record_threads(
+        &mut results,
+        "sconv_3k1s_8px_8x8ch/wgrad_cached",
+        threads,
+        cached_weight_grad(&plan_h, &input_h, &dout_h),
     );
 
     // Every GEMM strategy, the shape-adaptive dispatch, and the

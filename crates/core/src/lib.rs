@@ -56,7 +56,7 @@ pub use lergan::{BuildError, LerGan, LerGanBuilder, TrainingReport};
 pub use mapping::{MappingError, TileAllocation};
 pub use recovery::{
     DrainedRuntime, IterationFigures, RecoveryError, RecoveryPolicy, RecoveryReport,
-    SelfHealingRuntime, StepReport,
+    SelfHealingRuntime, StartFailure, StepReport,
 };
 pub use link::{
     LinkChaos, LinkError, LinkReport, ReliableFabric, TransferOutcome,

@@ -143,6 +143,24 @@ impl fmt::Display for RecoveryError {
 
 impl Error for RecoveryError {}
 
+/// A runtime that could not start, with the fault state it was handed,
+/// unchanged: a caller that moved its live hardware state in gets it back.
+#[derive(Debug)]
+pub struct StartFailure {
+    /// Why the runtime could not start.
+    pub error: RecoveryError,
+    /// The starting fault state, as it was passed in.
+    pub faults: SystemFaults,
+}
+
+impl fmt::Display for StartFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl Error for StartFailure {}
+
 impl From<BuildError> for RecoveryError {
     fn from(e: BuildError) -> Self {
         RecoveryError::Build(e)
@@ -362,7 +380,7 @@ impl SelfHealingRuntime {
         wear: WearModel,
     ) -> Result<Self, RecoveryError> {
         let clean = IterationFigures::of(&LerGan::builder(spec).build()?);
-        Self::from_clean_figures(spec, trainer, faults, policy, wear, clean)
+        Self::from_clean_figures(spec, trainer, faults, policy, wear, clean).map_err(|f| f.error)
     }
 
     /// Assembles the runtime from the figures of `spec`'s fault-free build
@@ -378,7 +396,7 @@ impl SelfHealingRuntime {
         policy: RecoveryPolicy,
         wear: WearModel,
         clean: IterationFigures,
-    ) -> Result<Self, RecoveryError> {
+    ) -> Result<Self, Box<StartFailure>> {
         let reram = ReramConfig::default();
         let weights: Vec<i32> = (0..BLOCK_ROWS * BLOCK_COLS)
             .map(|i| ((i as i32 * 37) % 201) - 100)
@@ -405,13 +423,24 @@ impl SelfHealingRuntime {
             report: RecoveryReport::default(),
         };
         let figures = if rt.faults.builds_fault_free() {
-            clean
+            Ok(clean)
         } else {
-            IterationFigures::of(&rt.builder_for(rt.faults.clone()).build()?)
+            rt.builder_for(rt.faults.clone())
+                .build()
+                .map(|acc| IterationFigures::of(&acc))
+        };
+        let figures = match figures {
+            Ok(figures) => figures,
+            Err(e) => return Err(rt.unstarted(e.into())),
         };
         rt.charge(figures);
         rt.report.clean_iteration_ns = clean.iteration_ns;
-        let region = rt.find_clean_region(0)?;
+        // Scanning for a region only reads the fault state, so a failed
+        // start hands it back as it came.
+        let region = match rt.find_clean_region(0) {
+            Ok(region) => region,
+            Err(e) => return Err(rt.unstarted(e)),
+        };
         rt.place(region);
         // Placing the block is setup, not recovery: reset the ledger so
         // the report accounts the run only.
@@ -673,6 +702,14 @@ impl SelfHealingRuntime {
         (self.region + 1..total).find(|&r| !map.tile_is_dead(r / REGIONS_PER_TILE))
     }
 
+    /// Gives up on starting: the error and the untouched fault state.
+    fn unstarted(self, error: RecoveryError) -> Box<StartFailure> {
+        Box::new(StartFailure {
+            error,
+            faults: self.faults,
+        })
+    }
+
     /// First region at or after `from` (skipping dead tiles) whose
     /// read-back scan finds no stuck cells. Charges one row-parallel scan
     /// per candidate.
@@ -682,15 +719,16 @@ impl SelfHealingRuntime {
         let scan_ns = BLOCK_ROWS as f64 * self.reram.tile_read_latency_ns;
         let mut scanned = 0usize;
         for r in from..total {
-            let map = self.faults.bank_mut(Phase::GForward);
-            if map.tile_is_dead(r / REGIONS_PER_TILE) {
+            // A bank with no recorded map is pristine.
+            let map = self.faults.bank(Phase::GForward);
+            if map.is_some_and(|m| m.tile_is_dead(r / REGIONS_PER_TILE)) {
                 continue;
             }
             scanned += 1;
             self.report.regions_scanned += 1;
             self.report.recovery_latency_ns += scan_ns;
             let base = r as u64 * cells;
-            if map.stuck_cells_in(base..base + cells).next().is_none() {
+            if map.is_none_or(|m| m.stuck_cells_in(base..base + cells).next().is_none()) {
                 return Ok(r);
             }
         }

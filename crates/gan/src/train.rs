@@ -524,57 +524,60 @@ fn batched_shape(batch: usize, per_sample: &[usize]) -> ([usize; 4], usize) {
     (s, per_sample.len() + 1)
 }
 
-/// The forward of a conv-family layer, sample by sample: `f(b, block,
-/// plane, tws)` fills sample `b`'s `blen`-long block of the sample-major
-/// im2col cache `bcols` (kept for the backward) and its `olen`-long plane
-/// of the returned activation buffer (pooled in `ws`), drawing scratch from
-/// the worker's thread workspace `tws`. Every output element reduces its
-/// own sample's columns, so no value depends on the batch; building and
-/// consuming a block back to back keeps it in cache, and the output is
-/// already in activation layout.
+/// The forward of a conv-family layer, sample by sample: `f(b, frame,
+/// plane, tws)` fills sample `b`'s `flen`-long block of the sample-major
+/// input-frame cache `bframes` (kept for the backward) and its
+/// `olen`-long plane of the returned activation buffer (pooled in `ws`),
+/// drawing scratch from the worker's thread workspace `tws`. Every output
+/// element reduces its own sample's frame, so no value depends on the
+/// batch; building and consuming a frame back to back keeps it in cache,
+/// and the output is already in activation layout. Each sample costs
+/// `macs` multiply-adds; a worker takes at least the parallel work floor's
+/// worth of samples ([`parallel::min_items`]), the rest of the passes
+/// below likewise.
 fn conv_forward(
     batch: usize,
-    (blen, olen): (usize, usize),
-    bcols: &mut [f32],
+    (flen, olen, macs): (usize, usize, usize),
+    bframes: &mut [f32],
     ws: &mut Workspace,
     f: impl Fn(usize, &mut [f32], &mut [f32], &mut Workspace) + Sync,
 ) -> Vec<f32> {
     let mut out = ws.take(batch * olen);
-    let (cp, op) = (SlicePtr::new(bcols), SlicePtr::new(&mut out));
-    parallel::for_each_range(batch, 1, |range| {
+    let (fp, op) = (SlicePtr::new(bframes), SlicePtr::new(&mut out));
+    parallel::for_each_range(batch, parallel::min_items(macs), |range| {
         for b in range {
-            // SAFETY: sample-disjoint blocks of `bcols` and planes of `out`.
-            let block = unsafe { cp.slice(b * blen, blen) };
+            // SAFETY: sample-disjoint frames of `bframes` and planes of `out`.
+            let frame = unsafe { fp.slice(b * flen, flen) };
             let plane = unsafe { op.slice(b * olen, olen) };
-            with_thread_workspace(|tws| f(b, block, plane, tws));
+            with_thread_workspace(|tws| f(b, frame, plane, tws));
         }
     });
     out
 }
 
 /// The weight gradient of a conv-family layer — the W-CONV of Fig. 6 —
-/// sample by sample: `f(g, block, part, tws)` writes the exact gradient of
+/// sample by sample: `f(g, frame, part, tws)` writes the exact gradient of
 /// one sample into its `wlen`-long `part` from its `olen`-long `∇out` `g`
-/// and its `blen`-long block of the forward's im2col cache `bcols`; the
+/// and its `flen`-long frame from the forward's cache `bframes`; the
 /// partials are folded by the fixed tree. Returns a buffer pooled in `ws`
 /// whose first `wlen` entries hold the folded gradient.
 fn conv_weight_grad(
     grad_out: &[f32],
-    bcols: &[f32],
+    bframes: &[f32],
     batch: usize,
-    (olen, blen, wlen): (usize, usize, usize),
+    (olen, flen, wlen, macs): (usize, usize, usize, usize),
     ws: &mut Workspace,
     f: impl Fn(&[f32], &[f32], &mut [f32], &mut Workspace) + Sync,
 ) -> Vec<f32> {
     let mut parts = ws.take(batch * wlen);
     let pp = SlicePtr::new(&mut parts);
-    parallel::for_each_range(batch, 1, |range| {
+    parallel::for_each_range(batch, parallel::min_items(macs), |range| {
         for b in range {
             // SAFETY: sample-disjoint windows of `parts`.
             let part = unsafe { pp.slice(b * wlen, wlen) };
             let g = &grad_out[b * olen..(b + 1) * olen];
-            let block = &bcols[b * blen..(b + 1) * blen];
-            with_thread_workspace(|tws| f(g, block, part, tws));
+            let frame = &bframes[b * flen..(b + 1) * flen];
+            with_thread_workspace(|tws| f(g, frame, part, tws));
         }
     });
     tree_reduce_in_place(&mut parts, batch, wlen);
@@ -588,13 +591,13 @@ fn conv_weight_grad(
 fn conv_input_grad(
     grad_out: &[f32],
     batch: usize,
-    (olen, slen): (usize, usize),
+    (olen, slen, macs): (usize, usize, usize),
     ws: &mut Workspace,
     f: impl Fn(&[f32], &mut [f32], &mut Workspace) + Sync,
 ) -> Vec<f32> {
     let mut din = ws.take(batch * slen);
     let dp = SlicePtr::new(&mut din);
-    parallel::for_each_range(batch, 1, |range| {
+    parallel::for_each_range(batch, parallel::min_items(macs), |range| {
         for b in range {
             // SAFETY: sample-disjoint planes of `din`.
             let d = unsafe { dp.slice(b * slen, slen) };
@@ -905,7 +908,7 @@ impl TrainableLayer for DenseLayer {
                 let pp = SlicePtr::new(&mut parts);
                 let gd = grad_out.data();
                 let xd = input.data();
-                parallel::for_each_range(batch, 1, |range| {
+                parallel::for_each_range(batch, parallel::min_items(wlen), |range| {
                     for b in range {
                         // SAFETY: sample-disjoint windows of `parts`.
                         let part = unsafe { pp.slice(b * wlen, wlen) };
@@ -944,10 +947,11 @@ impl TrainableLayer for DenseLayer {
 /// Conv-family trainable layer — S-CONV, T-CONV or D-CONV, fixed by the
 /// geometry it is built from — run zero-free on one [`ConvPlan`].
 ///
-/// The forward runs the plan per sample: one GEMM per output phase over
-/// the raw input (for S-CONV and D-CONV a single GEMM straight into the
-/// output), caching the phase columns. The weight gradient, the W-CONV of
-/// Fig. 6, is one `gemm_nt` per phase over those columns. The input
+/// The forward runs the plan per sample: the input copied once into a
+/// zero-padded frame, then one GEMM per output phase reading that frame
+/// in place (for S-CONV and D-CONV a single GEMM straight into the
+/// output), caching the frame. The weight gradient, the W-CONV of Fig. 6,
+/// is one GEMM per phase over the cached frame. The input
 /// gradient — `D←` through an S-CONV (Eq. 3), `G←` through a T-CONV — is
 /// the forward of the [dual plan](ConvPlan::dual) on the flipped,
 /// channel-transposed kernel: T-CONV-shaped for an S-CONV, a strided
@@ -966,9 +970,9 @@ pub struct ConvTrainLayer {
     phase_weights: Vec<f32>,
     dual_weights: Vec<f32>,
     grad: Tensor,
-    /// Sample-major phase columns `[batch, plan.cols_len()]` from the last
+    /// Sample-major input frames `[batch, plan.frame_len()]` from the last
     /// forward, reused by the backward weight-gradient GEMMs.
-    cached_bcols: Option<Tensor>,
+    cached_frames: Option<Tensor>,
     /// Batch size of the last forward.
     cached_batch: usize,
     opt: OptState,
@@ -993,7 +997,7 @@ impl ConvTrainLayer {
             weights,
             grad: Tensor::zeros(&shape),
             plan,
-            cached_bcols: None,
+            cached_frames: None,
             cached_batch: 0,
             opt: OptState::default(),
         };
@@ -1036,7 +1040,7 @@ impl TrainableLayer for ConvTrainLayer {
         self.opt
             .restore_from("opt", state, layer, self.weights.shape())?;
         self.grad.fill(0.0);
-        self.cached_bcols = None;
+        self.cached_frames = None;
         self.cached_batch = 0;
         Ok(())
     }
@@ -1070,16 +1074,17 @@ impl TrainableLayer for ConvTrainLayer {
         }
         self.cached_batch = batch;
         let [oc, oh, ow] = self.plan.output_shape();
-        let (slen, clen, olen) = (ic * h * w, self.plan.cols_len(), oc * oh * ow);
-        let bcols = cache_buf(&mut self.cached_bcols, &[batch, clen]);
+        let (slen, flen, olen) = (ic * h * w, self.plan.frame_len(), oc * oh * ow);
+        let bframes = cache_buf(&mut self.cached_frames, &[batch, flen]);
         let (idata, plan, pw) = (input.data(), &self.plan, &self.phase_weights);
+        let macs = plan.cols_len() * oc;
         let out = conv_forward(
             batch,
-            (clen, olen),
-            bcols.data_mut(),
+            (flen, olen, macs),
+            bframes.data_mut(),
             ws,
-            |b, block, plane, tws| {
-                plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, block, plane, tws);
+            |b, frame, plane, tws| {
+                plan.forward_into(&idata[b * slen..(b + 1) * slen], pw, frame, plane, tws);
             },
         );
         Ok(Tensor::from_vec(&[batch, oc, oh, ow], out))
@@ -1092,8 +1097,8 @@ impl TrainableLayer for ConvTrainLayer {
         grads: Grads,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, TrainError> {
-        let bcols = self
-            .cached_bcols
+        let bframes = self
+            .cached_frames
             .as_ref()
             .ok_or(TrainError::BackwardBeforeForward {
                 layer: "ConvTrainLayer",
@@ -1116,11 +1121,11 @@ impl TrainableLayer for ConvTrainLayer {
             let wlen = self.weights.len();
             let parts = conv_weight_grad(
                 grad_out.data(),
-                bcols.data(),
+                bframes.data(),
                 batch,
-                (olen, plan.cols_len(), wlen),
+                (olen, plan.frame_len(), wlen, plan.cols_len() * plan.output_shape()[0]),
                 ws,
-                |g, block, part, tws| plan.weight_grad_into(g, block, part, tws),
+                |g, frame, part, tws| plan.weight_grad_into(g, frame, part, tws),
             );
             self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
             ws.give(parts);
@@ -1133,12 +1138,12 @@ impl TrainableLayer for ConvTrainLayer {
         let din = conv_input_grad(
             grad_out.data(),
             batch,
-            (olen, ic * h * w),
+            (olen, ic * h * w, dual.cols_len() * ic),
             ws,
             |g, d, tws| {
-                let mut cols = tws.take(dual.cols_len());
-                dual.forward_into(g, pw, &mut cols, d, tws);
-                tws.give(cols);
+                let mut frame = tws.take(dual.frame_len());
+                dual.forward_into(g, pw, &mut frame, d, tws);
+                tws.give(frame);
             },
         );
         Ok(Some(Tensor::from_vec(&[batch, ic, h, w], din)))
@@ -1284,7 +1289,7 @@ impl TrainableLayer for BatchNorm {
             let eps = self.eps;
             let gamma = self.gamma.data();
             let beta = self.beta.data();
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_items(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of all three buffers.
                     let outs = unsafe { outp.slice(b * slen, slen) };
@@ -1379,7 +1384,7 @@ impl TrainableLayer for BatchNorm {
             let gd = grad_out.data();
             let gamma = self.gamma.data();
             let stats = &self.stats;
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_items(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of both buffers; `din`
                     // is sliced only when it was taken.
@@ -1495,7 +1500,7 @@ impl TrainableLayer for PixelNorm {
             let ip = SlicePtr::new(&mut self.inv_norm);
             let data = input.data();
             let eps = self.eps;
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_items(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of all three buffers.
                     let outs = unsafe { outp.slice(b * slen, slen) };
@@ -1554,7 +1559,7 @@ impl TrainableLayer for PixelNorm {
             let nd = normalized.data();
             let gd = grad_out.data();
             let invs = &self.inv_norm;
-            parallel::for_each_range(batch, 1, |range| {
+            parallel::for_each_range(batch, parallel::min_items(slen), |range| {
                 for b in range {
                     // SAFETY: sample-disjoint slices of `din`.
                     let d = unsafe { dp.slice(b * slen, slen) };
@@ -1622,7 +1627,8 @@ impl TrainableLayer for LeakyRelu {
         let mut out = ws.take(input.len());
         {
             let data = input.data();
-            parallel::for_each_unit_chunk_mut(&mut out, slen, 1, |first, chunk| {
+            let samples = parallel::min_items(slen);
+            parallel::for_each_unit_chunk_mut(&mut out, slen, samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
                     *o = if x > 0.0 { x } else { a * x };
@@ -1656,7 +1662,8 @@ impl TrainableLayer for LeakyRelu {
         {
             let xd = input.data();
             let gd = grad_out.data();
-            parallel::for_each_unit_chunk_mut(&mut din, slen, 1, |first, chunk| {
+            let samples = parallel::min_items(slen);
+            parallel::for_each_unit_chunk_mut(&mut din, slen, samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for ((d, &x), &g) in chunk
                     .iter_mut()
@@ -1709,7 +1716,8 @@ impl TrainableLayer for Tanh {
         let mut out = ws.take(input.len());
         {
             let data = input.data();
-            parallel::for_each_unit_chunk_mut(&mut out, slen, 1, |first, chunk| {
+            let samples = parallel::min_items(slen);
+            parallel::for_each_unit_chunk_mut(&mut out, slen, samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
                     *o = x.tanh();
@@ -1744,7 +1752,8 @@ impl TrainableLayer for Tanh {
         {
             let yd = out.data();
             let gd = grad_out.data();
-            parallel::for_each_unit_chunk_mut(&mut din, slen, 1, |first, chunk| {
+            let samples = parallel::min_items(slen);
+            parallel::for_each_unit_chunk_mut(&mut din, slen, samples, |first, chunk| {
                 let (off, n) = (first * slen, chunk.len());
                 for ((d, &y), &g) in chunk
                     .iter_mut()

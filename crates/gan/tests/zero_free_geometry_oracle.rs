@@ -19,7 +19,14 @@
 //!
 //! Per-sample weight gradients are folded by the library's fixed
 //! reduction tree. Every value must match bit for bit, at batch 1 and 3,
-//! under each [`Grads`] request, at 1, 2 and 8 worker threads.
+//! under each [`Grads`] request, at 1, 2 and 8 worker threads, with the
+//! layer's output, ∇input and partial-gradient buffers drawn NaN-poisoned
+//! from its workspace.
+//!
+//! The plan's GEMMs read the input frame in place through offset tables,
+//! eight positions (or taps, or channels) per vector: the edge inputs
+//! cover window widths 1–17 (tiles that span two window rows, partial
+//! tiles), column strides 1–3 and 1, 3, 8, 9 and 17 output channels.
 
 mod oracle;
 
@@ -91,10 +98,15 @@ fn check<L: TrainableLayer>(
 
     let packed = lergan_gan::train::pack_batch(&inputs);
     let packed_seeds = lergan_gan::train::pack_batch(&seeds);
+    let ilen = inputs[0].len();
+    let olen = seeds[0].len();
     for threads in [1usize, 2, 8] {
         parallel::with_threads(threads, || -> Result<(), TestCaseError> {
             for grads in [Grads::All, Grads::Params, Grads::Input] {
                 let mut ws = Workspace::new();
+                for len in [batch * olen, batch * ilen, batch * wlen] {
+                    ws.give(vec![f32::NAN; len]);
+                }
                 let mut layer = build();
                 let out = layer.forward_batch(&packed, batch, &mut ws).unwrap();
                 let olen = out.len() / batch;
@@ -287,6 +299,49 @@ fn named_dconv_geometries_match_the_zero_insertion_oracle() {
         for batch in [1, 3] {
             check_dconv(geom, (2, 3), batch, 11)
                 .unwrap_or_else(|e| panic!("{geom:?} at batch {batch}: {e}"));
+        }
+    }
+}
+
+/// Output channels the edge inputs cycle through: below, at and past one
+/// vector of eight lanes, and past two.
+const EDGE_CHANNELS: [usize; 5] = [1, 3, 8, 9, 17];
+
+#[test]
+fn window_widths_strides_and_channel_counts_match_the_oracles() {
+    for stride in 1..=3 {
+        for width in 1..=17 {
+            let oc = EDGE_CHANNELS[(width + stride) % EDGE_CHANNELS.len()];
+            let name = format!("stride {stride}, width {width}, {oc} channels");
+            // An S-CONV whose windows are `width` wide and tall: its
+            // forward reads the column-split frame at `stride`, its dual
+            // runs `stride` phases per axis.
+            let sconv = SconvGeometry::new((width - 1) * stride + 1, 3, stride, 1).unwrap();
+            assert_eq!(sconv.output, width);
+            // A D-CONV three rows tall: one window row per vector tile at
+            // width 8, two or more below it.
+            let dconv = DconvGeometry::new(
+                DconvAxis::for_target(5, 3, 1, 2, 5).unwrap(),
+                DconvAxis::new((width - 1) * stride + 1, 2, stride, 2, 1).unwrap(),
+            );
+            assert_eq!(dconv.cols.output, width);
+            for batch in [1, 3] {
+                check_sconv(sconv, (2, oc), batch, width as u32)
+                    .unwrap_or_else(|e| panic!("S-CONV {name} at batch {batch}: {e}"));
+                check_dconv(dconv, (2, oc), batch, width as u32)
+                    .unwrap_or_else(|e| panic!("D-CONV {name} at batch {batch}: {e}"));
+            }
+        }
+        // T-CONVs upsampling by `stride`: phase windows as wide as the
+        // input, and a dual that reads the column-split frame at `stride`.
+        for input in 1..=9 {
+            let oc = EDGE_CHANNELS[(input + stride) % EDGE_CHANNELS.len()];
+            let geom = tconv(input, 3, stride, input * stride).unwrap();
+            for batch in [1, 3] {
+                check_tconv(geom, (2, oc), batch, input as u32).unwrap_or_else(|e| {
+                    panic!("T-CONV stride {stride}, input {input}, {oc} channels at batch {batch}: {e}")
+                });
+            }
         }
     }
 }

@@ -196,10 +196,11 @@ impl Pair {
         ))
     }
 
-    /// Healing path: the job runs under a [`SelfHealingRuntime`] seeded
-    /// with the pair's live fault state and the plan's fault-free
-    /// iteration figures; on exit the drained fault map — wear damage and
-    /// tile kills included — becomes the pair's state for the next job.
+    /// Healing path: the job runs under a [`SelfHealingRuntime`] that takes
+    /// over the pair's live fault state (moved, not copied) and starts from
+    /// the plan's fault-free iteration figures; on exit the drained fault
+    /// map — wear damage and tile kills included — becomes the pair's
+    /// state for the next job.
     fn run_healing(
         &mut self,
         job: &JobSpec,
@@ -207,10 +208,12 @@ impl Pair {
         policy: &RecoveryPolicy,
     ) -> Result<(f64, JobRunResult, HealingTotals), lergan_core::BuildError> {
         let clean = plans.figures(job.topology)?;
+        // The runtime owns the pair's fault state for the job and hands it
+        // back when it drains, or when it cannot start.
         let rt = match SelfHealingRuntime::from_clean_figures(
             plans.spec(job.topology),
             job_trainer(job.seed),
-            self.faults.clone(),
+            std::mem::take(&mut self.faults),
             *policy,
             self.wear,
             clean,
@@ -218,15 +221,17 @@ impl Pair {
             Ok(rt) => rt,
             // The pair is too damaged to even place the job: an instant
             // death, hardware state unchanged.
-            Err(e) => {
+            Err(failure) => {
+                let failure = *failure;
+                self.faults = failure.faults;
                 return Ok((
                     0.0,
                     JobRunResult::Died {
                         at_step: 0,
-                        cause: e.to_string(),
+                        cause: failure.error.to_string(),
                     },
                     HealingTotals::default(),
-                ))
+                ));
             }
         };
         // Layer the transient-link hazard on, reseeded per pair so each
@@ -366,6 +371,7 @@ mod tests {
         for t in 0..16 {
             faults.bank_mut(Phase::GForward).kill_tile(t);
         }
+        let original = faults.clone();
         let mut pair = Pair::new(0, faults, WearModel::disabled(), false);
         pair.start(job(0, 2), 0.0, &mut plans, &RecoveryPolicy::default())
             .unwrap();
@@ -376,6 +382,7 @@ mod tests {
             run.result
         );
         assert_eq!(run.finish_ns, 0.0, "an instant death charges no service time");
+        assert_eq!(pair.faults, original, "a job that cannot start leaves the hardware as it was");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! gradient and input gradient.
 
 use crate::geometry::{DconvGeometry, SconvGeometry, TconvGeometry};
-use crate::kernel::{gemm_buf, gemm_nt_buf};
+use crate::kernel::{gemm_offsets, Operand, Pitch, Table, NR};
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
@@ -84,7 +84,7 @@ pub fn im2col_into(input: &Tensor, geom: &SconvGeometry, out: &mut [f32]) {
     }
 }
 
-/// One spatial axis of a phase's im2col: window `q` of tap `t` reads the
+/// One spatial axis of a phase's windows: window `q` of tap `t` reads the
 /// frame coordinate `q·stride + first + t·step`.
 ///
 /// A plain convolution axis has taps `0..K` at step 1 and a dilated one
@@ -101,93 +101,6 @@ struct TapAxis {
     first: usize,
     /// Coordinate distance between consecutive taps.
     step: usize,
-}
-
-/// im2col over explicit tap axes of a zero-padded `[C, Hp, Wp]` frame
-/// (`wp` = `Wp`): unrolls it into the `[C·rows.taps·cols.taps,
-/// rows.output · cols.output]` matrix whose row `(c, ty, tx)` and column
-/// `(qy, qx)` hold the frame at the coordinates [`TapAxis`] assigns. Every
-/// window row is a plain read of the frame, with no bounds clamp and no
-/// zero fill: the frame's padding holds the structural zeros. Fully
-/// overwrites `out`; sharded across workers by matrix row (pure data
-/// movement, so sharding cannot change any value).
-///
-/// # Panics
-///
-/// Panics if `out`'s length disagrees with the axes or a window reads
-/// outside the frame.
-fn im2col_frame_into(
-    frame: &[f32],
-    channels: usize,
-    wp: usize,
-    rows: &TapAxis,
-    cols: &TapAxis,
-    out: &mut [f32],
-) {
-    let (n, oo) = (cols.output, rows.output * cols.output);
-    let taps = rows.taps * cols.taps;
-    assert_eq!(
-        out.len(),
-        channels * taps * oo,
-        "im2col buffer length mismatch"
-    );
-    if out.is_empty() {
-        return;
-    }
-    let plane = frame.len() / channels;
-    // The frame distance between consecutive window rows, and the frame
-    // elements one matrix row's windows span.
-    let ystep = rows.stride * wp;
-    let block = (rows.output - 1) * ystep + (n - 1) * cols.stride + 1;
-    let min_rows = (crate::tensor::MIN_PARALLEL_FLOPS / oo).max(1);
-    crate::parallel::for_each_unit_chunk_mut(out, oo, min_rows, |row0, chunk| {
-        for (d, orow) in chunk.chunks_exact_mut(oo).enumerate() {
-            let row = row0 + d;
-            let (ty, tx) = ((row % taps) / cols.taps, row % cols.taps);
-            let base = (row / taps) * plane
-                + (rows.first + ty * rows.step) * wp
-                + cols.first
-                + tx * cols.step;
-            let win = &frame[base..][..block];
-            let s = cols.stride;
-            match n {
-                4 => gather_rows::<4>(orow, win, n, ystep, s),
-                8 => gather_rows::<8>(orow, win, n, ystep, s),
-                16 => gather_rows::<16>(orow, win, n, ystep, s),
-                _ => gather_rows::<0>(orow, win, n, ystep, s),
-            }
-        }
-    });
-}
-
-/// The window rows of one im2col matrix row: `orow`'s `n`-float row `qy`
-/// reads `win` from `qy·ystep` on, `stride` apart. A width `N > 0` fixes
-/// `n` at compile time, so a stride-1 row is a few inline vector moves
-/// and a strided row an unrolled gather; `N = 0` takes `n` as it comes
-/// (`copy_from_slice` or an indexed gather). Every window row of the
-/// benchmark GANs is 4, 8 or 16 floats wide, and their `train_b8` rounds
-/// run about 14 % faster with the fixed widths than with `N = 0` for all
-/// rows (DESIGN.md, "Batched training").
-#[inline(always)]
-fn gather_rows<const N: usize>(
-    orow: &mut [f32],
-    win: &[f32],
-    n: usize,
-    ystep: usize,
-    stride: usize,
-) {
-    let n = if N == 0 { n } else { N };
-    let span = (n - 1) * stride + 1;
-    for (qy, dst) in orow.chunks_exact_mut(n).enumerate() {
-        let src = &win[qy * ystep..][..span];
-        if stride == 1 {
-            dst.copy_from_slice(&src[..n]);
-        } else {
-            for (i, slot) in dst.iter_mut().enumerate() {
-                *slot = src[i * stride];
-            }
-        }
-    }
 }
 
 /// One spatial axis of a conv-family operation: output `o`, kernel tap `j`
@@ -402,20 +315,31 @@ impl ConvGeometry for DconvGeometry {
 }
 
 /// Zero-free execution plan of one conv-family operation — S-CONV, T-CONV
-/// or D-CONV — as dense GEMMs over the raw input.
+/// or D-CONV — as dense GEMMs over the raw input, read in place.
 ///
 /// Each axis splits its output positions into *phases* by residue: within
 /// one phase the same kernel taps meet a real input everywhere, and they
-/// read evenly spaced input rows. A phase is one im2col over the raw input
-/// and one `[OC, IC·|taps|] × [IC·|taps|, positions]` GEMM, so no inserted
-/// zero is stored or multiplied. Each call copies its input sample once
-/// into a zero-padded frame that every phase's windows read, so a window
-/// row is a plain copy with no bounds test:
+/// read evenly spaced input rows. A phase is one `[OC, IC·|taps|] ×
+/// [IC·|taps|, positions]` GEMM, so no inserted zero is stored or
+/// multiplied:
 ///
 /// * S-CONV and D-CONV have one phase per axis holding every tap (stride
 ///   `S`, taps `D` apart);
 /// * T-CONV has `S′` phases per axis, the ZFDR decomposition of its
 ///   zero-inserted input.
+///
+/// No phase builds an im2col matrix. Each call copies its input sample
+/// once into a zero-padded frame ([`frame_into`](Self::frame_into)) whose
+/// rows are split by column residue modulo the window stride, so the
+/// columns one window row reads are contiguous. At plan time every phase
+/// stores two offset tables into that frame: the offset of each reduction
+/// row `(c, ty, tx)` (its *taps*) and the offset of each window position
+/// (its *positions*). Element `(l, q)` of the phase's column matrix is
+/// `frame[tap[l] + position[q]]`, and the direct GEMM driver of
+/// [`crate::kernel`] reads it there: a window row is one vector load, or
+/// two masked ones where an eight-lane tile spans two window rows.
+/// [`columns_into`](Self::columns_into) materialises the same matrix,
+/// for tests and tools.
 ///
 /// [`dual`](Self::dual) plans the input gradient, which is the dual's
 /// [`forward_into`](Self::forward_into) of `∇out` on the flipped,
@@ -450,16 +374,105 @@ pub struct ConvPlan {
     cols: Axis,
     /// A dual plan reads the primal's `[in, out, Kh, Kw]` weights, flipped.
     flipped: bool,
+    /// Column residues of the frame: the window stride along a row.
+    split: usize,
+    /// Length of one split frame row: `split` residue groups of
+    /// `⌈Wp / split⌉` columns.
+    pitch: usize,
+    /// Each phase's offset tables, in [`phases`](Self::phases) order.
+    tables: Vec<PhaseTables>,
+}
+
+/// The offset tables of one phase (row phase × column phase).
+#[derive(Debug)]
+struct PhaseTables {
+    /// Frame offset of reduction row `(c, ty, tx)`, ascending.
+    taps: Table,
+    /// Frame offset of window position `(qy, qx)` relative to a tap's.
+    positions: Table,
+    /// Output-plane index of window position `(qy, qx)`.
+    outputs: Table,
+    /// Weight-tensor index of reduction row `(c, ty, tx)` for output
+    /// channel 0; output channel `a` adds `a ·`
+    /// [`channel_stride`](ConvPlan::channel_stride).
+    weights: Vec<usize>,
 }
 
 impl ConvPlan {
     fn new(in_channels: usize, out_channels: usize, rows: Relation, cols: Relation) -> Self {
-        ConvPlan {
+        Self::from_axes(
             in_channels,
             out_channels,
-            rows: Axis::new(rows),
-            cols: Axis::new(cols),
-            flipped: false,
+            Axis::new(rows),
+            Axis::new(cols),
+            false,
+        )
+    }
+
+    fn from_axes(
+        in_channels: usize,
+        out_channels: usize,
+        rows: Axis,
+        cols: Axis,
+        flipped: bool,
+    ) -> Self {
+        let split = cols.phases[0].window.stride;
+        let pitch = split * cols.frame.div_ceil(split);
+        let mut plan = ConvPlan {
+            in_channels,
+            out_channels,
+            rows,
+            cols,
+            flipped,
+            split,
+            pitch,
+            tables: Vec::new(),
+        };
+        plan.tables = plan
+            .phases()
+            .map(|(ry, rx)| plan.phase_tables(ry, rx))
+            .collect();
+        plan
+    }
+
+    /// Where frame column `x` sits in a split frame row.
+    fn column(&self, x: usize) -> usize {
+        (x % self.split) * (self.pitch / self.split) + x / self.split
+    }
+
+    fn phase_tables(&self, ry: &Phase, rx: &Phase) -> PhaseTables {
+        let (wy, wx) = (&ry.window, &rx.window);
+        let plane = self.rows.frame * self.pitch;
+        let (kh, kw) = (self.rows.relation.kernel, self.cols.relation.kernel);
+        let (mut taps, mut weights) = (Vec::new(), Vec::new());
+        for c in 0..self.in_channels {
+            for (ty, ky) in self.rows.taps(ry).enumerate() {
+                for (tx, kx) in self.cols.taps(rx).enumerate() {
+                    let (y, x) = (wy.first + ty * wy.step, wx.first + tx * wx.step);
+                    taps.push(c * plane + y * self.pitch + self.column(x));
+                    weights.push(if self.flipped {
+                        ((c * self.out_channels) * kh + kh - 1 - ky) * kw + kw - 1 - kx
+                    } else {
+                        (c * kh + ky) * kw + kx
+                    });
+                }
+            }
+        }
+        // Along a split row, window `qx` of every tap is `qx` columns on.
+        let ow = self.cols.relation.output;
+        let (mut positions, mut outputs) = (Vec::new(), Vec::new());
+        for qy in 0..wy.output {
+            let row = (ry.residue + qy * self.rows.period) * ow + rx.residue;
+            for qx in 0..wx.output {
+                positions.push(qy * wy.stride * self.pitch + qx);
+                outputs.push(row + qx * self.cols.period);
+            }
+        }
+        PhaseTables {
+            taps: Table::new(taps),
+            positions: Table::new(positions),
+            outputs: Table::new(outputs),
+            weights,
         }
     }
 
@@ -467,13 +480,13 @@ impl ConvPlan {
     /// plan's weights flipped in both spatial axes and transposed over
     /// channels.
     pub fn dual(&self) -> ConvPlan {
-        ConvPlan {
-            in_channels: self.out_channels,
-            out_channels: self.in_channels,
-            rows: Axis::new(self.rows.relation.dual()),
-            cols: Axis::new(self.cols.relation.dual()),
-            flipped: !self.flipped,
-        }
+        Self::from_axes(
+            self.out_channels,
+            self.in_channels,
+            Axis::new(self.rows.relation.dual()),
+            Axis::new(self.cols.relation.dual()),
+            !self.flipped,
+        )
     }
 
     /// `[C, H, W]` of one input sample.
@@ -531,7 +544,9 @@ impl ConvPlan {
     /// Length of one sample's phase columns, every phase's `[IC·|taps|,
     /// positions]` block back to back — `IC·K²·O²/S′²` for a T-CONV whose
     /// `S′` divides `K` and `O`, a quarter of the zero-inserted matrix at
-    /// `S′ = 2`.
+    /// `S′ = 2`. The GEMMs read these matrices from the frame in place;
+    /// times `OC` it is the MACs they execute, and it is the length
+    /// [`columns_into`](Self::columns_into) writes.
     pub fn cols_len(&self) -> usize {
         let per_axis = |a: &Axis| -> usize {
             a.phases
@@ -542,22 +557,15 @@ impl ConvPlan {
         self.in_channels * per_axis(&self.rows) * per_axis(&self.cols)
     }
 
-    /// Calls `f(i)` with the weight index of every entry of a phase's
-    /// `[out, in·|taps|]` matrix, in row-major order.
-    fn phase_taps(&self, ry: &Phase, rx: &Phase, mut f: impl FnMut(usize)) {
-        let (kh, kw) = (self.rows.relation.kernel, self.cols.relation.kernel);
-        for a in 0..self.out_channels {
-            for b in 0..self.in_channels {
-                for ky in self.rows.taps(ry) {
-                    for kx in self.cols.taps(rx) {
-                        f(if self.flipped {
-                            ((b * self.out_channels + a) * kh + kh - 1 - ky) * kw + kw - 1 - kx
-                        } else {
-                            ((a * self.in_channels + b) * kh + ky) * kw + kx
-                        });
-                    }
-                }
-            }
+    /// Weight-index distance between consecutive output channels of the
+    /// plan: `IC·Kh·Kw`, or `Kh·Kw` for a dual plan, whose output channels
+    /// are the primal's input channels.
+    fn channel_stride(&self) -> usize {
+        let [_, _, kh, kw] = self.weight_shape();
+        if self.flipped {
+            kh * kw
+        } else {
+            self.in_channels * kh * kw
         }
     }
 
@@ -577,62 +585,67 @@ impl ConvPlan {
         let wlen = self.weight_shape().iter().product();
         assert_eq!(weights.len(), wlen, "weight length mismatch");
         assert_eq!(out.len(), wlen, "phase weight buffer length mismatch");
+        let cs = self.channel_stride();
         let mut dst = out.iter_mut();
-        for (ry, rx) in self.phases() {
-            self.phase_taps(ry, rx, |i| {
-                *dst.next().expect("one slot per live tap") = weights[i];
-            });
-        }
-    }
-
-    /// Length of one sample's zero-padded `[IC, Hp, Wp]` frame.
-    fn frame_len(&self) -> usize {
-        self.in_channels * self.rows.frame * self.cols.frame
-    }
-
-    /// Copies one input sample into a zero-padded frame drawn from `ws`,
-    /// the one every phase's windows read, runs `f` on it and recycles it.
-    /// Input `(c, y, x)` lands at frame `(c, y + lead_h, x + lead_w)`;
-    /// every other frame element is `0.0`.
-    fn with_frame<R>(
-        &self,
-        input: &[f32],
-        ws: &mut Workspace,
-        f: impl FnOnce(&[f32], &mut Workspace) -> R,
-    ) -> R {
-        let [c, h, w] = self.input_shape();
-        assert_eq!(input.len(), c * h * w, "input length mismatch");
-        let (hp, wp) = (self.rows.frame, self.cols.frame);
-        let mut frame = ws.take(self.frame_len());
-        frame.fill(0.0);
-        for (src, dst) in input
-            .chunks_exact(h * w)
-            .zip(frame.chunks_exact_mut(hp * wp))
-        {
-            let dst = dst[self.rows.lead * wp..].chunks_exact_mut(wp);
-            for (irow, frow) in src.chunks_exact(w).zip(dst) {
-                frow[self.cols.lead..][..w].copy_from_slice(irow);
+        for t in &self.tables {
+            for a in 0..self.out_channels {
+                for &w in &t.weights {
+                    *dst.next().expect("one slot per live tap") = weights[a * cs + w];
+                }
             }
         }
-        let r = f(&frame, ws);
-        ws.give(frame);
-        r
     }
 
-    /// One phase's im2col block of a frame from [`with_frame`](Self::with_frame).
-    fn phase_columns(&self, frame: &[f32], ry: &Phase, rx: &Phase, block: &mut [f32]) {
-        let wp = self.cols.frame;
-        im2col_frame_into(frame, self.in_channels, wp, &ry.window, &rx.window, block);
+    /// Length of one sample's zero-padded, column-split `[IC, Hp, ·]`
+    /// frame ([`frame_into`](Self::frame_into)).
+    pub fn frame_len(&self) -> usize {
+        self.in_channels * self.rows.frame * self.pitch
     }
 
-    /// Forward of one sample: the raw `input` copied once into a
-    /// zero-padded frame, then per phase the im2col of that frame into the
-    /// phase's block of `cols` (kept for
-    /// [`weight_grad_into`](Self::weight_grad_into)) and one GEMM against
-    /// the phase's rows of `phase_weights` (from
-    /// [`phase_weights_into`](Self::phase_weights_into)), scattered into
-    /// `out`, which is fully overwritten. A one-phase plan's GEMM writes
-    /// `out` directly. Scratch comes from `ws`.
+    /// Copies one [`input_shape`](Self::input_shape) sample into `frame`
+    /// (fully overwritten), the operand every phase's GEMM reads: input
+    /// `(c, y, x)` lands at frame row `y + lead_h`, frame column `x +
+    /// lead_w`, and every other frame element is `0.0`. Each frame row
+    /// holds its columns grouped by residue modulo the window stride, so a
+    /// strided window row is contiguous too.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    pub fn frame_into(&self, input: &[f32], frame: &mut [f32]) {
+        let [c, h, w] = self.input_shape();
+        assert_eq!(input.len(), c * h * w, "input length mismatch");
+        assert_eq!(frame.len(), self.frame_len(), "frame length mismatch");
+        let (s, lead) = (self.split, self.cols.lead);
+        let plane = self.rows.frame * self.pitch;
+        frame.fill(0.0);
+        for (src, dst) in input.chunks_exact(h * w).zip(frame.chunks_exact_mut(plane)) {
+            let dst = dst[self.rows.lead * self.pitch..].chunks_exact_mut(self.pitch);
+            for (irow, frow) in src.chunks_exact(w).zip(dst) {
+                if s == 1 {
+                    frow[lead..][..w].copy_from_slice(irow);
+                    continue;
+                }
+                // Residue by residue: input columns `x0, x0 + S, …` are
+                // one contiguous run of the split row.
+                for x0 in 0..s.min(w) {
+                    let (mut d, mut x) = (self.column(x0 + lead), x0);
+                    while x < w {
+                        frow[d] = irow[x];
+                        (d, x) = (d + 1, x + s);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forward of one sample: the raw `input` copied into `frame` (kept
+    /// for [`weight_grad_into`](Self::weight_grad_into)), then per phase
+    /// one GEMM of the phase's rows of `phase_weights` (from
+    /// [`phase_weights_into`](Self::phase_weights_into)) against the frame
+    /// read through the phase's offset tables, scattered into `out`, which
+    /// is fully overwritten. A one-phase plan's GEMM writes `out`
+    /// directly. Scratch comes from `ws`.
     ///
     /// # Panics
     ///
@@ -641,70 +654,60 @@ impl ConvPlan {
         &self,
         input: &[f32],
         phase_weights: &[f32],
-        cols: &mut [f32],
+        frame: &mut [f32],
         out: &mut [f32],
         ws: &mut Workspace,
     ) {
         let [oc, oh, ow] = self.output_shape();
-        assert_eq!(
-            cols.len(),
-            self.cols_len(),
-            "phase column buffer length mismatch"
-        );
         assert_eq!(out.len(), oc * oh * ow, "output length mismatch");
-        self.with_frame(input, ws, |frame, ws| {
-            if self.single_phase() {
-                let (ry, rx) = (&self.rows.phases[0], &self.cols.phases[0]);
-                let (red, n) = self.phase_dims(ry, rx);
-                self.phase_columns(frame, ry, rx, cols);
-                gemm_buf(oc, red, n, phase_weights, cols, out);
-            } else {
-                let mut stage = ws.take(out.len());
-                let (mut c0, mut w0) = (0, 0);
-                for (ry, rx) in self.phases() {
-                    let (red, n) = self.phase_dims(ry, rx);
-                    let block = &mut cols[c0..c0 + red * n];
-                    self.phase_columns(frame, ry, rx, block);
-                    let res = &mut stage[..oc * n];
-                    gemm_buf(oc, red, n, &phase_weights[w0..w0 + oc * red], block, res);
-                    for c in 0..oc {
-                        let (plane, r) = (&mut out[c * oh * ow..][..oh * ow], &res[c * n..][..n]);
-                        self.phase_positions(ry, rx, |pos, q| plane[pos] = r[q]);
-                    }
-                    (c0, w0) = (c0 + red * n, w0 + oc * red);
-                }
-                ws.give(stage);
+        assert_eq!(
+            phase_weights.len(),
+            self.weight_shape().iter().product::<usize>(),
+            "phase weight length mismatch"
+        );
+        self.frame_into(input, frame);
+        let frame = &*frame;
+        if self.single_phase() {
+            let t = &self.tables[0];
+            let (red, n) = (t.taps.len(), t.positions.len());
+            gemm_offsets(
+                oc,
+                red,
+                n,
+                Operand::dense(phase_weights, red),
+                t.operand(frame),
+                out,
+            );
+            return;
+        }
+        let mut stage = ws.take(out.len());
+        let mut w0 = 0;
+        for t in &self.tables {
+            let (red, n) = (t.taps.len(), t.positions.len());
+            let pw = Operand::dense(&phase_weights[w0..w0 + oc * red], red);
+            w0 += oc * red;
+            if n == 0 {
+                continue;
             }
-        });
-    }
-
-    /// Reduction length and position count of one phase's GEMM.
-    fn phase_dims(&self, ry: &Phase, rx: &Phase) -> (usize, usize) {
-        (
-            self.in_channels * ry.window.taps * rx.window.taps,
-            ry.window.output * rx.window.output,
-        )
-    }
-
-    /// Calls `f(pos, q)` for every output position of a phase: `pos`
-    /// indexes the output plane, `q` the phase's own positions.
-    fn phase_positions(&self, ry: &Phase, rx: &Phase, mut f: impl FnMut(usize, usize)) {
-        let ow = self.cols.relation.output;
-        let nx = rx.window.output;
-        for qy in 0..ry.window.output {
-            let row = (ry.residue + qy * self.rows.period) * ow + rx.residue;
-            for qx in 0..nx {
-                f(row + qx * self.cols.period, qy * nx + qx);
+            let res = &mut stage[..oc * n];
+            gemm_offsets(oc, red, n, pw, t.operand(frame), res);
+            for (plane, r) in out.chunks_exact_mut(oh * ow).zip(res.chunks_exact(n)) {
+                for (pos, &v) in t.outputs.iter().zip(r) {
+                    plane[pos] = v;
+                }
             }
         }
+        ws.give(stage);
     }
 
     /// Weight gradient of one sample into `grad` (fully overwritten, in
-    /// [`weight_shape`](Self::weight_shape) layout): per phase, `gemm_nt`
-    /// of the phase's `[OC, positions]` slice of `∇out` against its block
-    /// of the forward's `cols`, scattered to the phase's taps. A dense plan
-    /// writes `grad` with one `gemm_nt` over `∇out` as it is. Scratch
-    /// comes from `ws`.
+    /// [`weight_shape`](Self::weight_shape) layout) from its `∇out` and
+    /// the `frame` its forward built: per phase, each tap's dot product of
+    /// the phase's `∇out` positions with the frame read through the
+    /// phase's offset tables, positions ascending. With at least [`NR`]
+    /// output channels the vector lanes run across channels (the frame is
+    /// the left operand and the phase's `∇out` is transposed once);
+    /// otherwise they run across taps. Scratch comes from `ws`.
     ///
     /// # Panics
     ///
@@ -712,47 +715,82 @@ impl ConvPlan {
     pub fn weight_grad_into(
         &self,
         dout: &[f32],
-        cols: &[f32],
+        frame: &[f32],
         grad: &mut [f32],
         ws: &mut Workspace,
     ) {
         let [oc, oh, ow] = self.output_shape();
-        assert_eq!(dout.len(), oc * oh * ow, "∇output length mismatch");
-        assert_eq!(
-            cols.len(),
-            self.cols_len(),
-            "phase column buffer length mismatch"
-        );
+        let ohw = oh * ow;
+        assert_eq!(dout.len(), oc * ohw, "∇output length mismatch");
+        assert_eq!(frame.len(), self.frame_len(), "frame length mismatch");
         assert_eq!(
             grad.len(),
             self.weight_shape().iter().product::<usize>(),
             "gradient length mismatch"
         );
-        if self.is_dense() {
-            let (red, n) = self.phase_dims(&self.rows.phases[0], &self.cols.phases[0]);
-            gemm_nt_buf(oc, n, red, dout, cols, grad);
-            return;
-        }
-        let mut gathered = ws.take(dout.len());
-        let mut part = ws.take(grad.len());
-        let mut c0 = 0;
-        for (ry, rx) in self.phases() {
-            let (red, n) = self.phase_dims(ry, rx);
-            let g = &mut gathered[..oc * n];
-            for c in 0..oc {
-                let (r, plane) = (&mut g[c * n..][..n], &dout[c * oh * ow..][..oh * ow]);
-                self.phase_positions(ry, rx, |pos, q| r[q] = plane[pos]);
+        let dense = self.is_dense();
+        let by_channel = oc >= NR;
+        let n_max = self
+            .tables
+            .iter()
+            .map(|t| t.positions.len())
+            .max()
+            .unwrap_or(0);
+        let mut douts = ws.take(if by_channel { oc * n_max } else { 0 });
+        let mut part = ws.take(if dense && !by_channel { 0 } else { grad.len() });
+        let cs = self.channel_stride();
+        for t in &self.tables {
+            let (red, n) = (t.taps.len(), t.positions.len());
+            if red == 0 {
+                continue;
             }
-            let pw = &mut part[..oc * red];
-            gemm_nt_buf(oc, n, red, g, &cols[c0..c0 + red * n], pw);
-            let mut src = pw.iter();
-            self.phase_taps(ry, rx, |i| {
-                grad[i] = *src.next().expect("one value per live tap");
-            });
-            c0 += red * n;
+            if by_channel {
+                // Lanes across channels: ∇out transposed to
+                // `[positions, OC]`, the result `[taps, OC]`.
+                let dt = &mut douts[..n * oc];
+                for (c, plane) in dout.chunks_exact(ohw).enumerate() {
+                    for (q, pos) in t.outputs.iter().enumerate() {
+                        dt[q * oc + c] = plane[pos];
+                    }
+                }
+                let res = &mut part[..red * oc];
+                let x = Operand {
+                    data: frame,
+                    rows: &t.taps,
+                    cols: &t.positions,
+                };
+                gemm_offsets(red, n, oc, x, Operand::dense(dt, oc), res);
+                for (row, &w) in res.chunks_exact(oc).zip(&t.weights) {
+                    for (c, &v) in row.iter().enumerate() {
+                        grad[c * cs + w] = v;
+                    }
+                }
+            } else {
+                let g = Operand {
+                    data: dout,
+                    rows: Pitch(ohw),
+                    cols: &t.outputs,
+                };
+                let x = Operand {
+                    data: frame,
+                    rows: &t.positions,
+                    cols: &t.taps,
+                };
+                if dense {
+                    gemm_offsets(oc, n, red, g, x, grad);
+                } else {
+                    let res = &mut part[..oc * red];
+                    gemm_offsets(oc, n, red, g, x, res);
+                    for (c, row) in res.chunks_exact(red).enumerate() {
+                        for (&w, &v) in t.weights.iter().zip(row) {
+                            grad[c * cs + w] = v;
+                        }
+                    }
+                }
+            }
         }
         ws.give(part);
-        ws.give(gathered);
+        ws.give(douts);
     }
 
     /// Forward of one [`input_shape`](Self::input_shape) sample with
@@ -772,7 +810,7 @@ impl ConvPlan {
         );
         let shape = self.output_shape();
         let mut out = vec![0.0; shape.iter().product()];
-        let mut cols = vec![0.0; self.cols_len()];
+        let mut frame = vec![0.0; self.frame_len()];
         let mut gathered = Vec::new();
         let pw = if self.is_dense() {
             weights.data()
@@ -781,14 +819,20 @@ impl ConvPlan {
             self.phase_weights_into(weights.data(), &mut gathered);
             &gathered
         };
-        self.forward_into(input.data(), pw, &mut cols, &mut out, &mut Workspace::new());
+        self.forward_into(
+            input.data(),
+            pw,
+            &mut frame,
+            &mut out,
+            &mut Workspace::new(),
+        );
         Tensor::from_vec(&shape, out)
     }
 
     /// Weight gradient of one sample from its `input` and `∇out`: the
     /// allocating form of [`weight_grad_into`](Self::weight_grad_into),
-    /// bit for bit. It builds the phase columns of `input` and runs no
-    /// forward GEMM.
+    /// bit for bit. It builds the frame of `input` and runs no forward
+    /// GEMM.
     ///
     /// # Panics
     ///
@@ -796,26 +840,47 @@ impl ConvPlan {
     pub fn weight_grad(&self, input: &Tensor, dout: &Tensor) -> Tensor {
         assert_eq!(input.shape(), self.input_shape(), "input shape mismatch");
         assert_eq!(dout.shape(), self.output_shape(), "∇output shape mismatch");
-        let mut ws = Workspace::new();
-        let mut cols = vec![0.0; self.cols_len()];
-        self.phase_columns_into(input.data(), &mut cols, &mut ws);
+        let mut frame = vec![0.0; self.frame_len()];
+        self.frame_into(input.data(), &mut frame);
         let shape = self.weight_shape();
         let mut grad = vec![0.0; shape.iter().product()];
-        self.weight_grad_into(dout.data(), &cols, &mut grad, &mut ws);
+        self.weight_grad_into(dout.data(), &frame, &mut grad, &mut Workspace::new());
         Tensor::from_vec(&shape, grad)
     }
 
-    /// The phase columns [`forward_into`](Self::forward_into) leaves in
-    /// `cols`, without its GEMMs.
-    fn phase_columns_into(&self, input: &[f32], cols: &mut [f32], ws: &mut Workspace) {
-        self.with_frame(input, ws, |frame, _| {
-            let mut c0 = 0;
-            for (ry, rx) in self.phases() {
-                let (red, n) = self.phase_dims(ry, rx);
-                self.phase_columns(frame, ry, rx, &mut cols[c0..c0 + red * n]);
-                c0 += red * n;
+    /// The phase column matrices the GEMMs read in place, materialised
+    /// into `cols` ([`cols_len`](Self::cols_len) long, fully overwritten):
+    /// each phase's `[IC·|taps|, positions]` block, phase after phase,
+    /// read from the same frame through the same offset tables. No
+    /// training path calls it; it shows what the kernels multiply.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    pub fn columns_into(&self, input: &[f32], cols: &mut [f32]) {
+        assert_eq!(cols.len(), self.cols_len(), "column buffer length mismatch");
+        let mut frame = vec![0.0; self.frame_len()];
+        self.frame_into(input, &mut frame);
+        let mut dst = cols.iter_mut();
+        for t in &self.tables {
+            for tap in t.taps.iter() {
+                for pos in t.positions.iter() {
+                    *dst.next().expect("one slot per column entry") = frame[tap + pos];
+                }
             }
-        });
+        }
+    }
+}
+
+impl PhaseTables {
+    /// The phase's `[IC·|taps|, positions]` column matrix, read in place
+    /// from `frame`.
+    fn operand<'a>(&'a self, frame: &'a [f32]) -> Operand<'a, &'a Table, &'a Table> {
+        Operand {
+            data: frame,
+            rows: &self.taps,
+            cols: &self.positions,
+        }
     }
 }
 
@@ -833,39 +898,25 @@ mod tests {
     }
 
     #[test]
-    fn frame_im2col_with_dense_taps_is_the_reference_im2col() {
-        // Taps 0..K at step 1 over the padded plane are the plain S-CONV
-        // window, at any worker count.
-        use crate::zero_insert::pad_planes;
+    fn sconv_columns_are_the_reference_im2col() {
+        // One phase holding every tap, read through the offset tables of
+        // the column-split frame, is the plain S-CONV window matrix.
         for (i, k, s, p, c) in [
             (8, 3, 1, 1, 2),
             (8, 5, 2, 2, 3),
             (6, 3, 3, 0, 1),
             (5, 4, 1, 3, 2),
+            (9, 3, 2, 1, 2),
         ] {
             let geom = SconvGeometry::new(i, k, s, p).unwrap();
             let input = det(&[c, i, i], 3);
             let mut want = vec![0.0; c * k * k * geom.output * geom.output];
             im2col_into(&input, &geom, &mut want);
-            let axis = TapAxis {
-                output: geom.output,
-                stride: s,
-                taps: k,
-                first: 0,
-                step: 1,
-            };
-            let frame = pad_planes(&input, p);
-            for threads in [1usize, 8] {
-                let mut got = vec![f32::NAN; want.len()];
-                crate::parallel::with_threads(threads, || {
-                    im2col_frame_into(frame.data(), c, i + 2 * p, &axis, &axis, &mut got);
-                });
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "(i={i},k={k},s={s},p={p}) threads={threads}"
-                );
-            }
+            let plan = geom.plan(c, 1);
+            assert_eq!(plan.split, s, "the frame is split by the window stride");
+            let mut got = vec![f32::NAN; plan.cols_len()];
+            plan.columns_into(input.data(), &mut got);
+            assert_eq!(bits(&got), bits(&want), "(i={i},k={k},s={s},p={p})");
         }
     }
 
@@ -878,20 +929,20 @@ mod tests {
         dout: &Tensor,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let mut ws = Workspace::new();
-        let step = |plan: &ConvPlan, x: &[f32], cols: &mut [f32], ws: &mut Workspace| {
+        let step = |plan: &ConvPlan, x: &[f32], frame: &mut [f32], ws: &mut Workspace| {
             let mut out = vec![f32::NAN; plan.output_shape().iter().product()];
             let mut pw = vec![f32::NAN; weights.len()];
             plan.phase_weights_into(weights.data(), &mut pw);
-            plan.forward_into(x, &pw, cols, &mut out, ws);
+            plan.forward_into(x, &pw, frame, &mut out, ws);
             out
         };
-        let mut cols = vec![f32::NAN; plan.cols_len()];
-        let out = step(plan, input.data(), &mut cols, &mut ws);
+        let mut frame = vec![f32::NAN; plan.frame_len()];
+        let out = step(plan, input.data(), &mut frame, &mut ws);
         let mut grad = vec![f32::NAN; weights.len()];
-        plan.weight_grad_into(dout.data(), &cols, &mut grad, &mut ws);
+        plan.weight_grad_into(dout.data(), &frame, &mut grad, &mut ws);
         let dual = plan.dual();
-        let mut dcols = vec![f32::NAN; dual.cols_len()];
-        let din = step(&dual, dout.data(), &mut dcols, &mut ws);
+        let mut dframe = vec![f32::NAN; dual.frame_len()];
+        let din = step(&dual, dout.data(), &mut dframe, &mut ws);
         // The allocating forms are the same computation.
         assert_eq!(bits(plan.forward(input, weights).data()), bits(&out));
         assert_eq!(bits(plan.weight_grad(input, dout).data()), bits(&grad));

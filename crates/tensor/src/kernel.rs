@@ -8,17 +8,21 @@
 //! three strategies:
 //!
 //! * **Direct** — no packing: register tiles accumulate straight out of
-//!   the row-major right operand. This wins on the small `m = 16–64`
-//!   products the benchmark GANs issue, where packing the right operand
-//!   costs more than it saves. `mmv` (`n = 1`) always takes this path.
+//!   the operands, read in place through row and column offsets. A
+//!   row-major matrix is one case; a convolution's zero-padded input
+//!   frame, read through a plan's tap and position tables
+//!   (`gemm_offsets`), is another, so no im2col matrix is built. This
+//!   wins on the small `m = 16–64` products the benchmark GANs issue,
+//!   where packing the right operand costs more than it saves. `mmv`
+//!   (`n = 1`) always takes this path.
 //! * **Packed** — the classic `jc → pc → ic → ir → jr` blocked driver:
 //!   columns in panels of `NC`, the reduction in panels of `KC` packed
 //!   into contiguous [`NR`]-wide strips, rows in blocks of `MC` and
 //!   register tiles of [`MR`], with the scalar microkernel.
 //! * **Packed + SIMD** — the same driver with the explicit AVX
 //!   microkernel ([`NR`] = 8 = one 256-bit register of f32 lanes),
-//!   runtime-detected. The direct path also uses the AVX kernel on its
-//!   full-width column tiles when the host has it.
+//!   runtime-detected. The direct path uses the AVX kernel too when the
+//!   host has it.
 //!
 //! # Bit-exactness
 //!
@@ -46,6 +50,8 @@ pub const MR: usize = 4;
 /// Register-tile width: output columns per packed strip, and the f32 lane
 /// count of one AVX register.
 pub const NR: usize = 8;
+/// Most full column tiles the direct driver's AVX kernel runs side by side.
+const WIDE: usize = 4;
 /// Row-block size: output rows that stream over one packed panel.
 const MC: usize = 64;
 /// Reduction-panel depth: one packed `[KC × NR]` strip stays in L1.
@@ -53,67 +59,255 @@ const KC: usize = 256;
 /// Column-panel width: one packed `[KC × NC]` panel stays in L2.
 const NC: usize = 1024;
 
-/// The scalar accumulation-order-defining loop of the crate.
-///
-/// Accumulates `acc[i][j] += a[abase + i·lda + l] · b[bbase + l·ldb + j]`
-/// for `l` ascending over one reduction panel. `ldb` is the row stride of
-/// the right operand: [`NR`] for packed strips, the full matrix width `n`
-/// for the direct path, and 1 for the blocked `mmv` (`NRW = 1`).
-///
-/// The loops are iterator-free with fixed trip counts over the register
-/// tile, which LLVM unrolls and autovectorizes at the build's baseline
-/// SIMD width; there is no FMA contraction (separate multiply and add), so
-/// the result is the exact IEEE-754 chain the naive kernels compute. The
-/// AVX twin (`microkernel_avx`) computes the same chain eight lanes at a
-/// time; [`microkernel`] picks between them.
-#[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
-#[allow(clippy::too_many_arguments)] // mirrors the BLIS microkernel signature
-#[inline(always)]
-fn microkernel_scalar<const NRW: usize>(
-    acc: &mut [[f32; NRW]; MR],
-    mr: usize,
-    a: &[f32],
-    abase: usize,
-    lda: usize,
-    b: &[f32],
-    bbase: usize,
-    ldb: usize,
-    kc: usize,
-) {
-    for l in 0..kc {
-        let bv = &b[bbase + l * ldb..bbase + l * ldb + NRW];
-        for i in 0..mr {
-            let av = a[abase + i * lda + l];
-            let row = &mut acc[i];
-            for j in 0..NRW {
-                row[j] += av * bv[j];
-            }
+/// Element offsets of an operand's rows or columns: `at(i)` is where row
+/// (or column) `i` starts in the operand's data. Crate-private, and
+/// implemented by [`Pitch`] and [`Table`] only: the AVX kernel's unchecked
+/// reads trust their `max`.
+pub(crate) trait Offsets: Copy + Sync {
+    /// The offset of index `i`.
+    fn at(self, i: usize) -> usize;
+
+    /// The largest offset of indices `0..len`, `len > 0`.
+    fn max(self, len: usize) -> usize;
+}
+
+/// Evenly spaced offsets `i · pitch`: the rows (pitch = row length) or the
+/// columns (pitch 1) of a row-major matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pitch(pub(crate) usize);
+
+impl Offsets for Pitch {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        i * self.0
+    }
+
+    fn max(self, len: usize) -> usize {
+        (len - 1)
+            .checked_mul(self.0)
+            .expect("pitched offsets overflow")
+    }
+}
+
+/// A table of offsets, one per index, whose largest entry is found once,
+/// when it is built: an operand read through the whole table checks its
+/// bounds in constant time. Offsets are stored as `u32`, half the cache
+/// footprint of `usize`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Table {
+    offsets: Vec<u32>,
+    max: usize,
+}
+
+impl Table {
+    /// The table of `offsets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an offset exceeds `u32::MAX`.
+    pub(crate) fn new(offsets: impl IntoIterator<Item = usize>) -> Self {
+        let offsets: Vec<u32> = offsets
+            .into_iter()
+            .map(|o| u32::try_from(o).expect("table offset exceeds u32"))
+            .collect();
+        let max = offsets.iter().copied().max().unwrap_or(0) as usize;
+        Table { offsets, max }
+    }
+
+    /// The offsets, by index.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.offsets.iter().map(|&o| o as usize)
+    }
+
+    /// Number of offsets.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len()
+    }
+}
+
+impl Offsets for &Table {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
+    fn max(self, len: usize) -> usize {
+        if len == self.offsets.len() {
+            self.max
+        } else {
+            self.offsets[..len].iter().copied().max().unwrap_or(0) as usize
         }
     }
 }
 
-/// Variable-width tail of the direct path: like [`microkernel_scalar`]
-/// but over `jw < NR` live columns, for the right edge of an un-packed
-/// (and therefore un-padded) right operand.
-#[allow(clippy::too_many_arguments)]
-fn microkernel_tail(
+/// A matrix read in place: element `(r, c)` is `data[rows.at(r) +
+/// cols.at(c)]`. A row-major `[m, n]` matrix is `Pitch(n)` rows and
+/// `Pitch(1)` columns ([`Operand::dense`]); a convolution reads its
+/// zero-padded input frame through a table of tap offsets and a table of
+/// window positions, so no im2col matrix is built.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operand<'a, R, C> {
+    /// The values the offsets index.
+    pub(crate) data: &'a [f32],
+    /// Offset of each row.
+    pub(crate) rows: R,
+    /// Offset of each column, added to the row's.
+    pub(crate) cols: C,
+}
+
+impl<'a> Operand<'a, Pitch, Pitch> {
+    /// The row-major matrix of `cols`-long rows held in `data`.
+    pub(crate) fn dense(data: &'a [f32], cols: usize) -> Self {
+        Operand {
+            data,
+            rows: Pitch(cols),
+            cols: Pitch(1),
+        }
+    }
+}
+
+impl<R: Offsets, C: Offsets> Operand<'_, R, C> {
+    /// Asserts that every element of the `rows × cols` matrix lies inside
+    /// `data`, the bound the AVX kernel's unchecked reads rely on.
+    fn check(&self, rows: usize, cols: usize, what: &str) {
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        let (r, c) = (self.rows.max(rows), self.cols.max(cols));
+        assert!(
+            r.checked_add(c).is_some_and(|end| end < self.data.len()),
+            "{what} operand reads past its data"
+        );
+    }
+}
+
+/// Where the `jw ≤ NR` live lanes of one column tile sit, relative to a
+/// row's offset: lane `j` reads `data[row + cols.at(j0 + j)]`.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    /// One contiguous run of `jw` lanes from `off` on: columns of a
+    /// row-major matrix, or positions along one window row.
+    Run { off: usize, jw: usize },
+    /// Any other layout, lane by lane: lane `j` at `cols.at(j0 + j)`.
+    Gather { j0: usize, jw: usize },
+}
+
+impl Lanes {
+    #[inline]
+    fn of(cols: impl Offsets, j0: usize, jw: usize) -> Lanes {
+        let off = cols.at(j0);
+        if (1..jw).all(|j| cols.at(j0 + j) == off + j) {
+            Lanes::Run { off, jw }
+        } else {
+            Lanes::Gather { j0, jw }
+        }
+    }
+
+    /// Every lane's offset, lane by lane.
+    fn table(self, cols: impl Offsets) -> ([usize; NR], usize) {
+        let mut t = [0; NR];
+        let jw = match self {
+            Lanes::Run { off, jw } => {
+                for (j, o) in t.iter_mut().enumerate().take(jw) {
+                    *o = off + j;
+                }
+                jw
+            }
+            Lanes::Gather { j0, jw } => {
+                for (j, o) in t.iter_mut().enumerate().take(jw) {
+                    *o = cols.at(j0 + j);
+                }
+                jw
+            }
+        };
+        (t, jw)
+    }
+
+    /// One contiguous run over all [`NR`] lanes, if that is the layout.
+    fn full_run(self) -> Option<usize> {
+        match self {
+            Lanes::Run { off, jw: NR } => Some(off),
+            _ => None,
+        }
+    }
+}
+
+/// The accumulation-order-defining loop of the crate: one register tile.
+///
+/// Accumulates `acc[i][j] += A(i0 + i, al0 + l) · B(bl0 + l, lane j)` for
+/// `l` ascending over `kc` reduction steps, `arows[i]` being A's row
+/// offset of row `i0 + i` and `lanes` the layout of B's column tile. Both
+/// operands are read in place, whatever their offsets: a packed strip, a
+/// row-major matrix or a convolution's input frame.
+///
+/// The scalar loops are iterator-free with fixed trip counts over the
+/// register tile, which LLVM unrolls and autovectorizes at the build's
+/// baseline SIMD width; there is no FMA contraction (separate multiply and
+/// add), so the result is the exact IEEE-754 chain the naive kernels
+/// compute. The AVX twin (`x86::microkernel_avx`) computes the same chain
+/// eight lanes at a time; `use_simd` (paired with runtime detection by
+/// the caller) picks it.
+#[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
+#[allow(clippy::too_many_arguments)] // mirrors the BLIS microkernel signature
+#[inline(always)]
+fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     acc: &mut [[f32; NR]; MR],
     mr: usize,
-    jw: usize,
-    a: &[f32],
-    abase: usize,
-    lda: usize,
-    b: &[f32],
-    bbase: usize,
-    ldb: usize,
+    a: &Operand<'_, AR, AC>,
+    arows: &[usize; MR],
+    al0: usize,
+    b: &Operand<'_, BR, BC>,
+    bl0: usize,
+    lanes: Lanes,
     kc: usize,
+    use_simd: bool,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if use_simd {
+        // SAFETY: callers set `use_simd` only when `dispatch::simd_available`
+        // confirmed AVX, and checked both operands' offsets against their
+        // data (`Operand::check`, or lengths of dense operands).
+        // A fixed row count keeps the accumulators in registers.
+        unsafe {
+            match mr {
+                4 => x86::microkernel_avx::<4, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
+                3 => x86::microkernel_avx::<3, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
+                2 => x86::microkernel_avx::<2, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
+                _ => x86::microkernel_avx::<1, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
+            }
+        }
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_simd;
+    if let Some(off) = lanes.full_run() {
+        for l in 0..kc {
+            let r = b.rows.at(bl0 + l) + off;
+            let bv = &b.data[r..r + NR];
+            let ac = a.cols.at(al0 + l);
+            for i in 0..mr {
+                let av = a.data[arows[i] + ac];
+                let row = &mut acc[i];
+                for j in 0..NR {
+                    row[j] += av * bv[j];
+                }
+            }
+        }
+        return;
+    }
+    let (off, jw) = lanes.table(b.cols);
+    let mut bv = [0.0f32; NR];
     for l in 0..kc {
-        let bv = &b[bbase + l * ldb..bbase + l * ldb + jw];
-        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-            let av = a[abase + i * lda + l];
-            for (j, &bj) in bv.iter().enumerate() {
-                row[j] += av * bj;
+        let r = b.rows.at(bl0 + l);
+        for j in 0..jw {
+            bv[j] = b.data[r + off[j]];
+        }
+        let ac = a.cols.at(al0 + l);
+        for i in 0..mr {
+            let av = a.data[arows[i] + ac];
+            let row = &mut acc[i];
+            for j in 0..NR {
+                row[j] += av * bv[j];
             }
         }
     }
@@ -121,83 +315,163 @@ fn microkernel_tail(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR};
+    use super::{Lanes, Offsets, Operand, MR, NR, WIDE};
     #[allow(clippy::wildcard_imports)] // the intrinsics module is designed for this
     use std::arch::x86_64::*;
+
+    /// `MASK[8 - j..][..8]` enables lanes `0..j`.
+    const MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
     /// AVX twin of the scalar microkernel: one 256-bit register of eight
     /// f32 lanes per accumulator row, separate `_mm256_mul_ps` and
     /// `_mm256_add_ps` per step (never FMA), `l` strictly ascending — so
     /// lane `j`'s value is exactly the scalar kernel's column-`j` chain.
+    /// A full contiguous tile is one unaligned load per step, a partial
+    /// one a masked load (masked-off lanes read `+0.0`); any other layout
+    /// is loaded lane by lane. Dead lanes of a partial tile are never
+    /// stored.
     ///
     /// # Safety
     ///
-    /// The caller must have verified AVX support at runtime, `mr` must be
-    /// at most [`MR`], `a` must cover the `mr × kc` tile rooted at `abase`
-    /// with leading dimension `lda`, and `b` must hold [`NR`] readable
-    /// values at `bbase + l·ldb` for every `l < kc`.
+    /// The caller must have verified AVX support at runtime, `M` must be
+    /// at most [`MR`], and every element the tile reads — rows
+    /// `arows[..M]` of `a` and columns `lanes` of `b`, over reduction
+    /// steps `al0..al0 + kc` and `bl0..bl0 + kc` — must lie inside the
+    /// operands' data.
     #[target_feature(enable = "avx")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn microkernel_avx(
+    pub unsafe fn microkernel_avx<
+        const M: usize,
+        AR: Offsets,
+        AC: Offsets,
+        BR: Offsets,
+        BC: Offsets,
+    >(
         acc: &mut [[f32; NR]; MR],
-        mr: usize,
-        a: &[f32],
-        abase: usize,
-        lda: usize,
-        b: &[f32],
-        bbase: usize,
-        ldb: usize,
+        a: &Operand<'_, AR, AC>,
+        arows: &[usize; MR],
+        al0: usize,
+        b: &Operand<'_, BR, BC>,
+        bl0: usize,
+        lanes: Lanes,
         kc: usize,
     ) {
-        debug_assert!(mr <= MR);
-        debug_assert!(kc == 0 || bbase + (kc - 1) * ldb + NR <= b.len());
-        debug_assert!(mr == 0 || kc == 0 || abase + (mr - 1) * lda + kc <= a.len());
-        let mut va = [_mm256_setzero_ps(); MR];
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            va[i] = _mm256_loadu_ps(row.as_ptr());
+        debug_assert!(M <= MR);
+        let mut va = [_mm256_setzero_ps(); M];
+        for (v, row) in va.iter_mut().zip(acc.iter()) {
+            *v = _mm256_loadu_ps(row.as_ptr());
         }
-        let ap = a.as_ptr();
-        let bp = b.as_ptr().add(bbase);
-        for l in 0..kc {
-            let bv = _mm256_loadu_ps(bp.add(l * ldb));
-            for (i, v) in va.iter_mut().enumerate().take(mr) {
-                let av = _mm256_set1_ps(*ap.add(abase + i * lda + l));
-                *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+        let ap = a.data.as_ptr();
+        let bp = b.data.as_ptr();
+        // One reduction step on the loaded B vector.
+        macro_rules! step {
+            ($l:expr, $bv:expr) => {{
+                let bv = $bv;
+                let ac = a.cols.at(al0 + $l);
+                for (v, &r) in va.iter_mut().zip(arows.iter()) {
+                    let av = _mm256_set1_ps(*ap.add(r + ac));
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+                }
+            }};
+        }
+        match lanes {
+            Lanes::Run { off, jw: NR } => {
+                for l in 0..kc {
+                    step!(l, _mm256_loadu_ps(bp.add(b.rows.at(bl0 + l) + off)));
+                }
+            }
+            Lanes::Run { off, jw } => {
+                let mask = _mm256_castps_si256(_mm256_loadu_ps(MASK.as_ptr().add(NR - jw).cast()));
+                let p = bp.add(off);
+                for l in 0..kc {
+                    step!(l, _mm256_maskload_ps(p.add(b.rows.at(bl0 + l)), mask));
+                }
+            }
+            Lanes::Gather { .. } => {
+                let (off, jw) = lanes.table(b.cols);
+                if jw == NR {
+                    // Lane by lane into a register: a vector load of eight
+                    // scalar stores would stall on store forwarding.
+                    for l in 0..kc {
+                        let p = bp.add(b.rows.at(bl0 + l));
+                        let v = |j: usize| *p.add(off[j]);
+                        step!(
+                            l,
+                            _mm256_setr_ps(v(0), v(1), v(2), v(3), v(4), v(5), v(6), v(7))
+                        );
+                    }
+                } else {
+                    let mut bv = [0.0f32; NR];
+                    for l in 0..kc {
+                        let r = b.rows.at(bl0 + l);
+                        for j in 0..jw {
+                            bv[j] = *bp.add(r + off[j]);
+                        }
+                        step!(l, _mm256_loadu_ps(bv.as_ptr()));
+                    }
+                }
             }
         }
-        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-            _mm256_storeu_ps(row.as_mut_ptr(), va[i]);
+        for (row, v) in acc.iter_mut().zip(va) {
+            _mm256_storeu_ps(row.as_mut_ptr(), v);
         }
     }
-}
 
-/// Full-width microkernel step: the AVX kernel when `use_simd` (the caller
-/// pairs it with runtime detection), the scalar kernel otherwise. Both
-/// compute the identical accumulation chain.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn microkernel(
-    acc: &mut [[f32; NR]; MR],
-    mr: usize,
-    a: &[f32],
-    abase: usize,
-    lda: usize,
-    b: &[f32],
-    bbase: usize,
-    ldb: usize,
-    kc: usize,
-    use_simd: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        // SAFETY: callers set `use_simd` only when `dispatch::simd_available`
-        // confirmed AVX, and the drivers uphold the tile bounds.
-        unsafe { x86::microkernel_avx(acc, mr, a, abase, lda, b, bbase, ldb, kc) };
-        return;
+    /// `J` full tiles side by side, each one contiguous run starting
+    /// `offs[t]` after B's row offset, accumulated from zero over the
+    /// whole reduction and stored straight into `out`: row `i`, tile `t`
+    /// at `out[i·ldo + t·NR..][..NR]`. One row offset and one broadcast
+    /// per row serve all `J` tiles. Each lane's chain is the one
+    /// `microkernel_avx` computes.
+    ///
+    /// # Safety
+    ///
+    /// As for `microkernel_avx`, with every tile's eight lanes inside
+    /// `b`'s data at every reduction step, and `out` holding
+    /// `(M − 1)·ldo + J·NR` values.
+    #[target_feature(enable = "avx")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn microkernel_avx_wide<
+        const M: usize,
+        const J: usize,
+        AR: Offsets,
+        AC: Offsets,
+        BR: Offsets,
+        BC: Offsets,
+    >(
+        out: &mut [f32],
+        ldo: usize,
+        a: &Operand<'_, AR, AC>,
+        arows: &[usize; MR],
+        b: &Operand<'_, BR, BC>,
+        offs: &[usize; WIDE],
+        kc: usize,
+    ) {
+        debug_assert!(M <= MR && J <= WIDE);
+        debug_assert!((M - 1) * ldo + J * NR <= out.len());
+        let mut va = [[_mm256_setzero_ps(); M]; J];
+        let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
+        for l in 0..kc {
+            let r = bp.add(b.rows.at(l));
+            let mut bv = [_mm256_setzero_ps(); J];
+            for (v, &o) in bv.iter_mut().zip(offs) {
+                *v = _mm256_loadu_ps(r.add(o));
+            }
+            let ac = a.cols.at(l);
+            for i in 0..M {
+                let av = _mm256_set1_ps(*ap.add(arows[i] + ac));
+                for (vt, &bt) in va.iter_mut().zip(&bv) {
+                    vt[i] = _mm256_add_ps(vt[i], _mm256_mul_ps(av, bt));
+                }
+            }
+        }
+        let op = out.as_mut_ptr();
+        for (t, vt) in va.iter().enumerate() {
+            for (i, &v) in vt.iter().enumerate() {
+                _mm256_storeu_ps(op.add(i * ldo + t * NR), v);
+            }
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-    microkernel_scalar::<NR>(acc, mr, a, abase, lda, b, bbase, ldb, kc);
 }
 
 /// Where packed strips gather their values from.
@@ -264,6 +538,9 @@ fn gemm_rows_packed(
     use_simd: bool,
 ) {
     let mw = orows.len() / n;
+    let a = Operand::dense(a, k);
+    // A packed strip row is NR contiguous lanes, zero-padded at the edge.
+    let lanes = Lanes::of(Pitch(1), 0, NR);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nstrips = nc.div_ceil(NR);
@@ -276,6 +553,7 @@ fn gemm_rows_packed(
                 for ir in (0..mc).step_by(MR) {
                     let i0 = ic + ir;
                     let mr = MR.min(mc - ir);
+                    let arows = row_offsets(&a, row0 + i0, mr);
                     for s in 0..nstrips {
                         let j0 = jc + s * NR;
                         let jw = NR.min(jc + nc - j0);
@@ -284,18 +562,8 @@ fn gemm_rows_packed(
                             let base = (i0 + i) * n + j0;
                             row[..jw].copy_from_slice(&orows[base..base + jw]);
                         }
-                        microkernel(
-                            &mut acc,
-                            mr,
-                            a,
-                            (row0 + i0) * k + pc,
-                            k,
-                            panel,
-                            s * kc * NR,
-                            NR,
-                            kc,
-                            use_simd,
-                        );
+                        let strip = Operand::dense(&panel[s * kc * NR..][..kc * NR], NR);
+                        microkernel(&mut acc, mr, &a, &arows, pc, &strip, 0, lanes, kc, use_simd);
                         for (i, row) in acc.iter().enumerate().take(mr) {
                             let base = (i0 + i) * n + j0;
                             orows[base..base + jw].copy_from_slice(&row[..jw]);
@@ -307,38 +575,160 @@ fn gemm_rows_packed(
     }
 }
 
+/// A's row offsets of the `mr ≤ MR` rows from `i0` on.
+fn row_offsets<R: Offsets, C: Offsets>(a: &Operand<'_, R, C>, i0: usize, mr: usize) -> [usize; MR] {
+    let mut rows = [0; MR];
+    for (i, r) in rows.iter_mut().enumerate().take(mr) {
+        *r = a.rows.at(i0 + i);
+    }
+    rows
+}
+
 /// Serial direct (no-pack) driver over one worker's contiguous row range:
-/// register tiles accumulate straight out of the row-major `[k, n]` right
-/// operand, the whole reduction held in registers. For the small shapes
-/// dispatch routes here, `b` is cache-resident anyway and the packed
-/// driver's copy of it is pure overhead.
-fn gemm_rows_direct(orows: &mut [f32], row0: usize, a: &[f32], k: usize, n: usize, b: &[f32]) {
+/// register tiles accumulate straight out of both operands, read in place,
+/// the whole reduction held in registers. For the small shapes dispatch
+/// routes here, `b` is cache-resident anyway and the packed driver's copy
+/// of it is pure overhead; a convolution's operand is its input frame read
+/// through offset tables, so no column matrix is built at all.
+///
+/// Groups of up to [`WIDE`] column tiles are the outer loop, so each
+/// tile's lane layout is worked out once and the group's slice of `b`
+/// stays in cache across the row blocks. With AVX, neighbouring tiles that
+/// are each one contiguous run share a kernel call — two beside a block
+/// of three or four rows, four beside one or two — so each reduction step
+/// loads its row offset and broadcasts its left values once for all of
+/// them.
+fn gemm_rows_direct<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+    orows: &mut [f32],
+    row0: usize,
+    a: &Operand<'_, AR, AC>,
+    k: usize,
+    n: usize,
+    b: &Operand<'_, BR, BC>,
+) {
     let mw = orows.len() / n;
     let use_simd = dispatch::simd_available();
-    let full = n - n % NR;
-    for i0 in (0..mw).step_by(MR) {
-        let mr = MR.min(mw - i0);
-        let abase = (row0 + i0) * k;
-        let mut j0 = 0;
-        while j0 < full {
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(&mut acc, mr, a, abase, k, b, j0, n, k, use_simd);
-            for (i, row) in acc.iter().enumerate().take(mr) {
-                let base = (i0 + i) * n + j0;
-                orows[base..base + NR].copy_from_slice(row);
-            }
-            j0 += NR;
+    for g0 in (0..n).step_by(WIDE * NR) {
+        let tiles = (n - g0).div_ceil(NR).min(WIDE);
+        let mut lanes = [Lanes::Gather { j0: g0, jw: 0 }; WIDE];
+        for (t, l) in lanes.iter_mut().enumerate().take(tiles) {
+            let j0 = g0 + t * NR;
+            *l = Lanes::of(b.cols, j0, NR.min(n - j0));
         }
-        if j0 < n {
-            let jw = n - j0;
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel_tail(&mut acc, mr, jw, a, abase, k, b, j0, n, k);
-            for (i, row) in acc.iter().enumerate().take(mr) {
-                let base = (i0 + i) * n + j0;
-                orows[base..base + jw].copy_from_slice(&row[..jw]);
+        let runs = lanes.map(Lanes::full_run);
+        for i0 in (0..mw).step_by(MR) {
+            let mr = MR.min(mw - i0);
+            let arows = row_offsets(a, row0 + i0, mr);
+            let mut t = 0;
+            while t < tiles {
+                let j0 = g0 + t * NR;
+                let width = if mr <= 2 { WIDE } else { 2 };
+                let side = runs[t..tiles]
+                    .iter()
+                    .take(width)
+                    .take_while(|r| r.is_some())
+                    .count();
+                if use_simd && side >= 2 {
+                    let side = if side == WIDE { WIDE } else { 2 };
+                    let mut offs = [0; WIDE];
+                    for (o, r) in offs.iter_mut().zip(&runs[t..t + side]) {
+                        *o = r.unwrap_or(0);
+                    }
+                    let out = &mut orows[i0 * n + j0..(i0 + mr - 1) * n + j0 + side * NR];
+                    microkernel_wide(out, n, mr, side, a, &arows, b, &offs, k);
+                    t += side;
+                    continue;
+                }
+                let jw = NR.min(n - j0);
+                let mut acc = [[0.0f32; NR]; MR];
+                microkernel(&mut acc, mr, a, &arows, 0, b, 0, lanes[t], k, use_simd);
+                for (i, row) in acc.iter().enumerate().take(mr) {
+                    let base = (i0 + i) * n + j0;
+                    // A fixed-width copy is a register move, not a call.
+                    if jw == NR {
+                        orows[base..base + NR].copy_from_slice(row);
+                    } else {
+                        orows[base..base + jw].copy_from_slice(&row[..jw]);
+                    }
+                }
+                t += 1;
             }
         }
     }
+}
+
+/// The AVX kernel over `side` (2 or [`WIDE`]) full tiles of contiguous
+/// runs at `offs`, for a block of `mr` rows, written into `out` (row
+/// pitch `ldo`).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn microkernel_wide<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+    out: &mut [f32],
+    ldo: usize,
+    mr: usize,
+    side: usize,
+    a: &Operand<'_, AR, AC>,
+    arows: &[usize; MR],
+    b: &Operand<'_, BR, BC>,
+    offs: &[usize; WIDE],
+    k: usize,
+) {
+    assert!((mr - 1) * ldo + side * NR <= out.len());
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the driver calls this only when `dispatch::simd_available`
+    // confirmed AVX, with full tiles of operands whose offsets
+    // `gemm_offsets` checked against their data; `out` is asserted above.
+    unsafe {
+        use x86::microkernel_avx_wide as w;
+        match (mr, side) {
+            (1, WIDE) => w::<1, WIDE, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (2, WIDE) => w::<2, WIDE, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (1, _) => w::<1, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (2, _) => w::<2, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (3, _) => w::<3, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            _ => w::<4, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (out, ldo, mr, side, a, arows, b, offs, k);
+        unreachable!("wide tiles need AVX");
+    }
+}
+
+/// Direct GEMM over operands read in place: `out[m, n] = A[m, k] ×
+/// B[k, n]` with `A(i, l) = a.data[a.rows.at(i) + a.cols.at(l)]` and
+/// `B(l, j) = b.data[b.rows.at(l) + b.cols.at(j)]`, on the direct driver
+/// whatever the forced strategy (a strategy never changes a value, and
+/// only the direct driver reads an operand through offsets). Output rows
+/// are split across workers. `out` is fully overwritten; every element is
+/// the ascending chain of [`gemm_buf`].
+///
+/// # Panics
+///
+/// Panics if `out` is not `m · n` long or an operand reads past its data.
+pub(crate) fn gemm_offsets<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'_, AR, AC>,
+    b: Operand<'_, BR, BC>,
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), m * n, "gemm output length mismatch");
+    a.check(m, k, "gemm left");
+    b.check(k, n, "gemm right");
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
+    parallel::for_each_unit_chunk_mut(out, n, min_rows, |row0, orows| {
+        gemm_rows_direct(orows, row0, &a, k, n, &b);
+    });
 }
 
 /// Serial direct driver for the pre-transposed right operand: each output
@@ -393,10 +783,7 @@ pub fn gemm_buf(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
     }
     match dispatch::select(OpKind::Gemm, m, k, n) {
         Strategy::Direct => {
-            let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
-            parallel::for_each_unit_chunk_mut(out, n, min_rows, |row0, orows| {
-                gemm_rows_direct(orows, row0, a, k, n, b);
-            });
+            gemm_offsets(m, k, n, Operand::dense(a, k), Operand::dense(b, n), out);
         }
         s => run_packed(m, k, n, a, PackSrc::Rows(b, n), out, s),
     }
@@ -431,10 +818,10 @@ pub fn gemm_nt_buf(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], out: &mu
 ///
 /// With one output column, packing can never amortise, so shape-based
 /// selection always takes the direct path: one contiguous ascending dot
-/// product per row. (A pinned packed strategy still exercises the blocked
-/// `NRW = 1` driver — the bit-identity suite and the `mmv` bench entry use
-/// that to prove the two agree and the direct path wins.) Same conventions
-/// as [`gemm_buf`].
+/// product per row. (A pinned packed strategy still runs the blocked
+/// driver, with a one-lane register tile of up to [`MR`] rows — the
+/// bit-identity suite and the `mmv` bench entry use that to prove the two
+/// agree and the direct path wins.) Same conventions as [`gemm_buf`].
 ///
 /// # Panics
 ///
@@ -464,24 +851,16 @@ pub fn mmv_buf(rows: usize, cols: usize, mdata: &[f32], v: &[f32], out: &mut [f3
                     let kc = KC.min(cols - pc);
                     for i0 in (0..mw).step_by(MR) {
                         let mr = MR.min(mw - i0);
-                        let mut acc = [[0.0f32; 1]; MR];
-                        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                            row[0] = orows[i0 + i];
+                        let abase = (row0 + i0) * cols + pc;
+                        // The one-lane register tile: `mr` rows, one column.
+                        let mut acc = [0.0f32; MR];
+                        acc[..mr].copy_from_slice(&orows[i0..i0 + mr]);
+                        for (l, &bv) in v[pc..pc + kc].iter().enumerate() {
+                            for (i, slot) in acc.iter_mut().enumerate().take(mr) {
+                                *slot += mdata[abase + i * cols + l] * bv;
+                            }
                         }
-                        microkernel_scalar::<1>(
-                            &mut acc,
-                            mr,
-                            mdata,
-                            (row0 + i0) * cols + pc,
-                            cols,
-                            v,
-                            pc,
-                            1,
-                            kc,
-                        );
-                        for (i, row) in acc.iter().enumerate().take(mr) {
-                            orows[i0 + i] = row[0];
-                        }
+                        orows[i0..i0 + mr].copy_from_slice(&acc[..mr]);
                     }
                 }
             });

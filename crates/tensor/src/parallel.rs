@@ -223,6 +223,13 @@ fn pool_run<F: Fn(usize) + Sync>(threads: usize, f: &F) {
     }
 }
 
+/// Fewest items per worker for a pass whose items cost `work` multiply-adds
+/// each: the work floor the kernels use, below which waking a worker costs
+/// more than the arithmetic it takes over. Pass it as `min_chunk`.
+pub fn min_items(work: usize) -> usize {
+    (crate::tensor::MIN_PARALLEL_FLOPS / work.max(1)).max(1)
+}
+
 /// Splits `0..len` into at most [`current_threads`] contiguous ranges of at
 /// least `min_chunk` items and runs `f` on each, in parallel.
 ///

@@ -7,7 +7,7 @@ use lergan_tensor::im2col::{im2col_into, ConvGeometry, ConvPlan};
 use lergan_tensor::zero_insert::expand_tconv_input;
 use lergan_tensor::{
     assert_tensors_close, Conv2d, DconvAxis, DconvGeometry, SconvGeometry, TconvGeometry, Tensor,
-    WconvGeometry, Workspace,
+    WconvGeometry,
 };
 use proptest::prelude::*;
 
@@ -366,23 +366,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The plan's frame-built phase columns against the zero-insertion im2col.
+// The plan's offset-addressed phase columns against the zero-insertion
+// im2col.
 // ---------------------------------------------------------------------------
 
-/// The phase columns `ConvPlan::forward_into` leaves in its `cols` buffer
-/// for one `[C, H, W]` sample (they do not depend on the weights).
+/// The phase columns `ConvPlan::columns_into` reads from one `[C, H, W]`
+/// sample's frame through the offset tables the GEMMs read.
 fn plan_columns(plan: &ConvPlan, input: &Tensor) -> Vec<f32> {
-    // Zero weights gather into zero phase weights.
-    let pw = vec![0.0; plan.weight_shape().iter().product()];
     let mut cols = vec![f32::NAN; plan.cols_len()];
-    let mut out = vec![f32::NAN; plan.output_shape().iter().product()];
-    plan.forward_into(
-        input.data(),
-        &pw,
-        &mut cols,
-        &mut out,
-        &mut Workspace::new(),
-    );
+    plan.columns_into(input.data(), &mut cols);
     cols
 }
 
