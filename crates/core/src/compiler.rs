@@ -83,25 +83,18 @@ impl PhaseDegrees {
 
     /// Sets the degree for one phase, returning the updated map.
     pub fn with(mut self, phase: Phase, degree: ReplicaDegree) -> Self {
-        self.overrides[Self::index(phase)] = Some(degree);
+        self.overrides[phase.index()] = Some(degree);
         self
     }
 
     /// The override for a phase, if any.
     pub fn get(&self, phase: Phase) -> Option<ReplicaDegree> {
-        self.overrides[Self::index(phase)]
+        self.overrides[phase.index()]
     }
 
     /// Whether any phase is overridden.
     pub fn is_heterogeneous(&self) -> bool {
         self.overrides.iter().any(|o| o.is_some())
-    }
-
-    fn index(phase: Phase) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|p| *p == phase)
-            .expect("all phases enumerable")
     }
 }
 

@@ -477,13 +477,14 @@ impl LerGan {
         for t in &lowered.op_tasks {
             let busy = (schedule.finish_ns(t.xfer) - schedule.start_ns(t.xfer))
                 + (schedule.finish_ns(t.compute) - schedule.start_ns(t.compute));
-            op_latency.add(&t.label, busy);
+            let label = lowered.engine.label(t.compute);
+            op_latency.add(label, busy);
             let share = if total_crossbar_ops == 0 {
                 0.0
             } else {
                 t.crossbar_ops as f64 / total_crossbar_ops as f64
             };
-            op_energy.add(&t.label, t.comm_energy_pj + compute_pj * share);
+            op_energy.add(label, t.comm_energy_pj + compute_pj * share);
         }
 
         TrainingReport {

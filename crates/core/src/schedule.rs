@@ -26,7 +26,6 @@ use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, Route, RouteError};
 use lergan_reram::{EnergyCounts, ReramConfig};
 use lergan_sim::engine::{Engine, ResourceId, TaskId, TaskSpec};
 use lergan_sim::Breakdown;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Everything a lowering needs, borrowed from the assembled accelerator.
@@ -51,15 +50,16 @@ pub struct ScheduleContext<'a> {
 /// The engine tasks realising one [`PhaseOp`](lergan_gan::ir::PhaseOp)
 /// occurrence in the schedule (a phase that runs twice per iteration
 /// yields two `OpTask`s per op).
+///
+/// The op's join label, `"{phase} L{layer}"` (stable across runs), is
+/// its compute task's label: [`Engine::label`]`(compute)`.
 #[derive(Debug, Clone)]
 pub struct OpTask {
     /// The op (an id into [`CompiledGan::graph`]).
     pub op: OpId,
-    /// Join label, `"{phase} L{layer}"` — stable across runs.
-    pub label: String,
     /// The operand-transfer task.
     pub xfer: TaskId,
-    /// The MMV compute task.
+    /// The MMV compute task, labelled with the op's join label.
     pub compute: TaskId,
     /// Interconnect energy this op's transfer spent (pJ).
     pub comm_energy_pj: f64,
@@ -108,6 +108,57 @@ pub(crate) fn try_lower_iteration(
 /// route cache.
 type Leg = (Endpoint, Endpoint, Mode);
 
+/// Fixed labels of one phase: its compute resource, its mapping task and
+/// its operand-transfer tasks.
+struct PhaseLabels {
+    compute: &'static str,
+    map: &'static str,
+    xfer: &'static str,
+}
+
+/// [`PhaseLabels`] of each phase, indexed like [`Phase::ALL`].
+const PHASE_LABELS: [PhaseLabels; 6] = [
+    PhaseLabels {
+        compute: "compute G→",
+        map: "map G→",
+        xfer: "G→ xfer",
+    },
+    PhaseLabels {
+        compute: "compute D→",
+        map: "map D→",
+        xfer: "D→ xfer",
+    },
+    PhaseLabels {
+        compute: "compute D←",
+        map: "map D←",
+        xfer: "D← xfer",
+    },
+    PhaseLabels {
+        compute: "compute D-w",
+        map: "map D-w",
+        xfer: "D-w xfer",
+    },
+    PhaseLabels {
+        compute: "compute G←",
+        map: "map G←",
+        xfer: "G← xfer",
+    },
+    PhaseLabels {
+        compute: "compute G-w",
+        map: "map G-w",
+        xfer: "G-w xfer",
+    },
+];
+
+/// Wire-resource labels of the 3D fabric, per (side, bank).
+const WIRES_3D: [[&str; 3]; 2] = [
+    ["wires s0b0", "wires s0b1", "wires s0b2"],
+    ["wires s1b0", "wires s1b1", "wires s1b2"],
+];
+
+/// Wire-resource labels of the H-tree baseline, per side.
+const WIRES_HTREE: [&str; 2] = ["wires side0", "wires side1"];
+
 /// (first, last) task ids of one phase run's chain.
 struct PhaseRun {
     first: TaskId,
@@ -121,10 +172,14 @@ struct Lowering<'a> {
     energy: Breakdown,
     phase_cost: Breakdown,
     op_tasks: Vec<OpTask>,
-    compute_res: HashMap<Phase, ResourceId>,
-    wire_res: HashMap<(usize, usize), ResourceId>,
+    /// Compute group of each phase, indexed like [`Phase::ALL`].
+    compute_res: [ResourceId; 6],
+    /// Wire resource of each (side, bank).
+    wire_res: [[ResourceId; 3]; 2],
     cross_res: ResourceId,
-    routes: HashMap<Leg, Route>,
+    /// Every leg routed so far with its route. A lowering asks for a few
+    /// dozen distinct legs, so a linear search beats hashing them.
+    routes: Vec<(Leg, Route)>,
     batch: u64,
     t_m: f64,
 }
@@ -134,30 +189,14 @@ impl<'a> Lowering<'a> {
         let threed = ctx.compiled.options.connection == Connection::ThreeD;
         let mut engine = Engine::new();
         // Resources: per-phase compute groups, per-bank wires, bus, bypass.
-        let mut compute_res: HashMap<Phase, ResourceId> = HashMap::new();
-        let mut wire_res: HashMap<(usize, usize), ResourceId> = HashMap::new();
-        for phase in Phase::ALL {
-            compute_res.insert(phase, engine.add_resource(format!("compute {phase}"), 1));
-        }
-        if threed {
-            for side in 0..2 {
-                for bank in 0..3 {
-                    wire_res.insert(
-                        (side, bank),
-                        engine.add_resource(format!("wires s{side}b{bank}"), 1),
-                    );
-                }
-            }
+        let compute_res = PHASE_LABELS.map(|l| engine.add_resource(l.compute, 1));
+        let wire_res = if threed {
+            WIRES_3D.map(|side| side.map(|label| engine.add_resource(label, 1)))
         } else {
             // H-tree baseline: one wire resource per side — mapping,
             // compute streams and updates all contend for it.
-            for side in 0..2 {
-                let r = engine.add_resource(format!("wires side{side}"), 1);
-                for bank in 0..3 {
-                    wire_res.insert((side, bank), r);
-                }
-            }
-        }
+            WIRES_HTREE.map(|label| [engine.add_resource(label, 1); 3])
+        };
         let cross_res = engine.add_resource("bus/bypass", if threed { 2 } else { 1 });
         Lowering {
             engine,
@@ -168,7 +207,7 @@ impl<'a> Lowering<'a> {
             compute_res,
             wire_res,
             cross_res,
-            routes: HashMap::new(),
+            routes: Vec::new(),
             batch: ctx.compiled.batch_size as u64,
             t_m: ctx.reram.mmv_latency_ns(),
             ctx,
@@ -185,14 +224,16 @@ impl<'a> Lowering<'a> {
     /// functions of the fabric, so each distinct leg is searched once per
     /// lowering and reused for every later transfer over it.
     fn transfer(&mut self, leg: Leg, values: u64) -> Result<(f64, f64), RouteError> {
-        let route = match self.routes.entry(leg) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
+        let i = match self.routes.iter().position(|(l, _)| *l == leg) {
+            Some(i) => i,
+            None => {
                 let (from, to, mode) = leg;
-                e.insert(self.ctx.pair.route(from, to, mode)?)
+                self.routes
+                    .push((leg, self.ctx.pair.route(from, to, mode)?));
+                self.routes.len() - 1
             }
         };
-        Ok(route.transfer(values, self.ctx.noc))
+        Ok(self.routes[i].1.transfer(values, self.ctx.noc))
     }
 
     /// Leg of an intra-phase hop between two physical tiles of the
@@ -277,7 +318,8 @@ impl<'a> Lowering<'a> {
         let cp = self.ctx.compiled.phase(phase);
         let ops = self.ctx.compiled.graph.phase_ops(phase);
         debug_assert_eq!(ops.len(), cp.layers.len(), "graph and mapping agree");
-        let comp_r = self.compute_res[&phase];
+        let labels = &PHASE_LABELS[phase.index()];
+        let comp_r = self.compute_res[phase.index()];
         let alloc = &self.ctx.allocs[&phase];
         let base = ops.first().map(|o| o.id.0).unwrap_or(0);
         let mut prev: Option<TaskId> = dep;
@@ -287,7 +329,7 @@ impl<'a> Lowering<'a> {
         let mut computes: Vec<TaskId> = Vec::with_capacity(ops.len());
         for (li, (op, layer)) in ops.iter().zip(&cp.layers).enumerate() {
             debug_assert_eq!(op.id, layer.op, "mapping binds the same op");
-            let wire_r = self.wire_res[&(op.bank.side, op.bank.bank)];
+            let wire_r = self.wire_res[op.bank.side][op.bank.bank];
             // Transfer of this layer's operand stream to its tiles.
             // The plain H-tree cannot multicast: every tile holding
             // distinct reshaped matrices receives its own copy of the
@@ -339,7 +381,7 @@ impl<'a> Lowering<'a> {
                 self.tile_leg(op.bank, from_tile, to_tile)
             };
             let (lat, en) = self.transfer(leg, moved)?;
-            let mut xfer = TaskSpec::new(format!("{phase} xfer L{}", op.layer_index), lat).on(wire_r);
+            let mut xfer = TaskSpec::new(labels.xfer, lat).on(wire_r);
             if let Some(p) = prev {
                 xfer = xfer.after(p);
             }
@@ -354,7 +396,7 @@ impl<'a> Lowering<'a> {
             // tiles, and compute waits on that stream too. Cross-phase
             // producers are ordered by the Fig. 13 script instead.
             let mut skip_deps: Vec<TaskId> = Vec::new();
-            for p in &op.producers {
+            for p in self.ctx.compiled.graph.producers(op.id) {
                 let Some(pi) = p.0.checked_sub(base).filter(|&pi| pi < ops.len()) else {
                     continue;
                 };
@@ -380,9 +422,9 @@ impl<'a> Lowering<'a> {
                 skip_deps.push(t);
             }
 
-            // Compute.
+            // Compute, labelled with the op's join label.
             let dur = layer.cycles_per_sample as f64 * self.t_m * self.batch as f64;
-            let comp = TaskSpec::new(format!("{phase} comp L{}", op.layer_index), dur)
+            let comp = TaskSpec::new(format!("{phase} L{}", op.layer_index), dur)
                 .on(comp_r)
                 .after(xfer_id)
                 .after_all(&skip_deps);
@@ -394,7 +436,6 @@ impl<'a> Lowering<'a> {
 
             self.op_tasks.push(OpTask {
                 op: op.id,
-                label: format!("{phase} L{}", op.layer_index),
                 xfer: xfer_id,
                 compute: comp_id,
                 comm_energy_pj: en,
@@ -414,7 +455,7 @@ impl<'a> Lowering<'a> {
     fn map_phase(&mut self, phase: Phase, dep: Option<TaskId>) -> TaskId {
         let bank = BankSlot::for_phase(phase);
         let cp = self.ctx.compiled.phase(phase);
-        let wire_r = self.wire_res[&(bank.side, bank.bank)];
+        let wire_r = self.wire_res[bank.side][bank.bank];
         // ∇weight banks also stage one minibatch of cached
         // activations alongside the reshaped operands.
         let mut values =
@@ -425,7 +466,7 @@ impl<'a> Lowering<'a> {
         let dur = self.write_time_ns(values, cp.tiles());
         // Cell-switching energy lands via the tile breakdown.
         self.counts.weight_writes += values;
-        let mut t = TaskSpec::new(format!("map {phase}"), dur).on(wire_r);
+        let mut t = TaskSpec::new(PHASE_LABELS[phase.index()].map, dur).on(wire_r);
         if let Some(d) = dep {
             t = t.after(d);
         }
@@ -435,7 +476,7 @@ impl<'a> Lowering<'a> {
     /// Cross transfer on the bus/bypass resource.
     fn cross_task(
         &mut self,
-        label: &str,
+        label: &'static str,
         leg: Leg,
         values: u64,
         dep: TaskId,
@@ -501,9 +542,9 @@ impl<'a> Lowering<'a> {
 
     fn build(mut self) -> Result<LoweredIteration, RouteError> {
         // The FSM defines ordering; here we instantiate it with real
-        // durations and the Fig. 13 overlaps.
-        let script = MemoryController::iteration_script();
-        debug_assert!(!script.is_empty());
+        // durations and the Fig. 13 overlaps. (Debug builds check that the
+        // FSM walks a script; release builds do not run it at all.)
+        debug_assert!(!MemoryController::iteration_script().is_empty());
 
         let mode_switch = self.engine.add_task(TaskSpec::new(
             "configure switches",
@@ -528,9 +569,9 @@ impl<'a> Lowering<'a> {
         let map_dw = self.map_phase(Phase::DWeightGrad, Some(xfer_gd));
         let map_db = self.map_phase(Phase::DBackward, Some(mode_switch));
         // Error at the output layer (CPU-local, small).
-        let err = self.engine.add_task(
-            TaskSpec::new("loss gradient", self.ctx.cost.cpu_fixed_ns).after(df.last),
-        );
+        let err = self
+            .engine
+            .add_task(TaskSpec::new("loss gradient", self.ctx.cost.cpu_fixed_ns).after(df.last));
         // Activations hop from the forward bank down to D-w's bank.
         let act_values = self
             .ctx
@@ -596,5 +637,26 @@ impl<'a> Lowering<'a> {
             phase_cost: self.phase_cost,
             op_tasks: self.op_tasks,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fixed_labels_are_the_rendered_ones() {
+        for phase in Phase::ALL {
+            let labels = &PHASE_LABELS[phase.index()];
+            assert_eq!(labels.compute, format!("compute {phase}"));
+            assert_eq!(labels.map, format!("map {phase}"));
+            assert_eq!(labels.xfer, format!("{phase} xfer"));
+        }
+        for (side, banks) in WIRES_3D.iter().enumerate() {
+            for (bank, label) in banks.iter().enumerate() {
+                assert_eq!(*label, format!("wires s{side}b{bank}"));
+            }
+            assert_eq!(WIRES_HTREE[side], format!("wires side{side}"));
+        }
     }
 }

@@ -12,7 +12,6 @@
 //! * **InsideReshape** — every axis interior (most reuse).
 
 use lergan_tensor::{DconvAxis, TconvGeometry, WconvGeometry};
-use std::collections::HashMap;
 
 /// Kind of a reshape class (Sec. IV-A's three cases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -117,22 +116,34 @@ pub struct ZfdrPlan {
     positions: usize,
 }
 
-fn dedupe_patterns(patterns: Vec<Vec<usize>>, interior_positions: &[bool]) -> ZfdrPlan {
-    let positions = patterns.len();
-    let mut ids: HashMap<Vec<usize>, usize> = HashMap::new();
+/// Groups the axis positions `0..positions` by their tap pattern,
+/// numbering classes in the order they first appear. A geometry has only a
+/// handful of distinct patterns, so each position's pattern is compared
+/// against the classes found so far and collected only when it is new.
+fn dedupe_patterns<P: Iterator<Item = usize>>(
+    positions: usize,
+    pattern: impl Fn(usize) -> P,
+    interior: impl Fn(usize) -> bool,
+) -> ZfdrPlan {
     let mut axis_classes: Vec<AxisClass> = Vec::new();
     let mut class_of_position = Vec::with_capacity(positions);
-    for (pos, p) in patterns.into_iter().enumerate() {
-        let id = *ids.entry(p.clone()).or_insert_with(|| {
-            axis_classes.push(AxisClass {
-                pattern: p,
-                reuse: 0,
-                interior: false,
-            });
-            axis_classes.len() - 1
-        });
+    for pos in 0..positions {
+        let known = axis_classes
+            .iter()
+            .position(|c| c.pattern.iter().copied().eq(pattern(pos)));
+        let id = match known {
+            Some(id) => id,
+            None => {
+                axis_classes.push(AxisClass {
+                    pattern: pattern(pos).collect(),
+                    reuse: 0,
+                    interior: false,
+                });
+                axis_classes.len() - 1
+            }
+        };
         axis_classes[id].reuse += 1;
-        if interior_positions[pos] {
+        if interior(pos) {
             axis_classes[id].interior = true;
         }
         class_of_position.push(id);
@@ -147,16 +158,15 @@ fn dedupe_patterns(patterns: Vec<Vec<usize>>, interior_positions: &[bool]) -> Zf
 impl ZfdrPlan {
     /// Enumerates the T-CONV ZFDR plan for a geometry.
     pub fn for_tconv(geom: &TconvGeometry) -> Self {
-        let o = geom.output;
-        let patterns: Vec<Vec<usize>> = (0..o).map(|oy| geom.axis_pattern(oy)).collect();
         // Interior: the window lies fully inside the true-input span
         // [P, P + (I-1)S' + 1).
         let span_start = geom.insertion_pad;
         let span_end = geom.insertion_pad + (geom.input - 1) * geom.converse_stride + 1;
-        let interior: Vec<bool> = (0..o)
-            .map(|oy| oy >= span_start && oy + geom.kernel <= span_end)
-            .collect();
-        dedupe_patterns(patterns, &interior)
+        dedupe_patterns(
+            geom.output,
+            |oy| geom.axis_taps(oy),
+            |oy| oy >= span_start && oy + geom.kernel <= span_end,
+        )
     }
 
     /// Enumerates the D-CONV ZFDR plan for one (symmetric) axis: output
@@ -166,28 +176,28 @@ impl ZfdrPlan {
     /// caller composes the axis across both dimensions exactly as for
     /// T-CONV; asymmetric geometries map dense instead.
     pub fn for_dconv(axis: &DconvAxis) -> Self {
-        let o = axis.output;
-        let patterns: Vec<Vec<usize>> = (0..o).map(|oy| axis.axis_pattern(oy)).collect();
         // Interior: the effective window lies fully inside the unpadded
         // input, so every true tap reads a true value.
         let eff = axis.effective_kernel();
-        let interior: Vec<bool> = (0..o)
-            .map(|oy| {
+        dedupe_patterns(
+            axis.output,
+            |oy| axis.axis_taps(oy),
+            |oy| {
                 let start = oy * axis.stride;
                 start >= axis.pad && start + eff <= axis.pad + axis.input
-            })
-            .collect();
-        dedupe_patterns(patterns, &interior)
+            },
+        )
     }
 
     /// Enumerates the W-CONV-S ZFDR plan for a geometry.
     pub fn for_wconv(geom: &WconvGeometry) -> Self {
-        let w = geom.gradient_extent();
         let o = geom.forward.output;
-        let patterns: Vec<Vec<usize>> = (0..w).map(|i| geom.axis_pattern(i)).collect();
         // Interior: every ∇output element lands on a true input.
-        let interior: Vec<bool> = patterns.iter().map(|p| p.len() == o).collect();
-        dedupe_patterns(patterns, &interior)
+        dedupe_patterns(
+            geom.gradient_extent(),
+            |i| geom.axis_taps(i),
+            |i| geom.axis_taps(i).count() == o,
+        )
     }
 
     /// The distinct per-axis classes.
@@ -355,6 +365,124 @@ mod tests {
     use super::*;
     use crate::replica::ReplicaPlan;
     use lergan_tensor::TconvGeometry;
+    use std::collections::HashMap;
+
+    /// The original grouping: each position's pattern cloned into a
+    /// hashed map from pattern to class id.
+    fn dedupe_patterns_reference(
+        patterns: Vec<Vec<usize>>,
+        interior_positions: &[bool],
+    ) -> ZfdrPlan {
+        let positions = patterns.len();
+        let mut ids: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut axis_classes: Vec<AxisClass> = Vec::new();
+        let mut class_of_position = Vec::with_capacity(positions);
+        for (pos, p) in patterns.into_iter().enumerate() {
+            let id = *ids.entry(p.clone()).or_insert_with(|| {
+                axis_classes.push(AxisClass {
+                    pattern: p,
+                    reuse: 0,
+                    interior: false,
+                });
+                axis_classes.len() - 1
+            });
+            axis_classes[id].reuse += 1;
+            if interior_positions[pos] {
+                axis_classes[id].interior = true;
+            }
+            class_of_position.push(id);
+        }
+        ZfdrPlan {
+            axis_classes,
+            class_of_position,
+            positions,
+        }
+    }
+
+    #[test]
+    fn plans_match_the_hashed_grouping() {
+        // Repeated, interleaved and empty patterns; interior flags set on
+        // some but not all positions of a class.
+        let patterns: Vec<Vec<usize>> = vec![
+            vec![0, 2],
+            vec![1],
+            vec![0, 2],
+            vec![],
+            vec![1],
+            vec![0, 2],
+            vec![],
+            vec![1, 2],
+        ];
+        let interior = [false, true, true, false, false, false, false, true];
+        assert_eq!(
+            dedupe_patterns(
+                patterns.len(),
+                |p| patterns[p].iter().copied(),
+                |p| interior[p]
+            ),
+            dedupe_patterns_reference(patterns, &interior)
+        );
+        // Every T-CONV, W-CONV-S and D-CONV plan over small geometries,
+        // against the original builders: all patterns collected first,
+        // interior flags computed from them, then the hashed grouping.
+        for input in 1..8 {
+            for stride in 1..4 {
+                for kernel in 1..6 {
+                    for output in input..=input * stride + kernel {
+                        let Some(g) = (0..kernel)
+                            .find_map(|p| TconvGeometry::new(input, output, kernel, stride, p))
+                        else {
+                            continue;
+                        };
+                        let patterns: Vec<Vec<usize>> =
+                            (0..g.output).map(|oy| g.axis_pattern(oy)).collect();
+                        let span_end = g.insertion_pad + (g.input - 1) * g.converse_stride + 1;
+                        let interior: Vec<bool> = (0..g.output)
+                            .map(|oy| oy >= g.insertion_pad && oy + g.kernel <= span_end)
+                            .collect();
+                        assert_eq!(
+                            ZfdrPlan::for_tconv(&g),
+                            dedupe_patterns_reference(patterns, &interior)
+                        );
+                    }
+                    for pad in 0..kernel {
+                        if let Some(g) = WconvGeometry::new(input, kernel, stride, pad) {
+                            let patterns: Vec<Vec<usize>> = (0..g.gradient_extent())
+                                .map(|i| g.axis_pattern(i))
+                                .collect();
+                            let interior: Vec<bool> = patterns
+                                .iter()
+                                .map(|p| p.len() == g.forward.output)
+                                .collect();
+                            assert_eq!(
+                                ZfdrPlan::for_wconv(&g),
+                                dedupe_patterns_reference(patterns, &interior)
+                            );
+                        }
+                        for dilation in 1..4 {
+                            let Some(a) = DconvAxis::new(input, kernel, stride, dilation, pad)
+                            else {
+                                continue;
+                            };
+                            let patterns: Vec<Vec<usize>> =
+                                (0..a.output).map(|o| a.axis_pattern(o)).collect();
+                            let eff = a.effective_kernel();
+                            let interior: Vec<bool> = (0..a.output)
+                                .map(|o| {
+                                    let start = o * a.stride;
+                                    start >= a.pad && start + eff <= a.pad + a.input
+                                })
+                                .collect();
+                            assert_eq!(
+                                ZfdrPlan::for_dconv(&a),
+                                dedupe_patterns_reference(patterns, &interior)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn conv1_plan() -> ZfdrPlan {
         ZfdrPlan::for_tconv(&TconvGeometry::for_upsampling(4, 5, 2).unwrap())

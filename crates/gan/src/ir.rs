@@ -8,7 +8,8 @@
 //! a single build: every (phase, layer) pair becomes one [`PhaseOp`] node
 //! carrying the phase, the layer it touches, the zero structure
 //! ([`WorkloadKind`] geometry inside [`ConvWorkload`]), the im2col GEMM
-//! shape, the B1–B6 bank the op executes in, and producer/consumer edges.
+//! shape and the B1–B6 bank the op executes in; the graph adds the
+//! producer/consumer edges between ops.
 //! The three consumers then *lower* the same graph:
 //!
 //! * `workload::phase_workloads` projects the per-phase [`ConvWorkload`]s
@@ -163,10 +164,6 @@ pub struct PhaseOp {
     pub gemm: GemmShape,
     /// The B1–B6 bank the op executes in.
     pub bank: BankSlot,
-    /// Ops whose results this op consumes.
-    pub producers: Vec<OpId>,
-    /// Ops consuming this op's results.
-    pub consumers: Vec<OpId>,
 }
 
 /// The op graph of one GAN's training iteration: all six phases' ops in
@@ -176,6 +173,46 @@ pub struct OpGraph {
     ops: Vec<PhaseOp>,
     /// `ops` range of each phase, indexed like [`Phase::ALL`].
     spans: [(usize, usize); 6],
+    /// Ops whose results each op consumes.
+    producers: Adjacency,
+    /// Ops consuming each op's results.
+    consumers: Adjacency,
+}
+
+/// Per-op edge lists in compressed sparse-row form: op `i`'s neighbours
+/// are `ids[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    start: Vec<u32>,
+    ids: Vec<OpId>,
+}
+
+impl Adjacency {
+    /// Groups the `(from, to)` edges by `from`, keeping each op's
+    /// neighbours in edge order (a stable counting sort).
+    fn new(ops: usize, edges: impl Iterator<Item = (OpId, OpId)> + Clone) -> Adjacency {
+        let mut start = vec![0u32; ops + 1];
+        for (from, _) in edges.clone() {
+            start[from.0 + 1] += 1;
+        }
+        for i in 0..ops {
+            start[i + 1] += start[i];
+        }
+        let mut ids = vec![OpId(0); start[ops] as usize];
+        // `start[i]` serves as op i's fill cursor, which leaves it at the
+        // old `start[i + 1]`; shifting back one slot restores it.
+        for (from, to) in edges {
+            ids[start[from.0] as usize] = to;
+            start[from.0] += 1;
+        }
+        start.copy_within(0..ops, 1);
+        start[0] = 0;
+        Adjacency { start, ids }
+    }
+
+    fn of(&self, id: OpId) -> &[OpId] {
+        &self.ids[self.start[id.0] as usize..self.start[id.0 + 1] as usize]
+    }
 }
 
 impl OpGraph {
@@ -184,14 +221,22 @@ impl OpGraph {
     /// cross-phase dataflow edges (G→ feeds D→ and G-w; D→ feeds D← and
     /// D-w; D← feeds D-w and G←; G← feeds G-w).
     pub fn build(spec: &GanSpec) -> OpGraph {
-        let mut ops: Vec<PhaseOp> = Vec::new();
+        let total: usize = Phase::ALL
+            .iter()
+            .map(|&p| spec.network_for(p).layers.len())
+            .sum();
+        let mut ops: Vec<PhaseOp> = Vec::with_capacity(total);
         let mut spans = [(0usize, 0usize); 6];
+        // (producer, consumer) pairs: each phase's chain and skip edges,
+        // then the cross-phase links.
+        let mut edges: Vec<(OpId, OpId)> = Vec::with_capacity(total + 8);
         for (pi, phase) in Phase::ALL.into_iter().enumerate() {
             let base = ops.len();
-            ops.extend(ops_with_base(spec.network_for(phase), phase, base));
+            let net = spec.network_for(phase);
+            push_ops(&mut ops, net, phase, base);
             spans[pi] = (base, ops.len());
+            phase_edges(&mut edges, net, phase, base);
         }
-        let mut graph = OpGraph { ops, spans };
         // Cross-phase dataflow: the last op of the producing phase feeds
         // the first op of the consuming phase (∇weight phases additionally
         // consume the error stream as it starts, matching the Fig. 13
@@ -205,29 +250,33 @@ impl OpGraph {
             (Phase::GForward, Phase::GWeightGrad),
             (Phase::GBackward, Phase::GWeightGrad),
         ] {
-            graph.link(from, to);
+            let (_, producer_end) = spans[from.index()];
+            let (consumer, _) = spans[to.index()];
+            edges.push((OpId(producer_end - 1), OpId(consumer)));
         }
-        graph
-    }
-
-    fn link(&mut self, from: Phase, to: Phase) {
-        let producer = *self.phase_ids(from).last().expect("phases are non-empty");
-        let consumer = self.phase_ids(to)[0];
-        self.ops[producer.0].consumers.push(consumer);
-        self.ops[consumer.0].producers.push(producer);
+        let n = ops.len();
+        OpGraph {
+            producers: Adjacency::new(n, edges.iter().map(|&(p, c)| (c, p))),
+            consumers: Adjacency::new(n, edges.iter().copied()),
+            ops,
+            spans,
+        }
     }
 
     fn phase_span(&self, phase: Phase) -> (usize, usize) {
-        let pi = Phase::ALL
-            .iter()
-            .position(|p| *p == phase)
-            .expect("all phases enumerable");
-        self.spans[pi]
+        self.spans[phase.index()]
     }
 
-    fn phase_ids(&self, phase: Phase) -> Vec<OpId> {
-        let (a, b) = self.phase_span(phase);
-        (a..b).map(OpId).collect()
+    /// Ops whose results `id` consumes: its predecessor in the phase's
+    /// chain, then skip-connection producers, then cross-phase producers.
+    pub fn producers(&self, id: OpId) -> &[OpId] {
+        self.producers.of(id)
+    }
+
+    /// Ops consuming `id`'s results, in the same order as
+    /// [`producers`](Self::producers).
+    pub fn consumers(&self, id: OpId) -> &[OpId] {
+        self.consumers.of(id)
     }
 
     /// All ops, grouped by phase in [`Phase::ALL`] order.
@@ -266,34 +315,22 @@ impl OpGraph {
 /// [`phase_workloads`](crate::workload::phase_workloads) and the trainer
 /// builder. [`OpGraph::build`] stitches six of these together.
 pub fn network_ops(net: &NetworkSpec, phase: Phase) -> Vec<PhaseOp> {
-    ops_with_base(net, phase, 0)
+    let mut ops = Vec::with_capacity(net.layers.len());
+    push_ops(&mut ops, net, phase, 0);
+    ops
 }
 
-fn ops_with_base(net: &NetworkSpec, phase: Phase, base: usize) -> Vec<PhaseOp> {
-    let indices: Vec<usize> = if phase.is_forward() {
-        (0..net.layers.len()).collect()
-    } else {
-        (0..net.layers.len()).rev().collect()
-    };
-    let n = indices.len();
+/// Appends the ops `phase` performs over `net`, in dataflow order, with
+/// ids numbered from `base`.
+fn push_ops(out: &mut Vec<PhaseOp>, net: &NetworkSpec, phase: Phase, base: usize) {
+    let n = net.layers.len();
     let bank = BankSlot::for_phase(phase);
-    let mut out = Vec::with_capacity(n);
-    for (seq, idx) in indices.into_iter().enumerate() {
+    for seq in 0..n {
+        let idx = if phase.is_forward() { seq } else { n - 1 - seq };
         let (workload, gemm) = layer_op(net, phase, idx);
         debug_assert_eq!(gemm.macs(), workload.macs_dense, "GEMM accounts all MACs");
-        let id = OpId(base + seq);
-        let producers = if seq == 0 {
-            Vec::new()
-        } else {
-            vec![OpId(base + seq - 1)]
-        };
-        let consumers = if seq + 1 == n {
-            Vec::new()
-        } else {
-            vec![OpId(base + seq + 1)]
-        };
         out.push(PhaseOp {
-            id,
+            id: OpId(base + seq),
             phase,
             layer_index: idx,
             seq,
@@ -302,10 +339,17 @@ fn ops_with_base(net: &NetworkSpec, phase: Phase, base: usize) -> Vec<PhaseOp> {
             workload,
             gemm,
             bank,
-            producers,
-            consumers,
         });
     }
+}
+
+/// Appends the `(producer, consumer)` edges inside one phase's ops (ids
+/// from `base`): the dataflow chain, then each skip connection not already
+/// an edge.
+fn phase_edges(edges: &mut Vec<(OpId, OpId)>, net: &NetworkSpec, phase: Phase, base: usize) {
+    let n = net.layers.len();
+    let first = edges.len();
+    edges.extend((1..n).map(|seq| (OpId(base + seq - 1), OpId(base + seq))));
     // Skip connections are first-class dataflow edges: in forward phases
     // the skipped-from op feeds the skipped-to op; in error transfer the
     // edge reverses (the error at `to`'s input flows straight back to
@@ -318,17 +362,12 @@ fn ops_with_base(net: &NetworkSpec, phase: Phase, base: usize) -> Vec<PhaseOp> {
             } else {
                 (n - 1 - sk.to, n - 1 - sk.from)
             };
-            let pid = OpId(base + p);
-            let cid = OpId(base + c);
-            if !out[p].consumers.contains(&cid) {
-                out[p].consumers.push(cid);
-            }
-            if !out[c].producers.contains(&pid) {
-                out[c].producers.push(pid);
+            let edge = (OpId(base + p), OpId(base + c));
+            if !edges[first..].contains(&edge) {
+                edges.push(edge);
             }
         }
     }
-    out
 }
 
 fn powd(v: usize, dims: u32) -> u128 {
@@ -768,8 +807,8 @@ mod tests {
         for phase in Phase::ALL {
             let ops = graph.phase_ops(phase);
             for pair in ops.windows(2) {
-                assert!(pair[0].consumers.contains(&pair[1].id));
-                assert!(pair[1].producers.contains(&pair[0].id));
+                assert!(graph.consumers(pair[0].id).contains(&pair[1].id));
+                assert!(graph.producers(pair[1].id).contains(&pair[0].id));
             }
         }
     }
@@ -777,24 +816,111 @@ mod tests {
     #[test]
     fn cross_phase_edges_follow_fig3() {
         let graph = OpGraph::build(&benchmarks::dcgan());
-        let last = |p: Phase| graph.phase_ops(p).last().unwrap();
-        let first = |p: Phase| &graph.phase_ops(p)[0];
+        let last = |p: Phase| graph.phase_ops(p).last().unwrap().id;
+        let first = |p: Phase| graph.phase_ops(p)[0].id;
         // G→ feeds D→ (the generated samples).
-        assert!(last(Phase::GForward)
-            .consumers
-            .contains(&first(Phase::DForward).id));
+        assert!(graph
+            .consumers(last(Phase::GForward))
+            .contains(&first(Phase::DForward)));
         // D← feeds G← (the error crossing back to the generator).
-        assert!(last(Phase::DBackward)
-            .consumers
-            .contains(&first(Phase::GBackward).id));
+        assert!(graph
+            .consumers(last(Phase::DBackward))
+            .contains(&first(Phase::GBackward)));
         // ∇weight phases consume both their forward activations and the
         // error stream.
-        assert!(first(Phase::DWeightGrad)
-            .producers
-            .contains(&last(Phase::DForward).id));
-        assert!(first(Phase::GWeightGrad)
-            .producers
-            .contains(&last(Phase::GForward).id));
+        assert!(graph
+            .producers(first(Phase::DWeightGrad))
+            .contains(&last(Phase::DForward)));
+        assert!(graph
+            .producers(first(Phase::GWeightGrad))
+            .contains(&last(Phase::GForward)));
+    }
+
+    /// The original edge build: one producer and one consumer `Vec` per
+    /// op, the chain pushed with each op, skips appended (deduplicated per
+    /// list) after each phase, cross-phase links last.
+    fn edge_lists_reference(spec: &GanSpec) -> (Vec<Vec<OpId>>, Vec<Vec<OpId>>) {
+        let mut producers: Vec<Vec<OpId>> = Vec::new();
+        let mut consumers: Vec<Vec<OpId>> = Vec::new();
+        let mut spans = [(0usize, 0usize); 6];
+        for phase in Phase::ALL {
+            let net = spec.network_for(phase);
+            let base = producers.len();
+            let n = net.layers.len();
+            for seq in 0..n {
+                producers.push(if seq == 0 {
+                    Vec::new()
+                } else {
+                    vec![OpId(base + seq - 1)]
+                });
+                consumers.push(if seq + 1 == n {
+                    Vec::new()
+                } else {
+                    vec![OpId(base + seq + 1)]
+                });
+            }
+            if !phase.is_weight_grad() {
+                for sk in &net.skips {
+                    let (p, c) = if phase.is_forward() {
+                        (sk.from, sk.to)
+                    } else {
+                        (n - 1 - sk.to, n - 1 - sk.from)
+                    };
+                    let (pid, cid) = (OpId(base + p), OpId(base + c));
+                    if !consumers[base + p].contains(&cid) {
+                        consumers[base + p].push(cid);
+                    }
+                    if !producers[base + c].contains(&pid) {
+                        producers[base + c].push(pid);
+                    }
+                }
+            }
+            spans[phase.index()] = (base, producers.len());
+        }
+        for (from, to) in [
+            (Phase::GForward, Phase::DForward),
+            (Phase::DForward, Phase::DBackward),
+            (Phase::DForward, Phase::DWeightGrad),
+            (Phase::DBackward, Phase::DWeightGrad),
+            (Phase::DBackward, Phase::GBackward),
+            (Phase::GForward, Phase::GWeightGrad),
+            (Phase::GBackward, Phase::GWeightGrad),
+        ] {
+            let producer = spans[from.index()].1 - 1;
+            let consumer = spans[to.index()].0;
+            consumers[producer].push(OpId(consumer));
+            producers[consumer].push(OpId(producer));
+        }
+        (producers, consumers)
+    }
+
+    #[test]
+    fn edges_match_the_per_op_lists_in_order() {
+        let mut gans = benchmarks::all();
+        gans.extend(benchmarks::extended());
+        let mut with_skips = 0;
+        for gan in &gans {
+            with_skips +=
+                usize::from(!gan.generator.skips.is_empty() || !gan.discriminator.skips.is_empty());
+            let graph = OpGraph::build(gan);
+            let (producers, consumers) = edge_lists_reference(gan);
+            assert_eq!(producers.len(), graph.len());
+            for op in graph.ops() {
+                assert_eq!(
+                    graph.producers(op.id),
+                    &producers[op.id.0][..],
+                    "{}",
+                    gan.name
+                );
+                assert_eq!(
+                    graph.consumers(op.id),
+                    &consumers[op.id.0][..],
+                    "{}",
+                    gan.name
+                );
+            }
+        }
+        assert!(with_skips > 0, "some benchmark GAN has skip connections");
     }
 
     #[test]

@@ -36,6 +36,11 @@ impl Phase {
         Phase::GWeightGrad,
     ];
 
+    /// Position of the phase in [`Phase::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether this phase runs over the generator network (as opposed to
     /// the discriminator network).
     pub fn is_generator_phase(self) -> bool {
@@ -77,6 +82,13 @@ impl fmt::Display for Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, phase) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(phase.index(), i);
+        }
+    }
 
     #[test]
     fn classification() {

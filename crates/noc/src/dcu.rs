@@ -172,11 +172,88 @@ impl Route {
 
 #[derive(Debug, Clone, Copy)]
 struct Edge {
-    to: usize,
+    to: u32,
     kind: EdgeKind,
     latency_ns: f64,
     energy_pj: f64,
     width_bits: u32,
+}
+
+/// One physical wire of the fabric, joining vertices `a` and `b` in both
+/// directions.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    a: usize,
+    b: usize,
+    kind: EdgeKind,
+    latency_ns: f64,
+    energy_pj: f64,
+    width_bits: u32,
+}
+
+impl Wire {
+    /// Whether Smode keeps the wire: only the H-tree and the shared bus
+    /// stay connected there; the added wires and bypass links are parked.
+    fn in_smode(&self) -> bool {
+        matches!(self.kind, EdgeKind::Tree | EdgeKind::Bus)
+    }
+
+    fn edge_to(&self, to: usize) -> Edge {
+        Edge {
+            to: to as u32,
+            kind: self.kind,
+            latency_ns: self.latency_ns,
+            energy_pj: self.energy_pj,
+            width_bits: self.width_bits,
+        }
+    }
+}
+
+/// Compressed sparse-row adjacency of one mode: vertex `v`'s edges are
+/// `edges[start[v]..start[v + 1]]`, in the order their wires were laid.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Csr {
+    /// Lays `wires` out as directed edges, both directions of each wire,
+    /// keeping every vertex's edges in wire order (a stable counting sort).
+    fn new(vertices: usize, wires: &[Wire], keep: impl Fn(&Wire) -> bool) -> Csr {
+        let mut start = vec![0u32; vertices + 1];
+        for w in wires.iter().filter(|w| keep(w)) {
+            start[w.a + 1] += 1;
+            start[w.b + 1] += 1;
+        }
+        for v in 0..vertices {
+            start[v + 1] += start[v];
+        }
+        let placeholder = Edge {
+            to: 0,
+            kind: EdgeKind::Tree,
+            latency_ns: 0.0,
+            energy_pj: 0.0,
+            width_bits: 0,
+        };
+        let mut edges = vec![placeholder; start[vertices] as usize];
+        // `start[v]` serves as vertex v's fill cursor, which leaves it at
+        // the old `start[v + 1]`; shifting back one slot restores it.
+        for w in wires.iter().filter(|w| keep(w)) {
+            for (from, to) in [(w.a, w.b), (w.b, w.a)] {
+                edges[start[from] as usize] = w.edge_to(to);
+                start[from] += 1;
+            }
+        }
+        start.copy_within(0..vertices, 1);
+        start[0] = 0;
+        Csr { start, edges }
+    }
+
+    /// Index range into `edges` of vertex `v`'s edges.
+    fn range(&self, v: usize) -> std::ops::Range<usize> {
+        self.start[v] as usize..self.start[v + 1] as usize
+    }
 }
 
 /// The routing fabric shared by [`ThreeDcu`] (one side) and [`DcuPair`]
@@ -184,14 +261,16 @@ struct Edge {
 #[derive(Debug, Clone)]
 struct Fabric {
     cfg: NocConfig,
-    tree: HTree,
     sides: usize,
     /// Adjacency for Cmode (includes all wires) and Smode (tree + bus).
-    cmode: Vec<Vec<Edge>>,
-    smode: Vec<Vec<Edge>>,
+    cmode: Csr,
+    smode: Csr,
 }
 
 const BANKS: usize = 3;
+
+/// No predecessor: the source, or a vertex the search never reached.
+const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
 
 impl Fabric {
     fn nodes_per_bank(&self) -> usize {
@@ -232,38 +311,30 @@ impl Fabric {
     /// gates behind a frozen switch. With an empty fault set the graph is
     /// identical to the pristine fabric, edge for edge.
     fn new(cfg: &NocConfig, sides: usize, faults: &LinkFaults) -> Fabric {
-        let tree = HTree::new(cfg);
+        let empty = Csr {
+            start: Vec::new(),
+            edges: Vec::new(),
+        };
         let mut fabric = Fabric {
             cfg: cfg.clone(),
-            tree,
             sides,
-            cmode: Vec::new(),
-            smode: Vec::new(),
+            cmode: empty.clone(),
+            smode: empty,
         };
-        let n = fabric.vertex_count();
-        let mut cmode = vec![Vec::new(); n];
-        let mut smode = vec![Vec::new(); n];
-        let cfg = &fabric.cfg;
-        let tree = &fabric.tree;
+        let tree = HTree::new(cfg);
         let tiles = cfg.tiles_per_bank;
-
-        let push_both =
-            |adj: &mut [Vec<Edge>], a: usize, b: usize, kind, lat: f64, en: f64, width| {
-                adj[a].push(Edge {
-                    to: b,
-                    kind,
-                    latency_ns: lat,
-                    energy_pj: en,
-                    width_bits: width,
-                });
-                adj[b].push(Edge {
-                    to: a,
-                    kind,
-                    latency_ns: lat,
-                    energy_pj: en,
-                    width_bits: width,
-                });
-            };
+        let at = |side, bank, node| fabric.vertex(Endpoint { side, bank, node });
+        let mut wires: Vec<Wire> = Vec::with_capacity(sides * (BANKS * 3 * tiles + 2));
+        let mut lay = |a, b, kind, latency_ns, energy_pj, width_bits| {
+            wires.push(Wire {
+                a,
+                b,
+                kind,
+                latency_ns,
+                energy_pj,
+                width_bits,
+            });
+        };
 
         for side in 0..sides {
             for bank in 0..BANKS {
@@ -273,32 +344,14 @@ impl Fabric {
                     if faults.blocks_tree(side, bank, node) {
                         continue;
                     }
-                    let parent = node / 2;
                     let level = tree.level(node);
-                    let a = fabric.vertex(Endpoint { side, bank, node });
-                    let b = fabric.vertex(Endpoint {
-                        side,
-                        bank,
-                        node: parent,
-                    });
-                    let width = cfg.width_bits_at(level - 1);
-                    push_both(
-                        &mut cmode,
-                        a,
-                        b,
+                    lay(
+                        at(side, bank, node),
+                        at(side, bank, node / 2),
                         EdgeKind::Tree,
                         cfg.hop_latency_ns,
                         cfg.hop_energy_pj,
-                        width,
-                    );
-                    push_both(
-                        &mut smode,
-                        a,
-                        b,
-                        EdgeKind::Tree,
-                        cfg.hop_latency_ns,
-                        cfg.hop_energy_pj,
-                        width,
+                        cfg.width_bits_at(level - 1),
                     );
                 }
                 // Horizontal wires between internal same-level nodes with
@@ -310,16 +363,9 @@ impl Fabric {
                         && !faults.blocks_horizontal(side, bank, node)
                     {
                         let level = tree.level(node);
-                        let a = fabric.vertex(Endpoint { side, bank, node });
-                        let b = fabric.vertex(Endpoint {
-                            side,
-                            bank,
-                            node: next,
-                        });
-                        push_both(
-                            &mut cmode,
-                            a,
-                            b,
+                        lay(
+                            at(side, bank, node),
+                            at(side, bank, next),
                             EdgeKind::Horizontal,
                             cfg.hop_latency_ns * cfg.horizontal_latency_factor,
                             cfg.hop_energy_pj * cfg.horizontal_energy_factor,
@@ -336,16 +382,9 @@ impl Fabric {
                         continue;
                     }
                     let level = tree.level(node);
-                    let a = fabric.vertex(Endpoint { side, bank, node });
-                    let b = fabric.vertex(Endpoint {
-                        side,
-                        bank: bank + 1,
-                        node,
-                    });
-                    push_both(
-                        &mut cmode,
-                        a,
-                        b,
+                    lay(
+                        at(side, bank, node),
+                        at(side, bank + 1, node),
                         EdgeKind::Vertical,
                         cfg.hop_latency_ns * cfg.vertical_latency_factor,
                         cfg.hop_energy_pj * cfg.vertical_energy_factor,
@@ -355,43 +394,23 @@ impl Fabric {
             }
             // Bus edges from every bank's root (both modes).
             for bank in 0..BANKS {
-                let root = fabric.vertex(Endpoint {
-                    side,
-                    bank,
-                    node: 1,
-                });
-                let bus = fabric.bus_vertex();
-                for adj in [&mut cmode, &mut smode] {
-                    push_both(
-                        adj,
-                        root,
-                        bus,
-                        EdgeKind::Bus,
-                        cfg.bus_latency_ns / 2.0,
-                        cfg.bus_energy_pj / 2.0,
-                        cfg.root_width_bits,
-                    );
-                }
+                lay(
+                    at(side, bank, 1),
+                    fabric.bus_vertex(),
+                    EdgeKind::Bus,
+                    cfg.bus_latency_ns / 2.0,
+                    cfg.bus_energy_pj / 2.0,
+                    cfg.root_width_bits,
+                );
             }
         }
         // Bypass links between paired 3DCUs: B1<->B4 (top banks) and
         // B3<->B6 (bottom banks), joined at the roots (Cmode only).
         if sides == 2 {
             for bank in [0usize, 2] {
-                let a = fabric.vertex(Endpoint {
-                    side: 0,
-                    bank,
-                    node: 1,
-                });
-                let b = fabric.vertex(Endpoint {
-                    side: 1,
-                    bank,
-                    node: 1,
-                });
-                push_both(
-                    &mut cmode,
-                    a,
-                    b,
+                lay(
+                    at(0, bank, 1),
+                    at(1, bank, 1),
                     EdgeKind::Bypass,
                     cfg.bypass_latency_ns,
                     cfg.bypass_energy_pj,
@@ -399,12 +418,13 @@ impl Fabric {
                 );
             }
         }
-        fabric.cmode = cmode;
-        fabric.smode = smode;
+        let n = fabric.vertex_count();
+        fabric.cmode = Csr::new(n, &wires, |_| true);
+        fabric.smode = Csr::new(n, &wires, Wire::in_smode);
         fabric
     }
 
-    fn adjacency(&self, mode: Mode) -> &[Vec<Edge>] {
+    fn adjacency(&self, mode: Mode) -> &Csr {
         match mode {
             Mode::Cmode => &self.cmode,
             Mode::Smode => &self.smode,
@@ -426,35 +446,36 @@ impl Fabric {
             return Ok(Route::nil());
         }
         let n = self.vertex_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, Edge)>> = vec![None; n];
-        let mut done = vec![false; n];
-        dist[src] = 0.0;
-        let mut heap = BinaryHeap::from([Reverse(Tentative {
+        let mut search = vec![Search::UNSEEN; n];
+        search[src].dist = 0.0;
+        let mut heap = BinaryHeap::with_capacity(n);
+        heap.push(Reverse(Tentative {
             dist: 0.0,
             vertex: src,
-        })]);
+        }));
         while let Some(Reverse(Tentative { dist: d, vertex: u })) = heap.pop() {
-            if done[u] || d != dist[u] {
+            if search[u].done || d != search[u].dist {
                 continue;
             }
             if u == dst {
                 break;
             }
-            done[u] = true;
-            for e in &adj[u] {
+            search[u].done = true;
+            for ei in adj.range(u) {
+                let e = &adj.edges[ei];
+                let v = e.to as usize;
                 let nd = d + e.latency_ns;
-                if nd < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev[e.to] = Some((u, *e));
+                if nd < search[v].dist {
+                    search[v].dist = nd;
+                    search[v].prev = (u as u32, ei as u32);
                     heap.push(Reverse(Tentative {
                         dist: nd,
-                        vertex: e.to,
+                        vertex: v,
                     }));
                 }
             }
         }
-        self.path(from, to, mode, &dist, &prev)
+        self.path(from, to, mode, &search)
     }
 
     /// Reconstructs the route to `to` from a finished search's distances
@@ -464,24 +485,36 @@ impl Fabric {
         from: Endpoint,
         to: Endpoint,
         mode: Mode,
-        dist: &[f64],
-        prev: &[Option<(usize, Edge)>],
+        search: &[Search],
     ) -> Result<Route, RouteError> {
+        let adj = self.adjacency(mode);
         let (src, dst) = (self.vertex(from), self.vertex(to));
-        if !dist[dst].is_finite() {
+        if !search[dst].dist.is_finite() {
             // Dijkstra exhausted the reachable set without touching the
             // destination: the fabric is partitioned. Terminate with a
             // typed error rather than retrying or spinning.
             return Err(RouteError::Unreachable { from, to, mode });
         }
-        let mut edges = Vec::new();
+        let step = |v: usize| {
+            let (u, ei) = search[v].prev;
+            debug_assert!(search[v].prev != NO_PREV, "path reconstruction");
+            (u as usize, &adj.edges[ei as usize])
+        };
+        let mut hops = 0;
+        let mut v = dst;
+        while v != src {
+            hops += 1;
+            v = step(v).0;
+        }
+        let mut edges = vec![EdgeKind::Tree; hops];
         let mut energy = 0.0;
         let mut min_width = u32::MAX;
         let mut switch_nodes = Vec::new();
         let mut v = dst;
         while v != src {
-            let (u, e) = prev[v].expect("path reconstruction");
-            edges.push(e.kind);
+            let (u, e) = step(v);
+            hops -= 1;
+            edges[hops] = e.kind;
             energy += e.energy_pj;
             min_width = min_width.min(e.width_bits);
             if matches!(e.kind, EdgeKind::Horizontal | EdgeKind::Vertical) {
@@ -493,15 +526,31 @@ impl Fabric {
             }
             v = u;
         }
-        edges.reverse();
         Ok(Route {
             edges,
-            latency_ns: dist[dst],
+            latency_ns: search[dst].dist,
             energy_pj_per_access: energy,
             min_width_bits: min_width,
             switch_nodes,
         })
     }
+}
+
+/// Per-vertex state of a route search: tentative distance, predecessor
+/// `(vertex, edge index)` and whether the vertex has settled.
+#[derive(Debug, Clone, Copy)]
+struct Search {
+    dist: f64,
+    prev: (u32, u32),
+    done: bool,
+}
+
+impl Search {
+    const UNSEEN: Search = Search {
+        dist: f64::INFINITY,
+        prev: NO_PREV,
+        done: false,
+    };
 }
 
 /// A heap entry of the route search: a tentative distance and its vertex,
@@ -626,39 +675,35 @@ mod tests {
     /// library does) cannot change that destination's predecessor chain:
     /// every vertex on it settles earlier, and a settled vertex's
     /// predecessor never changes again.
-    fn scan_search(
-        fabric: &Fabric,
-        from: Endpoint,
-        mode: Mode,
-    ) -> (Vec<f64>, Vec<Option<(usize, Edge)>>) {
+    fn scan_search(fabric: &Fabric, from: Endpoint, mode: Mode) -> Vec<Search> {
         let adj = fabric.adjacency(mode);
         let n = fabric.vertex_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, Edge)>> = vec![None; n];
-        let mut done = vec![false; n];
-        dist[fabric.vertex(from)] = 0.0;
+        let mut search = vec![Search::UNSEEN; n];
+        search[fabric.vertex(from)].dist = 0.0;
         for _ in 0..n {
             let mut u = usize::MAX;
             let mut best = f64::INFINITY;
-            for v in 0..n {
-                if !done[v] && dist[v] < best {
-                    best = dist[v];
+            for (v, slot) in search.iter().enumerate() {
+                if !slot.done && slot.dist < best {
+                    best = slot.dist;
                     u = v;
                 }
             }
             if u == usize::MAX {
                 break;
             }
-            done[u] = true;
-            for e in &adj[u] {
-                let nd = dist[u] + e.latency_ns;
-                if nd < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev[e.to] = Some((u, *e));
+            search[u].done = true;
+            for ei in adj.range(u) {
+                let e = &adj.edges[ei];
+                let v = e.to as usize;
+                let nd = search[u].dist + e.latency_ns;
+                if nd < search[v].dist {
+                    search[v].dist = nd;
+                    search[v].prev = (u as u32, ei as u32);
                 }
             }
         }
-        (dist, prev)
+        search
     }
 
     /// Asserts the heap search returns exactly the scan's route (edges,
@@ -671,12 +716,12 @@ mod tests {
             .collect();
         for mode in [Mode::Smode, Mode::Cmode] {
             for &from in &endpoints {
-                let (dist, prev) = scan_search(fabric, from, mode);
+                let search = scan_search(fabric, from, mode);
                 for &to in &endpoints {
                     let expected = if from == to {
                         Ok(Route::nil())
                     } else {
-                        fabric.path(from, to, mode, &dist, &prev)
+                        fabric.path(from, to, mode, &search)
                     };
                     prop_assert_eq!(fabric.route(from, to, mode), expected);
                 }

@@ -7,6 +7,9 @@
 //! enough to model pipelined GAN-training phases contending for banks and
 //! links.
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 /// Identifier of a task inside one [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(usize);
@@ -54,26 +57,64 @@ impl std::error::Error for SimError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(usize);
 
+/// Task and resource labels: fixed labels are borrowed, rendered ones
+/// owned.
+pub type Label = Cow<'static, str>;
+
+/// Dependencies kept inline before spilling to the heap; the lowering's
+/// tasks wait on at most three.
+const INLINE_DEPS: usize = 3;
+
 /// Specification of one task.
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
     /// Human-readable label (appears in schedules and debugging output).
-    pub label: String,
+    pub label: Label,
     /// Fixed execution time in nanoseconds.
     pub duration_ns: f64,
     /// Tasks that must finish before this one starts.
-    pub deps: Vec<TaskId>,
+    deps: Deps,
     /// Resource this task occupies (one capacity unit) while running.
     pub resource: Option<ResourceId>,
 }
 
+/// A task's dependencies: the first [`INLINE_DEPS`] inline, the rest in
+/// `spill`.
+#[derive(Debug, Clone)]
+struct Deps {
+    head: [TaskId; INLINE_DEPS],
+    len: usize,
+    spill: Vec<TaskId>,
+}
+
+impl Deps {
+    fn push(&mut self, t: TaskId) {
+        if self.len < INLINE_DEPS {
+            self.head[self.len] = t;
+        } else {
+            self.spill.push(t);
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &TaskId> {
+        self.head[..self.len.min(INLINE_DEPS)]
+            .iter()
+            .chain(&self.spill)
+    }
+}
+
 impl TaskSpec {
     /// Creates a task with no dependencies and no resource.
-    pub fn new(label: impl Into<String>, duration_ns: f64) -> Self {
+    pub fn new(label: impl Into<Label>, duration_ns: f64) -> Self {
         TaskSpec {
             label: label.into(),
             duration_ns,
-            deps: Vec::new(),
+            deps: Deps {
+                head: [TaskId(0); INLINE_DEPS],
+                len: 0,
+                spill: Vec::new(),
+            },
             resource: None,
         }
     }
@@ -92,14 +133,26 @@ impl TaskSpec {
 
     /// Adds many dependencies.
     pub fn after_all(mut self, ts: &[TaskId]) -> Self {
-        self.deps.extend_from_slice(ts);
+        for &t in ts {
+            self.deps.push(t);
+        }
         self
     }
 }
 
+/// A registered task: its spec without the dependency list, which lives
+/// in the engine's flat [`Engine::deps`] array at `deps`.
+#[derive(Debug, Clone)]
+struct Task {
+    label: Label,
+    duration_ns: f64,
+    resource: Option<ResourceId>,
+    deps: Range<u32>,
+}
+
 #[derive(Debug, Clone)]
 struct Resource {
-    label: String,
+    label: Label,
     capacity: usize,
 }
 
@@ -131,19 +184,21 @@ impl PartialOrd for ReadyKey {
 /// The scheduler.
 #[derive(Debug, Default)]
 pub struct Engine {
-    tasks: Vec<TaskSpec>,
+    tasks: Vec<Task>,
+    /// Every task's dependencies, task after task.
+    deps: Vec<TaskId>,
     resources: Vec<Resource>,
 }
 
 /// The result of running an engine: per-task start/finish times and
-/// per-resource occupancy.
+/// per-resource occupancy. Task labels stay with the [`Engine`]
+/// ([`Engine::label`]).
 #[derive(Debug, Clone)]
 pub struct Schedule {
     starts: Vec<f64>,
     finishes: Vec<f64>,
-    labels: Vec<String>,
     resource_busy: Vec<f64>,
-    resource_labels: Vec<String>,
+    resource_labels: Vec<Label>,
 }
 
 impl Schedule {
@@ -160,11 +215,6 @@ impl Schedule {
     /// Completion time of the whole DAG (ns).
     pub fn makespan_ns(&self) -> f64 {
         self.finishes.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Label of a task.
-    pub fn label(&self, t: TaskId) -> &str {
-        &self.labels[t.0]
     }
 
     /// Number of scheduled tasks.
@@ -197,7 +247,7 @@ impl Schedule {
     pub fn resources(&self) -> impl Iterator<Item = (&str, f64)> {
         self.resource_labels
             .iter()
-            .map(|l| l.as_str())
+            .map(|l| l.as_ref())
             .zip(self.resource_busy.iter().copied())
     }
 }
@@ -213,7 +263,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn add_resource(&mut self, label: impl Into<String>, capacity: usize) -> ResourceId {
+    pub fn add_resource(&mut self, label: impl Into<Label>, capacity: usize) -> ResourceId {
         assert!(capacity > 0, "resource capacity must be positive");
         self.resources.push(Resource {
             label: label.into(),
@@ -233,14 +283,31 @@ impl Engine {
             spec.duration_ns >= 0.0 && spec.duration_ns.is_finite(),
             "task duration must be finite and non-negative"
         );
-        for d in &spec.deps {
+        for d in spec.deps.iter() {
             assert!(d.0 < self.tasks.len(), "dependency on unknown task");
         }
         if let Some(r) = spec.resource {
             assert!(r.0 < self.resources.len(), "unknown resource");
         }
-        self.tasks.push(spec);
+        let first = self.deps.len() as u32;
+        self.deps.extend(spec.deps.iter());
+        self.tasks.push(Task {
+            label: spec.label,
+            duration_ns: spec.duration_ns,
+            resource: spec.resource,
+            deps: first..self.deps.len() as u32,
+        });
         TaskId(self.tasks.len() - 1)
+    }
+
+    /// Label of a task.
+    pub fn label(&self, t: TaskId) -> &str {
+        &self.tasks[t.0].label
+    }
+
+    fn deps_of(&self, i: usize) -> &[TaskId] {
+        let r = &self.tasks[i].deps;
+        &self.deps[r.start as usize..r.end as usize]
     }
 
     /// Runs the schedule to completion.
@@ -250,9 +317,8 @@ impl Engine {
     /// queue — tasks are pushed only when their last dependency resolves,
     /// and `ready_at` is never written afterwards — so the key frozen at
     /// push time equals the value a linear min-scan would read at pop time
-    /// and the heap schedule is identical to
-    /// [`run_linear_reference`](Self::run_linear_reference) (the property
-    /// test `scheduler_equivalence` checks this on random DAGs).
+    /// and the heap schedule is identical to the linear-scan scheduler
+    /// the unit tests keep as an oracle.
     ///
     /// # Errors
     ///
@@ -263,23 +329,20 @@ impl Engine {
         use std::collections::BinaryHeap;
 
         let n = self.tasks.len();
-        let mut remaining_deps: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let dependents = self.dependents();
+        let mut remaining_deps: Vec<u32> = self.tasks.iter().map(|t| t.deps.len() as u32).collect();
+        let (dep_start, dependents) = self.dependents();
         let mut ready_at: Vec<f64> = vec![0.0; n];
         let mut starts = vec![f64::NAN; n];
         let mut finishes = vec![f64::NAN; n];
-        // Per-resource list of occupancy intervals (start, finish).
-        let mut busy: Vec<Vec<(f64, f64)>> = self.resources.iter().map(|_| Vec::new()).collect();
+        let mut busy = self.occupancy();
         // Ready queue popped in (ready time, insertion index) order.
-        let mut ready: BinaryHeap<Reverse<ReadyKey>> = (0..n)
-            .filter(|&i| remaining_deps[i] == 0)
-            .map(|i| {
-                Reverse(ReadyKey {
-                    ready_ns: 0.0,
-                    index: i,
-                })
+        let mut ready: BinaryHeap<Reverse<ReadyKey>> = BinaryHeap::with_capacity(n);
+        ready.extend((0..n).filter(|&i| remaining_deps[i] == 0).map(|i| {
+            Reverse(ReadyKey {
+                ready_ns: 0.0,
+                index: i,
             })
-            .collect();
+        }));
         let mut scheduled = 0usize;
         while scheduled < n {
             let Some(Reverse(key)) = ready.pop() else {
@@ -290,7 +353,8 @@ impl Engine {
             starts[i] = start;
             finishes[i] = finish;
             scheduled += 1;
-            for &dep in &dependents[i] {
+            for &dep in &dependents[dep_start[i] as usize..dep_start[i + 1] as usize] {
+                let dep = dep as usize;
                 remaining_deps[dep] -= 1;
                 ready_at[dep] = ready_at[dep].max(finish);
                 if remaining_deps[dep] == 0 {
@@ -298,53 +362,6 @@ impl Engine {
                         ready_ns: ready_at[dep],
                         index: dep,
                     }));
-                }
-            }
-        }
-        Ok(self.collect(starts, finishes, &busy))
-    }
-
-    /// The original O(n²) scheduler — a linear min-scan over a `Vec` ready
-    /// queue. Kept as the oracle for the heap-equivalence property test;
-    /// produces bit-identical schedules to [`run`](Self::run).
-    #[doc(hidden)]
-    pub fn run_linear_reference(&self) -> Result<Schedule, SimError> {
-        let n = self.tasks.len();
-        let mut remaining_deps: Vec<usize> = self.tasks.iter().map(|t| t.deps.len()).collect();
-        let dependents = self.dependents();
-        let mut ready_at: Vec<f64> = vec![0.0; n];
-        let mut starts = vec![f64::NAN; n];
-        let mut finishes = vec![f64::NAN; n];
-        let mut busy: Vec<Vec<(f64, f64)>> = self.resources.iter().map(|_| Vec::new()).collect();
-        // Ready queue ordered by (ready time, insertion index).
-        let mut ready: Vec<usize> = (0..n).filter(|&i| remaining_deps[i] == 0).collect();
-        let mut scheduled = 0usize;
-        while scheduled < n {
-            if ready.is_empty() {
-                return Err(self.cycle_error(&starts));
-            }
-            // Deterministic pick: smallest (ready time, index).
-            let pos = ready
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| {
-                    ready_at[a]
-                        .partial_cmp(&ready_at[b])
-                        .unwrap()
-                        .then(a.cmp(&b))
-                })
-                .map(|(p, _)| p)
-                .expect("non-empty ready queue");
-            let i = ready.swap_remove(pos);
-            let (start, finish) = self.place(i, ready_at[i], &mut busy);
-            starts[i] = start;
-            finishes[i] = finish;
-            scheduled += 1;
-            for &dep in &dependents[i] {
-                remaining_deps[dep] -= 1;
-                ready_at[dep] = ready_at[dep].max(finish);
-                if remaining_deps[dep] == 0 {
-                    ready.push(dep);
                 }
             }
         }
@@ -360,42 +377,55 @@ impl Engine {
         SimError::DependencyCycle { stuck }
     }
 
-    /// Reverse dependency lists, indexed by producer.
-    fn dependents(&self) -> Vec<Vec<usize>> {
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); self.tasks.len()];
-        for (i, t) in self.tasks.iter().enumerate() {
-            for d in &t.deps {
-                dependents[d.0].push(i);
+    /// Reverse dependencies, indexed by producer, in compressed sparse-row
+    /// form: producer `p`'s dependents are
+    /// `dependents[start[p]..start[p + 1]]`, in ascending task order.
+    fn dependents(&self) -> (Vec<u32>, Vec<u32>) {
+        let n = self.tasks.len();
+        let mut start = vec![0u32; n + 1];
+        for d in &self.deps {
+            start[d.0 + 1] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        let mut dependents = vec![0u32; self.deps.len()];
+        // `start[p]` serves as producer p's fill cursor, which leaves it
+        // at the old `start[p + 1]`; shifting back one slot restores it.
+        for i in 0..n {
+            for d in self.deps_of(i) {
+                dependents[start[d.0] as usize] = i as u32;
+                start[d.0] += 1;
             }
         }
-        dependents
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        (start, dependents)
+    }
+
+    /// Empty per-resource occupancy lists, each sized for every task bound
+    /// to its resource.
+    fn occupancy(&self) -> Vec<Vec<(f64, f64)>> {
+        let mut per_resource = vec![0usize; self.resources.len()];
+        for t in &self.tasks {
+            if let Some(r) = t.resource {
+                per_resource[r.0] += 1;
+            }
+        }
+        per_resource.into_iter().map(Vec::with_capacity).collect()
     }
 
     /// Places task `i` at the earliest time `>= ready_ns` its resource
     /// admits, records the occupancy, and returns `(start, finish)`.
     fn place(&self, i: usize, ready_ns: f64, busy: &mut [Vec<(f64, f64)>]) -> (f64, f64) {
-        let spec = &self.tasks[i];
+        let task = &self.tasks[i];
         let mut start = ready_ns;
-        if let Some(r) = spec.resource {
+        if let Some(r) = task.resource {
             let q = &mut busy[r.0];
-            let cap = self.resources[r.0].capacity;
-            // Earliest time >= start with fewer than `cap` overlapping
-            // occupancies: advance to the next finish among overlaps
-            // until a slot frees up.
-            loop {
-                let overlapping: Vec<f64> = q
-                    .iter()
-                    .filter(|&&(s, f)| s <= start && start < f)
-                    .map(|&(_, f)| f)
-                    .collect();
-                if overlapping.len() < cap {
-                    break;
-                }
-                start = overlapping.iter().copied().fold(f64::INFINITY, f64::min);
-            }
-            q.push((start, start + spec.duration_ns));
+            start = earliest_start(q, self.resources[r.0].capacity, start);
+            q.push((start, start + task.duration_ns));
         }
-        (start, start + spec.duration_ns)
+        (start, start + task.duration_ns)
     }
 
     fn collect(&self, starts: Vec<f64>, finishes: Vec<f64>, busy: &[Vec<(f64, f64)>]) -> Schedule {
@@ -406,16 +436,218 @@ impl Engine {
         Schedule {
             starts,
             finishes,
-            labels: self.tasks.iter().map(|t| t.label.clone()).collect(),
             resource_busy,
             resource_labels: self.resources.iter().map(|r| r.label.clone()).collect(),
         }
     }
 }
 
+/// Earliest time `>= start` at which fewer than `cap` of the occupancy
+/// intervals `q` overlap: while the slot is full, advance to the earliest
+/// finish among the overlapping intervals. Counts the overlaps and folds
+/// their minimum finish in one pass, in `q`'s order.
+fn earliest_start(q: &[(f64, f64)], cap: usize, mut start: f64) -> f64 {
+    loop {
+        let mut overlapping = 0usize;
+        let mut earliest = f64::INFINITY;
+        for &(s, f) in q {
+            if s <= start && start < f {
+                overlapping += 1;
+                earliest = f64::min(earliest, f);
+            }
+        }
+        if overlapping < cap {
+            return start;
+        }
+        start = earliest;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The original O(n²) scheduler — a linear min-scan over a `Vec`
+    /// ready queue, reverse dependencies as one `Vec` per producer and
+    /// [`place_reference`] — the oracle of the heap scheduler.
+    fn run_linear_reference(e: &Engine) -> Result<Schedule, SimError> {
+        let n = e.tasks.len();
+        let mut remaining_deps: Vec<usize> = e.tasks.iter().map(|t| t.deps.len()).collect();
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for d in e.deps_of(i) {
+                dependents[d.0].push(i);
+            }
+        }
+        let mut ready_at: Vec<f64> = vec![0.0; n];
+        let mut starts = vec![f64::NAN; n];
+        let mut finishes = vec![f64::NAN; n];
+        let mut busy: Vec<Vec<(f64, f64)>> = e.resources.iter().map(|_| Vec::new()).collect();
+        // Ready queue ordered by (ready time, index).
+        let mut ready: Vec<usize> = (0..n).filter(|&i| remaining_deps[i] == 0).collect();
+        let mut scheduled = 0usize;
+        while scheduled < n {
+            if ready.is_empty() {
+                return Err(e.cycle_error(&starts));
+            }
+            // Deterministic pick: smallest (ready time, index).
+            let pos = ready
+                .iter()
+                .enumerate()
+                .min_by(|(_, &a), (_, &b)| {
+                    ready_at[a]
+                        .partial_cmp(&ready_at[b])
+                        .unwrap()
+                        .then(a.cmp(&b))
+                })
+                .map(|(p, _)| p)
+                .expect("non-empty ready queue");
+            let i = ready.swap_remove(pos);
+            let task = &e.tasks[i];
+            let mut start = ready_at[i];
+            if let Some(r) = task.resource {
+                let q = &mut busy[r.0];
+                start = place_reference(q, e.resources[r.0].capacity, start);
+                q.push((start, start + task.duration_ns));
+            }
+            let finish = start + task.duration_ns;
+            starts[i] = start;
+            finishes[i] = finish;
+            scheduled += 1;
+            for &dep in &dependents[i] {
+                remaining_deps[dep] -= 1;
+                ready_at[dep] = ready_at[dep].max(finish);
+                if remaining_deps[dep] == 0 {
+                    ready.push(dep);
+                }
+            }
+        }
+        Ok(e.collect(starts, finishes, &busy))
+    }
+
+    /// The original placement probe: collect the finishes of every
+    /// overlapping interval into a `Vec`, then fold their minimum.
+    fn place_reference(q: &[(f64, f64)], cap: usize, mut start: f64) -> f64 {
+        loop {
+            let overlapping: Vec<f64> = q
+                .iter()
+                .filter(|&&(s, f)| s <= start && start < f)
+                .map(|&(_, f)| f)
+                .collect();
+            if overlapping.len() < cap {
+                return start;
+            }
+            start = overlapping.iter().copied().fold(f64::INFINITY, f64::min);
+        }
+    }
+
+    /// An occupancy list and a probe time: intervals `(s, s + d)` with
+    /// durations that are often zero or shared, so overlaps, touching ends
+    /// and equal finishes all occur.
+    fn occupancy_case() -> impl Strategy<Value = (Vec<(f64, f64)>, f64)> {
+        let interval = (0u32..40, 0u32..4, 0.0f64..1.0).prop_map(|(s, d, jitter)| {
+            let s = f64::from(s) + if d == 3 { jitter } else { 0.0 };
+            (s, s + f64::from(d) * 2.5)
+        });
+        (vec(interval, 0..24), 0u32..45).prop_map(|(q, t)| (q, f64::from(t)))
+    }
+
+    /// Per-task generator: (duration seed, dependency seed, resource seed).
+    /// Durations are deliberately non-round so float ties are rare and the
+    /// (ready time, index) tiebreak still gets exercised via the
+    /// zero-duration and equal-seed cases.
+    fn task_seeds() -> impl Strategy<Value = Vec<(f64, u64, u64)>> {
+        vec((0.0f64..50.0, 0u64..u64::MAX, 0u64..u64::MAX), 1..40usize)
+    }
+
+    /// Builds a deterministic engine from the seeds: three resources with
+    /// capacities 1, 2 and 3, up to three backward dependencies per task.
+    fn build_engine(seeds: &[(f64, u64, u64)]) -> (Engine, Vec<TaskId>) {
+        let mut e = Engine::new();
+        let resources = [
+            e.add_resource("bank", 1),
+            e.add_resource("link", 2),
+            e.add_resource("bus", 3),
+        ];
+        let mut ids: Vec<TaskId> = Vec::with_capacity(seeds.len());
+        for (i, &(duration, dep_seed, res_seed)) in seeds.iter().enumerate() {
+            // Roughly a quarter of tasks are zero-duration barriers, which
+            // forces ready-time ties and exercises the index tiebreak.
+            let duration = if dep_seed % 4 == 0 { 0.0 } else { duration };
+            let mut spec = TaskSpec::new(format!("t{i}"), duration);
+            if i > 0 {
+                let n_deps = (dep_seed % 4) as usize; // 0..=3
+                for d in 0..n_deps {
+                    let dep = (dep_seed.rotate_right(7 * (d as u32 + 1)) as usize) % i;
+                    spec = spec.after(ids[dep]);
+                }
+            }
+            match res_seed % 4 {
+                0 => {} // no resource
+                k => spec = spec.on(resources[(k - 1) as usize]),
+            }
+            ids.push(e.add_task(spec));
+        }
+        (e, ids)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass probe lands where the collect-then-fold probe
+        /// does, bit for bit, at capacities 1–3 (the lowering's
+        /// bus/bypass resource has capacity 2).
+        #[test]
+        fn earliest_start_matches_the_collecting_probe(
+            (q, start) in occupancy_case(),
+            cap in 1usize..4,
+        ) {
+            prop_assert_eq!(
+                earliest_start(&q, cap, start).to_bits(),
+                place_reference(&q, cap, start).to_bits()
+            );
+        }
+
+        /// The heap-based ready queue in `run` produces exactly the
+        /// schedule of the original linear min-scan. The equivalence
+        /// holds because a task's ready time is final when it enters the
+        /// queue, so freezing the heap key at push time loses nothing.
+        /// Random DAGs — skewed durations, shared capacity-limited
+        /// resources, fan-in/fan-out dependencies — must agree *bitwise*
+        /// on every start, finish, and per-resource busy total.
+        #[test]
+        fn heap_schedule_equals_linear_scan(seeds in task_seeds()) {
+            let (engine, ids) = build_engine(&seeds);
+            let heap = engine.run().unwrap();
+            let linear = run_linear_reference(&engine).unwrap();
+
+            prop_assert_eq!(heap.len(), linear.len());
+            for &t in &ids {
+                prop_assert_eq!(
+                    heap.start_ns(t).to_bits(),
+                    linear.start_ns(t).to_bits(),
+                    "start of {} diverged: heap {} vs linear {}",
+                    engine.label(t),
+                    heap.start_ns(t),
+                    linear.start_ns(t)
+                );
+                prop_assert_eq!(
+                    heap.finish_ns(t).to_bits(),
+                    linear.finish_ns(t).to_bits(),
+                    "finish of {} diverged: heap {} vs linear {}",
+                    engine.label(t),
+                    heap.finish_ns(t),
+                    linear.finish_ns(t)
+                );
+            }
+            prop_assert_eq!(heap.makespan_ns().to_bits(), linear.makespan_ns().to_bits());
+            let heap_busy: Vec<u64> = heap.resources().map(|(_, b)| b.to_bits()).collect();
+            let linear_busy: Vec<u64> = linear.resources().map(|(_, b)| b.to_bits()).collect();
+            prop_assert_eq!(heap_busy, linear_busy);
+        }
+    }
 
     #[test]
     fn chain_accumulates() {
@@ -514,20 +746,25 @@ mod tests {
         // A cycle cannot be built through `add_task` (deps must already
         // exist), so assemble the engine directly: a -> b -> a, plus one
         // healthy task that schedules fine.
-        let e = Engine {
-            tasks: vec![
-                TaskSpec::new("a", 1.0).after(TaskId(1)),
-                TaskSpec::new("b", 1.0).after(TaskId(0)),
-                TaskSpec::new("ok", 2.0),
-            ],
-            resources: Vec::new(),
-        };
+        let mut e = Engine::new();
+        for (label, duration_ns, dep) in
+            [("a", 1.0, Some(1)), ("b", 1.0, Some(0)), ("ok", 2.0, None)]
+        {
+            let first = e.deps.len() as u32;
+            e.deps.extend(dep.map(TaskId));
+            e.tasks.push(Task {
+                label: label.into(),
+                duration_ns,
+                resource: None,
+                deps: first..e.deps.len() as u32,
+            });
+        }
         let err = e.run().unwrap_err();
         let SimError::DependencyCycle { stuck } = &err;
         assert_eq!(stuck, &vec![TaskId(0), TaskId(1)]);
         assert_eq!(err.to_string(), "dependency cycle: 2 task(s) stuck: #0 #1");
         // The linear oracle reports the identical stuck set.
-        assert_eq!(e.run_linear_reference().unwrap_err(), err);
+        assert_eq!(run_linear_reference(&e).unwrap_err(), err);
         assert_eq!(stuck[0].index(), 0);
     }
 
@@ -536,7 +773,7 @@ mod tests {
         let mut e = Engine::new();
         let a = e.add_task(TaskSpec::new("G-forward", 1.0));
         let s = e.run().unwrap();
-        assert_eq!(s.label(a), "G-forward");
+        assert_eq!(e.label(a), "G-forward");
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
     }

@@ -29,9 +29,15 @@ impl Breakdown {
         Self::default()
     }
 
-    /// Adds `value` to the bucket `label`.
+    /// Adds `value` to the bucket `label`. Only a new bucket allocates
+    /// its key; it starts at `0.0 + value`, so a first `-0.0` stores `+0.0`.
     pub fn add(&mut self, label: &str, value: f64) {
-        *self.parts.entry(label.to_string()).or_insert(0.0) += value;
+        match self.parts.get_mut(label) {
+            Some(sum) => *sum += value,
+            None => {
+                self.parts.insert(label.to_string(), 0.0 + value);
+            }
+        }
     }
 
     /// Value of one bucket (0 if absent).
@@ -102,6 +108,22 @@ mod tests {
         assert_eq!(b.total(), 10.0);
         assert!((b.share("a") - 0.4).abs() < 1e-12);
         assert_eq!(b.share("missing"), 0.0);
+    }
+
+    #[test]
+    fn add_starts_at_positive_zero_and_sums_in_call_order() {
+        let mut b = Breakdown::new();
+        b.add("z", -0.0);
+        assert_eq!(b.get("z").to_bits(), 0.0f64.to_bits());
+        // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+        for v in [0.1, 0.2, 0.3] {
+            b.add("s", v);
+        }
+        assert_eq!(
+            b.get("s").to_bits(),
+            (((0.0 + 0.1) + 0.2) + 0.3f64).to_bits()
+        );
+        assert_ne!(b.get("s").to_bits(), (0.1 + (0.2 + 0.3f64)).to_bits());
     }
 
     #[test]

@@ -253,10 +253,17 @@ impl TconvGeometry {
     ///
     /// Panics if `o` is not a valid output position.
     pub fn axis_pattern(&self, o: usize) -> Vec<usize> {
+        self.axis_taps(o).collect()
+    }
+
+    /// [`axis_pattern`](Self::axis_pattern) without collecting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is not a valid output position.
+    pub fn axis_taps(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(o < self.output, "output position out of range");
-        (0..self.kernel)
-            .filter(|&k| self.original_of_expanded(o + k).is_some())
-            .collect()
+        (0..self.kernel).filter(move |&k| self.original_of_expanded(o + k).is_some())
     }
 
     /// Total zeros in the expanded input plane, Eq. 7 (extended to count
@@ -398,11 +405,18 @@ impl WconvGeometry {
     ///
     /// Panics if `i` is not a valid gradient position.
     pub fn axis_pattern(&self, i: usize) -> Vec<usize> {
+        self.axis_taps(i).collect()
+    }
+
+    /// [`axis_pattern`](Self::axis_pattern) without collecting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a valid gradient position.
+    pub fn axis_taps(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(i < self.gradient_extent(), "gradient position out of range");
         let f = &self.forward;
-        (0..f.output)
-            .filter(|&oh| self.is_true_input(i + oh * f.stride))
-            .collect()
+        (0..f.output).filter(move |&oh| self.is_true_input(i + oh * f.stride))
     }
 
     /// Sum over (gradient position, `∇output` index) pairs per axis that
@@ -410,7 +424,7 @@ impl WconvGeometry {
     /// per channel pair of the zero-free W-CONV.
     pub fn useful_row_weight_sum(&self) -> usize {
         (0..self.gradient_extent())
-            .map(|i| self.axis_pattern(i).len())
+            .map(|i| self.axis_taps(i).count())
             .sum()
     }
 
@@ -526,20 +540,28 @@ impl DconvAxis {
     ///
     /// Panics if `o` is not a valid output position.
     pub fn axis_pattern(&self, o: usize) -> Vec<usize> {
+        self.axis_taps(o).collect()
+    }
+
+    /// [`axis_pattern`](Self::axis_pattern) without collecting it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is not a valid output position.
+    pub fn axis_taps(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(o < self.output, "output position out of range");
         (0..self.kernel)
             .map(|j| j * self.dilation)
-            .filter(|&e| {
+            .filter(move |&e| {
                 let pos = o * self.stride + e;
                 pos >= self.pad && pos < self.pad + self.input
             })
-            .collect()
     }
 
     /// Sum over output positions of true-tap counts; the per-axis factor
     /// of the useful MAC count (axes factorise exactly as for T-CONV).
     pub fn useful_row_weight_sum(&self) -> usize {
-        (0..self.output).map(|o| self.axis_pattern(o).len()).sum()
+        (0..self.output).map(|o| self.axis_taps(o).count()).sum()
     }
 
     /// Per-axis factor of the dense (zero-inserted-kernel) MAC count:
