@@ -114,7 +114,11 @@ fn main() {
     println!(
         "autotuning over {} benchmark GEMM shapes (SIMD: {})",
         shapes.len(),
-        if simd_available() { "avx" } else { "scalar only" }
+        if simd_available() {
+            "avx"
+        } else {
+            "scalar only"
+        }
     );
 
     let mut gemm_samples = Vec::new();

@@ -15,15 +15,14 @@ fn main() {
         ]);
     }
     let (dup, nodup, nr) = figures::fig18_averages();
-    let report = Report::new(
-        "Fig. 18: ZFDR vs normal reshape with 3D connection (speedup over NR+H-tree)",
-    )
-    .section(
-        Section::new()
-            .table(t)
-            .fact("Average ZFDR+dup", format!("{dup:.2}x (paper 5.11x)"))
-            .fact("Average ZFDR no-dup", format!("{nodup:.2}x (paper 2.77x)"))
-            .fact("Average NR 3D", format!("{nr:.2}x (paper 1.31x)")),
-    );
+    let report =
+        Report::new("Fig. 18: ZFDR vs normal reshape with 3D connection (speedup over NR+H-tree)")
+            .section(
+                Section::new()
+                    .table(t)
+                    .fact("Average ZFDR+dup", format!("{dup:.2}x (paper 5.11x)"))
+                    .fact("Average ZFDR no-dup", format!("{nodup:.2}x (paper 2.77x)"))
+                    .fact("Average NR 3D", format!("{nr:.2}x (paper 1.31x)")),
+            );
     harness::run(&report);
 }

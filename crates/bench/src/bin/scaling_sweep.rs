@@ -118,7 +118,11 @@ fn batched_loss_trace(steps: usize) -> Vec<String> {
     (0..steps)
         .map(|_| {
             let stats = gan.train_step_batched(&reals).expect("well-formed batch");
-            format!("{:08x}:{:08x}", stats.d_loss.to_bits(), stats.g_loss.to_bits())
+            format!(
+                "{:08x}:{:08x}",
+                stats.d_loss.to_bits(),
+                stats.g_loss.to_bits()
+            )
         })
         .collect()
 }
@@ -132,7 +136,11 @@ fn main() {
     // ---- Determinism self-asserts, before any timing. ----
     let trace = |t: usize| parallel::with_threads(t, || batched_loss_trace(4));
     let reference = trace(1);
-    assert_eq!(reference, trace(1), "batched trajectory must replay across runs");
+    assert_eq!(
+        reference,
+        trace(1),
+        "batched trajectory must replay across runs"
+    );
     for t in [2usize, 8] {
         assert_eq!(
             reference,
@@ -173,8 +181,7 @@ fn main() {
         .find(|(n, _, _)| n == "dcgan16")
         .cloned()
         .expect("the dcgan16 workload is timed");
-    let geomean =
-        (ratios.iter().map(|(_, r, _)| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
+    let geomean = (ratios.iter().map(|(_, r, _)| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
 
     // ---- Strong scaling of the batched step at 1/2/8 workers. ----
     let bg = &BENCH_GANS[0];
@@ -228,7 +235,10 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write scaling sweep");
 
     println!("\nbatched B=8 vs 8x B=1 (16 px DCGAN, 1 thread): {speedup_16px:.2}x");
-    println!("geomean over {} benchmark GANs:               {geomean:.2}x", ratios.len());
+    println!(
+        "geomean over {} benchmark GANs:               {geomean:.2}x",
+        ratios.len()
+    );
     println!("strong scaling t2: {strong_t2}   t8: {strong_t8}");
     println!("wrote {out_path}");
 }

@@ -141,8 +141,13 @@ fn run_quarantine(plans: &mut PlanCache) -> ServeReport {
     let report = ServeRuntime::new(cfg)
         .run(jobs, plans)
         .expect("workload topologies compile fault-free");
-    report.check_conservation().expect("quarantine must not leak jobs");
-    assert!(report.quarantined_pairs >= 1, "the crippled pair must retire");
+    report
+        .check_conservation()
+        .expect("quarantine must not leak jobs");
+    assert!(
+        report.quarantined_pairs >= 1,
+        "the crippled pair must retire"
+    );
     assert!(report.requeued >= 1, "its queued jobs must be evacuated");
     assert_eq!(report.failed, 0, "evacuated work finishes elsewhere");
     assert_eq!(report.stranded, 0);
@@ -261,7 +266,12 @@ fn main() {
     let q = run_quarantine(&mut plans);
     println!(
         "{:<16} quarantined {}  requeued {}  retries {}  completed {}/{}  rolled back {}",
-        "quarantine", q.quarantined_pairs, q.requeued, q.job_retries, q.completed, q.submitted,
+        "quarantine",
+        q.quarantined_pairs,
+        q.requeued,
+        q.job_retries,
+        q.completed,
+        q.submitted,
         q.healing.rolled_back,
     );
     rows.push((

@@ -42,7 +42,9 @@
 use lergan_core::{LinkChaos, RecoveryPolicy, RecoveryReport, SelfHealingRuntime, SystemFaults};
 use lergan_gan::Phase;
 use lergan_reram::{FaultMap, WearModel};
-use lergan_serve::job::{batch, batch_seed, job_trainer, poisson_workload, run_standalone, WorkloadSpec};
+use lergan_serve::job::{
+    batch, batch_seed, job_trainer, poisson_workload, run_standalone, WorkloadSpec,
+};
 use lergan_serve::{PlanCache, ServeConfig, ServeReport, ServeRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -327,11 +329,8 @@ pub fn run_campaign(spec: &ChaosSpec, plans: &mut PlanCache) -> CampaignOutcome 
     let gan_spec = plans.spec(spec.topology).clone();
     let mut faults = SystemFaults::none();
     if spec.stuck_rate > 0.0 {
-        *faults.bank_mut(Phase::GForward) = FaultMap::seeded(
-            splitmix(spec.seed ^ 0xFA17),
-            spec.stuck_rate,
-            300_000,
-        );
+        *faults.bank_mut(Phase::GForward) =
+            FaultMap::seeded(splitmix(spec.seed ^ 0xFA17), spec.stuck_rate, 300_000);
     }
     for t in 1..=spec.dead_tiles {
         faults.bank_mut(Phase::GForward).kill_tile(t);
@@ -341,7 +340,13 @@ pub fn run_campaign(spec: &ChaosSpec, plans: &mut PlanCache) -> CampaignOutcome 
     } else {
         WearModel::disabled()
     };
-    match SelfHealingRuntime::new(&gan_spec, job_trainer(spec.seed), faults, spec.policy(), wear) {
+    match SelfHealingRuntime::new(
+        &gan_spec,
+        job_trainer(spec.seed),
+        faults,
+        spec.policy(),
+        wear,
+    ) {
         Err(e) => violations.push(format!("runtime leg unplaceable: {e}")),
         Ok(rt) => {
             let mut rt = match spec.link_chaos() {
@@ -423,7 +428,10 @@ pub fn run_campaign(spec: &ChaosSpec, plans: &mut PlanCache) -> CampaignOutcome 
     let serve = match ServeRuntime::new(spec.serve_config()).run(jobs.clone(), plans) {
         Ok(report) => report,
         Err(e) => {
-            violations.push(format!("{}: serve leg refused the workload: {e}", spec.label));
+            violations.push(format!(
+                "{}: serve leg refused the workload: {e}",
+                spec.label
+            ));
             ServeReport::default()
         }
     };
@@ -433,7 +441,10 @@ pub fn run_campaign(spec: &ChaosSpec, plans: &mut PlanCache) -> CampaignOutcome 
     if serve.stranded > 0 && serve.quarantined_pairs < serve.pairs {
         violations.push(format!(
             "{}: {} jobs stranded with {} of {} pairs still alive",
-            spec.label, serve.stranded, serve.pairs - serve.quarantined_pairs, serve.pairs
+            spec.label,
+            serve.stranded,
+            serve.pairs - serve.quarantined_pairs,
+            serve.pairs
         ));
     }
     for job in &jobs {
@@ -483,9 +494,24 @@ pub fn shrink(spec: &ChaosSpec, mut fails: impl FnMut(&ChaosSpec) -> bool) -> Ch
     // the field is already minimal.
     type Reduction = fn(&ChaosSpec) -> Option<ChaosSpec>;
     let reductions: [Reduction; 12] = [
-        |s| (s.stuck_rate > 0.0).then(|| ChaosSpec { stuck_rate: 0.0, ..s.clone() }),
-        |s| (s.endurance_mean > 0).then(|| ChaosSpec { endurance_mean: 0, ..s.clone() }),
-        |s| (s.dead_tiles > 0).then(|| ChaosSpec { dead_tiles: 0, ..s.clone() }),
+        |s| {
+            (s.stuck_rate > 0.0).then(|| ChaosSpec {
+                stuck_rate: 0.0,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.endurance_mean > 0).then(|| ChaosSpec {
+                endurance_mean: 0,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.dead_tiles > 0).then(|| ChaosSpec {
+                dead_tiles: 0,
+                ..s.clone()
+            })
+        },
         |s| {
             (s.link_flip > 0.0 || s.link_drop > 0.0 || s.link_burst).then(|| ChaosSpec {
                 link_flip: 0.0,
@@ -494,14 +520,54 @@ pub fn shrink(spec: &ChaosSpec, mut fails: impl FnMut(&ChaosSpec) -> bool) -> Ch
                 ..s.clone()
             })
         },
-        |s| s.cripple_pair.then(|| ChaosSpec { cripple_pair: false, ..s.clone() }),
-        |s| (s.tile_kill_cells > 0).then(|| ChaosSpec { tile_kill_cells: 0, ..s.clone() }),
-        |s| (s.rt_steps > 1).then(|| ChaosSpec { rt_steps: s.rt_steps / 2, ..s.clone() }),
-        |s| (s.rt_steps > 1).then(|| ChaosSpec { rt_steps: s.rt_steps - 1, ..s.clone() }),
-        |s| (s.jobs > 1).then(|| ChaosSpec { jobs: s.jobs / 2, ..s.clone() }),
-        |s| (s.jobs > 1).then(|| ChaosSpec { jobs: s.jobs - 1, ..s.clone() }),
-        |s| (s.job_steps > 1).then(|| ChaosSpec { job_steps: s.job_steps / 2, ..s.clone() }),
-        |s| (s.pairs > 1).then(|| ChaosSpec { pairs: s.pairs - 1, ..s.clone() }),
+        |s| {
+            s.cripple_pair.then(|| ChaosSpec {
+                cripple_pair: false,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.tile_kill_cells > 0).then(|| ChaosSpec {
+                tile_kill_cells: 0,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.rt_steps > 1).then(|| ChaosSpec {
+                rt_steps: s.rt_steps / 2,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.rt_steps > 1).then(|| ChaosSpec {
+                rt_steps: s.rt_steps - 1,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.jobs > 1).then(|| ChaosSpec {
+                jobs: s.jobs / 2,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.jobs > 1).then(|| ChaosSpec {
+                jobs: s.jobs - 1,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.job_steps > 1).then(|| ChaosSpec {
+                job_steps: s.job_steps / 2,
+                ..s.clone()
+            })
+        },
+        |s| {
+            (s.pairs > 1).then(|| ChaosSpec {
+                pairs: s.pairs - 1,
+                ..s.clone()
+            })
+        },
     ];
     'outer: loop {
         for reduce in &reductions {

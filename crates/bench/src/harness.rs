@@ -196,7 +196,12 @@ impl Report {
                 if fi > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\n        {}: {}", json_str(&f.label), json_str(&f.value));
+                let _ = write!(
+                    out,
+                    "\n        {}: {}",
+                    json_str(&f.label),
+                    json_str(&f.value)
+                );
             }
             if !s.facts.is_empty() {
                 out.push_str("\n      ");
@@ -515,7 +520,11 @@ mod tests {
                     .fact("Average", "8.92x (paper 7.46x)")
                     .note("one-line commentary"),
             )
-            .section(Section::new().heading("second block").note("tail \"quote\""))
+            .section(
+                Section::new()
+                    .heading("second block")
+                    .note("tail \"quote\""),
+            )
     }
 
     #[test]
@@ -645,11 +654,7 @@ mod tests {
     #[test]
     fn time_pair_calls_each_side_once_per_pair() {
         let (a, b) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
-        let pt = time_pair(
-            Duration::from_millis(1),
-            || slow_call(&a),
-            || slow_call(&b),
-        );
+        let pt = time_pair(Duration::from_millis(1), || slow_call(&a), || slow_call(&b));
         assert_eq!(a.get(), 1 + 1 + PAIRS);
         assert_eq!(b.get(), 1 + 1 + PAIRS);
         assert!(pt.a.min_ns <= pt.a.median_ns && pt.ratio_iqr >= 0.0);

@@ -78,7 +78,10 @@ fn broken_invariant_shrinks_to_a_minimal_seeded_reproducer() {
     // Still a reproducer...
     let mut plans = PlanCache::extended();
     let o = run_campaign(&min, &mut plans);
-    assert!(o.serve.completed > 0, "the shrunk schedule still reproduces");
+    assert!(
+        o.serve.completed > 0,
+        "the shrunk schedule still reproduces"
+    );
     // ...and minimal: one job, one step, one pair, every fault source
     // shed — the broken invariant needs none of the chaos.
     assert_eq!(min.jobs, 1);

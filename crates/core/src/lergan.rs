@@ -667,7 +667,10 @@ mod tests {
         }
         let a = clean.train_iterations(1);
         let b = faulted.train_iterations(1);
-        assert_eq!(a.iteration_latency_ns.to_bits(), b.iteration_latency_ns.to_bits());
+        assert_eq!(
+            a.iteration_latency_ns.to_bits(),
+            b.iteration_latency_ns.to_bits()
+        );
         assert_eq!(a.total_energy_pj.to_bits(), b.total_energy_pj.to_bits());
         assert!(faulted.degradation_report().is_none());
     }

@@ -53,13 +53,11 @@ pub mod zfdr;
 pub use compiler::{CompiledGan, CompilerOptions, Connection, ReshapeScheme};
 pub use fault::{DegradationReport, FaultError, SystemFaults};
 pub use lergan::{BuildError, LerGan, LerGanBuilder, TrainingReport};
+pub use link::{LinkChaos, LinkError, LinkReport, ReliableFabric, TransferOutcome};
 pub use mapping::{MappingError, TileAllocation};
 pub use recovery::{
     DrainedRuntime, IterationFigures, RecoveryError, RecoveryPolicy, RecoveryReport,
     SelfHealingRuntime, StartFailure, StepReport,
-};
-pub use link::{
-    LinkChaos, LinkError, LinkReport, ReliableFabric, TransferOutcome,
 };
 pub use replica::{ReplicaDegree, ReplicaPlan};
 pub use schedule::{LoweredIteration, OpTask, ScheduleContext};

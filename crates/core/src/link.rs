@@ -255,7 +255,9 @@ impl ReliableFabric {
     }
 
     fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, LinkError> {
-        self.pair.route(from, to, mode).map_err(LinkError::Unreachable)
+        self.pair
+            .route(from, to, mode)
+            .map_err(LinkError::Unreachable)
     }
 
     fn rebuild(&mut self) {
@@ -276,7 +278,12 @@ impl ReliableFabric {
         wire.sever_in(&mut self.soft);
         self.streaks.remove(&wire);
         self.report.quarantined_wires += 1;
-        self.push_event(step, time_ns, format!("link {wire}"), FaultEventKind::LinkQuarantined);
+        self.push_event(
+            step,
+            time_ns,
+            format!("link {wire}"),
+            FaultEventKind::LinkQuarantined,
+        );
         self.rebuild();
     }
 
@@ -484,14 +491,13 @@ mod tests {
     #[test]
     fn burst_episode_soft_quarantines_the_flaky_wire_and_reroutes() {
         let (from, to) = endpoints();
-        let transients =
-            TransientFaults::seeded(4, 0.0, 0.0).with_burst(BurstEpisode {
-                wire: None,
-                from_seq: 0,
-                until_seq: u64::MAX,
-                flip_rate: 0.97,
-                drop_rate: 0.0,
-            });
+        let transients = TransientFaults::seeded(4, 0.0, 0.0).with_burst(BurstEpisode {
+            wire: None,
+            from_seq: 0,
+            until_seq: u64::MAX,
+            flip_rate: 0.97,
+            drop_rate: 0.0,
+        });
         let mut f = fabric(transients);
         let mut quarantined = false;
         for step in 0..20 {
@@ -542,7 +548,14 @@ mod tests {
             RecoveryPolicy::default(),
         );
         let err = f
-            .send(Endpoint::tile(0, 0), Endpoint::pair_tile(0, 2, 0), Mode::Cmode, 64, 0, 0.0)
+            .send(
+                Endpoint::tile(0, 0),
+                Endpoint::pair_tile(0, 2, 0),
+                Mode::Cmode,
+                64,
+                0,
+                0.0,
+            )
             .unwrap_err();
         assert!(matches!(err, LinkError::Unreachable(_)));
     }

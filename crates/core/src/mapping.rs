@@ -51,7 +51,10 @@ impl fmt::Display for MappingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MappingError::LayerOutOfRange { layer, layers } => {
-                write!(f, "layer {layer} out of range: phase maps {layers} layer(s)")
+                write!(
+                    f,
+                    "layer {layer} out of range: phase maps {layers} layer(s)"
+                )
             }
             MappingError::NoHealthyTiles {
                 tiles_per_bank,
@@ -115,10 +118,7 @@ impl TileAllocation {
     /// zero — the one way a fault-free bank can still be unmappable. (This
     /// used to panic; a zero-tile configuration now surfaces as the same
     /// typed error the fault-aware path reports.)
-    pub fn for_phase(
-        phase: &CompiledPhase,
-        tiles_per_bank: usize,
-    ) -> Result<Self, MappingError> {
+    pub fn for_phase(phase: &CompiledPhase, tiles_per_bank: usize) -> Result<Self, MappingError> {
         Self::for_phase_avoiding(phase, tiles_per_bank, &BTreeSet::new())
     }
 
@@ -139,9 +139,7 @@ impl TileAllocation {
         tiles_per_bank: usize,
         dead: &BTreeSet<usize>,
     ) -> Result<Self, MappingError> {
-        let survivors: Vec<usize> = (0..tiles_per_bank)
-            .filter(|t| !dead.contains(t))
-            .collect();
+        let survivors: Vec<usize> = (0..tiles_per_bank).filter(|t| !dead.contains(t)).collect();
         if survivors.is_empty() {
             return Err(MappingError::NoHealthyTiles {
                 tiles_per_bank,
@@ -371,8 +369,7 @@ mod tests {
     fn zero_dead_tiles_is_identical_to_fault_free() {
         let phase = dcgan_gforward();
         let clean = TileAllocation::for_phase(&phase, 16).unwrap();
-        let avoided =
-            TileAllocation::for_phase_avoiding(&phase, 16, &BTreeSet::new()).unwrap();
+        let avoided = TileAllocation::for_phase_avoiding(&phase, 16, &BTreeSet::new()).unwrap();
         assert_eq!(clean, avoided);
         assert_eq!(avoided.healthy_tiles(), 16);
         for layer in 0..clean.len() {
@@ -396,7 +393,10 @@ mod tests {
             let r = alloc.range(layer).unwrap();
             for slice in 0..r.count {
                 let t = alloc.tile_for(layer, slice).unwrap();
-                assert!(!dead.contains(&t), "layer {layer} slice {slice} on dead tile {t}");
+                assert!(
+                    !dead.contains(&t),
+                    "layer {layer} slice {slice} on dead tile {t}"
+                );
                 assert!(t < 16);
             }
         }
@@ -466,7 +466,9 @@ mod tests {
     #[test]
     fn shrunken_banks_overflow_earlier() {
         let phase = dcgan_gforward();
-        let demanded = TileAllocation::for_phase(&phase, 16).unwrap().tiles_demanded();
+        let demanded = TileAllocation::for_phase(&phase, 16)
+            .unwrap()
+            .tiles_demanded();
         // Kill tiles until fewer healthy ones remain than the phase needs:
         // the allocation must spill onto extra pairs.
         if demanded >= 2 {

@@ -67,9 +67,9 @@ fn golden() -> Vec<(&'static str, GanSpec, u64, u64)> {
 #[test]
 fn default_reports_are_bit_identical_to_pre_refactor_values() {
     for (name, gan, latency_bits, energy_bits) in golden() {
-        let accel = LerGan::builder(&gan).build().unwrap_or_else(|e| {
-            panic!("{name} should build under the default configuration: {e}")
-        });
+        let accel = LerGan::builder(&gan)
+            .build()
+            .unwrap_or_else(|e| panic!("{name} should build under the default configuration: {e}"));
         let report = accel.train_iterations(1);
         assert_eq!(
             report.iteration_latency_ns.to_bits(),

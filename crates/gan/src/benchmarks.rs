@@ -283,7 +283,9 @@ mod tests {
                 assert!(!net.has_dconv(), "{}", g.name);
                 assert!(net.skips.is_empty(), "{}", g.name);
                 assert!(
-                    net.norms.iter().all(|n| matches!(n, crate::layer::Norm::Legacy)),
+                    net.norms
+                        .iter()
+                        .all(|n| matches!(n, crate::layer::Norm::Legacy)),
                     "{}",
                     g.name
                 );

@@ -252,12 +252,8 @@ fn layer_annotations(net: &NetworkSpec, i: usize) -> String {
 pub fn render_notation(net: &NetworkSpec) -> String {
     let mut parts: Vec<String> = Vec::new();
     let layers = &net.layers;
-    let conv_like = |l: Option<&Layer>| {
-        matches!(
-            l,
-            Some(Layer::Conv(_) | Layer::Tconv(_) | Layer::Dconv(_))
-        )
-    };
+    let conv_like =
+        |l: Option<&Layer>| matches!(l, Some(Layer::Conv(_) | Layer::Tconv(_) | Layer::Dconv(_)));
     let mut i = 0;
     while i < layers.len() {
         match &layers[i] {
@@ -408,12 +404,7 @@ fn parse_token(network: &str, tok: &str, pos: usize) -> Result<Token, ParseTopol
     let err = |m: &str| ParseTopologyError::at(network, tok, pos, m);
     let bytes = tok.as_bytes();
     if bytes.is_empty() {
-        return Err(ParseTopologyError::at(
-            network,
-            "",
-            pos,
-            "empty token",
-        ));
+        return Err(ParseTopologyError::at(network, "", pos, "empty token"));
     }
     // fK / tK (leading letter).
     if bytes[0] == b'f' || bytes[0] == b't' {
@@ -519,9 +510,12 @@ fn parse_conv_suffix(
     let dilation = if spos == s.len() - 1 {
         (1, 1)
     } else {
-        let d = s[spos + 1..]
-            .strip_suffix('d')
-            .ok_or_else(|| err(format!("trailing `{}` is not a `<D>d` dilation", &s[spos + 1..])))?;
+        let d = s[spos + 1..].strip_suffix('d').ok_or_else(|| {
+            err(format!(
+                "trailing `{}` is not a `<D>d` dilation",
+                &s[spos + 1..]
+            ))
+        })?;
         parse_extent(d).ok_or_else(|| err(format!("bad dilation `{d}`")))?
     };
     Ok(ConvSuffix {
@@ -710,8 +704,7 @@ pub fn parse_network(
                 // A `c` token with per-axis structure or dilation > 1 is a
                 // D-CONV; symmetric dilation-1 tokens normalise to the
                 // plain S-CONV layer (bit-identity with the old grammar).
-                let symmetric =
-                    kernel.0 == kernel.1 && stride.0 == stride.1 && dilation == (1, 1);
+                let symmetric = kernel.0 == kernel.1 && stride.0 == stride.1 && dilation == (1, 1);
                 let layer = if transposed {
                     let (kernel, stride) = (kernel.0, stride.0);
                     let geometry = TconvGeometry::for_target(sin, kernel, stride, sout)
@@ -1244,8 +1237,8 @@ mod tests {
 
     #[test]
     fn skip_edges_resolve_and_validate() {
-        let net = parse_network("skip", "(3c-32c)(3k1s)-32c3k1s+2-32c3k1s-32c3k1s-f1", 2, 32)
-            .unwrap();
+        let net =
+            parse_network("skip", "(3c-32c)(3k1s)-32c3k1s+2-32c3k1s-32c3k1s-f1", 2, 32).unwrap();
         assert_eq!(net.skips, vec![SkipEdge { from: 2, to: 4 }]);
         // Channel mismatch between skip source output and target input.
         let e = parse_network("skip", "(3c-32c)(3k1s)-32c3k1s+2-32c3k1s-64c3k1s-f1", 2, 32)
@@ -1258,8 +1251,13 @@ mod tests {
 
     #[test]
     fn norm_tags_attach_per_layer() {
-        let net = parse_network("norm", "(3c-32c)(3k1s)-32c3k1sbn-32c3k1spn-32c3k1snn-f1", 2, 32)
-            .unwrap();
+        let net = parse_network(
+            "norm",
+            "(3c-32c)(3k1s)-32c3k1sbn-32c3k1spn-32c3k1snn-f1",
+            2,
+            32,
+        )
+        .unwrap();
         assert_eq!(
             net.norms,
             vec![

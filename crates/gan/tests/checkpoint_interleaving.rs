@@ -109,7 +109,10 @@ fn alternating_jobs_on_one_trainer_match_dedicated_runs_bit_exactly() {
     }
     assert_eq!(a.ckpt, *ref_a.last().unwrap());
     assert_eq!(b.ckpt, *ref_b.last().unwrap());
-    assert_ne!(a.ckpt, b.ckpt, "distinct seeds must yield distinct trajectories");
+    assert_ne!(
+        a.ckpt, b.ckpt,
+        "distinct seeds must yield distinct trajectories"
+    );
 }
 
 #[test]
@@ -132,8 +135,16 @@ fn irregular_interleaving_orders_do_not_change_either_trajectory() {
     }
     assert_eq!(a.steps_done, steps_a);
     assert_eq!(b.steps_done, steps_b);
-    assert_eq!(a.ckpt, *ref_a.last().unwrap(), "job A sensitive to schedule");
-    assert_eq!(b.ckpt, *ref_b.last().unwrap(), "job B sensitive to schedule");
+    assert_eq!(
+        a.ckpt,
+        *ref_a.last().unwrap(),
+        "job A sensitive to schedule"
+    );
+    assert_eq!(
+        b.ckpt,
+        *ref_b.last().unwrap(),
+        "job B sensitive to schedule"
+    );
 }
 
 #[test]
@@ -152,7 +163,11 @@ fn stored_checkpoints_do_not_alias_the_live_trainer() {
         shared.train_step(&batch(&mut data));
     }
     assert_eq!(snapshot, frozen, "snapshot mutated by later training");
-    assert_ne!(shared.checkpoint(), snapshot, "training must move the live state");
+    assert_ne!(
+        shared.checkpoint(),
+        snapshot,
+        "training must move the live state"
+    );
 
     // Restoring rewinds the live trainer onto the stored bytes exactly.
     shared.restore(&snapshot).unwrap();

@@ -70,9 +70,12 @@ fn tconv_useful_macs_by_im2col(geom: &lergan_tensor::TconvGeometry) -> u128 {
     let expanded = expand_tconv_input(&ones, geom);
     let e = expanded.shape()[1];
     // The T-CONV over the expanded plane is a stride-1, pad-0 S-CONV.
-    let sconv = SconvGeometry::new(e, geom.kernel, 1, 0)
-        .expect("expanded plane admits the stride-1 conv");
-    assert_eq!(sconv.output, geom.output, "expansion reproduces the output extent");
+    let sconv =
+        SconvGeometry::new(e, geom.kernel, 1, 0).expect("expanded plane admits the stride-1 conv");
+    assert_eq!(
+        sconv.output, geom.output,
+        "expansion reproduces the output extent"
+    );
     let cols = im2col(&expanded, &sconv);
     cols.data().iter().filter(|&&v| v != 0.0).count() as u128
 }
@@ -113,8 +116,7 @@ fn useful_mac_counts_match_materialised_im2col_zeros() {
         for op in graph.ops() {
             match &op.workload.kind {
                 WorkloadKind::TconvInput(geom) => {
-                    let pair =
-                        op.workload.in_channels as u128 * op.workload.out_channels as u128;
+                    let pair = op.workload.in_channels as u128 * op.workload.out_channels as u128;
                     let per_pair = tconv_useful_macs_by_im2col(geom);
                     assert_eq!(
                         op.workload.macs_useful,
@@ -140,8 +142,7 @@ fn useful_mac_counts_match_materialised_im2col_zeros() {
                     assert!(op.workload.macs_useful <= op.workload.macs_dense);
                 }
                 WorkloadKind::DconvKernel(geom) => {
-                    let pair =
-                        op.workload.in_channels as u128 * op.workload.out_channels as u128;
+                    let pair = op.workload.in_channels as u128 * op.workload.out_channels as u128;
                     assert_eq!(
                         op.workload.macs_useful,
                         pair * dconv_useful_macs_by_im2col(geom),
@@ -198,13 +199,13 @@ fn random_gan() -> impl Strategy<Value = GanSpec> {
 /// discriminator whose dilated block may use an asymmetric `3x5` kernel.
 fn random_extended_gan() -> impl Strategy<Value = GanSpec> {
     (
-        1usize..4,  // latent units (×100)
-        0usize..2,  // generator head channels log
-        0usize..3,  // block channels log
-        2usize..4,  // dilation
-        0usize..4,  // norm tag
-        0usize..2,  // asymmetric discriminator kernel
-        0usize..2,  // item extent log
+        1usize..4, // latent units (×100)
+        0usize..2, // generator head channels log
+        0usize..3, // block channels log
+        2usize..4, // dilation
+        0usize..4, // norm tag
+        0usize..2, // asymmetric discriminator kernel
+        0usize..2, // item extent log
     )
         .prop_filter_map(
             "extended topology parses and maps",
@@ -220,9 +221,7 @@ fn random_extended_gan() -> impl Strategy<Value = GanSpec> {
                         "{}f-{a}t4k2s-{b}c3k1s{dil}d{norm}+2-{b}c3k1s-{b}c3k1s-t3",
                         100 * z
                     ),
-                    &format!(
-                        "3c4k2s-{b}c{kern}k1s{dil}d{norm}+2-{b}c3k1s-{b}c3k1s-{a}c4k2s-f1"
-                    ),
+                    &format!("3c4k2s-{b}c{kern}k1s{dil}d{norm}+2-{b}c3k1s-{b}c3k1s-{a}c4k2s-f1"),
                     &[item, item],
                 )
                 .ok()
@@ -235,7 +234,11 @@ fn seed_input(net: &lergan_gan::NetworkSpec) -> Tensor {
     let first = &net.layers[0];
     let shape: Vec<usize> = match first {
         lergan_gan::Layer::Fc(f) => vec![f.in_units],
-        _ => vec![first.fan_in_channels(), first.in_spatial(), first.in_spatial()],
+        _ => vec![
+            first.fan_in_channels(),
+            first.in_spatial(),
+            first.in_spatial(),
+        ],
     };
     let len: usize = shape.iter().product();
     let data: Vec<f32> = (0..len)

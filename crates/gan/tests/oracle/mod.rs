@@ -24,8 +24,8 @@ use lergan_gan::train::{tree_reduce_in_place, GanCheckpoint, LayerState, UpdateR
 use lergan_gan::NetworkSpec;
 use lergan_tensor::conv::{tconv_forward_zero_insert, Conv2d};
 use lergan_tensor::dconv::{dconv_zero_insertion, im2col_dconv};
-use lergan_tensor::zero_insert::expand_tconv_input;
 use lergan_tensor::tensor::mmv;
+use lergan_tensor::zero_insert::expand_tconv_input;
 use lergan_tensor::{DconvGeometry, TconvGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,15 +174,36 @@ impl Param {
 
 /// One layer of the oracle stack with its single-sample caches.
 enum Kind {
-    Dense { input: Tensor },
-    Conv { op: Conv2d, input: Tensor },
-    Tconv { geom: TconvGeometry, expanded: Tensor },
-    Dconv { geom: DconvGeometry, cols: Tensor },
+    Dense {
+        input: Tensor,
+    },
+    Conv {
+        op: Conv2d,
+        input: Tensor,
+    },
+    Tconv {
+        geom: TconvGeometry,
+        expanded: Tensor,
+    },
+    Dconv {
+        geom: DconvGeometry,
+        cols: Tensor,
+    },
     BatchNorm(BatchNormState),
-    PixelNorm { normalized: Tensor, inv_norm: Vec<f32> },
-    LeakyRelu { input: Tensor },
-    Tanh { output: Tensor },
-    Reshape { from: Vec<usize>, to: Vec<usize> },
+    PixelNorm {
+        normalized: Tensor,
+        inv_norm: Vec<f32>,
+    },
+    LeakyRelu {
+        input: Tensor,
+    },
+    Tanh {
+        output: Tensor,
+    },
+    Reshape {
+        from: Vec<usize>,
+        to: Vec<usize>,
+    },
 }
 
 struct BatchNormState {
@@ -403,13 +424,16 @@ impl OracleLayer {
                     dgamma[ci] = sum_dy_norm;
                     let inv_std = bn.inv_std[ci];
                     for p in 0..plane {
-                        din[ci * plane + p] = gamma[ci] * inv_std / n
-                            * (n * gp[p] - sum_dy - np[p] * sum_dy_norm);
+                        din[ci * plane + p] =
+                            gamma[ci] * inv_std / n * (n * gp[p] - sum_dy - np[p] * sum_dy_norm);
                     }
                 }
                 (
                     Tensor::from_vec(normalized.shape(), din),
-                    vec![Tensor::from_vec(&[c], dgamma), Tensor::from_vec(&[c], dbeta)],
+                    vec![
+                        Tensor::from_vec(&[c], dgamma),
+                        Tensor::from_vec(&[c], dbeta),
+                    ],
                 )
             }
             Kind::PixelNorm {
@@ -449,8 +473,14 @@ impl OracleLayer {
                 let c = bn.running_mean.len();
                 s.push("gamma", self.params[0].value.clone());
                 s.push("beta", self.params[1].value.clone());
-                s.push("running_mean", Tensor::from_vec(&[c], bn.running_mean.clone()));
-                s.push("running_var", Tensor::from_vec(&[c], bn.running_var.clone()));
+                s.push(
+                    "running_mean",
+                    Tensor::from_vec(&[c], bn.running_mean.clone()),
+                );
+                s.push(
+                    "running_var",
+                    Tensor::from_vec(&[c], bn.running_var.clone()),
+                );
                 self.params[0].moments.save("opt_gamma", &mut s);
                 self.params[1].moments.save("opt_beta", &mut s);
             }
@@ -508,7 +538,10 @@ impl OracleStack {
                     let g = c.geometry;
                     let op = Conv2d::new(c.in_channels, c.out_channels, g.kernel, g.stride, g.pad)
                         .expect("valid geometry");
-                    layers.push(OracleLayer::weighted(Kind::Conv { op, input: empty() }, state));
+                    layers.push(OracleLayer::weighted(
+                        Kind::Conv { op, input: empty() },
+                        state,
+                    ));
                 }
                 Layer::Tconv(t) => layers.push(OracleLayer::weighted(
                     Kind::Tconv {
@@ -562,7 +595,11 @@ impl OracleStack {
                 layers.push(OracleLayer::stateless(Kind::LeakyRelu { input: empty() }));
             }
         }
-        assert_eq!(layers.len(), states.len(), "oracle and library stacks differ");
+        assert_eq!(
+            layers.len(),
+            states.len(),
+            "oracle and library stacks differ"
+        );
         let skips: Vec<(usize, usize)> = spec
             .skips
             .iter()

@@ -265,13 +265,14 @@ impl TransientFaults {
                 return TransientOutcome::Dropped { wire };
             }
             if flip > 0.0 && self.unit(wire, seq, attempt, 0xF11F) < flip {
-                let bits = 1 + (splitmix(
-                    self.seed
-                        .wrapping_add(wire.key())
-                        .wrapping_add(seq)
-                        .wrapping_add(u64::from(attempt) << 17)
-                        .wrapping_add(0xB175),
-                ) % 3) as u32;
+                let bits = 1
+                    + (splitmix(
+                        self.seed
+                            .wrapping_add(wire.key())
+                            .wrapping_add(seq)
+                            .wrapping_add(u64::from(attempt) << 17)
+                            .wrapping_add(0xB175),
+                    ) % 3) as u32;
                 return TransientOutcome::Corrupted {
                     wire,
                     flipped_bits: bits,
@@ -437,7 +438,11 @@ mod tests {
     fn wired_route() -> Route {
         // Bank 0 → bank 2 on one side crosses two vertical added wires.
         DcuPair::new(&NocConfig::default())
-            .route(Endpoint::tile(0, 0), Endpoint::pair_tile(0, 2, 0), Mode::Cmode)
+            .route(
+                Endpoint::tile(0, 0),
+                Endpoint::pair_tile(0, 2, 0),
+                Mode::Cmode,
+            )
             .unwrap()
     }
 

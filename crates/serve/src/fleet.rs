@@ -237,9 +237,9 @@ impl Pair {
         // Layer the transient-link hazard on, reseeded per pair so each
         // pair's flakiness develops independently from one fleet spec.
         let mut rt = match self.link {
-            Some(chaos) if !chaos.is_quiet() => rt.with_link(
-                chaos.transients((self.id as u64).wrapping_mul(0xA5A5_5A5A_D00D_F00D)),
-            ),
+            Some(chaos) if !chaos.is_quiet() => {
+                rt.with_link(chaos.transients((self.id as u64).wrapping_mul(0xA5A5_5A5A_D00D_F00D)))
+            }
             _ => rt,
         };
         let mut rng = StdRng::seed_from_u64(batch_seed(job.seed));
@@ -340,8 +340,13 @@ mod tests {
             .count();
         assert!(broken_after_first > 0, "drained faults persist on the pair");
 
-        pair.start(job(1, 10), first.finish_ns, &mut plans, &RecoveryPolicy::default())
-            .unwrap();
+        pair.start(
+            job(1, 10),
+            first.finish_ns,
+            &mut plans,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         let second = pair.running.take().unwrap();
         let broken_after_second = pair
             .faults
@@ -381,8 +386,14 @@ mod tests {
             "{:?}",
             run.result
         );
-        assert_eq!(run.finish_ns, 0.0, "an instant death charges no service time");
-        assert_eq!(pair.faults, original, "a job that cannot start leaves the hardware as it was");
+        assert_eq!(
+            run.finish_ns, 0.0,
+            "an instant death charges no service time"
+        );
+        assert_eq!(
+            pair.faults, original,
+            "a job that cannot start leaves the hardware as it was"
+        );
     }
 
     #[test]

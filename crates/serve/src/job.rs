@@ -107,7 +107,10 @@ pub struct WorkloadSpec {
 /// move because of *load*, not because of resampled randomness).
 pub fn poisson_workload(w: &WorkloadSpec) -> Vec<JobSpec> {
     assert!(w.rate_jobs_per_s > 0.0, "arrival rate must be positive");
-    assert!(!w.topologies.is_empty(), "workload needs at least one topology");
+    assert!(
+        !w.topologies.is_empty(),
+        "workload needs at least one topology"
+    );
     assert!(w.tenants > 0, "workload needs at least one tenant");
     let rate_per_ns = w.rate_jobs_per_s / 1e9;
     let mut rng = StdRng::seed_from_u64(w.seed);

@@ -196,11 +196,18 @@ mod tests {
     fn figures_are_memoised_with_the_plan_and_count_no_hit() {
         let mut cache = PlanCache::table_v();
         let first = cache.figures(0).unwrap();
-        assert_eq!((cache.misses(), cache.hits()), (1, 0), "the first lookup compiles");
+        assert_eq!(
+            (cache.misses(), cache.hits()),
+            (1, 0),
+            "the first lookup compiles"
+        );
         assert_eq!(cache.figures(0).unwrap(), first);
         assert_eq!(cache.hits(), 0, "a figures lookup is not a plan reuse");
         assert_eq!(first, IterationFigures::of(&cache.plan(0).unwrap()));
-        assert_eq!(first.iteration_ns.to_bits(), cache.iteration_ns(0).unwrap().to_bits());
+        assert_eq!(
+            first.iteration_ns.to_bits(),
+            cache.iteration_ns(0).unwrap().to_bits()
+        );
     }
 
     #[test]

@@ -74,7 +74,11 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Build(e) => write!(f, "plan build failed: {e}"),
-            ServeError::UnknownTopology { job, topology, known } => write!(
+            ServeError::UnknownTopology {
+                job,
+                topology,
+                known,
+            } => write!(
                 f,
                 "job {job} references topology {topology}, but only {known} are registered"
             ),
@@ -310,7 +314,11 @@ impl ServeRuntime {
             // 2. Retry timers that matured: back into the queue's front.
             // (total_cmp: ready times are arrival + finite backoff, and a
             // total order cannot abort regardless.)
-            retries.sort_by(|a, b| a.ready_ns.total_cmp(&b.ready_ns).then(a.job.id.cmp(&b.job.id)));
+            retries.sort_by(|a, b| {
+                a.ready_ns
+                    .total_cmp(&b.ready_ns)
+                    .then(a.job.id.cmp(&b.job.id))
+            });
             while retries.first().is_some_and(|r| r.ready_ns <= now) {
                 let r = retries.remove(0);
                 queue.readmit(r.job);
@@ -343,8 +351,8 @@ impl ServeRuntime {
                 || !retries.is_empty()
                 || next_arrival < jobs.len();
             if !live {
-                let leftover = queue.len() as u64
-                    + pairs.iter().map(|p| p.assigned.len() as u64).sum::<u64>();
+                let leftover =
+                    queue.len() as u64 + pairs.iter().map(|p| p.assigned.len() as u64).sum::<u64>();
                 if leftover > 0 {
                     // Only possible when every pair is quarantined: the
                     // work is stranded, loudly.
@@ -430,10 +438,11 @@ impl ServeRuntime {
             JobRunResult::Finished { checkpoint } => {
                 report.completed += 1;
                 pairs[i].jobs_completed += 1;
-                report
-                    .latencies_ns
-                    .push(run.finish_ns - run.job.arrival_ns);
-                if deadlines.get(&run.job.id).is_some_and(|d| run.finish_ns > *d) {
+                report.latencies_ns.push(run.finish_ns - run.job.arrival_ns);
+                if deadlines
+                    .get(&run.job.id)
+                    .is_some_and(|d| run.finish_ns > *d)
+                {
                     report.deadline_misses += 1;
                 }
                 report.outcomes.insert(run.job.id, checkpoint);
@@ -448,8 +457,7 @@ impl ServeRuntime {
                     queue.release(run.job.tenant);
                 } else {
                     report.job_retries += 1;
-                    let backoff =
-                        self.cfg.recovery.backoff_ns(*a) * self.cfg.retry_backoff_scale;
+                    let backoff = self.cfg.recovery.backoff_ns(*a) * self.cfg.retry_backoff_scale;
                     retries.push(PendingRetry {
                         ready_ns: run.finish_ns + backoff,
                         job: run.job,

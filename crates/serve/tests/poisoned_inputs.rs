@@ -34,10 +34,7 @@ fn empty_fleet_is_a_typed_error_not_an_abort() {
 fn nan_arrival_is_rejected_with_the_job_id() {
     let mut plans = PlanCache::table_v();
     let err = ServeRuntime::new(ServeConfig::pristine(2))
-        .run(
-            vec![job(0, 0, 0.0), job(1, 0, f64::NAN)],
-            &mut plans,
-        )
+        .run(vec![job(0, 0, 0.0), job(1, 0, f64::NAN)], &mut plans)
         .unwrap_err();
     assert!(
         matches!(err, ServeError::InvalidArrival { job: 1 }),

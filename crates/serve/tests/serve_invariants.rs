@@ -50,7 +50,10 @@ fn zero_fault_serve_is_bit_identical_to_standalone() {
     let report = ServeRuntime::new(ServeConfig::pristine(2))
         .run(jobs.clone(), &mut plans)
         .unwrap();
-    assert_eq!(report.completed, 8, "low-load pristine fleet finishes everything");
+    assert_eq!(
+        report.completed, 8,
+        "low-load pristine fleet finishes everything"
+    );
     assert_eq!(report.shed_total(), 0);
     assert_eq!(report.failed + report.stranded, 0);
     report.check_conservation().unwrap();
@@ -165,7 +168,10 @@ fn quarantine_readmits_queued_jobs_and_drops_nothing() {
         .run(workload(10, 12, rate, None), &mut plans)
         .unwrap();
     report.check_conservation().unwrap();
-    assert!(report.quarantined_pairs >= 1, "the crippled pair must retire: {report:?}");
+    assert!(
+        report.quarantined_pairs >= 1,
+        "the crippled pair must retire: {report:?}"
+    );
     assert!(
         report.requeued >= 1,
         "its queued jobs must be evacuated, not dropped: {report:?}"
@@ -177,7 +183,10 @@ fn quarantine_readmits_queued_jobs_and_drops_nothing() {
         report.submitted,
         "every admitted job finished: {report:?}"
     );
-    assert!(report.healing.rolled_back >= 1, "quarantine was earned: {report:?}");
+    assert!(
+        report.healing.rolled_back >= 1,
+        "quarantine was earned: {report:?}"
+    );
 }
 
 #[test]
@@ -195,7 +204,10 @@ fn dead_pair_triggers_the_retry_ladder_and_jobs_still_finish() {
         .run(workload(6, 4, rate, None), &mut plans)
         .unwrap();
     report.check_conservation().unwrap();
-    assert!(report.job_retries >= 1, "the dead pair must kill at least one job: {report:?}");
+    assert!(
+        report.job_retries >= 1,
+        "the dead pair must kill at least one job: {report:?}"
+    );
     assert_eq!(report.quarantined_pairs, 1);
     assert_eq!(report.failed, 0, "retried jobs finish on the healthy pair");
     assert_eq!(report.stranded, 0);
@@ -221,7 +233,10 @@ fn deadline_misses_are_counted_without_dropping_jobs() {
         .run(workload(12, 4, rate, Some(1.5)), &mut plans)
         .unwrap();
     report.check_conservation().unwrap();
-    assert!(report.deadline_misses > 0, "overload must miss deadlines: {report:?}");
+    assert!(
+        report.deadline_misses > 0,
+        "overload must miss deadlines: {report:?}"
+    );
     assert_eq!(report.completed + report.shed_total(), report.submitted);
 }
 
@@ -247,7 +262,10 @@ fn mixed_table_v_and_extended_workload_conserves_jobs() {
         .run(jobs.clone(), &mut plans)
         .unwrap();
     report.check_conservation().unwrap();
-    assert_eq!(report.completed, 9, "low-load pristine fleet finishes the mix");
+    assert_eq!(
+        report.completed, 9,
+        "low-load pristine fleet finishes the mix"
+    );
     assert_eq!(report.shed_total(), 0);
     assert_eq!(report.failed + report.stranded, 0);
     assert_eq!(

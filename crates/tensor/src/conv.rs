@@ -460,7 +460,8 @@ mod tests {
         // The flat-indexed scatter must be bit-identical to the original
         // multi-index transcription of the defining sum, at every thread
         // count.
-        for (ic_n, oc_n, k, s, p, ie) in [(2, 3, 3, 2, 1, 6), (3, 2, 5, 2, 2, 8), (1, 4, 4, 2, 1, 16)]
+        for (ic_n, oc_n, k, s, p, ie) in
+            [(2, 3, 3, 2, 1, 6), (3, 2, 5, 2, 2, 8), (1, 4, 4, 2, 1, 16)]
         {
             let conv = Conv2d::new(ic_n, oc_n, k, s, p).unwrap();
             let geom = conv.geometry(ie);
@@ -486,8 +487,7 @@ mod tests {
                     }
                 }
             }
-            let reference =
-                Tensor::from_fn(&[ic_n, ie, ie], |i| dpad[&[i[0], i[1] + p, i[2] + p]]);
+            let reference = Tensor::from_fn(&[ic_n, ie, ie], |i| dpad[&[i[0], i[1] + p, i[2] + p]]);
             for threads in [1, 2, 8] {
                 let got = crate::parallel::with_threads(threads, || conv.input_grad(&dout, &w, ie));
                 assert_eq!(got.shape(), reference.shape());

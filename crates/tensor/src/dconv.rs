@@ -33,7 +33,11 @@ use crate::tensor::Tensor;
 /// Panics if the weight shape disagrees with the geometry.
 pub fn expand_dilated_kernel(weights: &Tensor, geom: &DconvGeometry) -> Tensor {
     let (kh, kw) = (geom.rows.kernel, geom.cols.kernel);
-    assert_eq!(weights.shape().len(), 4, "expected [OC, IC, Kh, Kw] weights");
+    assert_eq!(
+        weights.shape().len(),
+        4,
+        "expected [OC, IC, Kh, Kw] weights"
+    );
     assert_eq!(weights.shape()[2], kh, "kernel row count mismatch");
     assert_eq!(weights.shape()[3], kw, "kernel col count mismatch");
     let (oc, ic) = (weights.shape()[0], weights.shape()[1]);
@@ -61,15 +65,27 @@ pub fn expand_dilated_kernel(weights: &Tensor, geom: &DconvGeometry) -> Tensor {
 /// Panics on shape or buffer-length mismatch.
 pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) {
     assert_eq!(input.shape().len(), 3, "im2col expects [C, H, W]");
-    assert_eq!(input.shape()[1], geom.rows.input, "input row extent mismatch");
-    assert_eq!(input.shape()[2], geom.cols.input, "input col extent mismatch");
+    assert_eq!(
+        input.shape()[1],
+        geom.rows.input,
+        "input row extent mismatch"
+    );
+    assert_eq!(
+        input.shape()[2],
+        geom.cols.input,
+        "input col extent mismatch"
+    );
     let c = input.shape()[0];
     let (eh, ew) = (geom.rows.effective_kernel(), geom.cols.effective_kernel());
     let (oh, ow) = (geom.rows.output, geom.cols.output);
     let (h, w) = (geom.rows.input, geom.cols.input);
     let (sh, sw) = (geom.rows.stride, geom.cols.stride);
     let (ph, pw) = (geom.rows.pad, geom.cols.pad);
-    assert_eq!(out.len(), c * eh * ew * oh * ow, "im2col buffer length mismatch");
+    assert_eq!(
+        out.len(),
+        c * eh * ew * oh * ow,
+        "im2col buffer length mismatch"
+    );
     let data = input.data();
     for ci in 0..c {
         for ky in 0..eh {
@@ -86,7 +102,11 @@ pub fn im2col_dconv_into(input: &Tensor, geom: &DconvGeometry, out: &mut [f32]) 
                     let irow = &data[ci * h * w + (y - ph) * w..ci * h * w + (y - ph + 1) * w];
                     for (ox, slot) in dst.iter_mut().enumerate() {
                         let x = ox * sw + kx;
-                        *slot = if x < pw || x >= pw + w { 0.0 } else { irow[x - pw] };
+                        *slot = if x < pw || x >= pw + w {
+                            0.0
+                        } else {
+                            irow[x - pw]
+                        };
                     }
                 }
             }
@@ -171,7 +191,8 @@ mod tests {
                         f32::from(u8::from(i[1..] == [ci, jy, jx]))
                     });
                     let out = plan.forward(&input, &hot);
-                    let drow = ci * eh * ew + (jy * geom.rows.dilation) * ew + jx * geom.cols.dilation;
+                    let drow =
+                        ci * eh * ew + (jy * geom.rows.dilation) * ew + jx * geom.cols.dilation;
                     assert_eq!(
                         out.data(),
                         &dense.data()[drow * positions..(drow + 1) * positions],

@@ -593,9 +593,18 @@ impl DconvGeometry {
     }
 
     /// Square geometry: both axes share every parameter.
-    pub fn square(input: usize, kernel: usize, stride: usize, dilation: usize, pad: usize) -> Option<Self> {
+    pub fn square(
+        input: usize,
+        kernel: usize,
+        stride: usize,
+        dilation: usize,
+        pad: usize,
+    ) -> Option<Self> {
         let axis = DconvAxis::new(input, kernel, stride, dilation, pad)?;
-        Some(DconvGeometry { rows: axis, cols: axis })
+        Some(DconvGeometry {
+            rows: axis,
+            cols: axis,
+        })
     }
 
     /// Whether the two axes are identical — the precondition for the
@@ -807,7 +816,10 @@ mod tests {
         assert_eq!(d.effective_kernel(), 5);
         // Dense == useful when nothing is inserted and padding is absent.
         let nopad = DconvAxis::new(8, 3, 1, 1, 0).unwrap();
-        assert_eq!(nopad.useful_row_weight_sum(), nopad.dense_row_weight_count());
+        assert_eq!(
+            nopad.useful_row_weight_sum(),
+            nopad.dense_row_weight_count()
+        );
     }
 
     #[test]
@@ -838,7 +850,11 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(a.useful_row_weight_sum(), count, "axis ({i},{k},{s},{d},{p})");
+            assert_eq!(
+                a.useful_row_weight_sum(),
+                count,
+                "axis ({i},{k},{s},{d},{p})"
+            );
         }
     }
 

@@ -750,7 +750,15 @@ fn gemm_nt_rows_direct(orows: &mut [f32], row0: usize, a: &[f32], k: usize, n: u
 /// across workers (disjoint rows, full reduction per element —
 /// bit-identical for every thread count) and runs the blocked driver on
 /// each range.
-fn run_packed(m: usize, k: usize, n: usize, a: &[f32], src: PackSrc<'_>, out: &mut [f32], strategy: Strategy) {
+fn run_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    src: PackSrc<'_>,
+    out: &mut [f32],
+    strategy: Strategy,
+) {
     debug_assert!(m > 0 && k > 0 && n > 0);
     let use_simd = strategy == Strategy::PackedSimd && dispatch::simd_available();
     let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
@@ -930,7 +938,9 @@ mod tests {
     fn det(shape: &[usize]) -> Tensor {
         let mut state = 0x9e3779b97f4a7c15u64;
         Tensor::from_fn(shape, |_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((state >> 40) as f64 / (1u64 << 24) as f64) as f32 - 0.5
         })
     }
@@ -969,8 +979,7 @@ mod tests {
             let r = gemm_ref(&a, &b);
             for forced in ALL_FORCED {
                 for threads in [1, 2, 8] {
-                    let got =
-                        with_strategy(forced, || with_threads(threads, || gemm(&a, &b)));
+                    let got = with_strategy(forced, || with_threads(threads, || gemm(&a, &b)));
                     assert_eq!(
                         got.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                         r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

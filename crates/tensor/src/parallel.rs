@@ -284,8 +284,7 @@ pub fn for_each_chunk_mut<T: Send>(
         let take = chunk.min(len - start);
         // SAFETY: chunks `[start, start + take)` are disjoint across worker
         // indices and within the live `&mut [T]` borrow held by this frame.
-        let part =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), take) };
+        let part = unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), take) };
         f(start, part);
     };
     pool_run(threads, &g);
@@ -330,8 +329,7 @@ pub fn for_each_unit_chunk_mut<T: Send>(
         let take = (chunk_units * unit).min(len - start);
         // SAFETY: unit-aligned chunks are disjoint across worker indices
         // and within the live `&mut [T]` borrow held by this frame.
-        let part =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), take) };
+        let part = unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), take) };
         f(start / unit, part);
     };
     pool_run(threads, &g);

@@ -173,7 +173,9 @@ fn steady_state_batched_step_is_alloc_free_at_eight_threads() {
         let d = build_trainable_with(&disc_spec, false, false, &mut rng);
         let mut gan = Gan::new(g, d, 8, 0.01, 4).with_optimizer(UpdateRule::dcgan_adam(0.01));
         let reals = lergan::gan::train::pack_batch(
-            &(0..8).map(|_| Tensor::filled(&[1, 16, 16], 0.5)).collect::<Vec<_>>(),
+            &(0..8)
+                .map(|_| Tensor::filled(&[1, 16, 16], 0.5))
+                .collect::<Vec<_>>(),
         );
 
         // Two warmup steps: the first fills pools and caches on whichever
@@ -220,7 +222,9 @@ fn extended_grammar_gan_steps_are_alloc_free_at_one_and_eight_threads() {
             let d = build_trainable_with(&disc_spec, false, false, &mut rng);
             let mut gan = Gan::new(g, d, 8, 0.01, 6).with_optimizer(UpdateRule::dcgan_adam(0.01));
             let reals = lergan::gan::train::pack_batch(
-                &(0..8).map(|_| Tensor::filled(&[1, 8, 8], 0.5)).collect::<Vec<_>>(),
+                &(0..8)
+                    .map(|_| Tensor::filled(&[1, 8, 8], 0.5))
+                    .collect::<Vec<_>>(),
             );
 
             // Two warmup steps, as for the batched DCGAN above.

@@ -193,18 +193,27 @@ fn stuck_at_sweep_matches_its_pinned_values() {
     // (rate, stuck before programming, pulses, quarantined, unprogrammable,
     //  degraded latency ns, slowdown, energy overhead)
     let pinned = [
-        (0.0, 0, 1_072_723, 56, 56, "31475689", "1.000000", "1.000000"),
-        (0.001, 1045, 1_071_651, 55, 689, "31639556", "1.005206", "1.001174"),
-        (0.01, 10481, 1_062_012, 54, 6474, "31639556", "1.005206", "1.001174"),
+        (
+            0.0, 0, 1_072_723, 56, 56, "31475689", "1.000000", "1.000000",
+        ),
+        (
+            0.001, 1045, 1_071_651, 55, 689, "31639556", "1.005206", "1.001174",
+        ),
+        (
+            0.01, 10481, 1_062_012, 54, 6474, "31639556", "1.005206", "1.001174",
+        ),
     ];
     for (rate, stuck, pulses, quarantined, unprogrammable, latency, slowdown, energy) in pinned {
         let seeded = FaultMap::seeded(0xFA11_5EED, rate, cells);
         assert_eq!(seeded.stuck_cells(), stuck, "rate {rate}");
         let mut map = seeded.clone();
-        let report =
-            map.program_matrix(&weights, &cfg, &WritePolicy::with_fail_rate(0.02, 0xBEEF));
+        let report = map.program_matrix(&weights, &cfg, &WritePolicy::with_fail_rate(0.02, 0xBEEF));
         assert_eq!(
-            (report.attempts, report.newly_stuck, report.failed_cells.len()),
+            (
+                report.attempts,
+                report.newly_stuck,
+                report.failed_cells.len()
+            ),
             (pulses, quarantined, unprogrammable),
             "rate {rate}: programming cost"
         );
@@ -248,17 +257,40 @@ fn recovery_slowdown_never_beats_the_clean_baseline() {
     let default_kill = RecoveryPolicy::default().tile_kill_cells;
     let scenarios: [(&str, WearModel, f64, usize, usize); 5] = [
         ("no_wear", WearModel::disabled(), 0.0, 0, default_kill),
-        ("mild_wear", WearModel::new(25, 1.5, 0xD1E), 0.0, 0, default_kill),
-        ("harsh_wear", WearModel::new(15, 1.3, 0xFEED), 0.0, 0, default_kill),
-        ("dirty_bank", WearModel::new(10, 1.2, 0xACE), 0.0005, 0, default_kill),
-        ("no_spare_tiles", WearModel::new(10, 1.2, 0xACE), 0.0, 14, 64),
+        (
+            "mild_wear",
+            WearModel::new(25, 1.5, 0xD1E),
+            0.0,
+            0,
+            default_kill,
+        ),
+        (
+            "harsh_wear",
+            WearModel::new(15, 1.3, 0xFEED),
+            0.0,
+            0,
+            default_kill,
+        ),
+        (
+            "dirty_bank",
+            WearModel::new(10, 1.2, 0xACE),
+            0.0005,
+            0,
+            default_kill,
+        ),
+        (
+            "no_spare_tiles",
+            WearModel::new(10, 1.2, 0xACE),
+            0.0,
+            14,
+            64,
+        ),
     ];
     for (label, wear, stuck_rate, dead_tiles, tile_kill_cells) in scenarios {
         let run = || {
             let mut faults = SystemFaults::none();
             if stuck_rate > 0.0 {
-                *faults.bank_mut(Phase::GForward) =
-                    FaultMap::seeded(0x5EED, stuck_rate, 300_000);
+                *faults.bank_mut(Phase::GForward) = FaultMap::seeded(0x5EED, stuck_rate, 300_000);
             }
             for t in 1..=dead_tiles {
                 faults.bank_mut(Phase::GForward).kill_tile(t);
@@ -287,7 +319,10 @@ fn recovery_slowdown_never_beats_the_clean_baseline() {
         );
         assert!(r.detection_overhead_frac() > 0.0 && r.detection_overhead_frac() < 0.01);
         if dead_tiles > 0 {
-            assert!(r.rolled_back > 0, "{label}: no spare tile, yet no rollback: {r:?}");
+            assert!(
+                r.rolled_back > 0,
+                "{label}: no spare tile, yet no rollback: {r:?}"
+            );
         }
         assert_eq!(r, run(), "{label}: self-healed runs must be deterministic");
     }

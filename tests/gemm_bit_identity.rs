@@ -85,14 +85,23 @@ fn every_strategy_matches_naive_bit_for_bit_on_all_benchmark_shapes() {
         // The naive kernels are thread-count invariant (proven pre-PR);
         // compute the golden values serially once.
         let (want_g, want_nt, want_v) = parallel::with_threads(1, || {
-            (naive::gemm(&a, &b), naive::gemm_nt(&a, &bt), naive::mmv(&a, v.data()))
+            (
+                naive::gemm(&a, &b),
+                naive::gemm_nt(&a, &bt),
+                naive::mmv(&a, v.data()),
+            )
         });
         for threads in [1, 2, 8] {
             parallel::with_threads(threads, || {
                 for forced in ALL_FORCED {
                     with_strategy(forced, || {
                         let what = |op: &str| format!("{op}[{forced:?}, {threads}t]");
-                        assert_bits_eq(gemm(&a, &b).data(), want_g.data(), &what("gemm"), (m, k, n));
+                        assert_bits_eq(
+                            gemm(&a, &b).data(),
+                            want_g.data(),
+                            &what("gemm"),
+                            (m, k, n),
+                        );
                         assert_bits_eq(
                             gemm_nt(&a, &bt).data(),
                             want_nt.data(),
