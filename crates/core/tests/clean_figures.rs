@@ -47,8 +47,8 @@ fn stuck_and_worn() -> SystemFaults {
     }
     let bank = faults.bank_mut(Phase::GForward);
     let model = WearModel::new(6, 1.5, 0xACE);
-    bank.advance_wear(&model.limits(1_000..9_000), 4);
-    bank.advance_wear(&model.limits(5_000..20_000), 3);
+    bank.advance_wear(&mut model.limits(1_000..9_000), 4);
+    bank.advance_wear(&mut model.limits(5_000..20_000), 3);
     let weights: Vec<i32> = (0..2_000).map(|i| (i * 37) % 4_001 - 2_000).collect();
     let policy = WritePolicy {
         endurance_limit: 5,

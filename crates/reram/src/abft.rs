@@ -118,7 +118,14 @@ impl AbftBlock {
     }
 
     /// Programs the data block *and* its derived checksum column through
-    /// the write-and-verify loop (each write advances wear on its cells).
+    /// the write-and-verify loop (each write advances wear on its cells):
+    /// one [`FaultMap::program_run`] over the row-major data block, then
+    /// one over the checksum column after it. The report's failed cells
+    /// are in ascending cell order.
+    ///
+    /// # Panics
+    ///
+    /// As [`AbftBlock::checksums`].
     pub fn program(
         &self,
         map: &mut FaultMap,
@@ -127,23 +134,13 @@ impl AbftBlock {
         policy: &WritePolicy,
     ) -> WriteReport {
         let checksums = self.checksums(weights);
-        let mut report = WriteReport::default();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                report.absorb(map.program_weight(
-                    weights[r * self.cols + c],
-                    self.cell_of(r, c, config),
-                    config,
-                    policy,
-                ));
-            }
-            report.absorb(map.program_weight(
-                checksums[r],
-                self.cell_of(r, self.cols, config),
-                config,
-                policy,
-            ));
-        }
+        let mut report = map.program_run(weights, self.cell_base, config, policy);
+        report.absorb(map.program_run(
+            &checksums,
+            self.cell_of(0, self.cols, config),
+            config,
+            policy,
+        ));
         report
     }
 
@@ -180,7 +177,7 @@ impl AbftBlock {
         let block_end = self.cell_base + self.cells(config);
         let mut data_stuck = map.stuck_cells_in(self.cell_base..checksum_base).peekable();
         let mut checksum_stuck = map.stuck_cells_in(checksum_base..block_end).peekable();
-        let codes = -(1i64 << (config.data_bits - 1))..1i64 << (config.data_bits - 1);
+        let codes = config.codes();
         // The value a weight at `base` reads back as; `stuck` walks the
         // stuck cells at and after `base`, ascending. A code outside the
         // data width takes the slice walk, which rejects it.

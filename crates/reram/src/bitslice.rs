@@ -44,10 +44,8 @@ impl fmt::Debug for Slices {
 /// more than [`MAX_SLICES`] cells.
 pub fn slice_weight(code: i32, config: &ReramConfig) -> Slices {
     let bits = config.data_bits;
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
     assert!(
-        (min..=max).contains(&(code as i64)),
+        config.codes().contains(&i64::from(code)),
         "code {code} does not fit {bits} bits"
     );
     let len = config.cells_per_weight();

@@ -111,6 +111,12 @@ impl ReramConfig {
         (self.total_capacity_bytes / self.bank_capacity_bytes) as usize
     }
 
+    /// The two's-complement codes a `data_bits`-wide weight can hold
+    /// (`-32768..32768` with defaults).
+    pub fn codes(&self) -> std::ops::Range<i64> {
+        -(1i64 << (self.data_bits - 1))..1i64 << (self.data_bits - 1)
+    }
+
     /// Cells needed to hold one `data_bits`-wide weight (4 with defaults).
     pub fn cells_per_weight(&self) -> usize {
         self.data_bits.div_ceil(self.cell_bits) as usize

@@ -13,10 +13,12 @@
 //!
 //! Determinism contract: a cell's limit is a pure function of
 //! `(seed, cell)`; the same model replays the same break schedule
-//! bit-identically. That is what lets a caller evaluate the limits once,
-//! when it places a block on a cell range ([`WearModel::limits`]), and
-//! charge every later wear pass against the stored [`WearLimits`] instead
-//! of re-deriving a `powf` per cell per pass.
+//! bit-identically. That is what lets a caller keep the limits of a placed
+//! block's cell range ([`WearModel::limits`]) and evaluate each one lazily:
+//! no limit can lie below the model's [`WearModel::floor`], so a wear pass
+//! evaluates a cell's limit (one `powf`) only once that cell's counter
+//! passes the floor, stores it in the [`WearLimits`], and reads it back on
+//! every later pass.
 
 use crate::fault::{mix, unit};
 use std::ops::Range;
@@ -24,9 +26,9 @@ use std::ops::Range;
 /// Seeded per-cell endurance distribution.
 ///
 /// [`WearModel::limit_of`] derives one cell's limit from the seed and the
-/// cell index; [`WearModel::limits`] evaluates it over a placed block's
-/// cell range, and [`crate::fault::FaultMap::advance_wear`] reads the
-/// result.
+/// cell index; [`WearModel::limits`] holds the limits of a placed block's
+/// cell range, which [`crate::fault::FaultMap::advance_wear`] evaluates as
+/// their cells' counters pass [`WearModel::floor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearModel {
     /// Mean endurance in write pulses. Zero disables wear-out entirely
@@ -91,27 +93,49 @@ impl WearModel {
         limit.round().max(1.0) as u64
     }
 
-    /// The limits of every cell in `cells`, evaluated once. A runtime calls
-    /// this when it places a block on `cells` and hands the result to each
+    /// A bound no limit of this model goes below: `u64::MAX` when the
+    /// model is disabled, else `max(1, ⌊mean / spread · (1 − 10⁻⁶)⌋)`. A
+    /// limit is `round(mean · spreadᵘ)` with `u ∈ [-1, 1)`, so it is at
+    /// least `mean / spread` up to the rounding of `powf`, which the `10⁻⁶`
+    /// margin covers many times over; a cell whose counter is at most the
+    /// floor cannot exceed its limit. A spread below 1 that bypassed
+    /// [`WearModel::new`] bounds the limits by `mean · spread` instead, and
+    /// a NaN spread gives a floor of 1.
+    pub fn floor(&self) -> u64 {
+        if self.endurance_mean == 0 {
+            return u64::MAX;
+        }
+        let smallest = self.spread.min(self.spread.recip());
+        let bound = self.endurance_mean as f64 * smallest * (1.0 - 1e-6);
+        (bound.floor() as u64).max(1)
+    }
+
+    /// The limits of the cells in `cells`, none evaluated yet. A runtime
+    /// takes them when it places a block on `cells` and hands them to each
     /// [`crate::fault::FaultMap::advance_wear`] pass until it moves the
-    /// block.
+    /// block; each pass evaluates and keeps the limits of the cells whose
+    /// counters it takes past [`WearModel::floor`].
     pub fn limits(&self, cells: Range<u64>) -> WearLimits {
         WearLimits {
             start: cells.start,
-            limits: cells.map(|cell| self.limit_of(cell)).collect(),
-            seed: self.seed,
+            limits: vec![0; (cells.end - cells.start) as usize],
+            floor: self.floor(),
+            model: *self,
         }
     }
 }
 
 /// The endurance limits of one contiguous cell range under a
-/// [`WearModel`], plus the seed worn-out cells freeze with. Each entry is
-/// exactly [`WearModel::limit_of`] of its cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`WearModel`], evaluated on first use. Each slot holds
+/// [`WearModel::limit_of`] of its cell once read, and 0 before (every
+/// limit is at least 1). There is no equality: two values describing the
+/// same limits may differ in how far evaluation has got.
+#[derive(Debug, Clone)]
 pub struct WearLimits {
     start: u64,
     limits: Vec<u64>,
-    seed: u64,
+    floor: u64,
+    model: WearModel,
 }
 
 impl WearLimits {
@@ -120,19 +144,28 @@ impl WearLimits {
         self.start..self.start + self.limits.len() as u64
     }
 
-    /// The limit of `cell`.
+    /// The model's [`WearModel::floor`]: no limit here lies below it.
+    pub(crate) fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// The limit of `cell`, evaluated and kept on first use.
     ///
     /// # Panics
     ///
     /// Panics if `cell` lies outside [`WearLimits::cells`].
-    pub(crate) fn limit_of(&self, cell: u64) -> u64 {
-        self.limits[(cell - self.start) as usize]
+    pub(crate) fn limit_of(&mut self, cell: u64) -> u64 {
+        let slot = &mut self.limits[(cell - self.start) as usize];
+        if *slot == 0 {
+            *slot = self.model.limit_of(cell);
+        }
+        *slot
     }
 
     /// The model seed: it also picks the polarity a worn-out cell freezes
     /// at.
     pub(crate) fn seed(&self) -> u64 {
-        self.seed
+        self.model.seed
     }
 }
 
@@ -147,7 +180,7 @@ mod tests {
         assert!(!model.is_enabled());
         assert_eq!(model.limit_of(0), u64::MAX);
         let mut m = FaultMap::pristine();
-        let newly = m.advance_wear(&model.limits(0..1000), 1_000_000);
+        let newly = m.advance_wear(&mut model.limits(0..1000), 1_000_000);
         assert!(newly.is_empty());
         assert_eq!(m.stuck_cells(), 0);
         // Counters still advance (observable bookkeeping).
@@ -181,21 +214,26 @@ mod tests {
     #[test]
     fn stored_limits_are_the_models_limits() {
         let model = WearModel::new(500, 3.0, 77);
-        let limits = model.limits(1000..1300);
+        let mut limits = model.limits(1000..1300);
         assert_eq!(limits.cells(), 1000..1300);
         assert_eq!(limits.seed(), 77);
-        assert!((1000..1300).all(|c| limits.limit_of(c) == model.limit_of(c)));
+        assert_eq!(limits.floor(), 166);
+        // First reads evaluate, second reads return what was kept.
+        for _ in 0..2 {
+            assert!((1000..1300).all(|c| limits.limit_of(c) == model.limit_of(c)));
+        }
+        assert_eq!(WearModel::disabled().limits(0..1).floor(), u64::MAX);
     }
 
     #[test]
     fn wear_breaks_cells_staggered_as_pulses_accumulate() {
         let model = WearModel::new(100, 4.0, 9);
-        let limits = model.limits(0..256);
+        let mut limits = model.limits(0..256);
         let mut m = FaultMap::pristine();
         let mut broken = 0usize;
         let mut rounds_with_breaks = 0usize;
         for _round in 0..40 {
-            let newly = m.advance_wear(&limits, 10);
+            let newly = m.advance_wear(&mut limits, 10);
             if !newly.is_empty() {
                 rounds_with_breaks += 1;
             }
@@ -211,25 +249,25 @@ mod tests {
     #[test]
     fn stuck_cells_accumulate_no_further_wear() {
         let model = WearModel::new(10, 1.0, 1);
-        let limits = model.limits(0..4);
+        let mut limits = model.limits(0..4);
         let mut m = FaultMap::pristine();
-        let newly = m.advance_wear(&limits, 11);
+        let newly = m.advance_wear(&mut limits, 11);
         assert_eq!(newly, vec![0, 1, 2, 3]);
         assert_eq!(m.wear_of(2), 11);
         // A second pass touches nothing: already stuck.
-        assert!(m.advance_wear(&limits, 11).is_empty());
+        assert!(m.advance_wear(&mut limits, 11).is_empty());
         assert_eq!(m.wear_of(2), 11);
     }
 
     #[test]
     fn wear_replays_bit_identically() {
         let model = WearModel::new(50, 2.0, 0xABCD);
-        let limits = model.limits(0..128);
         let run = || {
+            let mut limits = model.limits(0..128);
             let mut m = FaultMap::pristine();
             let mut log = Vec::new();
             for _ in 0..20 {
-                log.push(m.advance_wear(&limits, 7));
+                log.push(m.advance_wear(&mut limits, 7));
             }
             (m, log)
         };

@@ -1,14 +1,17 @@
 //! The fault-state fast paths against per-cell reference copies.
 //!
 //! `FaultMap::advance_wear` walks its range once beside the stuck cells and
-//! reads limits evaluated at placement, `FaultMap::program_weight` reads a
-//! weight's cells in one range walk with its slices on the stack, and
-//! `AbftBlock::checked_mmv` reads a healthy weight back as its code. The
-//! references below are the straightforward per-cell versions: one map
-//! lookup per cell and pulse, one `WearModel::limit_of` per cell per pass,
-//! one slice walk per weight. Every fast path must agree with them bit for
-//! bit: the broken-cell lists, the write reports, every wear counter, the
-//! stuck set with its polarities, and every field of the ABFT observation.
+//! evaluates a cell's limit only once its counter passes the model's floor,
+//! `FaultMap::program_run` programs consecutive weights in one range walk
+//! with their slices on the stack, `AbftBlock::checked_mmv` reads a healthy
+//! weight back as its code, and `FaultMap::seeded` picks its stuck cells by
+//! an integer threshold. The references below are the straightforward
+//! per-cell versions: one map lookup per cell and pulse, one
+//! `WearModel::limit_of` per cell per pass, one weight at a time, one slice
+//! walk per weight, one float deviate per seeded cell. Every fast path must
+//! agree with them bit for bit: the broken-cell lists, the write reports,
+//! every wear counter, the stuck set with its polarities, and every field
+//! of the ABFT observation.
 //!
 //! `FaultMap` keeps its wear counters by 64-cell chunk, so the scenarios
 //! also put wear ranges, weights and stuck cells on chunk edges, and check
@@ -248,13 +251,30 @@ impl Reference {
         let mut map = FaultMap::pristine();
         let model = WearModel::disabled();
         for (&cell, &worn) in &self.wear {
-            map.advance_wear(&model.limits(cell..cell + 1), worn);
+            map.advance_wear(&mut model.limits(cell..cell + 1), worn);
         }
         for (&cell, &polarity) in &self.stuck {
             map.set_stuck(cell, polarity);
         }
         map
     }
+}
+
+/// Programs `codes` at consecutive weight slots from `base` through the
+/// reference, one weight at a time.
+fn reference_run(
+    reference: &mut Reference,
+    codes: &[i32],
+    base: u64,
+    config: &ReramConfig,
+    policy: &WritePolicy,
+) -> WriteReport {
+    let span = config.cells_per_weight() as u64;
+    let mut report = WriteReport::default();
+    for (i, &code) in codes.iter().enumerate() {
+        report.absorb(reference.program_weight(code, base + i as u64 * span, config, policy));
+    }
+    report
 }
 
 fn stuck_rate(pick: usize) -> f64 {
@@ -311,7 +331,7 @@ fn program_and_wear(
     let span = cfg.cells_per_weight() as u64;
     for wear_now in [wear_first, !wear_first] {
         if wear_now {
-            let fast = map.advance_wear(&model.limits(cells.clone()), pulses);
+            let fast = map.advance_wear(&mut model.limits(cells.clone()), pulses);
             let slow = reference.advance_wear(cells.clone(), pulses, model);
             prop_assert_eq!(&fast, &slow, "newly broken over {:?}", cells);
             continue;
@@ -374,7 +394,7 @@ proptest! {
         ];
         for _ in 0..rounds {
             for (cells, pulses) in passes.clone() {
-                let fast = map.advance_wear(&model.limits(cells.clone()), pulses);
+                let fast = map.advance_wear(&mut model.limits(cells.clone()), pulses);
                 let slow = reference.advance_wear(cells.clone(), pulses, &model);
                 prop_assert_eq!(&fast, &slow, "newly broken over {:?}", cells);
                 if let Some(d) = reference.diff(&map) {
@@ -465,6 +485,228 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Runs of consecutive weights over seeded stuck cells, each run landing
+    /// on counters earlier runs left (the runs overlap), under transient
+    /// fail rates of 0, 0.5 and NaN, endurance cut-offs and retry budgets,
+    /// with 4- or 6-cell weights (the latter straddle chunk edges) and a
+    /// chunk whose first and last cells are stuck. Each run must report and
+    /// leave exactly what programming its weights one at a time does.
+    #[test]
+    fn program_run_matches_the_per_weight_reference(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        fail in 0usize..3,
+        endurance in 0u64..6,
+        retries in 0u32..4,
+        runs in collection::vec((0u64..64, 1usize..40, 0u64..u64::MAX), 1..5),
+        layout in (0usize..2, 0u64..8),
+    ) {
+        let (cells, edge) = layout;
+        let cfg = config(cells);
+        let policy = WritePolicy {
+            max_retries: retries,
+            transient_fail_rate: [0.0, 0.5, f64::NAN][fail],
+            endurance_limit: endurance,
+            seed: seed ^ 0x52,
+        };
+        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        stick_chunk_ends(&mut map, edge);
+        let mut reference = Reference::of(&map);
+        let span = cfg.cells_per_weight() as u64;
+        for (slot, len, raw) in runs {
+            let codes: Vec<i32> = (0..len as u64).map(|i| code(mix(raw, i))).collect();
+            let base = slot * span;
+            let fast = map.program_run(&codes, base, &cfg, &policy);
+            let slow = reference_run(&mut reference, &codes, base, &cfg, &policy);
+            prop_assert_eq!(&fast, &slow, "{} weights at cell {}", len, base);
+            if let Some(d) = reference.diff(&map) {
+                return Err(TestCaseError::fail(d));
+            }
+        }
+    }
+
+    /// An ABFT block placed twice (the second placement overlaps the
+    /// first's counters) must leave the state, attempts and quarantine
+    /// count of the row-by-row programming it replaced, with the same
+    /// failed cells, listed in ascending order.
+    #[test]
+    fn abft_programming_matches_the_row_by_row_reference(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        fail in 0usize..3,
+        endurance in 0u64..6,
+        shape in (1usize..9, 1usize..9),
+        bases in (0u64..300, 0u64..300),
+    ) {
+        let cfg = ReramConfig::default();
+        let (rows, cols) = shape;
+        let policy = WritePolicy {
+            max_retries: 2,
+            transient_fail_rate: [0.0, 0.5, f64::NAN][fail],
+            endurance_limit: endurance,
+            seed: seed ^ 0x53,
+        };
+        let bound = 32_767 / cols as u64;
+        let weights: Vec<i32> = (0..(rows * cols) as u64)
+            .map(|i| (mix(seed, i) % (2 * bound + 1)) as i32 - bound as i32)
+            .collect();
+        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let mut reference = Reference::of(&map);
+        let span = cfg.cells_per_weight() as u64;
+        for base in [bases.0, bases.1] {
+            let block = AbftBlock::new(rows, cols, base);
+            let fast = block.program(&mut map, &weights, &cfg, &policy);
+            let checksums = block.checksums(&weights);
+            let mut slow = WriteReport::default();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let cell = base + (r * cols + c) as u64 * span;
+                    slow.absorb(reference.program_weight(weights[r * cols + c], cell, &cfg, &policy));
+                }
+                let cell = base + (rows * cols + r) as u64 * span;
+                slow.absorb(reference.program_weight(checksums[r], cell, &cfg, &policy));
+            }
+            prop_assert_eq!(fast.attempts, slow.attempts);
+            prop_assert_eq!(fast.newly_stuck, slow.newly_stuck);
+            prop_assert!(fast.failed_cells.windows(2).all(|w| w[0] < w[1]), "not ascending");
+            slow.failed_cells.sort_unstable();
+            prop_assert_eq!(&fast.failed_cells, &slow.failed_cells);
+            if let Some(d) = reference.diff(&map) {
+                return Err(TestCaseError::fail(d));
+            }
+        }
+    }
+
+    /// One set of limits kept across every step of a placement, as the
+    /// runtime keeps it, against limits evaluated afresh for every cell at
+    /// every step. Some counters start far above the model's floor (wear
+    /// from before the placement), the models include a disabled one and
+    /// a spread of 1, and the block is reprogrammed between steps.
+    #[test]
+    fn lazy_limits_match_eager_limits_at_every_step(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..4,
+        model in 0usize..4,
+        earlier in (0u64..800, 0u64..200, 0u64..40),
+        block in (0u64..800, 1u64..200),
+        steps in collection::vec((0u64..4, 0usize..6), 1..16),
+    ) {
+        let model = wear_model(model, seed ^ 0x3EA3);
+        let mut map = FaultMap::seeded(seed, stuck_rate(rate), SPACE);
+        let mut reference = Reference::of(&map);
+        // Wear from before the placement, under a model that breaks nothing.
+        let (start, len, pulses) = earlier;
+        let old = start..(start + len).min(SPACE);
+        map.advance_wear(&mut WearModel::disabled().limits(old.clone()), pulses);
+        reference.advance_wear(old, pulses, &WearModel::disabled());
+        let cells = block.0..(block.0 + block.1).min(SPACE);
+        let mut limits = model.limits(cells.clone());
+        let cfg = ReramConfig::default();
+        let policy = WritePolicy::default();
+        let weights = (cells.end - cells.start) / 4;
+        let codes: Vec<i32> = (0..weights).map(|i| code(mix(seed, i))).collect();
+        for (step, (pulses, reprogram)) in steps.into_iter().enumerate() {
+            if reprogram == 0 {
+                let fast = map.program_run(&codes, cells.start, &cfg, &policy);
+                let slow = reference_run(&mut reference, &codes, cells.start, &cfg, &policy);
+                prop_assert_eq!(fast, slow);
+            }
+            let fast = map.advance_wear(&mut limits, pulses);
+            let slow = reference.advance_wear(cells.clone(), pulses, &model);
+            prop_assert_eq!(&fast, &slow, "step {}", step);
+            if let Some(d) = reference.diff(&map) {
+                return Err(TestCaseError::fail(d));
+            }
+        }
+    }
+}
+
+#[test]
+fn no_limit_lies_below_the_floor() {
+    let means = [1u64, 2, 3, 7, 15, 20, 100, 1_000, 10_000, 1 << 40];
+    let spreads = [1.0, 1.000_001, 1.01, 1.3, 1.5, 2.0, 3.0, 4.0, 10.0, 1e6];
+    for mean in means {
+        for spread in spreads {
+            let model = WearModel::new(mean, spread, mean ^ spread.to_bits());
+            let floor = model.floor();
+            assert!(floor >= 1);
+            for cell in 0..100_000 {
+                let limit = model.limit_of(cell);
+                assert!(
+                    floor <= limit,
+                    "mean {mean} spread {spread} cell {cell}: floor {floor} > limit {limit}"
+                );
+            }
+        }
+    }
+    // Spreads `WearModel::new` rejects, set through the public fields.
+    for spread in [0.5, 0.0, -2.0, f64::NAN, f64::INFINITY] {
+        let model = WearModel {
+            endurance_mean: 1_000,
+            spread,
+            seed: 3,
+        };
+        let floor = model.floor();
+        assert!(
+            (0..100_000).all(|cell| floor <= model.limit_of(cell)),
+            "spread {spread}"
+        );
+    }
+    assert_eq!(WearModel::disabled().floor(), u64::MAX);
+}
+
+#[test]
+fn integer_seeding_picks_the_cells_the_float_test_picks() {
+    let float_pick = |seed: u64, rate: f64| -> Vec<u64> {
+        (0..SPACE).filter(|&c| unit(seed, c) < rate).collect()
+    };
+    let picked = |seed: u64, rate: f64| -> Vec<u64> {
+        FaultMap::seeded(seed, rate, SPACE)
+            .stuck_cells_in(0..SPACE)
+            .collect()
+    };
+    let step = 1.0 / (1u64 << 53) as f64;
+    for seed in 0..32u64 {
+        // Rates of 2⁻⁵³·k: small, random, and exactly at, one step off or
+        // half a step past the deviate of a cell, where the two tests could
+        // part ways.
+        let mut rates = vec![
+            step,
+            2.0 * step,
+            3.0 * step,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            1e300,
+        ];
+        rates.push(f64::INFINITY);
+        for i in 0..8u64 {
+            rates.push((mix(seed ^ 0xF1, i) >> 11) as f64 * step);
+            let at = (mix(seed, i * 97 % SPACE) >> 11) as f64 * step;
+            rates.extend([at, at + step, at - step, at + 0.5 * step]);
+        }
+        rates.extend([0.0005, 0.01, 0.3]);
+        for rate in rates {
+            assert_eq!(
+                picked(seed, rate),
+                float_pick(seed, rate),
+                "seed {seed} rate {rate:e}"
+            );
+        }
+        for rate in [f64::NAN, -0.0, 0.0, -step, -1.0, f64::NEG_INFINITY] {
+            assert!(
+                FaultMap::seeded(seed, rate, SPACE).is_pristine(),
+                "rate {rate}"
+            );
+        }
+    }
+    // Every cell at or above rate 1.
+    assert_eq!(picked(5, 1.0).len() as u64, SPACE);
+}
+
 #[test]
 fn wear_ranges_that_start_or_end_on_a_stuck_cell() {
     let model = WearModel::new(5, 2.0, 0xC0DE);
@@ -481,7 +723,7 @@ fn wear_ranges_that_start_or_end_on_a_stuck_cell() {
         ];
         for _ in 0..4 {
             for cells in ranges.clone() {
-                let fast = map.advance_wear(&model.limits(cells.clone()), 3);
+                let fast = map.advance_wear(&mut model.limits(cells.clone()), 3);
                 let slow = reference.advance_wear(cells, 3, &model);
                 assert_eq!(fast, slow, "seed {seed}");
                 assert_eq!(reference.diff(&map), None, "seed {seed}");
@@ -495,7 +737,7 @@ fn zero_pulses_touch_nothing() {
     let model = WearModel::new(1, 1.0, 3);
     let mut map = FaultMap::seeded(9, 0.05, SPACE);
     let before = map.clone();
-    assert!(map.advance_wear(&model.limits(0..SPACE), 0).is_empty());
+    assert!(map.advance_wear(&mut model.limits(0..SPACE), 0).is_empty());
     assert_eq!(map, before);
     let cfg = ReramConfig::default();
     let policy = WritePolicy {
@@ -515,7 +757,7 @@ fn a_disabled_model_only_counts() {
     let mut map = FaultMap::seeded(4, 0.01, SPACE);
     let mut reference = Reference::of(&map);
     for cells in [0..300, 200..700, 650..SPACE] {
-        let fast = map.advance_wear(&model.limits(cells.clone()), 1 << 40);
+        let fast = map.advance_wear(&mut model.limits(cells.clone()), 1 << 40);
         let slow = reference.advance_wear(cells, 1 << 40, &model);
         assert!(fast.is_empty());
         assert_eq!(fast, slow);
@@ -531,4 +773,16 @@ fn a_code_outside_the_data_width_still_panics_in_the_checked_mmv() {
         block.checked_mmv(&FaultMap::pristine(), None, &[40_000], &[1], &cfg)
     });
     assert!(result.is_err(), "a 17-bit code must be rejected");
+}
+
+#[test]
+fn a_code_outside_the_data_width_panics_before_programming() {
+    let cfg = ReramConfig::default();
+    let mut map = FaultMap::seeded(2, 0.05, SPACE);
+    let before = map.clone();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        map.program_run(&[1, 2, 32_768, 3], 0, &cfg, &WritePolicy::default())
+    }));
+    assert!(result.is_err(), "a 17-bit code must be rejected");
+    assert_eq!(map, before, "nothing is programmed before the check");
 }
