@@ -13,15 +13,10 @@
 //! * S-CONV through the one-phase plan, and the trainer's hottest conv
 //!   (extgan8's 3k1s 8 px D layer) cached, with its input gradient (the
 //!   dual plan's forward) and its weight gradient,
-//! * every GEMM execution strategy (`direct`, `packed`, `simd`), the
-//!   shape-adaptive `dispatch` that picks among them, and the pre-packing
-//!   kernel preserved in [`lergan_bench::naive`], on the dominant GEMM
-//!   shape of every Table V benchmark GAN; each `dispatch` is then timed
-//!   against its fastest forced twin with
-//!   [`lergan_bench::harness::time_pair`], and the median of the per-pair
-//!   ratios is written to the `dispatch_pairs` section,
-//! * the `mmv` direct kernel against the forced blocked path (dispatch
-//!   always routes `n = 1` direct; this entry proves it right),
+//! * the GEMM driver (`driver`) against the pre-packing kernel preserved
+//!   in [`lergan_bench::naive`] (`naive`), on the dominant GEMM shape of
+//!   every Table V benchmark GAN,
+//! * `mmv` on an FC-discriminator-head shape,
 //! * one full DCGAN training step on the reduced 16 px networks.
 //!
 //! Every results row records the minimum (`ns_per_iter`), median and
@@ -38,7 +33,7 @@
 //!
 //! Usage: `perf_snapshot [output.json]` (default `BENCH_zfdr.json`).
 
-use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, time_pair, Results};
+use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, Results};
 use lergan_bench::naive;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
@@ -46,7 +41,6 @@ use lergan_gan::topology::parse_network;
 use lergan_gan::train::{build_trainable_with, Gan, UpdateRule};
 use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
 use lergan_tensor::dconv::dconv_zero_insertion;
-use lergan_tensor::dispatch::{with_strategy, ForcedStrategy};
 use lergan_tensor::im2col::{ConvGeometry, ConvPlan};
 use lergan_tensor::tensor::{gemm, mmv};
 use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry, Workspace};
@@ -57,8 +51,6 @@ use std::time::Duration;
 
 /// Measurement window of every timing.
 const WINDOW: Duration = Duration::from_millis(70);
-/// Window of each side of a `time_pair` measurement.
-const PAIR_WINDOW: Duration = Duration::from_millis(20);
 
 /// Records `f` under `name`, timed at one worker thread and, when more
 /// are configured, at `threads`.
@@ -205,7 +197,7 @@ fn main() {
 
     // D-CONV: the zero-free plan against the naive formulation that
     // materialises the zero-inserted dilated kernel (the EcoFlow dual of
-    // T-CONV's zero-inserted input); both run the same GEMM dispatch, so
+    // T-CONV's zero-inserted input); both run the same GEMM driver, so
     // the gap is purely the skipped zeros. Geometry mirrors the
     // ResDilatedGAN refiner block: 3x3 kernel at dilation 2 over a 16 px
     // plane, extent-preserving.
@@ -279,15 +271,12 @@ fn main() {
         cached_weight_grad(&plan_h, &input_h, &dout_h),
     );
 
-    // Every GEMM strategy, the shape-adaptive dispatch, and the
-    // pre-packing naive kernel on the dominant (largest-MAC) im2col shape
-    // of every Table V benchmark GAN, dimensions clamped so the sweep
-    // stays fast while preserving each topology's aspect mix. The
-    // dispatch entries are the ones CI gates on: the committed
-    // `dispatch_thresholds.json` must keep `dispatch` at or ahead of
-    // `naive` on every one of these shapes.
+    // The GEMM driver and the pre-packing naive kernel on the dominant
+    // (largest-MAC) im2col shape of every Table V benchmark GAN,
+    // dimensions clamped so the sweep stays fast while preserving each
+    // topology's aspect mix. CI gates on these rows: the driver must stay
+    // at or ahead of `naive` on every one of these shapes.
     let mut gemm_ratios: Vec<f64> = Vec::new();
-    let mut dispatch_pairs: Vec<String> = Vec::new();
     for spec in benchmarks::all() {
         let Some(shape) = OpGraph::build(&spec)
             .ops()
@@ -313,65 +302,19 @@ fn main() {
             })
             .collect();
         let name = |kernel: &str| format!("gemm_{slug}_{m}x{k}x{n}/{kernel}");
-        for (kernel, forced) in [
-            ("direct", ForcedStrategy::Direct),
-            ("packed", ForcedStrategy::Packed),
-            ("simd", ForcedStrategy::Simd),
-            ("dispatch", ForcedStrategy::Auto),
-        ] {
-            let timing = parallel::with_threads(1, || {
-                with_strategy(forced, || {
-                    time(WINDOW, || {
-                        black_box(gemm(black_box(&a), black_box(&b)));
-                    })
-                })
-            });
-            results.record(&name(kernel), 1, timing);
-        }
+        let driver = parallel::with_threads(1, || {
+            time(WINDOW, || {
+                black_box(gemm(black_box(&a), black_box(&b)));
+            })
+        });
+        results.record(&name("driver"), 1, driver);
         let naive_timing = parallel::with_threads(1, || {
             time(WINDOW, || {
                 black_box(naive::gemm(black_box(&a), black_box(&b)));
             })
         });
         results.record(&name("naive"), 1, naive_timing);
-        gemm_ratios.push(naive_timing.min_ns / results.get(&name("dispatch"), 1).min_ns);
-        // Dispatch against its best forced twin in alternating windows:
-        // timed seconds apart, the two drift with the host by more than
-        // the 10% CI allows between them.
-        let (twin, forced) = [
-            ("direct", ForcedStrategy::Direct),
-            ("packed", ForcedStrategy::Packed),
-            ("simd", ForcedStrategy::Simd),
-        ]
-        .into_iter()
-        .min_by(|x, y| {
-            let t = |kernel: &str| results.get(&name(kernel), 1).min_ns;
-            t(x.0).total_cmp(&t(y.0))
-        })
-        .expect("three forced strategies");
-        let (a, b) = (&a, &b);
-        let timed = |strategy| {
-            move || {
-                with_strategy(strategy, || {
-                    black_box(gemm(black_box(a), black_box(b)));
-                })
-            }
-        };
-        let pair = parallel::with_threads(1, || {
-            time_pair(PAIR_WINDOW, timed(ForcedStrategy::Auto), timed(forced))
-        });
-        println!(
-            "{:44} vs {twin:6}  ratio {:.3} (iqr {:.3})",
-            name("dispatch"),
-            pair.ratio,
-            pair.ratio_iqr
-        );
-        dispatch_pairs.push(format!(
-            "    {{ \"name\": \"{}\", \"twin\": \"{twin}\", \"ratio\": {:.3}, \"ratio_iqr\": {:.3} }}",
-            name("dispatch"),
-            pair.ratio,
-            pair.ratio_iqr
-        ));
+        gemm_ratios.push(naive_timing.min_ns / driver.min_ns);
     }
     let gemm_geomean = if gemm_ratios.is_empty() {
         1.0
@@ -379,24 +322,15 @@ fn main() {
         (gemm_ratios.iter().map(|r| r.ln()).sum::<f64>() / gemm_ratios.len() as f64).exp()
     };
 
-    // The mmv direct kernel against the forced blocked path on an
-    // FC-discriminator-head shape: dispatch routes every `n = 1` product
-    // direct, and this entry keeps that choice honest.
+    // `mmv` on an FC-discriminator-head shape.
     let mmv_mat = det(&[64, 1024], 33);
     let mmv_vec: Vec<f32> = det(&[1024], 34).data().to_vec();
-    for (kernel, forced) in [
-        ("direct", ForcedStrategy::Auto),
-        ("blocked", ForcedStrategy::Packed),
-    ] {
-        let timing = parallel::with_threads(1, || {
-            with_strategy(forced, || {
-                time(WINDOW, || {
-                    black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
-                })
-            })
-        });
-        results.record(&format!("mmv_fc_64x1024/{kernel}"), 1, timing);
-    }
+    let timing = parallel::with_threads(1, || {
+        time(WINDOW, || {
+            black_box(mmv(black_box(&mmv_mat), black_box(&mmv_vec)));
+        })
+    });
+    results.record("mmv_fc_64x1024/driver", 1, timing);
 
     // One full DCGAN training step on the reduced 16 px networks.
     let mut rng = StdRng::seed_from_u64(1);
@@ -420,7 +354,6 @@ fn main() {
     );
     let dconv_speedup = min_ns("dconv_16px_16x16ch_d2/zero_inserted", 1)
         / min_ns("dconv_16px_16x16ch_d2/zero_free", 1);
-    let mmv_speedup = min_ns("mmv_fc_64x1024/blocked", 1) / min_ns("mmv_fc_64x1024/direct", 1);
     let step_vs_previous =
         previous_step_ns.map_or(1.0, |prev| prev / min_ns("gan_train_step_16px/full", 1));
 
@@ -431,19 +364,14 @@ fn main() {
     ));
     json.push_str(&results.json());
     json.push_str(&format!(
-        "  \"dispatch_pairs\": [\n{}\n  ],\n",
-        dispatch_pairs.join(",\n")
-    ));
-    json.push_str(&format!(
-        "  \"speedups\": {{\n    \"tconv_zero_free_vs_naive\": {tconv_speedup:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_dispatch_vs_naive_geomean\": {gemm_geomean:.2},\n    \"mmv_direct_vs_blocked\": {mmv_speedup:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
+        "  \"speedups\": {{\n    \"tconv_zero_free_vs_naive\": {tconv_speedup:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_vs_naive_geomean\": {gemm_geomean:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
     println!("\ntconv zero-free vs zero-inserted (CONV1):      {tconv_speedup:.2}x");
     println!("batched {threads} threads vs 1 thread (CONV1):    {thread_scaling_json}");
     println!("dconv zero-free vs zero-inserted (d=2, 16 px):  {dconv_speedup:.2}x");
-    println!("dispatch vs naive GEMM (geomean over Table V):  {gemm_geomean:.2}x");
-    println!("mmv direct vs forced blocked (64x1024):         {mmv_speedup:.2}x");
+    println!("GEMM driver vs naive (geomean over Table V):    {gemm_geomean:.2}x");
     println!("train step vs previous snapshot (1 thread):     {step_vs_previous:.2}x");
     println!("wrote {out_path}");
 }

@@ -15,7 +15,7 @@
 //! renderer, and gives every figure a machine-readable JSON form for the
 //! CI smoke run.
 //!
-//! The wall-clock snapshots (`perf_snapshot`, `scaling_sweep`, `autotune`)
+//! The wall-clock snapshots (`perf_snapshot`, `scaling_sweep`)
 //! time through [`time`] and [`time_pair`], which summarise a fixed number
 //! of measurement windows as a [`Timing`] — minimum, median and
 //! interquartile range — and record rows through [`Results`], so every

@@ -5,7 +5,7 @@
 //! paper figure; the `fig16`…`fig24`, `table5`, `scaling` and `overhead`
 //! binaries build a [`harness::Report`] from it and emit text, markdown or
 //! JSON (`--format text|md|json [--out PATH]`). The wall-clock binaries
-//! (`perf_snapshot`, `scaling_sweep`, `autotune`) time the underlying
+//! (`perf_snapshot`, `scaling_sweep`) time the underlying
 //! machinery through the one window timer, [`harness::time`], which
 //! records every number's minimum, median and interquartile range.
 //! Absolute numbers come from the simulator; the paper's reported values

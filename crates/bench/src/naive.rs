@@ -1,16 +1,17 @@
-//! The pre-packing GEMM kernels, preserved verbatim as golden references.
+//! The pre-packing GEMM kernels, kept as golden references.
 //!
-//! These are the row-streaming kernels `lergan_tensor` shipped before the
-//! BLIS-style packed rewrite ([`lergan_tensor::kernel`]): `k` blocked into
+//! These are the row-streaming kernels `lergan_tensor` shipped before its
+//! register-tiled driver ([`lergan_tensor::kernel`]): `k` blocked into
 //! 256-deep panels, no operand packing, each worker owning disjoint output
 //! rows. They exist for exactly two purposes:
 //!
-//! * **Bit-identity oracles** — the packed kernels promise the same
-//!   per-element accumulation order (`l` ascending from `0.0`), so
-//!   `tests/gemm_bit_identity.rs` pins packed ≡ naive via `to_bits` over
+//! * **Bit-identity oracles** — the driver promises the same per-element
+//!   accumulation chain (`l` ascending from `+0.0`), so
+//!   `tests/gemm_bit_identity.rs` pins driver ≡ naive via `to_bits` over
 //!   every GEMM shape of the benchmark GANs at 1/2/8 threads.
-//! * **Speedup baselines** — `perf_snapshot` times packed vs naive on the
-//!   Table-of-topologies sizes so BENCH_zfdr.json records the win.
+//! * **Speedup baselines** — `perf_snapshot` times the driver against
+//!   naive on the Table-of-topologies sizes so BENCH_zfdr.json records the
+//!   win.
 //!
 //! Do not "improve" these kernels: their value is that they never change.
 
@@ -39,7 +40,7 @@ pub fn mmv(m: &Tensor, v: &[f32]) -> Vec<f32> {
         for (i, slot) in chunk.iter_mut().enumerate() {
             let r = row0 + i;
             let row = &m.data()[r * cols..(r + 1) * cols];
-            *slot = row.iter().zip(v.iter()).map(|(&a, &b)| a * b).sum();
+            *slot = dot(row, v);
         }
     });
     out
@@ -91,12 +92,22 @@ pub fn gemm_nt(a: &Tensor, bt: &Tensor) -> Tensor {
             let abase = (row0 + i) * k;
             let arow = &adata[abase..abase + k];
             for (j, slot) in orow.iter_mut().enumerate() {
-                let brow = &bdata[j * k..j * k + k];
-                *slot = arow.iter().zip(brow.iter()).map(|(&x, &y)| x * y).sum();
+                *slot = dot(arow, &bdata[j * k..j * k + k]);
             }
         }
     });
     out
+}
+
+/// The ascending chain `((0 + x₀y₀) + x₁y₁) + …` from `+0.0`. Not
+/// `Iterator::sum`, whose `f32` fold starts from `-0.0`: a row whose every
+/// product is `-0.0` would sum to `-0.0`, not the `+0.0` of [`gemm`].
+fn dot(x: &[f32], y: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&a, &b) in x.iter().zip(y) {
+        acc += a * b;
+    }
+    acc
 }
 
 /// Serial kernel: accumulates `out_rows[i] += a[row0+i, :] * b` with `k`

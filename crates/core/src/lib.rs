@@ -38,7 +38,6 @@
 //! assert!(report.iteration_latency_ns > 0.0);
 //! ```
 
-pub mod balance;
 pub mod compiler;
 pub mod controller;
 pub mod fault;

@@ -12,9 +12,9 @@
 //! volumetric GANs) of *axis patterns*. [`plan::ZfdrPlan`] enumerates axis
 //! patterns exactly, and [`closed_form`] implements the paper's Case 1/2/3
 //! counting (CornerReshape / EdgeReshape / InsideReshape, Eq. 11–13), which
-//! the tests cross-validate against the enumeration. The compiler, the
-//! replica selection and the balance code read their crossbar storage and
-//! MMV cycles from these classes.
+//! the tests cross-validate against the enumeration. The compiler and the
+//! replica selection read their crossbar storage and MMV cycles from these
+//! classes.
 //!
 //! This module computes no convolution. The workspace's one zero-free
 //! executor is `lergan_tensor::im2col::ConvPlan`, which runs a T-CONV as

@@ -1,63 +1,63 @@
-//! Shape-adaptive GEMM: SIMD microkernels, a no-pack direct path, and the
-//! packed, cache-blocked BLIS-style driver.
+//! The GEMM driver: one register-tiled direct kernel that reads both
+//! operands in place, with an explicit AVX microkernel.
 //!
 //! This module is the dense-compute core of the workspace. Every product
-//! enters through [`gemm_buf`], [`gemm_nt_buf`] or [`mmv_buf`] (the
-//! `_into` variants and the allocating wrappers in [`crate::tensor`] are
-//! thin shells over them) and is routed by [`crate::dispatch`] to one of
-//! three strategies:
+//! runs on one driver, `gemm_offsets`, which accumulates register tiles of
+//! [`MR`] rows by [`NR`] columns straight out of its operands, read
+//! through row and column offsets, the whole reduction held in registers.
+//! A row-major matrix is one layout; a pre-transposed one (the right
+//! operand of [`gemm_nt_buf`]) is another; a convolution's zero-padded
+//! input frame, read through a plan's tap and position tables, is a third,
+//! so no im2col matrix is built. [`gemm_buf`], [`gemm_nt_buf`] and
+//! [`mmv_buf`] (and the `_into` variants and the allocating wrappers in
+//! [`crate::tensor`], thin shells over them) are the driver on dense
+//! operands. Nothing is packed: the products the benchmark GANs issue are
+//! small enough (`m` of 16–64) that the right operand stays in cache.
 //!
-//! * **Direct** — no packing: register tiles accumulate straight out of
-//!   the operands, read in place through row and column offsets. A
-//!   row-major matrix is one case; a convolution's zero-padded input
-//!   frame, read through a plan's tap and position tables
-//!   (`gemm_offsets`), is another, so no im2col matrix is built. This
-//!   wins on the small `m = 16–64` products the benchmark GANs issue,
-//!   where packing the right operand costs more than it saves. `mmv`
-//!   (`n = 1`) always takes this path.
-//! * **Packed** — the classic `jc → pc → ic → ir → jr` blocked driver:
-//!   columns in panels of `NC`, the reduction in panels of `KC` packed
-//!   into contiguous [`NR`]-wide strips, rows in blocks of `MC` and
-//!   register tiles of [`MR`], with the scalar microkernel.
-//! * **Packed + SIMD** — the same driver with the explicit AVX
-//!   microkernel ([`NR`] = 8 = one 256-bit register of f32 lanes),
-//!   runtime-detected. The direct path uses the AVX kernel too when the
-//!   host has it.
+//! The tile kernel is the AVX one ([`NR`] = 8 = one 256-bit register of
+//! f32 lanes) when the host has AVX, found by runtime detection, and
+//! otherwise the scalar one; the unit tests run both and compare them.
 //!
 //! # Bit-exactness
 //!
-//! Every output element of every strategy is accumulated as the scalar
-//! chain `((0 + a_0·b_0) + a_1·b_1) + …` with the reduction index strictly
-//! ascending — the same chain the pre-packing kernels produced. The SIMD
-//! kernel preserves it because its vectors run across *output columns*:
-//! lane `j` performs exactly the scalar column-`j` chain (separate IEEE-754
-//! multiply and add per step, never FMA-contracted), and lanes never mix.
-//! Blocking only ever stores the running value to and reloads it from
-//! `f32` between panels, which is exact, and parallelism only splits
-//! output *rows* across workers, so the chain per element is independent
-//! of strategy, blocking, SIMD width, and thread count alike. Golden tests
-//! in the workspace root pin all three strategies bit-for-bit against
-//! verbatim copies of the pre-packing kernels across all benchmark GAN
-//! shapes.
+//! Every output element is accumulated as the scalar chain
+//! `((0 + a_0·b_0) + a_1·b_1) + …` from `+0.0` with the reduction index
+//! strictly ascending — the same chain the pre-packing kernels produced.
+//! The SIMD kernel preserves it because its vectors run across *output
+//! columns*: lane `j` performs exactly the scalar column-`j` chain
+//! (separate IEEE-754 multiply and add per step, never FMA-contracted),
+//! and lanes never mix. Parallelism only splits output *rows* across
+//! workers, so the chain per element is independent of operand layout,
+//! SIMD width and thread count alike. Golden tests in the workspace root
+//! pin every entry point bit for bit against verbatim copies of the
+//! pre-packing kernels across all benchmark GAN shapes.
 
-use crate::dispatch::{self, OpKind, Strategy};
 use crate::parallel;
 use crate::tensor::{Tensor, MIN_PARALLEL_FLOPS};
-use crate::workspace;
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Register-tile height: output rows accumulated at once.
 pub const MR: usize = 4;
-/// Register-tile width: output columns per packed strip, and the f32 lane
-/// count of one AVX register.
+/// Register-tile width: output columns per tile, and the f32 lane count of
+/// one AVX register.
 pub const NR: usize = 8;
-/// Most full column tiles the direct driver's AVX kernel runs side by side.
+/// Most full column tiles the AVX kernel runs side by side.
 const WIDE: usize = 4;
-/// Row-block size: output rows that stream over one packed panel.
-const MC: usize = 64;
-/// Reduction-panel depth: one packed `[KC × NR]` strip stays in L1.
-const KC: usize = 256;
-/// Column-panel width: one packed `[KC × NC]` panel stays in L2.
-const NC: usize = 1024;
+
+/// Whether this host has AVX, detected once. Detection changes speed
+/// only: the AVX kernel computes the scalar kernel's chain lane by lane.
+pub(crate) fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX: OnceLock<bool> = OnceLock::new();
+        *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Element offsets of an operand's rows or columns: `at(i)` is where row
 /// (or column) `i` starts in the operand's data. Crate-private, and
@@ -234,46 +234,44 @@ impl Lanes {
 
 /// The accumulation-order-defining loop of the crate: one register tile.
 ///
-/// Accumulates `acc[i][j] += A(i0 + i, al0 + l) · B(bl0 + l, lane j)` for
-/// `l` ascending over `kc` reduction steps, `arows[i]` being A's row
-/// offset of row `i0 + i` and `lanes` the layout of B's column tile. Both
-/// operands are read in place, whatever their offsets: a packed strip, a
-/// row-major matrix or a convolution's input frame.
+/// Accumulates `acc[i][j] += A(i0 + i, l) · B(l, lane j)` for `l`
+/// ascending over `kc` reduction steps, `arows[i]` being A's row offset of
+/// row `i0 + i` and `lanes` the layout of B's column tile. Both operands
+/// are read in place, whatever their offsets: a row-major or transposed
+/// matrix, or a convolution's input frame.
 ///
 /// The scalar loops are iterator-free with fixed trip counts over the
 /// register tile, which LLVM unrolls and autovectorizes at the build's
 /// baseline SIMD width; there is no FMA contraction (separate multiply and
 /// add), so the result is the exact IEEE-754 chain the naive kernels
 /// compute. The AVX twin (`x86::microkernel_avx`) computes the same chain
-/// eight lanes at a time; `use_simd` (paired with runtime detection by
-/// the caller) picks it.
+/// eight lanes at a time; `use_simd` (set only where [`simd_available`])
+/// picks it.
 #[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
-#[allow(clippy::too_many_arguments)] // mirrors the BLIS microkernel signature
+#[allow(clippy::too_many_arguments)] // one tile's operands, rows and lane layout
 #[inline(always)]
 fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     acc: &mut [[f32; NR]; MR],
     mr: usize,
     a: &Operand<'_, AR, AC>,
     arows: &[usize; MR],
-    al0: usize,
     b: &Operand<'_, BR, BC>,
-    bl0: usize,
     lanes: Lanes,
     kc: usize,
     use_simd: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        // SAFETY: callers set `use_simd` only when `dispatch::simd_available`
+        // SAFETY: callers set `use_simd` only when `simd_available`
         // confirmed AVX, and checked both operands' offsets against their
         // data (`Operand::check`, or lengths of dense operands).
         // A fixed row count keeps the accumulators in registers.
         unsafe {
             match mr {
-                4 => x86::microkernel_avx::<4, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
-                3 => x86::microkernel_avx::<3, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
-                2 => x86::microkernel_avx::<2, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
-                _ => x86::microkernel_avx::<1, _, _, _, _>(acc, a, arows, al0, b, bl0, lanes, kc),
+                4 => x86::microkernel_avx::<4, _, _, _, _>(acc, a, arows, b, lanes, kc),
+                3 => x86::microkernel_avx::<3, _, _, _, _>(acc, a, arows, b, lanes, kc),
+                2 => x86::microkernel_avx::<2, _, _, _, _>(acc, a, arows, b, lanes, kc),
+                _ => x86::microkernel_avx::<1, _, _, _, _>(acc, a, arows, b, lanes, kc),
             }
         }
         return;
@@ -282,9 +280,9 @@ fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     let _ = use_simd;
     if let Some(off) = lanes.full_run() {
         for l in 0..kc {
-            let r = b.rows.at(bl0 + l) + off;
+            let r = b.rows.at(l) + off;
             let bv = &b.data[r..r + NR];
-            let ac = a.cols.at(al0 + l);
+            let ac = a.cols.at(l);
             for i in 0..mr {
                 let av = a.data[arows[i] + ac];
                 let row = &mut acc[i];
@@ -298,11 +296,11 @@ fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     let (off, jw) = lanes.table(b.cols);
     let mut bv = [0.0f32; NR];
     for l in 0..kc {
-        let r = b.rows.at(bl0 + l);
+        let r = b.rows.at(l);
         for j in 0..jw {
             bv[j] = b.data[r + off[j]];
         }
-        let ac = a.cols.at(al0 + l);
+        let ac = a.cols.at(l);
         for i in 0..mr {
             let av = a.data[arows[i] + ac];
             let row = &mut acc[i];
@@ -336,10 +334,8 @@ mod x86 {
     /// The caller must have verified AVX support at runtime, `M` must be
     /// at most [`MR`], and every element the tile reads — rows
     /// `arows[..M]` of `a` and columns `lanes` of `b`, over reduction
-    /// steps `al0..al0 + kc` and `bl0..bl0 + kc` — must lie inside the
-    /// operands' data.
+    /// steps `0..kc` — must lie inside the operands' data.
     #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn microkernel_avx<
         const M: usize,
         AR: Offsets,
@@ -350,9 +346,7 @@ mod x86 {
         acc: &mut [[f32; NR]; MR],
         a: &Operand<'_, AR, AC>,
         arows: &[usize; MR],
-        al0: usize,
         b: &Operand<'_, BR, BC>,
-        bl0: usize,
         lanes: Lanes,
         kc: usize,
     ) {
@@ -367,7 +361,7 @@ mod x86 {
         macro_rules! step {
             ($l:expr, $bv:expr) => {{
                 let bv = $bv;
-                let ac = a.cols.at(al0 + $l);
+                let ac = a.cols.at($l);
                 for (v, &r) in va.iter_mut().zip(arows.iter()) {
                     let av = _mm256_set1_ps(*ap.add(r + ac));
                     *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
@@ -377,14 +371,14 @@ mod x86 {
         match lanes {
             Lanes::Run { off, jw: NR } => {
                 for l in 0..kc {
-                    step!(l, _mm256_loadu_ps(bp.add(b.rows.at(bl0 + l) + off)));
+                    step!(l, _mm256_loadu_ps(bp.add(b.rows.at(l) + off)));
                 }
             }
             Lanes::Run { off, jw } => {
                 let mask = _mm256_castps_si256(_mm256_loadu_ps(MASK.as_ptr().add(NR - jw).cast()));
                 let p = bp.add(off);
                 for l in 0..kc {
-                    step!(l, _mm256_maskload_ps(p.add(b.rows.at(bl0 + l)), mask));
+                    step!(l, _mm256_maskload_ps(p.add(b.rows.at(l)), mask));
                 }
             }
             Lanes::Gather { .. } => {
@@ -393,7 +387,7 @@ mod x86 {
                     // Lane by lane into a register: a vector load of eight
                     // scalar stores would stall on store forwarding.
                     for l in 0..kc {
-                        let p = bp.add(b.rows.at(bl0 + l));
+                        let p = bp.add(b.rows.at(l));
                         let v = |j: usize| *p.add(off[j]);
                         step!(
                             l,
@@ -403,7 +397,7 @@ mod x86 {
                 } else {
                     let mut bv = [0.0f32; NR];
                     for l in 0..kc {
-                        let r = b.rows.at(bl0 + l);
+                        let r = b.rows.at(l);
                         for j in 0..jw {
                             bv[j] = *bp.add(r + off[j]);
                         }
@@ -474,107 +468,6 @@ mod x86 {
     }
 }
 
-/// Where packed strips gather their values from.
-enum PackSrc<'a> {
-    /// Row-major `[k, n]` right operand (`b` of [`gemm_into`]).
-    Rows(&'a [f32], usize),
-    /// Row-major `[n, k]` pre-transposed right operand (`bt` of
-    /// [`gemm_nt_into`]): column `j` of the product is row `j` here.
-    Cols(&'a [f32], usize),
-}
-
-/// Packs the `kc × nc` panel rooted at `(pc, jc)` into `NR`-wide strips:
-/// strip `s` covers product columns `jc + s·NR ..`, laid out as `kc` rows
-/// of `NR` contiguous values, zero-padded past the matrix edge so the
-/// microkernel never branches on the column tail. Padding lanes multiply
-/// finite left-operand values by `+0.0` and are never stored, so they
-/// cannot perturb any real output element.
-fn pack_panel(src: &PackSrc<'_>, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut [f32]) {
-    let nstrips = nc.div_ceil(NR);
-    for s in 0..nstrips {
-        let j0 = jc + s * NR;
-        let jw = NR.min(jc + nc - j0);
-        let strip = &mut buf[s * kc * NR..(s + 1) * kc * NR];
-        match *src {
-            PackSrc::Rows(b, n) => {
-                for l in 0..kc {
-                    let brow = &b[(pc + l) * n + j0..(pc + l) * n + j0 + jw];
-                    let dst = &mut strip[l * NR..l * NR + NR];
-                    dst[..jw].copy_from_slice(brow);
-                    dst[jw..].fill(0.0);
-                }
-            }
-            PackSrc::Cols(bt, k) => {
-                for jj in 0..jw {
-                    let brow = &bt[(j0 + jj) * k + pc..(j0 + jj) * k + pc + kc];
-                    for (l, &v) in brow.iter().enumerate() {
-                        strip[l * NR + jj] = v;
-                    }
-                }
-                for jj in jw..NR {
-                    for l in 0..kc {
-                        strip[l * NR + jj] = 0.0;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Serial blocked driver over one worker's contiguous row range.
-///
-/// `orows` is the worker's slab of the output (`mw` full rows of width
-/// `n`), `row0` its first absolute row. Each worker packs into its own
-/// thread-local buffer, so no packing state is shared across threads.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows_packed(
-    orows: &mut [f32],
-    row0: usize,
-    a: &[f32],
-    k: usize,
-    n: usize,
-    src: &PackSrc<'_>,
-    pack: &mut [f32],
-    use_simd: bool,
-) {
-    let mw = orows.len() / n;
-    let a = Operand::dense(a, k);
-    // A packed strip row is NR contiguous lanes, zero-padded at the edge.
-    let lanes = Lanes::of(Pitch(1), 0, NR);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let nstrips = nc.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let panel = &mut pack[..nstrips * kc * NR];
-            pack_panel(src, pc, kc, jc, nc, panel);
-            for ic in (0..mw).step_by(MC) {
-                let mc = MC.min(mw - ic);
-                for ir in (0..mc).step_by(MR) {
-                    let i0 = ic + ir;
-                    let mr = MR.min(mc - ir);
-                    let arows = row_offsets(&a, row0 + i0, mr);
-                    for s in 0..nstrips {
-                        let j0 = jc + s * NR;
-                        let jw = NR.min(jc + nc - j0);
-                        let mut acc = [[0.0f32; NR]; MR];
-                        for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                            let base = (i0 + i) * n + j0;
-                            row[..jw].copy_from_slice(&orows[base..base + jw]);
-                        }
-                        let strip = Operand::dense(&panel[s * kc * NR..][..kc * NR], NR);
-                        microkernel(&mut acc, mr, &a, &arows, pc, &strip, 0, lanes, kc, use_simd);
-                        for (i, row) in acc.iter().enumerate().take(mr) {
-                            let base = (i0 + i) * n + j0;
-                            orows[base..base + jw].copy_from_slice(&row[..jw]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// A's row offsets of the `mr ≤ MR` rows from `i0` on.
 fn row_offsets<R: Offsets, C: Offsets>(a: &Operand<'_, R, C>, i0: usize, mr: usize) -> [usize; MR] {
     let mut rows = [0; MR];
@@ -584,12 +477,10 @@ fn row_offsets<R: Offsets, C: Offsets>(a: &Operand<'_, R, C>, i0: usize, mr: usi
     rows
 }
 
-/// Serial direct (no-pack) driver over one worker's contiguous row range:
-/// register tiles accumulate straight out of both operands, read in place,
-/// the whole reduction held in registers. For the small shapes dispatch
-/// routes here, `b` is cache-resident anyway and the packed driver's copy
-/// of it is pure overhead; a convolution's operand is its input frame read
-/// through offset tables, so no column matrix is built at all.
+/// Serial driver over one worker's contiguous row range: register tiles
+/// accumulate straight out of both operands, read in place, the whole
+/// reduction held in registers. `use_simd` picks the AVX kernels and is
+/// set only where [`simd_available`].
 ///
 /// Groups of up to [`WIDE`] column tiles are the outer loop, so each
 /// tile's lane layout is worked out once and the group's slice of `b`
@@ -598,16 +489,16 @@ fn row_offsets<R: Offsets, C: Offsets>(a: &Operand<'_, R, C>, i0: usize, mr: usi
 /// of three or four rows, four beside one or two — so each reduction step
 /// loads its row offset and broadcasts its left values once for all of
 /// them.
-fn gemm_rows_direct<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+fn gemm_rows<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     orows: &mut [f32],
     row0: usize,
     a: &Operand<'_, AR, AC>,
     k: usize,
     n: usize,
     b: &Operand<'_, BR, BC>,
+    use_simd: bool,
 ) {
     let mw = orows.len() / n;
-    let use_simd = dispatch::simd_available();
     for g0 in (0..n).step_by(WIDE * NR) {
         let tiles = (n - g0).div_ceil(NR).min(WIDE);
         let mut lanes = [Lanes::Gather { j0: g0, jw: 0 }; WIDE];
@@ -641,7 +532,7 @@ fn gemm_rows_direct<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
                 }
                 let jw = NR.min(n - j0);
                 let mut acc = [[0.0f32; NR]; MR];
-                microkernel(&mut acc, mr, a, &arows, 0, b, 0, lanes[t], k, use_simd);
+                microkernel(&mut acc, mr, a, &arows, b, lanes[t], k, use_simd);
                 for (i, row) in acc.iter().enumerate().take(mr) {
                     let base = (i0 + i) * n + j0;
                     // A fixed-width copy is a register move, not a call.
@@ -675,9 +566,9 @@ fn microkernel_wide<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
 ) {
     assert!((mr - 1) * ldo + side * NR <= out.len());
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: the driver calls this only when `dispatch::simd_available`
-    // confirmed AVX, with full tiles of operands whose offsets
-    // `gemm_offsets` checked against their data; `out` is asserted above.
+    // SAFETY: the driver calls this only when `simd_available` confirmed
+    // AVX, with full tiles of operands whose offsets `gemm_with` checked
+    // against their data; `out` is asserted above.
     unsafe {
         use x86::microkernel_avx_wide as w;
         match (mr, side) {
@@ -696,13 +587,11 @@ fn microkernel_wide<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     }
 }
 
-/// Direct GEMM over operands read in place: `out[m, n] = A[m, k] ×
-/// B[k, n]` with `A(i, l) = a.data[a.rows.at(i) + a.cols.at(l)]` and
-/// `B(l, j) = b.data[b.rows.at(l) + b.cols.at(j)]`, on the direct driver
-/// whatever the forced strategy (a strategy never changes a value, and
-/// only the direct driver reads an operand through offsets). Output rows
-/// are split across workers. `out` is fully overwritten; every element is
-/// the ascending chain of [`gemm_buf`].
+/// GEMM over operands read in place: `out[m, n] = A[m, k] × B[k, n]`
+/// with `A(i, l) = a.data[a.rows.at(i) + a.cols.at(l)]` and `B(l, j) =
+/// b.data[b.rows.at(l) + b.cols.at(j)]`. Output rows are split across
+/// workers. `out` is fully overwritten; every element is the ascending
+/// chain of [`gemm_buf`].
 ///
 /// # Panics
 ///
@@ -715,6 +604,21 @@ pub(crate) fn gemm_offsets<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     b: Operand<'_, BR, BC>,
     out: &mut [f32],
 ) {
+    gemm_with(m, k, n, a, b, out, simd_available());
+}
+
+/// [`gemm_offsets`] on the AVX kernels when `use_simd` is set and the host
+/// has AVX, else on the scalar kernel: the same bits either way, which the
+/// unit tests check by running both.
+fn gemm_with<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'_, AR, AC>,
+    b: Operand<'_, BR, BC>,
+    out: &mut [f32],
+    use_simd: bool,
+) {
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
     a.check(m, k, "gemm left");
     b.check(k, n, "gemm right");
@@ -725,58 +629,18 @@ pub(crate) fn gemm_offsets<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
         out.fill(0.0);
         return;
     }
+    let use_simd = use_simd && simd_available();
     let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
     parallel::for_each_unit_chunk_mut(out, n, min_rows, |row0, orows| {
-        gemm_rows_direct(orows, row0, &a, k, n, &b);
+        gemm_rows(orows, row0, &a, k, n, &b, use_simd);
     });
 }
 
-/// Serial direct driver for the pre-transposed right operand: each output
-/// element is one contiguous ascending dot product over `a` row `i` and
-/// `bt` row `j` — the exact chain, with no pack and no padding lanes.
-fn gemm_nt_rows_direct(orows: &mut [f32], row0: usize, a: &[f32], k: usize, n: usize, bt: &[f32]) {
-    let mw = orows.len() / n;
-    for i in 0..mw {
-        let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
-        let orow = &mut orows[i * n..(i + 1) * n];
-        for (j, slot) in orow.iter_mut().enumerate() {
-            let brow = &bt[j * k..j * k + k];
-            *slot = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
-        }
-    }
-}
-
-/// Shared parallel dispatch of the packed strategies: splits output rows
-/// across workers (disjoint rows, full reduction per element —
-/// bit-identical for every thread count) and runs the blocked driver on
-/// each range.
-fn run_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    src: PackSrc<'_>,
-    out: &mut [f32],
-    strategy: Strategy,
-) {
-    debug_assert!(m > 0 && k > 0 && n > 0);
-    let use_simd = strategy == Strategy::PackedSimd && dispatch::simd_available();
-    let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
-    let pack_len = n.min(NC).div_ceil(NR) * NR * k.min(KC);
-    parallel::for_each_unit_chunk_mut(out, n, min_rows, |row0, orows| {
-        workspace::with_pack_buffer(pack_len, |pack| {
-            gemm_rows_packed(orows, row0, a, k, n, &src, pack, use_simd);
-        });
-    });
-}
-
-/// Slice-level shape-dispatched GEMM: `out[m, n] = a[m, k] × b[k, n]`,
-/// all row-major.
+/// Slice-level GEMM: `out[m, n] = a[m, k] × b[k, n]`, all row-major.
 ///
-/// `out` is fully overwritten (zeroed first), so stale contents of a pooled
-/// buffer are fine. Degenerate shapes are well-defined: any zero dimension
-/// yields an all-zero (possibly empty) output. The strategy is chosen by
-/// [`dispatch::select`] from the shape alone and never affects the result.
+/// `out` is fully overwritten, so stale contents of a pooled buffer are
+/// fine. Degenerate shapes are well-defined: any zero dimension yields an
+/// all-zero (possibly empty) output.
 ///
 /// # Panics
 ///
@@ -784,21 +648,12 @@ fn run_packed(
 pub fn gemm_buf(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm left operand length mismatch");
     assert_eq!(b.len(), k * n, "gemm right operand length mismatch");
-    assert_eq!(out.len(), m * n, "gemm output length mismatch");
-    out.fill(0.0);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    match dispatch::select(OpKind::Gemm, m, k, n) {
-        Strategy::Direct => {
-            gemm_offsets(m, k, n, Operand::dense(a, k), Operand::dense(b, n), out);
-        }
-        s => run_packed(m, k, n, a, PackSrc::Rows(b, n), out, s),
-    }
+    gemm_offsets(m, k, n, Operand::dense(a, k), Operand::dense(b, n), out);
 }
 
-/// Slice-level shape-dispatched GEMM with a pre-transposed right operand:
-/// `out[m, n] = a[m, k] × (bt[n, k])ᵀ`. Same conventions as [`gemm_buf`].
+/// Slice-level GEMM with a pre-transposed right operand: `out[m, n] =
+/// a[m, k] × (bt[n, k])ᵀ`, `bt` read in place with its rows as the
+/// product's columns. Same conventions as [`gemm_buf`].
 ///
 /// # Panics
 ///
@@ -806,30 +661,19 @@ pub fn gemm_buf(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f
 pub fn gemm_nt_buf(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "gemm_nt left operand length mismatch");
     assert_eq!(bt.len(), n * k, "gemm_nt right operand length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_nt output length mismatch");
-    out.fill(0.0);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    match dispatch::select(OpKind::GemmNt, m, k, n) {
-        Strategy::Direct => {
-            let min_rows = (MIN_PARALLEL_FLOPS / (k * n)).max(1);
-            parallel::for_each_unit_chunk_mut(out, n, min_rows, |row0, orows| {
-                gemm_nt_rows_direct(orows, row0, a, k, n, bt);
-            });
-        }
-        s => run_packed(m, k, n, a, PackSrc::Cols(bt, k), out, s),
-    }
+    let bt = Operand {
+        data: bt,
+        rows: Pitch(1),
+        cols: Pitch(k),
+    };
+    gemm_offsets(m, k, n, Operand::dense(a, k), bt, out);
 }
 
-/// Slice-level matrix-vector product: `out[rows] = mdata[rows, cols] · v`.
-///
-/// With one output column, packing can never amortise, so shape-based
-/// selection always takes the direct path: one contiguous ascending dot
-/// product per row. (A pinned packed strategy still runs the blocked
-/// driver, with a one-lane register tile of up to [`MR`] rows — the
-/// bit-identity suite and the `mmv` bench entry use that to prove the two
-/// agree and the direct path wins.) Same conventions as [`gemm_buf`].
+/// Slice-level matrix-vector product: `out[rows] = mdata[rows, cols] · v`,
+/// the `m = 1` case of [`gemm_nt_buf`] (`vᵀ` times the matrix read as its
+/// transpose), so the matrix's rows fill a tile's lanes eight at a time.
+/// The one output row runs on one worker. Same conventions as
+/// [`gemm_buf`].
 ///
 /// # Panics
 ///
@@ -838,45 +682,10 @@ pub fn mmv_buf(rows: usize, cols: usize, mdata: &[f32], v: &[f32], out: &mut [f3
     assert_eq!(mdata.len(), rows * cols, "mmv matrix length mismatch");
     assert_eq!(v.len(), cols, "mmv vector length mismatch");
     assert_eq!(out.len(), rows, "mmv output length mismatch");
-    out.fill(0.0);
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let min_rows = (MIN_PARALLEL_FLOPS / cols).max(1);
-    match dispatch::select(OpKind::Mmv, rows, cols, 1) {
-        Strategy::Direct => {
-            parallel::for_each_chunk_mut(out, min_rows, |row0, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let row = &mdata[(row0 + i) * cols..(row0 + i + 1) * cols];
-                    *slot = row.iter().zip(v).map(|(&a, &b)| a * b).sum();
-                }
-            });
-        }
-        _ => {
-            parallel::for_each_unit_chunk_mut(out, 1, min_rows, |row0, orows| {
-                let mw = orows.len();
-                for pc in (0..cols).step_by(KC) {
-                    let kc = KC.min(cols - pc);
-                    for i0 in (0..mw).step_by(MR) {
-                        let mr = MR.min(mw - i0);
-                        let abase = (row0 + i0) * cols + pc;
-                        // The one-lane register tile: `mr` rows, one column.
-                        let mut acc = [0.0f32; MR];
-                        acc[..mr].copy_from_slice(&orows[i0..i0 + mr]);
-                        for (l, &bv) in v[pc..pc + kc].iter().enumerate() {
-                            for (i, slot) in acc.iter_mut().enumerate().take(mr) {
-                                *slot += mdata[abase + i * cols + l] * bv;
-                            }
-                        }
-                        orows[i0..i0 + mr].copy_from_slice(&acc[..mr]);
-                    }
-                }
-            });
-        }
-    }
+    gemm_nt_buf(1, cols, rows, v, mdata, out);
 }
 
-/// Shape-dispatched GEMM into a caller-owned buffer: `a` is `[m, k]`, `b`
+/// GEMM into a caller-owned buffer: `a` is `[m, k]`, `b`
 /// is `[k, n]`, `out` receives the row-major `[m, n]` product.
 ///
 /// # Panics
@@ -892,7 +701,7 @@ pub fn gemm_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     gemm_buf(m, k, n, a.data(), b.data(), out);
 }
 
-/// Shape-dispatched GEMM with pre-transposed right operand into a
+/// GEMM with pre-transposed right operand into a
 /// caller-owned buffer: `a` is `[m, k]`, `bt` is `[n, k]`, `out` receives
 /// `[m, n]`.
 ///
@@ -924,16 +733,8 @@ pub fn mmv_into(m: &Tensor, v: &[f32], out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{with_strategy, ForcedStrategy};
     use crate::parallel::with_threads;
     use crate::tensor::{gemm, gemm_nt, mmv};
-
-    const ALL_FORCED: [ForcedStrategy; 4] = [
-        ForcedStrategy::Auto,
-        ForcedStrategy::Direct,
-        ForcedStrategy::Packed,
-        ForcedStrategy::Simd,
-    ];
 
     fn det(shape: &[usize]) -> Tensor {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -943,6 +744,10 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 40) as f64 / (1u64 << 24) as f64) as f32 - 0.5
         })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Reference chain: one ascending dot product per element, exactly the
@@ -963,9 +768,9 @@ mod tests {
     }
 
     #[test]
-    fn every_strategy_matches_reference_chain_bitwise() {
-        // Shapes straddling every blocking boundary: MR/NR tails, multiple
-        // KC panels, single-element edges.
+    fn gemm_matches_reference_chain_bitwise() {
+        // Shapes straddling every tile boundary: MR/NR tails, WIDE groups,
+        // long reductions, single-element edges.
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 7, 5),
@@ -977,33 +782,29 @@ mod tests {
             let a = det(&[m, k]);
             let b = det(&[k, n]);
             let r = gemm_ref(&a, &b);
-            for forced in ALL_FORCED {
-                for threads in [1, 2, 8] {
-                    let got = with_strategy(forced, || with_threads(threads, || gemm(&a, &b)));
-                    assert_eq!(
-                        got.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "gemm {m}x{k}x{n} {forced:?} threads={threads}"
-                    );
-                }
+            for threads in [1, 2, 8] {
+                let got = with_threads(threads, || gemm(&a, &b));
+                assert_eq!(
+                    bits(got.data()),
+                    bits(&r),
+                    "gemm {m}x{k}x{n} threads={threads}"
+                );
             }
         }
     }
 
     #[test]
-    fn gemm_nt_column_matches_mmv_bitwise_per_strategy() {
+    fn gemm_nt_column_matches_mmv_bitwise() {
         // The documented contract: gemm_nt(a, bt) column j == mmv(a, bt
-        // row j), bit for bit, whatever strategies the two dispatch to.
+        // row j), bit for bit.
         let a = det(&[6, 37]);
         let bt = det(&[9, 37]);
-        for forced in ALL_FORCED {
-            let full = with_strategy(forced, || gemm_nt(&a, &bt));
-            for j in 0..9 {
-                let row = &bt.data()[j * 37..(j + 1) * 37];
-                let col = mmv(&a, row);
-                for (i, &v) in col.iter().enumerate() {
-                    assert_eq!(full.data()[i * 9 + j].to_bits(), v.to_bits(), "{forced:?}");
-                }
+        let full = gemm_nt(&a, &bt);
+        for j in 0..9 {
+            let row = &bt.data()[j * 37..(j + 1) * 37];
+            let col = mmv(&a, row);
+            for (i, &v) in col.iter().enumerate() {
+                assert_eq!(full.data()[i * 9 + j].to_bits(), v.to_bits());
             }
         }
     }
@@ -1025,39 +826,161 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_shapes_are_well_defined_per_strategy() {
-        for forced in ALL_FORCED {
-            with_strategy(forced, || {
-                for &(m, k, n) in &[(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1)] {
-                    let a = det(&[m, k]);
-                    let b = det(&[k, n]);
-                    let out = gemm(&a, &b);
-                    assert_eq!(out.shape(), &[m, n]);
-                    if k == 0 {
-                        assert!(out.data().iter().all(|&x| x == 0.0));
-                    }
-                    let bt = det(&[n, k]);
-                    assert_eq!(gemm_nt(&a, &bt).shape(), &[m, n]);
-                    let v = vec![1.0; k];
-                    assert_eq!(mmv(&a, &v).len(), m);
-                }
-            });
+    fn degenerate_shapes_are_well_defined() {
+        for &(m, k, n) in &[(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1)] {
+            let a = det(&[m, k]);
+            let b = det(&[k, n]);
+            let out = gemm(&a, &b);
+            assert_eq!(out.shape(), &[m, n]);
+            if k == 0 {
+                assert!(out.data().iter().all(|&x| x == 0.0));
+            }
+            let bt = det(&[n, k]);
+            assert_eq!(gemm_nt(&a, &bt).shape(), &[m, n]);
+            let v = vec![1.0; k];
+            assert_eq!(mmv(&a, &v).len(), m);
+        }
+    }
+
+    /// Runs `f(use_simd)` for the scalar and the AVX kernel and asserts
+    /// that both write the same bits, at 1 and 2 threads.
+    fn assert_kernels_agree(what: &str, f: impl Fn(bool, &mut [f32]), len: usize) {
+        let run = |use_simd: bool, threads: usize| {
+            let mut out = vec![f32::NAN; len];
+            with_threads(threads, || f(use_simd, &mut out));
+            bits(&out)
+        };
+        let scalar = run(false, 1);
+        for threads in [1, 2] {
+            assert_eq!(run(false, threads), scalar, "{what}: scalar, {threads}t");
+            assert_eq!(
+                run(true, threads),
+                scalar,
+                "{what}: avx vs scalar, {threads}t"
+            );
         }
     }
 
     #[test]
-    fn mmv_blocked_and_direct_agree_bitwise() {
-        // The satellite contract behind `mmv` always dispatching direct:
-        // the retired blocked path and the direct dot agree exactly, so
-        // the change is pure speed.
-        let m = det(&[37, 520]);
-        let v: Vec<f32> = (0..520).map(|i| (i as f32 * 0.37).sin()).collect();
-        let direct = with_strategy(ForcedStrategy::Direct, || mmv(&m, &v));
-        let blocked = with_strategy(ForcedStrategy::Packed, || mmv(&m, &v));
-        let auto = mmv(&m, &v);
-        for ((d, b), x) in direct.iter().zip(&blocked).zip(&auto) {
-            assert_eq!(d.to_bits(), b.to_bits());
-            assert_eq!(d.to_bits(), x.to_bits());
+    fn scalar_and_avx_kernels_agree_bitwise() {
+        if !simd_available() {
+            println!("skipped: this host has no AVX, so only the scalar kernel runs");
+            return;
+        }
+        // The dominant GEMM of each Table V benchmark GAN as perf_snapshot
+        // clamps it, the suite GANs' dense layers (forward and ∇input of
+        // the generator's first and the discriminator's last layer) at
+        // B = 1 and 8, and shapes around the tile edges (MR, NR, WIDE·NR).
+        let mut shapes = vec![
+            (25, 64, 192),
+            (16, 192, 192),
+            (64, 192, 192),
+            (16, 64, 192),
+            (49, 192, 192),
+            (1, 8, 128),
+            (8, 8, 128),
+            (8, 16, 256),
+            (8, 128, 8),
+            (1, 128, 1),
+            (8, 128, 1),
+            (8, 1, 128),
+        ];
+        for m in [1, 3, 4, 5, 9] {
+            for n in [1, 7, 8, 9, 31, 32, 33] {
+                for k in [1, 2, 257] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        for (m, k, n) in shapes {
+            let a = det(&[m, k]);
+            let b = det(&[k, n]);
+            let bt = det(&[n, k]);
+            let (a, b, bt) = (a.data(), b.data(), bt.data());
+            assert_kernels_agree(
+                &format!("gemm {m}x{k}x{n}"),
+                |simd, out| {
+                    gemm_with(
+                        m,
+                        k,
+                        n,
+                        Operand::dense(a, k),
+                        Operand::dense(b, n),
+                        out,
+                        simd,
+                    )
+                },
+                m * n,
+            );
+            let bt_op = Operand {
+                data: bt,
+                rows: Pitch(1),
+                cols: Pitch(k),
+            };
+            assert_kernels_agree(
+                &format!("gemm_nt {m}x{k}x{n}"),
+                |simd, out| gemm_with(m, k, n, Operand::dense(a, k), bt_op, out, simd),
+                m * n,
+            );
+        }
+        // A convolution's frame read through offset tables: a 3×3, stride
+        // 1 and stride 2 window over a zero-padded [C, 10, 10] frame, as
+        // the forward (taps × positions on the right), the by-channel ∇W
+        // (the frame on the left) and the by-tap ∇W (positions × taps on
+        // the right, the transposed gather).
+        for (c, stride, oc) in [(3, 1, 8), (2, 2, 5), (4, 1, 33)] {
+            let (hp, kw) = (10, 3);
+            let o = (hp - kw) / stride + 1;
+            let frame = det(&[c * hp * hp]);
+            let taps = Table::new(
+                (0..c)
+                    .flat_map(|ci| (0..kw * kw).map(move |t| ci * hp * hp + t / kw * hp + t % kw)),
+            );
+            let positions = Table::new((0..o * o).map(|p| p / o * stride * hp + p % o * stride));
+            let (red, n) = (taps.len(), positions.len());
+            let frame = frame.data();
+            let w = det(&[oc, red]);
+            let w = w.data();
+            assert_kernels_agree(
+                &format!("conv forward c={c} s={stride} oc={oc}"),
+                |simd, out| {
+                    let x = Operand {
+                        data: frame,
+                        rows: &taps,
+                        cols: &positions,
+                    };
+                    gemm_with(oc, red, n, Operand::dense(w, red), x, out, simd);
+                },
+                oc * n,
+            );
+            let dt = det(&[n, oc]);
+            let dt = dt.data();
+            assert_kernels_agree(
+                &format!("conv ∇W by channel c={c} s={stride} oc={oc}"),
+                |simd, out| {
+                    let x = Operand {
+                        data: frame,
+                        rows: &taps,
+                        cols: &positions,
+                    };
+                    gemm_with(red, n, oc, x, Operand::dense(dt, oc), out, simd);
+                },
+                red * oc,
+            );
+            let dout = det(&[oc, n]);
+            let dout = dout.data();
+            assert_kernels_agree(
+                &format!("conv ∇W by tap c={c} s={stride} oc={oc}"),
+                |simd, out| {
+                    let x = Operand {
+                        data: frame,
+                        rows: &positions,
+                        cols: &taps,
+                    };
+                    gemm_with(oc, n, red, Operand::dense(dout, n), x, out, simd);
+                },
+                oc * red,
+            );
         }
     }
 }

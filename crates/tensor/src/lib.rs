@@ -25,7 +25,6 @@
 
 pub mod conv;
 pub mod dconv;
-pub mod dispatch;
 pub mod geometry;
 pub mod im2col;
 pub mod kernel;

@@ -15,7 +15,7 @@
 //! scoped-thread substrate could not: dispatching a region performs **zero
 //! heap allocations** once the pool has grown to the requested width (the
 //! job is a plain pointer pair written into a pre-existing slot), and each
-//! worker's thread-local state — the GEMM packing panel and the per-worker
+//! worker's thread-local state — its
 //! [`Workspace`](crate::workspace::Workspace) pool — survives across
 //! regions instead of being torn down with the thread.
 //!
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn pool_workers_keep_thread_identity_across_regions() {
         // The pool must reuse the same OS threads between regions —
-        // thread-local pack buffers and per-worker workspaces depend on it.
+        // per-worker workspaces depend on it.
         use std::collections::HashSet;
         use std::sync::Mutex as StdMutex;
         let ids: StdMutex<HashSet<std::thread::ThreadId>> = StdMutex::new(HashSet::new());

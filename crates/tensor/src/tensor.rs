@@ -5,7 +5,7 @@
 //! module provides just enough of an ndarray: construction, indexing,
 //! element-wise maps, and a couple of linear-algebra helpers. The dense
 //! kernels ([`gemm`], [`gemm_nt`], [`mmv`]) are thin allocating wrappers
-//! over the packed, cache-blocked microkernels in [`crate::kernel`].
+//! over the register-tiled GEMM driver in [`crate::kernel`].
 
 use std::fmt;
 
@@ -330,12 +330,10 @@ pub fn mmv(m: &Tensor, v: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Packed matrix-matrix product: `a` is `[m, k]`, `b` is `[k, n]`,
-/// returning `[m, n]`.
+/// Matrix-matrix product: `a` is `[m, k]`, `b` is `[k, n]`, returning
+/// `[m, n]`.
 ///
-/// This is the batched-execution primitive behind the ZFDR
-/// one-GEMM-per-pattern-class path and the im2col convolution. Allocating
-/// wrapper over the cache-blocked [`crate::kernel::gemm_into`], which
+/// Allocating wrapper over [`crate::kernel::gemm_into`], which
 /// accumulates along `k` in ascending order exactly like [`mmv`] does, so
 /// for any column vector `b` the two agree bit-for-bit; row blocks are
 /// distributed over the [`crate::parallel`] substrate with each worker

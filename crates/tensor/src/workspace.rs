@@ -24,41 +24,21 @@
 //! * Pools are plain session state, not model state: dropping a workspace
 //!   (or restoring a checkpoint) merely forces a fresh warmup step.
 //!
-//! The GEMM packing buffers are deliberately *not* in [`Workspace`]: the
-//! parallel substrate hands each worker thread its own panel, so packing
-//! scratch lives in a per-thread buffer (`with_pack_buffer`) sized by the
-//! kernel's blocking parameters and retained for the life of the thread.
+//! Code that runs inside a parallel worker, where no caller-owned
+//! workspace can be threaded through, takes its scratch from the worker's
+//! own pool ([`with_thread_workspace`]).
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::fmt;
 
 thread_local! {
-    /// Per-thread packing buffer for the blocked GEMM kernels. Worker
-    /// threads spawned by [`crate::parallel`] each get their own, so no
-    /// packing state is ever shared; workers persist in a pool, so the
-    /// buffer survives across parallel regions, making steady-state packing
-    /// allocation-free on every thread.
-    static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread [`Workspace`] for parallel stages whose workers need
     /// pooled scratch (e.g. the batched trainer's per-sample backward
-    /// scatter). Like the pack buffer it lives for the life of the pooled
-    /// worker thread: each worker warms its sizes once and then serves
-    /// every later region allocation-free.
+    /// scatter). It lives for the life of the pooled worker thread: each
+    /// worker warms its sizes once and then serves every later region
+    /// allocation-free.
     static WORKER_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
-}
-
-/// Runs `f` over this thread's packing buffer, grown to at least `len`
-/// elements (contents unspecified; the packing step overwrites every slot
-/// it reads back).
-pub(crate) fn with_pack_buffer<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    PACK_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
 }
 
 /// Runs `f` over this thread's persistent [`Workspace`].

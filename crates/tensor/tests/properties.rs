@@ -266,101 +266,49 @@ proptest! {
     }
 }
 
-/// GEMM shapes straddling the committed dispatch thresholds by ±1 on each
-/// deciding axis, for both the `gemm` and `gemm_nt` threshold pairs: the
-/// shapes where shape-adaptive dispatch flips between the direct and
-/// packed strategies. Derived from `dispatch::thresholds()` at test time,
-/// so regenerating `dispatch_thresholds.json` moves the sweep with it.
-fn threshold_straddling_shapes() -> Vec<(usize, usize, usize)> {
-    let t = lergan_tensor::dispatch::thresholds();
-    let mut shapes = Vec::new();
-    for &(max_m, max_kn) in &[
-        (t.gemm_direct_max_m, t.gemm_direct_max_kn),
-        (t.gemm_nt_direct_max_m, t.gemm_nt_direct_max_kn),
-    ] {
-        // Straddle the m threshold with k·n pinned above the kn threshold,
-        // so m alone decides the strategy.
-        let k = 16;
-        let n_over = max_kn / k + 2;
-        for m in [max_m.saturating_sub(1), max_m, max_m + 1, max_m + 2] {
-            if m >= 1 {
-                shapes.push((m, k, n_over));
-            }
-        }
-        // Straddle the kn threshold by ±1 in n (then in k) with m pinned
-        // above the m threshold, so k·n alone decides.
-        let m = max_m + 2;
-        let base_n = (max_kn / 8).max(1);
-        for d in [-1isize, 0, 1] {
-            let n_var = (base_n as isize + d).max(1) as usize;
-            shapes.push((m, 8, n_var));
-        }
-        let base_k = (max_kn / 8).max(1);
-        for d in [-1isize, 0, 1] {
-            let k_var = (base_k as isize + d).max(1) as usize;
-            shapes.push((m, k_var, 8));
-        }
-    }
-    shapes.sort_unstable();
-    shapes.dedup();
-    shapes
-}
+/// Column counts around the driver's column tile (`NR` = 8) and its
+/// side-by-side group of `WIDE·NR` = 32 columns.
+const SEAM_N: [usize; 7] = [1, 7, 8, 9, 31, 32, 33];
+/// Reduction lengths: the shortest ones, and ones around 256.
+const SEAM_K: [usize; 5] = [1, 2, 255, 256, 257];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// At every threshold-straddling shape, all strategies — the shapes on
-    /// both sides of each dispatch flip — must agree bit-for-bit with the
-    /// forced direct kernel, at 1, 2, and 8 threads. This pins the
-    /// dispatch seams: a strategy that diverged only beyond (or below) a
-    /// committed threshold would escape a fixed-shape suite.
+    /// On shapes around the driver's own seams — `m` around the row tile
+    /// (`MR` = 4), `n` and `k` from [`SEAM_N`] and [`SEAM_K`] — `gemm`,
+    /// `gemm_nt` and `mmv` at 1, 2 and 8 threads must match their
+    /// single-thread result bit for bit, and `gemm` must match the
+    /// triple-loop oracle.
     #[test]
-    fn strategies_bit_agree_across_dispatch_thresholds(seed in 0u64..1000) {
-        use lergan_tensor::dispatch::{with_strategy, ForcedStrategy};
+    fn gemm_bit_agrees_across_threads_on_tile_seams(
+        m in 1usize..10,
+        ni in 0usize..7,
+        ki in 0usize..5,
+        seed in 0u64..1000,
+    ) {
         use lergan_tensor::parallel;
-        use lergan_tensor::tensor::{gemm, gemm_nt};
+        use lergan_tensor::tensor::{gemm, gemm_nt, mmv};
 
-        for (m, k, n) in threshold_straddling_shapes() {
-            let val = |i: usize| ((i as u64 * 29 + seed * 17) % 23) as f32 * 0.25 - 2.75;
-            let a = Tensor::from_fn(&[m, k], |idx| val(idx[0] * k + idx[1]));
-            let b = Tensor::from_fn(&[k, n], |idx| val(300 + idx[0] * n + idx[1]));
-            let bt = Tensor::from_fn(&[n, k], |idx| b.data()[idx[1] * n + idx[0]]);
-            let (want_g, want_nt) = parallel::with_threads(1, || {
-                with_strategy(ForcedStrategy::Direct, || (gemm(&a, &b), gemm_nt(&a, &bt)))
-            });
-            for threads in [1usize, 2, 8] {
-                parallel::with_threads(threads, || {
-                    for forced in [
-                        ForcedStrategy::Auto,
-                        ForcedStrategy::Direct,
-                        ForcedStrategy::Packed,
-                        ForcedStrategy::Simd,
-                    ] {
-                        with_strategy(forced, || {
-                            let g = gemm(&a, &b);
-                            let gnt = gemm_nt(&a, &bt);
-                            for (i, (x, w)) in
-                                g.data().iter().zip(want_g.data()).enumerate()
-                            {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    w.to_bits(),
-                                    "gemm[{forced:?}, {threads}t] {m}x{k}x{n} elem {i}"
-                                );
-                            }
-                            for (i, (x, w)) in
-                                gnt.data().iter().zip(want_nt.data()).enumerate()
-                            {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    w.to_bits(),
-                                    "gemm_nt[{forced:?}, {threads}t] {m}x{k}x{n} elem {i}"
-                                );
-                            }
-                        });
-                    }
-                });
-            }
+        let (n, k) = (SEAM_N[ni], SEAM_K[ki]);
+        let val = |i: usize| ((i as u64 * 29 + seed * 17) % 23) as f32 * 0.25 - 2.75;
+        let a = Tensor::from_fn(&[m, k], |idx| val(idx[0] * k + idx[1]));
+        let b = Tensor::from_fn(&[k, n], |idx| val(300 + idx[0] * n + idx[1]));
+        let bt = Tensor::from_fn(&[n, k], |idx| b.data()[idx[1] * n + idx[0]]);
+        let v: Vec<f32> = (0..k).map(|i| val(700 + i)).collect();
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = || {
+            (
+                bits(gemm(&a, &b).data()),
+                bits(gemm_nt(&a, &bt).data()),
+                bits(&mmv(&a, &v)),
+            )
+        };
+        let want = parallel::with_threads(1, run);
+        prop_assert_eq!(&want.0, &bits(&oracle_gemm(m, k, n, a.data(), b.data())));
+        for threads in [1usize, 2, 8] {
+            let got = parallel::with_threads(threads, run);
+            prop_assert_eq!(&got, &want, "{}x{}x{} at {} threads", m, k, n, threads);
         }
     }
 }

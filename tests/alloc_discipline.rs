@@ -15,8 +15,7 @@
 //! at eight threads. The persistent worker pool dispatches regions
 //! without allocating, and every per-worker scratch buffer (the
 //! thread-local workspaces the backward pass draws its per-sample
-//! partials from, and the packed-GEMM pack buffers) is warmed by the
-//! first step.
+//! partials from) is warmed by the first step.
 //!
 //! The allocator is process-global, but only the threads a check drives
 //! count, and only while it runs: the test thread and the pool workers it
@@ -137,7 +136,7 @@ fn steady_state_train_step_performs_zero_heap_allocations() {
             let reals = vec![Tensor::filled(&[1, 16, 16], 0.5); samples];
 
             // One warmup step: fills the workspace pools, the activation
-            // caches, the Adam moments, and the thread-local pack buffers.
+            // caches, the Adam moments, and the thread-local workspaces.
             let _ = gan.train_step(&reals);
 
             ALLOCATIONS.store(0, Ordering::SeqCst);

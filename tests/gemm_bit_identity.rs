@@ -1,40 +1,27 @@
-//! Golden bit-identity: every GEMM execution strategy — the no-pack
-//! direct kernel, the packed BLIS-style kernel, the packed+SIMD kernel,
-//! and the shape-adaptive dispatch that picks among them — must reproduce
-//! the pre-packing kernels (preserved verbatim in `lergan_bench::naive`)
-//! **bit-for-bit** on every GEMM shape the eight Table V benchmark GANs
-//! execute, at 1, 2, and 8 threads.
+//! Golden bit-identity: the GEMM driver behind `gemm`, `gemm_nt` and
+//! `mmv` must reproduce the pre-packing kernels (preserved verbatim in
+//! `lergan_bench::naive`) **bit-for-bit** on every GEMM shape the eight
+//! Table V benchmark GANs execute, at 1, 2, and 8 threads.
 //!
-//! All kernel generations promise the same contract — every output
-//! element accumulates its `k` products in ascending order from an f32
-//! `0.0`, and thread splits only partition output elements — so equality
-//! here is exact (`to_bits`), not approximate. Strategy is forced via the
-//! `lergan::tensor::dispatch` thread-local override, so one sweep pins
-//! the direct, packed, and SIMD paths plus whatever the committed
-//! thresholds select. Shapes are harvested from the op-graph IR of each
-//! benchmark (all six training phases) and clamped to a cap so the suite
-//! stays fast; the clamp preserves the shape *mix* (tall, wide, deep,
-//! degenerate-thin) that the trainers actually issue.
+//! Both promise the same contract — every output element accumulates its
+//! `k` products in ascending order from an f32 `+0.0`, and thread splits
+//! only partition output elements — so equality here is exact
+//! (`to_bits`), not approximate. Shapes are harvested from the op-graph IR
+//! of each benchmark (all six training phases) and clamped to a cap so the
+//! suite stays fast; the clamp preserves the shape *mix* (tall, wide,
+//! deep, degenerate-thin) that the trainers actually issue.
 
 use lergan::gan::benchmarks;
 use lergan::gan::ir::OpGraph;
-use lergan::tensor::dispatch::{with_strategy, ForcedStrategy};
 use lergan::tensor::parallel;
 use lergan::tensor::tensor::{gemm, gemm_nt, mmv};
 use lergan::tensor::Tensor;
 use lergan_bench::naive;
 use std::collections::BTreeSet;
 
-const ALL_FORCED: [ForcedStrategy; 4] = [
-    ForcedStrategy::Auto,
-    ForcedStrategy::Direct,
-    ForcedStrategy::Packed,
-    ForcedStrategy::Simd,
-];
-
-/// Cap on each GEMM dimension: big enough to exercise every blocking
-/// boundary of the packed kernel (MR=4, NR=8, MC=64 row blocks) while
-/// keeping the whole benchmark sweep under a second.
+/// Cap on each GEMM dimension: big enough to cross every tile boundary of
+/// the driver (MR = 4 rows, NR = 8 and WIDE·NR = 32 columns) while keeping
+/// the whole benchmark sweep under a second.
 const DIM_CAP: usize = 96;
 
 fn det(shape: &[usize], seed: u32) -> Tensor {
@@ -69,7 +56,7 @@ fn benchmark_shapes() -> BTreeSet<(usize, usize, usize)> {
 }
 
 #[test]
-fn every_strategy_matches_naive_bit_for_bit_on_all_benchmark_shapes() {
+fn gemm_matches_naive_bit_for_bit_on_all_benchmark_shapes() {
     let shapes = benchmark_shapes();
     assert!(
         shapes.len() >= 20,
@@ -93,31 +80,22 @@ fn every_strategy_matches_naive_bit_for_bit_on_all_benchmark_shapes() {
         });
         for threads in [1, 2, 8] {
             parallel::with_threads(threads, || {
-                for forced in ALL_FORCED {
-                    with_strategy(forced, || {
-                        let what = |op: &str| format!("{op}[{forced:?}, {threads}t]");
-                        assert_bits_eq(
-                            gemm(&a, &b).data(),
-                            want_g.data(),
-                            &what("gemm"),
-                            (m, k, n),
-                        );
-                        assert_bits_eq(
-                            gemm_nt(&a, &bt).data(),
-                            want_nt.data(),
-                            &what("gemm_nt"),
-                            (m, k, n),
-                        );
-                        assert_bits_eq(&mmv(&a, v.data()), &want_v, &what("mmv"), (m, k, n));
-                    });
-                }
+                let what = |op: &str| format!("{op}[{threads}t]");
+                assert_bits_eq(gemm(&a, &b).data(), want_g.data(), &what("gemm"), (m, k, n));
+                assert_bits_eq(
+                    gemm_nt(&a, &bt).data(),
+                    want_nt.data(),
+                    &what("gemm_nt"),
+                    (m, k, n),
+                );
+                assert_bits_eq(&mmv(&a, v.data()), &want_v, &what("mmv"), (m, k, n));
             });
         }
     }
 }
 
 #[test]
-fn into_variants_match_naive_on_stale_buffers_per_strategy() {
+fn into_variants_match_naive_on_stale_buffers() {
     // The `_into` entry points must fully overwrite their output buffer;
     // seed it with NaN so any skipped element is caught by the bit check.
     use lergan::tensor::{gemm_into, gemm_nt_into, mmv_into};
@@ -129,19 +107,34 @@ fn into_variants_match_naive_on_stale_buffers_per_strategy() {
         let want_g = naive::gemm(&a, &b);
         let want_nt = naive::gemm_nt(&a, &bt);
         let want_v = naive::mmv(&a, v.data());
-        for forced in ALL_FORCED {
-            with_strategy(forced, || {
-                let what = |op: &str| format!("{op}[{forced:?}]");
-                let mut out = vec![f32::NAN; m * n];
-                gemm_into(&a, &b, &mut out);
-                assert_bits_eq(&out, want_g.data(), &what("gemm_into"), (m, k, n));
-                out.fill(f32::NAN);
-                gemm_nt_into(&a, &bt, &mut out);
-                assert_bits_eq(&out, want_nt.data(), &what("gemm_nt_into"), (m, k, n));
-                let mut vout = vec![f32::NAN; m];
-                mmv_into(&a, v.data(), &mut vout);
-                assert_bits_eq(&vout, &want_v, &what("mmv_into"), (m, k, n));
-            });
-        }
+        let mut out = vec![f32::NAN; m * n];
+        gemm_into(&a, &b, &mut out);
+        assert_bits_eq(&out, want_g.data(), "gemm_into", (m, k, n));
+        out.fill(f32::NAN);
+        gemm_nt_into(&a, &bt, &mut out);
+        assert_bits_eq(&out, want_nt.data(), "gemm_nt_into", (m, k, n));
+        let mut vout = vec![f32::NAN; m];
+        mmv_into(&a, v.data(), &mut vout);
+        assert_bits_eq(&vout, &want_v, "mmv_into", (m, k, n));
     }
+}
+
+#[test]
+fn all_negative_zero_products_sum_to_positive_zero() {
+    // a = [-1, 2] against b = [0, -0]: both products are -0.0, and the
+    // chain from +0.0 gives (+0 + -0) + -0 = +0. A fold from -0.0
+    // (`Iterator::sum`) would give -0.0 instead.
+    let a = Tensor::from_vec(&[1, 2], vec![-1.0, 2.0]);
+    let b = Tensor::from_vec(&[2, 1], vec![0.0, -0.0]);
+    let bt = Tensor::from_vec(&[1, 2], vec![0.0, -0.0]);
+    let want_g = naive::gemm(&a, &b);
+    let want_nt = naive::gemm_nt(&a, &bt);
+    let want_v = naive::mmv(&a, bt.data());
+    for want in [want_g.data(), want_nt.data(), &want_v[..]] {
+        assert_eq!(want[0].to_bits(), 0x0000_0000, "oracle is not +0.0");
+    }
+    let shape = (1, 2, 1);
+    assert_bits_eq(gemm(&a, &b).data(), want_g.data(), "gemm", shape);
+    assert_bits_eq(gemm_nt(&a, &bt).data(), want_nt.data(), "gemm_nt", shape);
+    assert_bits_eq(&mmv(&a, bt.data()), &want_v, "mmv", shape);
 }
