@@ -11,8 +11,9 @@
 //! * D-CONV dilated convolution: the zero-free plan against the naive
 //!   zero-inserted-kernel formulation,
 //! * S-CONV through the one-phase plan, and the trainer's hottest conv
-//!   (extgan8's 3k1s 8 px D layer) cached, with its input gradient (the
-//!   dual plan's forward) and its weight gradient,
+//!   (extgan8's 3k1s 8 px D layer) and widegan16's narrow stride-2 D conv
+//!   (3k2s, 8 px in, 16 channels) cached, each with its input gradient
+//!   (the dual plan's forward) and its weight gradient,
 //! * the GEMM driver (`driver`) against the pre-packing kernel preserved
 //!   in [`lergan_bench::naive`] (`naive`), on the dominant GEMM shape of
 //!   every Table V benchmark GAN,
@@ -98,8 +99,10 @@ fn cached_forward<'a>(
     }
 }
 
-/// The trainer's per-sample weight gradient: `plan`, workspace, the frame
-/// of `input` its forward built and the gradient buffer held across calls.
+/// The trainer's weight gradient of a batch of one: `plan`, workspace,
+/// the frame of `input` its forward built and the partial and gradient
+/// buffers held across calls; the phase-layout partial is added into the
+/// gradient once per call.
 fn cached_weight_grad<'a>(
     plan: &'a ConvPlan,
     input: &Tensor,
@@ -108,9 +111,11 @@ fn cached_weight_grad<'a>(
     let mut ws = Workspace::new();
     let mut frame = vec![0.0; plan.frame_len()];
     plan.frame_into(input.data(), &mut frame);
-    let mut grad = vec![0.0; plan.weight_shape().iter().product()];
+    let mut part = vec![0.0; plan.weight_shape().iter().product()];
+    let mut grad = vec![0.0; part.len()];
     move || {
-        plan.weight_grad_into(black_box(dout.data()), &frame, &mut grad, &mut ws);
+        plan.weight_grad_into(black_box(dout.data()), &frame, &mut part, &mut ws);
+        plan.add_weight_grad(&part, &mut grad);
         black_box(&grad);
     }
 }
@@ -269,6 +274,34 @@ fn main() {
         "sconv_3k1s_8px_8x8ch/wgrad_cached",
         threads,
         cached_weight_grad(&plan_h, &input_h, &dout_h),
+    );
+
+    // widegan16's narrow, stride-2 D conv: 16 -> 16 ch, 8 px -> 4 px.
+    // Every eight-lane tile of its 4 px output spans two window rows, so
+    // the forward and the dual gather their lanes, and ∇W runs its lanes
+    // across the 16 channels.
+    let plan_n = SconvGeometry::new(8, 3, 2, 1).unwrap().plan(16, 16);
+    let dual_n = plan_n.dual();
+    let input_n = det(&[16, 8, 8], 14);
+    let weights_n = det(&[16, 16, 3, 3], 15);
+    let dout_n = det(&[16, 4, 4], 16);
+    record_threads(
+        &mut results,
+        "sconv_3k2s_8px_16x16ch/engine_cached",
+        threads,
+        cached_forward(&plan_n, &input_n, &weights_n),
+    );
+    record_threads(
+        &mut results,
+        "sconv_3k2s_8px_16x16ch/dual_cached",
+        threads,
+        cached_forward(&dual_n, &dout_n, &weights_n),
+    );
+    record_threads(
+        &mut results,
+        "sconv_3k2s_8px_16x16ch/wgrad_cached",
+        threads,
+        cached_weight_grad(&plan_n, &input_n, &dout_n),
     );
 
     // The GEMM driver and the pre-packing naive kernel on the dominant

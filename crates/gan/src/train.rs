@@ -562,8 +562,10 @@ fn conv_forward(
 /// sample by sample: `f(g, frame, part, tws)` writes the exact gradient of
 /// one sample into its `wlen`-long `part` from its `olen`-long `∇out` `g`
 /// and its `flen`-long frame from the forward's cache `bframes`; the
-/// partials are folded by the fixed tree. Returns a buffer pooled in `ws`
-/// whose first `wlen` entries hold the folded gradient.
+/// partials are folded by the fixed tree. The fold is element-wise, so it
+/// runs in whatever layout `f` writes (the plan's phase layout), and the
+/// caller scatters the folded gradient once per batch. Returns a buffer
+/// pooled in `ws` whose first `wlen` entries hold the folded gradient.
 fn conv_weight_grad(
     grad_out: &[f32],
     bframes: &[f32],
@@ -1140,7 +1142,7 @@ impl TrainableLayer for ConvTrainLayer {
                 ws,
                 |g, frame, part, tws| plan.weight_grad_into(g, frame, part, tws),
             );
-            self.grad.axpy_slice_in_place(1.0, &parts[..wlen]);
+            plan.add_weight_grad(&parts[..wlen], self.grad.data_mut());
             ws.give(parts);
         }
         if !grads.input() {

@@ -336,8 +336,9 @@ impl ConvGeometry for DconvGeometry {
 /// row `(c, ty, tx)` (its *taps*) and the offset of each window position
 /// (its *positions*). Element `(l, q)` of the phase's column matrix is
 /// `frame[tap[l] + position[q]]`, and the direct GEMM driver of
-/// [`crate::kernel`] reads it there: a window row is one vector load, or
-/// two masked ones where an eight-lane tile spans two window rows.
+/// [`crate::kernel`] reads it there: a window row is one vector load (a
+/// masked one for a partial tile), and an eight-lane tile that spans two
+/// window rows is loaded lane by lane.
 /// [`columns_into`](Self::columns_into) materialises the same matrix,
 /// for tests and tools.
 ///
@@ -365,7 +366,9 @@ impl ConvGeometry for DconvGeometry {
 /// visit `(oc, ty↑, tx↑)`, which is the same order, and the scatters'
 /// skipped `∇out == 0` terms add `±0`.
 /// [`weight_grad_into`](Self::weight_grad_into) reduces each tap over its
-/// one live phase's positions, in ascending order.
+/// one live phase's positions, in ascending order, into the phase GEMMs'
+/// own layout; the trainer folds the per-sample partials there and
+/// [`add_weight_grad`](Self::add_weight_grad) scatters the fold once.
 #[derive(Debug)]
 pub struct ConvPlan {
     in_channels: usize,
@@ -626,6 +629,26 @@ impl ConvPlan {
                     frow[lead..][..w].copy_from_slice(irow);
                     continue;
                 }
+                if s == 2 {
+                    // One pass over column pairs, which LLVM vectorizes:
+                    // even input columns are one run of the split row, odd
+                    // ones another, in the other residue group.
+                    let (e, o) = (self.column(lead), self.column(lead + 1));
+                    let (lo, hi) = frow.split_at_mut(e.max(o));
+                    let (even, odd) = if e < o {
+                        (&mut lo[e..], hi)
+                    } else {
+                        (hi, &mut lo[o..])
+                    };
+                    let pairs = irow.chunks_exact(2);
+                    if let [last] = pairs.remainder() {
+                        even[w / 2] = *last;
+                    }
+                    for ((p, a), b) in pairs.zip(&mut even[..w / 2]).zip(&mut odd[..w / 2]) {
+                        (*a, *b) = (p[0], p[1]);
+                    }
+                    continue;
+                }
                 // Residue by residue: input columns `x0, x0 + S, …` are
                 // one contiguous run of the split row.
                 for x0 in 0..s.min(w) {
@@ -700,14 +723,19 @@ impl ConvPlan {
         ws.give(stage);
     }
 
-    /// Weight gradient of one sample into `grad` (fully overwritten, in
-    /// [`weight_shape`](Self::weight_shape) layout) from its `∇out` and
-    /// the `frame` its forward built: per phase, each tap's dot product of
-    /// the phase's `∇out` positions with the frame read through the
-    /// phase's offset tables, positions ascending. With at least [`NR`]
-    /// output channels the vector lanes run across channels (the frame is
-    /// the left operand and the phase's `∇out` is transposed once);
-    /// otherwise they run across taps. Scratch comes from `ws`.
+    /// Weight gradient of one sample into `part` (fully overwritten) from
+    /// its `∇out` and the `frame` its forward built, in the phase GEMMs'
+    /// own layout: per phase, each tap's dot product of the phase's `∇out`
+    /// positions with the frame read through the phase's offset tables,
+    /// positions ascending. With at least [`NR`] output channels the
+    /// vector lanes run across channels (the frame is the left operand,
+    /// the phase's `∇out` is transposed once, and its block is `[taps,
+    /// OC]`); otherwise they run across taps (its block is `[OC, taps]`).
+    /// The blocks follow each other phase by phase, as long as the weights
+    /// in all. Partials of several samples fold element by element in this
+    /// layout; [`add_weight_grad`](Self::add_weight_grad) then adds the
+    /// result into a [`weight_shape`](Self::weight_shape) gradient. Scratch
+    /// comes from `ws`.
     ///
     /// # Panics
     ///
@@ -716,7 +744,7 @@ impl ConvPlan {
         &self,
         dout: &[f32],
         frame: &[f32],
-        grad: &mut [f32],
+        part: &mut [f32],
         ws: &mut Workspace,
     ) {
         let [oc, oh, ow] = self.output_shape();
@@ -724,12 +752,11 @@ impl ConvPlan {
         assert_eq!(dout.len(), oc * ohw, "∇output length mismatch");
         assert_eq!(frame.len(), self.frame_len(), "frame length mismatch");
         assert_eq!(
-            grad.len(),
+            part.len(),
             self.weight_shape().iter().product::<usize>(),
             "gradient length mismatch"
         );
-        let dense = self.is_dense();
-        let by_channel = oc >= NR;
+        let by_channel = self.grad_by_channel();
         let n_max = self
             .tables
             .iter()
@@ -737,34 +764,38 @@ impl ConvPlan {
             .max()
             .unwrap_or(0);
         let mut douts = ws.take(if by_channel { oc * n_max } else { 0 });
-        let mut part = ws.take(if dense && !by_channel { 0 } else { grad.len() });
-        let cs = self.channel_stride();
+        let mut blocks = &mut part[..];
         for t in &self.tables {
             let (red, n) = (t.taps.len(), t.positions.len());
+            let (res, rest) = std::mem::take(&mut blocks).split_at_mut(red * oc);
+            blocks = rest;
             if red == 0 {
                 continue;
             }
             if by_channel {
                 // Lanes across channels: ∇out transposed to
-                // `[positions, OC]`, the result `[taps, OC]`.
+                // `[positions, OC]`, eight channels at a time so each
+                // position stores one run of eight; the result `[taps, OC]`.
                 let dt = &mut douts[..n * oc];
-                for (c, plane) in dout.chunks_exact(ohw).enumerate() {
+                let eights = dout.chunks_exact(NR * ohw);
+                let (c0, tail) = (eights.len() * NR, eights.remainder());
+                for (b, planes) in eights.enumerate() {
                     for (q, pos) in t.outputs.iter().enumerate() {
-                        dt[q * oc + c] = plane[pos];
+                        let v: [f32; NR] = std::array::from_fn(|j| planes[j * ohw + pos]);
+                        dt[q * oc + b * NR..][..NR].copy_from_slice(&v);
                     }
                 }
-                let res = &mut part[..red * oc];
+                for (c, plane) in tail.chunks_exact(ohw).enumerate() {
+                    for (q, pos) in t.outputs.iter().enumerate() {
+                        dt[q * oc + c0 + c] = plane[pos];
+                    }
+                }
                 let x = Operand {
                     data: frame,
                     rows: &t.taps,
                     cols: &t.positions,
                 };
                 gemm_offsets(red, n, oc, x, Operand::dense(dt, oc), res);
-                for (row, &w) in res.chunks_exact(oc).zip(&t.weights) {
-                    for (c, &v) in row.iter().enumerate() {
-                        grad[c * cs + w] = v;
-                    }
-                }
             } else {
                 let g = Operand {
                     data: dout,
@@ -776,21 +807,55 @@ impl ConvPlan {
                     rows: &t.positions,
                     cols: &t.taps,
                 };
-                if dense {
-                    gemm_offsets(oc, n, red, g, x, grad);
-                } else {
-                    let res = &mut part[..oc * red];
-                    gemm_offsets(oc, n, red, g, x, res);
-                    for (c, row) in res.chunks_exact(red).enumerate() {
-                        for (&w, &v) in t.weights.iter().zip(row) {
-                            grad[c * cs + w] = v;
-                        }
+                gemm_offsets(oc, n, red, g, x, res);
+            }
+        }
+        ws.give(douts);
+    }
+
+    /// Adds `part`, a weight gradient in the phase layout
+    /// [`weight_grad_into`](Self::weight_grad_into) writes — one sample's,
+    /// or several folded element by element — into `grad`, in
+    /// [`weight_shape`](Self::weight_shape) layout: `grad[i] += part[j]`
+    /// for the one `j` that holds weight `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches.
+    pub fn add_weight_grad(&self, part: &[f32], grad: &mut [f32]) {
+        let wlen = self.weight_shape().iter().product::<usize>();
+        assert_eq!(part.len(), wlen, "partial gradient length mismatch");
+        assert_eq!(grad.len(), wlen, "gradient length mismatch");
+        let (oc, by_channel) = (self.out_channels, self.grad_by_channel());
+        let cs = self.channel_stride();
+        let mut blocks = part;
+        for t in &self.tables {
+            let red = t.taps.len();
+            let (block, rest) = blocks.split_at(red * oc);
+            blocks = rest;
+            if red == 0 {
+                continue;
+            }
+            if by_channel {
+                for (row, &w) in block.chunks_exact(oc).zip(&t.weights) {
+                    for (c, &v) in row.iter().enumerate() {
+                        grad[c * cs + w] += v;
+                    }
+                }
+            } else {
+                for (c, row) in block.chunks_exact(red).enumerate() {
+                    for (&w, &v) in t.weights.iter().zip(row) {
+                        grad[c * cs + w] += v;
                     }
                 }
             }
         }
-        ws.give(part);
-        ws.give(douts);
+    }
+
+    /// Whether [`weight_grad_into`](Self::weight_grad_into) runs its
+    /// vector lanes across output channels rather than taps.
+    fn grad_by_channel(&self) -> bool {
+        self.out_channels >= NR
     }
 
     /// Forward of one [`input_shape`](Self::input_shape) sample with
@@ -843,8 +908,12 @@ impl ConvPlan {
         let mut frame = vec![0.0; self.frame_len()];
         self.frame_into(input.data(), &mut frame);
         let shape = self.weight_shape();
-        let mut grad = vec![0.0; shape.iter().product()];
-        self.weight_grad_into(dout.data(), &frame, &mut grad, &mut Workspace::new());
+        let mut part = vec![0.0; shape.iter().product()];
+        self.weight_grad_into(dout.data(), &frame, &mut part, &mut Workspace::new());
+        // A chain from `+0.0` never ends at `-0.0`, so adding it to zeros
+        // keeps every bit.
+        let mut grad = vec![0.0; part.len()];
+        self.add_weight_grad(&part, &mut grad);
         Tensor::from_vec(&shape, grad)
     }
 
@@ -938,8 +1007,10 @@ mod tests {
         };
         let mut frame = vec![f32::NAN; plan.frame_len()];
         let out = step(plan, input.data(), &mut frame, &mut ws);
-        let mut grad = vec![f32::NAN; weights.len()];
-        plan.weight_grad_into(dout.data(), &frame, &mut grad, &mut ws);
+        let mut part = vec![f32::NAN; weights.len()];
+        plan.weight_grad_into(dout.data(), &frame, &mut part, &mut ws);
+        let mut grad = vec![0.0; weights.len()];
+        plan.add_weight_grad(&part, &mut grad);
         let dual = plan.dual();
         let mut dframe = vec![f32::NAN; dual.frame_len()];
         let din = step(&dual, dout.data(), &mut dframe, &mut ws);
@@ -1059,6 +1130,132 @@ mod tests {
         let geom = TconvGeometry::for_upsampling(8, 4, 2).unwrap();
         let plan = geom.plan(3, 2);
         assert_eq!(plan.cols_len() * 4, 3 * 4 * 4 * geom.output * geom.output);
+    }
+
+    #[test]
+    fn frame_into_matches_an_element_by_element_frame() {
+        // Window strides 1, 2 and 3 split the frame rows; odd and even
+        // widths leave the pair pass of stride 2 a tail or none; the pad is
+        // the frame's lead in both axes.
+        for s in 1..=3 {
+            for w in [5, 6, 7, 8] {
+                for p in 0..=2 {
+                    let geom = SconvGeometry::new(w, 3, s, p).unwrap();
+                    let c = 2;
+                    let plan = geom.plan(c, 1);
+                    assert_eq!((plan.split, plan.rows.lead, plan.cols.lead), (s, p, p));
+                    let input = det(&[c, w, w], 9);
+                    let mut got = vec![f32::NAN; plan.frame_len()];
+                    plan.frame_into(input.data(), &mut got);
+                    // Frame column `x` sits at `(x % S)·(pitch / S) + x / S`.
+                    let (pitch, plane) = (plan.pitch, plan.rows.frame * plan.pitch);
+                    let mut want = vec![0.0f32; plan.frame_len()];
+                    for ci in 0..c {
+                        for y in 0..w {
+                            for x in 0..w {
+                                let fx = x + p;
+                                let col = (fx % s) * (pitch / s) + fx / s;
+                                want[ci * plane + (y + p) * pitch + col] = input[&[ci, y, x]];
+                            }
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "s={s} w={w} p={p}");
+                }
+            }
+        }
+    }
+
+    /// Folds `count` partials of `len` packed in `parts` into `parts[..len]`
+    /// by the trainer's fixed tree: adjacent pairs first, then pairs at
+    /// stride 2, 4, …
+    fn tree_fold(parts: &mut [f32], count: usize, len: usize) {
+        let mut stride = 1;
+        while stride < count {
+            for i in (0..count).step_by(2 * stride) {
+                if i + stride < count {
+                    for e in 0..len {
+                        parts[i * len + e] += parts[(i + stride) * len + e];
+                    }
+                }
+            }
+            stride *= 2;
+        }
+    }
+
+    /// Overwrites `grad` (weight layout) with the phase-layout `part`: the
+    /// scatter done per sample, ahead of the fold, where the trainer folds
+    /// first and scatters once.
+    fn scatter_sample(plan: &ConvPlan, part: &[f32], grad: &mut [f32]) {
+        let (oc, cs) = (plan.out_channels, plan.channel_stride());
+        let mut off = 0;
+        for t in &plan.tables {
+            let red = t.taps.len();
+            let block = &part[off..off + red * oc];
+            off += red * oc;
+            for c in 0..oc {
+                for (r, &w) in t.weights.iter().enumerate() {
+                    grad[c * cs + w] = if plan.grad_by_channel() {
+                        block[r * oc + c]
+                    } else {
+                        block[c * red + r]
+                    };
+                }
+            }
+        }
+        assert_eq!(off, part.len(), "the phase blocks cover the weights");
+    }
+
+    #[test]
+    fn folding_phase_partials_then_scattering_matches_scattering_then_folding() {
+        let sconv = SconvGeometry::new(8, 3, 2, 1).unwrap();
+        let tconv = TconvGeometry::for_upsampling(4, 3, 2).unwrap();
+        let dconv = DconvGeometry::square(8, 3, 2, 2, 2).unwrap();
+        let geoms: [(&str, &dyn ConvGeometry); 3] =
+            [("S-CONV", &sconv), ("T-CONV", &tconv), ("D-CONV", &dconv)];
+        let ic = 3;
+        for (name, geom) in &geoms {
+            // 12 leaves four channels past the eight-wide ∇out transpose.
+            for oc in [1, 4, 8, 12, 16] {
+                // The plan and a dual, each with `oc` output channels.
+                for (dual, plan) in [(false, geom.plan(ic, oc)), (true, geom.plan(oc, ic).dual())] {
+                    let wlen = plan.weight_shape().iter().product::<usize>();
+                    let olen = plan.output_shape().iter().product::<usize>();
+                    for batch in [1, 2, 3, 8] {
+                        let mut ws = Workspace::new();
+                        let (mut phase, mut weight) =
+                            (vec![f32::NAN; batch * wlen], vec![f32::NAN; batch * wlen]);
+                        for b in 0..batch {
+                            let input = det(&plan.input_shape(), 20 + b as u32);
+                            let mut dout = det(&[olen], 40 + b as u32);
+                            if b == batch / 2 {
+                                dout.data_mut().fill(-0.0);
+                            }
+                            let mut frame = vec![f32::NAN; plan.frame_len()];
+                            plan.frame_into(input.data(), &mut frame);
+                            let part = &mut phase[b * wlen..(b + 1) * wlen];
+                            plan.weight_grad_into(dout.data(), &frame, part, &mut ws);
+                            scatter_sample(&plan, part, &mut weight[b * wlen..(b + 1) * wlen]);
+                        }
+                        assert!(weight.iter().all(|v| !v.is_nan()), "every weight scattered");
+                        // Accumulate onto a gradient that already holds values.
+                        let held = det(&[wlen], 60);
+                        tree_fold(&mut weight, batch, wlen);
+                        let mut want = held.data().to_vec();
+                        for (g, &v) in want.iter_mut().zip(&weight[..wlen]) {
+                            *g += 1.0 * v;
+                        }
+                        tree_fold(&mut phase, batch, wlen);
+                        let mut got = held.data().to_vec();
+                        plan.add_weight_grad(&phase[..wlen], &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{name} dual={dual} oc={oc} batch={batch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

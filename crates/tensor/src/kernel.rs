@@ -2,9 +2,12 @@
 //! operands in place, with an explicit AVX microkernel.
 //!
 //! This module is the dense-compute core of the workspace. Every product
-//! runs on one driver, `gemm_offsets`, which accumulates register tiles of
-//! [`MR`] rows by [`NR`] columns straight out of its operands, read
-//! through row and column offsets, the whole reduction held in registers.
+//! runs on one driver, `gemm_offsets`, which accumulates register blocks
+//! straight out of its operands, read through row and column offsets, the
+//! whole reduction held in registers. A block is eight independent
+//! accumulator rows of [`NR`] columns — eight chains, enough to keep both
+//! FP add ports busy through the add latency: [`MR`] = 8 rows of one
+//! column tile, 4 rows of two tiles, 2 of four, or one row of eight.
 //! A row-major matrix is one layout; a pre-transposed one (the right
 //! operand of [`gemm_nt_buf`]) is another; a convolution's zero-padded
 //! input frame, read through a plan's tap and position tables, is a third,
@@ -17,6 +20,8 @@
 //! The tile kernel is the AVX one ([`NR`] = 8 = one 256-bit register of
 //! f32 lanes) when the host has AVX, found by runtime detection, and
 //! otherwise the scalar one; the unit tests run both and compare them.
+//! Only AVX blocks put several tiles side by side; the scalar kernel runs
+//! one tile of up to [`MR`] rows at a time.
 //!
 //! # Bit-exactness
 //!
@@ -37,13 +42,19 @@ use crate::tensor::{Tensor, MIN_PARALLEL_FLOPS};
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
-/// Register-tile height: output rows accumulated at once.
-pub const MR: usize = 4;
+/// Most output rows in one register block: the height of a block of one
+/// column tile.
+pub const MR: usize = 8;
 /// Register-tile width: output columns per tile, and the f32 lane count of
 /// one AVX register.
 pub const NR: usize = 8;
-/// Most full column tiles the AVX kernel runs side by side.
-const WIDE: usize = 4;
+/// Most full column tiles in one register block (a block of one row), and
+/// the width in tiles of the driver's column groups.
+const WIDE: usize = 8;
+/// Independent accumulator chains a register block aims for, `rows ×
+/// tiles`: two FP add ports with a four-cycle latency keep eight adds in
+/// flight.
+const CHAINS: usize = 8;
 
 /// Whether this host has AVX, detected once. Detection changes speed
 /// only: the AVX kernel computes the scalar kernel's chain lane by lane.
@@ -223,6 +234,13 @@ impl Lanes {
         (t, jw)
     }
 
+    /// The number of live lanes.
+    fn width(self) -> usize {
+        match self {
+            Lanes::Run { jw, .. } | Lanes::Gather { jw, .. } => jw,
+        }
+    }
+
     /// One contiguous run over all [`NR`] lanes, if that is the layout.
     fn full_run(self) -> Option<usize> {
         match self {
@@ -232,26 +250,25 @@ impl Lanes {
     }
 }
 
-/// The accumulation-order-defining loop of the crate: one register tile.
+/// The accumulation-order-defining loop of the crate: one register block
+/// of `mr ≤` [`MR`] rows of one column tile.
 ///
-/// Accumulates `acc[i][j] += A(i0 + i, l) · B(l, lane j)` for `l`
-/// ascending over `kc` reduction steps, `arows[i]` being A's row offset of
-/// row `i0 + i` and `lanes` the layout of B's column tile. Both operands
-/// are read in place, whatever their offsets: a row-major or transposed
-/// matrix, or a convolution's input frame.
+/// Writes `out[i·ldo + j] = Σ_l A(i0 + i, l) · B(l, lane j)`, the sum
+/// accumulated from `+0.0` for `l` ascending over `kc` reduction steps,
+/// `arows[i]` being A's row offset of row `i0 + i` and `lanes` the layout
+/// of B's column tile; only the tile's live lanes are written. Both
+/// operands are read in place, whatever their offsets: a row-major or
+/// transposed matrix, or a convolution's input frame.
 ///
-/// The scalar loops are iterator-free with fixed trip counts over the
-/// register tile, which LLVM unrolls and autovectorizes at the build's
-/// baseline SIMD width; there is no FMA contraction (separate multiply and
-/// add), so the result is the exact IEEE-754 chain the naive kernels
-/// compute. The AVX twin (`x86::microkernel_avx`) computes the same chain
-/// eight lanes at a time; `use_simd` (set only where [`simd_available`])
-/// picks it.
-#[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
-#[allow(clippy::too_many_arguments)] // one tile's operands, rows and lane layout
+/// The AVX kernel (`x86::microkernel_avx`, set by `use_simd`, which is set
+/// only where [`simd_available`]) keeps the block in registers and stores
+/// it straight into `out`; otherwise [`microkernel_scalar`] accumulates it
+/// in an array that is then copied out. Both compute the same chain.
+#[allow(clippy::too_many_arguments)] // one tile's output, operands, rows and lane layout
 #[inline(always)]
 fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
-    acc: &mut [[f32; NR]; MR],
+    out: &mut [f32],
+    ldo: usize,
     mr: usize,
     a: &Operand<'_, AR, AC>,
     arows: &[usize; MR],
@@ -260,24 +277,57 @@ fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     kc: usize,
     use_simd: bool,
 ) {
+    let jw = lanes.width();
+    assert!((1..=MR).contains(&mr) && (mr - 1) * ldo + jw <= out.len());
     #[cfg(target_arch = "x86_64")]
     if use_simd {
         // SAFETY: callers set `use_simd` only when `simd_available`
         // confirmed AVX, and checked both operands' offsets against their
-        // data (`Operand::check`, or lengths of dense operands).
-        // A fixed row count keeps the accumulators in registers.
+        // data (`Operand::check`, or lengths of dense operands); `out` is
+        // asserted above. A fixed row count keeps the accumulators in
+        // registers.
         unsafe {
+            use x86::microkernel_avx as k;
             match mr {
-                4 => x86::microkernel_avx::<4, _, _, _, _>(acc, a, arows, b, lanes, kc),
-                3 => x86::microkernel_avx::<3, _, _, _, _>(acc, a, arows, b, lanes, kc),
-                2 => x86::microkernel_avx::<2, _, _, _, _>(acc, a, arows, b, lanes, kc),
-                _ => x86::microkernel_avx::<1, _, _, _, _>(acc, a, arows, b, lanes, kc),
+                8 => k::<8, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                7 => k::<7, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                6 => k::<6, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                5 => k::<5, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                4 => k::<4, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                3 => k::<3, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                2 => k::<2, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
+                _ => k::<1, _, _, _, _>(out, ldo, a, arows, b, lanes, kc),
             }
         }
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_simd;
+    let mut acc = [[0.0f32; NR]; MR];
+    microkernel_scalar(&mut acc, mr, a, arows, b, lanes, kc);
+    for (i, row) in acc.iter().enumerate().take(mr) {
+        out[i * ldo..][..jw].copy_from_slice(&row[..jw]);
+    }
+}
+
+/// The scalar tile kernel: `acc[i][j] += A(i0 + i, l) · B(l, lane j)`
+/// for `l` ascending, rows `i < mr`.
+///
+/// The loops are iterator-free with fixed trip counts over the register
+/// tile, which LLVM unrolls and autovectorizes at the build's baseline
+/// SIMD width; there is no FMA contraction (separate multiply and add), so
+/// the result is the exact IEEE-754 chain the naive kernels compute.
+#[allow(clippy::needless_range_loop)] // fixed-width indexed loops vectorize as written
+#[inline(always)]
+fn microkernel_scalar<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
+    acc: &mut [[f32; NR]; MR],
+    mr: usize,
+    a: &Operand<'_, AR, AC>,
+    arows: &[usize; MR],
+    b: &Operand<'_, BR, BC>,
+    lanes: Lanes,
+    kc: usize,
+) {
     if let Some(off) = lanes.full_run() {
         for l in 0..kc {
             let r = b.rows.at(l) + off;
@@ -313,7 +363,7 @@ fn microkernel<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Lanes, Offsets, Operand, MR, NR, WIDE};
+    use super::{Lanes, Offsets, Operand, CHAINS, MR, NR, WIDE};
     #[allow(clippy::wildcard_imports)] // the intrinsics module is designed for this
     use std::arch::x86_64::*;
 
@@ -326,15 +376,18 @@ mod x86 {
     /// lane `j`'s value is exactly the scalar kernel's column-`j` chain.
     /// A full contiguous tile is one unaligned load per step, a partial
     /// one a masked load (masked-off lanes read `+0.0`); any other layout
-    /// is loaded lane by lane. Dead lanes of a partial tile are never
-    /// stored.
+    /// is loaded lane by lane. The accumulators start at `+0.0` and are
+    /// stored straight into `out`, row `i` at `out[i·ldo..]`; dead lanes of
+    /// a partial tile are never stored.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX support at runtime, `M` must be
-    /// at most [`MR`], and every element the tile reads — rows
-    /// `arows[..M]` of `a` and columns `lanes` of `b`, over reduction
-    /// steps `0..kc` — must lie inside the operands' data.
+    /// at most [`MR`], `arows` must hold at least `M` row offsets, every
+    /// element the tile reads — rows `arows[..M]` of `a` and columns
+    /// `lanes` of `b`, over reduction steps `0..kc` — must lie inside the
+    /// operands' data, and `out` must hold `(M − 1)·ldo + jw` values for
+    /// the tile's `jw` live lanes.
     #[target_feature(enable = "avx")]
     pub unsafe fn microkernel_avx<
         const M: usize,
@@ -343,18 +396,17 @@ mod x86 {
         BR: Offsets,
         BC: Offsets,
     >(
-        acc: &mut [[f32; NR]; MR],
+        out: &mut [f32],
+        ldo: usize,
         a: &Operand<'_, AR, AC>,
-        arows: &[usize; MR],
+        arows: &[usize],
         b: &Operand<'_, BR, BC>,
         lanes: Lanes,
         kc: usize,
     ) {
         debug_assert!(M <= MR);
+        let arows: [usize; M] = std::array::from_fn(|i| arows[i]);
         let mut va = [_mm256_setzero_ps(); M];
-        for (v, row) in va.iter_mut().zip(acc.iter()) {
-            *v = _mm256_loadu_ps(row.as_ptr());
-        }
         let ap = a.data.as_ptr();
         let bp = b.data.as_ptr();
         // One reduction step on the loaded B vector.
@@ -406,8 +458,17 @@ mod x86 {
                 }
             }
         }
-        for (row, v) in acc.iter_mut().zip(va) {
-            _mm256_storeu_ps(row.as_mut_ptr(), v);
+        let (op, jw) = (out.as_mut_ptr(), lanes.width());
+        debug_assert!((M - 1) * ldo + jw <= out.len());
+        if jw == NR {
+            for (i, v) in va.into_iter().enumerate() {
+                _mm256_storeu_ps(op.add(i * ldo), v);
+            }
+        } else {
+            let mask = _mm256_castps_si256(_mm256_loadu_ps(MASK.as_ptr().add(NR - jw).cast()));
+            for (i, v) in va.into_iter().enumerate() {
+                _mm256_maskstore_ps(op.add(i * ldo), mask, v);
+            }
         }
     }
 
@@ -420,9 +481,9 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// As for `microkernel_avx`, with every tile's eight lanes inside
-    /// `b`'s data at every reduction step, and `out` holding
-    /// `(M − 1)·ldo + J·NR` values.
+    /// As for `microkernel_avx`, with `arows` holding at least `M` row
+    /// offsets, every tile's eight lanes inside `b`'s data at every
+    /// reduction step, and `out` holding `(M − 1)·ldo + J·NR` values.
     #[target_feature(enable = "avx")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn microkernel_avx_wide<
@@ -436,13 +497,14 @@ mod x86 {
         out: &mut [f32],
         ldo: usize,
         a: &Operand<'_, AR, AC>,
-        arows: &[usize; MR],
+        arows: &[usize],
         b: &Operand<'_, BR, BC>,
         offs: &[usize; WIDE],
         kc: usize,
     ) {
-        debug_assert!(M <= MR && J <= WIDE);
+        debug_assert!(M * J <= CHAINS && J <= WIDE);
         debug_assert!((M - 1) * ldo + J * NR <= out.len());
+        let arows: [usize; M] = std::array::from_fn(|i| arows[i]);
         let mut va = [[_mm256_setzero_ps(); M]; J];
         let (ap, bp) = (a.data.as_ptr(), b.data.as_ptr());
         for l in 0..kc {
@@ -477,18 +539,21 @@ fn row_offsets<R: Offsets, C: Offsets>(a: &Operand<'_, R, C>, i0: usize, mr: usi
     rows
 }
 
-/// Serial driver over one worker's contiguous row range: register tiles
+/// Serial driver over one worker's contiguous row range: register blocks
 /// accumulate straight out of both operands, read in place, the whole
 /// reduction held in registers. `use_simd` picks the AVX kernels and is
 /// set only where [`simd_available`].
 ///
 /// Groups of up to [`WIDE`] column tiles are the outer loop, so each
 /// tile's lane layout is worked out once and the group's slice of `b`
-/// stays in cache across the row blocks. With AVX, neighbouring tiles that
-/// are each one contiguous run share a kernel call — two beside a block
-/// of three or four rows, four beside one or two — so each reduction step
-/// loads its row offset and broadcasts its left values once for all of
-/// them.
+/// stays in cache across the row blocks. A register block aims at
+/// [`CHAINS`] independent accumulators, one per row and tile: a tile on
+/// its own (lanes gathered, a partial run, or a run with no full-run
+/// neighbour) runs in blocks of [`MR`] rows. With AVX, neighbouring tiles
+/// that are each one contiguous run share a kernel call — two beside four
+/// rows, four beside two, and [`WIDE`] beside a block of one row — so
+/// each reduction step loads its row offset and broadcasts its left
+/// values once for all of them.
 fn gemm_rows<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     orows: &mut [f32],
     row0: usize,
@@ -513,44 +578,41 @@ fn gemm_rows<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
             let mut t = 0;
             while t < tiles {
                 let j0 = g0 + t * NR;
-                let width = if mr <= 2 { WIDE } else { 2 };
-                let side = runs[t..tiles]
-                    .iter()
-                    .take(width)
-                    .take_while(|r| r.is_some())
-                    .count();
+                let side = runs[t..tiles].iter().take_while(|r| r.is_some()).count();
                 if use_simd && side >= 2 {
-                    let side = if side == WIDE { WIDE } else { 2 };
+                    // The widest block of at most `CHAINS` accumulators
+                    // the rows and runs allow: 1 × 8, 2 × 4 or 4 × 2.
+                    let side = match (mr, side) {
+                        (1, WIDE) => WIDE,
+                        (1 | 2, 4..) => 4,
+                        _ => 2,
+                    };
                     let mut offs = [0; WIDE];
                     for (o, r) in offs.iter_mut().zip(&runs[t..t + side]) {
                         *o = r.unwrap_or(0);
                     }
-                    let out = &mut orows[i0 * n + j0..(i0 + mr - 1) * n + j0 + side * NR];
-                    microkernel_wide(out, n, mr, side, a, &arows, b, &offs, k);
+                    let h = CHAINS / side;
+                    for s0 in (0..mr).step_by(h) {
+                        let sr = h.min(mr - s0);
+                        let base = (i0 + s0) * n + j0;
+                        let out = &mut orows[base..base + (sr - 1) * n + side * NR];
+                        microkernel_wide(out, n, sr, side, a, &arows[s0..], b, &offs, k);
+                    }
                     t += side;
                     continue;
                 }
-                let jw = NR.min(n - j0);
-                let mut acc = [[0.0f32; NR]; MR];
-                microkernel(&mut acc, mr, a, &arows, b, lanes[t], k, use_simd);
-                for (i, row) in acc.iter().enumerate().take(mr) {
-                    let base = (i0 + i) * n + j0;
-                    // A fixed-width copy is a register move, not a call.
-                    if jw == NR {
-                        orows[base..base + NR].copy_from_slice(row);
-                    } else {
-                        orows[base..base + jw].copy_from_slice(&row[..jw]);
-                    }
-                }
+                let base = i0 * n + j0;
+                let out = &mut orows[base..base + (mr - 1) * n + NR.min(n - j0)];
+                microkernel(out, n, mr, a, &arows, b, lanes[t], k, use_simd);
                 t += 1;
             }
         }
     }
 }
 
-/// The AVX kernel over `side` (2 or [`WIDE`]) full tiles of contiguous
-/// runs at `offs`, for a block of `mr` rows, written into `out` (row
-/// pitch `ldo`).
+/// The AVX kernel over `side` (2, 4 or [`WIDE`]) full tiles of contiguous
+/// runs at `offs`, for a block of `mr` rows at A's row offsets `arows`
+/// (`mr · side ≤` [`CHAINS`]), written into `out` (row pitch `ldo`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn microkernel_wide<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
@@ -559,21 +621,23 @@ fn microkernel_wide<AR: Offsets, AC: Offsets, BR: Offsets, BC: Offsets>(
     mr: usize,
     side: usize,
     a: &Operand<'_, AR, AC>,
-    arows: &[usize; MR],
+    arows: &[usize],
     b: &Operand<'_, BR, BC>,
     offs: &[usize; WIDE],
     k: usize,
 ) {
-    assert!((mr - 1) * ldo + side * NR <= out.len());
+    assert!(matches!(side, 2 | 4 | WIDE) && (1..=CHAINS / side).contains(&mr));
+    assert!((mr - 1) * ldo + side * NR <= out.len() && mr <= arows.len());
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the driver calls this only when `simd_available` confirmed
     // AVX, with full tiles of operands whose offsets `gemm_with` checked
-    // against their data; `out` is asserted above.
+    // against their data; `out` and `arows` are asserted above.
     unsafe {
         use x86::microkernel_avx_wide as w;
         match (mr, side) {
             (1, WIDE) => w::<1, WIDE, _, _, _, _>(out, ldo, a, arows, b, offs, k),
-            (2, WIDE) => w::<2, WIDE, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (1, 4) => w::<1, 4, _, _, _, _>(out, ldo, a, arows, b, offs, k),
+            (2, 4) => w::<2, 4, _, _, _, _>(out, ldo, a, arows, b, offs, k),
             (1, _) => w::<1, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
             (2, _) => w::<2, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
             (3, _) => w::<3, 2, _, _, _, _>(out, ldo, a, arows, b, offs, k),
@@ -870,7 +934,8 @@ mod tests {
         // The dominant GEMM of each Table V benchmark GAN as perf_snapshot
         // clamps it, the suite GANs' dense layers (forward and ∇input of
         // the generator's first and the discriminator's last layer) at
-        // B = 1 and 8, and shapes around the tile edges (MR, NR, WIDE·NR).
+        // B = 1 and 8, and shapes around the tile edges (MR, NR, WIDE·NR)
+        // that reach every register block shape.
         let mut shapes = vec![
             (25, 64, 192),
             (16, 192, 192),
@@ -885,8 +950,11 @@ mod tests {
             (8, 128, 1),
             (8, 1, 128),
         ];
-        for m in [1, 3, 4, 5, 9] {
-            for n in [1, 7, 8, 9, 31, 32, 33] {
+        // Every row count up to two blocks of `MR` and one more, beside
+        // one tile, a partial one, two, four and `WIDE` runs and their
+        // tails: dense operands load runs, `gemm_nt`'s gather lanes.
+        for m in 1..=2 * MR + 1 {
+            for n in [1, 7, 8, 9, 31, 32, 33, 63, 64, 65] {
                 for k in [1, 2, 257] {
                     shapes.push((m, k, n));
                 }

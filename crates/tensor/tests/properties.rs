@@ -266,24 +266,24 @@ proptest! {
     }
 }
 
-/// Column counts around the driver's column tile (`NR` = 8) and its
-/// side-by-side group of `WIDE·NR` = 32 columns.
-const SEAM_N: [usize; 7] = [1, 7, 8, 9, 31, 32, 33];
+/// Column counts around the driver's column tile (`NR` = 8), its blocks
+/// of four tiles side by side (32 columns) and its column group of
+/// `WIDE·NR` = 64 columns, the widest block.
+const SEAM_N: [usize; 10] = [1, 7, 8, 9, 31, 32, 33, 63, 64, 65];
 /// Reduction lengths: the shortest ones, and ones around 256.
 const SEAM_K: [usize; 5] = [1, 2, 255, 256, 257];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On shapes around the driver's own seams — `m` around the row tile
-    /// (`MR` = 4), `n` and `k` from [`SEAM_N`] and [`SEAM_K`] — `gemm`,
-    /// `gemm_nt` and `mmv` at 1, 2 and 8 threads must match their
-    /// single-thread result bit for bit, and `gemm` must match the
-    /// triple-loop oracle.
+    /// On shapes around the driver's own seams — every `m` up to two of
+    /// the tallest row blocks (`MR` = 8) and one more row, `n` and `k`
+    /// from [`SEAM_N`] and [`SEAM_K`] — `gemm`, `gemm_nt` and `mmv` at 1,
+    /// 2 and 8 threads must match their single-thread result bit for bit,
+    /// and `gemm` must match the triple-loop oracle.
     #[test]
     fn gemm_bit_agrees_across_threads_on_tile_seams(
-        m in 1usize..10,
-        ni in 0usize..7,
+        ni in 0usize..10,
         ki in 0usize..5,
         seed in 0u64..1000,
     ) {
@@ -292,23 +292,25 @@ proptest! {
 
         let (n, k) = (SEAM_N[ni], SEAM_K[ki]);
         let val = |i: usize| ((i as u64 * 29 + seed * 17) % 23) as f32 * 0.25 - 2.75;
-        let a = Tensor::from_fn(&[m, k], |idx| val(idx[0] * k + idx[1]));
-        let b = Tensor::from_fn(&[k, n], |idx| val(300 + idx[0] * n + idx[1]));
-        let bt = Tensor::from_fn(&[n, k], |idx| b.data()[idx[1] * n + idx[0]]);
-        let v: Vec<f32> = (0..k).map(|i| val(700 + i)).collect();
-        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let run = || {
-            (
-                bits(gemm(&a, &b).data()),
-                bits(gemm_nt(&a, &bt).data()),
-                bits(&mmv(&a, &v)),
-            )
-        };
-        let want = parallel::with_threads(1, run);
-        prop_assert_eq!(&want.0, &bits(&oracle_gemm(m, k, n, a.data(), b.data())));
-        for threads in [1usize, 2, 8] {
-            let got = parallel::with_threads(threads, run);
-            prop_assert_eq!(&got, &want, "{}x{}x{} at {} threads", m, k, n, threads);
+        for m in 1..=17 {
+            let a = Tensor::from_fn(&[m, k], |idx| val(idx[0] * k + idx[1]));
+            let b = Tensor::from_fn(&[k, n], |idx| val(300 + idx[0] * n + idx[1]));
+            let bt = Tensor::from_fn(&[n, k], |idx| b.data()[idx[1] * n + idx[0]]);
+            let v: Vec<f32> = (0..k).map(|i| val(700 + i)).collect();
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let run = || {
+                (
+                    bits(gemm(&a, &b).data()),
+                    bits(gemm_nt(&a, &bt).data()),
+                    bits(&mmv(&a, &v)),
+                )
+            };
+            let want = parallel::with_threads(1, run);
+            prop_assert_eq!(&want.0, &bits(&oracle_gemm(m, k, n, a.data(), b.data())));
+            for threads in [1usize, 2, 8] {
+                let got = parallel::with_threads(threads, run);
+                prop_assert_eq!(&got, &want, "{}x{}x{} at {} threads", m, k, n, threads);
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use lergan_bench::naive;
 use std::collections::BTreeSet;
 
 /// Cap on each GEMM dimension: big enough to cross every tile boundary of
-/// the driver (MR = 4 rows, NR = 8 and WIDE·NR = 32 columns) while keeping
+/// the driver (MR = 8 rows, NR = 8 and WIDE·NR = 64 columns) while keeping
 /// the whole benchmark sweep under a second.
 const DIM_CAP: usize = 96;
 
