@@ -18,6 +18,9 @@
 //!   in [`lergan_bench::naive`] (`naive`), on the dominant GEMM shape of
 //!   every Table V benchmark GAN,
 //! * `mmv` on an FC-discriminator-head shape,
+//! * `tanh_into` on a batch of eight 32 px generator outputs,
+//! * one Adam update of widegan16's 16 → 16 channel D conv, with the
+//!   re-gather of its two phase weight matrices,
 //! * one full DCGAN training step on the reduced 16 px networks.
 //!
 //! Every results row records the minimum (`ns_per_iter`), median and
@@ -39,12 +42,14 @@ use lergan_bench::naive;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
 use lergan_gan::topology::parse_network;
-use lergan_gan::train::{build_trainable_with, Gan, UpdateRule};
+use lergan_gan::train::{build_trainable_with, ConvTrainLayer, Gan, TrainableLayer, UpdateRule};
 use lergan_tensor::conv::{tconv_forward_zero_insert, wconv_weight_grad_zero_insert};
 use lergan_tensor::dconv::dconv_zero_insertion;
 use lergan_tensor::im2col::{ConvGeometry, ConvPlan};
 use lergan_tensor::tensor::{gemm, mmv};
-use lergan_tensor::{parallel, SconvGeometry, TconvGeometry, Tensor, WconvGeometry, Workspace};
+use lergan_tensor::{
+    parallel, tanh_into, SconvGeometry, TconvGeometry, Tensor, WconvGeometry, Workspace,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -364,6 +369,31 @@ fn main() {
         })
     });
     results.record("mmv_fc_64x1024/driver", 1, timing);
+
+    // The generator's output activation over a batch of eight 32 px
+    // planes of pre-activations in [-3, 3).
+    let tanh_in = det(&[8, 1024], 35).map(|x| 6.0 * x);
+    let mut tanh_out = vec![0.0; tanh_in.len()];
+    let timing = parallel::with_threads(1, || {
+        time(WINDOW, || {
+            tanh_into(black_box(tanh_in.data()), &mut tanh_out);
+            black_box(&tanh_out);
+        })
+    });
+    results.record("elementwise/tanh_8x1024", 1, timing);
+
+    // One Adam update of widegan16's 16 -> 16 channel 3k2s D conv (2,304
+    // weights) and the re-gather of its plan's and its dual's phase
+    // weights. The gradient is zero, so the moments stay zero, no value
+    // drifts into the subnormal range, and every call does the same work.
+    let mut rng = StdRng::seed_from_u64(3);
+    let geom_u = SconvGeometry::new(8, 3, 2, 1).unwrap();
+    let mut layer = ConvTrainLayer::new(16, 16, geom_u, &mut rng);
+    let adam = UpdateRule::dcgan_adam(0.01);
+    let timing = parallel::with_threads(1, || {
+        time(WINDOW, || layer.apply_update(black_box(&adam), 10))
+    });
+    results.record("update/adam_conv_16x16ch", 1, timing);
 
     // One full DCGAN training step on the reduced 16 px networks.
     let mut rng = StdRng::seed_from_u64(1);

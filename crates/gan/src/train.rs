@@ -116,9 +116,8 @@ pub trait TrainableLayer {
     ) -> Result<Option<Tensor>, TrainError>;
 
     /// Applies accumulated gradients through `rule` (with `step` counting
-    /// optimiser steps, for Adam's bias correction) and clears them. `ws`
-    /// serves the optimiser's element-wise temporaries.
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace);
+    /// optimiser steps, for Adam's bias correction) and clears them.
+    fn apply_update(&mut self, rule: &UpdateRule, step: u64);
     /// Clears accumulated gradients without applying them.
     fn zero_grads(&mut self);
 
@@ -709,6 +708,13 @@ impl UpdateRule {
     }
 }
 
+/// The moment in `slot`, created zeroed on first use.
+fn moment<'a>(slot: &'a mut Option<Tensor>, shape: &[usize]) -> &'a mut [f32] {
+    let m = slot.get_or_insert_with(|| Tensor::zeros(shape));
+    assert_eq!(m.shape(), shape, "moment shape mismatch");
+    m.data_mut()
+}
+
 /// Per-parameter optimiser state (moments), created lazily.
 #[derive(Debug, Default)]
 struct OptState {
@@ -741,24 +747,27 @@ impl OptState {
         Ok(())
     }
 
-    /// Applies `rule` to `weights` given the accumulated `grad`, drawing
-    /// Adam's element-wise temporary from `ws` (moments themselves are
-    /// persistent state, created lazily on the first update).
-    fn apply(
-        &mut self,
-        rule: &UpdateRule,
-        step: u64,
-        weights: &mut Tensor,
-        grad: &Tensor,
-        ws: &mut Workspace,
-    ) {
+    /// Applies `rule` to `weights` given the accumulated `grad` in one
+    /// pass over the elements, creating the moments (persistent state) on
+    /// the first update. Each element takes the same operations, in the
+    /// same order, as the textbook sequence of whole-tensor passes (scale
+    /// the moment, add the scaled gradient, …), so the result is
+    /// bit-identical to it.
+    fn apply(&mut self, rule: &UpdateRule, step: u64, weights: &mut Tensor, grad: &Tensor) {
+        assert_eq!(weights.shape(), grad.shape(), "update shape mismatch");
+        let (w, g) = (weights.data_mut(), grad.data());
         match *rule {
-            UpdateRule::Sgd { lr } => weights.axpy_in_place(-lr, grad),
+            UpdateRule::Sgd { lr } => {
+                for (w, &g) in w.iter_mut().zip(g) {
+                    *w += -lr * g;
+                }
+            }
             UpdateRule::Momentum { lr, beta } => {
-                let m = self.m.get_or_insert_with(|| Tensor::zeros(grad.shape()));
-                m.scale_in_place(beta);
-                m.axpy_in_place(1.0, grad);
-                weights.axpy_in_place(-lr, m);
+                let m = moment(&mut self.m, grad.shape());
+                for ((w, m), &g) in w.iter_mut().zip(m).zip(g) {
+                    *m = *m * beta + 1.0 * g;
+                    *w += -lr * *m;
+                }
             }
             UpdateRule::Adam {
                 lr,
@@ -766,25 +775,19 @@ impl OptState {
                 beta2,
                 eps,
             } => {
-                let m = self.m.get_or_insert_with(|| Tensor::zeros(grad.shape()));
-                m.scale_in_place(beta1);
-                m.axpy_in_place(1.0 - beta1, grad);
-                let v = self.v.get_or_insert_with(|| Tensor::zeros(grad.shape()));
-                // One pooled temporary serves both g² and the update.
-                let mut tmp = ws.take(grad.len());
-                for (t, &g) in tmp.iter_mut().zip(grad.data()) {
-                    *t = g * g;
-                }
-                v.scale_in_place(beta2);
-                v.axpy_slice_in_place(1.0 - beta2, &tmp);
-                let t = step.max(1) as i32;
+                // The exponent saturates: a restored checkpoint may carry
+                // any step, and past 2^31 the bias corrections are 1 anyway.
+                let t = i32::try_from(step.max(1)).unwrap_or(i32::MAX);
                 let mc = 1.0 - beta1.powi(t);
                 let vc = 1.0 - beta2.powi(t);
-                for ((u, &mi), &vi) in tmp.iter_mut().zip(m.data()).zip(v.data()) {
-                    *u = (mi / mc) / ((vi / vc).sqrt() + eps);
+                let (c1, c2) = (1.0 - beta1, 1.0 - beta2);
+                let m = moment(&mut self.m, grad.shape());
+                let v = moment(&mut self.v, grad.shape());
+                for (((w, m), v), &g) in w.iter_mut().zip(m).zip(v).zip(g) {
+                    *m = *m * beta1 + c1 * g;
+                    *v = *v * beta2 + c2 * (g * g);
+                    *w += -lr * ((*m / mc) / ((*v / vc).sqrt() + eps));
                 }
-                weights.axpy_slice_in_place(-lr, &tmp);
-                ws.give(tmp);
             }
         }
     }
@@ -821,9 +824,8 @@ impl DenseLayer {
 }
 
 impl TrainableLayer for DenseLayer {
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
-        self.opt
-            .apply(rule, step, &mut self.weights, &self.grad, ws);
+    fn apply_update(&mut self, rule: &UpdateRule, step: u64) {
+        self.opt.apply(rule, step, &mut self.weights, &self.grad);
         self.zero_grads();
     }
 
@@ -1024,9 +1026,8 @@ impl ConvTrainLayer {
 }
 
 impl TrainableLayer for ConvTrainLayer {
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
-        self.opt
-            .apply(rule, step, &mut self.weights, &self.grad, ws);
+    fn apply_update(&mut self, rule: &UpdateRule, step: u64) {
+        self.opt.apply(rule, step, &mut self.weights, &self.grad);
         self.gather_phase_weights();
         self.zero_grads();
     }
@@ -1223,11 +1224,11 @@ impl BatchNorm {
 }
 
 impl TrainableLayer for BatchNorm {
-    fn apply_update(&mut self, rule: &UpdateRule, step: u64, ws: &mut Workspace) {
+    fn apply_update(&mut self, rule: &UpdateRule, step: u64) {
         self.opt_gamma
-            .apply(rule, step, &mut self.gamma, &self.grad_gamma, ws);
+            .apply(rule, step, &mut self.gamma, &self.grad_gamma);
         self.opt_beta
-            .apply(rule, step, &mut self.beta, &self.grad_beta, ws);
+            .apply(rule, step, &mut self.beta, &self.grad_beta);
         self.zero_grads();
     }
 
@@ -1485,7 +1486,7 @@ impl Default for PixelNorm {
 }
 
 impl TrainableLayer for PixelNorm {
-    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
+    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64) {}
     fn zero_grads(&mut self) {}
 
     fn forward_batch(
@@ -1620,7 +1621,7 @@ impl LeakyRelu {
 }
 
 impl TrainableLayer for LeakyRelu {
-    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
+    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64) {}
     fn zero_grads(&mut self) {}
 
     fn forward_batch(
@@ -1640,20 +1641,24 @@ impl TrainableLayer for LeakyRelu {
             });
         }
         let cache = cache_buf(&mut self.cached_input, input.shape());
-        cache.data_mut().copy_from_slice(input.data());
         let slen = input.len() / batch;
         let a = self.alpha;
         let mut out = ws.take(input.len());
-        {
-            let data = input.data();
-            let samples = parallel::min_items(slen);
-            parallel::for_each_unit_chunk_mut(&mut out, slen, samples, |first, chunk| {
-                let (off, n) = (first * slen, chunk.len());
-                for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
+        let data = input.data();
+        let samples = parallel::min_items(slen);
+        parallel::for_each_unit_chunk_pair_mut(
+            &mut out,
+            cache.data_mut(),
+            slen,
+            samples,
+            |first, out, cache| {
+                let (off, n) = (first * slen, out.len());
+                for ((o, c), &x) in out.iter_mut().zip(cache).zip(&data[off..off + n]) {
+                    *c = x;
                     *o = if x > 0.0 { x } else { a * x };
                 }
-            });
-        }
+            },
+        );
         Ok(Tensor::from_vec(input.shape(), out))
     }
 
@@ -1697,7 +1702,12 @@ impl TrainableLayer for LeakyRelu {
     }
 }
 
-/// Hyperbolic-tangent activation (generator output).
+/// Elements per [`Tanh`] forward block: a multiple of the eight lanes
+/// [`lergan_tensor::tanh_into`] runs at once.
+const TANH_BLOCK: usize = 256;
+
+/// Hyperbolic-tangent activation (generator output), computed by
+/// [`lergan_tensor::tanh`]: the same bits on every host.
 #[derive(Debug, Default)]
 pub struct Tanh {
     /// Output cache of the last forward.
@@ -1712,7 +1722,7 @@ impl Tanh {
 }
 
 impl TrainableLayer for Tanh {
-    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
+    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64) {}
     fn zero_grads(&mut self) {}
 
     fn forward_batch(
@@ -1731,20 +1741,30 @@ impl TrainableLayer for Tanh {
                 actual: input.shape().to_vec(),
             });
         }
+        let cache = cache_buf(&mut self.cached_output, input.shape());
         let slen = input.len() / batch;
         let mut out = ws.take(input.len());
-        {
-            let data = input.data();
-            let samples = parallel::min_items(slen);
-            parallel::for_each_unit_chunk_mut(&mut out, slen, samples, |first, chunk| {
-                let (off, n) = (first * slen, chunk.len());
-                for (o, &x) in chunk.iter_mut().zip(&data[off..off + n]) {
-                    *o = x.tanh();
+        let data = input.data();
+        let samples = parallel::min_items(slen);
+        parallel::for_each_unit_chunk_pair_mut(
+            &mut out,
+            cache.data_mut(),
+            slen,
+            samples,
+            |first, out, cache| {
+                let (off, n) = (first * slen, out.len());
+                // Blocks small enough that the copy into the cache reads
+                // them back from L1.
+                for ((o, c), x) in out
+                    .chunks_mut(TANH_BLOCK)
+                    .zip(cache.chunks_mut(TANH_BLOCK))
+                    .zip(data[off..off + n].chunks(TANH_BLOCK))
+                {
+                    lergan_tensor::tanh_into(x, o);
+                    c.copy_from_slice(o);
                 }
-            });
-        }
-        let cache = cache_buf(&mut self.cached_output, input.shape());
-        cache.data_mut().copy_from_slice(&out);
+            },
+        );
         Ok(Tensor::from_vec(input.shape(), out))
     }
 
@@ -1814,7 +1834,7 @@ impl Reshape {
 }
 
 impl TrainableLayer for Reshape {
-    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64, _ws: &mut Workspace) {}
+    fn apply_update(&mut self, _rule: &UpdateRule, _step: u64) {}
     fn zero_grads(&mut self) {}
 
     fn forward_batch(
@@ -2128,9 +2148,8 @@ impl Sequential {
 
     /// Applies and clears all accumulated gradients through `rule`.
     pub fn apply_update(&mut self, rule: &UpdateRule, step: u64) {
-        let Sequential { layers, ws, .. } = self;
-        for l in layers {
-            l.apply_update(rule, step, ws);
+        for l in &mut self.layers {
+            l.apply_update(rule, step);
         }
     }
 
@@ -3018,7 +3037,7 @@ mod tests {
             let out = bn.forward_batch(&input, 1, &mut ws).unwrap();
             let grad = out.map(|y| 2.0 * (y - 2.0) / 16.0);
             let _ = bn.backward_batch(&grad, 1, Grads::All, &mut ws).unwrap();
-            bn.apply_update(&UpdateRule::sgd(0.2), step, &mut ws);
+            bn.apply_update(&UpdateRule::sgd(0.2), step);
         }
         let beta = bn.beta.data()[0];
         assert!(beta > 1.0, "beta should approach 2.0, got {beta}");
@@ -3052,7 +3071,7 @@ mod tests {
                 first_loss.get_or_insert(last_loss);
                 let g = Tensor::from_vec(&[1, 1], vec![2.0 * err]);
                 layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
-                layer.apply_update(&rule, step, &mut ws);
+                layer.apply_update(&rule, step);
             }
             assert!(
                 last_loss < first_loss.unwrap() * 0.05,
@@ -3075,15 +3094,163 @@ mod tests {
         let w0 = layer.weights.clone();
         let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
         layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
-        layer.apply_update(&rule, 1, &mut ws);
+        layer.apply_update(&rule, 1);
         let w1 = layer.weights.clone();
         let _ = layer.forward_batch(&x, 1, &mut ws).unwrap();
         layer.backward_batch(&g, 1, Grads::All, &mut ws).unwrap();
-        layer.apply_update(&rule, 2, &mut ws);
+        layer.apply_update(&rule, 2);
         let w2 = layer.weights.clone();
         let d1 = (w1.data()[0] - w0.data()[0]).abs();
         let d2 = (w2.data()[0] - w1.data()[0]).abs();
         assert!(d2 > d1 * 1.5, "momentum should accelerate: {d1} vs {d2}");
+    }
+
+    /// The update as whole-tensor passes: the oracle the one-pass
+    /// [`OptState::apply`] must equal bit for bit.
+    fn multi_pass_update(
+        rule: &UpdateRule,
+        step: u64,
+        m: &mut Option<Tensor>,
+        v: &mut Option<Tensor>,
+        weights: &mut Tensor,
+        grad: &Tensor,
+    ) {
+        match *rule {
+            UpdateRule::Sgd { lr } => weights.axpy_in_place(-lr, grad),
+            UpdateRule::Momentum { lr, beta } => {
+                let m = m.get_or_insert_with(|| Tensor::zeros(grad.shape()));
+                m.scale_in_place(beta);
+                m.axpy_in_place(1.0, grad);
+                weights.axpy_in_place(-lr, m);
+            }
+            UpdateRule::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            } => {
+                let m = m.get_or_insert_with(|| Tensor::zeros(grad.shape()));
+                m.scale_in_place(beta1);
+                m.axpy_in_place(1.0 - beta1, grad);
+                let v = v.get_or_insert_with(|| Tensor::zeros(grad.shape()));
+                let squares: Vec<f32> = grad.data().iter().map(|&g| g * g).collect();
+                v.scale_in_place(beta2);
+                v.axpy_slice_in_place(1.0 - beta2, &squares);
+                let t = i32::try_from(step.max(1)).unwrap_or(i32::MAX);
+                let mc = 1.0 - beta1.powi(t);
+                let vc = 1.0 - beta2.powi(t);
+                let update: Vec<f32> = m
+                    .data()
+                    .iter()
+                    .zip(v.data())
+                    .map(|(&mi, &vi)| (mi / mc) / ((vi / vc).sqrt() + eps))
+                    .collect();
+                weights.axpy_slice_in_place(-lr, &update);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_update_matches_the_multi_pass_reference() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let subnormal = f32::from_bits(0x0000_0421);
+        let specials = [0.0, -0.0, subnormal, -subnormal, f32::NAN, 1e-20, -3.5];
+        let rules = [
+            UpdateRule::sgd(0.05),
+            UpdateRule::Momentum {
+                lr: 0.05,
+                beta: 0.9,
+            },
+            UpdateRule::dcgan_adam(0.01),
+            UpdateRule::Adam {
+                lr: 1e-3,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for rule in &rules {
+            for step in [1, 2, 1_000, (1 << 31) - 1] {
+                // 37 elements: a vector body and a tail; the specials sit
+                // in the weights and in every update's gradient.
+                let mut w = Tensor::from_fn(&[37], |_| rng.gen::<f32>() - 0.5);
+                w.data_mut()[..specials.len()].copy_from_slice(&specials);
+                let mut w_ref = w.clone();
+                let (mut m_ref, mut v_ref) = (None, None);
+                let mut opt = OptState::default();
+                for update in 0..3 {
+                    let mut g = Tensor::from_fn(&[37], |_| rng.gen::<f32>() * 2.0 - 1.0);
+                    let at = specials.len() + update;
+                    g.data_mut()[at..at + specials.len()].copy_from_slice(&specials);
+                    let step = step + update as u64;
+                    opt.apply(rule, step, &mut w, &g);
+                    multi_pass_update(rule, step, &mut m_ref, &mut v_ref, &mut w_ref, &g);
+                    let what = format!("{rule:?} at step {step}");
+                    assert_eq!(bits(&w), bits(&w_ref), "weights, {what}");
+                    for (got, want) in [(&opt.m, &m_ref), (&opt.v, &v_ref)] {
+                        assert_eq!(got.as_ref().map(bits), want.as_ref().map(bits), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn activations_write_output_and_cache_in_one_pass_at_any_worker_count() {
+        // 220 samples of 300: at two or more workers a chunk ends off a
+        // `TANH_BLOCK` boundary.
+        let (batch, len) = (220, 300);
+        let input = Tensor::from_fn(&[batch, len], |i| {
+            ((i[0] * 37 + i[1] * 11) % 97) as f32 / 12.0 - 4.0
+        });
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            parallel::with_threads(threads, || {
+                let mut ws = Workspace::new();
+                let mut tanh = Tanh::new();
+                let y = tanh.forward_batch(&input, batch, &mut ws).unwrap();
+                assert_eq!(bits(&y), bits(&input.map(lergan_tensor::tanh)));
+                assert_eq!(tanh.cached_output.as_ref().map(bits), Some(bits(&y)));
+                let mut leaky = LeakyRelu::new(0.2);
+                let y = leaky.forward_batch(&input, batch, &mut ws).unwrap();
+                let want = input.map(|x| if x > 0.0 { x } else { 0.2 * x });
+                assert_eq!(bits(&y), bits(&want));
+                assert_eq!(leaky.cached_input.as_ref().map(bits), Some(bits(&input)));
+            });
+        }
+    }
+
+    #[test]
+    fn adam_keeps_training_after_a_checkpoint_at_the_last_u32_step() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = tiny_generator(&mut rng);
+        let d = tiny_discriminator(&mut rng);
+        let mut gan = Gan::new(g, d, 4, 0.0, 3).with_optimizer(UpdateRule::dcgan_adam(0.01));
+        let mut data_rng = StdRng::seed_from_u64(170);
+        let mut reals = || -> Vec<Tensor> { (0..2).map(|_| blob_sample(&mut data_rng)).collect() };
+        for _ in 0..2 {
+            gan.train_step(&reals());
+        }
+        // The next step is 2^32, whose Adam exponent once wrapped to 0.
+        let mut ckpt = gan.checkpoint();
+        ckpt.step = u64::from(u32::MAX);
+        ckpt.checksum = ckpt.payload_digest();
+        gan.restore(&ckpt).expect("same architecture");
+        gan.train_step(&reals());
+        assert_eq!(gan.step(), 1 << 32);
+        let after = gan.checkpoint();
+        let stacks = |c: &GanCheckpoint| [c.generator.clone(), c.discriminator.clone()].concat();
+        for (before, now) in stacks(&ckpt).iter().zip(&stacks(&after)) {
+            let Some(w0) = before.get("weights") else {
+                continue;
+            };
+            let w1 = now.get("weights").expect("weights stay");
+            for (&a, &b) in w0.data().iter().zip(w1.data()) {
+                assert!(b.is_finite(), "weight {a} became {b}");
+                assert_ne!(a.to_bits(), b.to_bits(), "weight {a} did not move");
+            }
+        }
     }
 
     #[test]

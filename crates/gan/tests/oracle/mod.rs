@@ -133,7 +133,7 @@ impl Moments {
                 let squares: Vec<f32> = grad.data().iter().map(|&g| g * g).collect();
                 v.scale_in_place(beta2);
                 v.axpy_slice_in_place(1.0 - beta2, &squares);
-                let t = step.max(1) as i32;
+                let t = i32::try_from(step.max(1)).unwrap_or(i32::MAX);
                 let mc = 1.0 - beta1.powi(t);
                 let vc = 1.0 - beta2.powi(t);
                 let update: Vec<f32> = m
@@ -329,7 +329,7 @@ impl OracleLayer {
                 x.map(|v| if v > 0.0 { v } else { LEAKY_SLOPE * v })
             }
             Kind::Tanh { output } => {
-                *output = x.map(f32::tanh);
+                *output = x.map(lergan_tensor::tanh);
                 output.clone()
             }
             Kind::Reshape { to, .. } => x.reshaped(to),

@@ -397,8 +397,10 @@ struct PhaseTables {
     outputs: Table,
     /// Weight-tensor index of reduction row `(c, ty, tx)` for output
     /// channel 0; output channel `a` adds `a ·`
-    /// [`channel_stride`](ConvPlan::channel_stride).
-    weights: Vec<usize>,
+    /// [`channel_stride`](ConvPlan::channel_stride). Every index of every
+    /// output channel is below the weight length, checked when the plan is
+    /// built.
+    weights: Vec<u32>,
 }
 
 impl ConvPlan {
@@ -435,7 +437,31 @@ impl ConvPlan {
             .phases()
             .map(|(ry, rx)| plan.phase_tables(ry, rx))
             .collect();
+        plan.check_weight_tables();
         plan
+    }
+
+    /// Checks the phases' weight tables against the weight length: one
+    /// phase-weight slot per weight, and every index of every output
+    /// channel below the length, the bound
+    /// [`phase_weights_into`](Self::phase_weights_into)'s unchecked reads
+    /// rely on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either fails.
+    fn check_weight_tables(&self) {
+        let wlen: usize = self.weight_shape().iter().product();
+        let last = self.out_channels.saturating_sub(1) * self.channel_stride();
+        let slots: usize = self.tables.iter().map(|t| t.weights.len()).sum();
+        assert_eq!(slots * self.out_channels, wlen, "one slot per live tap");
+        for t in &self.tables {
+            let max = t.weights.iter().map(|&w| w as usize).max();
+            assert!(
+                max.is_none_or(|m| m + last < wlen),
+                "weight index out of range"
+            );
+        }
     }
 
     /// Where frame column `x` sits in a split frame row.
@@ -475,7 +501,10 @@ impl ConvPlan {
             taps: Table::new(taps),
             positions: Table::new(positions),
             outputs: Table::new(outputs),
-            weights,
+            weights: weights
+                .into_iter()
+                .map(|w| u32::try_from(w).expect("weight index exceeds u32"))
+                .collect(),
         }
     }
 
@@ -588,12 +617,20 @@ impl ConvPlan {
         let wlen = self.weight_shape().iter().product();
         assert_eq!(weights.len(), wlen, "weight length mismatch");
         assert_eq!(out.len(), wlen, "phase weight buffer length mismatch");
+        if self.is_dense() {
+            out.copy_from_slice(weights);
+            return;
+        }
         let cs = self.channel_stride();
-        let mut dst = out.iter_mut();
+        let mut rest = out;
         for t in &self.tables {
             for a in 0..self.out_channels {
-                for &w in &t.weights {
-                    *dst.next().expect("one slot per live tap") = weights[a * cs + w];
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(t.weights.len());
+                rest = tail;
+                for (o, &w) in row.iter_mut().zip(&t.weights) {
+                    // SAFETY: `check_weight_tables` bounded `a·cs + w` by
+                    // the weight length, which `weights` has.
+                    *o = unsafe { *weights.get_unchecked(a * cs + w as usize) };
                 }
             }
         }
@@ -839,13 +876,13 @@ impl ConvPlan {
             if by_channel {
                 for (row, &w) in block.chunks_exact(oc).zip(&t.weights) {
                     for (c, &v) in row.iter().enumerate() {
-                        grad[c * cs + w] += v;
+                        grad[c * cs + w as usize] += v;
                     }
                 }
             } else {
                 for (c, row) in block.chunks_exact(red).enumerate() {
                     for (&w, &v) in t.weights.iter().zip(row) {
-                        grad[c * cs + w] += v;
+                        grad[c * cs + w as usize] += v;
                     }
                 }
             }
@@ -1124,6 +1161,39 @@ mod tests {
     }
 
     #[test]
+    fn table_gather_matches_the_nested_loop() {
+        // The gather as a loop nest over phases, output channels and live
+        // taps, reading the weights through the per-phase tap tables.
+        fn nested(plan: &ConvPlan, weights: &[f32]) -> Vec<f32> {
+            let cs = plan.channel_stride();
+            let mut out = Vec::new();
+            for t in &plan.tables {
+                for a in 0..plan.out_channels {
+                    for &w in &t.weights {
+                        out.push(weights[a * cs + w as usize]);
+                    }
+                }
+            }
+            out
+        }
+        let sconv = SconvGeometry::new(8, 3, 2, 1).unwrap();
+        let tconv = TconvGeometry::for_upsampling(4, 3, 2).unwrap();
+        let tconv3 = TconvGeometry::for_upsampling(5, 5, 3).unwrap();
+        let dconv = DconvGeometry::square(8, 3, 2, 2, 2).unwrap();
+        let geoms: [&dyn ConvGeometry; 4] = [&sconv, &tconv, &tconv3, &dconv];
+        for geom in geoms {
+            for (ic, oc) in [(1, 1), (3, 2), (16, 16)] {
+                for plan in [geom.plan(ic, oc), geom.plan(oc, ic).dual()] {
+                    let weights = det(&plan.weight_shape(), 7);
+                    let mut out = vec![f32::NAN; weights.len()];
+                    plan.phase_weights_into(weights.data(), &mut out);
+                    assert_eq!(bits(&out), bits(&nested(&plan, weights.data())));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tconv_phase_columns_drop_the_inserted_zeros() {
         // At S′ = 2 with S′ dividing K and O, the phase columns are a
         // quarter of the zero-inserted im2col matrix.
@@ -1194,7 +1264,7 @@ mod tests {
             off += red * oc;
             for c in 0..oc {
                 for (r, &w) in t.weights.iter().enumerate() {
-                    grad[c * cs + w] = if plan.grad_by_channel() {
+                    grad[c * cs + w as usize] = if plan.grad_by_channel() {
                         block[r * oc + c]
                     } else {
                         block[c * red + r]

@@ -25,6 +25,7 @@
 
 pub mod conv;
 pub mod dconv;
+pub mod elementwise;
 pub mod geometry;
 pub mod im2col;
 pub mod kernel;
@@ -35,6 +36,7 @@ pub mod workspace;
 pub mod zero_insert;
 
 pub use conv::Conv2d;
+pub use elementwise::{tanh, tanh_into};
 pub use geometry::{DconvAxis, DconvGeometry, SconvGeometry, TconvGeometry, WconvGeometry};
 pub use kernel::{gemm_into, gemm_nt_into, mmv_into};
 pub use tensor::{gemm, gemm_nt, Tensor};

@@ -335,6 +335,57 @@ pub fn for_each_unit_chunk_mut<T: Send>(
     pool_run(threads, &g);
 }
 
+/// [`for_each_unit_chunk_mut`] over two equally long slices at once:
+/// `f(first_unit, a_chunk, b_chunk)` receives the same element range of
+/// both, so one pass can write two outputs.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, and (debug) if they are not a multiple of
+/// `unit`.
+pub fn for_each_unit_chunk_pair_mut<T: Send>(
+    a: &mut [T],
+    b: &mut [T],
+    unit: usize,
+    min_units: usize,
+    f: impl Fn(usize, &mut [T], &mut [T]) + Sync,
+) {
+    assert_eq!(a.len(), b.len(), "paired slices differ in length");
+    let unit = unit.max(1);
+    debug_assert_eq!(a.len() % unit, 0, "length must be a unit multiple");
+    let units = a.len() / unit;
+    if units == 0 {
+        return;
+    }
+    let max_workers = units.div_ceil(min_units.max(1));
+    let threads = current_threads().min(max_workers).max(1);
+    if threads == 1 {
+        f(0, a, b);
+        return;
+    }
+    let chunk_units = units.div_ceil(threads);
+    let len = a.len();
+    let (base_a, base_b) = (a.as_mut_ptr() as usize, b.as_mut_ptr() as usize);
+    let g = move |t: usize| {
+        let start = t * chunk_units * unit;
+        if start >= len {
+            return;
+        }
+        let take = (chunk_units * unit).min(len - start);
+        // SAFETY: unit-aligned chunks are disjoint across worker indices
+        // and within the live `&mut` borrows of both slices held by this
+        // frame, which are equally long.
+        let (part_a, part_b) = unsafe {
+            (
+                std::slice::from_raw_parts_mut((base_a as *mut T).add(start), take),
+                std::slice::from_raw_parts_mut((base_b as *mut T).add(start), take),
+            )
+        };
+        f(start / unit, part_a, part_b);
+    };
+    pool_run(threads, &g);
+}
+
 /// Computes `f(i)` for `i in 0..n` in parallel, preserving order.
 pub fn map_indexed<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -413,6 +464,24 @@ mod tests {
                 });
             });
             assert_eq!(data, (0..65).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn paired_unit_chunks_cover_the_same_rows() {
+        for threads in [1, 2, 8] {
+            let (mut a, mut b) = (vec![0usize; 13 * 5], vec![0usize; 13 * 5]);
+            with_threads(threads, || {
+                for_each_unit_chunk_pair_mut(&mut a, &mut b, 5, 1, |row0, ca, cb| {
+                    assert_eq!((ca.len() % 5, ca.len()), (0, cb.len()));
+                    for (i, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
+                        *x = row0 * 5 + i;
+                        *y = 2 * *x;
+                    }
+                });
+            });
+            assert_eq!(a, (0..65).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(b, (0..65).map(|x| 2 * x).collect::<Vec<_>>());
         }
     }
 
