@@ -8,6 +8,8 @@
 //!   trainer's per-sample path with plan, workspace and buffers held
 //!   across calls (`engine_cached`), against the naive zero-insertion
 //!   kernels (`zero_inserted`),
+//! * the T-CONV forward of dcgan32deep's 3k2s 4 → 8 px layer, whose
+//!   phases are 4 × 4 grids of window positions (`engine_cached`),
 //! * D-CONV dilated convolution: the zero-free plan against the naive
 //!   zero-inserted-kernel formulation,
 //! * S-CONV through the one-phase plan, and the trainer's hottest conv
@@ -160,6 +162,19 @@ fn main() {
         "tconv_conv1_16x8ch/engine_cached",
         threads,
         cached_forward(&plan, &input, &weights),
+    );
+
+    // dcgan32deep's `16t` layer: 3k2s, 16 -> 8 ch, 4 px -> 8 px. Each of
+    // its four phases is a 4 x 4 grid of window positions, so every
+    // eight-lane tile spans two window rows and loads as two half runs.
+    let plan_q = TconvGeometry::for_target(4, 3, 2, 8).unwrap().plan(16, 8);
+    let input_q = det(&[16, 4, 4], 17);
+    let weights_q = det(&[8, 16, 3, 3], 18);
+    record_threads(
+        &mut results,
+        "tconv_3k2s_4to8px_16x8ch/engine_cached",
+        threads,
+        cached_forward(&plan_q, &input_q, &weights_q),
     );
 
     // T-CONV at realistic mid-network channel counts.
