@@ -30,134 +30,8 @@
 //! `LERGAN_THREADS`, produces byte-identical JSON. Usage:
 //! `serve_sweep [output.json]` (default `BENCH_serve.json`).
 
-use lergan_core::RecoveryPolicy;
-use lergan_serve::job::{poisson_workload, run_standalone, WorkloadSpec};
-use lergan_serve::{AdmissionPolicy, PlanCache, ServeConfig, ServeReport, ServeRuntime};
-
-const PAIRS: usize = 3;
-const JOBS: u64 = 18;
-const TENANTS: u32 = 3;
-const STEPS: u64 = 10;
-/// DCGAN and cGAN, by Table V order.
-const TOPOLOGIES: [usize; 2] = [0, 1];
-
-struct Scenario {
-    label: &'static str,
-    /// Offered load as a fraction of fleet service capacity.
-    rho: f64,
-    /// Stuck-at rate seeded on every pair (0 = pristine).
-    fault_rate: f64,
-    /// Wear endurance mean (0 = wear disabled).
-    endurance_mean: u64,
-}
-
-fn config(sc: &Scenario) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        admission: AdmissionPolicy {
-            max_queue_depth: 8,
-            per_tenant_quota: 4,
-        },
-        ..ServeConfig::pristine(PAIRS)
-    };
-    if sc.fault_rate > 0.0 {
-        cfg = cfg.with_fault_rate(sc.fault_rate);
-    }
-    if sc.endurance_mean > 0 {
-        cfg = cfg.with_wear(sc.endurance_mean, 1.3);
-    }
-    cfg
-}
-
-/// Arrival rate that offers `rho` of the fleet's fault-free capacity,
-/// from the mean service time across the traffic mix.
-fn rate_for(rho: f64, plans: &mut PlanCache) -> f64 {
-    let mean_iter_ns = TOPOLOGIES
-        .iter()
-        .map(|&t| plans.iteration_ns(t).expect("fault-free plans compile"))
-        .sum::<f64>()
-        / TOPOLOGIES.len() as f64;
-    let service_s = STEPS as f64 * mean_iter_ns / 1e9;
-    rho * PAIRS as f64 / service_s
-}
-
-fn run_scenario(sc: &Scenario, plans: &mut PlanCache) -> ServeReport {
-    let jobs = poisson_workload(&WorkloadSpec {
-        jobs: JOBS,
-        tenants: TENANTS,
-        topologies: TOPOLOGIES.to_vec(),
-        steps: STEPS,
-        seed: 0xA11CE,
-        rate_jobs_per_s: rate_for(sc.rho, plans),
-        deadline_slack: Some(25.0),
-    });
-    let report = ServeRuntime::new(config(sc))
-        .run(jobs.clone(), plans)
-        .expect("workload topologies compile fault-free");
-    report
-        .check_conservation()
-        .expect("no job may vanish from the lifecycle");
-    assert_eq!(report.stranded, 0, "{}: jobs stranded", sc.label);
-    assert_eq!(report.failed, 0, "{}: jobs failed terminally", sc.label);
-    if sc.fault_rate == 0.0 && sc.endurance_mean == 0 {
-        // Zero-fault serving must not perturb a single bit of any job.
-        for job in &jobs {
-            if let Some(served) = report.outcomes.get(&job.id) {
-                assert_eq!(
-                    served,
-                    &run_standalone(job),
-                    "{}: job {} diverged from standalone",
-                    sc.label,
-                    job.id
-                );
-            }
-        }
-    }
-    report
-}
-
-/// The crippled-fleet scenario: pair 0 keeps 2 of 16 tiles, harsh wear
-/// forces its recovery ladder into rollbacks, one rollback quarantines
-/// it, and its queued jobs must finish on the healthy pairs.
-fn run_quarantine(plans: &mut PlanCache) -> ServeReport {
-    let cfg = ServeConfig {
-        recovery: RecoveryPolicy {
-            tile_kill_cells: 64,
-            ..RecoveryPolicy::default()
-        },
-        quarantine_after_rollbacks: 1,
-        dead_tiles: vec![(0, 14)],
-        ..ServeConfig::pristine(PAIRS)
-    }
-    .with_wear(8, 1.2);
-    let jobs = poisson_workload(&WorkloadSpec {
-        jobs: 12,
-        tenants: TENANTS,
-        topologies: vec![0],
-        steps: 12,
-        seed: 0xA11CE,
-        rate_jobs_per_s: rate_for(2.0, plans),
-        deadline_slack: None,
-    });
-    let report = ServeRuntime::new(cfg)
-        .run(jobs, plans)
-        .expect("workload topologies compile fault-free");
-    report
-        .check_conservation()
-        .expect("quarantine must not leak jobs");
-    assert!(
-        report.quarantined_pairs >= 1,
-        "the crippled pair must retire"
-    );
-    assert!(report.requeued >= 1, "its queued jobs must be evacuated");
-    assert_eq!(report.failed, 0, "evacuated work finishes elsewhere");
-    assert_eq!(report.stranded, 0);
-    assert_eq!(
-        report.completed + report.shed_total(),
-        report.submitted,
-        "every admitted job must finish"
-    );
-    report
-}
+use lergan_bench::serve::{grid, run_quarantine, run_scenario, JOBS, PAIRS, STEPS, TENANTS};
+use lergan_serve::{PlanCache, ServeReport};
 
 fn row_json(label: &str, rho: f64, fault_rate: f64, endurance: u64, r: &ServeReport) -> String {
     format!(
@@ -198,35 +72,26 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
 
-    // ≥ 3 load levels × ≥ 2 fault levels, per the acceptance criteria.
-    let loads = [0.4, 1.5, 3.5];
-    let faults: [(&str, f64, u64); 2] = [("zero_fault", 0.0, 0), ("faulty", 0.0005, 20)];
-    let labels = [
-        ["zero_fault_low", "zero_fault_mid", "zero_fault_high"],
-        ["faulty_low", "faulty_mid", "faulty_high"],
-    ];
-
     // One cache for the whole sweep: same-topology jobs across scenarios
     // share the same compiled plans.
     let mut plans = PlanCache::table_v();
     let mut rows: Vec<(String, String)> = Vec::new();
 
-    for (fi, (fault_label, fault_rate, endurance)) in faults.into_iter().enumerate() {
+    for level in grid() {
+        let fault_label = if level[0].fault_rate == 0.0 {
+            "zero_fault"
+        } else {
+            "faulty"
+        };
         let mut sheds = Vec::new();
         let mut p99s = Vec::new();
-        for (li, &rho) in loads.iter().enumerate() {
-            let sc = Scenario {
-                label: labels[fi][li],
-                rho,
-                fault_rate,
-                endurance_mean: endurance,
-            };
-            let r = run_scenario(&sc, &mut plans);
+        for sc in &level {
+            let r = run_scenario(sc, &mut plans);
             println!(
                 "{:<16} rho {:>4.1}  completed {:>2}/{:<2}  shed {:.3}  p50 {:>9.3} ms  \
                  p99 {:>9.3} ms  util {:.3}  healing d/c/rb {}/{}/{}",
                 sc.label,
-                rho,
+                sc.rho,
                 r.completed,
                 r.submitted,
                 r.shed_rate(),
@@ -241,7 +106,7 @@ fn main() {
             p99s.push(r.p99_ns());
             rows.push((
                 sc.label.to_string(),
-                row_json(sc.label, rho, fault_rate, endurance, &r),
+                row_json(sc.label, sc.rho, sc.fault_rate, sc.endurance_mean, &r),
             ));
         }
         // Graceful degradation, asserted per fault level.
@@ -258,7 +123,7 @@ fn main() {
             p99s[absorbed..].iter().all(|&p| p >= p99s[0]),
             "{fault_label}: shedding must never beat the low-load tail: {p99s:?}"
         );
-        if fault_rate == 0.0 {
+        if level[0].fault_rate == 0.0 {
             assert_eq!(sheds[0], 0.0, "low-load zero-fault must shed nothing");
         }
     }

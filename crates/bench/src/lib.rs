@@ -16,6 +16,7 @@ pub mod chaos;
 pub mod figures;
 pub mod harness;
 pub mod naive;
+pub mod serve;
 pub mod table;
 
 pub use chaos::{campaigns, run_campaign, shrink, ArmCoverage, CampaignOutcome, ChaosSpec};

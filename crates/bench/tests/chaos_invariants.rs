@@ -2,12 +2,39 @@
 //! campaign set passes every standing invariant with full
 //! recovery-ladder arm coverage, campaigns replay bit-identically, and
 //! a deliberately broken invariant shrinks to a minimal seeded
-//! reproducer.
+//! reproducer. The figures the plan cache memoises for faulted builds,
+//! over the campaigns and the serving sweep's scenarios, are those of a
+//! fresh build.
 
 use lergan_bench::chaos::{
     campaigns, run_campaign, shrink, ArmCoverage, ChaosSpec, CAMPAIGNS, MASTER_SEED,
 };
+use lergan_bench::serve::{grid, run_quarantine, run_scenario};
+use lergan_core::{IterationFigures, LerGan};
 use lergan_serve::PlanCache;
+
+/// Checks every faulted build `plans` memoised against a fresh build of
+/// its topology under its key, bit for bit; returns how many there were.
+fn check_faulted_memo(plans: &PlanCache) -> usize {
+    let mut memoised = 0;
+    for (topology, key, figures) in plans.faulted_figures() {
+        let built = LerGan::builder(plans.spec(topology))
+            .faults(key.clone())
+            .build()
+            .expect("a memoised build succeeded once");
+        let built = IterationFigures::of(&built);
+        assert_eq!(
+            (
+                figures.iteration_ns.to_bits(),
+                figures.g_forward_ns.to_bits()
+            ),
+            (built.iteration_ns.to_bits(), built.g_forward_ns.to_bits()),
+            "topology {topology} under {key:?}"
+        );
+        memoised += 1;
+    }
+    memoised
+}
 
 #[test]
 fn committed_campaign_set_passes_with_full_arm_coverage() {
@@ -31,6 +58,19 @@ fn committed_campaign_set_passes_with_full_arm_coverage() {
         Vec::<&str>::new(),
         "every recovery-ladder arm must fire across the campaign set"
     );
+    assert!(check_faulted_memo(&plans) > 0, "no pair started faulted");
+}
+
+#[test]
+fn serve_sweep_memoises_the_faulted_builds_it_starts_from() {
+    let mut plans = PlanCache::table_v();
+    for level in grid() {
+        for sc in &level {
+            run_scenario(sc, &mut plans);
+        }
+    }
+    run_quarantine(&mut plans);
+    assert!(check_faulted_memo(&plans) > 0, "no pair started faulted");
 }
 
 #[test]

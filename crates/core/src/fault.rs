@@ -51,6 +51,25 @@ impl SystemFaults {
         self.dead_tiles() == 0 && self.links.is_empty()
     }
 
+    /// The part of this scenario a build reads: each bank's dead tiles and
+    /// the link faults, without stuck cells or wear counters. A build under
+    /// it is the build under `self` (see
+    /// [`SystemFaults::builds_fault_free`]), and equal keys build equal
+    /// accelerators; banks with no dead tile are left out, so the key does
+    /// not depend on which banks were touched.
+    pub fn build_key(&self) -> SystemFaults {
+        let mut key = SystemFaults {
+            links: self.links.clone(),
+            ..SystemFaults::none()
+        };
+        for (&phase, map) in &self.banks {
+            for tile in map.dead_tiles() {
+                key.bank_mut(phase).kill_tile(tile);
+            }
+        }
+        key
+    }
+
     /// The fault map of a phase's bank, if one was recorded.
     pub fn bank(&self, phase: Phase) -> Option<&FaultMap> {
         self.banks.get(&phase)

@@ -314,6 +314,23 @@ impl IterationFigures {
             g_forward_ns: r.phase_latency.get(&Phase::GForward.to_string()),
         }
     }
+
+    /// The figures of `spec` built under `faults`, given `clean`, those of
+    /// its fault-free build: `clean` itself when the faults kill no tile
+    /// and break no link (the build reads nothing else), otherwise those of
+    /// a build under [`SystemFaults::build_key`].
+    pub fn under(
+        spec: &GanSpec,
+        faults: &SystemFaults,
+        clean: IterationFigures,
+    ) -> Result<Self, BuildError> {
+        if faults.builds_fault_free() {
+            return Ok(clean);
+        }
+        Ok(Self::of(
+            &LerGan::builder(spec).faults(faults.build_key()).build()?,
+        ))
+    }
 }
 
 /// Geometry of the monitored ABFT block: 32 × 32 weights + the checksum
@@ -370,8 +387,9 @@ const LINK_TRANSFER_VALUES: u64 = 256;
 
 impl SelfHealingRuntime {
     /// Assembles the runtime: builds `spec`'s fault-free accelerator for
-    /// its [`IterationFigures`], then runs
-    /// [`SelfHealingRuntime::from_clean_figures`].
+    /// its [`IterationFigures`], and the accelerator under `faults` when
+    /// they kill tiles or break links ([`IterationFigures::under`]), then
+    /// runs [`SelfHealingRuntime::from_figures`].
     pub fn new(
         spec: &GanSpec,
         trainer: Gan,
@@ -380,22 +398,23 @@ impl SelfHealingRuntime {
         wear: WearModel,
     ) -> Result<Self, RecoveryError> {
         let clean = IterationFigures::of(&LerGan::builder(spec).build()?);
-        Self::from_clean_figures(spec, trainer, faults, policy, wear, clean).map_err(|f| f.error)
+        let start = IterationFigures::under(spec, &faults, clean)?;
+        Self::from_figures(spec, trainer, faults, policy, wear, clean, start).map_err(|f| f.error)
     }
 
-    /// Assembles the runtime from the figures of `spec`'s fault-free build
-    /// (a serving layer keeps them beside its shared plan): builds the
-    /// accelerator under the starting faults only when they kill tiles or
-    /// break links (otherwise that build is the fault-free one and `clean`
-    /// are its figures), places the monitored block in the first clean
-    /// spare region of the `G→` bank, and programs it.
-    pub fn from_clean_figures(
+    /// Assembles the runtime from the figures of `spec`'s fault-free build,
+    /// `clean`, and of its build under the starting `faults`, `start` (a
+    /// serving layer keeps both beside its shared plan; see
+    /// [`IterationFigures::under`]): places the monitored block in the
+    /// first clean spare region of the `G→` bank, and programs it.
+    pub fn from_figures(
         spec: &GanSpec,
         trainer: Gan,
         faults: SystemFaults,
         policy: RecoveryPolicy,
         wear: WearModel,
         clean: IterationFigures,
+        start: IterationFigures,
     ) -> Result<Self, Box<StartFailure>> {
         let reram = ReramConfig::default();
         let weights: Vec<i32> = (0..BLOCK_ROWS * BLOCK_COLS)
@@ -424,18 +443,7 @@ impl SelfHealingRuntime {
             link_values: LINK_TRANSFER_VALUES,
             report: RecoveryReport::default(),
         };
-        let figures = if rt.faults.builds_fault_free() {
-            Ok(clean)
-        } else {
-            rt.builder_for(rt.faults.clone())
-                .build()
-                .map(|acc| IterationFigures::of(&acc))
-        };
-        let figures = match figures {
-            Ok(figures) => figures,
-            Err(e) => return Err(rt.unstarted(e.into())),
-        };
-        rt.charge(figures);
+        rt.charge(start);
         rt.report.clean_iteration_ns = clean.iteration_ns;
         // Scanning for a region only reads the fault state, so a failed
         // start hands it back as it came.
@@ -609,8 +617,11 @@ impl SelfHealingRuntime {
         let tile_cells = REGIONS_PER_TILE as u64 * region_cells;
         let map = self.faults.bank_mut(Phase::GForward);
         let suspects = block.suspect_cells(map, &self.reram).len();
+        // Counting stops at the verdict's bound, so a seeded map hashes no
+        // more of the tile than the verdict needs.
         let tile_stuck = map
             .stuck_cells_in(tile_base..tile_base + tile_cells)
+            .take(self.policy.tile_kill_cells)
             .count();
         self.report.quarantined_cells += suspects as u64;
 
@@ -648,7 +659,7 @@ impl SelfHealingRuntime {
     /// only on success (an uncommitted kill would strand capacity).
     fn try_remap(&mut self) -> Result<bool, RecoveryError> {
         let tile = self.region / REGIONS_PER_TILE;
-        let mut tentative = self.faults.clone();
+        let mut tentative = self.faults.build_key();
         tentative.bank_mut(Phase::GForward).kill_tile(tile);
         match self.builder_for(tentative).build() {
             Ok(accel) => {

@@ -3,12 +3,14 @@
 //! `LerGanBuilder::build` reads only a scenario's dead tiles and link
 //! faults. Stuck cells and wear counters live in the banks' cell arrays,
 //! which the mapping, the fabric and the iteration simulation never read,
-//! so a build under them simulates exactly like the fault-free build. A
-//! serving layer therefore hands `SelfHealingRuntime::from_clean_figures`
-//! the figures it keeps beside its plan, and the runtime builds only when
-//! the starting faults kill tiles or break links. These tests pin both
-//! halves: the figures under stuck cells and wear are the clean ones bit
-//! for bit, and the figures path runs exactly like `SelfHealingRuntime::new`
+//! so a build under them simulates exactly like the fault-free build, and a
+//! build under tile or link faults like the build under their
+//! `SystemFaults::build_key`. A serving layer therefore hands
+//! `SelfHealingRuntime::from_figures` the figures it keeps beside its plan,
+//! and builds only when the starting faults kill tiles or break links,
+//! once per build key. These tests pin both halves: the figures under
+//! stuck cells and wear are the clean ones (or the build key's) bit for
+//! bit, and the figures path runs exactly like `SelfHealingRuntime::new`
 //! with and without a build.
 
 use lergan_core::{IterationFigures, LerGan, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
@@ -90,6 +92,27 @@ fn stuck_cells_and_wear_leave_the_iteration_figures_bit_equal() {
     }
 }
 
+#[test]
+fn stuck_cells_and_wear_do_not_enter_a_faulted_build() {
+    let mut faults = stuck_and_worn();
+    faults.bank_mut(Phase::GForward).kill_tile(0);
+    faults.bank_mut(Phase::DForward).kill_tile(2);
+    faults.links_mut().break_horizontal(0, 0, 11);
+    let key = faults.build_key();
+    assert_eq!(key.stuck_cells(), 0);
+    assert_eq!(key.dead_tiles(), 2);
+    assert_eq!(key.links(), faults.links());
+    assert_eq!(key, key.build_key(), "a build key is its own key");
+    for spec in [benchmarks::dcgan(), benchmarks::cgan()] {
+        assert_eq!(
+            figures(&spec, faults.clone()),
+            figures(&spec, key.clone()),
+            "{}",
+            spec.name
+        );
+    }
+}
+
 /// The three starting scenarios: stuck cells only, plus one dead tile,
 /// plus one broken wire. The flag says whether the runtime must build. The
 /// tile and the wire are ones whose loss changes both figures of DCGAN.
@@ -131,13 +154,16 @@ fn the_figures_path_runs_like_new_and_builds_only_under_tile_or_link_faults() {
         );
         let mut by_new =
             SelfHealingRuntime::new(&spec, small_trainer(), faults.clone(), policy, wear).unwrap();
-        let mut by_figures = SelfHealingRuntime::from_clean_figures(
+        let start = IterationFigures::under(&spec, &faults, clean).unwrap();
+        assert_eq!(start, if builds { built } else { clean }, "{name}");
+        let mut by_figures = SelfHealingRuntime::from_figures(
             &spec,
             small_trainer(),
             faults,
             policy,
             wear,
             clean,
+            start,
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(5);

@@ -147,17 +147,74 @@ type Counters = [u64; CHUNK as usize];
 /// entry per chunk any write has pulsed, so programming a block touches a
 /// few dozen entries instead of one per cell, and the map stays sparse over
 /// a bank's whole cell space. A chunk is stored only once one of its cells
-/// holds a counter, so equal fault states compare equal however they were
-/// reached.
+/// holds a counter.
+///
+/// The stuck cells of a [`FaultMap::seeded`] map are a pure function of
+/// `(seed, cell)`, so the map records that rule instead of its cells, and
+/// sets a chunk's cells down only when something changes it. The
+/// invariant, per 64-cell chunk below the rule's cell count: a
+/// *materialised* chunk's stuck cells are exactly its entries in `stuck`;
+/// any other chunk has no entry there, and its stuck cells are the rule's.
+/// Chunks past the rule's cells are always materialised. Every mutation
+/// (`set_stuck`, `program_run`, `advance_wear`) materialises the chunks it
+/// touches first; every read goes run by run of chunks to `stuck` or to
+/// the rule.
+/// Equality compares the logical fault state, so equal states compare
+/// equal however they were reached.
 ///
 /// An empty (pristine) map is a strict no-op: every composition hook
 /// reproduces the fault-free computation bit-for-bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultMap {
     stuck: BTreeMap<u64, StuckAt>,
     dead_tiles: BTreeSet<usize>,
     wear: BTreeMap<u64, Counters>,
+    seeding: Seeding,
+    /// The materialised chunks below `seeding.chunks()`: bit `key % 64` of
+    /// the word at `key / 64` is set once chunk `key`'s stuck cells live in
+    /// `stuck`. Sparse, so a map over any number of cells costs nothing to
+    /// seed.
+    materialised: BTreeMap<u64, u64>,
 }
+
+/// The stuck-at rule of a seeded map: a cell below `cells` is stuck when
+/// its hash `mix(seed, cell) >> 11` is below `threshold`, at the polarity
+/// the low bit of a second hash picks. The default rule sticks no cell.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seeding {
+    seed: u64,
+    threshold: u64,
+    cells: u64,
+}
+
+impl Seeding {
+    /// The polarity the rule sticks `cell` at, if it sticks it.
+    fn stuck_at(&self, cell: u64) -> Option<StuckAt> {
+        (cell < self.cells && mix(self.seed, cell) >> 11 < self.threshold).then(|| {
+            if mix(self.seed ^ 0xA5A5_A5A5_5A5A_5A5A, cell) & 1 == 0 {
+                StuckAt::Zero
+            } else {
+                StuckAt::One
+            }
+        })
+    }
+
+    /// Chunks holding a cell the rule covers.
+    fn chunks(&self) -> u64 {
+        self.cells.div_ceil(CHUNK)
+    }
+}
+
+impl PartialEq for FaultMap {
+    fn eq(&self, other: &Self) -> bool {
+        let all = 0..u64::MAX;
+        self.dead_tiles == other.dead_tiles
+            && self.wear == other.wear
+            && self.stuck_entries(all.clone()).eq(other.stuck_entries(all))
+    }
+}
+
+impl Eq for FaultMap {}
 
 /// The chunk parts of `cells`, ascending: `(chunk key, cells of the range
 /// inside that chunk)`.
@@ -220,9 +277,11 @@ impl FaultMap {
         Self::default()
     }
 
-    /// Whether the map holds no faults (stuck cells or dead tiles).
+    /// Whether the map holds no faults (stuck cells or dead tiles). On a
+    /// seeded map this reads the rule's chunks up to their first stuck
+    /// cell.
     pub fn is_pristine(&self) -> bool {
-        self.stuck.is_empty() && self.dead_tiles.is_empty()
+        self.dead_tiles.is_empty() && self.stuck_cells_in(0..u64::MAX).next().is_none()
     }
 
     /// Seeds stuck-at faults over `cells` cell indices at `rate`
@@ -236,45 +295,134 @@ impl FaultMap {
     /// `⌈rate · 2⁵³⌉`: scaling by a power of two is exact, so `k / 2⁵³ <
     /// rate` exactly when `k < rate · 2⁵³`, and for an integer `k` exactly
     /// when `k` is below the ceiling (which saturates for rates past 2¹¹).
+    ///
+    /// The map records the rule, not the cells, in constant time: a chunk's
+    /// cells are hashed when a read or a mutation reaches it (see
+    /// [`FaultMap`]).
     pub fn seeded(seed: u64, rate: f64, cells: u64) -> Self {
-        let mut map = FaultMap::pristine();
         if rate.is_nan() || rate <= 0.0 {
-            return map;
+            return FaultMap::pristine();
         }
-        let threshold = (rate * (1u64 << 53) as f64).ceil() as u64;
-        for cell in 0..cells {
-            if mix(seed, cell) >> 11 < threshold {
-                let polarity = if mix(seed ^ 0xA5A5_A5A5_5A5A_5A5A, cell) & 1 == 0 {
-                    StuckAt::Zero
-                } else {
-                    StuckAt::One
-                };
-                map.stuck.insert(cell, polarity);
+        FaultMap {
+            seeding: Seeding {
+                seed,
+                threshold: (rate * (1u64 << 53) as f64).ceil() as u64,
+                cells,
+            },
+            ..FaultMap::pristine()
+        }
+    }
+
+    /// Whether chunk `key`'s stuck cells are the rule's rather than its
+    /// entries in `stuck`. `word` caches one word of `materialised` as
+    /// `(index, bits)`, refetched when `key` lies in another word.
+    fn ruled(&self, key: u64, word: &mut (u64, u64)) -> bool {
+        if word.0 != key / 64 {
+            *word = (
+                key / 64,
+                self.materialised.get(&(key / 64)).copied().unwrap_or(0),
+            );
+        }
+        key < self.seeding.chunks() && (word.1 >> (key % 64)) & 1 == 0
+    }
+
+    /// The cells of `cells`, in maximal runs of chunk parts that are all
+    /// ruled or all materialised: `(run, ruled)`. One materialised word is
+    /// fetched per 64 chunks.
+    fn runs(&self, cells: Range<u64>) -> impl Iterator<Item = (Range<u64>, bool)> + '_ {
+        let mut start = cells.start;
+        let mut word = (u64::MAX, 0);
+        std::iter::from_fn(move || {
+            if start >= cells.end {
+                return None;
             }
+            let ruled = self.ruled(start / CHUNK, &mut word);
+            let mut end = start;
+            while end < cells.end && self.ruled(end / CHUNK, &mut word) == ruled {
+                end = (end / CHUNK + 1).saturating_mul(CHUNK).min(cells.end);
+            }
+            let run = start..end;
+            start = end;
+            Some((run, ruled))
+        })
+    }
+
+    /// Sets down the rule's stuck cells of every chunk `cells` reaches that
+    /// is not materialised yet, so `stuck` holds all of their stuck cells.
+    fn materialise(&mut self, cells: Range<u64>) {
+        if cells.is_empty() {
+            return;
         }
-        map
+        let end = ((cells.end - 1) / CHUNK + 1).min(self.seeding.chunks());
+        let mut key = cells.start / CHUNK;
+        while key < end {
+            let upto = end.min((key / 64 + 1) * 64);
+            let word = self.materialised.entry(key / 64).or_insert(0);
+            let wanted = (u64::MAX >> (63 - (upto - 1) % 64)) & (u64::MAX << (key % 64));
+            let mut missing = wanted & !*word;
+            *word |= wanted;
+            while missing != 0 {
+                let chunk = key / 64 * 64 + u64::from(missing.trailing_zeros());
+                missing &= missing - 1;
+                let cells =
+                    chunk * CHUNK..(chunk + 1).saturating_mul(CHUNK).min(self.seeding.cells);
+                for cell in cells {
+                    if let Some(polarity) = self.seeding.stuck_at(cell) {
+                        self.stuck.insert(cell, polarity);
+                    }
+                }
+            }
+            key = upto;
+        }
     }
 
     /// Marks one cell stuck.
     pub fn set_stuck(&mut self, cell: u64, polarity: StuckAt) -> &mut Self {
+        self.materialise(cell..cell + 1);
         self.stuck.insert(cell, polarity);
         self
     }
 
     /// The stuck polarity of a cell, if any.
     pub fn stuck_at(&self, cell: u64) -> Option<StuckAt> {
-        self.stuck.get(&cell).copied()
+        if self.ruled(cell / CHUNK, &mut (u64::MAX, 0)) {
+            self.seeding.stuck_at(cell)
+        } else {
+            self.stuck.get(&cell).copied()
+        }
     }
 
-    /// Number of stuck cells.
+    /// Number of stuck cells. On a seeded map this hashes every cell of
+    /// the chunks no mutation has reached.
     pub fn stuck_cells(&self) -> usize {
-        self.stuck.len()
+        self.stuck_cells_in(0..u64::MAX).count()
     }
 
     /// Stuck cells within a cell-index range, ascending (the diagnostic
     /// read-back scan ABFT localization runs after a residual trips).
-    pub fn stuck_cells_in(&self, range: std::ops::Range<u64>) -> impl Iterator<Item = u64> + '_ {
-        self.stuck.range(range).map(|(&cell, _)| cell)
+    pub fn stuck_cells_in(&self, range: Range<u64>) -> impl Iterator<Item = u64> + '_ {
+        self.stuck_entries(range).map(|(cell, _)| cell)
+    }
+
+    /// The stuck cells within `range` with their polarities, ascending:
+    /// run by run from `stuck` or the rule up to the rule's last chunk,
+    /// then from `stuck` alone.
+    fn stuck_entries(&self, range: Range<u64>) -> impl Iterator<Item = (u64, StuckAt)> + '_ {
+        let ruled_end = self.seeding.chunks().saturating_mul(CHUNK);
+        let split = range.end.min(ruled_end).max(range.start);
+        let stored = move |cells: Range<u64>| self.stuck.range(cells).map(|(&c, &p)| (c, p));
+        self.runs(range.start..split)
+            .flat_map(move |(run, ruled)| {
+                let (kept, hashed) = if ruled {
+                    (run.start..run.start, run)
+                } else {
+                    (run, 0..0)
+                };
+                stored(kept).chain(
+                    hashed.filter_map(move |cell| Some((cell, self.seeding.stuck_at(cell)?))),
+                )
+            })
+            .chain(stored(split..range.end))
     }
 
     /// Marks a tile dead (peripheral failure: its whole CArray is lost).
@@ -435,6 +583,7 @@ impl FaultMap {
         }
         let span = config.cells_per_weight();
         let cells = base..base + (codes.len() * span) as u64;
+        self.materialise(cells.clone());
         let mut stuck = self.stuck.range(cells.clone()).peekable();
         let mut report = WriteReport::default();
         for (key, part) in chunk_parts(cells) {
@@ -500,7 +649,10 @@ impl FaultMap {
     /// floor, and keeps it in `limits` for later passes; a broken cell
     /// freezes at a polarity seeded by the model's seed. The
     /// pass walks the range chunk by chunk beside its stuck cells, with one
-    /// counter lookup per chunk.
+    /// counter lookup per chunk. A chunk part with no stuck cell is counted
+    /// in one pass over its counters and checked in a second against its
+    /// limit slots, and is walked cell by cell only if a counter may have
+    /// crossed its limit.
     ///
     /// Already-stuck cells no longer switch and accumulate no further
     /// wear. With a disabled model (`endurance_mean == 0`) this only
@@ -511,6 +663,8 @@ impl FaultMap {
             return newly;
         }
         let cells = limits.cells();
+        self.materialise(cells.clone());
+        let floor = limits.floor();
         let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
         for (key, part) in chunk_parts(cells) {
             let mut frozen = 0u64;
@@ -521,10 +675,29 @@ impl FaultMap {
                 continue; // no healthy cell: nothing to count
             }
             let counters = self.wear.entry(key).or_insert_with(|| [0; CHUNK as usize]);
-            for cell in part.filter(|&c| (frozen >> offset(c)) & 1 == 0) {
-                let worn = &mut counters[offset(cell)];
-                *worn += pulses;
-                if *worn > limits.floor() && *worn > limits.limit_of(cell) {
+            let counters = &mut counters[offset(part.start)..=offset(part.end - 1)];
+            let healthy = |cell: u64| (frozen >> offset(cell)) & 1 == 0;
+            if frozen == 0 {
+                counters.iter_mut().for_each(|worn| *worn += pulses);
+                // An unevaluated slot reads 0 and every limit is at least
+                // the floor, so a cell can have crossed its limit only if
+                // its counter is above the larger of its slot and the floor.
+                let crossed = counters
+                    .iter()
+                    .zip(limits.slots(part.clone()))
+                    .fold(false, |any, (&worn, &slot)| any | (worn > slot.max(floor)));
+                if !crossed {
+                    continue;
+                }
+            } else {
+                for (cell, worn) in part.clone().zip(counters.iter_mut()) {
+                    if healthy(cell) {
+                        *worn += pulses;
+                    }
+                }
+            }
+            for (cell, &worn) in part.zip(counters.iter()) {
+                if healthy(cell) && limits.exceeded(cell, worn) {
                     newly.push(cell);
                 }
             }

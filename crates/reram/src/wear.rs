@@ -15,13 +15,19 @@
 //! `(seed, cell)`; the same model replays the same break schedule
 //! bit-identically. That is what lets a caller keep the limits of a placed
 //! block's cell range ([`WearModel::limits`]) and evaluate each one lazily:
-//! no limit can lie below the model's [`WearModel::floor`], so a wear pass
-//! evaluates a cell's limit (one `powf`) only once that cell's counter
-//! passes the floor, stores it in the [`WearLimits`], and reads it back on
-//! every later pass.
+//! no limit can lie below the model's [`WearModel::floor`], and none of a
+//! cell whose deviate falls in one of 64 buckets below that bucket's own
+//! floor, so a wear pass reads a cell's bucket (one hash) only once that
+//! cell's counter passes the model's floor, evaluates its limit (one
+//! `powf`) only once the counter passes the bucket's, stores what it
+//! learnt in the [`WearLimits`], and reads it back on every later pass.
 
 use crate::fault::{mix, unit};
 use std::ops::Range;
+
+/// Buckets of the deviate `u ∈ [-1, 1)` behind a cell's limit, each with
+/// its own floor ([`WearModel::bucket_floors`]).
+const BUCKETS: usize = 64;
 
 /// Seeded per-cell endurance distribution.
 ///
@@ -93,6 +99,33 @@ impl WearModel {
         limit.round().max(1.0) as u64
     }
 
+    /// The bucket of `cell`'s deviate: bucket `b` holds the cells whose `u`
+    /// lies in `[2b / 64 - 1, 2(b + 1) / 64 - 1)`, the top six bits of the
+    /// hash [`WearModel::limit_of`] scales.
+    fn bucket(&self, cell: u64) -> usize {
+        (mix(self.seed ^ 0x3C3C_C3C3_3C3C_C3C3, mix(cell, 0x11)) >> (64 - BUCKETS.ilog2())) as usize
+    }
+
+    /// For each bucket `b`, a bound no limit of a cell in it goes below:
+    /// `mean · spread^(2b / 64 - 1)` as a product of steps
+    /// `spread^(2 / 64)`, then as [`WearModel::floor`] is for bucket 0,
+    /// since `spreadᵘ` grows with `u` for a valid spread. The `10⁻⁶` margin
+    /// covers the product's rounding (64 steps at most) as well as that of
+    /// `powf`. An invalid spread (one that bypassed [`WearModel::new`])
+    /// gives the model's floor in every bucket.
+    fn bucket_floors(&self) -> [u64; BUCKETS] {
+        if !Self::valid_spread(self.spread) {
+            return [self.floor(); BUCKETS];
+        }
+        let step = self.spread.powf(2.0 / BUCKETS as f64);
+        let mut scaled = self.endurance_mean as f64 / self.spread;
+        std::array::from_fn(|_| {
+            let bound = (scaled * (1.0 - 1e-6)).floor() as u64;
+            scaled *= step;
+            bound.max(1)
+        })
+    }
+
     /// A bound no limit of this model goes below: `u64::MAX` when the
     /// model is disabled, else `max(1, ⌊mean / spread · (1 − 10⁻⁶)⌋)`. A
     /// limit is `round(mean · spreadᵘ)` with `u ∈ [-1, 1)`, so it is at
@@ -113,28 +146,37 @@ impl WearModel {
     /// The limits of the cells in `cells`, none evaluated yet. A runtime
     /// takes them when it places a block on `cells` and hands them to each
     /// [`crate::fault::FaultMap::advance_wear`] pass until it moves the
-    /// block; each pass evaluates and keeps the limits of the cells whose
-    /// counters it takes past [`WearModel::floor`].
+    /// block; each pass learns and keeps the bounds and limits of the cells
+    /// whose counters it takes past [`WearModel::floor`].
     pub fn limits(&self, cells: Range<u64>) -> WearLimits {
+        let len = (cells.end - cells.start) as usize;
         WearLimits {
             start: cells.start,
-            limits: vec![0; (cells.end - cells.start) as usize],
+            limits: vec![0; len],
+            exact: vec![0; len.div_ceil(64)],
             floor: self.floor(),
+            bucket_floors: self.bucket_floors(),
             model: *self,
         }
     }
 }
 
 /// The endurance limits of one contiguous cell range under a
-/// [`WearModel`], evaluated on first use. Each slot holds
-/// [`WearModel::limit_of`] of its cell once read, and 0 before (every
-/// limit is at least 1). There is no equality: two values describing the
-/// same limits may differ in how far evaluation has got.
+/// [`WearModel`], learnt on first use. Each slot holds a lower bound of its
+/// cell's limit: 0 before its counter first passes the model's floor, its
+/// bucket's floor after, and [`WearModel::limit_of`] once its counter
+/// passes that too (then its bit in `exact` is set). There is no equality:
+/// two values describing the same limits may differ in how far evaluation
+/// has got.
 #[derive(Debug, Clone)]
 pub struct WearLimits {
     start: u64,
     limits: Vec<u64>,
+    /// One bit per slot: set once the slot holds the cell's limit.
+    exact: Vec<u64>,
     floor: u64,
+    /// [`WearModel::bucket_floors`].
+    bucket_floors: [u64; BUCKETS],
     model: WearModel,
 }
 
@@ -149,17 +191,41 @@ impl WearLimits {
         self.floor
     }
 
-    /// The limit of `cell`, evaluated and kept on first use.
+    /// The slots of `cells`: each a lower bound of its cell's limit (0 if
+    /// nothing is known yet), exact once evaluated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` does not lie inside [`WearLimits::cells`].
+    pub(crate) fn slots(&self, cells: Range<u64>) -> &[u64] {
+        &self.limits[(cells.start - self.start) as usize..(cells.end - self.start) as usize]
+    }
+
+    /// Whether a counter of `worn` pulses exceeds `cell`'s limit. A counter
+    /// at or below the model's floor exceeds nothing. Past it, the cell's
+    /// slot takes its bucket's floor (one hash), and its limit (one `powf`)
+    /// only once the counter passes that floor too; the slot keeps what was
+    /// learnt.
     ///
     /// # Panics
     ///
     /// Panics if `cell` lies outside [`WearLimits::cells`].
-    pub(crate) fn limit_of(&mut self, cell: u64) -> u64 {
-        let slot = &mut self.limits[(cell - self.start) as usize];
-        if *slot == 0 {
-            *slot = self.model.limit_of(cell);
+    pub(crate) fn exceeded(&mut self, cell: u64, worn: u64) -> bool {
+        if worn <= self.floor {
+            return false;
         }
-        *slot
+        let i = (cell - self.start) as usize;
+        if (self.exact[i / 64] >> (i % 64)) & 1 == 0 {
+            if self.limits[i] == 0 {
+                self.limits[i] = self.bucket_floors[self.model.bucket(cell)];
+            }
+            if worn <= self.limits[i] {
+                return false;
+            }
+            self.limits[i] = self.model.limit_of(cell);
+            self.exact[i / 64] |= 1 << (i % 64);
+        }
+        worn > self.limits[i]
     }
 
     /// The model seed: it also picks the polarity a worn-out cell freezes
@@ -218,11 +284,51 @@ mod tests {
         assert_eq!(limits.cells(), 1000..1300);
         assert_eq!(limits.seed(), 77);
         assert_eq!(limits.floor(), 166);
-        // First reads evaluate, second reads return what was kept.
-        for _ in 0..2 {
-            assert!((1000..1300).all(|c| limits.limit_of(c) == model.limit_of(c)));
+        // Counters rising through every limit: each read learns a bound or
+        // evaluates, later reads return what was kept, and every slot stays
+        // at or below its limit.
+        for worn in (0..1_600).step_by(7).chain([1_600, 0, 900]) {
+            for c in 1000..1300 {
+                assert_eq!(
+                    limits.exceeded(c, worn),
+                    worn > model.limit_of(c),
+                    "{c} {worn}"
+                );
+            }
+            let slots = limits.slots(1000..1300);
+            assert!((1000..1300).all(|c| slots[(c - 1000) as usize] <= model.limit_of(c)));
         }
         assert_eq!(WearModel::disabled().limits(0..1).floor(), u64::MAX);
+    }
+
+    #[test]
+    fn no_limit_lies_below_its_buckets_floor() {
+        let means = [1u64, 2, 3, 7, 15, 20, 100, 1_000, 10_000, 1 << 40];
+        let spreads = [1.0, 1.000_001, 1.01, 1.3, 1.5, 2.0, 3.0, 4.0, 10.0, 1e6];
+        for mean in means {
+            for spread in spreads {
+                let model = WearModel::new(mean, spread, mean ^ spread.to_bits());
+                let floors = model.bucket_floors();
+                assert!(floors.windows(2).all(|w| w[0] <= w[1]), "{mean} {spread}");
+                assert!(floors[0] >= 1);
+                for cell in 0..20_000 {
+                    let (floor, limit) = (floors[model.bucket(cell)], model.limit_of(cell));
+                    assert!(
+                        floor <= limit,
+                        "mean {mean} spread {spread} cell {cell}: floor {floor} > limit {limit}"
+                    );
+                }
+            }
+        }
+        // Spreads `WearModel::new` rejects fall back to the model's floor.
+        for spread in [0.5, 0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let model = WearModel {
+                endurance_mean: 1_000,
+                spread,
+                seed: 3,
+            };
+            assert_eq!(model.bucket_floors(), [model.floor(); BUCKETS]);
+        }
     }
 
     #[test]

@@ -17,13 +17,19 @@
 //! also put wear ranges, weights and stuck cells on chunk edges, and check
 //! that two maps compare equal exactly when their per-cell states do,
 //! whichever order of programming and wearing created their chunks.
+//!
+//! A seeded map records its rule and hashes a chunk's cells only when a
+//! read or a mutation reaches it. The eager loop it replaced, which hashes
+//! every cell up front, is the reference here: the lazy map must read and
+//! evolve exactly like the map that loop built, under any interleaving of
+//! mutations, at any cell count and rate.
 
 use lergan_reram::{
     AbftBlock, AbftObservation, FaultMap, ReramConfig, StuckAt, VariationModel, WearModel,
     WritePolicy, WriteReport,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Cells every scenario lives in.
@@ -57,6 +63,7 @@ fn slices(code: i32, config: &ReramConfig) -> Vec<u8> {
 struct Reference {
     stuck: BTreeMap<u64, StuckAt>,
     wear: BTreeMap<u64, u64>,
+    dead: BTreeSet<usize>,
 }
 
 impl Reference {
@@ -67,7 +74,30 @@ impl Reference {
                 .stuck_cells_in(0..u64::MAX)
                 .map(|c| (c, map.stuck_at(c).unwrap()))
                 .collect(),
-            wear: BTreeMap::new(),
+            ..Reference::default()
+        }
+    }
+
+    /// The state `FaultMap::seeded(seed, rate, cells)` stands for, over the
+    /// cells of `within`, hashed cell by cell.
+    fn seeded(seed: u64, rate: f64, cells: u64, within: Range<u64>) -> Self {
+        let mut stuck = BTreeMap::new();
+        if rate > 0.0 {
+            let threshold = (rate * (1u64 << 53) as f64).ceil() as u64;
+            for cell in within.start..within.end.min(cells) {
+                if mix(seed, cell) >> 11 < threshold {
+                    let polarity = if mix(seed ^ 0xA5A5_A5A5_5A5A_5A5A, cell) & 1 == 0 {
+                        StuckAt::Zero
+                    } else {
+                        StuckAt::One
+                    };
+                    stuck.insert(cell, polarity);
+                }
+            }
+        }
+        Reference {
+            stuck,
+            ..Reference::default()
         }
     }
 
@@ -256,6 +286,9 @@ impl Reference {
         for (&cell, &polarity) in &self.stuck {
             map.set_stuck(cell, polarity);
         }
+        for &tile in &self.dead {
+            map.kill_tile(tile);
+        }
         map
     }
 }
@@ -347,6 +380,43 @@ fn program_and_wear(
         return Err(TestCaseError::fail(d));
     }
     Ok((map, reference))
+}
+
+/// Every read of `map` against `reference`: the per-cell state and the
+/// rebuild (`Reference::diff`), the stuck cells over each of `reads` (which
+/// run past the seeded cells and the scenario's space) and over every cell,
+/// the stuck count, pristineness, the dead tiles, and a clone.
+fn reads_agree(
+    map: &FaultMap,
+    reference: &Reference,
+    reads: &[(u64, u64)],
+) -> Result<(), TestCaseError> {
+    if let Some(d) = reference.diff(map) {
+        return Err(TestCaseError::fail(d));
+    }
+    let ranges = reads.iter().map(|&(start, len)| start..start + len);
+    for cells in ranges.chain([0..u64::MAX, SPACE..u64::MAX]) {
+        let lazy: Vec<u64> = map.stuck_cells_in(cells.clone()).collect();
+        let eager: Vec<u64> = reference
+            .stuck
+            .range(cells.clone())
+            .map(|(&c, _)| c)
+            .collect();
+        prop_assert_eq!(lazy, eager, "stuck cells in {:?}", cells);
+    }
+    prop_assert_eq!(map.stuck_cells(), reference.stuck.len());
+    prop_assert_eq!(
+        map.is_pristine(),
+        reference.stuck.is_empty() && reference.dead.is_empty()
+    );
+    prop_assert_eq!(
+        map.dead_tiles().collect::<BTreeSet<_>>(),
+        reference.dead.clone()
+    );
+    let copy = map.clone();
+    prop_assert!(copy == *map, "a clone compares equal");
+    prop_assert_eq!(copy.stuck_cells(), reference.stuck.len());
+    Ok(())
 }
 
 fn observations_agree(fast: &AbftObservation, slow: &AbftObservation) -> bool {
@@ -622,6 +692,115 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// A seeded map against the eager loop's map under a random
+    /// interleaving of `set_stuck`, `program_run` (transient failures and
+    /// an endurance limit), `advance_wear` and `kill_tile`, at rates of 0,
+    /// NaN, 5·10⁻⁴, 0.3 and 3,000 (saturated: every cell stuck) and cell
+    /// counts on and off chunk edges. After every operation each read must
+    /// agree ([`reads_agree`]); every write report and broken list must too.
+    #[test]
+    fn lazy_seeding_matches_the_eager_loop(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..5,
+        cells in 0usize..8,
+        ops in collection::vec((0usize..4, 0u64..SPACE, 1u64..160, 0u64..u64::MAX), 0..10),
+        reads in collection::vec((0u64..SPACE + 64, 0u64..400), 1..5),
+    ) {
+        let rate = [0.0, f64::NAN, 5e-4, 0.3, 3_000.0][rate];
+        let cells = [0u64, 1, 63, 64, 65, 100, 700, 1000][cells];
+        let mut map = FaultMap::seeded(seed, rate, cells);
+        let mut reference = Reference::seeded(seed, rate, cells, 0..SPACE);
+        reads_agree(&map, &reference, &reads)?;
+        let cfg = ReramConfig::default();
+        for (op, at, len, raw) in ops {
+            let end = (at + len).min(SPACE);
+            match op {
+                0 => {
+                    let polarity = if raw & 1 == 0 { StuckAt::Zero } else { StuckAt::One };
+                    map.set_stuck(at, polarity);
+                    reference.stuck.insert(at, polarity);
+                }
+                1 => {
+                    let policy = WritePolicy {
+                        max_retries: (raw % 3) as u32,
+                        transient_fail_rate: [0.0, 0.5, f64::NAN][(raw >> 8) as usize % 3],
+                        endurance_limit: (raw >> 16) % 4,
+                        seed: raw,
+                    };
+                    let codes: Vec<i32> =
+                        (0..(end - at).div_ceil(4)).map(|i| code(mix(raw, i))).collect();
+                    let fast = map.program_run(&codes, at, &cfg, &policy);
+                    let slow = reference_run(&mut reference, &codes, at, &cfg, &policy);
+                    prop_assert_eq!(fast, slow, "{} weights at cell {}", codes.len(), at);
+                }
+                2 => {
+                    let model = wear_model(raw as usize % 4, raw);
+                    let pulses = 1 + (raw >> 8) % 5;
+                    let fast = map.advance_wear(&mut model.limits(at..end), pulses);
+                    let slow = reference.advance_wear(at..end, pulses, &model);
+                    prop_assert_eq!(fast, slow, "newly broken over {:?}", at..end);
+                }
+                _ => {
+                    let tile = (raw % 16) as usize;
+                    map.kill_tile(tile);
+                    reference.dead.insert(tile);
+                }
+            }
+            reads_agree(&map, &reference, &reads)?;
+        }
+    }
+}
+
+#[test]
+fn a_map_over_two_to_the_forty_cells_seeds_in_constant_time() {
+    // The eager loop hashed every cell: 2⁴⁰ of them is over half an hour.
+    let cells = 1u64 << 40;
+    let cfg = ReramConfig::default();
+    let (rows, cols) = (32, 32);
+    let weights: Vec<i32> = (0..(rows * cols) as u64)
+        .map(|i| (mix(7, i) % 2_001) as i32 - 1_000)
+        .collect();
+    let inputs: Vec<i32> = (0..rows as u64)
+        .map(|i| (mix(8, i) % 255) as i32 - 127)
+        .collect();
+    let policy = WritePolicy::with_fail_rate(0.05, 0xF00D);
+    let mut faulted = 0;
+    for (seed, base) in [(1u64, 0u64), (2, 1 << 39), (3, cells - 5_000)] {
+        let mut map = FaultMap::seeded(seed, 5e-4, cells);
+        let block = AbftBlock::new(rows, cols, base);
+        let span = base..base + block.cells(&cfg);
+        let mut reference = Reference::seeded(seed, 5e-4, cells, span.clone());
+        let before: Vec<u64> = map.stuck_cells_in(span.clone()).collect();
+        assert_eq!(before, reference.stuck.keys().copied().collect::<Vec<_>>());
+        faulted += before.len();
+
+        let fast = block.program(&mut map, &weights, &cfg, &policy);
+        let checksums = block.checksums(&weights);
+        let mut slow = WriteReport::default();
+        let slots = weights.iter().chain(&checksums).enumerate();
+        for (i, &code) in slots {
+            slow.absorb(reference.program_weight(code, base + i as u64 * 4, &cfg, &policy));
+        }
+        assert_eq!(fast, slow, "seed {seed}");
+
+        let observed = block.checked_mmv(&map, None, &weights, &inputs, &cfg);
+        let expected = reference.checked_mmv(&block, None, &weights, &inputs, &cfg);
+        assert!(observations_agree(&observed, &expected), "seed {seed}");
+        let after: Vec<u64> = map.stuck_cells_in(span.clone()).collect();
+        assert_eq!(after, reference.stuck.keys().copied().collect::<Vec<_>>());
+        for cell in span {
+            assert_eq!(
+                map.wear_of(cell),
+                reference.wear.get(&cell).copied().unwrap_or(0)
+            );
+        }
+    }
+    assert!(faulted > 0, "no block holds a seeded stuck cell");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 
 use crate::job::{batch, batch_seed, job_trainer, JobSpec};
 use crate::plan::PlanCache;
-use lergan_core::{LinkChaos, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
+use lergan_core::{LinkChaos, RecoveryError, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
 use lergan_gan::train::GanCheckpoint;
 use lergan_reram::WearModel;
 use rand::rngs::StdRng;
@@ -198,9 +198,10 @@ impl Pair {
 
     /// Healing path: the job runs under a [`SelfHealingRuntime`] that takes
     /// over the pair's live fault state (moved, not copied) and starts from
-    /// the plan's fault-free iteration figures; on exit the drained fault
-    /// map — wear damage and tile kills included — becomes the pair's
-    /// state for the next job.
+    /// the plan's iteration figures under that state
+    /// ([`PlanCache::figures_under`]); on exit the drained fault map — wear
+    /// damage and tile kills included — becomes the pair's state for the
+    /// next job.
     fn run_healing(
         &mut self,
         job: &JobSpec,
@@ -208,30 +209,35 @@ impl Pair {
         policy: &RecoveryPolicy,
     ) -> Result<(f64, JobRunResult, HealingTotals), lergan_core::BuildError> {
         let clean = plans.figures(job.topology)?;
+        // The pair is too damaged to even place the job: an instant death,
+        // hardware state unchanged.
+        let died = |error: RecoveryError| {
+            let death = JobRunResult::Died {
+                at_step: 0,
+                cause: error.to_string(),
+            };
+            Ok((0.0, death, HealingTotals::default()))
+        };
+        let start = match plans.figures_under(job.topology, &self.faults) {
+            Ok(start) => start,
+            Err(e) => return died(e.into()),
+        };
         // The runtime owns the pair's fault state for the job and hands it
         // back when it drains, or when it cannot start.
-        let rt = match SelfHealingRuntime::from_clean_figures(
+        let rt = match SelfHealingRuntime::from_figures(
             plans.spec(job.topology),
             job_trainer(job.seed),
             std::mem::take(&mut self.faults),
             *policy,
             self.wear,
             clean,
+            start,
         ) {
             Ok(rt) => rt,
-            // The pair is too damaged to even place the job: an instant
-            // death, hardware state unchanged.
             Err(failure) => {
                 let failure = *failure;
                 self.faults = failure.faults;
-                return Ok((
-                    0.0,
-                    JobRunResult::Died {
-                        at_step: 0,
-                        cause: failure.error.to_string(),
-                    },
-                    HealingTotals::default(),
-                ));
+                return died(failure.error);
             }
         };
         // Layer the transient-link hazard on, reseeded per pair so each

@@ -17,9 +17,12 @@
 //! latency and the `G→` phase latency) are memoised beside it, so
 //! admission-time feasibility checks are O(1) and a self-healing job on a
 //! faulted pair starts from them instead of rebuilding the fault-free
-//! accelerator.
+//! accelerator. A pair whose tiles died or whose links broke starts from
+//! the figures of a build under its faults, memoised by topology and the
+//! part of the faults a build reads ([`SystemFaults::build_key`]), so a
+//! pair that remapped once builds once, not at every later job.
 
-use lergan_core::{BuildError, CompiledGan, IterationFigures, LerGan};
+use lergan_core::{BuildError, CompiledGan, IterationFigures, LerGan, SystemFaults};
 use lergan_gan::{benchmarks, GanSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,6 +32,8 @@ pub struct PlanCache {
     specs: Vec<GanSpec>,
     built: BTreeMap<usize, Arc<LerGan>>,
     figures: BTreeMap<usize, IterationFigures>,
+    /// Figures of faulted builds: topology, build key, figures.
+    faulted: Vec<(usize, SystemFaults, IterationFigures)>,
     hits: u64,
     misses: u64,
 }
@@ -40,6 +45,7 @@ impl PlanCache {
             specs,
             built: BTreeMap::new(),
             figures: BTreeMap::new(),
+            faulted: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -113,6 +119,41 @@ impl PlanCache {
         Ok(self.figures[&topology])
     }
 
+    /// The one-iteration figures of `topology` built under `faults`
+    /// ([`IterationFigures::under`]): the fault-free plan's when the faults
+    /// kill no tile and break no link, otherwise a faulted build's,
+    /// memoised by topology and [`SystemFaults::build_key`]. A faulted
+    /// build counts as neither a plan hit nor a plan miss.
+    pub fn figures_under(
+        &mut self,
+        topology: usize,
+        faults: &SystemFaults,
+    ) -> Result<IterationFigures, BuildError> {
+        let clean = self.figures(topology)?;
+        if faults.builds_fault_free() {
+            return Ok(clean);
+        }
+        let key = faults.build_key();
+        let known = self
+            .faulted
+            .iter()
+            .find(|(t, k, _)| *t == topology && *k == key);
+        if let Some(&(_, _, figures)) = known {
+            return Ok(figures);
+        }
+        let figures = IterationFigures::under(&self.specs[topology], &key, clean)?;
+        self.faulted.push((topology, key, figures));
+        Ok(figures)
+    }
+
+    /// The memoised faulted builds, in the order they were first built:
+    /// topology, build key and figures.
+    pub fn faulted_figures(
+        &self,
+    ) -> impl Iterator<Item = (usize, &SystemFaults, IterationFigures)> {
+        self.faulted.iter().map(|(t, k, f)| (*t, k, *f))
+    }
+
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -134,6 +175,7 @@ impl std::fmt::Debug for PlanCache {
         f.debug_struct("PlanCache")
             .field("topologies", &self.specs.len())
             .field("resident", &self.built.len())
+            .field("faulted", &self.faulted.len())
             .field("hits", &self.hits)
             .field("misses", &self.misses)
             .finish()
@@ -207,6 +249,52 @@ mod tests {
         assert_eq!(
             first.iteration_ns.to_bits(),
             cache.iteration_ns(0).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn faulted_figures_are_memoised_by_topology_and_build_key() {
+        use lergan_gan::Phase;
+        use lergan_reram::{FaultMap, StuckAt};
+        let mut dead = SystemFaults::none();
+        dead.bank_mut(Phase::GForward).kill_tile(1);
+        // The same build key as `dead`: stuck cells do not enter a build.
+        let mut stuck_too = dead.clone();
+        *stuck_too.bank_mut(Phase::DForward) = FaultMap::seeded(3, 0.01, 10_000);
+        stuck_too
+            .bank_mut(Phase::GForward)
+            .set_stuck(5, StuckAt::One);
+        let mut wire = dead.clone();
+        wire.links_mut().break_horizontal(0, 0, 11);
+        let none = SystemFaults::none();
+        let mut cache = PlanCache::table_v();
+        for (topology, faults) in [
+            (0, &dead),
+            (1, &dead),
+            (0, &stuck_too),
+            (0, &wire),
+            (1, &wire),
+            (1, &stuck_too),
+            (0, &none),
+        ] {
+            let spec = cache.spec(topology).clone();
+            let built = LerGan::builder(&spec)
+                .faults(faults.clone())
+                .build()
+                .unwrap();
+            let figures = cache.figures_under(topology, faults).unwrap();
+            assert_eq!(
+                figures,
+                IterationFigures::of(&built),
+                "{topology} {faults:?}"
+            );
+        }
+        let memoised: Vec<usize> = cache.faulted_figures().map(|(t, _, _)| t).collect();
+        assert_eq!(memoised, [0, 1, 0, 1], "one build per topology and key");
+        assert_eq!(
+            (cache.misses(), cache.hits()),
+            (2, 0),
+            "no plan hit or miss"
         );
     }
 

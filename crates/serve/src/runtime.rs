@@ -68,6 +68,11 @@ pub enum ServeError {
         /// The rejected spread.
         spread: f64,
     },
+    /// The stuck-at rate is not a probability: NaN, negative or above 1.
+    InvalidFaultRate {
+        /// The rejected rate.
+        rate: f64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -90,6 +95,9 @@ impl fmt::Display for ServeError {
                 f,
                 "wear spread {spread} is not a finite factor of at least 1"
             ),
+            ServeError::InvalidFaultRate { rate } => {
+                write!(f, "stuck-at rate {rate} is not a probability in [0, 1]")
+            }
         }
     }
 }
@@ -125,6 +133,8 @@ pub struct ServeConfig {
     /// deterministic — is exactly [`RecoveryPolicy::backoff_ns`]'s.
     pub retry_backoff_scale: f64,
     /// Stuck-at rate seeded on every pair's monitored bank (0 = clean).
+    /// [`ServeRuntime::run`] rejects one outside `[0, 1]`, NaN included,
+    /// with [`ServeError::InvalidFaultRate`].
     pub fault_rate: f64,
     /// Cell span the seeded fault map covers.
     pub fault_cells: u64,
@@ -217,7 +227,8 @@ impl ServeRuntime {
 
     /// Serves `jobs` to completion. Returns `Err` only for caller bugs —
     /// a malformed workload (non-finite arrival, out-of-table topology),
-    /// an empty fleet, an invalid wear spread, or a topology that fails to compile fault-free;
+    /// an empty fleet, an invalid wear spread or stuck-at rate, or a
+    /// topology that fails to compile fault-free;
     /// everything traffic-induced lands in the report's counters, and
     /// poisoned inputs surface as typed [`ServeError`]s, never aborts.
     pub fn run(
@@ -232,6 +243,11 @@ impl ServeRuntime {
             if !WearModel::valid_spread(spread) {
                 return Err(ServeError::InvalidWear { spread });
             }
+        }
+        if !(0.0..=1.0).contains(&self.cfg.fault_rate) {
+            return Err(ServeError::InvalidFaultRate {
+                rate: self.cfg.fault_rate,
+            });
         }
         // Reject poisoned jobs up front: a NaN arrival cannot be ordered
         // in simulated time, and an out-of-table topology would otherwise

@@ -118,3 +118,30 @@ fn a_valid_wear_spread_still_serves() {
         .expect("a spread of 1 pins every cell at the mean");
     assert_eq!(report.completed, 1);
 }
+
+#[test]
+fn invalid_fault_rates_are_rejected_before_any_work_is_done() {
+    // A NaN rate used to route every pair down the healing path with no
+    // faults: `fault_rate == 0.0` is false, `fault_rate > 0.0` too.
+    for rate in [f64::NAN, -0.0005, 1.5, f64::INFINITY] {
+        let mut plans = PlanCache::table_v();
+        let err = ServeRuntime::new(ServeConfig::pristine(2).with_fault_rate(rate))
+            .run(vec![job(0, 0, 0.0)], &mut plans)
+            .unwrap_err();
+        match err {
+            ServeError::InvalidFaultRate { rate: r } => {
+                assert_eq!(r.to_bits(), rate.to_bits());
+                assert!(err.to_string().contains("stuck-at rate"), "{err}");
+            }
+            other => panic!("rate {rate}: expected InvalidFaultRate, got {other}"),
+        }
+        assert_eq!(plans.hits() + plans.misses(), 0, "no plan was compiled");
+    }
+    for rate in [0.0, 0.0005, 1.0] {
+        let mut plans = PlanCache::table_v();
+        let report = ServeRuntime::new(ServeConfig::pristine(2).with_fault_rate(rate))
+            .run(vec![job(0, 0, 0.0)], &mut plans)
+            .expect("a probability is a valid rate");
+        assert_eq!(report.submitted, 1, "rate {rate}");
+    }
+}
