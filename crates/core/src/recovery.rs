@@ -47,7 +47,7 @@
 use crate::fault::SystemFaults;
 use crate::lergan::{BuildError, LerGan, LerGanBuilder};
 use crate::link::{LinkError, ReliableFabric};
-use lergan_gan::train::{AutoCheckpoint, CheckpointError, Gan, StepStats};
+use lergan_gan::train::{AutoCheckpoint, CheckpointError, Gan, StepStats, TrainError};
 use lergan_gan::{GanSpec, Phase};
 use lergan_noc::{Endpoint, Mode, NocConfig, TransientFaults};
 use lergan_reram::{AbftBlock, ReramConfig, WearLimits, WearModel, WritePolicy};
@@ -126,6 +126,10 @@ pub enum RecoveryError {
     /// The link layer exhausted its retransmit and reroute budgets (or
     /// hard faults partitioned the monitored transfer's endpoints).
     Link(LinkError),
+    /// The trainer rejected a batch (a sample shape the discriminator does
+    /// not take, or samples of different shapes). The step did not run and
+    /// the batch was not buffered for replay.
+    Train(TrainError),
 }
 
 impl fmt::Display for RecoveryError {
@@ -137,6 +141,7 @@ impl fmt::Display for RecoveryError {
             }
             RecoveryError::Checkpoint(e) => write!(f, "rollback restore failed: {e}"),
             RecoveryError::Link(e) => write!(f, "link recovery failed: {e}"),
+            RecoveryError::Train(e) => write!(f, "training step rejected: {e}"),
         }
     }
 }
@@ -170,6 +175,12 @@ impl From<BuildError> for RecoveryError {
 impl From<CheckpointError> for RecoveryError {
     fn from(e: CheckpointError) -> Self {
         RecoveryError::Checkpoint(e)
+    }
+}
+
+impl From<TrainError> for RecoveryError {
+    fn from(e: TrainError) -> Self {
+        RecoveryError::Train(e)
     }
 }
 
@@ -364,9 +375,9 @@ pub struct SelfHealingRuntime {
     buffered: Vec<Vec<Tensor>>,
     faults: SystemFaults,
     policy: RecoveryPolicy,
-    wear: WearModel,
-    /// The wear limits of the block's current cells, taken when the block
-    /// was placed there and evaluated by the wear passes as they need them.
+    /// The wear limits of the block's current cells under the run's wear
+    /// model, rebased when the block is placed there and evaluated by the
+    /// wear passes as they need them.
     limits: WearLimits,
     reram: ReramConfig,
     weights: Vec<i32>,
@@ -430,7 +441,6 @@ impl SelfHealingRuntime {
             buffered: Vec::new(),
             faults,
             policy,
-            wear,
             limits: wear.limits(0..0),
             tiles: reram.tiles_per_bank.max(1),
             reram,
@@ -520,13 +530,17 @@ impl SelfHealingRuntime {
     /// One self-healed training step: checkpoint if due, train, charge
     /// compute + detection overhead, advance wear, run the checked MMV,
     /// and walk the recovery ladder if the residual flags.
+    ///
+    /// A batch the trainer rejects is a [`RecoveryError::Train`]: nothing
+    /// is charged, the hardware state does not move, and the batch is not
+    /// buffered for replay, so the runtime can go on with the next batch.
     pub fn step(&mut self, reals: &[Tensor]) -> Result<StepReport, RecoveryError> {
         if self.cadence.maybe_take(&self.trainer) {
             self.report.checkpoints_taken += 1;
             self.buffered.clear();
         }
+        let stats = self.trainer.try_train_step(reals)?;
         self.buffered.push(reals.to_vec());
-        let stats = self.trainer.train_step(reals);
         self.report.compute_latency_ns += self.iteration_ns;
         self.report.detection_overhead_ns += self.detect_ns;
 
@@ -618,11 +632,12 @@ impl SelfHealingRuntime {
         let map = self.faults.bank_mut(Phase::GForward);
         let suspects = block.suspect_cells(map, &self.reram).len();
         // Counting stops at the verdict's bound, so a seeded map hashes no
-        // more of the tile than the verdict needs.
-        let tile_stuck = map
-            .stuck_cells_in(tile_base..tile_base + tile_cells)
-            .take(self.policy.tile_kill_cells)
-            .count();
+        // more of the tile than the verdict needs, and sets down what it
+        // hashes for the next verdict.
+        let tile_stuck = map.count_stuck_in(
+            tile_base..tile_base + tile_cells,
+            self.policy.tile_kill_cells,
+        );
         self.report.quarantined_cells += suspects as u64;
 
         // A tile this dirty is a lost cause: condemn it outright.
@@ -693,7 +708,7 @@ impl SelfHealingRuntime {
         self.report.replayed_steps += replay.len() as u64;
         self.report.recovery_latency_ns += self.iteration_ns * replay.len() as f64;
         for batch in &replay {
-            self.trainer.train_step(batch);
+            self.trainer.try_train_step(batch)?;
         }
         self.buffered = replay;
         self.report.rolled_back += 1;
@@ -707,13 +722,12 @@ impl SelfHealingRuntime {
         AbftBlock::new(BLOCK_ROWS, BLOCK_COLS, self.region as u64 * cells)
     }
 
-    /// Residual of the checked MMV at the current placement.
+    /// Residual of the checked MMV at the current placement, read from
+    /// the block's stuck cells ([`AbftBlock::residual`]).
     fn check(&mut self) -> f64 {
         let block = self.block();
         let map = self.faults.bank_mut(Phase::GForward);
-        block
-            .checked_mmv(map, None, &self.weights, &self.inputs, &self.reram)
-            .residual
+        block.residual(map, &self.weights, &self.inputs, &self.reram)
     }
 
     /// The next region past the current one that no dead tile hosts;
@@ -734,23 +748,34 @@ impl SelfHealingRuntime {
 
     /// First region at or after `from` (skipping dead tiles) whose
     /// read-back scan finds no stuck cells. Charges one row-parallel scan
-    /// per candidate.
+    /// per candidate. The scans set down the chunks of a seeded map they
+    /// hash, so later scans of the same regions read words.
     fn find_clean_region(&mut self, from: usize) -> Result<usize, RecoveryError> {
         let total = self.tiles * REGIONS_PER_TILE;
         let cells = AbftBlock::new(BLOCK_ROWS, BLOCK_COLS, 0).cells(&self.reram);
         let scan_ns = BLOCK_ROWS as f64 * self.reram.tile_read_latency_ns;
         let mut scanned = 0usize;
+        // A bank with no recorded map is pristine (and stays unrecorded).
+        let mut map = self
+            .faults
+            .bank(Phase::GForward)
+            .is_some()
+            .then(|| self.faults.bank_mut(Phase::GForward));
         for r in from..total {
-            // A bank with no recorded map is pristine.
-            let map = self.faults.bank(Phase::GForward);
-            if map.is_some_and(|m| m.tile_is_dead(r / REGIONS_PER_TILE)) {
+            if map
+                .as_ref()
+                .is_some_and(|m| m.tile_is_dead(r / REGIONS_PER_TILE))
+            {
                 continue;
             }
             scanned += 1;
             self.report.regions_scanned += 1;
             self.report.recovery_latency_ns += scan_ns;
             let base = r as u64 * cells;
-            if map.is_none_or(|m| m.stuck_cells_in(base..base + cells).next().is_none()) {
+            if map
+                .as_mut()
+                .is_none_or(|m| m.first_stuck_in(base..base + cells).is_none())
+            {
                 return Ok(r);
             }
         }
@@ -764,9 +789,8 @@ impl SelfHealingRuntime {
     fn place(&mut self, region: usize) {
         self.region = region;
         let block = self.block();
-        self.limits = self
-            .wear
-            .limits(block.cell_base..block.cell_base + block.cells(&self.reram));
+        self.limits
+            .rebase(block.cell_base..block.cell_base + block.cells(&self.reram));
         let map = self.faults.bank_mut(Phase::GForward);
         let _ = block.program(map, &self.weights, &self.reram, &WritePolicy::default());
         self.report.recovery_latency_ns += BLOCK_ROWS as f64 * self.reram.tile_write_latency_ns;

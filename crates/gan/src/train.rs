@@ -2640,27 +2640,60 @@ impl Gan {
 
     /// Runs one minibatch training step (Fig. 3's full dataflow: train D on
     /// real+fake, then train G through the frozen D) over unbatched
-    /// samples: a thin wrapper that packs them into a pooled `[B, …]`
-    /// buffer and runs [`train_step_batched`](Gan::train_step_batched).
+    /// samples: [`try_train_step`](Gan::try_train_step), panicking on its
+    /// error.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the [`TrainError`] message, if the samples' shapes
+    /// disagree with each other or with the discriminator.
+    pub fn train_step(&mut self, reals: &[Tensor]) -> StepStats {
+        self.try_train_step(reals).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs one minibatch training step over unbatched samples: a thin
+    /// wrapper that packs them into a pooled `[B, …]` buffer and runs
+    /// [`train_step_batched`](Gan::train_step_batched).
     ///
     /// An empty slice is a no-op: it returns zeroed [`StepStats`] and
     /// leaves the step counter, the parameters and the RNG untouched.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the samples' shapes disagree with each other or with the
-    /// discriminator (with the [`TrainError`] message in the latter case).
-    pub fn train_step(&mut self, reals: &[Tensor]) -> StepStats {
-        if reals.is_empty() {
-            return StepStats {
+    /// A [`TrainError::ShapeMismatch`] (layer `"batch"`) when the samples'
+    /// shapes disagree, a [`TrainError::RankMismatch`] (layer `"batch"`)
+    /// when a sample leaves no room for the batch axis, and the error of
+    /// [`train_step_batched`](Gan::train_step_batched) when the batch does
+    /// not fit the discriminator. A rejected batch leaves the parameters,
+    /// the optimiser state, the step counter and the RNG untouched (a
+    /// BatchNorm layer ahead of the discriminator layer that rejects it
+    /// has folded it into its running statistics).
+    pub fn try_train_step(&mut self, reals: &[Tensor]) -> Result<StepStats, TrainError> {
+        let Some(first) = reals.first() else {
+            return Ok(StepStats {
                 d_loss: 0.0,
                 g_loss: 0.0,
-            };
+            });
+        };
+        let shape = first.shape();
+        if let Some(other) = reals.iter().find(|s| s.shape() != shape) {
+            return Err(TrainError::ShapeMismatch {
+                layer: "batch",
+                expected: shape.to_vec(),
+                actual: other.shape().to_vec(),
+            });
+        }
+        if shape.len() >= 4 {
+            return Err(TrainError::RankMismatch {
+                layer: "batch",
+                expected: 3,
+                actual: shape.len(),
+            });
         }
         let packed = pack_into(reals, &mut self.scratch);
         let stats = self.train_step_batched(&packed);
         self.scratch.give_tensor(packed);
-        stats.unwrap_or_else(|e| panic!("{e}"))
+        stats
     }
 
     /// Turns a `[batch, 1]` logit tensor into the matching `[batch, 1]`

@@ -19,7 +19,7 @@
 //! that is supposed to catch it.
 
 use crate::config::ReramConfig;
-use crate::fault::{FaultMap, WritePolicy, WriteReport};
+use crate::fault::{bits, FaultMap, WritePolicy, WriteReport};
 use crate::variation::VariationModel;
 
 /// A `rows × cols` weight block with one appended checksum column,
@@ -215,13 +215,94 @@ impl AbftBlock {
         }
     }
 
+    /// The residual of [`AbftBlock::checked_mmv`] without a variation
+    /// model, bit for bit, read from the block's stuck cells alone.
+    ///
+    /// Without variation a weight reads back as its code plus, for each of
+    /// its stuck cells, `(pinned level − target level) · 2^(slice · cell
+    /// bits)`; the checksum codes are the data rows' sums. So the residual
+    /// is `|Σ x_r · Δ|` over the stuck cells, with `Δ` a stuck cell's
+    /// shift of its weight, counted positive in the checksum column and
+    /// negative in the data block. Every perceived weight, product and
+    /// partial sum of the full MMV is an integer below 2⁵³, so its f64 sums
+    /// are exact in any order and equal this integer sum. The block's
+    /// stuck cells are read as words: a block with no stuck cell costs one
+    /// page lookup per 4,096 cells. Operands whose sums could leave that
+    /// range, and codes outside the data width (which the full MMV
+    /// rejects), take [`AbftBlock::checked_mmv`].
+    ///
+    /// # Panics
+    ///
+    /// As [`AbftBlock::checked_mmv`].
+    pub fn residual(
+        &self,
+        map: &FaultMap,
+        weights: &[i32],
+        inputs: &[i32],
+        config: &ReramConfig,
+    ) -> f64 {
+        assert_eq!(weights.len(), self.rows * self.cols, "block shape");
+        assert_eq!(inputs.len(), self.rows, "input length");
+        let span = config.cells_per_weight() as u64;
+        // A bound on every |perceived weight| times the largest |input|,
+        // times the number of products.
+        let largest = inputs.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
+        let weight_bits = span as u32 * config.cell_bits + 1;
+        let bound =
+            f64::from(largest) * 2f64.powi(weight_bits as i32) * self.stored_values() as f64;
+        // One pass over the weights: whether each fits the data width's
+        // codes `-half..half`, and the OR of their magnitudes, which bounds
+        // every row sum by `cols` times it. Past the width, the full MMV
+        // panics or reads sums this one does not; it takes the call.
+        let half = 1u64.checked_shl(config.data_bits - 1).unwrap_or(u64::MAX);
+        let shift = config.data_bits.min(31);
+        let (outside, magnitude) = weights.iter().fold((0, 0), |(outside, magnitude), &w| {
+            let outside = outside | (w as u32).wrapping_add(half as u32) >> shift;
+            (outside, magnitude | w.unsigned_abs())
+        });
+        // Every i32 fits 32 bits or more.
+        let fits = config.data_bits >= 32 || outside == 0;
+        let most = (half - 1).min(i32::MAX as u64);
+        let sums_fit = u64::from(magnitude).saturating_mul(self.cols as u64) <= most;
+        if bound >= 2f64.powi(53) || !fits || !sums_fit {
+            return self
+                .checked_mmv(map, None, weights, inputs, config)
+                .residual;
+        }
+        let data_values = (self.rows * self.cols) as u64;
+        let width = (1i64 << config.data_bits) - 1;
+        let level_mask = (1i64 << config.cell_bits) - 1;
+        let cells = self.cell_base..self.cell_base + self.cells(config);
+        let mut sum = 0i64;
+        for (key, stuck, ones) in map.stuck_words(cells) {
+            for b in bits(stuck) {
+                let at = key * 64 + b - self.cell_base;
+                let (value, slice) = (at / span, (at % span) as u32 * config.cell_bits);
+                let (row, code, sign) = if value < data_values {
+                    let value = value as usize;
+                    (value / self.cols, i64::from(weights[value]), -1)
+                } else {
+                    let row = (value - data_values) as usize;
+                    let sum: i32 = weights[row * self.cols..(row + 1) * self.cols].iter().sum();
+                    (row, i64::from(sum), 1)
+                };
+                let target = (code & width) >> slice & level_mask;
+                let pinned = if (ones >> b) & 1 == 0 { 0 } else { level_mask };
+                sum += sign * i64::from(inputs[row]) * ((pinned - target) << slice);
+            }
+        }
+        (sum as f64).abs()
+    }
+
     /// Diagnostic read-back: the stuck cells inside this block's cell
     /// range (what a controller's verify scan pins down after a residual
-    /// trips). These are the cells the runtime quarantines.
-    pub fn suspect_cells(&self, map: &FaultMap, config: &ReramConfig) -> Vec<u64> {
-        let lo = self.cell_base;
-        let hi = self.cell_base + self.cells(config);
-        map.stuck_cells_in(lo..hi).collect()
+    /// trips). These are the cells the runtime quarantines. The scan sets
+    /// down the chunks of a seeded map's rule it reads (see
+    /// [`FaultMap::first_stuck_in`]); the logical map is unchanged.
+    pub fn suspect_cells(&self, map: &mut FaultMap, config: &ReramConfig) -> Vec<u64> {
+        let cells = self.cell_base..self.cell_base + self.cells(config);
+        map.materialise(cells.clone());
+        map.stuck_cells_in(cells).collect()
     }
 }
 
@@ -265,7 +346,7 @@ mod tests {
         map.set_stuck(3, StuckAt::Zero);
         let obs = b.checked_mmv(&map, None, &w, &inputs(8), &cfg);
         assert!(obs.residual > 0.0, "silent corruption must be visible");
-        assert_eq!(b.suspect_cells(&map, &cfg), vec![3]);
+        assert_eq!(b.suspect_cells(&mut map, &cfg), vec![3]);
     }
 
     #[test]

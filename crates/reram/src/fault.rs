@@ -27,9 +27,12 @@ use crate::wear::WearLimits;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
+/// SplitMix64's increment: [`mix`] hashes `seed + index · GAMMA`.
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Stateless SplitMix64 hash used for every seeded fault decision.
 pub(crate) fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut z = seed.wrapping_add(index.wrapping_mul(GAMMA));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -132,55 +135,111 @@ impl WriteReport {
     }
 }
 
-/// Cells per wear-counter chunk.
+/// Cells per chunk: one word of stuck bits, one block of wear counters.
 const CHUNK: u64 = 64;
 
-/// The wear counters of one 64-cell chunk, by cell offset within it. A zero
-/// slot is a cell with no counter: every stored counter is at least 1.
+/// Chunks per page.
+const PAGE_CHUNKS: u64 = 64;
+
+/// Cells per page (4,096).
+const PAGE: u64 = CHUNK * PAGE_CHUNKS;
+
+/// The wear counters of one 64-cell chunk, by cell offset within it.
 type Counters = [u64; CHUNK as usize];
+
+/// The stored fault state of 4,096 consecutive cells, as one 64-cell word
+/// per chunk.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Bit `k` is set once chunk `k`'s stuck cells live in `stuck` and
+    /// `ones` rather than in the map's rule (see [`FaultMap`]).
+    materialised: u64,
+    /// Per chunk, its stuck cells: bit `b` stands for the chunk's cell `b`.
+    stuck: [u64; PAGE_CHUNKS as usize],
+    /// Per chunk, the cells of `stuck` that are stuck at one.
+    ones: [u64; PAGE_CHUNKS as usize],
+    /// Per chunk, its wear counters, allocated when a write first pulses
+    /// one of its cells; every counter of a chunk without them reads 0.
+    counters: [Option<Box<Counters>>; PAGE_CHUNKS as usize],
+}
+
+impl Page {
+    fn new() -> Box<Page> {
+        Box::new(Page {
+            materialised: 0,
+            stuck: [0; PAGE_CHUNKS as usize],
+            ones: [0; PAGE_CHUNKS as usize],
+            counters: [const { None }; PAGE_CHUNKS as usize],
+        })
+    }
+
+    /// Sets down `rule`'s stuck cells of chunk `key` of this page, unless
+    /// it is materialised already.
+    fn materialise(&mut self, key: u64, rule: &Seeding) {
+        let k = slot(key);
+        if (self.materialised >> k) & 1 == 0 {
+            (self.stuck[k], self.ones[k]) = rule.words(key);
+            self.materialised |= 1 << k;
+        }
+    }
+
+    /// Chunk `k`'s counters, allocated on first use.
+    fn counters_mut(&mut self, k: usize) -> &mut Counters {
+        self.counters[k].get_or_insert_with(|| Box::new([0; CHUNK as usize]))
+    }
+
+    /// Freezes the cells of `cells`, a mask over chunk `key` of this page,
+    /// that are not stuck yet, each at the polarity `polarity` picks for
+    /// it.
+    fn freeze(&mut self, key: u64, cells: u64, polarity: impl Fn(u64) -> StuckAt) {
+        let k = slot(key);
+        let fresh = cells & !self.stuck[k];
+        self.stuck[k] |= fresh;
+        for b in bits(fresh) {
+            if polarity(key * CHUNK + b) == StuckAt::One {
+                self.ones[k] |= 1 << b;
+            }
+        }
+    }
+}
 
 /// Deterministic record of hard faults in one bank's crossbar array:
 /// stuck-at cells (by absolute cell index), dead tiles (by tile index
 /// within the bank), and per-cell endurance counters.
 ///
-/// The counters are kept by 64-cell chunk, keyed by `cell / 64`: one map
-/// entry per chunk any write has pulsed, so programming a block touches a
-/// few dozen entries instead of one per cell, and the map stays sparse over
-/// a bank's whole cell space. A chunk is stored only once one of its cells
-/// holds a counter.
+/// The cells live in a sparse table of 4,096-cell pages, keyed by
+/// `cell / 4096`. A page holds, per 64-cell chunk, a word of stuck bits, a
+/// word of stuck-at-one bits, and the chunk's wear counters once a write
+/// has pulsed one of its cells. A pass over a range therefore fetches one
+/// page per 4,096 cells and works a chunk at a time on its words.
 ///
 /// The stuck cells of a [`FaultMap::seeded`] map are a pure function of
 /// `(seed, cell)`, so the map records that rule instead of its cells, and
-/// sets a chunk's cells down only when something changes it. The
-/// invariant, per 64-cell chunk below the rule's cell count: a
-/// *materialised* chunk's stuck cells are exactly its entries in `stuck`;
-/// any other chunk has no entry there, and its stuck cells are the rule's.
-/// Chunks past the rule's cells are always materialised. Every mutation
-/// (`set_stuck`, `program_run`, `advance_wear`) materialises the chunks it
-/// touches first; every read goes run by run of chunks to `stuck` or to
-/// the rule.
-/// Equality compares the logical fault state, so equal states compare
-/// equal however they were reached.
+/// sets a chunk's cells down only when something changes it or a
+/// materialising scan ([`FaultMap::first_stuck_in`],
+/// [`FaultMap::count_stuck_in`]) reads it. The invariant, per 64-cell
+/// chunk below the rule's cell count: a *materialised* chunk's stuck cells
+/// are exactly its words; any other chunk has zero words, and its stuck
+/// cells are the rule's. Chunks past the rule's cells are always
+/// materialised. Every mutation (`set_stuck`, `program_run`,
+/// `advance_wear`) materialises the chunks it touches first; a `&self`
+/// read takes each chunk's words from its page or hashes them from the
+/// rule. Equality compares the logical fault state, so equal states
+/// compare equal however they were reached.
 ///
 /// An empty (pristine) map is a strict no-op: every composition hook
 /// reproduces the fault-free computation bit-for-bit.
 #[derive(Debug, Clone, Default)]
 pub struct FaultMap {
-    stuck: BTreeMap<u64, StuckAt>,
+    pages: BTreeMap<u64, Box<Page>>,
     dead_tiles: BTreeSet<usize>,
-    wear: BTreeMap<u64, Counters>,
     seeding: Seeding,
-    /// The materialised chunks below `seeding.chunks()`: bit `key % 64` of
-    /// the word at `key / 64` is set once chunk `key`'s stuck cells live in
-    /// `stuck`. Sparse, so a map over any number of cells costs nothing to
-    /// seed.
-    materialised: BTreeMap<u64, u64>,
 }
 
 /// The stuck-at rule of a seeded map: a cell below `cells` is stuck when
 /// its hash `mix(seed, cell) >> 11` is below `threshold`, at the polarity
 /// the low bit of a second hash picks. The default rule sticks no cell.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Seeding {
     seed: u64,
     threshold: u64,
@@ -190,49 +249,294 @@ struct Seeding {
 impl Seeding {
     /// The polarity the rule sticks `cell` at, if it sticks it.
     fn stuck_at(&self, cell: u64) -> Option<StuckAt> {
-        (cell < self.cells && mix(self.seed, cell) >> 11 < self.threshold).then(|| {
-            if mix(self.seed ^ 0xA5A5_A5A5_5A5A_5A5A, cell) & 1 == 0 {
-                StuckAt::Zero
-            } else {
-                StuckAt::One
-            }
-        })
+        (cell < self.cells && mix(self.seed, cell) >> 11 < self.threshold)
+            .then(|| self.polarity(cell))
+    }
+
+    /// The polarity the rule gives `cell` if it sticks it.
+    fn polarity(&self, cell: u64) -> StuckAt {
+        if mix(self.seed ^ 0xA5A5_A5A5_5A5A_5A5A, cell) & 1 == 0 {
+            StuckAt::Zero
+        } else {
+            StuckAt::One
+        }
     }
 
     /// Chunks holding a cell the rule covers.
     fn chunks(&self) -> u64 {
         self.cells.div_ceil(CHUNK)
     }
+
+    /// The rule's words of chunk `key`: `(stuck, stuck at one)`. The
+    /// stuck cells are hashed a word at a time ([`picked`]), the polarity
+    /// of each stuck one after.
+    fn words(&self, key: u64) -> (u64, u64) {
+        let first = key * CHUNK;
+        let n = self.cells.min(first.saturating_add(CHUNK)) - first;
+        let stuck = picked(self.seed, self.threshold, first, n);
+        let ones = bits(stuck)
+            .filter(|&b| self.polarity(first + b) == StuckAt::One)
+            .fold(0, |ones, b| ones | 1 << b);
+        (stuck, ones)
+    }
 }
 
 impl PartialEq for FaultMap {
     fn eq(&self, other: &Self) -> bool {
-        let all = 0..u64::MAX;
+        let indices: BTreeSet<u64> = self
+            .pages
+            .keys()
+            .chain(other.pages.keys())
+            .copied()
+            .collect();
+        const NONE: &Counters = &[0; CHUNK as usize];
+        fn counters(map: &FaultMap, index: u64, k: usize) -> &Counters {
+            map.page(index)
+                .and_then(|p| p.counters[k].as_deref())
+                .unwrap_or(NONE)
+        }
+        let chunks = || {
+            indices.iter().flat_map(|&index| {
+                (0..PAGE_CHUNKS).map(move |k| (index, index * PAGE_CHUNKS + k, k as usize))
+            })
+        };
+        let stuck = || {
+            if self.seeding == other.seeding {
+                // One rule: only chunks materialised on either side can
+                // differ.
+                chunks().all(|(index, key, _)| {
+                    let (a, b) = (self.page(index), other.page(index));
+                    (self.ruled(key, a) && other.ruled(key, b))
+                        || self.chunk_words(key, a) == other.chunk_words(key, b)
+                })
+            } else {
+                let all = 0..u64::MAX;
+                self.stuck_entries(all.clone()).eq(other.stuck_entries(all))
+            }
+        };
         self.dead_tiles == other.dead_tiles
-            && self.wear == other.wear
-            && self.stuck_entries(all.clone()).eq(other.stuck_entries(all))
+            && chunks().all(|(index, _, k)| counters(self, index, k) == counters(other, index, k))
+            && stuck()
     }
 }
 
 impl Eq for FaultMap {}
 
-/// The chunk parts of `cells`, ascending: `(chunk key, cells of the range
-/// inside that chunk)`.
-fn chunk_parts(cells: Range<u64>) -> impl Iterator<Item = (u64, Range<u64>)> {
+/// The parts of `cells` in consecutive `width`-cell blocks, ascending:
+/// `(block index, cells of the range inside that block)`.
+fn parts(cells: Range<u64>, width: u64) -> impl Iterator<Item = (u64, Range<u64>)> {
     let mut start = cells.start;
     std::iter::from_fn(move || {
         (start < cells.end).then(|| {
-            let key = start / CHUNK;
-            let part = start..cells.end.min((key + 1) * CHUNK);
+            let index = start / width;
+            let part = start..cells.end.min((index + 1).saturating_mul(width));
             start = part.end;
-            (key, part)
+            (index, part)
         })
     })
 }
 
-/// A cell's slot in its chunk's counters.
+/// A cell's offset in its chunk: its bit in the chunk's words and its slot
+/// in the chunk's counters.
 fn offset(cell: u64) -> usize {
     (cell % CHUNK) as usize
+}
+
+/// Chunk `key`'s slot in its page.
+fn slot(key: u64) -> usize {
+    (key % PAGE_CHUNKS) as usize
+}
+
+/// The mask of a non-empty part of one chunk.
+fn part_mask(part: &Range<u64>) -> u64 {
+    (u64::MAX >> (CHUNK - (part.end - part.start))) << offset(part.start)
+}
+
+/// The mask of the cells of `cells` in chunk `key`.
+fn chunk_mask(key: u64, cells: &Range<u64>) -> u64 {
+    let first = key * CHUNK;
+    let part = cells.start.max(first)..cells.end.min(first.saturating_add(CHUNK));
+    if part.is_empty() {
+        0
+    } else {
+        part_mask(&part)
+    }
+}
+
+/// The set bits of `word`, ascending.
+pub(crate) fn bits(mut word: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros();
+            word &= word - 1;
+            u64::from(b)
+        })
+    })
+}
+
+/// The polarity bit `b` of a stuck-at-one word stands for.
+fn polarity(ones: u64, b: u64) -> StuckAt {
+    if (ones >> b) & 1 == 0 {
+        StuckAt::Zero
+    } else {
+        StuckAt::One
+    }
+}
+
+/// Adds `pulses` to the counters of the cells `cells` holds.
+fn add_pulses(counters: &mut Counters, cells: u64, pulses: u64) {
+    if cells == u64::MAX {
+        counters.iter_mut().for_each(|worn| *worn += pulses);
+    } else {
+        for b in bits(cells) {
+            counters[b as usize] += pulses;
+        }
+    }
+}
+
+/// Adds `pulses` to every counter of `worn` and returns the cells that may
+/// have crossed their limits: bit `i` is set when `worn[i] > max(slots[i],
+/// floor)` after the add. An unevaluated slot reads 0 and every limit is
+/// at least the floor, so a cell whose bit is clear has not crossed. At
+/// most 64 counters.
+fn wear_and_cross(worn: &mut [u64], slots: &[u64], pulses: u64, floor: u64) -> u64 {
+    debug_assert!(worn.len() == slots.len() && worn.len() <= CHUNK as usize);
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2_available() {
+        // SAFETY: AVX2 was detected at runtime.
+        return unsafe { x86::wear_and_cross(worn, slots, pulses, floor) };
+    }
+    wear_and_cross_scalar(worn, slots, pulses, floor)
+}
+
+fn wear_and_cross_scalar(worn: &mut [u64], slots: &[u64], pulses: u64, floor: u64) -> u64 {
+    worn.iter_mut().for_each(|worn| *worn += pulses);
+    worn.iter()
+        .zip(slots)
+        .enumerate()
+        .fold(0, |over, (i, (&worn, &slot))| {
+            over | u64::from(worn > slot.max(floor)) << i
+        })
+}
+
+/// The cells `first..first + n` (`n` at most 64) a rule with `seed` and
+/// `threshold` sticks, as a word: bit `i` is set when `mix(seed, first +
+/// i) >> 11 < threshold`.
+fn picked(seed: u64, threshold: u64, first: u64, n: u64) -> u64 {
+    debug_assert!((1..=CHUNK).contains(&n));
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2_available() {
+        // SAFETY: AVX2 was detected at runtime.
+        return unsafe { x86::picked(seed, threshold, first, n) };
+    }
+    picked_scalar(seed, threshold, first, n)
+}
+
+fn picked_scalar(seed: u64, threshold: u64, first: u64, n: u64) -> u64 {
+    (0..n).fold(0, |word, i| {
+        word | u64::from(mix(seed, first.wrapping_add(i)) >> 11 < threshold) << i
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod x86 {
+    use super::GAMMA;
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Whether this host has AVX2, detected once.
+    pub(crate) fn avx2_available() -> bool {
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+
+    /// [`super::wear_and_cross`], four counters to an add and a compare.
+    /// AVX2 compares 64-bit lanes as signed, so every operand has its sign
+    /// bit flipped first, which orders them as unsigned: a disabled
+    /// model's `u64::MAX` floor stays above every counter.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn wear_and_cross(
+        worn: &mut [u64],
+        slots: &[u64],
+        pulses: u64,
+        floor: u64,
+    ) -> u64 {
+        let flip = _mm256_set1_epi64x(i64::MIN);
+        let least = _mm256_xor_si256(_mm256_set1_epi64x(floor as i64), flip);
+        let add = _mm256_set1_epi64x(pulses as i64);
+        let blocks = worn.len() - worn.len() % 4;
+        let mut over = 0u64;
+        for i in (0..blocks).step_by(4) {
+            // SAFETY: `worn` and `slots` hold four counters from `i`.
+            let (w, s) = unsafe {
+                let at = worn.as_mut_ptr().add(i).cast();
+                let w = _mm256_add_epi64(_mm256_loadu_si256(at), add);
+                _mm256_storeu_si256(at, w);
+                (w, _mm256_loadu_si256(slots.as_ptr().add(i).cast()))
+            };
+            let w = _mm256_xor_si256(w, flip);
+            let s = _mm256_xor_si256(s, flip);
+            let both = _mm256_and_si256(_mm256_cmpgt_epi64(w, s), _mm256_cmpgt_epi64(w, least));
+            over |= (_mm256_movemask_pd(_mm256_castsi256_pd(both)) as u64) << i;
+        }
+        // The tail is empty, and the shift out of range, at 64 counters.
+        let tail =
+            super::wear_and_cross_scalar(&mut worn[blocks..], &slots[blocks..], pulses, floor);
+        over | tail.checked_shl(blocks as u32).unwrap_or(0)
+    }
+
+    /// The low 64 bits of `a · c` in each lane, from 32-bit products.
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn mul(a: __m256i, c: u64) -> __m256i {
+        let lo = _mm256_set1_epi64x((c & 0xFFFF_FFFF) as i64);
+        let hi = _mm256_set1_epi64x((c >> 32) as i64);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), lo),
+            _mm256_mul_epu32(a, hi),
+        );
+        _mm256_add_epi64(_mm256_mul_epu32(a, lo), _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// [`super::mix`] of four lanes, given each lane's `seed + index ·
+    /// GAMMA`: the SplitMix64 finaliser.
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn finish(z: __m256i) -> __m256i {
+        let x = mul(
+            _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
+            0xBF58_476D_1CE4_E5B9,
+        );
+        let x = mul(
+            _mm256_xor_si256(x, _mm256_srli_epi64::<27>(x)),
+            0x94D0_49BB_1331_11EB,
+        );
+        _mm256_xor_si256(x, _mm256_srli_epi64::<31>(x))
+    }
+
+    /// [`super::picked`], four cells to a hash: [`super::mix`] lane by
+    /// lane. A hash shifted right by 11 is below 2⁵³, so a threshold
+    /// clamped to 2⁵³ picks the same cells and compares as signed.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn picked(seed: u64, threshold: u64, first: u64, n: u64) -> u64 {
+        let lane = |i: u64| seed.wrapping_add(first.wrapping_add(i).wrapping_mul(GAMMA)) as i64;
+        let mut z = _mm256_set_epi64x(lane(3), lane(2), lane(1), lane(0));
+        let step = _mm256_set1_epi64x(GAMMA.wrapping_mul(4) as i64);
+        let below = _mm256_set1_epi64x(threshold.min(1 << 53) as i64);
+        let mut word = 0u64;
+        for i in (0..n).step_by(4) {
+            let hit = _mm256_cmpgt_epi64(below, _mm256_srli_epi64::<11>(finish(z)));
+            word |= (_mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u64) << i;
+            z = _mm256_add_epi64(z, step);
+        }
+        word & (u64::MAX >> (super::CHUNK - n))
+    }
 }
 
 /// The write-and-verify loop of one healthy cell: pulses it, advancing its
@@ -281,7 +585,7 @@ impl FaultMap {
     /// seeded map this reads the rule's chunks up to their first stuck
     /// cell.
     pub fn is_pristine(&self) -> bool {
-        self.dead_tiles.is_empty() && self.stuck_cells_in(0..u64::MAX).next().is_none()
+        self.dead_tiles.is_empty() && self.stuck_words(0..u64::MAX).next().is_none()
     }
 
     /// Seeds stuck-at faults over `cells` cell indices at `rate`
@@ -300,7 +604,7 @@ impl FaultMap {
     /// cells are hashed when a read or a mutation reaches it (see
     /// [`FaultMap`]).
     pub fn seeded(seed: u64, rate: f64, cells: u64) -> Self {
-        if rate.is_nan() || rate <= 0.0 {
+        if rate.is_nan() || rate <= 0.0 || cells == 0 {
             return FaultMap::pristine();
         }
         FaultMap {
@@ -313,89 +617,185 @@ impl FaultMap {
         }
     }
 
-    /// Whether chunk `key`'s stuck cells are the rule's rather than its
-    /// entries in `stuck`. `word` caches one word of `materialised` as
-    /// `(index, bits)`, refetched when `key` lies in another word.
-    fn ruled(&self, key: u64, word: &mut (u64, u64)) -> bool {
-        if word.0 != key / 64 {
-            *word = (
-                key / 64,
-                self.materialised.get(&(key / 64)).copied().unwrap_or(0),
-            );
-        }
-        key < self.seeding.chunks() && (word.1 >> (key % 64)) & 1 == 0
+    fn page(&self, index: u64) -> Option<&Page> {
+        self.pages.get(&index).map(|page| &**page)
     }
 
-    /// The cells of `cells`, in maximal runs of chunk parts that are all
-    /// ruled or all materialised: `(run, ruled)`. One materialised word is
-    /// fetched per 64 chunks.
-    fn runs(&self, cells: Range<u64>) -> impl Iterator<Item = (Range<u64>, bool)> + '_ {
-        let mut start = cells.start;
-        let mut word = (u64::MAX, 0);
+    /// Whether chunk `key`'s stuck cells are the rule's rather than its
+    /// words; `page` is the chunk's page, if one is stored.
+    fn ruled(&self, key: u64, page: Option<&Page>) -> bool {
+        key < self.seeding.chunks() && page.is_none_or(|p| (p.materialised >> slot(key)) & 1 == 0)
+    }
+
+    /// Chunk `key`'s stuck cells as words, `(stuck, stuck at one)`, from
+    /// the rule or from `page`, its page.
+    fn chunk_words(&self, key: u64, page: Option<&Page>) -> (u64, u64) {
+        if self.ruled(key, page) {
+            self.seeding.words(key)
+        } else {
+            page.map_or((0, 0), |p| (p.stuck[slot(key)], p.ones[slot(key)]))
+        }
+    }
+
+    /// The stuck cells of `cells` as words, ascending by chunk, each
+    /// masked to `cells`: `(chunk key, stuck, stuck at one)`, chunks with
+    /// no stuck cell left out. One page is fetched per 4,096 cells, and a
+    /// stretch with no stored page past the rule's cells is skipped whole.
+    pub(crate) fn stuck_words(
+        &self,
+        cells: Range<u64>,
+    ) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let end = if cells.is_empty() {
+            0
+        } else {
+            (cells.end - 1) / CHUNK + 1
+        };
+        let mut key = cells.start / CHUNK;
+        let mut page = (u64::MAX, None);
         std::iter::from_fn(move || {
-            if start >= cells.end {
-                return None;
+            while key < end {
+                let index = key / PAGE_CHUNKS;
+                if page.0 != index {
+                    page = (index, self.page(index));
+                }
+                if page.1.is_none() && key >= self.seeding.chunks() {
+                    key = self
+                        .pages
+                        .range(index + 1..)
+                        .next()
+                        .map_or(end, |(&next, _)| (next * PAGE_CHUNKS).min(end));
+                    continue;
+                }
+                let (stuck, ones) = self.chunk_words(key, page.1);
+                let mask = chunk_mask(key, &cells);
+                key += 1;
+                if stuck & mask != 0 {
+                    return Some((key - 1, stuck & mask, ones & mask));
+                }
             }
-            let ruled = self.ruled(start / CHUNK, &mut word);
-            let mut end = start;
-            while end < cells.end && self.ruled(end / CHUNK, &mut word) == ruled {
-                end = (end / CHUNK + 1).saturating_mul(CHUNK).min(cells.end);
-            }
-            let run = start..end;
-            start = end;
-            Some((run, ruled))
+            None
         })
     }
 
     /// Sets down the rule's stuck cells of every chunk `cells` reaches that
-    /// is not materialised yet, so `stuck` holds all of their stuck cells.
-    fn materialise(&mut self, cells: Range<u64>) {
+    /// is not materialised yet, so their words hold all of their stuck
+    /// cells.
+    pub(crate) fn materialise(&mut self, cells: Range<u64>) {
         if cells.is_empty() {
             return;
         }
-        let end = ((cells.end - 1) / CHUNK + 1).min(self.seeding.chunks());
+        let rule = self.seeding;
+        let end = ((cells.end - 1) / CHUNK + 1).min(rule.chunks());
         let mut key = cells.start / CHUNK;
         while key < end {
-            let upto = end.min((key / 64 + 1) * 64);
-            let word = self.materialised.entry(key / 64).or_insert(0);
-            let wanted = (u64::MAX >> (63 - (upto - 1) % 64)) & (u64::MAX << (key % 64));
-            let mut missing = wanted & !*word;
-            *word |= wanted;
-            while missing != 0 {
-                let chunk = key / 64 * 64 + u64::from(missing.trailing_zeros());
-                missing &= missing - 1;
-                let cells =
-                    chunk * CHUNK..(chunk + 1).saturating_mul(CHUNK).min(self.seeding.cells);
-                for cell in cells {
-                    if let Some(polarity) = self.seeding.stuck_at(cell) {
-                        self.stuck.insert(cell, polarity);
-                    }
-                }
+            let index = key / PAGE_CHUNKS;
+            let upto = end.min((index + 1) * PAGE_CHUNKS);
+            let page = self.pages.entry(index).or_insert_with(Page::new);
+            for key in key..upto {
+                page.materialise(key, &rule);
             }
             key = upto;
         }
     }
 
+    /// Walks the stuck words of `cells` like [`FaultMap::stuck_words`],
+    /// materialising each chunk of the rule it reaches, and hands each
+    /// `(chunk key, stuck)` with a stuck cell to `visit` until it returns
+    /// false. A chunk is hashed at most once in the map's life, however
+    /// many scans pass it.
+    fn scan(&mut self, cells: Range<u64>, mut visit: impl FnMut(u64, u64) -> bool) {
+        let rule = self.seeding;
+        let split = rule
+            .chunks()
+            .saturating_mul(CHUNK)
+            .min(cells.end)
+            .max(cells.start);
+        let ruled = cells.start..split;
+        let end = if ruled.is_empty() {
+            0
+        } else {
+            (split - 1) / CHUNK + 1
+        };
+        let mut key = cells.start / CHUNK;
+        while key < end {
+            let index = key / PAGE_CHUNKS;
+            let upto = end.min((index + 1) * PAGE_CHUNKS);
+            let page = self.pages.entry(index).or_insert_with(Page::new);
+            for key in key..upto {
+                page.materialise(key, &rule);
+                let stuck = page.stuck[slot(key)] & chunk_mask(key, &ruled);
+                if stuck != 0 && !visit(key, stuck) {
+                    return;
+                }
+            }
+            key = upto;
+        }
+        for (key, stuck, _) in self.stuck_words(split..cells.end) {
+            if !visit(key, stuck) {
+                return;
+            }
+        }
+    }
+
+    /// The first stuck cell of `cells`, if any: a read that sets down the
+    /// rule's chunks it hashes, so the next scan over them reads words
+    /// (see [`FaultMap`]). The logical map is unchanged.
+    pub fn first_stuck_in(&mut self, cells: Range<u64>) -> Option<u64> {
+        let mut first = None;
+        self.scan(cells, |key, stuck| {
+            first = Some(key * CHUNK + u64::from(stuck.trailing_zeros()));
+            false
+        });
+        first
+    }
+
+    /// The number of stuck cells in `cells`, counted up to `bound`: a read
+    /// that sets down the rule's chunks it hashes, and hashes none past the
+    /// chunk where the count reaches the bound. The logical map is
+    /// unchanged.
+    pub fn count_stuck_in(&mut self, cells: Range<u64>, bound: usize) -> usize {
+        let mut count = 0;
+        if bound > 0 {
+            self.scan(cells, |_, stuck| {
+                count += stuck.count_ones() as usize;
+                count < bound
+            });
+        }
+        count.min(bound)
+    }
+
     /// Marks one cell stuck.
     pub fn set_stuck(&mut self, cell: u64, polarity: StuckAt) -> &mut Self {
         self.materialise(cell..cell + 1);
-        self.stuck.insert(cell, polarity);
+        let page = self.pages.entry(cell / PAGE).or_insert_with(Page::new);
+        let (k, bit) = (slot(cell / CHUNK), 1 << offset(cell));
+        page.stuck[k] |= bit;
+        if polarity == StuckAt::One {
+            page.ones[k] |= bit;
+        } else {
+            page.ones[k] &= !bit;
+        }
         self
     }
 
     /// The stuck polarity of a cell, if any.
     pub fn stuck_at(&self, cell: u64) -> Option<StuckAt> {
-        if self.ruled(cell / CHUNK, &mut (u64::MAX, 0)) {
+        let (key, page) = (cell / CHUNK, self.page(cell / PAGE));
+        if self.ruled(key, page) {
             self.seeding.stuck_at(cell)
         } else {
-            self.stuck.get(&cell).copied()
+            let (stuck, ones) = page.map_or((0, 0), |p| (p.stuck[slot(key)], p.ones[slot(key)]));
+            let b = offset(cell) as u64;
+            ((stuck >> b) & 1 == 1).then(|| polarity(ones, b))
         }
     }
 
     /// Number of stuck cells. On a seeded map this hashes every cell of
-    /// the chunks no mutation has reached.
+    /// the chunks nothing has materialised.
     pub fn stuck_cells(&self) -> usize {
-        self.stuck_cells_in(0..u64::MAX).count()
+        self.stuck_words(0..u64::MAX)
+            .map(|(_, stuck, _)| stuck.count_ones() as usize)
+            .sum()
     }
 
     /// Stuck cells within a cell-index range, ascending (the diagnostic
@@ -405,24 +805,11 @@ impl FaultMap {
     }
 
     /// The stuck cells within `range` with their polarities, ascending:
-    /// run by run from `stuck` or the rule up to the rule's last chunk,
-    /// then from `stuck` alone.
+    /// the set bits of its words.
     fn stuck_entries(&self, range: Range<u64>) -> impl Iterator<Item = (u64, StuckAt)> + '_ {
-        let ruled_end = self.seeding.chunks().saturating_mul(CHUNK);
-        let split = range.end.min(ruled_end).max(range.start);
-        let stored = move |cells: Range<u64>| self.stuck.range(cells).map(|(&c, &p)| (c, p));
-        self.runs(range.start..split)
-            .flat_map(move |(run, ruled)| {
-                let (kept, hashed) = if ruled {
-                    (run.start..run.start, run)
-                } else {
-                    (run, 0..0)
-                };
-                stored(kept).chain(
-                    hashed.filter_map(move |cell| Some((cell, self.seeding.stuck_at(cell)?))),
-                )
-            })
-            .chain(stored(split..range.end))
+        self.stuck_words(range).flat_map(|(key, stuck, ones)| {
+            bits(stuck).map(move |b| (key * CHUNK + b, polarity(ones, b)))
+        })
     }
 
     /// Marks a tile dead (peripheral failure: its whole CArray is lost).
@@ -448,8 +835,8 @@ impl FaultMap {
 
     /// Write pulses a cell has absorbed so far.
     pub fn wear_of(&self, cell: u64) -> u64 {
-        self.wear
-            .get(&(cell / CHUNK))
+        self.page(cell / PAGE)
+            .and_then(|p| p.counters[slot(cell / CHUNK)].as_deref())
             .map_or(0, |counters| counters[offset(cell)])
     }
 
@@ -558,13 +945,14 @@ impl FaultMap {
     ///
     /// Deterministic: outcomes depend only on `policy.seed`, the absolute
     /// cell index and that cell's wear count, so the run equals programming
-    /// its weights one at a time in order. It walks the run's stuck cells
-    /// once beside its cells, fetches each 64-cell chunk of counters with
-    /// one lookup, and freezes the cells it gave up on after the walk. A
-    /// chunk part whose cells are all stuck takes no pulse and fetches no
-    /// chunk. Only a stuck cell's target level matters (it decides whether
-    /// the cell fails), so only the weight of a stuck cell is sliced, onto
-    /// the stack.
+    /// its weights one at a time in order. The run works a chunk part at a
+    /// time on its page's words: the stuck word picks the healthy cells,
+    /// and only a stuck cell's weight is sliced, onto the stack, since only
+    /// its target level matters (it decides whether the cell fails). When
+    /// a healthy cell's first pulse always verifies (a fail rate of at most
+    /// 0 and no endurance limit), a part is one add over its counters; a
+    /// part whose cells are all stuck takes no pulse and allocates no
+    /// counters.
     ///
     /// # Panics
     ///
@@ -584,50 +972,46 @@ impl FaultMap {
         let span = config.cells_per_weight();
         let cells = base..base + (codes.len() * span) as u64;
         self.materialise(cells.clone());
-        let mut stuck = self.stuck.range(cells.clone()).peekable();
+        let first_pulse_verifies = policy.transient_fail_rate <= 0.0 && policy.endurance_limit == 0;
+        let target = |cell: u64| {
+            let i = (cell - base) as usize;
+            slice_weight(codes[i / span], config)[i % span]
+        };
         let mut report = WriteReport::default();
-        for (key, part) in chunk_parts(cells) {
-            let (mut frozen, mut ones) = (0u64, 0u64);
-            while let Some((&cell, &polarity)) = stuck.next_if(|&(&c, _)| c < part.end) {
-                frozen |= 1 << offset(cell);
-                ones |= u64::from(polarity == StuckAt::One) << offset(cell);
-            }
-            // Every healthy cell takes at least one pulse, so a part with a
-            // healthy cell fetches its chunk (created if new) and leaves a
-            // counter there.
-            let healthy = (frozen.count_ones() as u64) < part.end - part.start;
-            let mut counters =
-                healthy.then(|| self.wear.entry(key).or_insert_with(|| [0; CHUNK as usize]));
-            for cell in part {
-                let bit = 1 << offset(cell);
-                if frozen & bit != 0 {
-                    let polarity = if ones & bit != 0 {
-                        StuckAt::One
+        for (index, in_page) in parts(cells, PAGE) {
+            let page = self.pages.entry(index).or_insert_with(Page::new);
+            for (key, part) in parts(in_page, CHUNK) {
+                let k = slot(key);
+                let (frozen, ones) = (page.stuck[k] & part_mask(&part), page.ones[k]);
+                let healthy = part_mask(&part) & !frozen;
+                // Healthy cells given up on: worn out or out of retries.
+                let mut quit = 0u64;
+                if healthy != 0 {
+                    let counters = page.counters_mut(k);
+                    if first_pulse_verifies {
+                        add_pulses(counters, healthy, 1);
+                        report.attempts += u64::from(healthy.count_ones());
                     } else {
-                        StuckAt::Zero
-                    };
-                    let i = (cell - base) as usize;
-                    let target = slice_weight(codes[i / span], config)[i % span];
-                    if polarity.level(config.cell_bits) != target {
-                        report.failed_cells.push(cell);
-                    }
-                } else if let Some(counters) = counters.as_deref_mut() {
-                    if !write_verify(&mut counters[offset(cell)], cell, policy, &mut report) {
-                        // Worn out, or retries exhausted on a
-                        // transiently-failing cell: the controller gives up
-                        // and quarantines it.
-                        report.newly_stuck += 1;
-                        report.failed_cells.push(cell);
+                        for b in bits(healthy) {
+                            let cell = key * CHUNK + b;
+                            if !write_verify(&mut counters[b as usize], cell, policy, &mut report) {
+                                quit |= 1 << b;
+                            }
+                        }
                     }
                 }
+                let mismatched = bits(frozen)
+                    .filter(|&b| {
+                        polarity(ones, b).level(config.cell_bits) != target(key * CHUNK + b)
+                    })
+                    .fold(0u64, |m, b| m | 1 << b);
+                report.newly_stuck += u64::from(quit.count_ones());
+                report
+                    .failed_cells
+                    .extend(bits(mismatched | quit).map(|b| key * CHUNK + b));
+                // The controller quarantines what it gave up on.
+                page.freeze(key, quit, |cell| frozen_polarity(policy.seed, cell));
             }
-        }
-        // The failed cells not stuck before this call are the ones it
-        // quarantines; the stuck ones keep their polarity.
-        for &cell in &report.failed_cells {
-            self.stuck
-                .entry(cell)
-                .or_insert_with(|| frozen_polarity(policy.seed, cell));
         }
         report
     }
@@ -647,12 +1031,16 @@ impl FaultMap {
     /// [`floor`](crate::wear::WearModel::floor) cannot exceed its limit, so
     /// the pass evaluates a cell's limit only once its counter passes the
     /// floor, and keeps it in `limits` for later passes; a broken cell
-    /// freezes at a polarity seeded by the model's seed. The
-    /// pass walks the range chunk by chunk beside its stuck cells, with one
-    /// counter lookup per chunk. A chunk part with no stuck cell is counted
-    /// in one pass over its counters and checked in a second against its
-    /// limit slots, and is walked cell by cell only if a counter may have
-    /// crossed its limit.
+    /// freezes at a polarity seeded by the model's seed.
+    ///
+    /// The pass works a chunk part at a time on its page's words: the
+    /// stuck word picks the healthy cells, whose counters take the pulses
+    /// (one add over the part when none is stuck), and one compare of each
+    /// counter with the larger of its limit slot and the floor (four at a
+    /// time with AVX2) picks the cells that may have crossed. Those with
+    /// no slot yet take their bucket's floor, a part at a time
+    /// ([`WearLimits`]), a second compare drops the ones still below it,
+    /// and only the rest are checked against their limits.
     ///
     /// Already-stuck cells no longer switch and accumulate no further
     /// wear. With a disabled model (`endurance_mean == 0`) this only
@@ -664,47 +1052,42 @@ impl FaultMap {
         }
         let cells = limits.cells();
         self.materialise(cells.clone());
-        let floor = limits.floor();
-        let mut stuck = self.stuck.range(cells.clone()).map(|(&c, _)| c).peekable();
-        for (key, part) in chunk_parts(cells) {
-            let mut frozen = 0u64;
-            while let Some(cell) = stuck.next_if(|&c| c < part.end) {
-                frozen |= 1 << offset(cell);
-            }
-            if frozen.count_ones() as u64 == part.end - part.start {
-                continue; // no healthy cell: nothing to count
-            }
-            let counters = self.wear.entry(key).or_insert_with(|| [0; CHUNK as usize]);
-            let counters = &mut counters[offset(part.start)..=offset(part.end - 1)];
-            let healthy = |cell: u64| (frozen >> offset(cell)) & 1 == 0;
-            if frozen == 0 {
-                counters.iter_mut().for_each(|worn| *worn += pulses);
-                // An unevaluated slot reads 0 and every limit is at least
-                // the floor, so a cell can have crossed its limit only if
-                // its counter is above the larger of its slot and the floor.
-                let crossed = counters
-                    .iter()
-                    .zip(limits.slots(part.clone()))
-                    .fold(false, |any, (&worn, &slot)| any | (worn > slot.max(floor)));
-                if !crossed {
+        let (floor, seed) = (limits.floor(), limits.seed());
+        for (index, in_page) in parts(cells, PAGE) {
+            let page = self.pages.entry(index).or_insert_with(Page::new);
+            for (key, part) in parts(in_page, CHUNK) {
+                let k = slot(key);
+                let healthy = part_mask(&part) & !page.stuck[k];
+                if healthy == 0 {
+                    continue; // no healthy cell: nothing to count
+                }
+                let counters = page.counters_mut(k);
+                // A part with a stuck cell takes its pulses cell by cell.
+                let fused = if healthy == part_mask(&part) {
+                    pulses
+                } else {
+                    add_pulses(counters, healthy, pulses);
+                    0
+                };
+                let (lo, hi) = (offset(part.start), offset(part.end - 1));
+                let slots = limits.slots(part.clone());
+                let over = wear_and_cross(&mut counters[lo..=hi], slots, fused, floor) << lo;
+                if over & healthy == 0 {
                     continue;
                 }
-            } else {
-                for (cell, worn) in part.clone().zip(counters.iter_mut()) {
-                    if healthy(cell) {
-                        *worn += pulses;
-                    }
+                // Counters past the floor whose slots learn their bucket's
+                // floor now are compared with it.
+                limits.learn_floors(part.clone(), (over & healthy) >> lo);
+                let slots = limits.slots(part.clone());
+                let over = wear_and_cross(&mut counters[lo..=hi], slots, 0, floor) << lo;
+                let broken = bits(over & healthy)
+                    .filter(|&b| limits.exceeded(key * CHUNK + b, counters[b as usize]))
+                    .fold(0u64, |m, b| m | 1 << b);
+                if broken != 0 {
+                    newly.extend(bits(broken).map(|b| key * CHUNK + b));
+                    page.freeze(key, broken, |cell| frozen_polarity(seed, cell));
                 }
             }
-            for (cell, &worn) in part.zip(counters.iter()) {
-                if healthy(cell) && limits.exceeded(cell, worn) {
-                    newly.push(cell);
-                }
-            }
-        }
-        for &cell in &newly {
-            self.stuck
-                .insert(cell, frozen_polarity(limits.seed(), cell));
         }
         newly
     }
@@ -874,6 +1257,74 @@ mod tests {
         );
         // Quarantined cells are a subset of the reported failures.
         assert!(report.failed_cells.len() >= report.newly_stuck as usize);
+    }
+
+    #[test]
+    fn the_wear_compare_agrees_with_its_definition_across_the_sign_bit() {
+        let edges = [
+            0,
+            1,
+            2,
+            7,
+            i64::MAX as u64 - 3,
+            i64::MAX as u64,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 9,
+            u64::MAX - 3,
+            u64::MAX,
+        ];
+        let pick = |seed: u64, i: u64| edges[(mix(seed, i) % edges.len() as u64) as usize];
+        for len in 0..=CHUNK {
+            for round in 0..40u64 {
+                let pulses = round % 4;
+                let worn: Vec<u64> = (0..len).map(|i| pick(round, i).min(u64::MAX - 3)).collect();
+                let slots: Vec<u64> = (0..len).map(|i| pick(!round, i)).collect();
+                let floor = pick(round ^ len, 99);
+                let after: Vec<u64> = worn.iter().map(|w| w + pulses).collect();
+                let expect = (0..len as usize).fold(0u64, |m, i| {
+                    m | u64::from(after[i] > slots[i] && after[i] > floor) << i
+                });
+                let (mut fast, mut slow) = (worn.clone(), worn.clone());
+                assert_eq!(wear_and_cross(&mut fast, &slots, pulses, floor), expect);
+                assert_eq!(
+                    wear_and_cross_scalar(&mut slow, &slots, pulses, floor),
+                    expect
+                );
+                assert_eq!((&fast, &slow), (&after, &after), "{len} {round}");
+            }
+        }
+        // A disabled model's floor: no counter crosses it.
+        let mut worn = [u64::MAX - 1; CHUNK as usize];
+        assert_eq!(
+            wear_and_cross(&mut worn, &[0; CHUNK as usize], 1, u64::MAX),
+            0
+        );
+    }
+
+    #[test]
+    fn word_hashing_picks_the_cells_the_rule_picks() {
+        let thresholds = [
+            0,
+            1,
+            1 << 20,
+            1 << 40,
+            (1 << 53) - 1,
+            1 << 53,
+            1 << 60,
+            u64::MAX,
+        ];
+        for round in 0..400u64 {
+            let seed = mix(round, 1);
+            let first = [mix(round, 2), mix(round, 3) % 100_000, u64::MAX - 64][round as usize % 3];
+            let n = 1 + round % CHUNK;
+            let threshold = thresholds[round as usize % thresholds.len()];
+            let expect = (0..n).fold(0u64, |word, i| {
+                word | u64::from(mix(seed, first.wrapping_add(i)) >> 11 < threshold) << i
+            });
+            assert_eq!(picked(seed, threshold, first, n), expect, "{round}");
+            assert_eq!(picked_scalar(seed, threshold, first, n), expect);
+        }
     }
 
     #[test]

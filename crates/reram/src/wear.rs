@@ -29,6 +29,9 @@ use std::ops::Range;
 /// its own floor ([`WearModel::bucket_floors`]).
 const BUCKETS: usize = 64;
 
+/// Mixed into the model seed for the hash behind a cell's limit.
+const LIMIT_SALT: u64 = 0x3C3C_C3C3_3C3C_C3C3;
+
 /// Seeded per-cell endurance distribution.
 ///
 /// [`WearModel::limit_of`] derives one cell's limit from the seed and the
@@ -94,7 +97,7 @@ impl WearModel {
         if self.endurance_mean == 0 {
             return u64::MAX;
         }
-        let u = 2.0 * unit(self.seed ^ 0x3C3C_C3C3_3C3C_C3C3, mix(cell, 0x11)) - 1.0;
+        let u = 2.0 * unit(self.seed ^ LIMIT_SALT, mix(cell, 0x11)) - 1.0;
         let limit = self.endurance_mean as f64 * self.spread.powf(u);
         limit.round().max(1.0) as u64
     }
@@ -103,7 +106,7 @@ impl WearModel {
     /// lies in `[2b / 64 - 1, 2(b + 1) / 64 - 1)`, the top six bits of the
     /// hash [`WearModel::limit_of`] scales.
     fn bucket(&self, cell: u64) -> usize {
-        (mix(self.seed ^ 0x3C3C_C3C3_3C3C_C3C3, mix(cell, 0x11)) >> (64 - BUCKETS.ilog2())) as usize
+        (mix(self.seed ^ LIMIT_SALT, mix(cell, 0x11)) >> (64 - BUCKETS.ilog2())) as usize
     }
 
     /// For each bucket `b`, a bound no limit of a cell in it goes below:
@@ -186,6 +189,19 @@ impl WearLimits {
         self.start..self.start + self.limits.len() as u64
     }
 
+    /// Forgets every limit learnt so far and covers `cells` instead, in
+    /// the buffers already held: the [`WearModel::limits`] of `cells` under
+    /// the same model, without allocating once the buffers are large
+    /// enough.
+    pub fn rebase(&mut self, cells: Range<u64>) {
+        let len = (cells.end - cells.start) as usize;
+        self.start = cells.start;
+        self.limits.clear();
+        self.limits.resize(len, 0);
+        self.exact.clear();
+        self.exact.resize(len.div_ceil(64), 0);
+    }
+
     /// The model's [`WearModel::floor`]: no limit here lies below it.
     pub(crate) fn floor(&self) -> u64 {
         self.floor
@@ -199,6 +215,39 @@ impl WearLimits {
     /// Panics if `cells` does not lie inside [`WearLimits::cells`].
     pub(crate) fn slots(&self, cells: Range<u64>) -> &[u64] {
         &self.limits[(cells.start - self.start) as usize..(cells.end - self.start) as usize]
+    }
+
+    /// Gives every cell of `part` that `marked` marks (bit `i` for cell
+    /// `part.start + i`) and whose slot is still 0 its bucket's floor: what
+    /// [`WearLimits::exceeded`] learns first for a counter past the model's
+    /// floor, taken for a part of a chunk at once (four cells to a hash
+    /// with AVX2), so that only the cells past their bucket's floor go on
+    /// to `exceeded`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` does not lie inside [`WearLimits::cells`] or is
+    /// longer than 64 cells.
+    pub(crate) fn learn_floors(&mut self, part: Range<u64>, marked: u64) {
+        let at = (part.start - self.start) as usize;
+        let slots = &mut self.limits[at..at + (part.end - part.start) as usize];
+        assert!(slots.len() <= 64, "a part of one chunk");
+        let mut done = 0;
+        #[cfg(target_arch = "x86_64")]
+        if crate::fault::x86::avx2_available() {
+            let salted = self.model.seed ^ LIMIT_SALT;
+            // SAFETY: AVX2 was detected at runtime.
+            done = unsafe {
+                x86::learn_floors(salted, part.start, slots, marked, &self.bucket_floors)
+            };
+        }
+        let rest = marked & u64::MAX.checked_shl(done as u32).unwrap_or(0);
+        for i in crate::fault::bits(rest) {
+            let slot = &mut slots[i as usize];
+            if *slot == 0 {
+                *slot = self.bucket_floors[self.model.bucket(part.start + i)];
+            }
+        }
     }
 
     /// Whether a counter of `worn` pulses exceeds `cell`'s limit. A counter
@@ -232,6 +281,65 @@ impl WearLimits {
     /// at.
     pub(crate) fn seed(&self) -> u64 {
         self.model.seed
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::fault::x86::{finish, mul};
+    use crate::fault::GAMMA;
+    use std::arch::x86_64::*;
+
+    /// [`super::WearLimits::learn_floors`] for the first `slots.len() / 4
+    /// · 4` cells, four cells to a hash: the top six bits of
+    /// `mix(salted, mix(cell, 0x11))` pick each cell's bucket, whose floor
+    /// a gather fetches, and a marked slot that is still 0 takes it.
+    /// Returns how many cells it covered.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn learn_floors(
+        salted: u64,
+        first: u64,
+        slots: &mut [u64],
+        marked: u64,
+        floors: &[u64; 64],
+    ) -> usize {
+        let inner = _mm256_set1_epi64x(0x11u64.wrapping_mul(GAMMA) as i64);
+        let seed = _mm256_set1_epi64x(salted as i64);
+        let lane_bits = _mm256_set_epi64x(8, 4, 2, 1);
+        let mut cell = _mm256_add_epi64(
+            _mm256_set1_epi64x(first as i64),
+            _mm256_set_epi64x(3, 2, 1, 0),
+        );
+        let blocks = slots.len() - slots.len() % 4;
+        for i in (0..blocks).step_by(4) {
+            let want = (marked >> i) & 0xF;
+            if want != 0 {
+                let hash = finish(_mm256_add_epi64(
+                    seed,
+                    mul(finish(_mm256_add_epi64(cell, inner)), GAMMA),
+                ));
+                let bucket = _mm256_srli_epi64::<58>(hash);
+                // SAFETY: every bucket is below 64; `slots` holds four
+                // counters from `i`.
+                unsafe {
+                    let floor = _mm256_i64gather_epi64::<8>(floors.as_ptr().cast(), bucket);
+                    let at: *mut __m256i = slots.as_mut_ptr().add(i).cast();
+                    let old = _mm256_loadu_si256(at);
+                    let wanted = _mm256_set1_epi64x(want as i64);
+                    let lanes = _mm256_and_si256(
+                        _mm256_cmpeq_epi64(_mm256_and_si256(wanted, lane_bits), lane_bits),
+                        _mm256_cmpeq_epi64(old, _mm256_setzero_si256()),
+                    );
+                    _mm256_storeu_si256(at, _mm256_blendv_epi8(old, floor, lanes));
+                }
+            }
+            cell = _mm256_add_epi64(cell, _mm256_set1_epi64x(4));
+        }
+        blocks
     }
 }
 
@@ -299,6 +407,49 @@ mod tests {
             assert!((1000..1300).all(|c| slots[(c - 1000) as usize] <= model.limit_of(c)));
         }
         assert_eq!(WearModel::disabled().limits(0..1).floor(), u64::MAX);
+    }
+
+    #[test]
+    fn word_floor_reads_match_the_cell_by_cell_ones() {
+        for round in 0..300u64 {
+            let model = WearModel::new(20 + round, 1.3, mix(round, 5));
+            let start = mix(round, 6) >> (round % 64);
+            let len = 1 + round % 64;
+            let cells = start..start + len;
+            let (mut fast, mut slow) = (model.limits(cells.clone()), model.limits(cells.clone()));
+            // Some slots already hold a bound; they must keep it.
+            for i in (0..len).filter(|i| mix(round, *i).is_multiple_of(3)) {
+                fast.limits[i as usize] = 7;
+                slow.limits[i as usize] = 7;
+            }
+            let marked = mix(round, 7) & (u64::MAX >> (64 - len));
+            fast.learn_floors(cells.clone(), marked);
+            for i in crate::fault::bits(marked) {
+                if slow.limits[i as usize] == 0 {
+                    slow.limits[i as usize] = slow.bucket_floors[model.bucket(start + i)];
+                }
+            }
+            assert_eq!(fast.limits, slow.limits, "{round}");
+        }
+    }
+
+    #[test]
+    fn rebased_limits_are_fresh_limits() {
+        let model = WearModel::new(40, 2.0, 5);
+        let mut limits = model.limits(0..300);
+        for c in 0..300 {
+            limits.exceeded(c, 70);
+        }
+        for cells in [100..164, 1_000..1_300, 7..8] {
+            limits.rebase(cells.clone());
+            assert_eq!(limits.cells(), cells);
+            assert!(limits.slots(cells.clone()).iter().all(|&slot| slot == 0));
+            for worn in [0, 25, 60, 90, 200] {
+                for c in cells.clone() {
+                    assert_eq!(limits.exceeded(c, worn), worn > model.limit_of(c), "{c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,14 @@
 //! read or a mutation reaches it. The eager loop it replaced, which hashes
 //! every cell up front, is the reference here: the lazy map must read and
 //! evolve exactly like the map that loop built, under any interleaving of
-//! mutations, at any cell count and rate.
+//! mutations, at any cell count and rate. Scans that set down the chunks
+//! they hash must find what a read of an untouched copy finds and leave
+//! the logical map as it was.
+//!
+//! `AbftBlock::residual` reads the residual of a checked MMV without
+//! variation off the block's stuck cells; it must match the reference's
+//! residual bit for bit, on random blocks and on every single fault of the
+//! self-healing runtime's block, whose detector coverage is pinned here.
 
 use lergan_reram::{
     AbftBlock, AbftObservation, FaultMap, ReramConfig, StuckAt, VariationModel, WearModel,
@@ -552,6 +559,16 @@ proptest! {
         let fast = block.checked_mmv(&map, variation, &weights, &inputs, &cfg);
         let slow = reference.checked_mmv(&block, variation, &weights, &inputs, &cfg);
         prop_assert!(observations_agree(&fast, &slow), "{:?} != {:?}", fast, slow);
+        if variation.is_none() {
+            let residual = block.residual(&map, &weights, &inputs, &cfg);
+            prop_assert_eq!(residual.to_bits(), slow.residual.to_bits());
+            // Inputs large enough that the MMV's sums may round take the
+            // full MMV, whose residual the reference's must match.
+            let wide: Vec<i32> = inputs.iter().map(|&x| x << 23).collect();
+            let slow = reference.checked_mmv(&block, None, &weights, &wide, &cfg);
+            let residual = block.residual(&map, &weights, &wide, &cfg);
+            prop_assert_eq!(residual.to_bits(), slow.residual.to_bits());
+        }
     }
 }
 
@@ -756,6 +773,100 @@ proptest! {
     }
 }
 
+/// Where a scan starts: near a 64-cell or a 4,096-cell boundary, or near
+/// the end of the seeded cells, `shift − 70` cells from it.
+fn scan_start(cells: u64, near: usize, at: u64, shift: u64) -> u64 {
+    let anchor = match near {
+        0 => at % 40 * 64,
+        1 => at % 6 * 4_096,
+        2 => cells,
+        _ => (cells / 2) / 4_096 * 4_096,
+    };
+    (anchor + shift).saturating_sub(70)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Materialising scans (`first_stuck_in`, `count_stuck_in` and the ABFT
+    /// verify scan) over random seeded maps find what a `&self` read of an
+    /// untouched clone finds, and leave the map equal to that clone, to its
+    /// cell-by-cell rebuild, and to the clone again after the same
+    /// mutations land on both. The ranges start and end around 64-cell and
+    /// 4,096-cell boundaries and the end of the seeded cells, and run past
+    /// it; the maps cover up to 2⁴⁰ cells (no rebuild there) at rates of 0,
+    /// NaN, 5·10⁻⁴, 0.05 and 3,000.
+    #[test]
+    fn materialising_scans_leave_the_logical_map(
+        seed in 0u64..u64::MAX,
+        rate in 0usize..5,
+        cells in 0usize..6,
+        scans in collection::vec(
+            (0usize..3, 0usize..4, 0u64..1_000, 0u64..140, 0usize..6, 0usize..40),
+            1..8,
+        ),
+        write in (0usize..4, 0u64..1_000, 0u64..140, 0u64..u64::MAX),
+    ) {
+        let rate = [0.0, f64::NAN, 5e-4, 0.05, 3_000.0][rate];
+        let cells = [0u64, 63, 4_095, 4_097, 9_000, 1 << 40][cells];
+        let mut map = FaultMap::seeded(seed, rate, cells);
+        let rebuild = (cells < 1 << 20)
+            .then(|| Reference::seeded(seed, rate, cells, 0..cells).rebuild());
+        let cfg = ReramConfig::default();
+        for (kind, near, at, shift, len, bound) in scans {
+            let start = scan_start(cells, near, at, shift);
+            let len = [1u64, 63, 64, 65, 4_096, 5_000][len];
+            let range = start..start + len;
+            let untouched = map.clone();
+            match kind {
+                0 => prop_assert_eq!(
+                    map.first_stuck_in(range.clone()),
+                    untouched.stuck_cells_in(range.clone()).next(),
+                    "first stuck cell in {:?}", range
+                ),
+                1 => prop_assert_eq!(
+                    map.count_stuck_in(range.clone(), bound),
+                    untouched.stuck_cells_in(range.clone()).take(bound).count(),
+                    "stuck cells in {:?} up to {}", range, bound
+                ),
+                _ => {
+                    let block = AbftBlock::new(1 + bound % 5, 1 + bound % 7, start);
+                    let cells = start..start + block.cells(&cfg);
+                    prop_assert_eq!(
+                        block.suspect_cells(&mut map, &cfg),
+                        untouched.stuck_cells_in(cells).collect::<Vec<_>>()
+                    );
+                }
+            }
+            prop_assert!(map == untouched, "scan of {:?}", range);
+            prop_assert!(untouched == map, "scan of {:?}, compared the other way", range);
+            if let Some(rebuild) = &rebuild {
+                prop_assert!(map == *rebuild, "the rebuild differs after {:?}", range);
+            }
+        }
+        // The same writes on the scanned map and a fresh one.
+        let (near, at, shift, raw) = write;
+        let start = scan_start(cells, near, at, shift);
+        let mut fresh = FaultMap::seeded(seed, rate, cells);
+        let codes: Vec<i32> = (0..40).map(|i| code(mix(raw, i))).collect();
+        let policy = WritePolicy::with_fail_rate(0.3, raw);
+        let model = wear_model(raw as usize % 4, raw);
+        let limits = model.limits(start..start + 300);
+        for map in [&mut map, &mut fresh] {
+            map.set_stuck(start + raw % 200, StuckAt::One);
+        }
+        prop_assert_eq!(
+            map.program_run(&codes, start, &cfg, &policy),
+            fresh.program_run(&codes, start, &cfg, &policy)
+        );
+        prop_assert_eq!(
+            map.advance_wear(&mut limits.clone(), 3),
+            fresh.advance_wear(&mut limits.clone(), 3)
+        );
+        prop_assert!(map == fresh, "writes after the scans");
+    }
+}
+
 #[test]
 fn a_map_over_two_to_the_forty_cells_seeds_in_constant_time() {
     // The eager loop hashed every cell: 2⁴⁰ of them is over half an hour.
@@ -952,6 +1063,9 @@ fn a_code_outside_the_data_width_still_panics_in_the_checked_mmv() {
         block.checked_mmv(&FaultMap::pristine(), None, &[40_000], &[1], &cfg)
     });
     assert!(result.is_err(), "a 17-bit code must be rejected");
+    let result =
+        std::panic::catch_unwind(|| block.residual(&FaultMap::pristine(), &[40_000], &[1], &cfg));
+    assert!(result.is_err(), "and by the residual");
 }
 
 #[test]
@@ -964,4 +1078,131 @@ fn a_code_outside_the_data_width_panics_before_programming() {
     }));
     assert!(result.is_err(), "a 17-bit code must be rejected");
     assert_eq!(map, before, "nothing is programmed before the check");
+}
+
+/// The self-healing runtime's monitored block: 32 × 32 weights at cell 0,
+/// its weights and its probe vector.
+fn runtime_block() -> (AbftBlock, Vec<i32>, Vec<i32>) {
+    let weights = (0..32 * 32).map(|i| ((i * 37) % 201) - 100).collect();
+    let inputs = (0..32).map(|i| ((i * 13) % 15) - 7).collect();
+    (AbftBlock::new(32, 32, 0), weights, inputs)
+}
+
+/// `RecoveryPolicy::residual_threshold`'s default: a residual at or below
+/// it passes.
+const RESIDUAL_THRESHOLD: f64 = 0.5;
+
+/// Single stuck-at faults on the runtime block's data cells that change
+/// their weight: 5,849 of the 8,192 (cell × polarity).
+const DATA_FAULTS_THAT_CORRUPT: usize = 5_849;
+
+/// Finding (blind rows): the probe vector is 0 at rows 4 and 19, so the 366
+/// of those faults that sit there leave the residual at 0.
+const BLIND_ROW_ESCAPES: usize = 366;
+
+/// Single faults on the checksum column's cells that change its weight,
+/// and how many of them sit in a blind row.
+const CHECKSUM_FAULTS_THAT_CORRUPT: (usize, usize) = (187, 11);
+
+/// Same-row pairs of a data fault that changes its weight, in a row with a
+/// non-zero input, and a fault in the same slice of that row's checksum
+/// weight (every polarity of each).
+const SAME_SLICE_PAIRS: usize = 10_966;
+
+/// Finding (cancellation): the pairs whose two shifts cancel, leaving the
+/// residual at 0.
+const CANCELLING_PAIRS: usize = 1_209;
+
+/// Every single stuck-at fault on the runtime's block (cell × polarity),
+/// and every same-slice data-plus-checksum pair, through
+/// `AbftBlock::residual` and, for the singles, the slice-by-slice
+/// reference: the two residuals agree bit for bit, and the faults that
+/// corrupt a weight yet pass the threshold are the pinned findings above.
+#[test]
+fn the_runtime_blocks_detector_coverage_is_pinned() {
+    let cfg = ReramConfig::default();
+    let (block, weights, inputs) = runtime_block();
+    let checksums = block.checksums(&weights);
+    let span = cfg.cells_per_weight() as u64;
+    let data_cells = weights.len() as u64 * span;
+    let value = |cell: u64| (cell / span) as usize;
+    let row = |cell: u64| {
+        let v = value(cell);
+        if v < weights.len() {
+            v / block.cols
+        } else {
+            v - weights.len()
+        }
+    };
+    let corrupts = |cell: u64, polarity: StuckAt| {
+        let v = value(cell);
+        let code = weights
+            .get(v)
+            .copied()
+            .unwrap_or_else(|| checksums[row(cell)]);
+        polarity.level(cfg.cell_bits) != slices(code, &cfg)[(cell % span) as usize]
+    };
+    let polarities = [StuckAt::Zero, StuckAt::One];
+    let mut corrupting = [0usize; 2];
+    let mut escapes = [0usize; 2];
+    let mut blind = BTreeSet::new();
+    for cell in 0..block.cells(&cfg) {
+        for polarity in polarities {
+            let mut map = FaultMap::pristine();
+            map.set_stuck(cell, polarity);
+            let fast = block.residual(&map, &weights, &inputs, &cfg);
+            let reference = Reference::of(&map);
+            let slow = reference.checked_mmv(&block, None, &weights, &inputs, &cfg);
+            assert_eq!(
+                fast.to_bits(),
+                slow.residual.to_bits(),
+                "cell {cell} {polarity:?}"
+            );
+            if corrupts(cell, polarity) {
+                let column = usize::from(cell >= data_cells);
+                corrupting[column] += 1;
+                if fast <= RESIDUAL_THRESHOLD {
+                    escapes[column] += 1;
+                    blind.insert(row(cell));
+                }
+            } else {
+                assert_eq!(fast, 0.0, "a benign fault moves nothing");
+            }
+        }
+    }
+    assert_eq!(corrupting[0], DATA_FAULTS_THAT_CORRUPT);
+    assert_eq!(escapes[0], BLIND_ROW_ESCAPES);
+    assert_eq!((corrupting[1], escapes[1]), CHECKSUM_FAULTS_THAT_CORRUPT);
+    assert_eq!(blind, BTreeSet::from([4, 19]));
+    assert!(blind.iter().all(|&r| inputs[r] == 0));
+
+    let (mut pairs, mut cancelling) = (0, 0);
+    for (r, _) in inputs.iter().enumerate().filter(|&(_, &x)| x != 0) {
+        for data in (r * block.cols) as u64 * span..((r + 1) * block.cols) as u64 * span {
+            let check = data_cells + r as u64 * span + data % span;
+            for (p, q) in polarities
+                .into_iter()
+                .flat_map(|p| polarities.map(|q| (p, q)))
+            {
+                if !corrupts(data, p) {
+                    continue;
+                }
+                let mut map = FaultMap::pristine();
+                map.set_stuck(data, p).set_stuck(check, q);
+                pairs += 1;
+                let fast = block.residual(&map, &weights, &inputs, &cfg);
+                if pairs % 64 == 0 {
+                    let slow =
+                        Reference::of(&map).checked_mmv(&block, None, &weights, &inputs, &cfg);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.residual.to_bits(),
+                        "cells {data} {check}"
+                    );
+                }
+                cancelling += usize::from(fast <= RESIDUAL_THRESHOLD);
+            }
+        }
+    }
+    assert_eq!((pairs, cancelling), (SAME_SLICE_PAIRS, CANCELLING_PAIRS));
 }

@@ -145,3 +145,62 @@ fn invalid_fault_rates_are_rejected_before_any_work_is_done() {
         assert_eq!(report.submitted, 1, "rate {rate}");
     }
 }
+
+#[test]
+fn a_batch_of_the_wrong_shape_is_a_typed_error_and_is_never_replayed() {
+    use lergan_core::{RecoveryError, RecoveryPolicy, SelfHealingRuntime, SystemFaults};
+    use lergan_gan::train::TrainError;
+    use lergan_gan::{benchmarks, Phase};
+    use lergan_reram::WearModel;
+    use lergan_serve::job::{batch, batch_seed, job_trainer};
+    use lergan_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // Two healthy tiles and fast wear: remaps are refused, so flagged
+    // faults roll the trainer back and replay the buffered batches.
+    let mut faults = SystemFaults::none();
+    for tile in 1..15 {
+        faults.bank_mut(Phase::GForward).kill_tile(tile);
+    }
+    let policy = RecoveryPolicy {
+        tile_kill_cells: 64,
+        ..RecoveryPolicy::default()
+    };
+    let wear = WearModel::new(10, 1.2, 0xACE);
+    let mut rt =
+        SelfHealingRuntime::new(&benchmarks::dcgan(), job_trainer(5), faults, policy, wear)
+            .expect("runtime assembles");
+    let mut reference = job_trainer(5);
+    let mut rng = StdRng::seed_from_u64(batch_seed(5));
+    // [1, 8, 8] samples into a discriminator that takes [1, 16, 16].
+    let wrong = vec![Tensor::filled(&[1, 8, 8], 0.5); 2];
+    let mut rejected = 0;
+    for step in 0..15 {
+        if step % 3 == 1 {
+            let before = rt.report().clone();
+            match rt.step(&wrong) {
+                Err(RecoveryError::Train(TrainError::ShapeMismatch { .. })) => rejected += 1,
+                other => panic!("step {step}: expected a shape mismatch, got {other:?}"),
+            }
+            assert_eq!(
+                rt.report().steps,
+                before.steps,
+                "a rejected batch is no step"
+            );
+            assert_eq!(rt.report().total_latency_ns(), before.total_latency_ns());
+        }
+        let reals = batch(&mut rng);
+        reference.train_step(&reals);
+        rt.step(&reals).expect("a well-shaped batch trains");
+    }
+    assert_eq!(rejected, 5);
+    assert!(
+        rt.report().rolled_back > 0 && rt.report().replayed_steps > 0,
+        "the run must replay buffered batches: {:?}",
+        rt.report()
+    );
+    // A replayed rejected batch would have failed the rollback, or moved
+    // the trajectory off the reference's.
+    assert_eq!(rt.into_trainer().checkpoint(), reference.checkpoint());
+}

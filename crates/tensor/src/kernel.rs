@@ -23,13 +23,13 @@
 //! Only AVX blocks put several tiles side by side; the scalar kernel runs
 //! one tile of up to [`MR`] rows at a time.
 //!
-//! A tile's eight lanes are read by their layout ([`Lanes`]): one
+//! A tile's eight lanes are read by their layout (`Lanes`): one
 //! contiguous run — columns of a row-major matrix, or positions along one
 //! window row — is one vector load per reduction step; two runs of four —
 //! the positions of a 4 × 4 window grid, two window rows per tile — are
 //! two 128-bit loads joined in one register; any other layout is loaded
-//! lane by lane. A [`Table`] plans its tiles' layouts once, when it is
-//! built, and a [`Pitch`] knows them in constant time, so no GEMM scans
+//! lane by lane. A `Table` plans its tiles' layouts once, when it is
+//! built, and a `Pitch` knows them in constant time, so no GEMM scans
 //! its offsets per call (one that reads only part of a table scans its
 //! last, shorter tile).
 //!
