@@ -1,9 +1,9 @@
 //! The assembled LerGAN accelerator model.
 //!
 //! [`LerGan`] binds a compiled GAN (ZFDM mappings) to the 3D-connected PIM
-//! (or, for the comparison configurations, to plain H-tree banks), replays
-//! the memory controller's iteration script as a task graph on the
-//! discrete-event engine, and reports latency plus a full energy
+//! (or, for the comparison configurations, to plain H-tree banks), lowers
+//! one training iteration to a task graph on the discrete-event engine
+//! ([`crate::schedule`]), and reports latency plus a full energy
 //! breakdown.
 //!
 //! ## Structure of one iteration (Fig. 13)

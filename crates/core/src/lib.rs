@@ -1,5 +1,5 @@
 //! LerGAN core: Zero-Free Data Reshaping (ZFDR), the ZFDM compiler, the
-//! memory-controller FSM and the LerGAN accelerator model.
+//! Fig. 13 iteration lowering and the LerGAN accelerator model.
 //!
 //! This crate implements the paper's primary contribution (Sec. IV–V):
 //!
@@ -15,11 +15,10 @@
 //! * [`compiler`] — ZFDM + DataMapping: maps every (phase, layer) workload
 //!   onto CArray storage and MMV cycles under a chosen reshape scheme and
 //!   duplication degree;
-//! * [`controller`] — the finite-state machine that sequences Fig. 13's
-//!   dataflows (mode switches, mappings, phase execution, updates);
-//! * [`schedule`] — the generic lowering from the shared op graph
+//! * [`schedule`] — the lowering from the shared op graph
 //!   ([`lergan_gan::ir::OpGraph`]) plus tile allocations and fault state to
-//!   the discrete-event task graph, with per-op task labels;
+//!   the discrete-event task graph of one Fig. 13 iteration (mode switches,
+//!   mappings, phase runs, transfers, updates), with per-op task labels;
 //! * [`lergan`] — the assembled accelerator: compiled GAN + 3D-connected
 //!   PIM + energy/latency reporting via the discrete-event engine.
 //!
@@ -39,7 +38,6 @@
 //! ```
 
 pub mod compiler;
-pub mod controller;
 pub mod fault;
 pub mod lergan;
 pub mod link;

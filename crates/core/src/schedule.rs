@@ -1,23 +1,21 @@
-//! Generic lowering of an op graph onto the discrete-event engine.
+//! Lowering of an op graph onto the discrete-event engine.
 //!
 //! This module turns the op-graph IR ([`lergan_gan::ir::OpGraph`], carried
 //! inside a [`CompiledGan`]) plus a tile allocation and the (fault-aware)
 //! interconnect into the labelled `lergan-sim` task graph of one training
-//! iteration — the Fig. 13 script: per-op transfer/compute chains on each
+//! iteration in Fig. 13's order: per-op transfer/compute chains on each
 //! phase's bank, mapping writes overlapped with sibling phases, inter-model
-//! transfers on the bypass/bus, and the two weight updates.
+//! transfers on the bypass/bus, and the two weight updates. It is the
+//! simulator's only description of that order.
 //!
 //! It is the third consumer of the IR (after the analytic workload view and
 //! the functional trainer): every compute/transfer task is labelled with
 //! its op, so callers can join schedule times back to individual
 //! [`PhaseOp`](lergan_gan::ir::PhaseOp)s — per-op latency/energy instead of
 //! per-phase aggregates. [`LerGan`](crate::LerGan) drives this lowering and
-//! rolls the result into a [`TrainingReport`](crate::TrainingReport);
-//! alternative schedules (pipelined, batched, dual-generator) can reuse the
-//! same entry point with a different script.
+//! rolls the result into a [`TrainingReport`](crate::TrainingReport).
 
 use crate::compiler::{CompiledGan, Connection, ReshapeScheme};
-use crate::controller::MemoryController;
 use crate::lergan::CostModel;
 use crate::mapping::TileAllocation;
 use lergan_gan::ir::{BankSlot, OpId};
@@ -84,7 +82,7 @@ pub struct LoweredIteration {
 }
 
 /// Lowers one training iteration of `ctx`'s op graph into an engine task
-/// graph following the Fig. 13 controller script.
+/// graph in Fig. 13's order.
 ///
 /// # Panics
 ///
@@ -394,7 +392,7 @@ impl<'a> Lowering<'a> {
             // residual edge in the op graph) also feeds this op. Its
             // stashed output rides the bank's wires from the producer's
             // tiles, and compute waits on that stream too. Cross-phase
-            // producers are ordered by the Fig. 13 script instead.
+            // producers are ordered by `build` instead.
             let mut skip_deps: Vec<TaskId> = Vec::new();
             for p in self.ctx.compiled.graph.producers(op.id) {
                 let Some(pi) = p.0.checked_sub(base).filter(|&pi| pi < ops.len()) else {
@@ -538,14 +536,25 @@ impl<'a> Lowering<'a> {
             .add_task(TaskSpec::new(label, dur).on(self.cross_res).after(dep))
     }
 
-    // ---- the Fig. 13 script ---------------------------------------------
+    // ---- the Fig. 13 iteration ------------------------------------------
 
+    /// Emits one iteration in Fig. 13's order, with real durations and the
+    /// figure's overlaps. One `configure switches` task at the start
+    /// charges the iteration's mode switches.
+    ///
+    /// Half (a) trains the discriminator. B2 and B3 (G-w, G←) stay in
+    /// Smode as plain memory; B1 and B4–B6 compute in Cmode. D-w and D←
+    /// are mapped while D→ runs: D← from the start of the half, D-w once
+    /// the generated samples reach the discriminator.
+    ///
+    /// Half (b) trains the generator with every bank in Cmode. G→, D→ and
+    /// D← run again while G-w, G← and D← are mapped, and D←'s input error
+    /// crosses B6 → B3 to start G←.
+    ///
+    /// Each update runs after its model's ∇weight phase, with that model's
+    /// banks back in Smode: gradients stream out to the CPU and the new
+    /// weights are written back over the bus/bypass resource.
     fn build(mut self) -> Result<LoweredIteration, RouteError> {
-        // The FSM defines ordering; here we instantiate it with real
-        // durations and the Fig. 13 overlaps. (Debug builds check that the
-        // FSM walks a script; release builds do not run it at all.)
-        debug_assert!(!MemoryController::iteration_script().is_empty());
-
         let mode_switch = self.engine.add_task(TaskSpec::new(
             "configure switches",
             self.ctx.cost.switch_config_ns,

@@ -613,16 +613,6 @@ impl ThreeDcu {
     pub fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
         self.fabric.route(from, to, mode)
     }
-
-    /// Number of switches at a node: two on the middle bank, one
-    /// elsewhere ("only nodes in Bank 2 have two switches").
-    pub fn switches_at(bank: usize) -> usize {
-        if bank == 1 {
-            2
-        } else {
-            1
-        }
-    }
 }
 
 /// Two 3DCUs joined by bypass links — the mapping unit for one GAN.
@@ -1019,12 +1009,5 @@ mod tests {
                 b.route(Endpoint::tile(0, 0), Endpoint::tile(0, t), Mode::Cmode),
             );
         }
-    }
-
-    #[test]
-    fn switch_counts_by_bank() {
-        assert_eq!(ThreeDcu::switches_at(0), 1);
-        assert_eq!(ThreeDcu::switches_at(1), 2);
-        assert_eq!(ThreeDcu::switches_at(2), 1);
     }
 }

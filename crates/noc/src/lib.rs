@@ -14,8 +14,14 @@
 //!   (reconfigured for a dataflow);
 //! * [`dcu::DcuPair`] — two 3DCUs joined by direct top/bottom bypass links
 //!   (Fig. 13), the unit a GAN (generator + discriminator) maps onto;
-//! * [`flows`] — concurrent-flow scheduling with switch-conflict
-//!   serialisation, used by the simulator to charge contention.
+//! * [`fault`] — stuck switches and severed wires the router detours
+//!   around;
+//! * [`transient`] — CRC-checked transfers over wires with transient
+//!   faults.
+//!
+//! Routes charge wire latency and energy only. Neither switch-capacity
+//! conflicts between concurrent Cmode flows nor the bypassable adders'
+//! in-network partial-sum merges are modelled.
 //!
 //! # Example
 //!
@@ -34,18 +40,13 @@
 pub mod config;
 pub mod dcu;
 pub mod fault;
-pub mod flows;
 pub mod htree;
-pub mod reduction;
-pub mod switch;
 pub mod transient;
 
 pub use config::NocConfig;
 pub use dcu::{DcuPair, Endpoint, Mode, Route, RouteError, ThreeDcu};
 pub use fault::LinkFaults;
-pub use flows::{Flow, FlowSchedule};
 pub use htree::HTree;
-pub use switch::{SwitchConfig, SwitchError, SwitchState};
 pub use transient::{
     checked_transfer, crc32, route_wires, timeout_ns, BurstEpisode, CheckedTransfer,
     TransientFaults, TransientOutcome, WireId,

@@ -300,6 +300,11 @@ impl Engine {
         TaskId(self.tasks.len() - 1)
     }
 
+    /// Every task's id, in insertion order.
+    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
+        (0..self.tasks.len()).map(TaskId)
+    }
+
     /// Label of a task.
     pub fn label(&self, t: TaskId) -> &str {
         &self.tasks[t.0].label
@@ -660,6 +665,7 @@ mod tests {
         assert_eq!(s.finish_ns(b), 15.0);
         assert_eq!(s.finish_ns(c), 16.0);
         assert_eq!(s.makespan_ns(), 16.0);
+        assert_eq!(e.task_ids().collect::<Vec<_>>(), [a, b, c]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! cargo run --release --example interconnect_playground
 //! ```
 
-use lergan::noc::reduction::{gather_reduction, tree_reduction};
-use lergan::noc::{DcuPair, Endpoint, Flow, FlowSchedule, Mode, NocConfig, ThreeDcu};
+use lergan::noc::{DcuPair, Endpoint, Mode, NocConfig, ThreeDcu};
 
 fn main() {
     let cfg = NocConfig::default();
@@ -78,59 +77,5 @@ fn main() {
         e_bypass / 1e3,
         t_bus / 1e3,
         e_bus / 1e3
-    );
-
-    println!("\n--- switch contention ---");
-    // Sixteen vertical flows through distinct switches: no serialisation.
-    let mut disjoint = FlowSchedule::new();
-    for t in 0..16 {
-        let r = dcu
-            .route(
-                Endpoint::tile(0, t),
-                Endpoint::pair_tile(0, 1, t),
-                Mode::Cmode,
-            )
-            .unwrap();
-        disjoint.push(Flow::new(r, 4096));
-    }
-    let out = disjoint.resolve(&cfg);
-    println!(
-        "16 vertically-aligned flows: contention {}x, makespan {:.1} us",
-        out.worst_contention,
-        out.makespan_ns / 1e3
-    );
-    // Partial-sum reduction: in-network adders vs H-tree gather.
-    println!("\n--- bypassable adders: merging 32 row-tile partial sums ---");
-    let t = tree_reduction(32, 512, &cfg);
-    let g = gather_reduction(32, 512, &cfg);
-    println!(
-        "in-network (Cmode adders): {:.1} ns, {:.2} nJ, {} adders engaged",
-        t.latency_ns,
-        t.energy_pj / 1e3,
-        t.adders_used
-    );
-    println!(
-        "H-tree gather (no adders): {:.1} ns, {:.2} nJ",
-        g.latency_ns,
-        g.energy_pj / 1e3
-    );
-
-    // Sixteen flows through the same tile's switches: serialised.
-    let mut clashing = FlowSchedule::new();
-    let r = dcu
-        .route(
-            Endpoint::tile(0, 0),
-            Endpoint::pair_tile(0, 1, 0),
-            Mode::Cmode,
-        )
-        .unwrap();
-    for _ in 0..16 {
-        clashing.push(Flow::new(r.clone(), 4096));
-    }
-    let out = clashing.resolve(&cfg);
-    println!(
-        "16 flows through one switch:   contention {}x, makespan {:.1} us",
-        out.worst_contention,
-        out.makespan_ns / 1e3
     );
 }
