@@ -21,7 +21,7 @@ use lergan_gan::ir::{OpGraph, OpId, PhaseOp};
 use lergan_gan::workload::{ConvWorkload, WorkloadKind};
 use lergan_gan::{GanSpec, Phase};
 use lergan_reram::{CrossbarLayout, ReramConfig};
-use lergan_tensor::TconvGeometry;
+use lergan_tensor::{DconvAxis, TconvGeometry, WconvGeometry};
 use std::time::Instant;
 
 /// Interconnect family the compiled plan targets.
@@ -230,13 +230,23 @@ pub fn compile_with_bank_tiles(
     // one hop up and one down.
     let tile_transfer_ns = 2.0 * config.htree_hop_latency_ns();
     let graph = OpGraph::build(gan);
+    let mut plans = Plans::default();
     let mut phases = Vec::with_capacity(6);
     for phase in Phase::ALL {
         let bank_tiles = bank_tiles_for(phase).max(1);
         let layers = graph
             .phase_ops(phase)
             .iter()
-            .map(|op| map_layer(op, options, config, tile_transfer_ns, bank_tiles))
+            .map(|op| {
+                map_layer(
+                    op,
+                    options,
+                    config,
+                    tile_transfer_ns,
+                    bank_tiles,
+                    &mut plans,
+                )
+            })
             .collect();
         phases.push(CompiledPhase { phase, layers });
     }
@@ -260,12 +270,49 @@ pub fn space_equalization_factor(lergan: &CompiledGan, prime: &CompiledGan) -> u
     ((z / n) as usize).max(1)
 }
 
+/// The geometry a ZFDR plan is enumerated from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PlanKey {
+    Tconv(TconvGeometry),
+    Wconv(WconvGeometry),
+    /// One axis of a symmetric D-CONV geometry.
+    Dconv(DconvAxis),
+}
+
+/// The ZFDR plans one compile has enumerated, each once: a plan is a pure
+/// function of its geometry, and the layers of a GAN (with the converse
+/// T-CONVs Eq. 14 and the NS scheme size against) repeat a handful of
+/// geometries. A compile asks for a few distinct ones, so a linear search
+/// beats hashing them.
+#[derive(Debug, Default)]
+struct Plans(Vec<(PlanKey, ZfdrPlan)>);
+
+impl Plans {
+    /// The plan of `key`, enumerated on first use.
+    fn get(&mut self, key: PlanKey) -> &ZfdrPlan {
+        let i = match self.0.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                let plan = match &key {
+                    PlanKey::Tconv(g) => ZfdrPlan::for_tconv(g),
+                    PlanKey::Wconv(g) => ZfdrPlan::for_wconv(g),
+                    PlanKey::Dconv(axis) => ZfdrPlan::for_dconv(axis),
+                };
+                self.0.push((key, plan));
+                self.0.len() - 1
+            }
+        };
+        &self.0[i].1
+    }
+}
+
 fn map_layer(
     op: &PhaseOp,
     options: CompilerOptions,
     config: &ReramConfig,
     tile_transfer_ns: f64,
     bank_tiles: usize,
+    plans: &mut Plans,
 ) -> MappedLayer {
     let workload = op.workload.clone();
     let degree = options.degree_for(op.phase);
@@ -274,7 +321,7 @@ fn map_layer(
     // Only the ZFDR scheme maps reshape classes; NR and NS map
     // zero-inserted operands dense, so they need no plan here.
     let plan = if options.scheme == ReshapeScheme::Zfdr {
-        zfdr_plan(&workload)
+        zfdr_plan_key(&workload).map(|key| plans.get(key))
     } else {
         None
     };
@@ -290,7 +337,7 @@ fn map_layer(
         };
         let mut replicas = replica::plan_for_degree(
             degree,
-            &plan,
+            plan,
             &summaries,
             channel_factor,
             config,
@@ -358,7 +405,7 @@ fn map_layer(
         // Dense mapping (always used for Dense workloads; used for
         // zero-inserted ones under Normal/NS schemes).
         let mut replicas =
-            dense_scheme_replicas(&workload, degree, options, config, tile_transfer_ns);
+            dense_scheme_replicas(&workload, degree, options, config, tile_transfer_ns, plans);
         // Space-aware clamp: one layer's copies must fit a bank's healthy
         // tiles.
         let base = workload.weight_values.max(dense_operand_values(&workload));
@@ -393,17 +440,17 @@ fn map_layer(
     }
 }
 
-/// The ZFDR plan of a zero-inserted workload; `None` for dense workloads
-/// and for D-CONV geometries that map dense.
-fn zfdr_plan(w: &ConvWorkload) -> Option<ZfdrPlan> {
+/// The geometry of a zero-inserted workload's ZFDR plan; `None` for dense
+/// workloads and for D-CONV geometries that map dense.
+fn zfdr_plan_key(w: &ConvWorkload) -> Option<PlanKey> {
     match &w.kind {
         WorkloadKind::Dense => None,
-        WorkloadKind::TconvInput(g) => Some(ZfdrPlan::for_tconv(g)),
-        WorkloadKind::WconvKernel(g) => Some(ZfdrPlan::for_wconv(g)),
+        WorkloadKind::TconvInput(g) => Some(PlanKey::Tconv(*g)),
+        WorkloadKind::WconvKernel(g) => Some(PlanKey::Wconv(*g)),
         // Symmetric geometry composes one axis-class set across both
         // dimensions, exactly as T-CONV; asymmetric geometry has no
         // pow-composable plan and maps dense.
-        WorkloadKind::DconvKernel(g) => g.is_symmetric().then(|| ZfdrPlan::for_dconv(&g.rows)),
+        WorkloadKind::DconvKernel(g) => g.is_symmetric().then_some(PlanKey::Dconv(g.rows)),
     }
 }
 
@@ -472,6 +519,7 @@ fn dense_scheme_replicas(
     options: CompilerOptions,
     config: &ReramConfig,
     tile_transfer_ns: f64,
+    plans: &mut Plans,
 ) -> usize {
     match options.scheme {
         ReshapeScheme::Normal => 1,
@@ -481,12 +529,12 @@ fn dense_scheme_replicas(
             match &w.kind {
                 WorkloadKind::Dense => 1,
                 WorkloadKind::TconvInput(g) => {
-                    let plan = ZfdrPlan::for_tconv(g);
+                    let plan = plans.get(PlanKey::Tconv(*g));
                     let summaries = plan.kind_summaries(w.dims);
                     let pairs = w.in_channels as u128 * w.out_channels as u128;
                     let rp = replica::plan_for_degree(
                         ReplicaDegree::Low,
-                        &plan,
+                        plan,
                         &summaries,
                         pairs,
                         config,
@@ -504,12 +552,12 @@ fn dense_scheme_replicas(
             match &w.kind {
                 WorkloadKind::Dense if w.weight_values > 0 => {
                     if let Some(g) = converse_tconv(w) {
-                        let plan = ZfdrPlan::for_tconv(&g);
+                        let plan = plans.get(PlanKey::Tconv(g));
                         let summaries = plan.kind_summaries(w.dims);
                         let pairs = w.in_channels as u128 * w.out_channels as u128;
                         let rp = replica::plan_for_degree(
                             degree,
-                            &plan,
+                            plan,
                             &summaries,
                             pairs,
                             config,

@@ -24,7 +24,7 @@ use crate::mapping::{MappingError, TileAllocation};
 use crate::replica::ReplicaDegree;
 use crate::schedule::{self, ScheduleContext};
 use lergan_gan::{GanSpec, Phase};
-use lergan_noc::{DcuPair, NocConfig};
+use lergan_noc::{DcuPair, Endpoint, NocConfig};
 use lergan_reram::{EnergyCounts, EnergyModel, ReramConfig, TileEnergyBreakdown};
 use lergan_sim::Breakdown;
 use std::collections::{BTreeSet, HashMap};
@@ -87,6 +87,13 @@ pub enum BuildError {
     Fault(FaultError),
     /// Tile allocation failed.
     Mapping(MappingError),
+    /// The interconnect's tile count is one the lowering cannot address:
+    /// its transfers name tile leaves by [`Endpoint::pair_tile`], which
+    /// knows only [`Endpoint::TILES_PER_BANK`] leaves per bank.
+    TilesPerBank {
+        /// The configured [`NocConfig::tiles_per_bank`].
+        tiles_per_bank: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -104,6 +111,11 @@ impl fmt::Display for BuildError {
             ),
             BuildError::Fault(e) => write!(f, "{e}"),
             BuildError::Mapping(e) => write!(f, "{e}"),
+            BuildError::TilesPerBank { tiles_per_bank } => write!(
+                f,
+                "the interconnect addresses {} tiles per bank, not {tiles_per_bank}",
+                Endpoint::TILES_PER_BANK
+            ),
         }
     }
 }
@@ -203,10 +215,16 @@ impl LerGanBuilder {
     ///
     /// Returns [`BuildError`] if any single layer's mapping exceeds one
     /// bank's CArray capacity (the compiler cannot split a single reshaped
-    /// matrix across banks), or [`BuildError::Fault`] when the fault
+    /// matrix across banks), [`BuildError::Fault`] when the fault
     /// scenario leaves too few tiles or (through severed tree links) a
-    /// transfer with no route.
+    /// transfer with no route, or [`BuildError::TilesPerBank`] for an
+    /// interconnect tile count other than [`Endpoint::TILES_PER_BANK`].
     pub fn build(self) -> Result<LerGan, BuildError> {
+        if self.noc.tiles_per_bank != Endpoint::TILES_PER_BANK {
+            return Err(BuildError::TilesPerBank {
+                tiles_per_bank: self.noc.tiles_per_bank,
+            });
+        }
         let options = CompilerOptions {
             scheme: self.scheme,
             degree: self.degree,

@@ -20,7 +20,7 @@ use crate::lergan::CostModel;
 use crate::mapping::TileAllocation;
 use lergan_gan::ir::{BankSlot, OpId};
 use lergan_gan::{GanSpec, Phase};
-use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, Route, RouteError};
+use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, RouteError};
 use lergan_reram::{EnergyCounts, ReramConfig};
 use lergan_sim::engine::{Engine, ResourceId, TaskId, TaskSpec};
 use lergan_sim::Breakdown;
@@ -35,7 +35,8 @@ pub struct ScheduleContext<'a> {
     pub compiled: &'a CompiledGan,
     /// The (fault-aware) tile allocation of each phase.
     pub allocs: &'a HashMap<Phase, TileAllocation>,
-    /// The (fault-aware) interconnect.
+    /// The (fault-aware) interconnect. Transfers are costed under its own
+    /// configuration, which should be [`noc`](Self::noc).
     pub pair: &'a DcuPair,
     /// ReRAM timing/size parameters.
     pub reram: &'a ReramConfig,
@@ -102,8 +103,7 @@ pub(crate) fn try_lower_iteration(
     Lowering::new(ctx).build()
 }
 
-/// A transfer's endpoints and routing mode: the key of the lowering's
-/// route cache.
+/// A transfer's endpoints and routing mode.
 type Leg = (Endpoint, Endpoint, Mode);
 
 /// Fixed labels of one phase: its compute resource, its mapping task and
@@ -175,9 +175,6 @@ struct Lowering<'a> {
     /// Wire resource of each (side, bank).
     wire_res: [[ResourceId; 3]; 2],
     cross_res: ResourceId,
-    /// Every leg routed so far with its route. A lowering asks for a few
-    /// dozen distinct legs, so a linear search beats hashing them.
-    routes: Vec<(Leg, Route)>,
     batch: u64,
     t_m: f64,
 }
@@ -205,7 +202,6 @@ impl<'a> Lowering<'a> {
             compute_res,
             wire_res,
             cross_res,
-            routes: Vec::new(),
             batch: ctx.compiled.batch_size as u64,
             t_m: ctx.reram.mmv_latency_ns(),
             ctx,
@@ -218,20 +214,10 @@ impl<'a> Lowering<'a> {
 
     // ---- routes ---------------------------------------------------------
 
-    /// Latency and energy of moving `values` along `leg`. Routes are pure
-    /// functions of the fabric, so each distinct leg is searched once per
-    /// lowering and reused for every later transfer over it.
-    fn transfer(&mut self, leg: Leg, values: u64) -> Result<(f64, f64), RouteError> {
-        let i = match self.routes.iter().position(|(l, _)| *l == leg) {
-            Some(i) => i,
-            None => {
-                let (from, to, mode) = leg;
-                self.routes
-                    .push((leg, self.ctx.pair.route(from, to, mode)?));
-                self.routes.len() - 1
-            }
-        };
-        Ok(self.routes[i].1.transfer(values, self.ctx.noc))
+    /// Latency and energy of moving `values` along `leg`, over the pair's
+    /// memoised route: each distinct leg is searched once per fabric.
+    fn transfer(&self, (from, to, mode): Leg, values: u64) -> Result<(f64, f64), RouteError> {
+        self.ctx.pair.transfer(from, to, mode, values)
     }
 
     /// Leg of an intra-phase hop between two physical tiles of the

@@ -88,6 +88,49 @@ impl NocConfig {
     pub fn width_bits_at(&self, level: u32) -> u32 {
         (self.root_width_bits >> level).max(128)
     }
+
+    /// Whether two configurations agree bit for bit, floats compared by
+    /// their bits (`0.0` and `-0.0` differ; a NaN field matches the same
+    /// NaN). Fabrics built from identical configurations route
+    /// identically, which `PartialEq`'s float comparison cannot promise.
+    pub(crate) fn is_identical(&self, other: &NocConfig) -> bool {
+        // Destructured without `..`, so a new field must be compared here.
+        let NocConfig {
+            tiles_per_bank,
+            hop_latency_ns,
+            hop_energy_pj,
+            horizontal_latency_factor,
+            horizontal_energy_factor,
+            vertical_latency_factor,
+            vertical_energy_factor,
+            bypass_latency_ns,
+            bypass_energy_pj,
+            bus_latency_ns,
+            bus_energy_pj,
+            root_width_bits,
+            wire_cycle_ns,
+            values_per_access,
+            cmode_parallel_channels,
+        } = self;
+        let floats = [
+            (hop_latency_ns, other.hop_latency_ns),
+            (hop_energy_pj, other.hop_energy_pj),
+            (horizontal_latency_factor, other.horizontal_latency_factor),
+            (horizontal_energy_factor, other.horizontal_energy_factor),
+            (vertical_latency_factor, other.vertical_latency_factor),
+            (vertical_energy_factor, other.vertical_energy_factor),
+            (bypass_latency_ns, other.bypass_latency_ns),
+            (bypass_energy_pj, other.bypass_energy_pj),
+            (bus_latency_ns, other.bus_latency_ns),
+            (bus_energy_pj, other.bus_energy_pj),
+            (wire_cycle_ns, other.wire_cycle_ns),
+        ];
+        *tiles_per_bank == other.tiles_per_bank
+            && *root_width_bits == other.root_width_bits
+            && *values_per_access == other.values_per_access
+            && *cmode_parallel_channels == other.cmode_parallel_channels
+            && floats.iter().all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 #[cfg(test)]

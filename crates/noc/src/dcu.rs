@@ -21,7 +21,9 @@ use crate::config::NocConfig;
 use crate::fault::LinkFaults;
 use crate::htree::HTree;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Interconnect operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,13 +63,15 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
+    /// Tiles per bank that [`tile`](Self::tile) and
+    /// [`pair_tile`](Self::pair_tile) address: their leaves are the heap
+    /// nodes `16..32` of a 16-tile bank. On a fabric with another
+    /// `tiles_per_bank` they name internal nodes or no node at all.
+    pub const TILES_PER_BANK: usize = 16;
+
     /// Endpoint at a tile leaf of side 0.
     pub fn tile(bank: usize, tile: usize) -> Self {
-        Endpoint {
-            side: 0,
-            bank,
-            node: 16 + tile,
-        }
+        Self::pair_tile(0, bank, tile)
     }
 
     /// Endpoint at a tile leaf of an explicit side (for [`DcuPair`]).
@@ -75,7 +79,7 @@ impl Endpoint {
         Endpoint {
             side,
             bank,
-            node: 16 + tile,
+            node: Self::TILES_PER_BANK + tile,
         }
     }
 }
@@ -94,15 +98,26 @@ pub enum RouteError {
         /// Mode the route was attempted in.
         mode: Mode,
     },
+    /// An endpoint names no vertex of the fabric: its side, bank or heap
+    /// node is out of range.
+    NoSuchEndpoint {
+        /// The offending endpoint.
+        endpoint: Endpoint,
+    },
 }
 
-impl std::fmt::Display for RouteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for RouteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RouteError::Unreachable { from, to, mode } => write!(
                 f,
                 "no route from (s{},b{},n{}) to (s{},b{},n{}) in {mode:?}: fabric partitioned",
                 from.side, from.bank, from.node, to.side, to.bank, to.node
+            ),
+            RouteError::NoSuchEndpoint { endpoint: e } => write!(
+                f,
+                "endpoint (s{},b{},n{}) is not a vertex of the fabric",
+                e.side, e.bank, e.node
             ),
         }
     }
@@ -285,6 +300,17 @@ impl Fabric {
         (e.side * BANKS + e.bank) * self.nodes_per_bank() + e.node
     }
 
+    /// Vertex id of an endpoint, or a typed error for one outside the
+    /// fabric (which [`vertex`](Self::vertex) would alias onto another
+    /// bank's node).
+    fn checked_vertex(&self, e: Endpoint) -> Result<usize, RouteError> {
+        if e.side < self.sides && e.bank < BANKS && (1..self.nodes_per_bank()).contains(&e.node) {
+            Ok(self.vertex(e))
+        } else {
+            Err(RouteError::NoSuchEndpoint { endpoint: e })
+        }
+    }
+
     fn endpoint_of(&self, v: usize) -> Option<Endpoint> {
         let npb = self.nodes_per_bank();
         if v >= self.sides * BANKS * npb {
@@ -441,7 +467,7 @@ impl Fabric {
     /// the push) are skipped.
     fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
         let adj = self.adjacency(mode);
-        let (src, dst) = (self.vertex(from), self.vertex(to));
+        let (src, dst) = (self.checked_vertex(from)?, self.checked_vertex(to)?);
         if src == dst {
             return Ok(Route::nil());
         }
@@ -609,20 +635,59 @@ impl ThreeDcu {
     ///
     /// Returns [`RouteError::Unreachable`] when severed tree links have
     /// partitioned an endpoint off the fabric (added-wire faults alone
-    /// never do — the H-tree fallback always remains).
+    /// never do — the H-tree fallback always remains), and
+    /// [`RouteError::NoSuchEndpoint`] for an endpoint outside the unit.
     pub fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
         self.fabric.route(from, to, mode)
     }
 }
 
+/// A transfer's endpoints and routing mode: the key of a pair's route
+/// memo.
+type Leg = (Endpoint, Endpoint, Mode);
+
 /// Two 3DCUs joined by bypass links — the mapping unit for one GAN.
-#[derive(Debug, Clone)]
+///
+/// A pair is a cheap handle: clones share one immutable fabric and one
+/// memo of the routes asked of it so far, keyed by `(from, to, mode)`.
+/// Each leg is searched once per fabric, and an [`Unreachable`]
+/// answer is kept like a route. Routes are pure functions of the fabric
+/// (see the search's tie-breaking), so a memoised answer is the answer a
+/// fresh search would give.
+///
+/// [`with_faults`](Self::with_faults) interns pairs: a build under a
+/// configuration and fault set identical to one of the
+/// [`INTERNED_PAIRS`](Self::INTERNED_PAIRS) most recently built or
+/// reused pairs returns that pair, memo included, so design points that
+/// share a fabric share its routes. A memo holds at most one entry per
+/// ordered pair of vertices and mode, and lives as long as a handle to
+/// its pair does.
+///
+/// [`Unreachable`]: RouteError::Unreachable
+#[derive(Clone)]
 pub struct DcuPair {
-    fabric: Fabric,
+    inner: Arc<PairInner>,
 }
 
+/// The shared state behind a [`DcuPair`] handle.
+struct PairInner {
+    fabric: Fabric,
+    /// The fault set the fabric was built under (the interning key, with
+    /// the fabric's configuration).
+    faults: LinkFaults,
+    /// Every leg routed so far. An entry is inserted whole, so a lock
+    /// poisoned by a panicking thread still guards a valid memo.
+    routes: Mutex<HashMap<Leg, Result<Arc<Route>, RouteError>>>,
+}
+
+/// The interned pairs, most recently used first.
+static INTERNED: Mutex<Vec<DcuPair>> = Mutex::new(Vec::new());
+
 impl DcuPair {
-    /// Builds the pair.
+    /// How many pairs the interner keeps.
+    pub const INTERNED_PAIRS: usize = 8;
+
+    /// Builds (or reuses) the pristine pair.
     pub fn new(cfg: &NocConfig) -> Self {
         Self::with_faults(cfg, &LinkFaults::none())
     }
@@ -632,15 +697,48 @@ impl DcuPair {
     /// faultable, and tree wires only through the explicit
     /// [`LinkFaults::sever_tree`] beyond-redundancy escape hatch — so
     /// added-wire faults only lengthen routes, never break reachability.
+    ///
+    /// Returns the interned pair when one was built under a bit-identical
+    /// configuration and an equal fault set (see [`DcuPair`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.tiles_per_bank` is not a power of two (see
+    /// [`NocConfig::levels`]).
     pub fn with_faults(cfg: &NocConfig, faults: &LinkFaults) -> Self {
-        DcuPair {
-            fabric: Fabric::new(cfg, 2, faults),
+        let lookup = |pairs: &mut Vec<DcuPair>| {
+            let i = pairs
+                .iter()
+                .position(|p| p.inner.fabric.cfg.is_identical(cfg) && p.inner.faults == *faults)?;
+            pairs[..=i].rotate_right(1);
+            Some(pairs[0].clone())
+        };
+        let interned = || INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pair) = lookup(&mut interned()) {
+            return pair;
         }
+        // Built outside the lock: a build that panics leaves the interner
+        // as it was.
+        let built = DcuPair {
+            inner: Arc::new(PairInner {
+                fabric: Fabric::new(cfg, 2, faults),
+                faults: faults.clone(),
+                routes: Mutex::new(HashMap::new()),
+            }),
+        };
+        let mut pairs = interned();
+        // Another thread may have built the same pair meanwhile.
+        if let Some(pair) = lookup(&mut pairs) {
+            return pair;
+        }
+        pairs.insert(0, built.clone());
+        pairs.truncate(Self::INTERNED_PAIRS);
+        built
     }
 
     /// The interconnect configuration.
     pub fn config(&self) -> &NocConfig {
-        &self.fabric.cfg
+        &self.inner.fabric.cfg
     }
 
     /// Routes between two endpoints of the pair.
@@ -648,9 +746,61 @@ impl DcuPair {
     /// # Errors
     ///
     /// Returns [`RouteError::Unreachable`] when severed tree links have
-    /// partitioned an endpoint off the fabric.
+    /// partitioned an endpoint off the fabric, and
+    /// [`RouteError::NoSuchEndpoint`] for an endpoint outside the pair.
     pub fn route(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Route, RouteError> {
-        self.fabric.route(from, to, mode)
+        self.memoised(from, to, mode).map(|r| Route::clone(&r))
+    }
+
+    /// Latency and energy of moving `values` 16-bit values from `from` to
+    /// `to` (see [`Route::transfer`]), over the memoised route and under
+    /// the pair's own configuration.
+    ///
+    /// # Errors
+    ///
+    /// As [`route`](Self::route).
+    pub fn transfer(
+        &self,
+        from: Endpoint,
+        to: Endpoint,
+        mode: Mode,
+        values: u64,
+    ) -> Result<(f64, f64), RouteError> {
+        Ok(self
+            .memoised(from, to, mode)?
+            .transfer(values, self.config()))
+    }
+
+    /// The memo's answer for a leg, searching the fabric on a miss.
+    /// Endpoints outside the fabric are rejected before the lookup, so the
+    /// memo never grows past the fabric's legs.
+    fn memoised(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Arc<Route>, RouteError> {
+        let fabric = &self.inner.fabric;
+        fabric.checked_vertex(from)?;
+        fabric.checked_vertex(to)?;
+        let leg = (from, to, mode);
+        let memo = || {
+            self.inner
+                .routes
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(answer) = memo().get(&leg) {
+            return answer.clone();
+        }
+        // Searched outside the lock; a racing thread's search gives the
+        // same answer, and the first one inserted is kept.
+        let answer = fabric.route(from, to, mode).map(Arc::new);
+        memo().entry(leg).or_insert(answer).clone()
+    }
+}
+
+impl fmt::Debug for DcuPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DcuPair")
+            .field("config", self.config())
+            .field("faults", &self.inner.faults)
+            .finish_non_exhaustive()
     }
 }
 
@@ -745,6 +895,74 @@ mod tests {
         })
     }
 
+    /// Forgets every route a pair's memo holds, so the next pass over it
+    /// searches cold.
+    fn clear_memo(pair: &DcuPair) {
+        pair.inner
+            .routes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+
+    /// Asserts the memoised [`DcuPair::route`] of every pair in `pairs`
+    /// answers the scan's route for every ordered pair of addressable
+    /// vertices in both modes: a cold pass that interleaves the pairs
+    /// leg by leg, then a warm pass answered from the memos.
+    fn assert_memo_matches_scan(pairs: &[&DcuPair]) -> Result<(), TestCaseError> {
+        for pair in pairs {
+            clear_memo(pair);
+        }
+        let fabric = &pairs[0].inner.fabric;
+        let endpoints: Vec<Endpoint> = (0..fabric.bus_vertex())
+            .filter_map(|v| fabric.endpoint_of(v))
+            .filter(|e| e.node >= 1)
+            .collect();
+        for mode in [Mode::Smode, Mode::Cmode] {
+            for &from in &endpoints {
+                let searches: Vec<Vec<Search>> = pairs
+                    .iter()
+                    .map(|p| scan_search(&p.inner.fabric, from, mode))
+                    .collect();
+                for &to in &endpoints {
+                    for (pair, search) in pairs.iter().zip(&searches) {
+                        let expected = if from == to {
+                            Ok(Route::nil())
+                        } else {
+                            pair.inner.fabric.path(from, to, mode, search)
+                        };
+                        prop_assert_eq!(pair.route(from, to, mode), expected);
+                    }
+                }
+            }
+        }
+        // Warm: every leg is in the memo now, and the heap search is the
+        // scan's route by the cold pass.
+        for pair in pairs {
+            let memo = pair.inner.routes.lock().unwrap().len();
+            prop_assert_eq!(memo, 2 * endpoints.len() * endpoints.len());
+        }
+        for mode in [Mode::Smode, Mode::Cmode] {
+            for &from in &endpoints {
+                for &to in &endpoints {
+                    for pair in pairs {
+                        prop_assert_eq!(
+                            pair.route(from, to, mode),
+                            pair.inner.fabric.route(from, to, mode)
+                        );
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Serialises the tests that build many pairs, or that count on what
+    /// the interner or a shared pair's memo holds from one call to the
+    /// next: both are process-wide, and the tests of a module run in
+    /// parallel.
+    static INTERNER: Mutex<()> = Mutex::new(());
+
     proptest! {
         // Each case checks ~43 k ordered vertex pairs per mode; a few
         // cases cover every fault category many times over.
@@ -752,17 +970,314 @@ mod tests {
 
         #[test]
         fn heap_search_matches_the_linear_scan(faults in combined_faults()) {
+            let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
             let cfg = NocConfig::default();
             assert_heap_matches_scan(&ThreeDcu::with_faults(&cfg, &faults).fabric)?;
-            assert_heap_matches_scan(&DcuPair::with_faults(&cfg, &faults).fabric)?;
+            let faulted = DcuPair::with_faults(&cfg, &faults);
+            assert_heap_matches_scan(&faulted.inner.fabric)?;
+            assert_memo_matches_scan(&[&DcuPair::new(&cfg), &faulted])?;
         }
     }
 
     #[test]
     fn heap_search_matches_the_linear_scan_on_pristine_fabrics() {
+        let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
         let cfg = NocConfig::default();
         assert_heap_matches_scan(&ThreeDcu::new(&cfg).fabric).unwrap();
-        assert_heap_matches_scan(&DcuPair::new(&cfg).fabric).unwrap();
+        let pair = DcuPair::new(&cfg);
+        assert_heap_matches_scan(&pair.inner.fabric).unwrap();
+        assert_memo_matches_scan(&[&pair]).unwrap();
+    }
+
+    #[test]
+    fn equal_builds_share_a_pair_and_its_memo() {
+        let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        let cfg = NocConfig::default();
+        let mut faults = LinkFaults::none();
+        faults.break_vertical(1, 0, 3).stick_switch(0, 2, 5);
+        let a = DcuPair::with_faults(&cfg, &faults);
+        let b = DcuPair::with_faults(&cfg.clone(), &faults.clone());
+        assert!(Arc::ptr_eq(&a.inner, &b.inner));
+        let leg = (
+            Endpoint::tile(0, 0),
+            Endpoint::pair_tile(1, 2, 9),
+            Mode::Cmode,
+        );
+        let route = a.route(leg.0, leg.1, leg.2).unwrap();
+        assert!(b.inner.routes.lock().unwrap().contains_key(&leg));
+        assert_eq!(b.route(leg.0, leg.1, leg.2).unwrap(), route);
+        // A different fault set is a different fabric.
+        let c = DcuPair::new(&cfg);
+        assert!(!Arc::ptr_eq(&a.inner, &c.inner));
+    }
+
+    #[test]
+    fn configs_differing_in_one_route_changing_field_never_share_a_pair() {
+        let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        let base = NocConfig::default();
+        let variants: Vec<(&str, NocConfig)> = vec![
+            (
+                "hop_latency_ns",
+                NocConfig {
+                    hop_latency_ns: 7.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "hop_energy_pj",
+                NocConfig {
+                    hop_energy_pj: 300.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "horizontal_latency_factor",
+                NocConfig {
+                    horizontal_latency_factor: 0.5,
+                    ..base.clone()
+                },
+            ),
+            (
+                "horizontal_energy_factor",
+                NocConfig {
+                    horizontal_energy_factor: 0.5,
+                    ..base.clone()
+                },
+            ),
+            (
+                "vertical_latency_factor",
+                NocConfig {
+                    vertical_latency_factor: 0.1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "vertical_energy_factor",
+                NocConfig {
+                    vertical_energy_factor: 0.1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "bypass_latency_ns",
+                NocConfig {
+                    bypass_latency_ns: 6.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "bypass_energy_pj",
+                NocConfig {
+                    bypass_energy_pj: 240.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "bus_latency_ns",
+                NocConfig {
+                    bus_latency_ns: 60.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "bus_energy_pj",
+                NocConfig {
+                    bus_energy_pj: 2400.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "root_width_bits",
+                NocConfig {
+                    root_width_bits: 64,
+                    ..base.clone()
+                },
+            ),
+            // Equal under `==`, but not the same bits.
+            (
+                "vertical_latency_factor = 0.0",
+                NocConfig {
+                    vertical_latency_factor: 0.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "vertical_latency_factor = -0.0",
+                NocConfig {
+                    vertical_latency_factor: -0.0,
+                    ..base.clone()
+                },
+            ),
+        ];
+        let pristine = DcuPair::new(&base);
+        // Warm the default pair's memo over every tile leg first, so a
+        // variant that wrongly shared it would answer from it.
+        let legs: Vec<Leg> = (0..2)
+            .flat_map(|side| (0..3).flat_map(move |bank| (0..16).map(move |t| (side, bank, t))))
+            .flat_map(|(side, bank, t)| {
+                [Mode::Smode, Mode::Cmode].map(|mode| {
+                    (
+                        Endpoint::tile(0, 0),
+                        Endpoint::pair_tile(side, bank, t),
+                        mode,
+                    )
+                })
+            })
+            .collect();
+        for &(from, to, mode) in &legs {
+            pristine.route(from, to, mode).unwrap();
+        }
+        let mut built = vec![pristine.clone()];
+        for (field, cfg) in &variants {
+            let pair = DcuPair::new(cfg);
+            assert!(
+                built.iter().all(|b| !Arc::ptr_eq(&pair.inner, &b.inner)),
+                "{field}"
+            );
+            built.push(pair.clone());
+            assert!(pair.config().is_identical(cfg), "{field}");
+            let fresh = Fabric::new(cfg, 2, &LinkFaults::none());
+            let mut moved = false;
+            for &(from, to, mode) in &legs {
+                let got = pair.route(from, to, mode).unwrap();
+                assert_eq!(got, fresh.route(from, to, mode).unwrap(), "{field}");
+                let old = pristine.route(from, to, mode).unwrap();
+                moved |= got.latency_ns.to_bits() != old.latency_ns.to_bits()
+                    || got.energy_pj_per_access.to_bits() != old.energy_pj_per_access.to_bits()
+                    || got.min_width_bits != old.min_width_bits
+                    || got.edges != old.edges;
+            }
+            assert!(moved, "{field} changes no tile leg's route");
+        }
+    }
+
+    #[test]
+    fn fault_sets_differing_in_one_fault_never_share_a_pair() {
+        let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        let cfg = NocConfig::default();
+        let mut base = LinkFaults::none();
+        base.break_horizontal(0, 0, 4);
+        let mut sets = vec![LinkFaults::none(), base.clone()];
+        for add in [
+            |f: &mut LinkFaults| {
+                f.break_horizontal(1, 2, 4);
+            },
+            |f: &mut LinkFaults| {
+                f.break_vertical(0, 1, 4);
+            },
+            |f: &mut LinkFaults| {
+                f.stick_switch(1, 0, 3);
+            },
+            |f: &mut LinkFaults| {
+                f.sever_tree(0, 2, 20);
+            },
+        ] {
+            let mut f = base.clone();
+            add(&mut f);
+            sets.push(f);
+        }
+        let pairs: Vec<DcuPair> = sets.iter().map(|f| DcuPair::with_faults(&cfg, f)).collect();
+        for (i, (pair, faults)) in pairs.iter().zip(&sets).enumerate() {
+            assert_eq!(pair.inner.faults, *faults);
+            for other in &pairs[i + 1..] {
+                assert!(!Arc::ptr_eq(&pair.inner, &other.inner), "set {i}");
+            }
+            // Each pair answers its own fabric's routes.
+            let fresh = Fabric::new(&cfg, 2, faults);
+            for t in 0..16 {
+                for mode in [Mode::Smode, Mode::Cmode] {
+                    let (from, to) = (Endpoint::tile(0, 7), Endpoint::pair_tile(t % 2, 2, t));
+                    assert_eq!(pair.route(from, to, mode), fresh.route(from, to, mode));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_threads_routing_the_same_legs_get_identical_routes() {
+        let cfg = NocConfig::default();
+        let mut faults = LinkFaults::none();
+        faults.break_horizontal(0, 1, 6).break_vertical(1, 1, 2);
+        let legs: Vec<Leg> = (0..2)
+            .flat_map(|side| (0..3).flat_map(move |bank| (0..16).map(move |t| (side, bank, t))))
+            .flat_map(|(side, bank, t)| {
+                [Mode::Smode, Mode::Cmode].map(|mode| {
+                    (
+                        Endpoint::pair_tile(1, 2, 15),
+                        Endpoint::pair_tile(side, bank, t),
+                        mode,
+                    )
+                })
+            })
+            .collect();
+        let pair = DcuPair::with_faults(&cfg, &faults);
+        clear_memo(&pair);
+        // Both threads start on the cold memo together, so they race to
+        // search and insert the same legs.
+        let start = std::sync::Barrier::new(2);
+        let answers: Vec<Vec<Result<Route, RouteError>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let pair = DcuPair::with_faults(&cfg, &faults);
+                        start.wait();
+                        legs.iter()
+                            .map(|&(from, to, mode)| pair.route(from, to, mode))
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(answers[0], answers[1]);
+        let fresh = Fabric::new(&cfg, 2, &faults);
+        for (&(from, to, mode), answer) in legs.iter().zip(&answers[0]) {
+            assert_eq!(*answer, fresh.route(from, to, mode));
+        }
+    }
+
+    #[test]
+    fn endpoints_outside_the_fabric_are_typed_errors() {
+        let pair = DcuPair::new(&NocConfig::default());
+        let inside = Endpoint::pair_tile(1, 0, 8);
+        for outside in [
+            // Node 40 would alias onto bank 1's node 8 in release builds.
+            Endpoint {
+                side: 0,
+                bank: 0,
+                node: 40,
+            },
+            Endpoint {
+                side: 0,
+                bank: 0,
+                node: 0,
+            },
+            Endpoint {
+                side: 0,
+                bank: 3,
+                node: 1,
+            },
+            Endpoint {
+                side: 2,
+                bank: 0,
+                node: 1,
+            },
+        ] {
+            let err = RouteError::NoSuchEndpoint { endpoint: outside };
+            for mode in [Mode::Smode, Mode::Cmode] {
+                assert_eq!(pair.route(outside, inside, mode), Err(err));
+                assert_eq!(pair.route(inside, outside, mode), Err(err));
+                assert_eq!(pair.transfer(outside, inside, mode, 64), Err(err));
+            }
+        }
+        let single = dcu();
+        let other_side = Endpoint::pair_tile(1, 0, 0);
+        assert_eq!(
+            single.route(Endpoint::tile(0, 0), other_side, Mode::Cmode),
+            Err(RouteError::NoSuchEndpoint {
+                endpoint: other_side
+            })
+        );
     }
 
     fn dcu() -> ThreeDcu {
