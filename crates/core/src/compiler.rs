@@ -22,7 +22,6 @@ use lergan_gan::workload::{ConvWorkload, WorkloadKind};
 use lergan_gan::{GanSpec, Phase};
 use lergan_reram::{CrossbarLayout, ReramConfig};
 use lergan_tensor::{DconvAxis, TconvGeometry, WconvGeometry};
-use std::time::Instant;
 
 /// Interconnect family the compiled plan targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -175,8 +174,6 @@ pub struct CompiledGan {
     pub graph: OpGraph,
     /// All six phases in [`Phase::ALL`] order.
     pub phases: Vec<CompiledPhase>,
-    /// Wall-clock compile time (measures the Sec. VI-E software overhead).
-    pub compile_time_ns: u128,
     /// Batch size carried over from the spec.
     pub batch_size: usize,
 }
@@ -225,7 +222,6 @@ pub fn compile_with_bank_tiles(
     config: &ReramConfig,
     bank_tiles_for: &dyn Fn(Phase) -> usize,
 ) -> CompiledGan {
-    let start = Instant::now();
     // Neighbour-tile transfer time used by the replica_e_max constraint:
     // one hop up and one down.
     let tile_transfer_ns = 2.0 * config.htree_hop_latency_ns();
@@ -257,7 +253,6 @@ pub fn compile_with_bank_tiles(
         options,
         graph,
         phases,
-        compile_time_ns: start.elapsed().as_nanos(),
         batch_size: gan.batch_size,
     }
 }
@@ -807,7 +802,6 @@ mod tests {
         };
         let clean = compile(&gan, options, &cfg);
         let degraded = compile_with_bank_tiles(&gan, options, &cfg, &|_| cfg.tiles_per_bank);
-        // Bit-identical plans (compile_time_ns is wall-clock, not a plan).
         assert_eq!(clean.phases, degraded.phases);
     }
 
@@ -847,11 +841,5 @@ mod tests {
             clean.phase(Phase::DForward).layers,
             degraded.phase(Phase::DForward).layers
         );
-    }
-
-    #[test]
-    fn compile_time_is_measured() {
-        let c = dcgan_compiled(ReshapeScheme::Zfdr, ReplicaDegree::Low);
-        assert!(c.compile_time_ns > 0);
     }
 }

@@ -26,6 +26,7 @@ use crate::schedule::{self, ScheduleContext};
 use lergan_gan::{GanSpec, Phase};
 use lergan_noc::{DcuPair, Endpoint, NocConfig};
 use lergan_reram::{EnergyCounts, EnergyModel, ReramConfig, TileEnergyBreakdown};
+use lergan_sim::engine::Label;
 use lergan_sim::Breakdown;
 use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
@@ -434,11 +435,7 @@ impl LerGan {
         report.total_latency_ns = report.iteration_latency_ns * report.iterations as f64;
         let scale = report.iterations as f64;
         report.total_energy_pj *= scale;
-        let mut scaled = Breakdown::new();
-        for (k, v) in report.energy_breakdown.iter() {
-            scaled.add(k, v * scale);
-        }
-        report.energy_breakdown = scaled;
+        report.energy_breakdown = report.energy_breakdown.scaled(scale);
         report
     }
 
@@ -466,8 +463,8 @@ impl LerGan {
             .expect("iteration DAG is acyclic by construction");
         let iteration_latency_ns = schedule.makespan_ns();
         let mut resource_busy = Breakdown::new();
-        for (label, busy) in schedule.resources() {
-            resource_busy.add(label, busy);
+        for (label, (_, busy)) in schedule.resource_labels().iter().zip(schedule.resources()) {
+            resource_busy.add_label(label, busy);
         }
 
         let mut energy = lowered.energy;
@@ -475,34 +472,43 @@ impl LerGan {
 
         // ---- energy roll-up -------------------------------------------
         let tile_breakdown = self.energy.breakdown(&counts);
-        energy.add("compute", tile_breakdown.total_pj());
+        energy.add_label(&schedule::COMPUTE, tile_breakdown.total_pj());
         // CPU + off-chip I/O for the two updates.
         let weight_values = self.compiled.weight_values();
         let io_bytes = weight_values as f64 * 2.0;
-        energy.add(
-            "other",
+        energy.add_label(
+            &schedule::OTHER,
             weight_values as f64 * self.cost.cpu_pj_per_value + io_bytes * self.cost.io_pj_per_byte,
         );
         let total = energy.total();
 
         // ---- per-op attribution ---------------------------------------
         // Separate accumulators: the totals above are computed exactly as
-        // before the op-graph refactor and stay bit-identical.
-        let mut op_latency = Breakdown::new();
-        let mut op_energy = Breakdown::new();
+        // before the op-graph refactor and stay bit-identical. Each op's
+        // runs sum in emission order under its id — an op's label names
+        // it alone — and land in the breakdowns once per op.
         let total_crossbar_ops: u128 = lowered.op_tasks.iter().map(|t| t.crossbar_ops).sum();
         let compute_pj = tile_breakdown.total_pj();
+        // (label, busy ns, energy pJ) of each op that ran, by op id.
+        let mut per_op: Vec<Option<(&Label, f64, f64)>> = vec![None; self.compiled.graph.len()];
         for t in &lowered.op_tasks {
             let busy = (schedule.finish_ns(t.xfer) - schedule.start_ns(t.xfer))
                 + (schedule.finish_ns(t.compute) - schedule.start_ns(t.compute));
-            let label = lowered.engine.label(t.compute);
-            op_latency.add(label, busy);
             let share = if total_crossbar_ops == 0 {
                 0.0
             } else {
                 t.crossbar_ops as f64 / total_crossbar_ops as f64
             };
-            op_energy.add(label, t.comm_energy_pj + compute_pj * share);
+            let pj = t.comm_energy_pj + compute_pj * share;
+            let (_, sum_busy, sum_pj) = per_op[t.op.0].get_or_insert((&t.label, 0.0, 0.0));
+            *sum_busy += busy;
+            *sum_pj += pj;
+        }
+        let mut op_latency = Breakdown::new();
+        let mut op_energy = Breakdown::new();
+        for (label, busy, pj) in per_op.into_iter().flatten() {
+            op_latency.add_label(label, busy);
+            op_energy.add_label(label, pj);
         }
 
         TrainingReport {

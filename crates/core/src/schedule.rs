@@ -22,9 +22,11 @@ use lergan_gan::ir::{BankSlot, OpId};
 use lergan_gan::{GanSpec, Phase};
 use lergan_noc::{DcuPair, Endpoint, Mode, NocConfig, RouteError};
 use lergan_reram::{EnergyCounts, ReramConfig};
-use lergan_sim::engine::{Engine, ResourceId, TaskId, TaskSpec};
+use lergan_sim::engine::{Engine, Label, ResourceId, TaskId, TaskSpec};
 use lergan_sim::Breakdown;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Everything a lowering needs, borrowed from the assembled accelerator.
 #[derive(Debug)]
@@ -36,11 +38,14 @@ pub struct ScheduleContext<'a> {
     /// The (fault-aware) tile allocation of each phase.
     pub allocs: &'a HashMap<Phase, TileAllocation>,
     /// The (fault-aware) interconnect. Transfers are costed under its own
-    /// configuration, which should be [`noc`](Self::noc).
+    /// configuration, and the lowering reads every interconnect parameter
+    /// (tiles per bank, Cmode channels) from that same
+    /// [`config`](DcuPair::config).
     pub pair: &'a DcuPair,
     /// ReRAM timing/size parameters.
     pub reram: &'a ReramConfig,
-    /// Interconnect parameters.
+    /// Interconnect parameters. Unread by the lowering, which takes them
+    /// from [`pair`](Self::pair) so the two cannot disagree.
     pub noc: &'a NocConfig,
     /// Auxiliary cost constants.
     pub cost: &'a CostModel,
@@ -51,11 +56,14 @@ pub struct ScheduleContext<'a> {
 /// yields two `OpTask`s per op).
 ///
 /// The op's join label, `"{phase} L{layer}"` (stable across runs), is
-/// its compute task's label: [`Engine::label`]`(compute)`.
+/// also its compute task's label: [`Engine::label`]`(compute)`.
 #[derive(Debug, Clone)]
 pub struct OpTask {
     /// The op (an id into [`CompiledGan::graph`]).
     pub op: OpId,
+    /// The op's join label, borrowed from a table rendered once per
+    /// process for layers below 64 and owned beyond.
+    pub label: Label,
     /// The operand-transfer task.
     pub xfer: TaskId,
     /// The MMV compute task, labelled with the op's join label.
@@ -157,6 +165,38 @@ const WIRES_3D: [[&str; 3]; 2] = [
 /// Wire-resource labels of the H-tree baseline, per side.
 const WIRES_HTREE: [&str; 2] = ["wires side0", "wires side1"];
 
+/// Energy buckets of a report (Fig. 23).
+pub(crate) const COMPUTE: Label = Cow::Borrowed("compute");
+pub(crate) const COMMUNICATION: Label = Cow::Borrowed("communication");
+pub(crate) const OTHER: Label = Cow::Borrowed("other");
+
+/// Layers per phase whose join labels [`op_label`] renders once per
+/// process; deeper layers render theirs per call.
+const RENDERED_LAYERS: usize = 64;
+
+/// The join label `"{phase} L{layer}"` of an op: borrowed from a table
+/// rendered on first use for layers below [`RENDERED_LAYERS`], owned
+/// beyond. The table depends on no design point.
+fn op_label(phase: Phase, layer: usize) -> Label {
+    static TABLE: OnceLock<Vec<String>> = OnceLock::new();
+    if layer >= RENDERED_LAYERS {
+        return Cow::Owned(format!("{phase} L{layer}"));
+    }
+    let table = TABLE.get_or_init(|| {
+        Phase::ALL
+            .iter()
+            .flat_map(|p| (0..RENDERED_LAYERS).map(move |l| format!("{p} L{l}")))
+            .collect()
+    });
+    Cow::Borrowed(&table[phase.index() * RENDERED_LAYERS + layer])
+}
+
+/// Adds `v` to `sum` as [`Breakdown::add`] adds to a bucket: the first
+/// value starts at `0.0 + v`.
+fn add_to(sum: &mut Option<f64>, v: f64) {
+    *sum.get_or_insert(0.0) += v;
+}
+
 /// (first, last) task ids of one phase run's chain.
 struct PhaseRun {
     first: TaskId,
@@ -168,7 +208,11 @@ struct Lowering<'a> {
     engine: Engine,
     counts: EnergyCounts,
     energy: Breakdown,
-    phase_cost: Breakdown,
+    /// The `communication` energy bucket, summed as a [`Breakdown`] bucket
+    /// would be and inserted once at the end.
+    communication_pj: Option<f64>,
+    /// Each phase's `phase_cost` bucket, indexed like [`Phase::ALL`].
+    phase_cost: [Option<f64>; 6],
     op_tasks: Vec<OpTask>,
     /// Compute group of each phase, indexed like [`Phase::ALL`].
     compute_res: [ResourceId; 6],
@@ -197,7 +241,8 @@ impl<'a> Lowering<'a> {
             engine,
             counts: EnergyCounts::default(),
             energy: Breakdown::new(),
-            phase_cost: Breakdown::new(),
+            communication_pj: None,
+            phase_cost: [None; 6],
             op_tasks: Vec::new(),
             compute_res,
             wire_res,
@@ -231,8 +276,9 @@ impl<'a> Lowering<'a> {
             Mode::Smode
         };
         let b = if self.threed() { bank.bank } else { 0 };
-        let t0 = from % self.ctx.noc.tiles_per_bank;
-        let t1 = to % self.ctx.noc.tiles_per_bank;
+        let tiles_per_bank = self.ctx.pair.config().tiles_per_bank;
+        let t0 = from % tiles_per_bank;
+        let t1 = to % tiles_per_bank;
         (
             Endpoint::pair_tile(bank.side, b, t0),
             Endpoint::pair_tile(bank.side, b, t1),
@@ -267,7 +313,7 @@ impl<'a> Lowering<'a> {
             // the model spills over a bank).
             (
                 Endpoint::pair_tile(side, 0, 0),
-                Endpoint::pair_tile(side, 0, self.ctx.noc.tiles_per_bank - 1),
+                Endpoint::pair_tile(side, 0, self.ctx.pair.config().tiles_per_bank - 1),
                 Mode::Smode,
             )
         }
@@ -306,6 +352,7 @@ impl<'a> Lowering<'a> {
         let comp_r = self.compute_res[phase.index()];
         let alloc = &self.ctx.allocs[&phase];
         let base = ops.first().map(|o| o.id.0).unwrap_or(0);
+        let noc = self.ctx.pair.config();
         let mut prev: Option<TaskId> = dep;
         let mut first: Option<TaskId> = None;
         // Compute task of each already-emitted op in this run, for
@@ -330,7 +377,7 @@ impl<'a> Lowering<'a> {
                 // of this.
                 layer
                     .moved_values_per_sample
-                    .div_ceil(self.ctx.noc.cmode_parallel_channels as u128)
+                    .div_ceil(noc.cmode_parallel_channels as u128)
             } else if layer.zfdr.is_some() {
                 // The H-tree unicasts each reshaped matrix its gathered
                 // slice of the input; the total stream approaches the
@@ -340,8 +387,7 @@ impl<'a> Lowering<'a> {
                     layer.workload.macs_useful / layer.workload.out_channels.max(1) as u128;
                 gathered.min(layer.workload.moved_values_dense)
             } else {
-                layer.moved_values_per_sample
-                    * (layer.tiles.min(self.ctx.noc.tiles_per_bank) as u128)
+                layer.moved_values_per_sample * (layer.tiles.min(noc.tiles_per_bank) as u128)
             };
             let moved = per_sample as u64 * self.batch;
             // Fig. 14 hand-off: from the previous layer's last tile to
@@ -351,7 +397,7 @@ impl<'a> Lowering<'a> {
             // onto another 3DCU pair) pays the bus.
             let (from_tile, to_tile) = if li == 0 {
                 let entry = alloc.tile_for(0, 0).expect("phase has a first layer");
-                (entry, (entry + 1) % self.ctx.noc.tiles_per_bank)
+                (entry, (entry + 1) % noc.tiles_per_bank)
             } else {
                 alloc.handoff(li - 1).expect("layers are consecutive")
             };
@@ -370,9 +416,9 @@ impl<'a> Lowering<'a> {
                 xfer = xfer.after(p);
             }
             let xfer_id = self.engine.add_task(xfer);
-            self.energy.add("communication", en);
+            add_to(&mut self.communication_pj, en);
             self.counts.buffer_values += moved as u128;
-            self.phase_cost.add(phase.arrow(), lat);
+            add_to(&mut self.phase_cost[phase.index()], lat);
 
             // Skip-edge dataflow: a non-adjacent same-phase producer (a
             // residual edge in the op graph) also feeds this op. Its
@@ -400,15 +446,16 @@ impl<'a> Lowering<'a> {
                     .on(wire_r)
                     .after(computes[pi]),
                 );
-                self.energy.add("communication", en);
+                add_to(&mut self.communication_pj, en);
                 self.counts.buffer_values += volume as u128;
-                self.phase_cost.add(phase.arrow(), lat);
+                add_to(&mut self.phase_cost[phase.index()], lat);
                 skip_deps.push(t);
             }
 
             // Compute, labelled with the op's join label.
             let dur = layer.cycles_per_sample as f64 * self.t_m * self.batch as f64;
-            let comp = TaskSpec::new(format!("{phase} L{}", op.layer_index), dur)
+            let label = op_label(phase, op.layer_index);
+            let comp = TaskSpec::new(label.clone(), dur)
                 .on(comp_r)
                 .after(xfer_id)
                 .after_all(&skip_deps);
@@ -416,10 +463,11 @@ impl<'a> Lowering<'a> {
             computes.push(comp_id);
             let crossbar_ops = layer.crossbar_ops_per_sample * self.batch as u128;
             self.counts.crossbar_mmv_ops += crossbar_ops;
-            self.phase_cost.add(phase.arrow(), dur);
+            add_to(&mut self.phase_cost[phase.index()], dur);
 
             self.op_tasks.push(OpTask {
                 op: op.id,
+                label,
                 xfer: xfer_id,
                 compute: comp_id,
                 comm_energy_pj: en,
@@ -466,7 +514,7 @@ impl<'a> Lowering<'a> {
         dep: TaskId,
     ) -> Result<TaskId, RouteError> {
         let (lat, en) = self.transfer(leg, values)?;
-        self.energy.add("communication", en);
+        add_to(&mut self.communication_pj, en);
         Ok(self
             .engine
             .add_task(TaskSpec::new(label, lat).on(self.cross_res).after(dep)))
@@ -503,7 +551,7 @@ impl<'a> Lowering<'a> {
         self.counts.sarray_read_values += grads;
         self.counts.sarray_write_values += grads;
         self.energy
-            .add("other", grads as f64 * self.ctx.cost.cpu_pj_per_value);
+            .add_label(&OTHER, grads as f64 * self.ctx.cost.cpu_pj_per_value);
         let tiles: usize = phases
             .iter()
             .map(|p| self.ctx.compiled.phase(*p).tiles())
@@ -575,7 +623,7 @@ impl<'a> Lowering<'a> {
             .moved_values_per_sample() as u64
             * self.batch;
         let (act_lat, act_en) = self.transfer(self.cross_bank_leg(1, 0, 1), act_values)?;
-        self.energy.add("communication", act_en);
+        add_to(&mut self.communication_pj, act_en);
         let act_move = self
             .engine
             .add_task(TaskSpec::new("activations D->D-w", act_lat).after(df.last));
@@ -625,11 +673,20 @@ impl<'a> Lowering<'a> {
         let gw = self.run_phase(Phase::GWeightGrad, Some(gw_barrier))?;
         let _update_g = self.update_task(true, gw.last);
 
+        if let Some(pj) = self.communication_pj {
+            self.energy.add_label(&COMMUNICATION, pj);
+        }
+        let mut phase_cost = Breakdown::new();
+        for (phase, ns) in Phase::ALL.into_iter().zip(self.phase_cost) {
+            if let Some(ns) = ns {
+                phase_cost.add_label(&Cow::Borrowed(phase.arrow()), ns);
+            }
+        }
         Ok(LoweredIteration {
             engine: self.engine,
             counts: self.counts,
             energy: self.energy,
-            phase_cost: self.phase_cost,
+            phase_cost,
             op_tasks: self.op_tasks,
         })
     }
@@ -652,6 +709,13 @@ mod tests {
                 assert_eq!(*label, format!("wires s{side}b{bank}"));
             }
             assert_eq!(WIRES_HTREE[side], format!("wires side{side}"));
+        }
+        for phase in Phase::ALL {
+            for layer in 0..RENDERED_LAYERS + 8 {
+                let label = op_label(phase, layer);
+                assert_eq!(label, format!("{phase} L{layer}"));
+                assert_eq!(matches!(label, Cow::Borrowed(_)), layer < RENDERED_LAYERS);
+            }
         }
     }
 }

@@ -243,6 +243,12 @@ impl Schedule {
         }
     }
 
+    /// Every resource's label as the engine stored it, in creation order
+    /// (the order of [`resources`](Self::resources)).
+    pub fn resource_labels(&self) -> &[Label] {
+        &self.resource_labels
+    }
+
     /// Iterates `(label, busy_ns)` over all resources, in creation order.
     pub fn resources(&self) -> impl Iterator<Item = (&str, f64)> {
         self.resource_labels
@@ -745,6 +751,11 @@ mod tests {
         assert!((s.resource_utilization(r) - 1.0).abs() < 1e-12);
         let names: Vec<&str> = s.resources().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["bank", "idle"]);
+        // The stored labels come back borrowed, as they went in.
+        assert!(s
+            .resource_labels()
+            .iter()
+            .all(|l| matches!(l, Label::Borrowed(_))));
     }
 
     #[test]

@@ -235,12 +235,17 @@ impl TconvGeometry {
     /// useful multiplications per channel pair; the same sum also counts the
     /// useful work of the generator weight-gradient convolution, which slides
     /// the `O × O` `∇z` over the same expanded input.
+    ///
+    /// Counted per true input `x` in O(I): it sits at expanded coordinate
+    /// `e = P + S′x`, which the pairs `(oy, e − oy)` with
+    /// `max(0, e − W + 1) ≤ oy < min(O, e + 1)` reach.
     pub fn useful_row_weight_sum(&self) -> usize {
-        (0..self.output)
-            .map(|oy| {
-                (0..self.kernel)
-                    .filter(|&k| self.original_of_expanded(oy + k).is_some())
-                    .count()
+        (0..self.input)
+            .map(|x| {
+                let e = self.insertion_pad + self.converse_stride * x;
+                self.output
+                    .min(e + 1)
+                    .saturating_sub((e + 1).saturating_sub(self.kernel))
             })
             .sum()
     }
@@ -263,7 +268,13 @@ impl TconvGeometry {
     /// Panics if `o` is not a valid output position.
     pub fn axis_taps(&self, o: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(o < self.output, "output position out of range");
-        (0..self.kernel).filter(move |&k| self.original_of_expanded(o + k).is_some())
+        // Offset k reads expanded coordinate e = o + k, a true input when
+        // e = P + S′x for some x < I: the grid points of [max(o, P),
+        // min(o + W, P + S′(I − 1) + 1)), every S′-th coordinate.
+        let (p, s) = (self.insertion_pad, self.converse_stride);
+        let first = p + o.saturating_sub(p).div_ceil(s) * s;
+        let end = (o + self.kernel).min(p + s * (self.input - 1) + 1);
+        (first..end).step_by(s).map(move |e| e - o)
     }
 
     /// Total zeros in the expanded input plane, Eq. 7 (extended to count
@@ -422,9 +433,18 @@ impl WconvGeometry {
     /// Sum over (gradient position, `∇output` index) pairs per axis that
     /// touch a true input value; squaring gives the useful multiplications
     /// per channel pair of the zero-free W-CONV.
+    ///
+    /// Counted per `∇output` index `oh` in O(O): the positions `i` with
+    /// `P ≤ i + S·oh < P + I`, clipped to `0 ≤ i < W`.
     pub fn useful_row_weight_sum(&self) -> usize {
-        (0..self.gradient_extent())
-            .map(|i| self.axis_taps(i).count())
+        let f = &self.forward;
+        let extent = self.gradient_extent();
+        (0..f.output)
+            .map(|oh| {
+                let at = oh * f.stride;
+                let hi = extent.min((f.pad + f.input).saturating_sub(at));
+                hi.saturating_sub(f.pad.saturating_sub(at))
+            })
             .sum()
     }
 
@@ -560,8 +580,22 @@ impl DconvAxis {
 
     /// Sum over output positions of true-tap counts; the per-axis factor
     /// of the useful MAC count (axes factorise exactly as for T-CONV).
+    ///
+    /// Counted per true tap `j` in O(K): the output positions `o` with
+    /// `P ≤ S·o + D·j < P + I`, clipped to `0 ≤ o < O`.
     pub fn useful_row_weight_sum(&self) -> usize {
-        (0..self.output).map(|o| self.axis_taps(o).count()).sum()
+        (0..self.kernel)
+            .map(|j| {
+                let e = j * self.dilation;
+                let lo = self.pad.saturating_sub(e).div_ceil(self.stride);
+                let hi = self.output.min(
+                    (self.pad + self.input)
+                        .saturating_sub(e)
+                        .div_ceil(self.stride),
+                );
+                hi.saturating_sub(lo)
+            })
+            .sum()
     }
 
     /// Per-axis factor of the dense (zero-inserted-kernel) MAC count:
@@ -839,23 +873,36 @@ mod tests {
 
     #[test]
     fn dconv_useful_count_by_enumeration() {
-        for (i, k, s, d, p) in [(8, 3, 1, 2, 2), (9, 3, 2, 3, 3), (16, 2, 2, 4, 0)] {
-            let a = DconvAxis::new(i, k, s, d, p).unwrap();
-            let mut count = 0usize;
-            for o in 0..a.output {
-                for j in 0..k {
-                    let pos = o * s + j * d;
-                    if pos >= p && pos < p + i {
-                        count += 1;
+        let mut checked = 0;
+        for i in 1..=12 {
+            for k in 1..=5 {
+                for s in 1..=4 {
+                    for d in 1..=4 {
+                        for p in 0..=6 {
+                            let Some(a) = DconvAxis::new(i, k, s, d, p) else {
+                                continue;
+                            };
+                            let mut count = 0usize;
+                            for o in 0..a.output {
+                                for j in 0..k {
+                                    let pos = o * s + j * d;
+                                    if pos >= p && pos < p + i {
+                                        count += 1;
+                                    }
+                                }
+                            }
+                            assert_eq!(
+                                a.useful_row_weight_sum(),
+                                count,
+                                "axis ({i},{k},{s},{d},{p})"
+                            );
+                            checked += 1;
+                        }
                     }
                 }
             }
-            assert_eq!(
-                a.useful_row_weight_sum(),
-                count,
-                "axis ({i},{k},{s},{d},{p})"
-            );
         }
+        assert!(checked > 1000, "only {checked} geometries");
     }
 
     #[test]
@@ -890,6 +937,74 @@ mod tests {
         assert!(DconvAxis::new(8, 3, 1, 0, 0).is_none());
         // Effective kernel larger than the padded input.
         assert!(DconvAxis::new(4, 3, 1, 4, 0).is_none());
+    }
+
+    /// The per-window tap loop `useful_row_weight_sum` used to run: every
+    /// (window, kernel offset) pair checked against the expanded input.
+    fn tconv_useful_by_windows(g: &TconvGeometry) -> usize {
+        (0..g.output)
+            .map(|oy| {
+                (0..g.kernel)
+                    .filter(|&k| g.original_of_expanded(oy + k).is_some())
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn tconv_closed_forms_match_the_loops() {
+        let mut checked = 0;
+        for input in 1..=9 {
+            for kernel in 1..=7 {
+                for stride in 1..=4 {
+                    let mut geoms: Vec<TconvGeometry> = (0..kernel)
+                        .flat_map(|p| (1..=48).map(move |o| (p, o)))
+                        .filter_map(|(p, o)| TconvGeometry::new(input, o, kernel, stride, p))
+                        .collect();
+                    geoms.extend(
+                        (1..=40)
+                            .filter_map(|t| TconvGeometry::for_target(input, kernel, stride, t)),
+                    );
+                    for g in geoms {
+                        assert_eq!(
+                            g.useful_row_weight_sum(),
+                            tconv_useful_by_windows(&g),
+                            "{g:?}"
+                        );
+                        for o in 0..g.output {
+                            let by_offsets: Vec<usize> = (0..g.kernel)
+                                .filter(|&k| g.original_of_expanded(o + k).is_some())
+                                .collect();
+                            assert_eq!(g.axis_pattern(o), by_offsets, "{g:?} at {o}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} geometries");
+    }
+
+    #[test]
+    fn wconv_closed_form_matches_the_window_loop() {
+        let mut checked = 0;
+        for input in 1..=12 {
+            for kernel in 1..=7 {
+                for stride in 1..=4 {
+                    for pad in 0..=5 {
+                        let Some(g) = WconvGeometry::new(input, kernel, stride, pad) else {
+                            continue;
+                        };
+                        let by_windows: usize = (0..g.gradient_extent())
+                            .map(|i| g.axis_taps(i).count())
+                            .sum();
+                        assert_eq!(g.useful_row_weight_sum(), by_windows, "{g:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} geometries");
     }
 
     #[test]

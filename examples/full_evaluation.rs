@@ -63,8 +63,9 @@ fn main() {
         o.area_overhead * 100.0
     );
     println!(
-        "VI-E     compile overhead               {:+5.1}%  (+32.52%)",
-        o.compile_overhead * 100.0
+        "VI-E     compile overhead               {:+5.1}%  (+32.52%; IQR {:.1} pp)",
+        o.compile_overhead * 100.0,
+        o.compile_overhead_iqr * 100.0
     );
     println!(
         "VI-E     same-space speedup over PRIME  {:6.2}x  (2.1x)",
