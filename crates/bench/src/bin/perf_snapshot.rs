@@ -23,7 +23,10 @@
 //! * `tanh_into` on a batch of eight 32 px generator outputs,
 //! * one Adam update of widegan16's 16 → 16 channel D conv, with the
 //!   re-gather of its two phase weight matrices,
-//! * one full DCGAN training step on the reduced 16 px networks.
+//! * one full DCGAN training step on the reduced 16 px networks, on its
+//!   own and in alternating windows with a fixed reference that no
+//!   library change touches: the naive kernel on seven small products,
+//!   three times over, of sizes like the step's convolutions.
 //!
 //! Every results row records the minimum (`ns_per_iter`), median and
 //! interquartile range of the per-iteration time over the harness's
@@ -35,11 +38,15 @@
 //! [`lergan_bench::harness::thread_speedup_json`]). When the output file
 //! already exists, its 1-thread `gan_train_step_16px/full` time is read
 //! back first and the new snapshot records the ratio as
-//! `gan_train_step_vs_previous`.
+//! `gan_train_step_vs_previous`. The paired timing's median per-pair ratio
+//! is `gan_train_step_over_reference`, and its interquartile range
+//! `gan_train_step_over_reference_iqr`: a slow or fast period of the host
+//! stretches both windows of a pair alike, so CI gates this ratio against
+//! the committed one rather than the step's time.
 //!
 //! Usage: `perf_snapshot [output.json]` (default `BENCH_zfdr.json`).
 
-use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, Results};
+use lergan_bench::harness::{det, host_cores, thread_speedup_json, time, time_pair, Results};
 use lergan_bench::naive;
 use lergan_gan::benchmarks;
 use lergan_gan::ir::OpGraph;
@@ -421,6 +428,39 @@ fn main() {
     record_threads(&mut results, "gan_train_step_16px/full", threads, || {
         black_box(gan.train_step(black_box(&reals)));
     });
+    // The same step in alternating windows with the reference: small
+    // products like the step's own, whose speed follows the step's when
+    // the host slows (a larger product slows more, a scalar loop less).
+    let reference: Vec<(Tensor, Tensor)> = [
+        (8, 72, 64),
+        (4, 72, 256),
+        (16, 8, 64),
+        (1, 36, 256),
+        (8, 9, 64),
+        (8, 128, 8),
+        (64, 8, 72),
+    ]
+    .into_iter()
+    .zip(40..)
+    .map(|((m, k, n), seed)| (det(&[m, k], seed), det(&[k, n], seed + 10)))
+    .collect();
+    let step_pair = parallel::with_threads(1, || {
+        time_pair(
+            WINDOW,
+            || {
+                black_box(gan.train_step(black_box(&reals)));
+            },
+            || {
+                for _ in 0..3 {
+                    for (a, b) in &reference {
+                        black_box(naive::gemm(black_box(a), black_box(b)));
+                    }
+                }
+            },
+        )
+    });
+    results.record("gan_train_step_16px/paired", 1, step_pair.a);
+    results.record("reference/naive_gemm_small_x21", 1, step_pair.b);
 
     let min_ns = |name: &str, t: usize| results.get(name, t).min_ns;
     let batched_conv1 = min_ns("tconv_conv1_16x8ch/batched", 1);
@@ -442,7 +482,8 @@ fn main() {
     ));
     json.push_str(&results.json());
     json.push_str(&format!(
-        "  \"speedups\": {{\n    \"tconv_zero_free_vs_naive\": {tconv_speedup:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_vs_naive_geomean\": {gemm_geomean:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2}\n  }}\n"
+        "  \"speedups\": {{\n    \"tconv_zero_free_vs_naive\": {tconv_speedup:.2},\n    \"tconv_conv1_batched_multi_vs_1thread\": {thread_scaling_json},\n    \"dconv_zero_free_vs_naive\": {dconv_speedup:.2},\n    \"gemm_vs_naive_geomean\": {gemm_geomean:.2},\n    \"gan_train_step_vs_previous\": {step_vs_previous:.2},\n    \"gan_train_step_over_reference\": {:.4},\n    \"gan_train_step_over_reference_iqr\": {:.4}\n  }}\n",
+        step_pair.ratio, step_pair.ratio_iqr
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write snapshot");
@@ -451,5 +492,9 @@ fn main() {
     println!("dconv zero-free vs zero-inserted (d=2, 16 px):  {dconv_speedup:.2}x");
     println!("GEMM driver vs naive (geomean over Table V):    {gemm_geomean:.2}x");
     println!("train step vs previous snapshot (1 thread):     {step_vs_previous:.2}x");
+    println!(
+        "train step over reference (paired, 1 thread):  {:.4} (iqr {:.4})",
+        step_pair.ratio, step_pair.ratio_iqr
+    );
     println!("wrote {out_path}");
 }

@@ -206,6 +206,17 @@ impl CompiledGan {
 }
 
 /// Compiles a GAN under the given options.
+///
+/// # Domain
+///
+/// `config.tile_read_latency_ns` and `config.htree_latency_ns` feed the
+/// replica search ([`replica::replica_e_max`]) and must be `≥ 0` (either
+/// sign of zero) or `+∞`; with a negative or NaN latency the duplication
+/// degrees are unspecified. [`LerGanBuilder::build`] accepts only finite
+/// latencies `≥ 0` and returns [`BuildError::Latency`] for any other.
+///
+/// [`LerGanBuilder::build`]: crate::LerGanBuilder::build
+/// [`BuildError::Latency`]: crate::BuildError::Latency
 pub fn compile(gan: &GanSpec, options: CompilerOptions, config: &ReramConfig) -> CompiledGan {
     compile_with_bank_tiles(gan, options, config, &|_| config.tiles_per_bank)
 }

@@ -95,6 +95,15 @@ pub enum BuildError {
         /// The configured [`NocConfig::tiles_per_bank`].
         tiles_per_bank: usize,
     },
+    /// A [`ReramConfig`] latency is negative, NaN or infinite. The replica
+    /// search and the cost model take only finite latencies `≥ 0`.
+    Latency {
+        /// The `ReramConfig` field.
+        field: &'static str,
+        /// The rejected value's bits ([`f64::to_bits`]), which keep the
+        /// error comparable.
+        bits: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -116,6 +125,11 @@ impl fmt::Display for BuildError {
                 f,
                 "the interconnect addresses {} tiles per bank, not {tiles_per_bank}",
                 Endpoint::TILES_PER_BANK
+            ),
+            BuildError::Latency { field, bits } => write!(
+                f,
+                "the ReRAM {field} is {}, not a finite latency >= 0",
+                f64::from_bits(*bits)
             ),
         }
     }
@@ -218,12 +232,31 @@ impl LerGanBuilder {
     /// bank's CArray capacity (the compiler cannot split a single reshaped
     /// matrix across banks), [`BuildError::Fault`] when the fault
     /// scenario leaves too few tiles or (through severed tree links) a
-    /// transfer with no route, or [`BuildError::TilesPerBank`] for an
-    /// interconnect tile count other than [`Endpoint::TILES_PER_BANK`].
+    /// transfer with no route, [`BuildError::TilesPerBank`] for an
+    /// interconnect tile count other than [`Endpoint::TILES_PER_BANK`], or
+    /// [`BuildError::Latency`] for a ReRAM latency that is negative or not
+    /// finite.
     pub fn build(self) -> Result<LerGan, BuildError> {
         if self.noc.tiles_per_bank != Endpoint::TILES_PER_BANK {
             return Err(BuildError::TilesPerBank {
                 tiles_per_bank: self.noc.tiles_per_bank,
+            });
+        }
+        let r = &self.reram;
+        let latencies = [
+            ("tile_read_latency_ns", r.tile_read_latency_ns),
+            ("tile_write_latency_ns", r.tile_write_latency_ns),
+            ("htree_latency_ns", r.htree_latency_ns),
+            ("bank_read_latency_ns", r.bank_read_latency_ns),
+            ("bank_write_latency_ns", r.bank_write_latency_ns),
+        ];
+        if let Some((field, v)) = latencies
+            .into_iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            return Err(BuildError::Latency {
+                field,
+                bits: v.to_bits(),
             });
         }
         let options = CompilerOptions {
@@ -545,6 +578,26 @@ mod tests {
             .build()
             .expect("mapping fits")
             .train_iterations(1)
+    }
+
+    #[test]
+    fn the_lowering_sizes_its_task_arrays_for_what_it_emits() {
+        for gan in benchmarks::all() {
+            let lergan = LerGan::builder(&gan).build().expect("mapping fits");
+            let lowered = schedule::lower_iteration(&lergan.schedule_context());
+            let ops: usize = schedule::ITERATION_RUNS
+                .iter()
+                .map(|&p| lergan.compiled.phase(p).layers.len())
+                .sum();
+            assert_eq!(lowered.op_tasks.len(), ops, "{}", gan.name);
+            let engine = &lowered.engine;
+            let skips = engine
+                .task_ids()
+                .filter(|&t| engine.label(t).contains(" skip "))
+                .count();
+            let tasks = engine.task_ids().count();
+            assert_eq!(tasks, 2 * ops + 19 + skips, "{}", gan.name);
+        }
     }
 
     #[test]

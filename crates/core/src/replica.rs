@@ -77,15 +77,20 @@ impl ReplicaPlan {
     }
 
     /// Total CArray storage (values) of a layer's reshaped matrices under
-    /// this plan, given the layer's [`ZfdrPlan::kind_summaries`].
+    /// this plan, given the layer's [`ZfdrPlan::kind_summaries`]. Saturates
+    /// at `u128::MAX` rather than wrapping, so it never falls as a replica
+    /// count or `channel_pairs` grows.
     pub fn storage_values(&self, summaries: &KindSummaries, channel_pairs: u128) -> u128 {
         summaries
             .iter()
-            .map(|(k, s)| s.pattern_volume * self.for_kind(k) as u128)
-            .sum::<u128>()
-            * channel_pairs
+            .map(|(k, s)| s.pattern_volume.saturating_mul(self.for_kind(k) as u128))
+            .fold(0, u128::saturating_add)
+            .saturating_mul(channel_pairs)
     }
 }
+
+/// Largest edge replica count [`replica_e_max`] considers.
+const MAX_EDGE_REPLICAS: usize = 64;
 
 /// Derives `replica_e_max` for a layer: the largest edge replica count
 /// (with `replica_i = LL_proxy × replica_e`) keeping transfer time within
@@ -98,6 +103,21 @@ impl ReplicaPlan {
 /// number of distinct inside matrices per axis, which is what the extra
 /// replicas feed). `summaries` is `plan.kind_summaries(dims)` for the
 /// layer's dimensionality.
+///
+/// The answer is the last `r_e` of `1..=64` before the first that fails
+/// either test — replication past both kinds' reuse, or `t_t_total >
+/// t_c_total` — and 1 when `r_e = 1` fails. Both tests are monotone in
+/// `r_e` (the storage only grows, so `t_t_total` never falls and
+/// `t_c_total` never rises), so a bisection finds it in at most seven
+/// probes.
+///
+/// # Domain
+///
+/// `tile_transfer_ns` and `config.mmv_latency_ns()` must be `≥ 0` (either
+/// sign of zero) or `+∞`. A negative or NaN latency breaks the monotony
+/// the bisection relies on, and the answer is then unspecified (never a
+/// panic). [`LerGanBuilder::build`](crate::LerGanBuilder::build) rejects
+/// such configurations with a typed error.
 pub fn replica_e_max(
     plan: &ZfdrPlan,
     summaries: &KindSummaries,
@@ -113,29 +133,40 @@ pub fn replica_e_max(
     }
     let multiplier = plan.interior_axis_classes().max(1);
     let carray_values = config.weights_per_tile() as u128;
-    let mut best = 1usize;
-    for r_e in 1..=64usize {
-        let r_i = (r_e * multiplier) as u128;
+    let fits = |r_e: usize| {
+        let r_i = r_e.saturating_mul(multiplier);
         // No benefit replicating beyond the reuse itself.
-        if r_i > inside.max_reuse.max(1) && r_e > edge.max_reuse.max(1) as usize {
-            break;
+        if r_i as u128 > inside.max_reuse.max(1) && r_e as u128 > edge.max_reuse.max(1) {
+            return false;
         }
         let trial = ReplicaPlan {
             corner: 1,
             edge: r_e,
-            inside: r_i as usize,
+            inside: r_i,
         };
         let size = trial.storage_values(summaries, channel_pairs);
         let tiles = size.div_ceil(carray_values);
         let t_t_total = tiles.saturating_sub(1) as f64 * tile_transfer_ns;
-        let t_c_total = t_m * inside.max_reuse.div_ceil(r_i).max(1) as f64;
-        if t_t_total <= t_c_total {
-            best = r_e;
+        let t_c_total = t_m * inside.max_reuse.div_ceil(r_i as u128).max(1) as f64;
+        t_t_total <= t_c_total
+    };
+    // `r_e = 1` is probed on its own: with `t_t = +∞` a one-tile layer's
+    // `0 × ∞` is NaN and fails, while more tiles may pass against
+    // `t_c = +∞`. Once it fits, `tiles ≥ 2` for every larger `r_e` too.
+    if !fits(1) {
+        return 1;
+    }
+    // Invariant: `fits(lo)`, and `hi` is past the range or fails.
+    let (mut lo, mut hi) = (1, MAX_EDGE_REPLICAS + 1);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            lo = mid;
         } else {
-            break;
+            hi = mid;
         }
     }
-    best
+    lo
 }
 
 /// Builds the Table III replica plan for a degree. `summaries` is
@@ -190,10 +221,124 @@ pub fn dense_replicas(degree: ReplicaDegree, zfdr_values: u128, dense_values: u1
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lergan_tensor::TconvGeometry;
+    use lergan_tensor::{DconvAxis, TconvGeometry, WconvGeometry};
+    use proptest::prelude::*;
 
     fn conv1_plan() -> ZfdrPlan {
         ZfdrPlan::for_tconv(&TconvGeometry::for_upsampling(4, 5, 2).unwrap())
+    }
+
+    /// Reference search: every `r_e` of `1..=64` in turn, stopping at the
+    /// first that replicates past both kinds' reuse or lets transfer
+    /// outrun compute.
+    fn replica_e_max_scan(
+        plan: &ZfdrPlan,
+        summaries: &KindSummaries,
+        channel_pairs: u128,
+        config: &ReramConfig,
+        tile_transfer_ns: f64,
+    ) -> usize {
+        let t_m = config.mmv_latency_ns();
+        let inside = summaries.get(ClassKind::Inside);
+        let edge = summaries.get(ClassKind::Edge);
+        if inside.classes == 0 {
+            return 1;
+        }
+        let multiplier = plan.interior_axis_classes().max(1);
+        let carray_values = config.weights_per_tile() as u128;
+        let mut best = 1usize;
+        for r_e in 1..=64usize {
+            let r_i = (r_e * multiplier) as u128;
+            if r_i > inside.max_reuse.max(1) && r_e > edge.max_reuse.max(1) as usize {
+                break;
+            }
+            let trial = ReplicaPlan {
+                corner: 1,
+                edge: r_e,
+                inside: r_i as usize,
+            };
+            let size = trial.storage_values(summaries, channel_pairs);
+            let tiles = size.div_ceil(carray_values);
+            let t_t_total = tiles.saturating_sub(1) as f64 * tile_transfer_ns;
+            let t_c_total = t_m * inside.max_reuse.div_ceil(r_i).max(1) as f64;
+            if t_t_total <= t_c_total {
+                best = r_e;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    /// T-CONV, W-CONV-S and symmetric D-CONV plans of small random
+    /// geometries.
+    fn any_plan() -> impl Strategy<Value = ZfdrPlan> {
+        let tconv = (2usize..12, 2usize..7, 2usize..4).prop_filter_map("valid", |(i, w, s)| {
+            (w >= s)
+                .then(|| TconvGeometry::for_upsampling(i, w, s))
+                .flatten()
+                .map(|g| ZfdrPlan::for_tconv(&g))
+        });
+        let wconv = (4usize..20, 2usize..6, 1usize..4, 0usize..3)
+            .prop_filter_map("valid", |(i, w, s, p)| {
+                WconvGeometry::new(i, w, s, p).map(|g| ZfdrPlan::for_wconv(&g))
+            });
+        let dconv = (4usize..20, 2usize..5, 1usize..3, 1usize..4, 0usize..4)
+            .prop_filter_map("valid", |(i, k, s, d, p)| {
+                DconvAxis::new(i, k, s, d, p).map(|a| ZfdrPlan::for_dconv(&a))
+            });
+        prop_oneof![tconv, wconv, dconv]
+    }
+
+    /// Latencies at the edges of the search's domain, and ordinary ones.
+    fn latency() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(1e-300),
+            Just(1e300),
+            Just(f64::MAX),
+            Just(f64::INFINITY),
+            0.0f64..100.0,
+        ]
+    }
+
+    /// Channel pairs from 0 to 2^48, spread over every magnitude.
+    fn channel_pairs() -> impl Strategy<Value = u128> {
+        (0u32..49, 0u64..u64::MAX).prop_map(|(bits, r)| (r % ((1u64 << bits) + 1)) as u128)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn bisection_matches_the_scan(
+            plan in any_plan(),
+            dims in 2u32..4,
+            pairs in channel_pairs(),
+            t_read in latency(),
+            t_t in latency(),
+            carray_shift in 0u32..14,
+        ) {
+            // CArrays from one 8 KiB crossbar to the default 64 MiB, so the
+            // transfer test trips at every scale of storage.
+            let cfg = ReramConfig {
+                tile_read_latency_ns: t_read,
+                carray_bytes: 8192 << carray_shift,
+                ..ReramConfig::default()
+            };
+            let summaries = plan.kind_summaries(dims);
+            prop_assert_eq!(
+                replica_e_max(&plan, &summaries, pairs, &cfg, t_t),
+                replica_e_max_scan(&plan, &summaries, pairs, &cfg, t_t),
+                "dims {} pairs {} t_read {:?} t_t {:?}",
+                dims,
+                pairs,
+                t_read,
+                t_t
+            );
+        }
     }
 
     #[test]

@@ -197,6 +197,19 @@ fn add_to(sum: &mut Option<f64>, v: f64) {
     *sum.get_or_insert(0.0) += v;
 }
 
+/// The phase runs of one iteration, in [`Lowering::build`]'s order.
+pub(crate) const ITERATION_RUNS: [Phase; 9] = [
+    Phase::GForward,
+    Phase::DForward,
+    Phase::DBackward,
+    Phase::DWeightGrad,
+    Phase::GForward,
+    Phase::DForward,
+    Phase::DBackward,
+    Phase::GBackward,
+    Phase::GWeightGrad,
+];
+
 /// (first, last) task ids of one phase run's chain.
 struct PhaseRun {
     first: TaskId,
@@ -226,7 +239,14 @@ struct Lowering<'a> {
 impl<'a> Lowering<'a> {
     fn new(ctx: &'a ScheduleContext<'a>) -> Self {
         let threed = ctx.compiled.options.connection == Connection::ThreeD;
-        let mut engine = Engine::new();
+        // `build` runs these phases, emits a transfer and a compute task
+        // (one dependency each) per op of each, and adds 19 fixed tasks
+        // with 24 dependencies between them. Skip edges add a few more.
+        let ops: usize = ITERATION_RUNS
+            .iter()
+            .map(|&p| ctx.compiled.phase(p).layers.len())
+            .sum();
+        let mut engine = Engine::with_capacity(2 * ops + 19, 2 * ops + 24);
         // Resources: per-phase compute groups, per-bank wires, bus, bypass.
         let compute_res = PHASE_LABELS.map(|l| engine.add_resource(l.compute, 1));
         let wire_res = if threed {
@@ -243,7 +263,7 @@ impl<'a> Lowering<'a> {
             energy: Breakdown::new(),
             communication_pj: None,
             phase_cost: [None; 6],
-            op_tasks: Vec::new(),
+            op_tasks: Vec::with_capacity(ops),
             compute_res,
             wire_res,
             cross_res,

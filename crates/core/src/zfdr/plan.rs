@@ -120,12 +120,14 @@ pub struct ZfdrPlan {
 /// numbering classes in the order they first appear. A geometry has only a
 /// handful of distinct patterns, so each position's pattern is compared
 /// against the classes found so far and collected only when it is new.
+/// Each vector is allocated once, at the largest size it can reach: one
+/// class per position, and a pattern's tap bound.
 fn dedupe_patterns<P: Iterator<Item = usize>>(
     positions: usize,
     pattern: impl Fn(usize) -> P,
     interior: impl Fn(usize) -> bool,
 ) -> ZfdrPlan {
-    let mut axis_classes: Vec<AxisClass> = Vec::new();
+    let mut axis_classes: Vec<AxisClass> = Vec::with_capacity(positions);
     let mut class_of_position = Vec::with_capacity(positions);
     for pos in 0..positions {
         let known = axis_classes
@@ -134,8 +136,11 @@ fn dedupe_patterns<P: Iterator<Item = usize>>(
         let id = match known {
             Some(id) => id,
             None => {
+                let taps = pattern(pos);
+                let mut collected = Vec::with_capacity(taps.size_hint().1.unwrap_or(0));
+                collected.extend(taps);
                 axis_classes.push(AxisClass {
-                    pattern: pattern(pos).collect(),
+                    pattern: collected,
                     reuse: 0,
                     interior: false,
                 });

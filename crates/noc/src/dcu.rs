@@ -23,6 +23,7 @@ use crate::htree::HTree;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Interconnect operating mode.
@@ -309,6 +310,16 @@ impl Fabric {
         } else {
             Err(RouteError::NoSuchEndpoint { endpoint: e })
         }
+    }
+
+    /// A leg's key in a pair's route memo: the two vertex ids and the mode
+    /// packed into one word, or a typed error for an endpoint outside the
+    /// fabric. Vertex ids stay far below 2³¹ (a fabric has
+    /// `12 × tiles_per_bank + 1` vertices), so distinct legs get distinct
+    /// keys.
+    fn leg_key(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<u64, RouteError> {
+        let (src, dst) = (self.checked_vertex(from)?, self.checked_vertex(to)?);
+        Ok((src as u64) << 32 | (dst as u64) << 1 | mode as u64)
     }
 
     fn endpoint_of(&self, v: usize) -> Option<Endpoint> {
@@ -642,14 +653,38 @@ impl ThreeDcu {
     }
 }
 
-/// A transfer's endpoints and routing mode: the key of a pair's route
-/// memo.
-type Leg = (Endpoint, Endpoint, Mode);
+/// Hashes a [`Fabric::leg_key`] with one 128-bit multiply, folding the
+/// product's halves together so that the low bits the table picks buckets
+/// by depend on every bit of the key. Keys name vertices of the fabric, so
+/// even chosen ones number at most two per ordered vertex pair.
+#[derive(Default)]
+struct LegHasher(u64);
+
+impl Hasher for LegHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(self.0 ^ key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A pair's routes so far, by [`Fabric::leg_key`].
+type RouteMemo = HashMap<u64, Result<Arc<Route>, RouteError>, BuildHasherDefault<LegHasher>>;
 
 /// Two 3DCUs joined by bypass links — the mapping unit for one GAN.
 ///
 /// A pair is a cheap handle: clones share one immutable fabric and one
-/// memo of the routes asked of it so far, keyed by `(from, to, mode)`.
+/// memo of the routes asked of it so far, keyed by the vertex ids of
+/// `from` and `to` and the mode.
 /// Each leg is searched once per fabric, and an [`Unreachable`]
 /// answer is kept like a route. Routes are pure functions of the fabric
 /// (see the search's tie-breaking), so a memoised answer is the answer a
@@ -677,7 +712,7 @@ struct PairInner {
     faults: LinkFaults,
     /// Every leg routed so far. An entry is inserted whole, so a lock
     /// poisoned by a panicking thread still guards a valid memo.
-    routes: Mutex<HashMap<Leg, Result<Arc<Route>, RouteError>>>,
+    routes: Mutex<RouteMemo>,
 }
 
 /// The interned pairs, most recently used first.
@@ -723,7 +758,7 @@ impl DcuPair {
             inner: Arc::new(PairInner {
                 fabric: Fabric::new(cfg, 2, faults),
                 faults: faults.clone(),
-                routes: Mutex::new(HashMap::new()),
+                routes: Mutex::new(RouteMemo::default()),
             }),
         };
         let mut pairs = interned();
@@ -776,22 +811,20 @@ impl DcuPair {
     /// memo never grows past the fabric's legs.
     fn memoised(&self, from: Endpoint, to: Endpoint, mode: Mode) -> Result<Arc<Route>, RouteError> {
         let fabric = &self.inner.fabric;
-        fabric.checked_vertex(from)?;
-        fabric.checked_vertex(to)?;
-        let leg = (from, to, mode);
+        let key = fabric.leg_key(from, to, mode)?;
         let memo = || {
             self.inner
                 .routes
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
         };
-        if let Some(answer) = memo().get(&leg) {
+        if let Some(answer) = memo().get(&key) {
             return answer.clone();
         }
         // Searched outside the lock; a racing thread's search gives the
         // same answer, and the first one inserted is kept.
         let answer = fabric.route(from, to, mode).map(Arc::new);
-        memo().entry(leg).or_insert(answer).clone()
+        memo().entry(key).or_insert(answer).clone()
     }
 }
 
@@ -808,6 +841,10 @@ impl fmt::Debug for DcuPair {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// A transfer's endpoints and routing mode.
+    type Leg = (Endpoint, Endpoint, Mode);
 
     /// Reference search: Dijkstra with an O(V²) minimum scan, lowest
     /// vertex index first on ties, run from `src` until every reachable
@@ -990,6 +1027,33 @@ mod tests {
     }
 
     #[test]
+    fn every_leg_of_a_pair_has_its_own_memo_key() {
+        let fabric = Fabric::new(&NocConfig::default(), 2, &LinkFaults::none());
+        let endpoints: Vec<Endpoint> = (0..fabric.bus_vertex())
+            .filter_map(|v| fabric.endpoint_of(v))
+            .filter(|e| e.node >= 1)
+            .collect();
+        let mut keys = HashSet::new();
+        for mode in [Mode::Smode, Mode::Cmode] {
+            for &from in &endpoints {
+                for &to in &endpoints {
+                    assert!(keys.insert(fabric.leg_key(from, to, mode).unwrap()));
+                }
+            }
+        }
+        assert_eq!(keys.len(), 2 * endpoints.len() * endpoints.len());
+        let outside = Endpoint {
+            side: 2,
+            bank: 0,
+            node: 1,
+        };
+        assert_eq!(
+            fabric.leg_key(endpoints[0], outside, Mode::Cmode),
+            Err(RouteError::NoSuchEndpoint { endpoint: outside })
+        );
+    }
+
+    #[test]
     fn equal_builds_share_a_pair_and_its_memo() {
         let _serial = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
         let cfg = NocConfig::default();
@@ -1004,7 +1068,8 @@ mod tests {
             Mode::Cmode,
         );
         let route = a.route(leg.0, leg.1, leg.2).unwrap();
-        assert!(b.inner.routes.lock().unwrap().contains_key(&leg));
+        let key = b.inner.fabric.leg_key(leg.0, leg.1, leg.2).unwrap();
+        assert!(b.inner.routes.lock().unwrap().contains_key(&key));
         assert_eq!(b.route(leg.0, leg.1, leg.2).unwrap(), route);
         // A different fault set is a different fabric.
         let c = DcuPair::new(&cfg);

@@ -264,6 +264,16 @@ impl Engine {
         Self::default()
     }
 
+    /// Creates an empty engine with room for `tasks` tasks holding `deps`
+    /// dependencies between them, so that adding that many grows nothing.
+    pub fn with_capacity(tasks: usize, deps: usize) -> Self {
+        Engine {
+            tasks: Vec::with_capacity(tasks),
+            deps: Vec::with_capacity(deps),
+            resources: Vec::new(),
+        }
+    }
+
     /// Registers a resource with the given capacity.
     ///
     /// # Panics
